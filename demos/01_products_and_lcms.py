@@ -2,8 +2,11 @@
 
 For each supported weight f, the product over primes p of p**floor(x/f(p))
 equals the lcm of all products of integers >= 2 whose f-weights sum to at
-most x.  This script evaluates both sides independently over small grids and
-shows a few named specializations:
+most x.  This script evaluates both sides independently over small grids: the
+product from the closed form over sieved primes, the lcm by a search per
+prime that only ever uses the parts p**e (a part m with p**e exactly dividing
+it can be swapped for p**e at no extra weight).  It also shows a few named
+specializations:
 
   f(m) = log m   ->  lcm(1, 2, ..., floor(e**x))
   f(m) = m       ->  lcm of products of parts with bounded sum

@@ -6,7 +6,6 @@ from .factored import DigitBudgetError, FactoredNatural
 from .primes import PrimeTable, default_table, digit_sum, factorial_valuation
 from .products import (
     HypothesisReport,
-    SearchBudgetError,
     WeightFunction,
     check_hypothesis,
     multiset_lcm,
@@ -44,7 +43,6 @@ __all__ = [
     "PrimeTable",
     "QuotientPrimes",
     "ScanRecord",
-    "SearchBudgetError",
     "ValuationRecord",
     "WeightFunction",
     "check_hypothesis",

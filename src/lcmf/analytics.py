@@ -248,8 +248,7 @@ def _record(n: int, c: float, t: PrimeTable, lr: float | None = None, ls: float 
     s_total, s1, s2 = s_split(n, t)
     if abs((ls - lr) - s_total) > 1e-6 * max(1.0, n):
         raise ArithmeticError(f"quotient log split disagrees with log gap at n={n}")
-    mask = t.prime_mask(n + 2)
-    card = sum(1 for k in range(1, math.isqrt(n) + 1) if mask[(n + k) // k])
+    card = quotient_prime_count(n, t)
     return ScanRecord(
         n=n,
         log_rho=lr,

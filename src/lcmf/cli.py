@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import analytics, sequences, triangle, verify
 from .factored import DigitBudgetError, FactoredNatural
-from .products import NODE_BUDGET_DEFAULT, SearchBudgetError, WeightFunction
+from .products import WeightFunction
 
 
 @dataclass
@@ -30,13 +30,10 @@ class RunConfig:
     out: str | None = None
     format: str = "csv"
     workers: int = 1
-    budget: int = NODE_BUDGET_DEFAULT
     checkpoint: int = analytics.CHECKPOINT_DEFAULT
     gnuplot: str | None = None
 
     def validate(self) -> None:
-        if self.budget <= 0:
-            raise ValueError("--budget must be positive")
         if self.workers < 1:
             raise ValueError("--workers must be >= 1")
         if self.format not in ("csv", "json"):
@@ -64,7 +61,7 @@ def _cmd_compute(cfg: RunConfig, args) -> int:
     elif target == "q":
         if len(args.ints) != 2:
             raise ValueError("compute q takes two integer arguments: n k")
-        print(_render(triangle.q(args.ints[0], args.ints[1], cfg.budget)))
+        print(_render(triangle.q(args.ints[0], args.ints[1])))
     elif target == "pif":
         if cfg.weight is None or cfg.x is None:
             raise ValueError("compute pif needs --f and --x")
@@ -85,7 +82,7 @@ def _run_verify(cfg: RunConfig, args) -> verify.CheckResult:
     nmax = cfg.nmax
     if check == "theorem1":
         f = WeightFunction.parse(cfg.weight or "m")
-        return verify.check_theorem1(f, args.xmax, cfg.budget)
+        return verify.check_theorem1(f, args.xmax)
     if check == "prop1":
         return verify.check_prop1(nmax if nmax is not None else 12)
     if check == "prop2":
@@ -213,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--x", type=float, help="real argument for pif / theorem1")
         p.add_argument("--n", type=int, help="single index or grid start")
         p.add_argument("--nmax", type=int, help="range bound")
-        p.add_argument("--budget", type=int, default=NODE_BUDGET_DEFAULT, help="enumeration node budget")
         p.add_argument("--workers", type=int, default=1, help="worker processes for scans")
 
     p_compute = sub.add_parser("compute", help="evaluate rho / sigma / q / pif")
@@ -260,7 +256,6 @@ def main(argv: list[str] | None = None) -> int:
         out=getattr(args, "out", None),
         format=getattr(args, "format", "csv"),
         workers=getattr(args, "workers", 1),
-        budget=getattr(args, "budget", NODE_BUDGET_DEFAULT),
         checkpoint=getattr(args, "checkpoint", analytics.CHECKPOINT_DEFAULT),
         gnuplot=getattr(args, "gnuplot", None),
     )
@@ -279,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown subcommand {args.subcommand!r}")
     except ValueError as exc:
         parser.error(str(exc))
-    except (SearchBudgetError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

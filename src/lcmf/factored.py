@@ -8,6 +8,7 @@ under an explicit digit budget.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterable, Mapping
 
 from . import primes as _primes
@@ -119,7 +120,16 @@ class FactoredNatural:
         value = 1
         for p in sorted(self._factors):
             value *= p ** self._factors[p]
-        return str(value)
+        if not hasattr(sys, "set_int_max_str_digits"):  # Pythons without the cap
+            return str(value)
+        # the digit budget bounds the size, so CPython's str(int) digit cap
+        # (4300 digits by default) is lifted for this one conversion
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(value)
+        finally:
+            sys.set_int_max_str_digits(saved)
 
     # -- protocol -------------------------------------------------------------
 

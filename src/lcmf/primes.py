@@ -28,7 +28,7 @@ def _env_default_limit() -> int:
         try:
             return max(4, int(raw))
         except ValueError:
-            pass
+            raise ValueError(f"LCMF_SIEVE_LIMIT must be an integer, got {raw!r}") from None
     return DEFAULT_LIMIT
 
 

@@ -3,14 +3,16 @@
 For an admissible weight f, the product over primes of p**floor(x / f(p))
 equals the lcm of all products i_1 * ... * i_k taken over finite multisets
 of integers >= 2 whose weights sum to at most x.  This module computes both
-sides independently: the prime side from the sieve, the lcm side by a
-pruned depth-first search over nondecreasing parts, so that test runs can
-compare them with no shared code path.
+sides independently: the prime side from the sieve and the closed form, the
+lcm side by a search per prime over the parts p**e that never uses the
+closed form or the sieve, so that test runs can compare them with no shared
+code path.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -20,12 +22,6 @@ import mpmath
 from . import primes as _primes
 from .factored import FactoredNatural
 from .primes import PrimeTable
-
-NODE_BUDGET_DEFAULT = 10**7
-
-
-class SearchBudgetError(RuntimeError):
-    """Raised when the multiset enumeration exceeds its node budget."""
 
 
 @dataclass(frozen=True)
@@ -314,108 +310,88 @@ def weighted_prime_product(f: WeightFunction, x, table: PrimeTable | None = None
 # -- the lcm side -----------------------------------------------------------------
 
 
-def _lcm_over_weighted_multisets(
+def _max_valuation(p: int, cost, budget, max_parts: int | None, combine, empty) -> int:
+    """Largest total p-valuation of at most max_parts parts p**e within the budget.
+
+    best[v] is the least total cost of parts p**e (e >= 1) whose valuations
+    sum to at least v; it is nondecreasing in v, so the search stops at the
+    first v it prices over the budget.  A least-cost way to reach v uses at
+    most v parts, so a part limit only binds below the unlimited answer,
+    where best gains a parts dimension that is filled one part at a time.
+    """
+    items = []
+    e, pe = 1, p
+    while (c := cost(pe)) <= budget:
+        items.append((e, c))
+        e, pe = e + 1, pe * p
+    best = [empty]
+    while True:
+        v = len(best)
+        c = min(combine(ce, best[max(0, v - e)]) for e, ce in items)
+        if c > budget:
+            break
+        best.append(c)
+    top = len(best) - 1
+    if max_parts is None or max_parts >= top:
+        return top
+    layer = [empty] + [None] * top  # at most j parts, j = 0, 1, ..., max_parts
+    for _ in range(max_parts):
+        nxt = list(layer)
+        for v in range(1, top + 1):
+            for e, ce in items:
+                prev = layer[max(0, v - e)]
+                if prev is not None:
+                    c = combine(ce, prev)
+                    if nxt[v] is None or c < nxt[v]:
+                        nxt[v] = c
+        layer = nxt
+    return max(v for v, c in enumerate(layer) if c is not None and c <= budget)
+
+
+def _lcm_exponents(
     cost: Callable[[int], object],
     budget,
     max_parts: int | None = None,
-    node_budget: int = NODE_BUDGET_DEFAULT,
+    combine: Callable = operator.add,
+    empty=0,
 ) -> dict[int, int]:
     """lcm, as an exponent map, over products of multisets of parts >= 2.
 
-    Enumerates nondecreasing part sequences whose costs sum to <= budget
-    (and with at most max_parts parts when given), pruning on the remaining
-    budget.  cost must be nondecreasing in the part and positive on parts
-    >= 2, which is what bounds the search.
+    A multiset is admissible when the costs of its parts, folded with
+    combine from empty, stay within budget (and it has at most max_parts
+    parts when given).  cost must be nondecreasing in the part and combine
+    must not decrease a total, so a part m with v_p(m) = e can be swapped
+    for p**e, which divides m, at no extra cost.  The exponent of each prime
+    is then a search over the parts p**e alone (_max_valuation).  Primes are
+    found by primality tests, independently of any sieve.
     """
-    acc: dict[int, int] = {}
-    path: dict[int, int] = {}
-    nodes = 0
-
-    def absorb() -> None:
-        for p, e in path.items():
-            if e > acc.get(p, 0):
-                acc[p] = e
-
-    def dfs(min_part: int, remaining, parts_left: int | None) -> None:
-        nonlocal nodes
-        if parts_left is not None and parts_left <= 0:
-            return
-        part = min_part
-        while True:
-            c = cost(part)
-            if c > remaining:
-                return
-            nodes += 1
-            if nodes > node_budget:
-                raise SearchBudgetError(f"multiset search exceeded {node_budget} nodes")
-            fac = _primes.factorize(part)
-            for p, e in fac.items():
-                path[p] = path.get(p, 0) + e
-            absorb()
-            dfs(part, remaining - c, None if parts_left is None else parts_left - 1)
-            for p, e in fac.items():
-                if path[p] == e:
-                    del path[p]
-                else:
-                    path[p] -= e
-            part += 1
-
-    dfs(2, budget, max_parts)
-    return acc
+    exps: dict[int, int] = {}
+    if max_parts == 0:
+        return exps
+    m = 2
+    while cost(m) <= budget:
+        if _primes.is_probable_prime(m):
+            exps[m] = _max_valuation(m, cost, budget, max_parts, combine, empty)
+        m += 1
+    return exps
 
 
-def _lcm_over_bounded_products(cap: int, node_budget: int = NODE_BUDGET_DEFAULT) -> dict[int, int]:
-    """lcm exponent map over products of parts >= 2 whose product is <= cap."""
-    acc: dict[int, int] = {}
-    path: dict[int, int] = {}
-    nodes = 0
-
-    def absorb() -> None:
-        for p, e in path.items():
-            if e > acc.get(p, 0):
-                acc[p] = e
-
-    def dfs(min_part: int, headroom: int) -> None:
-        nonlocal nodes
-        part = min_part
-        while part <= headroom:
-            nodes += 1
-            if nodes > node_budget:
-                raise SearchBudgetError(f"multiset search exceeded {node_budget} nodes")
-            fac = _primes.factorize(part)
-            for p, e in fac.items():
-                path[p] = path.get(p, 0) + e
-            absorb()
-            dfs(part, headroom // part)
-            for p, e in fac.items():
-                if path[p] == e:
-                    del path[p]
-                else:
-                    path[p] -= e
-            part += 1
-
-    dfs(2, cap)
-    return acc
-
-
-def multiset_lcm(f: WeightFunction, x, node_budget: int = NODE_BUDGET_DEFAULT) -> FactoredNatural:
+def multiset_lcm(f: WeightFunction, x) -> FactoredNatural:
     """lcm of i_1*...*i_k over multisets with f(i_1)+...+f(i_k) <= x.
 
     Parts equal to 1 are omitted: they change neither the product nor the
     weight constraint.  The empty multiset contributes 1, so the result is
     always >= 1.  For the log weight the additive constraint is evaluated in
-    exact form as a product cap of floor(e**x).
+    exact form as a product cap of floor(e**x): the parts' product must stay
+    within the cap.
     """
     if f.kind == "log":
-        return FactoredNatural._trusted(
-            _lcm_over_bounded_products(exp_floor(float(x)), node_budget)
-        )
+        cap = exp_floor(float(x))
+        return FactoredNatural._trusted(_lcm_exponents(lambda m: m, cap, None, operator.mul, 1))
     if f.is_exact:
         budget = _exact_amount(x)
     else:
         budget = float(x)
     if budget < 0:
         raise ValueError("x must be >= 0")
-    return FactoredNatural._trusted(
-        _lcm_over_weighted_multisets(f.value, budget, None, node_budget)
-    )
+    return FactoredNatural._trusted(_lcm_exponents(f.value, budget))

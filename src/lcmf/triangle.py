@@ -2,9 +2,10 @@
 
 q(n, k) is the lcm of all products i_1 * ... * i_k over multisets of exactly
 k positive integers with i_1 + ... + i_k <= n.  Dropping the parts equal to 1
-turns this into the bounded-weight search used elsewhere: multisets of parts
->= 2, at most k of them, with the shifted weights (part - 1) summing to at
-most n - k.  The diagonals d(n, k) = q(n + k, k) are nondecreasing in the
+turns this into the bounded-weight search of the products module: multisets
+of parts >= 2, at most k of them, with the shifted weights (part - 1) summing
+to at most n - k, which is searched one prime at a time with a part-count
+limit of k.  The diagonals d(n, k) = q(n + k, k) are nondecreasing in the
 divisibility order and freeze at k = n, where they give the same value as the
 shifted-weight prime product.
 """
@@ -12,35 +13,32 @@ shifted-weight prime product.
 from __future__ import annotations
 
 from .factored import FactoredNatural
-from .products import NODE_BUDGET_DEFAULT, _lcm_over_weighted_multisets
+from .products import _lcm_exponents
 
 
-def q(n: int, k: int, node_budget: int = NODE_BUDGET_DEFAULT) -> FactoredNatural:
+def q(n: int, k: int) -> FactoredNatural:
     """Triangle entry: lcm over exactly-k-part multisets with sum <= n."""
     if n < 0 or k < 0:
         raise ValueError("n and k must be >= 0")
     if k > n:
         raise ValueError(f"k = {k} exceeds n = {n}")
-    exps = _lcm_over_weighted_multisets(
-        lambda part: part - 1, n - k, max_parts=k, node_budget=node_budget
-    )
-    return FactoredNatural._trusted(exps)
+    return FactoredNatural._trusted(_lcm_exponents(lambda part: part - 1, n - k, max_parts=k))
 
 
-def diagonal(n: int, k: int, node_budget: int = NODE_BUDGET_DEFAULT) -> FactoredNatural:
+def diagonal(n: int, k: int) -> FactoredNatural:
     """d(n, k) = q(n + k, k), the k-th entry of the n-th diagonal."""
     if n < 0 or k < 0:
         raise ValueError("n and k must be >= 0")
-    return q(n + k, k, node_budget)
+    return q(n + k, k)
 
 
-def sigma_from_diagonal(n: int, node_budget: int = NODE_BUDGET_DEFAULT) -> FactoredNatural:
+def sigma_from_diagonal(n: int) -> FactoredNatural:
     """The frozen diagonal value d(n, n) = q(2n, n).
 
     Equals the shifted-weight prime product at n (the sigma sequence), which
-    makes it an enumeration-side oracle for that sequence.
+    makes it an lcm-side check of that sequence.
     """
-    return diagonal(n, n, node_budget)
+    return diagonal(n, n)
 
 
 def rows(nmax: int) -> list[list[FactoredNatural]]:

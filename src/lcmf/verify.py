@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from . import analytics, primes as _primes, sequences, triangle
 from .primes import PrimeTable
-from .products import NODE_BUDGET_DEFAULT, WeightFunction, multiset_lcm, weighted_prime_product
+from .products import WeightFunction, multiset_lcm, weighted_prime_product
 
 
 @dataclass
@@ -46,7 +46,6 @@ def theorem1_grid(f: WeightFunction, xmax: float | None = None) -> list:
 def check_theorem1(
     f: WeightFunction,
     xmax: float | None = None,
-    node_budget: int = NODE_BUDGET_DEFAULT,
     table: PrimeTable | None = None,
 ) -> CheckResult:
     """Prime-side product == multiset-lcm side, over the grid for f."""
@@ -54,7 +53,7 @@ def check_theorem1(
     for x in theorem1_grid(f, xmax):
         res.cases += 1
         lhs = weighted_prime_product(f, x, table)
-        rhs = multiset_lcm(f, x, node_budget)
+        rhs = multiset_lcm(f, x)
         if lhs != rhs:
             res.violations.append(f"f={f.spec} x={x}: product {lhs} != lcm {rhs}")
     return res

@@ -1,8 +1,11 @@
 import json
+import sys
 
 import pytest
 
-from lcmf import cli
+from lcmf import cli, primes
+
+from oracles import naive_rho, naive_sigma
 
 
 def run_cli(capsys, *argv):
@@ -139,12 +142,31 @@ def test_scan_gnuplot_stub(capsys, tmp_path):
     assert "plot" in text and str(csv_path) in text
 
 
-def test_budget_flag_propagates(capsys):
+def test_compute_past_int_str_digit_limit(capsys):
+    # both values run past CPython's default 4300-digit str(int) limit
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        decimals = {}
+        for target in ("sigma", "rho"):
+            code, out, _ = run_cli(capsys, "compute", target, "2000")
+            assert code == 0
+            decimals[target] = out.strip().rsplit(" = ", 1)[1]
+        assert sys.get_int_max_str_digits() == 4300  # the limit is restored
+        assert len(decimals["sigma"]) > 4300 and len(decimals["rho"]) > 4300
+        sys.set_int_max_str_digits(0)
+        assert int(decimals["sigma"]) == naive_sigma(2000)
+        assert int(decimals["rho"]) == naive_rho(2000)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_bad_sieve_limit_env_is_usage_error(monkeypatch):
+    monkeypatch.setenv("LCMF_SIEVE_LIMIT", "abc")
+    monkeypatch.setattr(primes, "_default_table", None)  # as in a fresh process
     with pytest.raises(SystemExit) as exc:
-        cli.main(["compute", "q", "40", "20", "--budget", "0"])
-    assert exc.value.code == 2  # invalid budget is a usage error
-    code = cli.main(["compute", "q", "40", "20", "--budget", "50"])
-    assert code == 1  # valid but too small: enumeration refuses
+        cli.main(["compute", "sigma", "6"])
+    assert exc.value.code == 2
 
 
 def test_compute_over_digit_budget(capsys):

@@ -5,13 +5,14 @@ import pytest
 
 from lcmf.factored import FactoredNatural
 from lcmf.products import (
-    SearchBudgetError,
     WeightFunction,
     check_hypothesis,
     exp_floor,
     multiset_lcm,
     weighted_prime_product,
 )
+from lcmf.sequences import sigma
+from lcmf.triangle import q
 
 from oracles import naive_weighted_lcm, trial_primes
 
@@ -90,13 +91,24 @@ def test_multiset_lcm_small_cases():
 
 
 def test_multiset_lcm_against_naive():
-    for x in range(0, 13):
-        assert int(multiset_lcm(WeightFunction.linear(), x).to_decimal()) == naive_weighted_lcm(
-            lambda m: m, x
-        )
-        assert int(multiset_lcm(WeightFunction.shifted(), x).to_decimal()) == naive_weighted_lcm(
-            lambda m: m - 1, x
-        )
+    weights = (
+        (WeightFunction.linear(), lambda m: m),
+        (WeightFunction.shifted(), lambda m: m - 1),
+        (WeightFunction.power(2), lambda m: m * m),
+    )
+    for x in [Fraction(i, 2) for i in range(0, 26)]:
+        for f, weight in weights:
+            got = int(multiset_lcm(f, x).to_decimal())
+            assert got == naive_weighted_lcm(weight, x), (f.spec, x)
+
+
+def test_multiset_lcm_beyond_enumeration_reach():
+    # ranges an exhaustive search over multisets cannot reach
+    f = WeightFunction.shifted()
+    for x in range(0, 201):
+        assert multiset_lcm(f, x) == weighted_prime_product(f, x), x
+    for n in range(0, 101):
+        assert q(2 * n, n) == sigma(n), n
 
 
 def test_equivalence_on_fractional_points():
@@ -140,11 +152,6 @@ def test_valuation_bound_for_catalog():
             fa = f.value(a)
             for p, e in fac.items():
                 assert e <= fa / f.value(p) + 1e-9, (f.spec, a, p)
-
-
-def test_budget_exceeded():
-    with pytest.raises(SearchBudgetError):
-        multiset_lcm(WeightFunction.shifted(), 60, node_budget=1000)
 
 
 def test_non_integer_power_consistency():

@@ -31,7 +31,7 @@ def test_q_spot_values(n, k, value):
 
 
 def test_q_against_naive_enumeration():
-    for n in range(10):
+    for n in range(13):
         for k in range(n + 1):
             assert int(q(n, k).to_decimal()) == naive_q(n, k), (n, k)
 
