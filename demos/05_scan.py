@@ -16,8 +16,8 @@ from lcmf import analytics
 
 
 def main():
-    enc = analytics.default_constant()
-    print(f"constant midpoint {enc.midpoint:.9f}, enclosure width {enc.width:.2e}")
+    enc = analytics.analytic_constant()
+    print(f"constant c = {enc.midpoint!r} (analytic, +/- {enc.width / 2:.1e})")
 
     ns = analytics.sampled_dyadic_grid(10, 17, per_block=6)
     records = analytics.scan(ns, c=enc.midpoint)

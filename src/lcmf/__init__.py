@@ -26,6 +26,7 @@ from .sequences import (
 from .analytics import (
     Enclosure,
     ScanRecord,
+    analytic_constant,
     prime_series_constant,
     s_split,
     scan,
@@ -45,6 +46,7 @@ __all__ = [
     "ScanRecord",
     "ValuationRecord",
     "WeightFunction",
+    "analytic_constant",
     "check_hypothesis",
     "default_table",
     "diagonal",

@@ -1,31 +1,33 @@
-"""Analytic layer: the prime-series constant, theta-sum identities, and scans.
+"""Analytic layer: the constant c, theta-sum identities, and scans.
 
 The headline quantities are log rho(n) and log sigma(n).  Both admit exact
-rewrites as sums of theta values over the quotients n//k, and their gap is
-the log-sum over k of the prime quotient values floor(n/k + 1).  Residuals
-subtract the main terms n log n - (c+1) n and n log n - n, where c is the
-sum over primes of log p / (p (p-1)), enclosed rigorously by a partial sum
-plus an explicit tail majorant.
+rewrites as sums of theta values over the ~2 sqrt(n) distinct quotients n//k,
+and their gap is the log-sum over k of the prime quotient values
+floor(n/k + 1).  A scan row takes every field from those quotients; the
+direct sums of (n // p) log p in log_rho/log_sigma are the check route.
+Residuals subtract n log n - (c+1) n and n log n - n, where c is the sum over
+primes of log p / (p (p-1)): scans take it from the analytic series in
+analytic_constant(), and prime_series_constant() encloses it rigorously.
 
-All floating summations run in a fixed order, so scan output is reproducible
-bit for bit on one platform regardless of the worker count.
+Each row depends on n alone and sums in a fixed order, so scan output is
+reproducible bit for bit on one platform whatever the grid or worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, asdict
 
+import mpmath
 import numpy as np
 
 from . import primes as _primes
 from .primes import PrimeTable
 
 DEFAULT_TAIL_CUT = 50_000_000
-CHECKPOINT_DEFAULT = 1 << 16
-_DENSE_STEP_MAX = 64  # arithmetic grids at most this sparse walk incrementally
 _ROUNDING_SLOP = 1e-11  # covers float accumulation error in the partial sums
 
 
@@ -50,6 +52,30 @@ class Enclosure:
 
     def __contains__(self, value: float) -> bool:
         return self.lo <= value <= self.hi
+
+
+@functools.cache
+def analytic_constant() -> Enclosure:
+    """[c - delta, c + delta] from c = sum over m >= 2 of mu(m) zeta'(m)/zeta(m).
+
+    The series is the Moebius inversion of -zeta'/zeta(s) = sum of
+    log p * p**(-j s) over primes p and j >= 1 (H. Cohen, 1998).  It is summed
+    in mpmath at 80 bits until |zeta'/zeta(m)| < 2**-60; that term bounds the
+    whole tail, as each term Lambda(k) k**-s of -zeta'/zeta(s) is positive and
+    at least halves when s grows by one.  delta = 2**-52 covers the tail, the
+    rounding to float (half an ulp of c, 2**-54) and mpmath's evaluation error
+    (about 2**-80 per term); c +- delta are exact floats.
+    """
+    total, ratio, m = mpmath.mpf(0), 1, 1
+    with mpmath.workprec(80):
+        while abs(ratio) >= 2.0**-60:
+            m += 1
+            ratio = mpmath.zeta(m, 1, 1) / mpmath.zeta(m)
+            exponents = _primes.factorize(m).values()
+            if max(exponents) == 1:
+                total += (-1) ** len(exponents) * ratio
+        c = float(total)
+    return Enclosure(c - 2.0**-52, c + 2.0**-52)
 
 
 def prime_series_constant(tail_cut: int, table: PrimeTable | None = None) -> Enclosure:
@@ -114,14 +140,37 @@ def log_sigma(n: int, table: PrimeTable | None = None) -> float:
     return float(np.sum((n // (ps - 1)).astype(np.float64) * logs))
 
 
+def _quotients(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(small, large, mult): n // k for k <= r = isqrt(n), then each v <= n // (r+1)
+    with mult = n // v - n // (v+1), the number of k (all > r) with n // k == v."""
+    r = math.isqrt(n)
+    small = n // np.arange(1, r + 1, dtype=np.int64)
+    large = np.arange(1, n // (r + 1) + 1, dtype=np.int64)
+    return small, large, n // large - n // (large + 1)
+
+
+def _theta_sum(t: PrimeTable, quotients, shift: int) -> float:
+    """Sum over k = 1..n of theta(n // k + shift), from the grouped quotients."""
+    small, large, mult = quotients
+    return float(np.sum(t.theta_many(small + shift)) + np.sum(mult * t.theta_many(large + shift)))
+
+
+def _prime_quotients(t: PrimeTable, n: int, quotients) -> tuple[int, float, float]:
+    """(card_A, s1, s2) from the quotient values n // k + 1 that are prime."""
+    small, large, mult = quotients
+    mask = t.prime_mask(n + 2)
+    hits = small[mask[small + 1]] + 1
+    big = mask[large + 1]
+    return len(hits), float(np.sum(np.log(hits))), float(np.sum(mult[big] * np.log(large[big] + 1)))
+
+
 def theta_sum_rho(n: int, table: PrimeTable | None = None) -> float:
     """Sum over k = 1..n of theta(n / k); identical to log rho(n) exactly."""
     if n < 1:
         raise ValueError("n must be >= 1")
     t = _primes._table(table)
     t.ensure(n + 1)
-    qs = n // np.arange(1, n + 1, dtype=np.int64)
-    return float(np.sum(t.theta_many(qs)))
+    return _theta_sum(t, _quotients(n), 0)
 
 
 def theta_sum_sigma(n: int, table: PrimeTable | None = None) -> float:
@@ -130,36 +179,19 @@ def theta_sum_sigma(n: int, table: PrimeTable | None = None) -> float:
         raise ValueError("n must be >= 1")
     t = _primes._table(table)
     t.ensure(n + 2)
-    qs = n // np.arange(1, n + 1, dtype=np.int64) + 1
-    return float(np.sum(t.theta_many(qs)))
+    return _theta_sum(t, _quotients(n), 1)
 
 
 def s_split(n: int, table: PrimeTable | None = None) -> tuple[float, float, float]:
     """(s_total, s1, s2): log-sums of the prime quotient values floor(n/k+1).
 
     s1 runs over k <= sqrt(n), s2 over sqrt(n) < k <= n (grouped by equal
-    quotients, in ascending k order), and s_total = s1 + s2 by construction.
-    s_total equals log sigma(n) - log rho(n) up to float accumulation.
+    quotients), and s_total = s1 + s2 by construction.  s_total equals
+    log sigma(n) - log rho(n) up to float accumulation.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    t = _primes._table(table)
-    mask = t.prime_mask(n + 2)
-    r = math.isqrt(n)
-    s1 = 0.0
-    for k in range(1, r + 1):
-        m = (n + k) // k
-        if mask[m]:
-            s1 += math.log(m)
-    s2 = 0.0
-    k = r + 1
-    while k <= n:
-        qv = n // k
-        k_last = min(n // qv, n)
-        m = qv + 1
-        if mask[m]:
-            s2 += (k_last - k + 1) * math.log(m)
-        k = k_last + 1
+    _, s1, s2 = _prime_quotients(_primes._table(table), n, _quotients(n))
     return s1 + s2, s1, s2
 
 
@@ -167,9 +199,7 @@ def quotient_prime_count(n: int, table: PrimeTable | None = None) -> int:
     """Number of k <= sqrt(n) for which floor(n/k + 1) is prime (card_A)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    t = _primes._table(table)
-    mask = t.prime_mask(n + 2)
-    return sum(1 for k in range(1, math.isqrt(n) + 1) if mask[(n + k) // k])
+    return _prime_quotients(_primes._table(table), n, _quotients(n))[0]
 
 
 def higher_power_residual(n: int, c: float | None = None, table: PrimeTable | None = None) -> float:
@@ -182,7 +212,7 @@ def higher_power_residual(n: int, c: float | None = None, table: PrimeTable | No
     if n < 1:
         raise ValueError("n must be >= 1")
     if c is None:
-        c = default_constant().midpoint
+        c = analytic_constant().midpoint
     t = _primes._table(table)
     ps, logs = t.primes_and_logs(math.isqrt(n))
     total = 0.0
@@ -239,16 +269,16 @@ class ScanRecord:
 assert CSV_HEADER == ",".join(f.name for f in fields(ScanRecord))
 
 
-def _record(n: int, c: float, t: PrimeTable, lr: float | None = None, ls: float | None = None) -> ScanRecord:
-    if lr is None:
-        lr = log_rho(n, t)
-    if ls is None:
-        ls = log_sigma(n, t)
-    logn = math.log(n) if n > 0 else 0.0
-    s_total, s1, s2 = s_split(n, t)
-    if abs((ls - lr) - s_total) > 1e-6 * max(1.0, n):
+def _record(n: int, c: float, t: PrimeTable) -> ScanRecord:
+    """The scan row for n, every field from one set of quotient arrays."""
+    t.ensure(n + 2)
+    quotients = _quotients(n)
+    lr = _theta_sum(t, quotients, 0)
+    ls = _theta_sum(t, quotients, 1)
+    card, s1, s2 = _prime_quotients(t, n, quotients)
+    if abs((ls - lr) - (s1 + s2)) > 1e-6 * max(1.0, n):
         raise ArithmeticError(f"quotient log split disagrees with log gap at n={n}")
-    card = quotient_prime_count(n, t)
+    logn = math.log(n)
     return ScanRecord(
         n=n,
         log_rho=lr,
@@ -283,49 +313,17 @@ def _scan_direct(ns: list[int], c: float, t: PrimeTable, workers: int) -> list[S
     return [rec for part in parts for rec in part]
 
 
-def _scan_dense(ns: list[int], c: float, t: PrimeTable, checkpoint: int) -> list[ScanRecord]:
-    """Walk n upward once, updating the two log values incrementally.
-
-    log rho grows by log p for each distinct prime factor p of the new n;
-    log sigma by log(d + 1) for each divisor d of the new n with d + 1 prime.
-    Exact recomputation at checkpoint boundaries caps float drift.
-    """
-    wanted = set(ns)
-    out = []
-    start = ns[0]
-    lr = log_rho(start, t)
-    ls = log_sigma(start, t)
-    if start in wanted:
-        out.append(_record(start, c, t, lr, ls))
-    mask = t.prime_mask(ns[-1] + 2)
-    for n in range(start + 1, ns[-1] + 1):
-        for p in _primes.factorize(n, t):
-            lr += math.log(p)
-        for d in _primes.divisors(n):
-            if mask[d + 1]:
-                ls += math.log(d + 1)
-        if n % checkpoint == 0:
-            lr = log_rho(n, t)
-            ls = log_sigma(n, t)
-        if n in wanted:
-            out.append(_record(n, c, t, lr, ls))
-    return out
-
-
 def scan(
     ns,
     table: PrimeTable | None = None,
     c: float | None = None,
     workers: int = 1,
-    checkpoint: int = CHECKPOINT_DEFAULT,
 ) -> list[ScanRecord]:
     """One ScanRecord per requested n, in ascending order.
 
-    Dense arithmetic grids (step <= 64) are walked incrementally from delta
-    updates with periodic exact resync; sparse grids are computed per n,
-    optionally across a worker pool.  Output is identical either way up to
-    the documented float tolerances, and byte-identical for a fixed grid
-    regardless of the worker count.
+    Each record is computed from n alone in O(sqrt(n)) array work, optionally
+    across a worker pool, so the row for a given n is byte-identical whatever
+    the grid or the worker count.  c defaults to analytic_constant().
     """
     ns = sorted(set(int(n) for n in ns))
     if not ns or ns[0] < 1:
@@ -333,10 +331,7 @@ def scan(
     t = _primes._table(table)
     t.ensure(ns[-1] + 2)
     if c is None:
-        c = default_constant().midpoint
-    steps = [b - a for a, b in zip(ns, ns[1:])]
-    if steps and max(steps) <= _DENSE_STEP_MAX:
-        return _scan_dense(ns, c, t, checkpoint)
+        c = analytic_constant().midpoint
     return _scan_direct(ns, c, t, workers)
 
 

@@ -1,9 +1,10 @@
 """Command-line front end: compute | verify | triangle | constant | scan.
 
 Exit codes are a stable contract: 0 on success or a passing verification,
-1 when a verification finds violations (or an I/O failure), 2 on usage
-errors.  Output files are reproducible byte for byte for a fixed command
-line, regardless of the worker count.
+1 when a verification finds violations or a command fails (an I/O error or
+a ValueError while computing), 2 on usage errors (bad arguments).  Output
+files are reproducible byte for byte for a fixed command line, whatever the
+worker count.
 """
 
 from __future__ import annotations
@@ -12,9 +13,21 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from . import analytics, sequences, triangle, verify
+from . import analytics, primes, sequences, triangle, verify
 from .factored import DigitBudgetError, FactoredNatural
 from .products import WeightFunction
+
+
+class UsageError(ValueError):
+    """A bad command line; main() reports it through argparse (exit 2)."""
+
+
+def _parse(fn, *args):
+    """Call an argument parser, turning its ValueError into a UsageError."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 @dataclass
@@ -30,16 +43,16 @@ class RunConfig:
     out: str | None = None
     format: str = "csv"
     workers: int = 1
-    checkpoint: int = analytics.CHECKPOINT_DEFAULT
     gnuplot: str | None = None
 
     def validate(self) -> None:
         if self.workers < 1:
-            raise ValueError("--workers must be >= 1")
+            raise UsageError("--workers must be >= 1")
         if self.format not in ("csv", "json"):
-            raise ValueError("--format must be csv or json")
+            raise UsageError("--format must be csv or json")
         if self.nmax is not None and self.nmax < 0:
-            raise ValueError("--nmax must be >= 0")
+            raise UsageError("--nmax must be >= 0")
+        _parse(primes._env_default_limit)  # LCMF_SIEVE_LIMIT is read lazily; check it now
 
 
 def _render(value: FactoredNatural) -> str:
@@ -53,35 +66,39 @@ def _render(value: FactoredNatural) -> str:
 
 def _cmd_compute(cfg: RunConfig, args) -> int:
     target = args.target
+    if any(v < 0 for v in args.ints):
+        raise UsageError(f"compute {target} takes integers >= 0")
     if target in ("rho", "sigma"):
         if len(args.ints) != 1:
-            raise ValueError(f"compute {target} takes one integer argument")
+            raise UsageError(f"compute {target} takes one integer argument")
         fn = sequences.rho if target == "rho" else sequences.sigma
         print(_render(fn(args.ints[0])))
     elif target == "q":
         if len(args.ints) != 2:
-            raise ValueError("compute q takes two integer arguments: n k")
+            raise UsageError("compute q takes two integer arguments: n k")
+        if args.ints[1] > args.ints[0]:
+            raise UsageError("compute q needs k <= n")
         print(_render(triangle.q(args.ints[0], args.ints[1])))
     elif target == "pif":
         if cfg.weight is None or cfg.x is None:
-            raise ValueError("compute pif needs --f and --x")
-        f = WeightFunction.parse(cfg.weight)
+            raise UsageError("compute pif needs --f and --x")
+        f = _parse(WeightFunction.parse, cfg.weight)
         from .products import weighted_prime_product
 
         print(_render(weighted_prime_product(f, cfg.x)))
     else:
-        raise ValueError(f"unknown compute target {target!r}")
+        raise UsageError(f"unknown compute target {target!r}")
     return 0
 
 
-_VERIFY_IDS = ("theorem1", "prop1", "prop2", "prop3", "cor2", "theorem2", "eq14-16")
+_VERIFY_IDS = ("theorem1", "prop1", "prop2", "prop3", "cor2", "theorem2", "eq14-16", "split")
 
 
 def _run_verify(cfg: RunConfig, args) -> verify.CheckResult:
     check = args.check
     nmax = cfg.nmax
     if check == "theorem1":
-        f = WeightFunction.parse(cfg.weight or "m")
+        f = _parse(WeightFunction.parse, cfg.weight or "m")
         return verify.check_theorem1(f, args.xmax)
     if check == "prop1":
         return verify.check_prop1(nmax if nmax is not None else 12)
@@ -95,7 +112,9 @@ def _run_verify(cfg: RunConfig, args) -> verify.CheckResult:
         return verify.check_theorem2(nmax if nmax is not None else 500)
     if check == "eq14-16":
         return verify.check_theta_identities(nmax if nmax is not None else 10_000)
-    raise ValueError(f"unknown check id {check!r}")
+    if check == "split":
+        return verify.check_split(nmax if nmax is not None else 2000)
+    raise UsageError(f"unknown check id {check!r}")
 
 
 def _write_valuation_records(nmax: int, path: str) -> None:
@@ -146,13 +165,11 @@ def _cmd_constant(args) -> int:
 
 def _cmd_scan(cfg: RunConfig) -> int:
     if cfg.nmax is None:
-        raise ValueError("scan needs --nmax")
+        raise UsageError("scan needs --nmax")
     start = cfg.n if cfg.n is not None else 1
-    ns = analytics.parse_grid(cfg.grid, start, cfg.nmax)
-    enc = analytics.default_constant()
-    records = analytics.scan(
-        ns, c=enc.midpoint, workers=cfg.workers, checkpoint=cfg.checkpoint
-    )
+    ns = _parse(analytics.parse_grid, cfg.grid, start, cfg.nmax)
+    enc = analytics.analytic_constant()
+    records = analytics.scan(ns, c=enc.midpoint, workers=cfg.workers)
     if cfg.out:
         if cfg.format == "csv":
             analytics.write_csv(records, cfg.out)
@@ -237,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--grid", default="dyadic", help="dyadic | step:K | list:a,b,c")
     p_scan.add_argument("--out", help="output path (default stdout)")
     p_scan.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_scan.add_argument("--checkpoint", type=int, default=analytics.CHECKPOINT_DEFAULT)
     p_scan.add_argument("--gnuplot", help="also write a gnuplot script stub to this path")
 
     return parser
@@ -256,7 +272,6 @@ def main(argv: list[str] | None = None) -> int:
         out=getattr(args, "out", None),
         format=getattr(args, "format", "csv"),
         workers=getattr(args, "workers", 1),
-        checkpoint=getattr(args, "checkpoint", analytics.CHECKPOINT_DEFAULT),
         gnuplot=getattr(args, "gnuplot", None),
     )
     try:
@@ -272,9 +287,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.subcommand == "scan":
             return _cmd_scan(cfg)
         parser.error(f"unknown subcommand {args.subcommand!r}")
-    except ValueError as exc:
+    except UsageError as exc:
         parser.error(str(exc))
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Iterator
 
 import numpy as np
 
@@ -72,17 +71,13 @@ def _simple_sieve(limit: int) -> np.ndarray:
 class PrimeTable:
     """Primality bitmap plus prime/log-prime arrays, grown on demand.
 
-    The bitmap is produced block by block (block size configurable) and the
-    cumulative theta value at each block boundary is recorded alongside the
-    per-prime prefix sums used by theta()/pi().
+    The bitmap is sieved block by block (DEFAULT_BLOCK_SIZE integers at a
+    time); the per-prime prefix sums of log p back theta()/pi().
     """
 
-    def __init__(self, limit: int | None = None, block_size: int = DEFAULT_BLOCK_SIZE):
+    def __init__(self, limit: int | None = None):
         if limit is None:
             limit = _env_default_limit()
-        self.block_size = int(block_size)
-        if self.block_size < 4:
-            raise ValueError("block size too small")
         self._build(max(4, int(limit)))
 
     def _build(self, limit: int) -> None:
@@ -91,7 +86,7 @@ class PrimeTable:
         base_primes = np.flatnonzero(base)
         lo = 0
         while lo <= limit:
-            hi = min(lo + self.block_size, limit + 1)  # exclusive
+            hi = min(lo + DEFAULT_BLOCK_SIZE, limit + 1)  # exclusive
             seg = np.ones(hi - lo, dtype=bool)
             if lo == 0:
                 seg[: min(2, hi)] = False
@@ -112,9 +107,6 @@ class PrimeTable:
         prefix[0] = 0.0
         np.cumsum(self._log_primes, out=prefix[1:])
         self._theta_prefix = prefix
-        bounds = np.arange(self.block_size, limit + 1, self.block_size, dtype=np.int64)
-        idx = np.searchsorted(self._primes, bounds, side="right")
-        self.theta_checkpoints = list(zip(bounds.tolist(), self._theta_prefix[idx].tolist()))
 
     def ensure(self, limit: int) -> None:
         """Grow the table (at least doubling) so that limit is covered."""
@@ -170,31 +162,6 @@ class PrimeTable:
         """Primality bitmap view over [0, limit], for bulk membership tests."""
         self.ensure(limit)
         return self._is_prime[: limit + 1]
-
-    def iter_segments(self, lo: int, hi: int, block_size: int | None = None) -> Iterator[np.ndarray]:
-        """Yield the primes in [lo, hi] one block at a time.
-
-        Generates segments independently of the stored bitmap, so callers can
-        stream ranges beyond the table limit without growing it.
-        """
-        lo = max(2, int(lo))
-        hi = int(hi)
-        block = block_size or self.block_size
-        base = _simple_sieve(math.isqrt(max(hi, 4)) + 1)
-        base_primes = np.flatnonzero(base)
-        start = lo
-        while start <= hi:
-            stop = min(start + block - 1, hi)
-            seg = np.ones(stop - start + 1, dtype=bool)
-            for p in base_primes:
-                p = int(p)
-                if p * p > stop:
-                    break
-                first = max(p * p, ((start + p - 1) // p) * p)
-                if first <= stop:
-                    seg[first - start :: p] = False
-            yield (start + np.flatnonzero(seg)).astype(np.int64)
-            start = stop + 1
 
 
 _default_table: PrimeTable | None = None

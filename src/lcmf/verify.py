@@ -63,18 +63,15 @@ def check_prop1(nmax: int) -> CheckResult:
     """Diagonal divisibility d(n,k) | d(n,k+1) and freezing at k = n."""
     res = CheckResult(check_id="prop1")
     for n in range(nmax + 1):
-        prev = None
-        for k in range(2 * n + 2):
-            cur = triangle.diagonal(n, k)
-            res.cases += 1
-            if prev is not None and not prev.divides(cur):
+        # k runs to 2n+1 for the chain and to n+5 for the freeze check
+        d = [triangle.diagonal(n, k) for k in range(max(2 * n + 2, n + 6))]
+        for k in range(1, 2 * n + 2):
+            if not d[k - 1].divides(d[k]):
                 res.violations.append(f"d({n},{k-1}) does not divide d({n},{k})")
-            prev = cur
-        frozen = triangle.diagonal(n, n)
         for k in range(n, n + 6):
-            res.cases += 1
-            if triangle.diagonal(n, k) != frozen:
+            if d[k] != d[n]:
                 res.violations.append(f"d({n},{k}) != d({n},{n})")
+        res.cases += 2 * n + 2 + 6
     return res
 
 

@@ -6,6 +6,7 @@ import pytest
 from lcmf.analytics import (
     CSV_HEADER,
     Enclosure,
+    analytic_constant,
     block_envelopes,
     dyadic_grid,
     higher_power_residual,
@@ -14,6 +15,7 @@ from lcmf.analytics import (
     parse_grid,
     prime_series_constant,
     quotient_count_sup,
+    quotient_prime_count,
     s_split,
     sampled_dyadic_grid,
     scan,
@@ -22,6 +24,7 @@ from lcmf.analytics import (
     write_csv,
     write_json,
 )
+from lcmf.primes import default_table
 from lcmf.sequences import rho, sigma
 
 
@@ -53,10 +56,15 @@ def test_constant_enclosure_narrows_and_nests():
         assert large.hi <= small.hi
         assert large.width < small.width
     assert encs[-1].width < 3e-5
+    analytic = analytic_constant()
+    assert analytic.width / 2 <= 1e-15
+    assert analytic.lo in encs[-1] and analytic.hi in encs[-1]
 
 
 def test_constant_enclosure_width_at_ten_million():
-    assert prime_series_constant(10**7).width <= 1e-5
+    enc = prime_series_constant(10**7)
+    assert enc.width <= 1e-5
+    assert analytic_constant().lo in enc and analytic_constant().hi in enc
 
 
 def test_theta_sums_match_exact_logs():
@@ -68,6 +76,10 @@ def test_theta_sums_match_exact_logs():
         assert theta_sum_sigma(n) == pytest.approx(sigma(n).log_value(), abs=1e-6 * n)
         assert log_rho(n) == pytest.approx(theta_sum_rho(n), abs=1e-6 * n)
         assert log_sigma(n) == pytest.approx(theta_sum_sigma(n), abs=1e-6 * n)
+    # the quotient route against the direct sums over primes
+    for n in (1 << 20, 1 << 24, (1 << 24) + 12345):
+        assert theta_sum_rho(n) == pytest.approx(log_rho(n), abs=1e-6 * n)
+        assert theta_sum_sigma(n) == pytest.approx(log_sigma(n), abs=1e-6 * n)
 
 
 def test_s_split_examples():
@@ -81,9 +93,17 @@ def test_s_split_examples():
 
 
 def test_s_split_equals_log_gap():
+    t = default_table()
     for n in (2, 9, 57, 444, 12_345):
-        total, _, _ = s_split(n)
+        total, s1, s2 = s_split(n)
         assert total == pytest.approx(log_sigma(n) - log_rho(n), abs=1e-6 * max(1, n))
+        # against the loop over every k
+        r = math.isqrt(n)
+        hits = [k for k in range(1, n + 1) if t.is_prime(n // k + 1)]
+        assert quotient_prime_count(n) == sum(1 for k in hits if k <= r)
+        logs = {k: math.log(n // k + 1) for k in hits}
+        assert s1 == pytest.approx(math.fsum(v for k, v in logs.items() if k <= r), abs=1e-9)
+        assert s2 == pytest.approx(math.fsum(v for k, v in logs.items() if k > r), abs=1e-9)
 
 
 def test_higher_power_residual(c_mid):
@@ -115,25 +135,14 @@ def test_scan_single_record(c_mid):
 
 
 def test_scan_dense_matches_direct(c_mid):
-    ns = list(range(2, 400))
-    dense = scan(ns, c=c_mid)  # step 1: incremental path
-    direct = [scan([n], c=c_mid)[0] for n in ns]
-    for a, b in zip(dense, direct):
-        assert a.n == b.n
-        assert a.log_rho == pytest.approx(b.log_rho, abs=1e-8)
-        assert a.log_sigma == pytest.approx(b.log_sigma, abs=1e-8)
-        assert a.card_A == b.card_A
-
-
-def test_scan_dense_checkpoint_resync(c_mid):
-    # a small checkpoint interval forces exact resyncs mid-walk
-    ns = list(range(100, 420, 4))
-    resynced = scan(ns, c=c_mid, checkpoint=64)
-    plain = scan(ns, c=c_mid)
-    for a, b in zip(resynced, plain):
-        assert a.n == b.n
-        assert a.log_rho == pytest.approx(b.log_rho, abs=1e-8)
-        assert a.log_sigma == pytest.approx(b.log_sigma, abs=1e-8)
+    # a row depends on n alone: step:1, dyadic and per-n list grids agree byte for byte
+    for start, stop in ((2, 400), ((1 << 20) - 40, (1 << 20) + 40)):
+        dense = {r.n: r.csv_row() for r in scan(parse_grid("step:1", start, stop), c=c_mid)}
+        dyadic = scan(parse_grid("dyadic", start, stop), c=c_mid)
+        assert dyadic and all(dense[r.n] == r.csv_row() for r in dyadic)
+        for n in dense:
+            (single,) = scan(parse_grid(f"list:{n}", 1, n), c=c_mid)
+            assert single.csv_row() == dense[n]
 
 
 def test_scan_workers_deterministic(tmp_path, c_mid):

@@ -48,6 +48,24 @@ def test_compute_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "nosuch", "--nmax", "10"])
     assert exc.value.code == 2
+    for argv in (
+        ["compute", "q", "3", "5"],
+        ["compute", "rho", "-1"],
+        ["compute", "pif", "--f", "m^", "--x", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
+
+def test_internal_value_error_is_an_error_not_usage(capsys, monkeypatch):
+    def broken(cfg):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_triangle", broken)
+    code, _, err = run_cli(capsys, "triangle", "--nmax", "3")
+    assert code == 1
+    assert "error: boom" in err
 
 
 def test_verify_passing(capsys):
@@ -60,6 +78,9 @@ def test_verify_passing(capsys):
     assert code == 0
     code, out, _ = run_cli(capsys, "verify", "cor2", "--nmax", "12")
     assert code == 0
+    code, out, _ = run_cli(capsys, "verify", "split")
+    assert code == 0
+    assert "ok: split passed on 2000 cases" in out
 
 
 def test_verify_theorem2_and_theta(capsys):
@@ -97,7 +118,9 @@ def test_scan_dyadic_grid_counts(capsys, tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 18  # header + 17 records
     assert lines[0].startswith("n,log_rho,log_sigma")
-    assert "constant enclosure" in err
+    assert "constant enclosure" in err and "residual uncertainty at nmax: " in err
+    lo, hi = map(float, err.split("[", 1)[1].split("]", 1)[0].split(", "))
+    assert lo < 0.7553666108316880 < hi and hi - lo < 1e-15  # the analytic c
 
 
 def test_scan_json_and_worker_determinism(capsys, tmp_path):
@@ -116,6 +139,9 @@ def test_scan_json_and_worker_determinism(capsys, tmp_path):
 def test_scan_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["scan", "--grid", "dyadic"])  # no --nmax
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", "--grid", "step:0", "--nmax", "10"])
     assert exc.value.code == 2
 
 

@@ -11,6 +11,7 @@ from lcmf.primes import (
     factorial_valuation,
     factorize,
     is_probable_prime,
+    _simple_sieve,
 )
 
 from oracles import naive_theta, trial_primes
@@ -32,6 +33,10 @@ def test_prime_counts(table):
     assert table.pi(100) == len([p for p in brute if p <= 100]) == 25
     assert table.pi(10_000) == len(brute) == 1229
     assert table.pi(10**6) == 78498
+    # three sieve blocks against the unsegmented sieve
+    big = PrimeTable(limit=3 << 20)
+    assert big.limit == 3 << 20
+    assert np.array_equal(big.primes_up_to(3 << 20), np.flatnonzero(_simple_sieve(3 << 20)))
 
 
 def test_bitmap_matches_trial_division(table):
@@ -54,22 +59,10 @@ def test_theta_chebyshev_sanity(table):
         assert 0.8 < table.theta(x) / x < 1.2
 
 
-def test_theta_checkpoints_invariant():
-    t = PrimeTable(limit=300_000, block_size=1 << 16)
-    for boundary, theta_val in t.theta_checkpoints:
-        assert theta_val == pytest.approx(t.theta(boundary), abs=1e-9)
-
-
 def test_auto_extend():
     t = PrimeTable(limit=100)
     assert t.pi(10_000) == 1229  # grows transparently
     assert t.limit >= 10_000
-
-
-def test_iter_segments(table):
-    got = np.concatenate(list(table.iter_segments(1000, 20_000, block_size=4096)))
-    expected = [p for p in trial_primes(20_000) if p >= 1000]
-    assert got.tolist() == expected
 
 
 def test_is_prime_beyond_limit():
