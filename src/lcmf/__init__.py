@@ -17,10 +17,8 @@ from .sequences import (
     ValuationRecord,
     quotient_primes,
     rho,
-    rho_stream,
     sigma,
     sigma_ratio_valuation,
-    sigma_stream,
     split_sigma_over_factorial,
 )
 from .analytics import (
@@ -57,13 +55,11 @@ __all__ = [
     "q",
     "quotient_primes",
     "rho",
-    "rho_stream",
     "s_split",
     "scan",
     "sigma",
     "sigma_from_diagonal",
     "sigma_ratio_valuation",
-    "sigma_stream",
     "split_sigma_over_factorial",
     "theta_sum_rho",
     "theta_sum_sigma",

@@ -108,15 +108,10 @@ def prime_series_constant(tail_cut: int, table: PrimeTable | None = None) -> Enc
     return Enclosure(lo - _ROUNDING_SLOP, lo + majorant + _ROUNDING_SLOP)
 
 
-_default_constant: Enclosure | None = None
-
-
+@functools.cache
 def default_constant() -> Enclosure:
     """Cached enclosure at the default tail cut (width under 1e-6)."""
-    global _default_constant
-    if _default_constant is None:
-        _default_constant = prime_series_constant(DEFAULT_TAIL_CUT)
-    return _default_constant
+    return prime_series_constant(DEFAULT_TAIL_CUT)
 
 
 # -- exact log values and theta-sum identities ------------------------------------
@@ -292,10 +287,17 @@ def _record(n: int, c: float, t: PrimeTable) -> ScanRecord:
     )
 
 
+_worker_table: PrimeTable | None = None  # the caller's table, in a scan worker
+
+
+def _init_worker(table: PrimeTable) -> None:
+    global _worker_table
+    _worker_table = table
+
+
 def _scan_chunk(args) -> list[ScanRecord]:
     ns, c = args
-    t = _primes._table(None)
-    return [_record(n, c, t) for n in ns]
+    return [_record(n, c, _worker_table) for n in ns]
 
 
 def _scan_direct(ns: list[int], c: float, t: PrimeTable, workers: int) -> list[ScanRecord]:
@@ -305,8 +307,12 @@ def _scan_direct(ns: list[int], c: float, t: PrimeTable, workers: int) -> list[S
     try:
         import multiprocessing as mp
 
+        # forked workers inherit the initializer's arguments, so the table,
+        # already sieved to max(ns), reaches them without being pickled
         ctx = mp.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=ctx, initializer=_init_worker, initargs=(t,)
+        ) as pool:
             parts = list(pool.map(_scan_chunk, [(chunk, c) for chunk in chunks]))
     except (ValueError, OSError):  # fork unavailable: fall back, same numbers
         return [_record(n, c, t) for n in ns]
@@ -373,6 +379,8 @@ def parse_grid(spec: str, start: int, nmax: int) -> list[int]:
         ns = [int(s) for s in spec[5:].split(",") if s]
         if not ns:
             raise ValueError("empty list grid")
+        if min(ns) < 1:
+            raise ValueError("list grid values must be >= 1")
         return sorted(set(ns))
     raise ValueError(f"unknown grid spec {spec!r}")
 

@@ -10,6 +10,7 @@ worker count.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -53,6 +54,14 @@ class RunConfig:
         if self.nmax is not None and self.nmax < 0:
             raise UsageError("--nmax must be >= 0")
         _parse(primes._env_default_limit)  # LCMF_SIEVE_LIMIT is read lazily; check it now
+
+
+def _amount(text: str) -> float:
+    """Type of --x and --xmax: a finite number >= 0, else a usage error."""
+    value = float(text)
+    if not (value >= 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= 0")
+    return value
 
 
 def _render(value: FactoredNatural) -> str:
@@ -224,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--f", dest="weight", help="weight spec: m | m-1 | m^A | log")
-        p.add_argument("--x", type=float, help="real argument for pif / theorem1")
+        p.add_argument("--x", type=_amount, help="real argument for pif / theorem1")
         p.add_argument("--n", type=int, help="single index or grid start")
         p.add_argument("--nmax", type=int, help="range bound")
         p.add_argument("--workers", type=int, default=1, help="worker processes for scans")
@@ -236,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a named identity check over a range")
     p_verify.add_argument("check", choices=_VERIFY_IDS)
-    p_verify.add_argument("--xmax", type=float, help="x bound for theorem1")
+    p_verify.add_argument("--xmax", type=_amount, help="x bound for theorem1")
     p_verify.add_argument(
         "--out", help="for theorem2: write the valuation records as CSV (n,p,v,witness_k)"
     )

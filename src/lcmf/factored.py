@@ -153,38 +153,3 @@ class FactoredNatural:
     def __repr__(self) -> str:
         return f"FactoredNatural({self._factors!r})"
 
-
-# module-level spellings of the core operations
-
-
-def one() -> FactoredNatural:
-    return FactoredNatural.one()
-
-
-def from_integer(n: int) -> FactoredNatural:
-    return FactoredNatural.from_integer(n)
-
-
-def multiply(a: FactoredNatural, b: FactoredNatural) -> FactoredNatural:
-    return a.multiply(b)
-
-
-def lcm(a: FactoredNatural, b: FactoredNatural) -> FactoredNatural:
-    return a.lcm(b)
-
-
-def divides(a: FactoredNatural, b: FactoredNatural) -> bool:
-    """True iff a divides b, compared exponentwise."""
-    return a.divides(b)
-
-
-def valuation(a: FactoredNatural, p: int) -> int:
-    return a.valuation(p)
-
-
-def log_value(a: FactoredNatural) -> float:
-    return a.log_value()
-
-
-def to_decimal(a: FactoredNatural, digit_budget: int | None = None) -> str:
-    return a.to_decimal(digit_budget)

@@ -5,8 +5,10 @@ equals the lcm of all products i_1 * ... * i_k taken over finite multisets
 of integers >= 2 whose weights sum to at most x.  This module computes both
 sides independently: the prime side from the sieve and the closed form, the
 lcm side by a search per prime over the parts p**e that never uses the
-closed form or the sieve, so that test runs can compare them with no shared
-code path.
+closed form or the sieve, so that test runs can compare them through code
+that shares only the check on x and, for the integer-valued weights, its
+floor.  The prime side at f(m) = m and f(m) = m - 1 is the rho and sigma
+sequences of the sequences module.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 import mpmath
@@ -210,18 +211,16 @@ def exp_floor(x: float) -> int:
     raise ArithmeticError(f"could not separate exp({x}) from an integer")
 
 
-def _exact_amount(x) -> int | Fraction:
-    """Exact rational value of a budget given as int, Fraction, or float."""
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        return x if x.denominator != 1 else int(x)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValueError("budget must be finite")
-        frac = Fraction(x)
-        return int(frac) if frac.denominator == 1 else frac
-    raise TypeError(f"unsupported budget type {type(x)!r}")
+def _amount(f: WeightFunction, x):
+    """The bound x as each kind compares with it: floor(x) for the exact kinds.
+
+    A sum of integer weights is <= x exactly when it is <= floor(x), and
+    floor(x / w) = floor(floor(x) / w) for every integer w >= 1, so the
+    exact kinds need only the integer floor(x); the others take a float.
+    """
+    if not (x >= 0 and math.isfinite(x)):
+        raise ValueError("x must be finite and >= 0")
+    return math.floor(x) if f.is_exact else float(x)
 
 
 def _integer_nth_root(n: int, k: int) -> int:
@@ -251,42 +250,40 @@ def _ilog(cap: int, p: int) -> int:
 # -- the prime side --------------------------------------------------------------
 
 
+def prime_exponents(f: WeightFunction, X: int, table: PrimeTable | None = None):
+    """(primes p, exponents X // f(p)) over the primes with f(p) <= X, for an
+    exact weight f and an integer X >= 0, as aligned int64 arrays."""
+    t = _primes._table(table)
+    if f.kind == "m":
+        ps = t.primes_up_to(X)
+        return ps, X // ps
+    if f.kind == "m-1":
+        ps = t.primes_up_to(X + 1)
+        return ps, X // (ps - 1)
+    ps = t.primes_up_to(_integer_nth_root(X, f.alpha))
+    return ps, X // ps**f.alpha
+
+
 def weighted_prime_product(f: WeightFunction, x, table: PrimeTable | None = None) -> FactoredNatural:
     """Product over primes p of p**floor(x / f(p)), as a FactoredNatural.
 
-    Exponents are evaluated in exact rational arithmetic for the integer-valued
-    weights; for the log weight the whole product reduces to primes up to the
-    integer cutoff floor(e**x) with exponents floor(log cutoff / log p); for
-    non-integer powers float arithmetic with boundary correction is used.
+    The integer-valued weights take their exponents from prime_exponents at
+    floor(x); for the log weight the whole product reduces to primes up to
+    the integer cutoff floor(e**x) with exponents floor(log cutoff / log p);
+    for non-integer powers float arithmetic with boundary correction is used.
     """
+    x = _amount(f, x)
     t = _primes._table(table)
-    if isinstance(x, (int, Fraction)):
-        if x < 0:
-            raise ValueError("x must be >= 0")
-    elif x < 0 or not math.isfinite(float(x)):
-        raise ValueError("x must be finite and >= 0")
+    if f.is_exact:
+        ps, exps = prime_exponents(f, x, t)
+        return FactoredNatural._trusted(dict(zip(ps.tolist(), exps.tolist())))
 
     exps: dict[int, int] = {}
     if f.kind == "log":
-        cap = exp_floor(float(x))
+        cap = exp_floor(x)
         for p in t.primes_up_to(cap):
             p = int(p)
             exps[p] = _ilog(cap, p)
-        return FactoredNatural._trusted(exps)
-
-    if f.is_exact:
-        xq = _exact_amount(x)
-        if f.kind == "m":
-            pmax = math.floor(xq)
-        elif f.kind == "m-1":
-            pmax = math.floor(xq) + 1
-        else:
-            pmax = _integer_nth_root(math.floor(xq), f.alpha)
-        for p in t.primes_up_to(pmax):
-            p = int(p)
-            e = int(xq // f.value(p))
-            if e > 0:
-                exps[p] = e
         return FactoredNatural._trusted(exps)
 
     # non-integer power: float weights with an off-by-one correction loop
@@ -385,13 +382,8 @@ def multiset_lcm(f: WeightFunction, x) -> FactoredNatural:
     exact form as a product cap of floor(e**x): the parts' product must stay
     within the cap.
     """
+    budget = _amount(f, x)
     if f.kind == "log":
-        cap = exp_floor(float(x))
+        cap = exp_floor(budget)
         return FactoredNatural._trusted(_lcm_exponents(lambda m: m, cap, None, operator.mul, 1))
-    if f.is_exact:
-        budget = _exact_amount(x)
-    else:
-        budget = float(x)
-    if budget < 0:
-        raise ValueError("x must be >= 0")
     return FactoredNatural._trusted(_lcm_exponents(f.value, budget))

@@ -1,10 +1,11 @@
 """The rho and sigma sequences and their arithmetic structure.
 
 rho(n) is the product over primes p of p**(n // p); sigma(n) the product of
-p**(n // (p - 1)).  Both divide into a web of exact relations — divisibility
-chains, factorial sandwiches, and a two-valued valuation dichotomy for
-sigma(n)/n! at primes p with p*p > n + 1 — that this module computes and
-cross-checks by independent routes.
+p**(n // (p - 1)): the weighted prime products of the products module at
+x = n for the weights m and m - 1.  Both divide into a web of exact
+relations — divisibility chains, factorial sandwiches, and a two-valued
+valuation dichotomy for sigma(n)/n! at primes p with p*p > n + 1 — that
+this module computes and cross-checks by independent routes.
 
 Boundary comparisons against sqrt(n + 1) are done in integer arithmetic
 (p > sqrt(n+1) iff p*p > n+1), and the quotient values floor(n/k + 1) are
@@ -21,16 +22,7 @@ import numpy as np
 from . import primes as _primes
 from .factored import FactoredNatural
 from .primes import PrimeTable
-
-
-def _exponents_rho(n: int, t: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
-    ps = t.primes_up_to(n)
-    return ps, n // ps
-
-
-def _exponents_sigma(n: int, t: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
-    ps = t.primes_up_to(n + 1)
-    return ps, n // (ps - 1)
+from .products import WeightFunction, prime_exponents, weighted_prime_product
 
 
 def _legendre_vector(n: int, ps: np.ndarray) -> np.ndarray:
@@ -45,61 +37,18 @@ def _legendre_vector(n: int, ps: np.ndarray) -> np.ndarray:
         pw[mask] *= ps[mask]
 
 
-def _as_factored(ps: np.ndarray, exps: np.ndarray) -> FactoredNatural:
-    keep = exps > 0
-    return FactoredNatural._trusted(
-        dict(zip(ps[keep].tolist(), exps[keep].tolist()))
-    )
-
-
 def rho(n: int, table: PrimeTable | None = None) -> FactoredNatural:
-    """Product over primes p <= n of p**(n // p)."""
+    """Product over primes p <= n of p**(n // p): the weight m at x = n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _as_factored(*_exponents_rho(n, _primes._table(table)))
+    return weighted_prime_product(WeightFunction.linear(), n, table)
 
 
 def sigma(n: int, table: PrimeTable | None = None) -> FactoredNatural:
-    """Product over primes p <= n + 1 of p**(n // (p - 1))."""
+    """Product over primes p <= n + 1 of p**(n // (p - 1)): the weight m-1 at x = n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _as_factored(*_exponents_sigma(n, _primes._table(table)))
-
-
-# -- incremental streams ---------------------------------------------------------
-
-
-def rho_stream(nmax: int, table: PrimeTable | None = None):
-    """Yield (n, delta) for n = 1..nmax, delta the exponent increment of rho.
-
-    The exponent of p grows by one exactly when p divides n, so the delta at
-    step n is the product of the distinct prime factors of n (as a
-    FactoredNatural); multiplying the deltas together recovers rho(nmax).
-    """
-    t = _primes._table(table)
-    t.ensure(nmax + 1)
-    for n in range(1, nmax + 1):
-        yield n, FactoredNatural._trusted({p: 1 for p in _primes.factorize(n, t)})
-
-
-def sigma_stream(nmax: int, table: PrimeTable | None = None):
-    """Yield (n, delta) for sigma: p gains one exactly when p - 1 divides n."""
-    t = _primes._table(table)
-    t.ensure(nmax + 2)
-    for n in range(1, nmax + 1):
-        delta = {}
-        for d in _primes.divisors(n):
-            if t.is_prime(d + 1):
-                delta[d + 1] = 1
-        yield n, FactoredNatural._trusted(delta)
-
-
-def accumulate_stream(stream) -> FactoredNatural:
-    """Fold a delta stream into the final factored value."""
-    total = FactoredNatural.one()
-    for _, delta in stream:
-        total = total.multiply(delta)
-    return total
+    return weighted_prime_product(WeightFunction.shifted(), n, table)
 
 
 # -- divisibility checks ----------------------------------------------------------
@@ -264,7 +213,7 @@ def split_sigma_over_factorial(
     if n < 1:
         raise ValueError("n must be >= 1")
     t = _primes._table(table)
-    ps, sig = _exponents_sigma(n, t)
+    ps, sig = prime_exponents(WeightFunction.shifted(), n, t)
     v = sig - _legendre_vector(n, ps)
     if v.min(initial=0) < 0:
         raise ArithmeticError(f"sigma({n}) is not a multiple of {n}!")

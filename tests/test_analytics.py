@@ -24,7 +24,8 @@ from lcmf.analytics import (
     write_csv,
     write_json,
 )
-from lcmf.primes import default_table
+from lcmf import primes
+from lcmf.primes import PrimeTable, default_table
 from lcmf.sequences import rho, sigma
 
 
@@ -154,6 +155,17 @@ def test_scan_workers_deterministic(tmp_path, c_mid):
     write_csv(recs1, p1)
     write_csv(recs8, p8)
     assert p1.read_bytes() == p8.read_bytes()
+
+
+def test_scan_workers_use_the_callers_table(monkeypatch, c_mid):
+    class NoDefault:
+        def __getattr__(self, name):
+            raise AssertionError("worker used the default table")
+
+    ns = range(1000, 41_000, 1000)
+    expected = scan(ns, table=PrimeTable(1 << 16), c=c_mid, workers=1)
+    monkeypatch.setattr(primes, "_default_table", NoDefault())
+    assert scan(ns, table=PrimeTable(1 << 16), c=c_mid, workers=2) == expected
 
 
 def test_scan_rejects_empty_or_bad():

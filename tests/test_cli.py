@@ -52,6 +52,12 @@ def test_compute_usage_errors(capsys):
         ["compute", "q", "3", "5"],
         ["compute", "rho", "-1"],
         ["compute", "pif", "--f", "m^", "--x", "2"],
+        ["compute", "pif", "--f", "m", "--x", "-1"],
+        ["compute", "pif", "--f", "m", "--x", "inf"],
+        ["compute", "pif", "--f", "m", "--x", "nan"],
+        ["verify", "theorem1", "--f", "m", "--xmax", "-3"],
+        ["verify", "theorem1", "--f", "m", "--xmax", "inf"],
+        ["verify", "theorem1", "--f", "m", "--xmax", "nan"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -140,9 +146,14 @@ def test_scan_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["scan", "--grid", "dyadic"])  # no --nmax
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["scan", "--grid", "step:0", "--nmax", "10"])
-    assert exc.value.code == 2
+    for argv in (
+        ["scan", "--grid", "step:0", "--nmax", "10"],
+        ["scan", "--grid", "list:0", "--nmax", "5"],
+        ["scan", "--grid", "list:3,-2", "--nmax", "5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
 
 
 def test_verify_theorem2_writes_records(capsys, tmp_path):

@@ -3,43 +3,32 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcmf.factored import (
-    DigitBudgetError,
-    FactoredNatural,
-    divides,
-    from_integer,
-    lcm,
-    log_value,
-    multiply,
-    one,
-    to_decimal,
-    valuation,
-)
+from lcmf.factored import DigitBudgetError, FactoredNatural
 
 from oracles import naive_factorization
 
 
 def test_one_is_empty_map():
-    assert one().factors == {}
-    assert one().to_decimal() == "1"
-    assert str(one()) == "1"
+    assert FactoredNatural.one().factors == {}
+    assert FactoredNatural.one().to_decimal() == "1"
+    assert str(FactoredNatural.one()) == "1"
 
 
 def test_from_integer_small_cases():
-    assert from_integer(1).factors == {}
-    assert from_integer(12).factors == {2: 2, 3: 1}
-    f360 = from_integer(360)
+    assert FactoredNatural.from_integer(1).factors == {}
+    assert FactoredNatural.from_integer(12).factors == {2: 2, 3: 1}
+    f360 = FactoredNatural.from_integer(360)
     assert math.prod(p**e for p, e in f360.items()) == 360
 
 
 def test_from_integer_rejects_zero():
     with pytest.raises(ValueError):
-        from_integer(0)
+        FactoredNatural.from_integer(0)
 
 
 def test_roundtrip_to_decimal():
     for n in range(1, 100_001):
-        assert to_decimal(from_integer(n)) == str(n)
+        assert FactoredNatural.from_integer(n).to_decimal() == str(n)
 
 
 def test_construction_canonicalizes():
@@ -52,35 +41,35 @@ def test_construction_canonicalizes():
 
 def test_equality_and_hash():
     a = FactoredNatural({2: 2, 3: 1})
-    b = from_integer(12)
+    b = FactoredNatural.from_integer(12)
     assert a == b and hash(a) == hash(b)
-    assert a != from_integer(24)
+    assert a != FactoredNatural.from_integer(24)
 
 
 def test_lcm_pointwise_max():
     a = FactoredNatural({2: 2, 3: 1})
     b = FactoredNatural({2: 1, 5: 1})
-    assert lcm(a, b).factors == {2: 2, 3: 1, 5: 1}
-    assert lcm(one(), a) == a
-    assert multiply(one(), one()) == one()
+    assert a.lcm(b).factors == {2: 2, 3: 1, 5: 1}
+    assert FactoredNatural.one().lcm(a) == a
+    assert FactoredNatural.one().multiply(FactoredNatural.one()) == FactoredNatural.one()
 
 
 def test_valuation_examples():
-    f10fact = from_integer(math.factorial(10))
-    assert valuation(f10fact, 2) == 8  # 5 + 2 + 1
-    assert valuation(f10fact, 11) == 0
+    f10fact = FactoredNatural.from_integer(math.factorial(10))
+    assert f10fact.valuation(2) == 8  # 5 + 2 + 1
+    assert f10fact.valuation(11) == 0
     with pytest.raises(ValueError):
-        valuation(f10fact, 4)
+        f10fact.valuation(4)
 
 
 def test_log_value_examples():
-    assert log_value(one()) == 0.0
+    assert FactoredNatural.one().log_value() == 0.0
     assert FactoredNatural({2: 1}).log_value() == pytest.approx(math.log(2))
-    assert from_integer(360).log_value() == pytest.approx(math.log(360), abs=1e-12)
+    assert FactoredNatural.from_integer(360).log_value() == pytest.approx(math.log(360), abs=1e-12)
 
 
 def test_to_decimal_examples_and_budget():
-    assert to_decimal(FactoredNatural({2: 4, 3: 2, 5: 1})) == "720"
+    assert FactoredNatural({2: 4, 3: 2, 5: 1}).to_decimal() == "720"
     big = FactoredNatural({2: 10**7})
     with pytest.raises(DigitBudgetError):
         big.to_decimal(digit_budget=1000)
@@ -92,18 +81,19 @@ def test_rendering():
 
 
 def test_divides_brute_force():
-    facs = [None] + [from_integer(n) for n in range(1, 2001)]
+    facs = [None] + [FactoredNatural.from_integer(n) for n in range(1, 2001)]
     for a in range(1, 2001):
         fa = facs[a]
         for b in range(1, 2001):
-            assert divides(fa, facs[b]) == (b % a == 0), (a, b)
+            assert fa.divides(facs[b]) == (b % a == 0), (a, b)
 
 
 @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=10**6))
 @settings(deadline=None)
 def test_multiply_matches_integers(n, m):
-    assert multiply(from_integer(n), from_integer(m)) == from_integer(n * m)
-    assert from_integer(n).factors == naive_factorization(n)
+    fn, fm = FactoredNatural.from_integer(n), FactoredNatural.from_integer(m)
+    assert fn.multiply(fm) == FactoredNatural.from_integer(n * m)
+    assert fn.factors == naive_factorization(n)
 
 
 @given(
@@ -113,11 +103,11 @@ def test_multiply_matches_integers(n, m):
 )
 @settings(deadline=None)
 def test_lcm_properties(a, b, c):
-    fa, fb, fc = from_integer(a), from_integer(b), from_integer(c)
-    assert lcm(fa, fb) == lcm(fb, fa)
-    assert lcm(fa, fa) == fa
-    assert lcm(lcm(fa, fb), fc) == lcm(fa, lcm(fb, fc))
-    assert lcm(fa, fb) == from_integer(math.lcm(a, b))
+    fa, fb, fc = (FactoredNatural.from_integer(v) for v in (a, b, c))
+    assert fa.lcm(fb) == fb.lcm(fa)
+    assert fa.lcm(fa) == fa
+    assert fa.lcm(fb).lcm(fc) == fa.lcm(fb.lcm(fc))
+    assert fa.lcm(fb) == FactoredNatural.from_integer(math.lcm(a, b))
 
 
 @given(
@@ -127,5 +117,5 @@ def test_lcm_properties(a, b, c):
 )
 @settings(deadline=None)
 def test_valuation_additive_under_multiply(a, b, p):
-    fa, fb = from_integer(a), from_integer(b)
-    assert valuation(multiply(fa, fb), p) == valuation(fa, p) + valuation(fb, p)
+    fa, fb = FactoredNatural.from_integer(a), FactoredNatural.from_integer(b)
+    assert fa.multiply(fb).valuation(p) == fa.valuation(p) + fb.valuation(p)

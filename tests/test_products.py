@@ -76,12 +76,28 @@ def test_prime_product_trivial_and_small():
     }
 
 
+def test_prime_product_rejects_bad_x():
+    for f in CATALOG + [WeightFunction.power(1.5)]:
+        for x in (-1, Fraction(-1, 2), -0.5, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                weighted_prime_product(f, x)
+            with pytest.raises(ValueError):
+                multiset_lcm(f, x)
+
+
 def test_prime_product_matches_direct_formula():
-    primes = trial_primes(60)
-    for x in (5, 17, Fraction(35, 2), 18.5):
-        got = weighted_prime_product(WeightFunction.linear(), x).factors
-        expected = {p: int(Fraction(x) // p) for p in primes if p <= x}
-        assert got == {p: e for p, e in expected.items() if e > 0}
+    # int, Fraction and float x all reach the exponents through floor(x)
+    primes = trial_primes(70)
+    weights = (
+        (WeightFunction.linear(), lambda p: p),
+        (WeightFunction.shifted(), lambda p: p - 1),
+        (WeightFunction.power(2), lambda p: p * p),
+    )
+    for f, weight in weights:
+        for x in (0, 1, 5, 17, 60, Fraction(35, 2), Fraction(7, 3), 0.5, 18.5, 59.999):
+            got = weighted_prime_product(f, x).factors
+            expected = {p: int(Fraction(x) // weight(p)) for p in primes}
+            assert got == {p: e for p, e in expected.items() if e > 0}, (f.spec, x)
 
 
 def test_multiset_lcm_small_cases():

@@ -4,17 +4,13 @@ import pytest
 
 from lcmf.factored import FactoredNatural
 from lcmf.primes import default_table, factorial_valuation
-from lcmf.products import WeightFunction, weighted_prime_product
 from lcmf.sequences import (
-    accumulate_stream,
     divisibility_chain,
     factorial_sandwich,
     quotient_primes,
     rho,
-    rho_stream,
     sigma,
     sigma_ratio_valuation,
-    sigma_stream,
     split_sigma_over_factorial,
 )
 
@@ -33,27 +29,6 @@ def test_rho_sigma_match_trial_division():
     for n in range(0, 201):
         assert int(rho(n).to_decimal()) == naive_rho(n)
         assert int(sigma(n).to_decimal()) == naive_sigma(n)
-
-
-def test_rho_sigma_match_weighted_products():
-    linear, shifted = WeightFunction.linear(), WeightFunction.shifted()
-    for n in range(0, 10_001):
-        assert rho(n) == weighted_prime_product(linear, n), n
-        assert sigma(n) == weighted_prime_product(shifted, n), n
-
-
-def test_streams_accumulate():
-    assert accumulate_stream(rho_stream(500)) == rho(500)
-    assert accumulate_stream(sigma_stream(500)) == sigma(500)
-
-
-def test_stream_deltas():
-    deltas = dict(rho_stream(10))
-    assert deltas[7].factors == {7: 1}
-    assert deltas[6].factors == {2: 1, 3: 1}
-    for n, delta in sigma_stream(31):
-        if n % 2 == 1:
-            assert delta.factors == {2: 1}, n  # odd steps only bump the prime 2
 
 
 def test_divisibility_chain_cases():
