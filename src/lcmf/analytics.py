@@ -18,10 +18,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, asdict
 
-import mpmath
 import numpy as np
 
 from . import primes as _primes
@@ -66,6 +64,8 @@ def analytic_constant() -> Enclosure:
     rounding to float (half an ulp of c, 2**-54) and mpmath's evaluation error
     (about 2**-80 per term); c +- delta are exact floats.
     """
+    import mpmath  # deferred: only scans need it, so other commands start faster
+
     total, ratio, m = mpmath.mpf(0), 1, 1
     with mpmath.workprec(80):
         while abs(ratio) >= 2.0**-60:
@@ -306,6 +306,7 @@ def _scan_direct(ns: list[int], c: float, t: PrimeTable, workers: int) -> list[S
     chunks = [ns[i : i + 16] for i in range(0, len(ns), 16)]
     try:
         import multiprocessing as mp
+        from concurrent.futures import ProcessPoolExecutor
 
         # forked workers inherit the initializer's arguments, so the table,
         # already sieved to max(ns), reaches them without being pickled

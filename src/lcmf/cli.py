@@ -108,6 +108,7 @@ def _run_verify(cfg: RunConfig, args) -> verify.CheckResult:
     nmax = cfg.nmax
     if check == "theorem1":
         f = _parse(WeightFunction.parse, cfg.weight or "m")
+        _parse(verify.theorem1_grid, f, args.xmax)  # an oversized log grid is refused here
         return verify.check_theorem1(f, args.xmax)
     if check == "prop1":
         return verify.check_prop1(nmax if nmax is not None else 12)

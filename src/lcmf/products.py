@@ -18,8 +18,6 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
-import mpmath
-
 from . import primes as _primes
 from .factored import FactoredNatural
 from .primes import PrimeTable
@@ -196,6 +194,8 @@ def exp_floor(x: float) -> int:
         raise ValueError("x must be >= 0")
     if x == 0:
         return 1
+    import mpmath  # deferred: only the log weight needs it, so start-up skips it
+
     iv = mpmath.iv
     saved = iv.prec
     try:

@@ -5,7 +5,11 @@ p**(n // (p - 1)): the weighted prime products of the products module at
 x = n for the weights m and m - 1.  Both divide into a web of exact
 relations — divisibility chains, factorial sandwiches, and a two-valued
 valuation dichotomy for sigma(n)/n! at primes p with p*p > n + 1 — that
-this module computes and cross-checks by independent routes.
+this module computes and cross-checks by independent routes.  The
+divisibility facts of Propositions 2 and 3 are decided for a block of n at
+once by chain_flags and sandwich_flags, from one 2-D Legendre kernel
+(v_p(n!) for every n and p of the block); divisibility_chain and
+factorial_sandwich are their one-n wrappers.
 
 Boundary comparisons against sqrt(n + 1) are done in integer arithmetic
 (p > sqrt(n+1) iff p*p > n+1), and the quotient values floor(n/k + 1) are
@@ -25,16 +29,40 @@ from .primes import PrimeTable
 from .products import WeightFunction, prime_exponents, weighted_prime_product
 
 
-def _legendre_vector(n: int, ps: np.ndarray) -> np.ndarray:
-    """Exponent of each prime in n! (floor-quotient sums, vectorized)."""
-    total = np.zeros(len(ps), dtype=np.int64)
-    pw = ps.copy()
+def _powers(ps: np.ndarray, top: int):
+    """Yield p**i over the prefix of ps with p**i <= top, for i = 1, 2, ...
+
+    ps is ascending, so for each i the primes with p**i <= top are a prefix,
+    found by searchsorted; the prefix shrinks as i grows.
+    """
+    pw = ps
     while True:
-        mask = pw <= n
-        if not mask.any():
-            return total
-        total[mask] += n // pw[mask]
-        pw[mask] *= ps[mask]
+        k = int(np.searchsorted(pw, top, side="right"))
+        if k == 0:
+            return
+        pw = pw[:k]
+        yield pw
+        pw = pw * ps[:k]
+
+
+def _legendre(ns, ps: np.ndarray) -> np.ndarray:
+    """v_p(n!) for every row n of ns and column p of ps (ascending): int64 array.
+
+    Legendre's sum of n // p**i; each term past the first fills only the
+    column prefix where p**i <= max(ns), as it is 0 elsewhere.
+    """
+    ns = np.asarray(ns, dtype=np.int64)[:, None]
+    total = np.zeros((len(ns), len(ps)), dtype=np.int64)
+    for pw in _powers(ps, int(ns.max(initial=0))):
+        total[:, : len(pw)] += ns // pw
+    return total
+
+
+def _rows(ns) -> np.ndarray:
+    ns = np.asarray(ns, dtype=np.int64).reshape(-1)
+    if ns.min(initial=0) < 0:
+        raise ValueError("n must be >= 0")
+    return ns
 
 
 def rho(n: int, table: PrimeTable | None = None) -> FactoredNatural:
@@ -54,63 +82,77 @@ def sigma(n: int, table: PrimeTable | None = None) -> FactoredNatural:
 # -- divisibility checks ----------------------------------------------------------
 
 
-def divisibility_chain(n: int, table: PrimeTable | None = None) -> tuple[bool, bool, bool, bool]:
-    """Four exact facts about rho/sigma at n, as booleans (False is data).
+def chain_flags(ns, table: PrimeTable | None = None) -> np.ndarray:
+    """Four exact facts about rho/sigma at each n of ns: a (len(ns), 4) bool array.
 
+    Columns, False being data:
     (a) rho(n) | rho(n+1), sigma(n) | sigma(n+1), rho(n) | sigma(n);
     (b) rho(n) | n!;
     (c) n! | sigma(n) and sigma(n) | (2n)!;
     (d) for odd n, sigma(n) = 2 * sigma(n-1)  (vacuously true for even n).
+    Each is compared prime by prime over the primes up to max(2m, m + 2, 2),
+    m = max(ns); a prime above a row's own bound has exponent 0 on both
+    sides of every comparison, so one prime set serves the whole block.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    t = _primes._table(table)
-    ps = t.primes_up_to(max(2 * n, n + 2, 2))
-    rho_n = n // ps
-    rho_n1 = (n + 1) // ps
+    ns = _rows(ns)
+    top = int(ns.max(initial=0))
+    ps = _primes._table(table).primes_up_to(max(2 * top, top + 2, 2))
+    n = ns[:, None]
+    # built in this order so that at most three (rows, primes) arrays are alive
     sig_n = n // (ps - 1)
-    sig_n1 = (n + 1) // (ps - 1)
-    fact_n = _legendre_vector(n, ps)
-    fact_2n = _legendre_vector(2 * n, ps)
+    chain = np.all(sig_n <= (n + 1) // (ps - 1), axis=1)
+    sandwich = np.all(sig_n <= _legendre(2 * ns, ps), axis=1)
+    sig_prev = (n - 1) // (ps - 1)
+    sig_prev += ps == 2
+    doubling = (ns % 2 == 0) | np.all(sig_n == sig_prev, axis=1)
+    del sig_prev
+    fact_n = _legendre(ns, ps)
+    sandwich &= np.all(fact_n <= sig_n, axis=1)
+    rho_n = n // ps
+    into_factorial = np.all(rho_n <= fact_n, axis=1)
+    del fact_n
+    chain &= np.all(rho_n <= (n + 1) // ps, axis=1) & np.all(rho_n <= sig_n, axis=1)
+    return np.stack([chain, into_factorial, sandwich, doubling], axis=1)
 
-    chain = bool(
-        np.all(rho_n <= rho_n1) and np.all(sig_n <= sig_n1) and np.all(rho_n <= sig_n)
-    )
-    into_factorial = bool(np.all(rho_n <= fact_n))
-    sandwich = bool(np.all(fact_n <= sig_n) and np.all(sig_n <= fact_2n))
-    if n % 2 == 1:
-        sig_prev = (n - 1) // (ps - 1)
-        doubling = bool(np.all(sig_n == sig_prev + (ps == 2)))
-    else:
-        doubling = True
-    return chain, into_factorial, sandwich, doubling
+
+def sandwich_flags(ns, table: PrimeTable | None = None) -> np.ndarray:
+    """Whether (n+1)! | sigma(n) and sigma(n) | n! * lcm(1..n+1), per n of ns.
+
+    A (len(ns), 2) bool array.  Checked prime by prime through the
+    floor-quotient reduction: with e the largest exponent such that
+    p**e <= n + 1,
+        sum_i floor((n+1)/p**i)  <=  floor(n/(p-1))  <=  sum_i floor(n/p**i) + e,
+    over the primes up to max(ns) + 1 (all three sides are 0 above n + 1).
+    """
+    ns = _rows(ns)
+    top = int(ns.max(initial=0)) + 1
+    ps = _primes._table(table).primes_up_to(top)
+    mid = ns[:, None] // (ps - 1)
+    lower = np.all(_legendre(ns + 1, ps) <= mid, axis=1)
+    right = _legendre(ns, ps)
+    for pw in _powers(ps, top):  # adds e, the count of i with p**i <= n + 1
+        right[:, : len(pw)] += ns[:, None] + 1 >= pw
+    return np.stack([lower, np.all(mid <= right, axis=1)], axis=1)
+
+
+def divisibility_chain(n: int, table: PrimeTable | None = None) -> tuple[bool, bool, bool, bool]:
+    """The four facts of chain_flags at one n, as booleans.
+
+    A one-row wrapper: chain_flags, over a block of n, is the route the
+    verify drivers take.
+    """
+    return tuple(chain_flags([n], table)[0].tolist())
 
 
 def factorial_sandwich(n: int, table: PrimeTable | None = None) -> tuple[bool, bool]:
-    """Whether (n+1)! | sigma(n) and sigma(n) | n! * lcm(1..n+1).
+    """Whether (n+1)! | sigma(n) and sigma(n) | n! * lcm(1..n+1), at one n.
 
-    Checked prime by prime through the floor-quotient reduction: with e the
-    largest exponent such that p**e <= n + 1,
+    A one-row wrapper: sandwich_flags, over a block of n, is the route the
+    verify drivers take.  With e the largest exponent such that
+    p**e <= n + 1, prime by prime:
         sum_i floor((n+1)/p**i)  <=  floor(n/(p-1))  <=  sum_i floor(n/p**i) + e.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    t = _primes._table(table)
-    ps = t.primes_up_to(n + 1)
-    if len(ps) == 0:
-        return True, True
-    left = _legendre_vector(n + 1, ps)
-    mid = n // (ps - 1)
-    e = np.zeros(len(ps), dtype=np.int64)
-    pw = ps.copy()
-    while True:
-        mask = pw <= n + 1
-        if not mask.any():
-            break
-        e[mask] += 1
-        pw[mask] *= ps[mask]
-    right = _legendre_vector(n, ps) + e
-    return bool(np.all(left <= mid)), bool(np.all(mid <= right))
+    return tuple(sandwich_flags([n], table)[0].tolist())
 
 
 # -- the valuation dichotomy -------------------------------------------------------
@@ -214,7 +256,7 @@ def split_sigma_over_factorial(
         raise ValueError("n must be >= 1")
     t = _primes._table(table)
     ps, sig = prime_exponents(WeightFunction.shifted(), n, t)
-    v = sig - _legendre_vector(n, ps)
+    v = sig - _legendre([n], ps)[0]
     if v.min(initial=0) < 0:
         raise ArithmeticError(f"sigma({n}) is not a multiple of {n}!")
     small = ps * ps <= n + 1

@@ -10,9 +10,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import analytics, primes as _primes, sequences, triangle
 from .primes import PrimeTable
 from .products import WeightFunction, multiset_lcm, weighted_prime_product
+
+
+# prop2/prop3 decide a block of n at once over a (rows, primes) array; the
+# rows per block are capped so that the array holds about this many cells
+_BLOCK_CELLS = 1 << 18
+
+# the log weight's theorem1 grid (about 1.25 e**xmax points) is refused above this
+LOG_GRID_MAX_POINTS = 10_000
 
 
 @dataclass
@@ -30,9 +40,20 @@ class CheckResult:
 
 
 def theorem1_grid(f: WeightFunction, xmax: float | None = None) -> list:
-    """The x grid used for the product-vs-lcm equivalence sweep."""
+    """The x grid used for the product-vs-lcm equivalence sweep.
+
+    For the log weight the grid is log m for m = 1..round(e**xmax) plus an
+    off-lattice point for every fourth m, so its size grows like e**xmax; an
+    xmax whose grid would exceed LOG_GRID_MAX_POINTS (10,000 points, that is
+    xmax above about 8.987) raises ValueError before anything is allocated.
+    """
     if f.kind == "log":
-        top = int(round(math.exp(xmax))) if xmax is not None else 40
+        # any xmax >= 60 is far over the cap; the min keeps exp finite
+        top = int(round(math.exp(min(xmax, 60.0)))) if xmax is not None else 40
+        if top + (top + 1) // 4 > LOG_GRID_MAX_POINTS:  # the two parts' sizes below
+            raise ValueError(
+                f"the log grid at xmax {xmax} exceeds {LOG_GRID_MAX_POINTS} points"
+            )
         xs: list[float] = [float(math.log(m)) for m in range(1, top + 1)]
         # off-lattice points exercise the directed-rounding cutoff
         xs += [float(math.log(m)) + 0.3 for m in range(2, top, 4)]
@@ -85,28 +106,34 @@ def check_cor2(nmax: int, table: PrimeTable | None = None) -> CheckResult:
     return res
 
 
-def check_prop2(nmax: int, table: PrimeTable | None = None) -> CheckResult:
-    res = CheckResult(check_id="prop2")
-    names = ("chain", "divides-factorial", "factorial-sandwich", "odd-doubling")
-    for n in range(nmax + 1):
-        res.cases += 1
-        flags = sequences.divisibility_chain(n, table)
-        for name, ok in zip(names, flags):
-            if not ok:
-                res.violations.append(f"n={n}: {name} fails")
+def _flag_sweep(check_id: str, nmax: int, flags, messages, bound: int, t) -> CheckResult:
+    """One case per n <= nmax and one violation per False column of flags(ns, t).
+
+    n runs in consecutive blocks whose rows times the primes up to bound (the
+    widest block's columns) stay within _BLOCK_CELLS.
+    """
+    res = CheckResult(check_id=check_id)
+    rows = max(1, _BLOCK_CELLS // max(1, len(t.primes_up_to(bound))))
+    for lo in range(0, nmax + 1, rows):
+        ns = np.arange(lo, min(lo + rows, nmax + 1), dtype=np.int64)
+        res.cases += len(ns)
+        for row, col in zip(*np.nonzero(~flags(ns, t))):
+            res.violations.append(f"n={ns[row]}: {messages[col]}")
     return res
+
+
+def check_prop2(nmax: int, table: PrimeTable | None = None) -> CheckResult:
+    names = ("chain", "divides-factorial", "factorial-sandwich", "odd-doubling")
+    messages = [f"{name} fails" for name in names]
+    bound = max(2 * nmax, nmax + 2, 2)
+    return _flag_sweep("prop2", nmax, sequences.chain_flags, messages, bound, _primes._table(table))
 
 
 def check_prop3(nmax: int, table: PrimeTable | None = None) -> CheckResult:
-    res = CheckResult(check_id="prop3")
-    for n in range(nmax + 1):
-        res.cases += 1
-        lower, upper = sequences.factorial_sandwich(n, table)
-        if not lower:
-            res.violations.append(f"n={n}: (n+1)! does not divide sigma(n)")
-        if not upper:
-            res.violations.append(f"n={n}: sigma(n) does not divide n! lcm(1..n+1)")
-    return res
+    messages = ["(n+1)! does not divide sigma(n)", "sigma(n) does not divide n! lcm(1..n+1)"]
+    return _flag_sweep(
+        "prop3", nmax, sequences.sandwich_flags, messages, nmax + 1, _primes._table(table)
+    )
 
 
 def check_theorem2(nmax: int, table: PrimeTable | None = None) -> CheckResult:

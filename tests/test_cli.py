@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from lcmf import cli, primes
+from lcmf import cli, primes, verify
+from lcmf.products import WeightFunction
 
 from oracles import naive_rho, naive_sigma
 
@@ -62,6 +66,45 @@ def test_compute_usage_errors(capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
+
+
+def test_oversized_log_grid_is_usage_error():
+    log = WeightFunction.parse("log")
+    assert len(verify.theorem1_grid(log, 8.98)) <= verify.LOG_GRID_MAX_POINTS
+    for xmax in ("8.99", "40", "710", "1e6"):
+        with pytest.raises(ValueError):
+            verify.theorem1_grid(log, float(xmax))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "theorem1", "--f", "log", "--xmax", xmax])
+        assert exc.value.code == 2
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+# runs `python -m lcmf.cli ARGS`, then prints which of the heavy modules got loaded
+_IMPORT_PROBE = (
+    "import atexit, runpy, sys\n"
+    "heavy = ('mpmath', 'concurrent.futures.process')\n"
+    "atexit.register(lambda: print('loaded:', *[m for m in heavy if m in sys.modules]))\n"
+    "runpy.run_module('lcmf.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def _loaded_heavy_modules(*argv):
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1].split()[1:]
+
+
+def test_startup_imports_no_mpmath_or_process_pool():
+    assert _loaded_heavy_modules("compute", "rho", "1") == []
+    # the commands that need them still load them lazily and succeed
+    assert _loaded_heavy_modules("scan", "--grid", "list:1000", "--nmax", "1000") == ["mpmath"]
+    assert _loaded_heavy_modules("compute", "pif", "--f", "log", "--x", "3") == ["mpmath"]
 
 
 def test_internal_value_error_is_an_error_not_usage(capsys, monkeypatch):

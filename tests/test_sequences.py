@@ -1,14 +1,19 @@
 import math
 
+import numpy as np
 import pytest
 
+from lcmf import verify
 from lcmf.factored import FactoredNatural
 from lcmf.primes import default_table, factorial_valuation
 from lcmf.sequences import (
+    _legendre,
+    chain_flags,
     divisibility_chain,
     factorial_sandwich,
     quotient_primes,
     rho,
+    sandwich_flags,
     sigma,
     sigma_ratio_valuation,
     split_sigma_over_factorial,
@@ -47,6 +52,65 @@ def test_factorial_sandwich_cases():
     s4 = int(sigma(4).to_decimal())
     assert s4 % math.factorial(5) == 0
     assert (math.factorial(4) * 60) % s4 == 0
+
+
+def test_legendre_kernel_matches_factorial_valuation():
+    t = default_table()
+    ps = t.primes_up_to(2 * 600 + 2)
+    block = _legendre(np.arange(601), ps)  # one block: rows far below its max
+    for n in range(601):
+        cols = ps[ps <= 2 * n + 2]
+        expected = [factorial_valuation(n, p) for p in cols.tolist()]
+        assert block[n, : len(cols)].tolist() == expected, n
+        assert _legendre([n], cols)[0].tolist() == expected, n
+
+
+def test_batch_flags_match_per_n_wrappers():
+    ns = [0, 1, 2, 255, 256, 257, 4095, 4096]
+    chain = chain_flags(ns)
+    sandwich = sandwich_flags(ns)
+    assert chain.shape == (8, 4) and sandwich.shape == (8, 2)
+    for row, n in enumerate(ns):
+        assert tuple(chain[row].tolist()) == divisibility_chain(n) == (True,) * 4, n
+        assert tuple(sandwich[row].tolist()) == factorial_sandwich(n) == (True, True), n
+    with pytest.raises(ValueError):
+        chain_flags([3, -1])
+    with pytest.raises(ValueError):
+        factorial_sandwich(-1)
+
+
+@pytest.mark.parametrize("nmax", [0, 1, 255, 256, 257, 1000])
+def test_prop_sweeps_count_every_n(nmax, monkeypatch):
+    for cells in (verify._BLOCK_CELLS, 1000):  # the real block size, then many small blocks
+        monkeypatch.setattr(verify, "_BLOCK_CELLS", cells)
+        for res in (verify.check_prop2(nmax), verify.check_prop3(nmax)):
+            assert res.passed and res.cases == nmax + 1, (res.check_id, nmax, cells)
+
+
+def test_prop_sweeps_report_each_false_flag(monkeypatch):
+    monkeypatch.setattr(verify, "_BLOCK_CELLS", 500)  # blocks of a few rows
+
+    def chain(ns, table=None):
+        flags = chain_flags(ns, table)
+        flags[ns == 7, 0] = flags[ns == 9, 3] = False
+        return flags
+
+    def sandwich(ns, table=None):
+        flags = sandwich_flags(ns, table)
+        flags[ns == 30, :] = False
+        return flags
+
+    monkeypatch.setattr(verify.sequences, "chain_flags", chain)
+    monkeypatch.setattr(verify.sequences, "sandwich_flags", sandwich)
+    res = verify.check_prop2(40)
+    assert res.cases == 41
+    assert res.violations == ["n=7: chain fails", "n=9: odd-doubling fails"]
+    res = verify.check_prop3(40)
+    assert res.cases == 41
+    assert res.violations == [
+        "n=30: (n+1)! does not divide sigma(n)",
+        "n=30: sigma(n) does not divide n! lcm(1..n+1)",
+    ]
 
 
 def test_sigma_ratio_valuation_examples():
