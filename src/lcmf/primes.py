@@ -69,10 +69,12 @@ def _simple_sieve(limit: int) -> np.ndarray:
 
 
 class PrimeTable:
-    """Primality bitmap plus prime/log-prime arrays, grown on demand.
+    """Primality bitmap plus the primes and their theta prefix, grown on demand.
 
     The bitmap is sieved block by block (DEFAULT_BLOCK_SIZE integers at a
-    time); the per-prime prefix sums of log p back theta()/pi().
+    time); the per-prime prefix sums of log p back theta()/pi().  The table
+    holds about 1 + 16 / ln(limit) bytes per integer; a limit whose arrays
+    would not fit in physical memory is refused with ValueError.
     """
 
     def __init__(self, limit: int | None = None):
@@ -81,6 +83,15 @@ class PrimeTable:
         self._build(max(4, int(limit)))
 
     def _build(self, limit: int) -> None:
+        # bitmap, the int64 primes and the float64 prefix; pi(x) < 1.26 x / ln x
+        # (Rosser-Schoenfeld 1962) bounds the prime count
+        need = limit + 1 + 16 * int(1.26 * limit / math.log(limit))
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > have:
+            raise ValueError(
+                f"a prime table up to {limit} needs about {need / 2**30:.1f} GiB, "
+                f"more than this machine's {have / 2**30:.1f} GiB of memory"
+            )
         bitmap = np.zeros(limit + 1, dtype=bool)
         base = _simple_sieve(math.isqrt(limit) + 1)
         base_primes = np.flatnonzero(base)
@@ -100,12 +111,13 @@ class PrimeTable:
             lo = hi
         self.limit = limit
         self._is_prime = bitmap
-        self._primes = np.flatnonzero(bitmap).astype(np.int64)
-        self._log_primes = np.log(self._primes.astype(np.float64))
-        # prefix[i] = sum of log over the first i primes, ascending order
+        self._primes = np.flatnonzero(bitmap).astype(np.int64, copy=False)
+        # prefix[i] = sum of log over the first i primes, ascending order; the
+        # logs are summed in place, so the table holds no array of them
         prefix = np.empty(len(self._primes) + 1, dtype=np.float64)
         prefix[0] = 0.0
-        np.cumsum(self._log_primes, out=prefix[1:])
+        np.log(self._primes, out=prefix[1:])
+        np.cumsum(prefix[1:], out=prefix[1:])
         self._theta_prefix = prefix
 
     def ensure(self, limit: int) -> None:
@@ -132,9 +144,9 @@ class PrimeTable:
         return self._primes[:idx]
 
     def primes_and_logs(self, x: float) -> tuple[np.ndarray, np.ndarray]:
-        """(primes <= x, their logs) as aligned array views."""
+        """(primes <= x, their logs) as aligned arrays; the logs are taken on demand."""
         ps = self.primes_up_to(x)
-        return ps, self._log_primes[: len(ps)]
+        return ps, np.log(ps.astype(np.float64))
 
     def pi(self, x: float) -> int:
         """Number of primes <= x."""

@@ -21,8 +21,8 @@ from .products import WeightFunction, multiset_lcm, weighted_prime_product
 # rows per block are capped so that the array holds about this many cells
 _BLOCK_CELLS = 1 << 18
 
-# the log weight's theorem1 grid (about 1.25 e**xmax points) is refused above this
-LOG_GRID_MAX_POINTS = 10_000
+# a theorem1 grid over this many points is refused, for every weight
+GRID_MAX_POINTS = 10_000
 
 
 @dataclass
@@ -43,24 +43,27 @@ def theorem1_grid(f: WeightFunction, xmax: float | None = None) -> list:
     """The x grid used for the product-vs-lcm equivalence sweep.
 
     For the log weight the grid is log m for m = 1..round(e**xmax) plus an
-    off-lattice point for every fourth m, so its size grows like e**xmax; an
-    xmax whose grid would exceed LOG_GRID_MAX_POINTS (10,000 points, that is
-    xmax above about 8.987) raises ValueError before anything is allocated.
+    off-lattice point for every fourth m, about 1.25 e**xmax points; for the
+    other weights it is the 2 xmax + 1 half-integers in [0, xmax].  A grid
+    over GRID_MAX_POINTS (10,000 points: xmax above about 8.987 for log,
+    4999.5 otherwise) raises ValueError before anything is allocated.
     """
+    # the mins keep exp and int finite: any xmax past them is far over the cap
     if f.kind == "log":
-        # any xmax >= 60 is far over the cap; the min keeps exp finite
         top = int(round(math.exp(min(xmax, 60.0)))) if xmax is not None else 40
-        if top + (top + 1) // 4 > LOG_GRID_MAX_POINTS:  # the two parts' sizes below
-            raise ValueError(
-                f"the log grid at xmax {xmax} exceeds {LOG_GRID_MAX_POINTS} points"
-            )
+        points = top + (top + 1) // 4  # the two parts' sizes below
+    else:
+        if xmax is None:
+            xmax = 12.0 if f.kind == "m^a" else 18.0
+        steps = int(round(2 * min(xmax, GRID_MAX_POINTS)))
+        points = steps + 1
+    if points > GRID_MAX_POINTS:
+        raise ValueError(f"the {f.spec} grid at xmax {xmax} exceeds {GRID_MAX_POINTS} points")
+    if f.kind == "log":
         xs: list[float] = [float(math.log(m)) for m in range(1, top + 1)]
         # off-lattice points exercise the directed-rounding cutoff
         xs += [float(math.log(m)) + 0.3 for m in range(2, top, 4)]
         return xs
-    if xmax is None:
-        xmax = 12.0 if f.kind == "m^a" else 18.0
-    steps = int(round(2 * xmax))
     return [i / 2 for i in range(steps + 1)]
 
 

@@ -1,10 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from lcmf.analytics import (
     CSV_HEADER,
+    LUCY_THRESHOLD,
     Enclosure,
     analytic_constant,
     block_envelopes,
@@ -24,7 +26,7 @@ from lcmf.analytics import (
     write_csv,
     write_json,
 )
-from lcmf import primes
+from lcmf import analytics, primes
 from lcmf.primes import PrimeTable, default_table
 from lcmf.sequences import rho, sigma
 
@@ -136,14 +138,65 @@ def test_scan_single_record(c_mid):
 
 
 def test_scan_dense_matches_direct(c_mid):
-    # a row depends on n alone: step:1, dyadic and per-n list grids agree byte for byte
-    for start, stop in ((2, 400), ((1 << 20) - 40, (1 << 20) + 40)):
+    # a row depends on n alone: step:1, dyadic and per-n list grids and 1 or 2
+    # workers agree byte for byte, on the table route and on Lucy's
+    for start, stop in (
+        (2, 400),
+        ((1 << 20) - 40, (1 << 20) + 40),
+        (LUCY_THRESHOLD - 20, LUCY_THRESHOLD + 20),
+    ):
         dense = {r.n: r.csv_row() for r in scan(parse_grid("step:1", start, stop), c=c_mid)}
+        pooled = scan(parse_grid("step:1", start, stop), c=c_mid, workers=2)
+        assert [r.csv_row() for r in pooled] == list(dense.values())
         dyadic = scan(parse_grid("dyadic", start, stop), c=c_mid)
         assert dyadic and all(dense[r.n] == r.csv_row() for r in dyadic)
         for n in dense:
             (single,) = scan(parse_grid(f"list:{n}", 1, n), c=c_mid)
             assert single.csv_row() == dense[n]
+
+
+@pytest.fixture(scope="module")
+def table_2_26():
+    return PrimeTable((1 << 26) + 2)
+
+
+def _row_budget(n, shift):
+    """Budget on a row's sum over k of theta(n // k + shift), from _s1_budget."""
+    q = small, large, _ = analytics._quotients(n)
+    updates = len(default_table().primes_up_to(math.isqrt(n)))
+    at_small = analytics._s1_budget(small + shift, updates)
+    return analytics._quotient_sum(q, at_small, analytics._s1_budget(large + shift, updates))
+
+
+def test_lucy_pi_and_theta_match_the_table(table_2_26):
+    ns = list(range(1, 300)) + [LUCY_THRESHOLD - 1, LUCY_THRESHOLD + 1, 1 << 26]
+    for r in (2048, 3001, 8191):  # 2048**2 is the threshold
+        ns += [r * r, r * r - 1, r * (r + 1), r * (r + 1) - 1]
+    for n in ns:
+        q = small, large, _ = analytics._quotients(n)
+        (pi_small, pi_large), (th_small, th_large) = analytics._lucy(
+            n, PrimeTable(math.isqrt(n) + 2), q
+        )
+        vs = np.concatenate((small, large))
+        pi = np.searchsorted(table_2_26.primes_up_to(n), vs, side="right")
+        assert np.array_equal(np.concatenate((pi_small, pi_large)), pi), n
+        theta_error = np.abs(np.concatenate((th_small, th_large)) - table_2_26.theta_many(vs))
+        updates = len(table_2_26.primes_up_to(math.isqrt(n)))
+        assert np.all(theta_error <= analytics._s1_budget(vs, updates)), n
+
+
+def test_lucy_rows_match_the_table_route(table_2_26, c_mid):
+    ns = [LUCY_THRESHOLD, LUCY_THRESHOLD + 1, 3001 * 3002, 8191**2 - 1, 1 << 26]
+    t = PrimeTable(1 << 12)
+    recs = scan(ns, table=t, c=c_mid)
+    assert t.limit < 1 << 14  # Lucy rows need the table only to sqrt(n) + 2
+    for rec in recs:
+        n = rec.n
+        assert rec.card_A == quotient_prime_count(n, table_2_26)
+        assert (rec.s1 + rec.s2, rec.s1, rec.s2) == s_split(n, table_2_26)
+        # each route within the budget of theta, so the two within twice it
+        assert abs(rec.log_rho - theta_sum_rho(n, table_2_26)) <= 2 * _row_budget(n, 0)
+        assert abs(rec.log_sigma - theta_sum_sigma(n, table_2_26)) <= 2 * _row_budget(n, 1)
 
 
 def test_scan_workers_deterministic(tmp_path, c_mid):

@@ -70,13 +70,31 @@ def test_compute_usage_errors(capsys):
 
 def test_oversized_log_grid_is_usage_error():
     log = WeightFunction.parse("log")
-    assert len(verify.theorem1_grid(log, 8.98)) <= verify.LOG_GRID_MAX_POINTS
+    assert len(verify.theorem1_grid(log, 8.98)) <= verify.GRID_MAX_POINTS
     for xmax in ("8.99", "40", "710", "1e6"):
         with pytest.raises(ValueError):
             verify.theorem1_grid(log, float(xmax))
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "theorem1", "--f", "log", "--xmax", xmax])
         assert exc.value.code == 2
+
+
+def test_oversized_grid_is_usage_error_for_every_weight():
+    for spec in ("m", "m-1", "m^2"):
+        f = WeightFunction.parse(spec)
+        assert len(verify.theorem1_grid(f, 4999.5)) == verify.GRID_MAX_POINTS
+        for xmax in ("4999.75", "1e9", "1e308"):
+            with pytest.raises(ValueError):
+                verify.theorem1_grid(f, float(xmax))
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["verify", "theorem1", "--f", spec, "--xmax", xmax])
+            assert exc.value.code == 2
+
+
+def test_table_over_physical_memory_is_an_error(capsys):
+    code, _, err = run_cli(capsys, "verify", "eq14-16", "--nmax", str(10**13))
+    assert code == 1
+    assert err.startswith("error: a prime table up to") and "memory" in err
 
 
 _SRC = Path(__file__).resolve().parents[1] / "src"

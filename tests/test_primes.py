@@ -65,6 +65,16 @@ def test_auto_extend():
     assert t.limit >= 10_000
 
 
+def test_table_refuses_a_limit_over_physical_memory():
+    # refused before anything is allocated: numpy would raise MemoryError
+    with pytest.raises(ValueError, match="memory"):
+        PrimeTable(10**13)
+    t = PrimeTable(limit=100)
+    with pytest.raises(ValueError, match="memory"):
+        t.ensure(10**13)
+    assert t.limit == 100 and t.pi(100) == 25
+
+
 def test_is_prime_beyond_limit():
     t = PrimeTable(limit=100)
     assert t.is_prime(104729)  # beyond the bitmap
