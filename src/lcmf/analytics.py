@@ -6,14 +6,15 @@ and their gap is the log-sum over k of the prime quotient values
 floor(n/k + 1).  A scan row takes every field from those quotients; the
 direct sums of (n // p) log p in log_rho/log_sigma are the check route.
 Residuals subtract n log n - (c+1) n and n log n - n, where c is the sum over
-primes of log p / (p (p-1)): scans take it from the analytic series in
-analytic_constant(), and prime_series_constant() encloses it rigorously.
+primes of log p / (p (p-1)): scans take it from analytic_constant(), the
+float of an analytic series, and prime_series_constant() encloses it
+rigorously.
 
 The route of a row depends on n alone.  Below LUCY_THRESHOLD (2^22) theta
 and primality are lookups in a prime table up to n + 2, about
 1 + 16 / ln n bytes per integer.  From it on, theta at every quotient comes
 from Lucy's sieve (_lucy) in O(n**(3/4)) time and O(sqrt n) memory, with a
-table only up to sqrt(n) + 2: a row at 2^36 takes about 2 s and 70 MB.
+table only up to sqrt(n) + 2: a row at 2^36 takes about 1.5 s and 67 MB.
 Each row sums in a fixed order, so scan output is reproducible bit for bit
 on one platform whatever the grid or worker count.
 """
@@ -21,6 +22,7 @@ on one platform whatever the grid or worker count.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields, asdict
@@ -57,30 +59,24 @@ class Enclosure:
         return self.lo <= value <= self.hi
 
 
-@functools.cache
+# c = sum over m >= 2 of mu(m) zeta'(m) / zeta(m), the float nearest to it
+_ANALYTIC_C = float.fromhex("0x1.82bf699406611p-1")
+
+
 def analytic_constant() -> Enclosure:
-    """[c - delta, c + delta] from c = sum over m >= 2 of mu(m) zeta'(m)/zeta(m).
+    """[c - 2**-52, c + 2**-52] from c = sum over m >= 2 of mu(m) zeta'(m)/zeta(m).
 
     The series is the Moebius inversion of -zeta'/zeta(s) = sum of
-    log p * p**(-j s) over primes p and j >= 1 (H. Cohen, 1998).  It is summed
-    in mpmath at 80 bits until |zeta'/zeta(m)| < 2**-60; that term bounds the
-    whole tail, as each term Lambda(k) k**-s of -zeta'/zeta(s) is positive and
-    at least halves when s grows by one.  delta = 2**-52 covers the tail, the
-    rounding to float (half an ulp of c, 2**-54) and mpmath's evaluation error
-    (about 2**-80 per term); c +- delta are exact floats.
+    log p * p**(-j s) over primes p and j >= 1 (H. Cohen, 1998).  Summed at
+    80 bits until |zeta'/zeta(m)| < 2**-60, it rounds to the float literal
+    _ANALYTIC_C; tests/test_analytics.py re-sums it in mpmath and checks that.
+    The last term bounds the whole tail, as each term Lambda(k) k**-s of
+    -zeta'/zeta(s) is positive and at least halves when s grows by one, so
+    2**-52 covers the tail, the rounding to float (half an ulp of c, 2**-54)
+    and the evaluation error (about 2**-80 per term); c +- 2**-52 are exact
+    floats.
     """
-    import mpmath  # deferred: only scans need it, so other commands start faster
-
-    total, ratio, m = mpmath.mpf(0), 1, 1
-    with mpmath.workprec(80):
-        while abs(ratio) >= 2.0**-60:
-            m += 1
-            ratio = mpmath.zeta(m, 1, 1) / mpmath.zeta(m)
-            exponents = _primes.factorize(m).values()
-            if max(exponents) == 1:
-                total += (-1) ** len(exponents) * ratio
-        c = float(total)
-    return Enclosure(c - 2.0**-52, c + 2.0**-52)
+    return Enclosure(_ANALYTIC_C - 2.0**-52, _ANALYTIC_C + 2.0**-52)
 
 
 def prime_series_constant(tail_cut: int, table: PrimeTable | None = None) -> Enclosure:
@@ -180,12 +176,23 @@ def _table_prime_quotients(t: PrimeTable, n: int, quotients) -> tuple[int, float
 # -- Lucy's sieve ---------------------------------------------------------------------
 
 # Scan rows for n >= LUCY_THRESHOLD come from Lucy's sieve, rows below it from
-# the prime table.  At 2^22 a Lucy row takes about 9 ms and a table row 1 ms,
+# the prime table.  At 2^22 a Lucy row takes about 5 ms and a table row 1 ms,
 # but only after a table up to n + 2, which takes 22 ms to build and holds
 # 1 + 16 / ln n bytes per integer.  Dense step:1 windows near 2^20 stay on the
 # table.  The route depends on n alone, so a row is the same whatever the grid.
 LUCY_THRESHOLD = 1 << 22
 _PREFILTER_PRIMES = 32  # trial-divide by this many primes before Miller-Rabin
+_LUCY_BATCH_CELLS = 1 << 16  # (p, k) pairs per chunk of _lucy's second phase
+
+
+def _icbrt(n: int) -> int:
+    """The largest integer c with c**3 <= n."""
+    c = round(n ** (1 / 3))
+    while c**3 > n:
+        c -= 1
+    while (c + 1) ** 3 <= n:
+        c += 1
+    return c
 
 
 def _s1_budget(v, updates: int):
@@ -206,9 +213,22 @@ def _lucy(n: int, t: PrimeTable, quotients):
         S1(v) -= log p * (S0(v/p) - S0(p-1)) + S1(v/p) - S1(p-1)
 
     after which S0 = pi and S1 = theta at every quotient, in O(n**(3/4)) time
-    and O(sqrt n) memory.
+    and O(sqrt n) memory.  It runs in two phases, split at the cube root of n
+    (Deleglise-Rivat's split):
 
-    S0 is int64, so exact.  S1 is float64.  At v every operand is at most
+    1. each prime p with p**3 <= n updates the small and the large quotients
+       in turn, one vectorised step per prime;
+    2. the primes p in (cbrt n, sqrt n] update only S(n // k) with
+       k <= n // p**2 < cbrt n, so every value they write exceeds n**(2/3),
+       and every value they read, S(n // (k p)) and S(p - 1), lies below
+       n / p < n**(2/3).  No prime above cbrt n changes S below n**(2/3), so
+       those reads are already final after phase 1, and the writes never
+       feed a read.  Phase 2 is therefore one batch: the (p, k) pairs are
+       flattened, gathered and summed per k by np.bincount, then subtracted,
+       in chunks of at most _LUCY_BATCH_CELLS pairs.
+
+    S0 is int64, so exact; its bincount sums are integers below n, exact in
+    float64.  S1 is float64.  At v every operand is at most
     lgamma(v + 1) <= v log v, each of the pi(sqrt v) updates rounds four
     times, and S1(v) inherits the errors of the S1(v/p) it reads, whose
     weights fall off about as p**-1.5 (summed over the primes, 0.85).  That
@@ -216,22 +236,33 @@ def _lucy(n: int, t: PrimeTable, quotients):
 
         |S1(v) - theta(v)| <= 2**-52 (16 pi(sqrt n) + 4) v log v,
 
-    about 8900 at v = n = 2^40, a relative 8e-9.  Against an 80-bit run of the
-    same recurrence the error stayed within 3.4 ulps of v log v up to 2^34;
-    the table's theta prefix is within 11 ulps of exact up to 2^26.
+    about 8900 at v = n = 2^40, a relative 8e-9.  The batch keeps within it:
+    an update there rounds in log p * d0, in d1 and in their sum, and then
+    once as bincount adds it to a running sum of positive terms, which never
+    exceeds the lgamma(v + 1) it is taken from; the one subtraction per chunk
+    replaces the rounding of each update's own subtraction.  That is at most
+    four roundings per update at magnitude <= v log v, as in phase 1, and no
+    more.  Against an 80-bit run of the same recurrence the error stayed
+    within 3.4 ulps of v log v up to 2^34; the table's theta prefix is within
+    11 ulps of exact up to 2^26.
 
     The in-row check: at every v <= sqrt(n) + 1, S0 must equal the table's pi
     and S1 its theta within the budget, else ArithmeticError.
     """
     small, large, _ = quotients
     r, top = len(small), len(large)
-    # index 0 is padding: hi[k] holds S(n // k), lo[v] holds S(v)
-    hi0 = np.concatenate(([0], small - 1))
-    lo0 = np.arange(-1, top, dtype=np.int64)
-    hi1 = np.array([0.0] + [math.lgamma(v + 1) for v in small.tolist()])
-    lo1 = np.array([0.0] + [math.lgamma(v + 1) for v in large.tolist()])
+    # one array per sum, hi then lo, index 0 of each padding: hi[k] holds
+    # S(n // k) and lo[v] S(v), so S(v) for v <= top is at r + 1 + v
+    all0 = np.concatenate(([0], small - 1, np.arange(-1, top, dtype=np.int64)))
+    all1 = np.fromiter(
+        map(math.lgamma, itertools.chain([1], (small + 1).tolist(), range(1, top + 2))),
+        np.float64,
+        r + top + 2,
+    )
+    hi0, lo0, hi1, lo1 = all0[: r + 1], all0[r + 1 :], all1[: r + 1], all1[r + 1 :]
     ps = t.primes_up_to(r)
-    for p in ps.tolist():
+    cut = int(np.searchsorted(ps, _icbrt(n), side="right"))
+    for p in ps[:cut].tolist():
         c0, c1, lp = lo0[p - 1], lo1[p - 1], math.log(p)
         kmax = min(r, n // (p * p))
         kd = min(kmax, r // p)  # k <= kd: n // (k p) is a small quotient, hi[k p]
@@ -241,10 +272,34 @@ def _lucy(n: int, t: PrimeTable, quotients):
         hi1[1 : kmax + 1] -= lp * d0 + d1
         hi0[1 : kmax + 1] -= d0
         if p * p <= top:
-            j = np.arange(p * p, top + 1, dtype=np.int64) // p
-            e0 = lo0[j] - c0
-            lo1[p * p :] -= lp * e0 + (lo1[j] - c1)
+            # v // p over v = p**2..top: each j = p..top // p repeated p times
+            j, cells = slice(p, top // p + 1), top + 1 - p * p
+            e0 = np.repeat(lo0[j] - c0, p)[:cells]
+            lo1[p * p :] -= lp * e0 + np.repeat(lo1[j] - c1, p)[:cells]
             lo0[p * p :] -= e0
+    # phase 2: the pairs (p, k) with k <= n // p**2, p ascending then k,
+    # taken _LUCY_BATCH_CELLS at a time
+    big = ps[cut:]
+    counts = n // (big * big)
+    ends = np.cumsum(counts)
+    starts, logs = ends - counts, np.log(big)
+    total = int(ends[-1]) if len(big) else 0
+    for a in range(0, total, _LUCY_BATCH_CELLS):
+        b = min(a + _LUCY_BATCH_CELLS, total)
+        # i: the index in big of each pair's prime
+        i0 = np.searchsorted(ends, a, side="right")
+        i1 = np.searchsorted(ends, b - 1, side="right") + 1
+        i = np.repeat(
+            np.arange(i0, i1), np.minimum(ends[i0:i1], b) - np.maximum(starts[i0:i1], a)
+        )
+        p, k = big[i], np.arange(a, b, dtype=np.int64) - starts[i] + 1
+        m = k * p
+        at = np.where(m <= r, m, r + 1 + n // m)  # S(n // m)
+        d0 = all0[at] - all0[r + p]  # all0[r + 1 + (p - 1)] = S0(p - 1)
+        d1 = all1[at] - all1[r + p]
+        dec0, dec1 = np.bincount(k, weights=d0), np.bincount(k, weights=logs[i] * d0 + d1)
+        hi0[: len(dec0)] -= dec0.astype(np.int64)
+        hi1[: len(dec1)] -= dec1
     # the in-row check against the table, at every quotient v <= sqrt(n) + 1
     vs = np.concatenate((large, small))
     low = vs <= r + 1

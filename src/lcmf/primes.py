@@ -8,6 +8,7 @@ independent ways and cross-asserted).
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 
@@ -17,8 +18,27 @@ DEFAULT_LIMIT = 1 << 20
 DEFAULT_BLOCK_SIZE = 1 << 20
 SPF_CAP_DEFAULT = 10_000_000
 
-# deterministic Miller-Rabin witness set for n < 3.3e24
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin witnesses: with the first j primes as bases the test is
+# deterministic below _MR_BOUNDS[j - 1], the least odd composite that is a
+# strong pseudoprime to all of them (OEIS A014233).  Past the last bound no
+# witness set is known to suffice; bases 2..43 then give a strong
+# probable-prime test.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+_MR_BOUNDS = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
 
 
 def _env_default_limit() -> int:
@@ -32,18 +52,19 @@ def _env_default_limit() -> int:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin primality test, deterministic for n < 3.3e24."""
+    """Miller-Rabin primality test, deterministic for n < 3317044064679887385961981.
+
+    It uses the fewest bases that are deterministic at the size of n, e.g.
+    2, 3, 5 and 7 below 3215031751 (see _MR_BOUNDS).
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES[: bisect.bisect_right(_MR_BOUNDS, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -64,6 +64,28 @@ def test_constant_enclosure_narrows_and_nests():
     assert analytic.lo in encs[-1] and analytic.hi in encs[-1]
 
 
+def _moebius_zeta_series() -> float:
+    """c = sum over m >= 2 of mu(m) zeta'(m)/zeta(m), summed in mpmath at 80 bits
+    until |zeta'/zeta(m)| < 2**-60, rounded to float."""
+    import mpmath
+
+    total, ratio, m = mpmath.mpf(0), 1, 1
+    with mpmath.workprec(80):
+        while abs(ratio) >= 2.0**-60:
+            m += 1
+            ratio = mpmath.zeta(m, 1, 1) / mpmath.zeta(m)
+            exponents = primes.factorize(m).values()
+            if max(exponents) == 1:
+                total += (-1) ** len(exponents) * ratio
+        return float(total)
+
+
+def test_analytic_constant_is_the_series_float():
+    c = _moebius_zeta_series()
+    assert c.hex() == "0x1.82bf699406611p-1"
+    assert analytic_constant() == Enclosure(c - 2.0**-52, c + 2.0**-52)
+
+
 def test_constant_enclosure_width_at_ten_million():
     enc = prime_series_constant(10**7)
     assert enc.width <= 1e-5
@@ -168,21 +190,63 @@ def _row_budget(n, shift):
     return analytics._quotient_sum(q, at_small, analytics._s1_budget(large + shift, updates))
 
 
-def test_lucy_pi_and_theta_match_the_table(table_2_26):
-    ns = list(range(1, 300)) + [LUCY_THRESHOLD - 1, LUCY_THRESHOLD + 1, 1 << 26]
+def _lucy_at(n):
+    """(quotients, S0, S1) of _lucy at n, small quotients then large."""
+    q = small, large, _ = analytics._quotients(n)
+    (pi_small, pi_large), (th_small, th_large) = analytics._lucy(
+        n, PrimeTable(math.isqrt(n) + 2), q
+    )
+    return (
+        np.concatenate((small, large)),
+        np.concatenate((pi_small, pi_large)),
+        np.concatenate((th_small, th_large)),
+    )
+
+
+def _check_lucy(n, table):
+    """_lucy at n against the table at every quotient it reaches: S0 equal to
+    pi, S1 within the budget of theta.  Returns _lucy_at(n)."""
+    vs, s0, s1 = at = _lucy_at(n)
+    seen = vs <= table.limit
+    pi = np.searchsorted(table.primes_up_to(table.limit), vs[seen], side="right")
+    assert np.array_equal(s0[seen], pi), n
+    updates = len(table.primes_up_to(math.isqrt(n)))
+    budget = analytics._s1_budget(vs[seen], updates)
+    assert np.all(np.abs(s1[seen] - table.theta_many(vs[seen])) <= budget), n
+    return at
+
+
+# p**3 - 1 puts the prime p in _lucy's batch, p**3 and p**3 + 1 in its
+# per-prime loop; 331**3 < 2^26 < 1621**3
+CUBE_NS = [p**3 + d for p in (331, 1621) for d in (-1, 0, 1)]
+
+
+def test_lucy_pi_and_theta_match_the_table(table_2_26, monkeypatch):
+    ns = list(range(1, 300)) + [LUCY_THRESHOLD - 1, LUCY_THRESHOLD + 1, 1 << 26] + CUBE_NS
     for r in (2048, 3001, 8191):  # 2048**2 is the threshold
         ns += [r * r, r * r - 1, r * (r + 1), r * (r + 1) - 1]
-    for n in ns:
-        q = small, large, _ = analytics._quotients(n)
-        (pi_small, pi_large), (th_small, th_large) = analytics._lucy(
-            n, PrimeTable(math.isqrt(n) + 2), q
-        )
-        vs = np.concatenate((small, large))
-        pi = np.searchsorted(table_2_26.primes_up_to(n), vs, side="right")
-        assert np.array_equal(np.concatenate((pi_small, pi_large)), pi), n
-        theta_error = np.abs(np.concatenate((th_small, th_large)) - table_2_26.theta_many(vs))
+    assert analytics._icbrt(331**3 - 1) == 330 and analytics._icbrt(331**3) == 331
+    checked = {n: _check_lucy(n, table_2_26) for n in ns}
+    past = {n: at for n, at in checked.items() if n > table_2_26.limit}
+    assert len(past) == 3
+    # past the table's reach, against the per-prime loop over every prime
+    # <= sqrt(n), that is the sieve with no batch: S0 equal, S1 within twice
+    # the budget (each within the budget of theta)
+    monkeypatch.setattr(analytics, "_icbrt", math.isqrt)
+    for n, (vs, s0, s1) in past.items():
+        _, ref0, ref1 = _lucy_at(n)
+        assert np.array_equal(s0, ref0), n
         updates = len(table_2_26.primes_up_to(math.isqrt(n)))
-        assert np.all(theta_error <= analytics._s1_budget(vs, updates)), n
+        assert np.all(np.abs(s1 - ref1) <= 2 * analytics._s1_budget(vs, updates)), n
+
+
+def test_lucy_batch_in_many_chunks(table_2_26, monkeypatch):
+    monkeypatch.setattr(analytics, "_LUCY_BATCH_CELLS", 300)
+    for n in [n for n in CUBE_NS if n <= table_2_26.limit] + [LUCY_THRESHOLD + 1, 1 << 26]:
+        big = table_2_26.primes_up_to(math.isqrt(n))
+        big = big[big > analytics._icbrt(n)]
+        assert np.sum(n // (big * big)) > 10 * 300  # the batch spans many chunks
+        _check_lucy(n, table_2_26)
 
 
 def test_lucy_rows_match_the_table_route(table_2_26, c_mid):

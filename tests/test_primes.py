@@ -11,6 +11,7 @@ from lcmf.primes import (
     factorial_valuation,
     factorize,
     is_probable_prime,
+    _MR_BASES,
     _simple_sieve,
 )
 
@@ -81,6 +82,44 @@ def test_is_prime_beyond_limit():
     assert not t.is_prime(104731)
     assert is_probable_prime(2**61 - 1)
     assert not is_probable_prime(2**67 - 1)
+
+
+# OEIS A014233: the least odd composite that is a strong pseudoprime to each of
+# the first j prime bases, j = 1..13; the test's witness set changes at each
+A014233 = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+
+
+def test_miller_rabin_rejects_every_witness_boundary():
+    assert list(_MR_BASES) == trial_primes(43)  # the first j primes below bound j
+    for n in A014233:
+        assert not is_probable_prime(n), n
+    # passes bases 2..37, so base 41 is what rejects it
+    assert A014233[11] == 399165290221 * 798330580441
+    assert is_probable_prime(399165290221) and is_probable_prime(798330580441)
+
+
+def test_miller_rabin_matches_trial_division_near_the_small_boundaries():
+    ps = np.flatnonzero(_simple_sieve(math.isqrt(A014233[3] + 2000)))
+    for bound in A014233[:4]:
+        xs = np.arange(bound - 2000, bound + 2000, dtype=np.int64)
+        prime = np.ones(len(xs), dtype=bool)
+        for p in ps[ps * ps <= xs[-1]]:
+            prime &= (xs % p != 0) | (xs == p)
+        assert [is_probable_prime(x) for x in xs.tolist()] == prime.tolist(), bound
 
 
 def test_digit_sum_examples():
