@@ -185,16 +185,6 @@ _PREFILTER_PRIMES = 32  # trial-divide by this many primes before Miller-Rabin
 _LUCY_BATCH_CELLS = 1 << 16  # (p, k) pairs per chunk of _lucy's second phase
 
 
-def _icbrt(n: int) -> int:
-    """The largest integer c with c**3 <= n."""
-    c = round(n ** (1 / 3))
-    while c**3 > n:
-        c -= 1
-    while (c + 1) ** 3 <= n:
-        c += 1
-    return c
-
-
 def _s1_budget(v, updates: int):
     """Budget on |S1(v) - theta(v)| after Lucy's sieve with `updates` primes (see _lucy)."""
     return 2.0**-52 * (16 * updates + 4) * v * np.log(np.maximum(v, 2))
@@ -261,7 +251,7 @@ def _lucy(n: int, t: PrimeTable, quotients):
     )
     hi0, lo0, hi1, lo1 = all0[: r + 1], all0[r + 1 :], all1[: r + 1], all1[r + 1 :]
     ps = t.primes_up_to(r)
-    cut = int(np.searchsorted(ps, _icbrt(n), side="right"))
+    cut = int(np.searchsorted(ps, _primes.iroot(n, 3), side="right"))
     for p in ps[:cut].tolist():
         c0, c1, lp = lo0[p - 1], lo1[p - 1], math.log(p)
         kmax = min(r, n // (p * p))
@@ -362,33 +352,6 @@ def quotient_prime_count(n: int, table: PrimeTable | None = None) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     return _table_prime_quotients(_primes._table(table), n, _quotients(n))[0]
-
-
-def higher_power_residual(n: int, c: float | None = None, table: PrimeTable | None = None) -> float:
-    """Residual of the square-and-higher prime-power log sum against c * n.
-
-    The sum of (n // p**2 + n // p**3 + ...) log p over primes equals
-    log(n!) - log rho(n); both routes are evaluated and cross-asserted
-    before returning (sum - c * n).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if c is None:
-        c = analytic_constant().midpoint
-    t = _primes._table(table)
-    ps, logs = t.primes_and_logs(math.isqrt(n))
-    total = 0.0
-    for p, lg in zip(ps.tolist(), logs.tolist()):
-        q = p * p
-        e = 0
-        while q <= n:
-            e += n // q
-            q *= p
-        total += e * lg
-    via_factorial = math.lgamma(n + 1) - log_rho(n, t)
-    if abs(total - via_factorial) > 1e-6 * max(1.0, n):
-        raise ArithmeticError(f"higher-power log sum mismatch at n={n}")
-    return total - c * n
 
 
 # -- scans --------------------------------------------------------------------------

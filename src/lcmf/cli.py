@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 from . import analytics, primes, sequences, triangle, verify
 from .factored import DigitBudgetError, FactoredNatural
@@ -31,29 +30,13 @@ def _parse(fn, *args):
         raise UsageError(str(exc)) from None
 
 
-@dataclass
-class RunConfig:
-    """Validated bundle of options shared by the subcommands."""
-
-    subcommand: str
-    weight: str | None = None
-    x: float | None = None
-    n: int | None = None
-    nmax: int | None = None
-    grid: str = "dyadic"
-    out: str | None = None
-    format: str = "csv"
-    workers: int = 1
-    gnuplot: str | None = None
-
-    def validate(self) -> None:
-        if self.workers < 1:
-            raise UsageError("--workers must be >= 1")
-        if self.format not in ("csv", "json"):
-            raise UsageError("--format must be csv or json")
-        if self.nmax is not None and self.nmax < 0:
-            raise UsageError("--nmax must be >= 0")
-        _parse(primes._env_default_limit)  # LCMF_SIEVE_LIMIT is read lazily; check it now
+def _validate(args) -> None:
+    """The checks made before any subcommand runs; a failure is a usage error."""
+    if getattr(args, "workers", 1) < 1:  # `constant` takes neither option
+        raise UsageError("--workers must be >= 1")
+    if getattr(args, "nmax", None) is not None and args.nmax < 0:
+        raise UsageError("--nmax must be >= 0")
+    _parse(primes._env_default_limit)  # LCMF_SIEVE_LIMIT is read lazily; check it now
 
 
 def _amount(text: str) -> float:
@@ -73,7 +56,7 @@ def _render(value: FactoredNatural) -> str:
         return f"{value}  (decimal expansion over the digit budget)"
 
 
-def _cmd_compute(cfg: RunConfig, args) -> int:
+def _cmd_compute(args) -> int:
     target = args.target
     if any(v < 0 for v in args.ints):
         raise UsageError(f"compute {target} takes integers >= 0")
@@ -89,12 +72,12 @@ def _cmd_compute(cfg: RunConfig, args) -> int:
             raise UsageError("compute q needs k <= n")
         print(_render(triangle.q(args.ints[0], args.ints[1])))
     elif target == "pif":
-        if cfg.weight is None or cfg.x is None:
+        if args.weight is None or args.x is None:
             raise UsageError("compute pif needs --f and --x")
-        f = _parse(WeightFunction.parse, cfg.weight)
+        f = _parse(WeightFunction.parse, args.weight)
         from .products import weighted_prime_product
 
-        print(_render(weighted_prime_product(f, cfg.x)))
+        print(_render(weighted_prime_product(f, args.x)))
     else:
         raise UsageError(f"unknown compute target {target!r}")
     return 0
@@ -103,11 +86,10 @@ def _cmd_compute(cfg: RunConfig, args) -> int:
 _VERIFY_IDS = ("theorem1", "prop1", "prop2", "prop3", "cor2", "theorem2", "eq14-16", "split")
 
 
-def _run_verify(cfg: RunConfig, args) -> verify.CheckResult:
-    check = args.check
-    nmax = cfg.nmax
+def _run_verify(args) -> verify.CheckResult:
+    check, nmax = args.check, args.nmax
     if check == "theorem1":
-        f = _parse(WeightFunction.parse, cfg.weight or "m")
+        f = _parse(WeightFunction.parse, args.weight or "m")
         _parse(verify.theorem1_grid, f, args.xmax)  # an oversized log grid is refused here
         return verify.check_theorem1(f, args.xmax)
     if check == "prop1":
@@ -128,9 +110,7 @@ def _run_verify(cfg: RunConfig, args) -> verify.CheckResult:
 
 
 def _write_valuation_records(nmax: int, path: str) -> None:
-    from .primes import default_table
-
-    t = default_table()
+    t = primes.default_table()
     t.ensure(nmax + 2)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(sequences.VALUATION_CSV_HEADER + "\n")
@@ -140,10 +120,10 @@ def _write_valuation_records(nmax: int, path: str) -> None:
                     fh.write(sequences.sigma_ratio_valuation(n, p, t).csv_row() + "\n")
 
 
-def _cmd_verify(cfg: RunConfig, args) -> int:
-    result = _run_verify(cfg, args)
-    if args.check == "theorem2" and cfg.out:
-        _write_valuation_records(cfg.nmax if cfg.nmax is not None else 500, cfg.out)
+def _cmd_verify(args) -> int:
+    result = _run_verify(args)
+    if args.check == "theorem2" and args.out:
+        _write_valuation_records(args.nmax if args.nmax is not None else 500, args.out)
     for line in result.notes:
         print(f"note: {line}")
     if result.passed:
@@ -155,12 +135,12 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
     return 1
 
 
-def _cmd_triangle(cfg: RunConfig) -> int:
-    nmax = cfg.nmax if cfg.nmax is not None else 7
+def _cmd_triangle(args) -> int:
+    nmax = args.nmax if args.nmax is not None else 7
     lines = [",".join(row) for row in triangle.rows_decimal(nmax)]
     text = "\n".join(lines) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="ascii", newline="\n") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -173,20 +153,20 @@ def _cmd_constant(args) -> int:
     return 0
 
 
-def _cmd_scan(cfg: RunConfig) -> int:
-    if cfg.nmax is None:
+def _cmd_scan(args) -> int:
+    if args.nmax is None:
         raise UsageError("scan needs --nmax")
-    start = cfg.n if cfg.n is not None else 1
-    ns = _parse(analytics.parse_grid, cfg.grid, start, cfg.nmax)
+    start = args.n if args.n is not None else 1
+    ns = _parse(analytics.parse_grid, args.grid, start, args.nmax)
     enc = analytics.analytic_constant()
-    records = analytics.scan(ns, c=enc.midpoint, workers=cfg.workers)
-    if cfg.out:
-        if cfg.format == "csv":
-            analytics.write_csv(records, cfg.out)
+    records = analytics.scan(ns, c=enc.midpoint, workers=args.workers)
+    if args.out:
+        if args.format == "csv":
+            analytics.write_csv(records, args.out)
         else:
-            analytics.write_json(records, cfg.out)
+            analytics.write_json(records, args.out)
     else:
-        if cfg.format == "csv":
+        if args.format == "csv":
             sys.stdout.write(analytics.CSV_HEADER + "\n")
             for rec in records:
                 sys.stdout.write(rec.csv_row() + "\n")
@@ -196,11 +176,11 @@ def _cmd_scan(cfg: RunConfig) -> int:
 
             _json.dump([asdict(r) for r in records], sys.stdout, indent=1)
             sys.stdout.write("\n")
-    if getattr(cfg, "gnuplot", None):
-        _write_gnuplot_stub(cfg.gnuplot, cfg.out or "scan.csv")
+    if args.gnuplot:
+        _write_gnuplot_stub(args.gnuplot, args.out or "scan.csv")
     print(
         f"constant enclosure [{enc.lo!r}, {enc.hi!r}]; "
-        f"residual uncertainty at nmax: {cfg.nmax * enc.width:.3g}",
+        f"residual uncertainty at nmax: {args.nmax * enc.width:.3g}",
         file=sys.stderr,
     )
     return 0
@@ -272,30 +252,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        weight=getattr(args, "weight", None),
-        x=getattr(args, "x", None),
-        n=getattr(args, "n", None),
-        nmax=getattr(args, "nmax", None),
-        grid=getattr(args, "grid", "dyadic"),
-        out=getattr(args, "out", None),
-        format=getattr(args, "format", "csv"),
-        workers=getattr(args, "workers", 1),
-        gnuplot=getattr(args, "gnuplot", None),
-    )
     try:
-        cfg.validate()
+        _validate(args)
         if args.subcommand == "compute":
-            return _cmd_compute(cfg, args)
+            return _cmd_compute(args)
         if args.subcommand == "verify":
-            return _cmd_verify(cfg, args)
+            return _cmd_verify(args)
         if args.subcommand == "triangle":
-            return _cmd_triangle(cfg)
+            return _cmd_triangle(args)
         if args.subcommand == "constant":
             return _cmd_constant(args)
         if args.subcommand == "scan":
-            return _cmd_scan(cfg)
+            return _cmd_scan(args)
         parser.error(f"unknown subcommand {args.subcommand!r}")
     except UsageError as exc:
         parser.error(str(exc))

@@ -77,6 +77,32 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+def iroot(n: int, k: int) -> int:
+    """The largest r >= 0 with r**k <= n, for n >= 0 and k >= 1."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    r = int(round(n ** (1.0 / k)))  # a float seed, then an exact correction
+    while r**k > n:
+        r -= 1
+    while (r + 1) ** k <= n:
+        r += 1
+    return r
+
+
+def prime_powers(ps: np.ndarray, top: int):
+    """Yield p**i over the prefix of ps with p**i <= top, for i = 1, 2, ...
+
+    ps is ascending, so for each i the primes with p**i <= top are a prefix,
+    which shrinks as i grows.  The next power is formed only on the prefix
+    where p**i <= top // p, so no int64 product exceeds top.
+    """
+    pw = ps[: int(np.searchsorted(ps, top, side="right"))]
+    while len(pw):
+        yield pw
+        k = int(np.count_nonzero(pw <= top // ps[: len(pw)]))
+        pw = pw[:k] * ps[:k]
+
+
 def _simple_sieve(limit: int) -> np.ndarray:
     """Boolean primality bitmap over [0, limit]."""
     if limit < 1:

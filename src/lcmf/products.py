@@ -4,19 +4,24 @@ For an admissible weight f, the product over primes of p**floor(x / f(p))
 equals the lcm of all products i_1 * ... * i_k taken over finite multisets
 of integers >= 2 whose weights sum to at most x.  This module computes both
 sides independently: the prime side from the sieve and the closed form, the
-lcm side by a search per prime over the parts p**e that never uses the
-closed form or the sieve, so that test runs can compare them through code
-that shares only the check on x and, for the integer-valued weights, its
-floor.  The prime side at f(m) = m and f(m) = m - 1 is the rho and sigma
-sequences of the sequences module.
+lcm side from per-prime step tables over the parts p**e, found by primality
+tests and never by the closed form or the sieve.  A sweep over many x builds
+one such table, at its largest budget, and reads each x from it
+(multiset_lcms); multiset_lcm is its one-point case.  The two sides share
+only _budget, the bound x sets: floor(x) for the integer-valued weights,
+floor(e**x) for the log weight.  The prime side at f(m) = m and f(m) = m - 1
+is the rho and sigma sequences of the sequences module.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
+
+import numpy as np
 
 from . import primes as _primes
 from .factored import FactoredNatural
@@ -211,93 +216,76 @@ def exp_floor(x: float) -> int:
     raise ArithmeticError(f"could not separate exp({x}) from an integer")
 
 
-def _amount(f: WeightFunction, x):
-    """The bound x as each kind compares with it: floor(x) for the exact kinds.
+def _budget(f: WeightFunction, x):
+    """The bound x sets for f, in the form both sides compare with.
 
-    A sum of integer weights is <= x exactly when it is <= floor(x), and
-    floor(x / w) = floor(floor(x) / w) for every integer w >= 1, so the
-    exact kinds need only the integer floor(x); the others take a float.
+    For the exact kinds it is floor(x): a sum of integer weights is <= x
+    exactly when it is <= floor(x), and floor(x / w) = floor(floor(x) / w)
+    for every integer w >= 1.  For the log weight it is floor(e**x), a cap
+    on a product: log i_1 + ... + log i_k <= x exactly when the product of
+    the i_j is at most that cap.  Non-integer powers compare with float x.
     """
     if not (x >= 0 and math.isfinite(x)):
         raise ValueError("x must be finite and >= 0")
+    if f.kind == "log":
+        return exp_floor(float(x))
     return math.floor(x) if f.is_exact else float(x)
-
-
-def _integer_nth_root(n: int, k: int) -> int:
-    """Largest r >= 0 with r**k <= n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return 0
-    r = int(round(n ** (1.0 / k)))
-    while r > 0 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
-
-
-def _ilog(cap: int, p: int) -> int:
-    """Largest e >= 0 with p**e <= cap."""
-    e = 0
-    q = p
-    while q <= cap:
-        e += 1
-        q *= p
-    return e
 
 
 # -- the prime side --------------------------------------------------------------
 
 
 def prime_exponents(f: WeightFunction, X: int, table: PrimeTable | None = None):
-    """(primes p, exponents X // f(p)) over the primes with f(p) <= X, for an
-    exact weight f and an integer X >= 0, as aligned int64 arrays."""
+    """(primes p, exponents of p) over the primes with a positive exponent at
+    the integer budget X >= 0 of an exact or log weight f, as aligned int64
+    arrays.
+
+    The exponent is X // f(p) for the exact kinds.  For the log weight X is
+    the cap floor(e**x), and the exponent is the number of i >= 1 with
+    p**i <= X, which is floor(x / log p).
+    """
     t = _primes._table(table)
+    if f.kind == "log":
+        ps = t.primes_up_to(X)
+        exps = np.zeros(len(ps), dtype=np.int64)
+        for pw in _primes.prime_powers(ps, X):
+            exps[: len(pw)] += 1
+        return ps, exps
     if f.kind == "m":
         ps = t.primes_up_to(X)
         return ps, X // ps
     if f.kind == "m-1":
         ps = t.primes_up_to(X + 1)
         return ps, X // (ps - 1)
-    ps = t.primes_up_to(_integer_nth_root(X, f.alpha))
+    ps = t.primes_up_to(_primes.iroot(X, f.alpha))
     return ps, X // ps**f.alpha
 
 
 def weighted_prime_product(f: WeightFunction, x, table: PrimeTable | None = None) -> FactoredNatural:
     """Product over primes p of p**floor(x / f(p)), as a FactoredNatural.
 
-    The integer-valued weights take their exponents from prime_exponents at
-    floor(x); for the log weight the whole product reduces to primes up to
-    the integer cutoff floor(e**x) with exponents floor(log cutoff / log p);
-    for non-integer powers float arithmetic with boundary correction is used.
+    The exact and log weights take their exponents from prime_exponents at
+    the budget x sets (_budget); for non-integer powers float arithmetic with
+    boundary correction is used.
     """
-    x = _amount(f, x)
+    budget = _budget(f, x)
     t = _primes._table(table)
-    if f.is_exact:
-        ps, exps = prime_exponents(f, x, t)
+    if f.is_exact or f.kind == "log":
+        ps, exps = prime_exponents(f, budget, t)
         return FactoredNatural._trusted(dict(zip(ps.tolist(), exps.tolist())))
 
-    exps: dict[int, int] = {}
-    if f.kind == "log":
-        cap = exp_floor(x)
-        for p in t.primes_up_to(cap):
-            p = int(p)
-            exps[p] = _ilog(cap, p)
-        return FactoredNatural._trusted(exps)
-
     # non-integer power: float weights with an off-by-one correction loop
-    xf = float(x)
-    pmax = int(xf ** (1.0 / f.alpha)) + 2
+    exps: dict[int, int] = {}
+    pmax = int(budget ** (1.0 / f.alpha)) + 2
     for p in t.primes_up_to(pmax):
         p = int(p)
         w = f.value(p)
-        if w > xf:
+        if w > budget:
             continue
-        e = int(xf / w)
-        while (e + 1) * w <= xf:
+        e = int(budget / w)
+        while (e + 1) * w <= budget:
             e += 1
-        while e > 0 and e * w > xf:
+        while e > 0 and e * w > budget:
             e -= 1
         if e > 0:
             exps[p] = e
@@ -307,70 +295,84 @@ def weighted_prime_product(f: WeightFunction, x, table: PrimeTable | None = None
 # -- the lcm side -----------------------------------------------------------------
 
 
-def _max_valuation(p: int, cost, budget, max_parts: int | None, combine, empty) -> int:
-    """Largest total p-valuation of at most max_parts parts p**e within the budget.
+class _LcmTable:
+    """Per-prime step tables for the lcm over multisets of parts >= 2, built
+    once at the largest budget of a sweep and read at any budget up to it.
 
-    best[v] is the least total cost of parts p**e (e >= 1) whose valuations
-    sum to at least v; it is nondecreasing in v, so the search stops at the
-    first v it prices over the budget.  A least-cost way to reach v uses at
-    most v parts, so a part limit only binds below the unlimited answer,
-    where best gains a parts dimension that is filled one part at a time.
+    A multiset is admissible at budget b when the costs of its parts, folded
+    with combine from empty, stay within b (and, when a lookup asks, it has at
+    most k parts).  cost must be nondecreasing in the part and combine must
+    not decrease a total, so a part m with v_p(m) = e can be swapped for
+    p**e, which divides m, at no extra cost: the exponent of a prime p in the
+    lcm is a search over the parts p**e alone.  The primes are found by
+    primality tests, independently of any sieve.
+
+    best[v] is the least total cost of parts p**e whose valuations sum to at
+    least v; it is nondecreasing in v, so the exponent at budget b is the
+    number of v >= 1 with best[v] <= b, one bisection.  A part that costs
+    more than b never appears in a total <= b, so the table built at the
+    largest budget gives every smaller budget the answer a table built at it
+    would.  A least-cost way to reach v uses at most v parts, so a part limit
+    k binds only below the unlimited answer; there layer k of p, the least
+    cost that reaches v with at most k parts, is filled one part at a time
+    the first time a lookup needs it.
     """
-    items = []
-    e, pe = 1, p
-    while (c := cost(pe)) <= budget:
-        items.append((e, c))
-        e, pe = e + 1, pe * p
-    best = [empty]
-    while True:
-        v = len(best)
-        c = min(combine(ce, best[max(0, v - e)]) for e, ce in items)
-        if c > budget:
-            break
-        best.append(c)
-    top = len(best) - 1
-    if max_parts is None or max_parts >= top:
-        return top
-    layer = [empty] + [None] * top  # at most j parts, j = 0, 1, ..., max_parts
-    for _ in range(max_parts):
-        nxt = list(layer)
-        for v in range(1, top + 1):
-            for e, ce in items:
-                prev = layer[max(0, v - e)]
-                if prev is not None:
-                    c = combine(ce, prev)
-                    if nxt[v] is None or c < nxt[v]:
-                        nxt[v] = c
-        layer = nxt
-    return max(v for v, c in enumerate(layer) if c is not None and c <= budget)
+
+    def __init__(self, cost: Callable[[int], object], budget, combine=operator.add, empty=0):
+        self._combine = combine
+        self._primes, self._items, self._best, self._layers = [], [], [], []
+        m = 2
+        while cost(m) <= budget:
+            if _primes.is_probable_prime(m):
+                items = []  # (e, cost(m**e)) over the parts within the budget
+                e, pe = 1, m
+                while (c := cost(pe)) <= budget:
+                    items.append((e, c))
+                    e, pe = e + 1, pe * m
+                best = [empty]
+                while (
+                    c := min(combine(ce, best[max(0, len(best) - e)]) for e, ce in items)
+                ) <= budget:
+                    best.append(c)
+                self._primes.append(m)
+                self._items.append(items)
+                self._best.append(best)
+                self._layers.append([[empty] + [math.inf] * (len(best) - 1)])
+            m += 1
+        self._costs = [best[1] for best in self._best]  # cost(p), nondecreasing in p
+
+    def _layer(self, i: int, k: int) -> list:
+        layers, items, combine = self._layers[i], self._items[i], self._combine
+        while len(layers) <= k:
+            prev = layers[-1]
+            layers.append([
+                min(prev[v], *(combine(ce, prev[max(0, v - e)]) for e, ce in items))
+                for v in range(len(prev))
+            ])
+        return layers[k]
+
+    def lcm(self, budget, parts: int | None = None) -> FactoredNatural:
+        """The lcm over the multisets admissible at budget, with at most parts
+        parts when given."""
+        exps: dict[int, int] = {}
+        for i in range(bisect.bisect_right(self._costs, budget)):
+            v = bisect.bisect_right(self._best[i], budget) - 1
+            if parts is not None and parts < v:
+                v = bisect.bisect_right(self._layer(i, parts), budget) - 1
+            if v:
+                exps[self._primes[i]] = v
+        return FactoredNatural._trusted(exps)
 
 
-def _lcm_exponents(
-    cost: Callable[[int], object],
-    budget,
-    max_parts: int | None = None,
-    combine: Callable = operator.add,
-    empty=0,
-) -> dict[int, int]:
-    """lcm, as an exponent map, over products of multisets of parts >= 2.
-
-    A multiset is admissible when the costs of its parts, folded with
-    combine from empty, stay within budget (and it has at most max_parts
-    parts when given).  cost must be nondecreasing in the part and combine
-    must not decrease a total, so a part m with v_p(m) = e can be swapped
-    for p**e, which divides m, at no extra cost.  The exponent of each prime
-    is then a search over the parts p**e alone (_max_valuation).  Primes are
-    found by primality tests, independently of any sieve.
-    """
-    exps: dict[int, int] = {}
-    if max_parts == 0:
-        return exps
-    m = 2
-    while cost(m) <= budget:
-        if _primes.is_probable_prime(m):
-            exps[m] = _max_valuation(m, cost, budget, max_parts, combine, empty)
-        m += 1
-    return exps
+def multiset_lcms(f: WeightFunction, xs) -> Iterator[FactoredNatural]:
+    """multiset_lcm(f, x) for each x of xs, in order, read one at a time from
+    one table built at the largest budget."""
+    budgets = [_budget(f, x) for x in xs]
+    if f.kind == "log":  # the parts' product must stay within the cap
+        table = _LcmTable(lambda m: m, max(budgets, default=1), operator.mul, 1)
+    else:
+        table = _LcmTable(f.value, max(budgets, default=0))
+    return map(table.lcm, budgets)
 
 
 def multiset_lcm(f: WeightFunction, x) -> FactoredNatural:
@@ -380,10 +382,7 @@ def multiset_lcm(f: WeightFunction, x) -> FactoredNatural:
     weight constraint.  The empty multiset contributes 1, so the result is
     always >= 1.  For the log weight the additive constraint is evaluated in
     exact form as a product cap of floor(e**x): the parts' product must stay
-    within the cap.
+    within the cap.  This is the one-point case of multiset_lcms.
     """
-    budget = _amount(f, x)
-    if f.kind == "log":
-        cap = exp_floor(budget)
-        return FactoredNatural._trusted(_lcm_exponents(lambda m: m, cap, None, operator.mul, 1))
-    return FactoredNatural._trusted(_lcm_exponents(f.value, budget))
+    (value,) = multiset_lcms(f, [x])
+    return value

@@ -29,22 +29,6 @@ from .primes import PrimeTable
 from .products import WeightFunction, prime_exponents, weighted_prime_product
 
 
-def _powers(ps: np.ndarray, top: int):
-    """Yield p**i over the prefix of ps with p**i <= top, for i = 1, 2, ...
-
-    ps is ascending, so for each i the primes with p**i <= top are a prefix,
-    found by searchsorted; the prefix shrinks as i grows.
-    """
-    pw = ps
-    while True:
-        k = int(np.searchsorted(pw, top, side="right"))
-        if k == 0:
-            return
-        pw = pw[:k]
-        yield pw
-        pw = pw * ps[:k]
-
-
 def _legendre(ns, ps: np.ndarray) -> np.ndarray:
     """v_p(n!) for every row n of ns and column p of ps (ascending): int64 array.
 
@@ -53,7 +37,7 @@ def _legendre(ns, ps: np.ndarray) -> np.ndarray:
     """
     ns = np.asarray(ns, dtype=np.int64)[:, None]
     total = np.zeros((len(ns), len(ps)), dtype=np.int64)
-    for pw in _powers(ps, int(ns.max(initial=0))):
+    for pw in _primes.prime_powers(ps, int(ns.max(initial=0))):
         total[:, : len(pw)] += ns // pw
     return total
 
@@ -130,7 +114,7 @@ def sandwich_flags(ns, table: PrimeTable | None = None) -> np.ndarray:
     mid = ns[:, None] // (ps - 1)
     lower = np.all(_legendre(ns + 1, ps) <= mid, axis=1)
     right = _legendre(ns, ps)
-    for pw in _powers(ps, top):  # adds e, the count of i with p**i <= n + 1
+    for pw in _primes.prime_powers(ps, top):  # adds e, the count of i with p**i <= n + 1
         right[:, : len(pw)] += ns[:, None] + 1 >= pw
     return np.stack([lower, np.all(mid <= right, axis=1)], axis=1)
 

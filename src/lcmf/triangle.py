@@ -2,34 +2,55 @@
 
 q(n, k) is the lcm of all products i_1 * ... * i_k over multisets of exactly
 k positive integers with i_1 + ... + i_k <= n.  Dropping the parts equal to 1
-turns this into the bounded-weight search of the products module: multisets
-of parts >= 2, at most k of them, with the shifted weights (part - 1) summing
-to at most n - k, which is searched one prime at a time with a part-count
-limit of k.  The diagonals d(n, k) = q(n + k, k) are nondecreasing in the
-divisibility order and freeze at k = n, where they give the same value as the
-shifted-weight prime product.
+turns this into the bounded-weight lcm of the products module: multisets of
+parts >= 2, at most k of them, with the shifted weights (part - 1) summing to
+at most n - k.  A sweep (qs, diagonals, rows) builds one per-prime step table
+at its largest budget n - k and reads every entry from it with its part
+limit k; q and diagonal are their one-entry cases.  The diagonals
+d(n, k) = q(n + k, k) have budget n; they are nondecreasing in the
+divisibility order and freeze at k = n, where they give the same value as
+the shifted-weight prime product.
 """
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 from .factored import FactoredNatural
-from .products import _lcm_exponents
+from .products import _LcmTable
+
+
+def qs(pairs: Iterable[tuple[int, int]]) -> Iterator[FactoredNatural]:
+    """q(n, k) for each (n, k) of pairs, in order, read one at a time from
+    one table built at the largest n - k."""
+    pairs = list(pairs)
+    for n, k in pairs:
+        if n < 0 or k < 0:
+            raise ValueError("n and k must be >= 0")
+        if k > n:
+            raise ValueError(f"k = {k} exceeds n = {n}")
+    table = _LcmTable(lambda part: part - 1, max((n - k for n, k in pairs), default=0))
+    return (table.lcm(n - k, k) for n, k in pairs)
 
 
 def q(n: int, k: int) -> FactoredNatural:
     """Triangle entry: lcm over exactly-k-part multisets with sum <= n."""
-    if n < 0 or k < 0:
+    (value,) = qs([(n, k)])
+    return value
+
+
+def diagonals(pairs: Iterable[tuple[int, int]]) -> Iterator[FactoredNatural]:
+    """d(n, k) = q(n + k, k) for each (n, k) of pairs, from one table (qs)."""
+    pairs = list(pairs)
+    if any(n < 0 or k < 0 for n, k in pairs):
         raise ValueError("n and k must be >= 0")
-    if k > n:
-        raise ValueError(f"k = {k} exceeds n = {n}")
-    return FactoredNatural._trusted(_lcm_exponents(lambda part: part - 1, n - k, max_parts=k))
+    return qs((n + k, k) for n, k in pairs)
 
 
 def diagonal(n: int, k: int) -> FactoredNatural:
     """d(n, k) = q(n + k, k), the k-th entry of the n-th diagonal."""
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be >= 0")
-    return q(n + k, k)
+    (value,) = diagonals([(n, k)])
+    return value
 
 
 def sigma_from_diagonal(n: int) -> FactoredNatural:
@@ -42,8 +63,9 @@ def sigma_from_diagonal(n: int) -> FactoredNatural:
 
 
 def rows(nmax: int) -> list[list[FactoredNatural]]:
-    """Triangle rows [q(n, 0), ..., q(n, n)] for n = 0..nmax."""
-    return [[q(n, k) for k in range(n + 1)] for n in range(nmax + 1)]
+    """Triangle rows [q(n, 0), ..., q(n, n)] for n = 0..nmax, from one table."""
+    values = qs((n, k) for n in range(nmax + 1) for k in range(n + 1))
+    return [[next(values) for _ in range(n + 1)] for n in range(nmax + 1)]
 
 
 def rows_decimal(nmax: int) -> list[list[str]]:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import analytics, primes as _primes, sequences, triangle
 from .primes import PrimeTable
-from .products import WeightFunction, multiset_lcm, weighted_prime_product
+from .products import WeightFunction, multiset_lcms, weighted_prime_product
 
 
 # prop2/prop3 decide a block of n at once over a (rows, primes) array; the
@@ -74,10 +74,10 @@ def check_theorem1(
 ) -> CheckResult:
     """Prime-side product == multiset-lcm side, over the grid for f."""
     res = CheckResult(check_id=f"theorem1[{f.spec}]")
-    for x in theorem1_grid(f, xmax):
+    xs = theorem1_grid(f, xmax)
+    for x, rhs in zip(xs, multiset_lcms(f, xs)):
         res.cases += 1
         lhs = weighted_prime_product(f, x, table)
-        rhs = multiset_lcm(f, x)
         if lhs != rhs:
             res.violations.append(f"f={f.spec} x={x}: product {lhs} != lcm {rhs}")
     return res
@@ -86,9 +86,11 @@ def check_theorem1(
 def check_prop1(nmax: int) -> CheckResult:
     """Diagonal divisibility d(n,k) | d(n,k+1) and freezing at k = n."""
     res = CheckResult(check_id="prop1")
+    # k runs to 2n+1 for the chain and to n+5 for the freeze check
+    ks = [range(max(2 * n + 2, n + 6)) for n in range(nmax + 1)]
+    values = triangle.diagonals((n, k) for n in range(nmax + 1) for k in ks[n])
     for n in range(nmax + 1):
-        # k runs to 2n+1 for the chain and to n+5 for the freeze check
-        d = [triangle.diagonal(n, k) for k in range(max(2 * n + 2, n + 6))]
+        d = [next(values) for _ in ks[n]]
         for k in range(1, 2 * n + 2):
             if not d[k - 1].divides(d[k]):
                 res.violations.append(f"d({n},{k-1}) does not divide d({n},{k})")
@@ -102,9 +104,10 @@ def check_prop1(nmax: int) -> CheckResult:
 def check_cor2(nmax: int, table: PrimeTable | None = None) -> CheckResult:
     """sigma(n) equals the frozen diagonal q(2n, n)."""
     res = CheckResult(check_id="cor2")
-    for n in range(nmax + 1):
+    frozen = triangle.diagonals((n, n) for n in range(nmax + 1))
+    for n, d in zip(range(nmax + 1), frozen):
         res.cases += 1
-        if sequences.sigma(n, table) != triangle.sigma_from_diagonal(n):
+        if sequences.sigma(n, table) != d:
             res.violations.append(f"sigma({n}) != q({2*n},{n})")
     return res
 

@@ -11,7 +11,6 @@ from lcmf.analytics import (
     analytic_constant,
     block_envelopes,
     dyadic_grid,
-    higher_power_residual,
     log_rho,
     log_sigma,
     parse_grid,
@@ -29,6 +28,8 @@ from lcmf.analytics import (
 from lcmf import analytics, primes
 from lcmf.primes import PrimeTable, default_table
 from lcmf.sequences import rho, sigma
+
+from oracles import trial_primes
 
 
 @pytest.fixture(scope="module")
@@ -131,21 +132,25 @@ def test_s_split_equals_log_gap():
         assert s2 == pytest.approx(math.fsum(v for k, v in logs.items() if k > r), abs=1e-9)
 
 
-def test_higher_power_residual(c_mid):
-    assert higher_power_residual(1, c=c_mid) == pytest.approx(-c_mid)
-    # the underlying sum equals log(n!) - log rho(n); the function asserts it,
-    # so a plain call at a larger n exercises the identity
-    value = higher_power_residual(100, c=c_mid)
-    direct = math.lgamma(101) - log_rho(100) - c_mid * 100
-    assert value == pytest.approx(direct, abs=1e-9)
-
-
-def test_higher_power_residual_dyadic_sup(c_mid):
-    # |residual| / sqrt(n) stays bounded over dyadic n up to 1e6
-    sup = max(
-        abs(higher_power_residual(1 << j, c=c_mid)) / math.sqrt(1 << j)
-        for j in range(4, 21)
-    )
+def test_residual_rho_dyadic_sup(c_mid):
+    # H(n), the sum of floor(n / p**i) log p over primes p and i >= 2, is
+    # log n! - log rho(n), so residual_rho = (log n! - n log n + n) - (H(n) - c n);
+    # |H(n) - c n| / sqrt(n) stays bounded over dyadic n up to 2^20
+    ps = trial_primes(1 << 10)
+    sup = 0.0
+    for n in [1, 100] + [1 << j for j in range(4, 21)]:
+        higher = 0.0
+        for p in ps:
+            q = p * p
+            while q <= n:
+                higher += (n // q) * math.log(p)
+                q *= p
+        assert math.lgamma(n + 1) - log_rho(n) == pytest.approx(higher, abs=1e-6 * n), n
+        (rec,) = scan([n], c=c_mid)
+        residual = math.lgamma(n + 1) - n * math.log(n) + n - rec.residual_rho
+        assert residual == pytest.approx(higher - c_mid * n, abs=1e-6 * n), n
+        if n >= 16 and n & (n - 1) == 0:
+            sup = max(sup, abs(residual) / math.sqrt(n))
     assert math.isfinite(sup) and sup < 10
     print(f"sup over dyadic n <= 2^20 of |higher-power residual|/sqrt(n): {sup:.4f}")
 
@@ -225,14 +230,14 @@ def test_lucy_pi_and_theta_match_the_table(table_2_26, monkeypatch):
     ns = list(range(1, 300)) + [LUCY_THRESHOLD - 1, LUCY_THRESHOLD + 1, 1 << 26] + CUBE_NS
     for r in (2048, 3001, 8191):  # 2048**2 is the threshold
         ns += [r * r, r * r - 1, r * (r + 1), r * (r + 1) - 1]
-    assert analytics._icbrt(331**3 - 1) == 330 and analytics._icbrt(331**3) == 331
+    assert primes.iroot(331**3 - 1, 3) == 330 and primes.iroot(331**3, 3) == 331
     checked = {n: _check_lucy(n, table_2_26) for n in ns}
     past = {n: at for n, at in checked.items() if n > table_2_26.limit}
     assert len(past) == 3
     # past the table's reach, against the per-prime loop over every prime
     # <= sqrt(n), that is the sieve with no batch: S0 equal, S1 within twice
     # the budget (each within the budget of theta)
-    monkeypatch.setattr(analytics, "_icbrt", math.isqrt)
+    monkeypatch.setattr(primes, "iroot", lambda n, k: math.isqrt(n))
     for n, (vs, s0, s1) in past.items():
         _, ref0, ref1 = _lucy_at(n)
         assert np.array_equal(s0, ref0), n
@@ -244,7 +249,7 @@ def test_lucy_batch_in_many_chunks(table_2_26, monkeypatch):
     monkeypatch.setattr(analytics, "_LUCY_BATCH_CELLS", 300)
     for n in [n for n in CUBE_NS if n <= table_2_26.limit] + [LUCY_THRESHOLD + 1, 1 << 26]:
         big = table_2_26.primes_up_to(math.isqrt(n))
-        big = big[big > analytics._icbrt(n)]
+        big = big[big > primes.iroot(n, 3)]
         assert np.sum(n // (big * big)) > 10 * 300  # the batch spans many chunks
         _check_lucy(n, table_2_26)
 

@@ -10,7 +10,9 @@ from lcmf.primes import (
     divisors,
     factorial_valuation,
     factorize,
+    iroot,
     is_probable_prime,
+    prime_powers,
     _MR_BASES,
     _simple_sieve,
 )
@@ -160,3 +162,20 @@ def test_factorize_and_divisors():
     assert divisors(1) == [1]
     big = 10_000_019 * 10_000_079  # above the spf cap: trial-division path
     assert factorize(big) == {10_000_019: 1, 10_000_079: 1}
+
+
+def test_prime_powers_and_iroot_past_int64_squares():
+    # 3037000507**2 > 2**63: the square of the last entry must not be formed
+    top = 3_037_000_507
+    ps = np.array([2, 3, 5, 7, top], dtype=np.int64)
+    got = [pw.tolist() for pw in prime_powers(ps, top)]
+    expected = []
+    i = 1
+    while any(p**i <= top for p in ps.tolist()):
+        expected.append([p**i for p in ps.tolist() if p**i <= top])
+        i += 1
+    assert got == expected
+    for n in (0, 1, 7, 8, 9, 10**18, 2**62 - 1, 2**62, 3**40 - 1, 3**40):
+        for k in (1, 2, 3, 5):
+            r = iroot(n, k)
+            assert r**k <= n < (r + 1) ** k, (n, k)

@@ -3,16 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+from lcmf import primes
 from lcmf.factored import FactoredNatural
 from lcmf.products import (
     WeightFunction,
     check_hypothesis,
     exp_floor,
     multiset_lcm,
+    multiset_lcms,
     weighted_prime_product,
 )
 from lcmf.sequences import sigma
-from lcmf.triangle import q
+from lcmf.triangle import q, qs, rows
 
 from oracles import naive_weighted_lcm, trial_primes
 
@@ -98,6 +100,10 @@ def test_prime_product_matches_direct_formula():
             got = weighted_prime_product(f, x).factors
             expected = {p: int(Fraction(x) // weight(p)) for p in primes}
             assert got == {p: e for p, e in expected.items() if e > 0}, (f.spec, x)
+    for x in (0, 1, 2.5, 5.3, 7.7):  # e**7.7 < 2300
+        got = weighted_prime_product(WeightFunction.log(), x).factors
+        expected = {p: math.floor(x / math.log(p)) for p in trial_primes(2300)}
+        assert got == {p: e for p, e in expected.items() if e > 0}, ("log", x)
 
 
 def test_multiset_lcm_small_cases():
@@ -209,3 +215,40 @@ def test_hypothesis_full_scan_can_pass():
 def test_equivalence_spot_checks_beyond_grid():
     for f, x in ((WeightFunction.shifted(), 25), (WeightFunction.linear(), 30)):
         assert weighted_prime_product(f, x) == multiset_lcm(f, x)
+
+
+def _sweep_points(f):
+    """Points for a one-table sweep, in no particular order: for log, x = log m
+    and one ulp either side, else half-integers and off-lattice points."""
+    if f.kind == "log":
+        centers = [math.log(m) for m in range(1, 130)]
+        xs = [y for c in centers for y in (math.nextafter(c, 0.0), c, math.nextafter(c, 9.0))]
+        xs += [c + 0.3 for c in centers[::7]]
+    else:
+        xs = [i / 2 for i in range(61)] + [2.9, 5.2, 9.999, 17.25]
+    return xs[::2] + xs[1::2][::-1]
+
+
+@pytest.mark.parametrize("f", CATALOG + [WeightFunction.power(1.5)], ids=lambda f: f.spec)
+def test_sweep_table_equals_one_point_lcm(f):
+    # one table at the largest budget answers every smaller budget exactly
+    xs = _sweep_points(f)
+    assert list(multiset_lcms(f, xs)) == [multiset_lcm(f, x) for x in xs]
+
+
+def test_lcm_side_reads_no_sieve(monkeypatch):
+    class NoDefault:
+        def __getattr__(self, name):
+            raise AssertionError("the lcm side used the default table")
+
+    weights = CATALOG + [WeightFunction.power(1.5)]
+    xs = {f.spec: _sweep_points(f) for f in weights}
+    expected = {f.spec: [weighted_prime_product(f, x) for x in xs[f.spec]] for f in weights}
+    sigmas = [sigma(n) for n in range(30)]
+    monkeypatch.setattr(primes, "_default_table", NoDefault())
+    for f in weights:
+        assert list(multiset_lcms(f, xs[f.spec])) == expected[f.spec], f.spec
+        assert multiset_lcm(f, xs[f.spec][-1]) == expected[f.spec][-1], f.spec
+    assert list(qs((2 * n, n) for n in range(30))) == sigmas
+    assert q(40, 20) == sigmas[20]
+    assert len(rows(9)) == 10

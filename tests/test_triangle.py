@@ -2,7 +2,8 @@ import pytest
 
 from lcmf.factored import FactoredNatural
 from lcmf.products import WeightFunction, weighted_prime_product
-from lcmf.triangle import diagonal, q, rows_decimal, sigma_from_diagonal
+from lcmf.triangle import diagonal, q, rows, rows_decimal, sigma_from_diagonal
+from lcmf.verify import check_cor2, check_prop1
 
 from oracles import naive_q
 
@@ -31,9 +32,18 @@ def test_q_spot_values(n, k, value):
 
 
 def test_q_against_naive_enumeration():
+    table = rows(12)  # one step table for every entry
     for n in range(13):
         for k in range(n + 1):
             assert int(q(n, k).to_decimal()) == naive_q(n, k), (n, k)
+            assert int(table[n][k].to_decimal()) == naive_q(n, k), (n, k)
+
+
+def test_sweeps_read_one_table():
+    prop1 = check_prop1(40)
+    assert prop1.passed and prop1.cases == 1968
+    cor2 = check_cor2(150)
+    assert cor2.passed and cor2.cases == 151
 
 
 def test_q_rejects_bad_args():
