@@ -21,6 +21,7 @@ on one platform whatever the grid or worker count.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
@@ -69,7 +70,7 @@ def analytic_constant() -> Enclosure:
     The series is the Moebius inversion of -zeta'/zeta(s) = sum of
     log p * p**(-j s) over primes p and j >= 1 (H. Cohen, 1998).  Summed at
     80 bits until |zeta'/zeta(m)| < 2**-60, it rounds to the float literal
-    _ANALYTIC_C; tests/test_analytics.py re-sums it in mpmath and checks that.
+    _ANALYTIC_C; tests/test_analytics.py re-sums it at 80 bits and checks that.
     The last term bounds the whole tail, as each term Lambda(k) k**-s of
     -zeta'/zeta(s) is positive and at least halves when s grows by one, so
     2**-52 covers the tail, the rounding to float (half an ulp of c, 2**-54)
@@ -183,6 +184,8 @@ def _table_prime_quotients(t: PrimeTable, n: int, quotients) -> tuple[int, float
 LUCY_THRESHOLD = 1 << 22
 _PREFILTER_PRIMES = 32  # trial-divide by this many primes before Miller-Rabin
 _LUCY_BATCH_CELLS = 1 << 16  # (p, k) pairs per chunk of _lucy's second phase
+# a Lucy row's peak (tracemalloc): 134.6 B per sqrt(n) at 2^34, 125.5 B at 2^36
+_LUCY_BYTES_PER_ROOT = 125
 
 
 def _s1_budget(v, updates: int):
@@ -484,8 +487,10 @@ def scan(
     if not ns or ns[0] < 1:
         raise ValueError("scan grid must be nonempty with n >= 1")
     t = _primes._table(table)
+    top = ns[-1]
+    _primes.require_memory(_LUCY_BYTES_PER_ROOT * math.isqrt(top), f"a scan row at n = {top}")
     # a table row needs the table to n + 2, a Lucy row to sqrt(n) + 2
-    t.ensure(max([n + 2 for n in ns if n < LUCY_THRESHOLD] + [math.isqrt(ns[-1]) + 2]))
+    t.ensure(max([n + 2 for n in ns if n < LUCY_THRESHOLD] + [math.isqrt(top) + 2]))
     if c is None:
         c = analytic_constant().midpoint
     return _scan_direct(ns, c, t, workers)
@@ -538,15 +543,25 @@ def parse_grid(spec: str, start: int, nmax: int) -> list[int]:
 # -- output and envelopes -------------------------------------------------------------
 
 
+def _opened(path):
+    """path opened for writing, or path itself when it is an open text stream
+    such as sys.stdout, which is then left open."""
+    if hasattr(path, "write"):
+        return contextlib.nullcontext(path)
+    return open(path, "w", encoding="ascii", newline="\n")
+
+
 def write_csv(records, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    """The header and one CSV row per record, to a file path or a text stream."""
+    with _opened(path) as fh:
         fh.write(CSV_HEADER + "\n")
         for rec in records:
             fh.write(rec.csv_row() + "\n")
 
 
 def write_json(records, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    """The records as a JSON list of objects, to a file path or a text stream."""
+    with _opened(path) as fh:
         json.dump([asdict(rec) for rec in records], fh, indent=1)
         fh.write("\n")
 

@@ -36,7 +36,6 @@ def _validate(args) -> None:
         raise UsageError("--workers must be >= 1")
     if getattr(args, "nmax", None) is not None and args.nmax < 0:
         raise UsageError("--nmax must be >= 0")
-    _parse(primes._env_default_limit)  # LCMF_SIEVE_LIMIT is read lazily; check it now
 
 
 def _amount(text: str) -> float:
@@ -160,22 +159,8 @@ def _cmd_scan(args) -> int:
     ns = _parse(analytics.parse_grid, args.grid, start, args.nmax)
     enc = analytics.analytic_constant()
     records = analytics.scan(ns, c=enc.midpoint, workers=args.workers)
-    if args.out:
-        if args.format == "csv":
-            analytics.write_csv(records, args.out)
-        else:
-            analytics.write_json(records, args.out)
-    else:
-        if args.format == "csv":
-            sys.stdout.write(analytics.CSV_HEADER + "\n")
-            for rec in records:
-                sys.stdout.write(rec.csv_row() + "\n")
-        else:
-            import json as _json
-            from dataclasses import asdict
-
-            _json.dump([asdict(r) for r in records], sys.stdout, indent=1)
-            sys.stdout.write("\n")
+    write = analytics.write_csv if args.format == "csv" else analytics.write_json
+    write(records, args.out or sys.stdout)
     if args.gnuplot:
         _write_gnuplot_stub(args.gnuplot, args.out or "scan.csv")
     print(
@@ -206,8 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lcmf",
         description=(
             "Exact computation and verification of prime-power products with "
-            "floor-quotient exponents, their lcm identities, and scan analytics. "
-            "Set LCMF_SIEVE_LIMIT to override the initial sieve bound."
+            "floor-quotient exponents, their lcm identities, and scan analytics."
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)

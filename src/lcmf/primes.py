@@ -14,7 +14,6 @@ import os
 
 import numpy as np
 
-DEFAULT_LIMIT = 1 << 20
 DEFAULT_BLOCK_SIZE = 1 << 20
 SPF_CAP_DEFAULT = 10_000_000
 
@@ -39,16 +38,6 @@ _MR_BOUNDS = (
     318665857834031151167461,
     3317044064679887385961981,
 )
-
-
-def _env_default_limit() -> int:
-    raw = os.environ.get("LCMF_SIEVE_LIMIT")
-    if raw:
-        try:
-            return max(4, int(raw))
-        except ValueError:
-            raise ValueError(f"LCMF_SIEVE_LIMIT must be an integer, got {raw!r}") from None
-    return DEFAULT_LIMIT
 
 
 def is_probable_prime(n: int) -> bool:
@@ -103,6 +92,17 @@ def prime_powers(ps: np.ndarray, top: int):
         pw = pw[:k] * ps[:k]
 
 
+def require_memory(need: int, what: str) -> None:
+    """Raise ValueError when need bytes exceed this machine's physical memory,
+    so that a request that cannot fit fails before anything is allocated."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ValueError(
+            f"{what} needs about {need / 2**30:.1f} GiB, "
+            f"more than this machine's {have / 2**30:.1f} GiB of memory"
+        )
+
+
 def _simple_sieve(limit: int) -> np.ndarray:
     """Boolean primality bitmap over [0, limit]."""
     if limit < 1:
@@ -119,26 +119,21 @@ class PrimeTable:
     """Primality bitmap plus the primes and their theta prefix, grown on demand.
 
     The bitmap is sieved block by block (DEFAULT_BLOCK_SIZE integers at a
-    time); the per-prime prefix sums of log p back theta()/pi().  The table
-    holds about 1 + 16 / ln(limit) bytes per integer; a limit whose arrays
-    would not fit in physical memory is refused with ValueError.
+    time); the per-prime prefix sums of log p back theta()/pi().  A table
+    made without a limit starts at the least one, 4, and ensure() grows it.
+    The table holds about 1 + 16 / ln(limit) bytes per integer; a limit whose
+    arrays would not fit in physical memory is refused with ValueError.
     """
 
     def __init__(self, limit: int | None = None):
-        if limit is None:
-            limit = _env_default_limit()
-        self._build(max(4, int(limit)))
+        self._build(max(4, int(limit or 0)))
 
     def _build(self, limit: int) -> None:
         # bitmap, the int64 primes and the float64 prefix; pi(x) < 1.26 x / ln x
         # (Rosser-Schoenfeld 1962) bounds the prime count
-        need = limit + 1 + 16 * int(1.26 * limit / math.log(limit))
-        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if need > have:
-            raise ValueError(
-                f"a prime table up to {limit} needs about {need / 2**30:.1f} GiB, "
-                f"more than this machine's {have / 2**30:.1f} GiB of memory"
-            )
+        require_memory(
+            limit + 1 + 16 * int(1.26 * limit / math.log(limit)), f"a prime table up to {limit}"
+        )
         bitmap = np.zeros(limit + 1, dtype=bool)
         base = _simple_sieve(math.isqrt(limit) + 1)
         base_primes = np.flatnonzero(base)

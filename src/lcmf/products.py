@@ -16,8 +16,10 @@ is the rho and sigma sequences of the sequences module.
 from __future__ import annotations
 
 import bisect
+import decimal
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -188,32 +190,31 @@ def check_hypothesis(f, bound: int) -> HypothesisReport:
 # -- exact boundary helpers ------------------------------------------------------
 
 
-def exp_floor(x: float) -> int:
-    """floor(e**x) for a float x >= 0, decided by interval arithmetic.
+# e**x overflows a float past log(float max) = 709.78..., a bound of the float format
+_EXP_X_MAX = math.log(sys.float_info.max)
 
-    Directed rounding avoids misclassifying x values that sit next to
-    log(integer) boundaries, where a bare math.exp round-off would put the
-    cutoff one integer too low or too high.
+
+def exp_floor(x: float) -> int:
+    """floor(e**x) for a float x from 0 up to 709.78..., past which math.exp overflows.
+
+    decimal's exp is correctly rounded, so e**x lies strictly between the two
+    neighbours of its value rounded to prec digits; once both have the same
+    floor, that is floor(e**x).  Otherwise prec doubles.  For x > 0, e**x is
+    irrational (Lindemann), so it is never an integer and the loop ends.  The
+    digits needed grow with x, so a larger x raises ValueError.
     """
-    if x < 0:
-        raise ValueError("x must be >= 0")
+    if not 0 <= x <= _EXP_X_MAX:
+        raise ValueError(f"x must be in [0, {_EXP_X_MAX!r}] for floor(e**x), got {x!r}")
     if x == 0:
         return 1
-    import mpmath  # deferred: only the log weight needs it, so start-up skips it
-
-    iv = mpmath.iv
-    saved = iv.prec
-    try:
-        for prec in (80, 160, 320, 640, 1280):
-            iv.prec = prec
-            enc = iv.exp(iv.mpf(x))
-            lo = int(mpmath.floor(enc.a))
-            hi = int(mpmath.floor(enc.b))
-            if lo == hi:
-                return lo
-    finally:
-        iv.prec = saved
-    raise ArithmeticError(f"could not separate exp({x}) from an integer")
+    prec = int(x / math.log(10)) + 20  # the integer digits and 19 more
+    while True:
+        ctx = decimal.Context(prec=prec)
+        r = ctx.exp(decimal.Decimal(x))
+        lo, hi = int(ctx.next_minus(r)), int(ctx.next_plus(r))
+        if lo == hi:
+            return lo
+        prec *= 2
 
 
 def _budget(f: WeightFunction, x):
@@ -235,15 +236,19 @@ def _budget(f: WeightFunction, x):
 # -- the prime side --------------------------------------------------------------
 
 
-def prime_exponents(f: WeightFunction, X: int, table: PrimeTable | None = None):
+def prime_exponents(f: WeightFunction, X, table: PrimeTable | None = None):
     """(primes p, exponents of p) over the primes with a positive exponent at
-    the integer budget X >= 0 of an exact or log weight f, as aligned int64
-    arrays.
+    the budget X of f (_budget), as aligned int64 arrays.
 
     The exponent is X // f(p) for the exact kinds.  For the log weight X is
     the cap floor(e**x), and the exponent is the number of i >= 1 with
-    p**i <= X, which is floor(x / log p).
+    p**i <= X, which is floor(x / log p).  For a non-integer power X is the
+    float x, and the exponent is the largest e with e * f(p) <= x in float
+    arithmetic, on the floats f.value(p) gives: floor(x / f(p)), corrected
+    by one step either way for the rounding of the quotient.
     """
+    if X >= 2**63:  # the exponents and the powers of p are int64
+        raise ValueError(f"the budget {X} is past the int64 range of the prime side")
     t = _primes._table(table)
     if f.kind == "log":
         ps = t.primes_up_to(X)
@@ -257,39 +262,23 @@ def prime_exponents(f: WeightFunction, X: int, table: PrimeTable | None = None):
     if f.kind == "m-1":
         ps = t.primes_up_to(X + 1)
         return ps, X // (ps - 1)
-    ps = t.primes_up_to(_primes.iroot(X, f.alpha))
-    return ps, X // ps**f.alpha
+    if f.is_exact:
+        ps = t.primes_up_to(_primes.iroot(X, f.alpha))
+        return ps, X // ps**f.alpha
+    ps = t.primes_up_to(int(X ** (1.0 / f.alpha)) + 2)
+    w = np.array([float(p) ** f.alpha for p in ps.tolist()])  # as f.value(p) gives them
+    e = np.floor(X / w)
+    e += (e + 1) * w <= X
+    e -= e * w > X
+    k = int(np.count_nonzero(e))  # f(p) grows with p, so the positive exponents lead
+    return ps[:k], e[:k].astype(np.int64)
 
 
 def weighted_prime_product(f: WeightFunction, x, table: PrimeTable | None = None) -> FactoredNatural:
-    """Product over primes p of p**floor(x / f(p)), as a FactoredNatural.
-
-    The exact and log weights take their exponents from prime_exponents at
-    the budget x sets (_budget); for non-integer powers float arithmetic with
-    boundary correction is used.
-    """
-    budget = _budget(f, x)
-    t = _primes._table(table)
-    if f.is_exact or f.kind == "log":
-        ps, exps = prime_exponents(f, budget, t)
-        return FactoredNatural._trusted(dict(zip(ps.tolist(), exps.tolist())))
-
-    # non-integer power: float weights with an off-by-one correction loop
-    exps: dict[int, int] = {}
-    pmax = int(budget ** (1.0 / f.alpha)) + 2
-    for p in t.primes_up_to(pmax):
-        p = int(p)
-        w = f.value(p)
-        if w > budget:
-            continue
-        e = int(budget / w)
-        while (e + 1) * w <= budget:
-            e += 1
-        while e > 0 and e * w > budget:
-            e -= 1
-        if e > 0:
-            exps[p] = e
-    return FactoredNatural._trusted(exps)
+    """Product over primes p of p**floor(x / f(p)), as a FactoredNatural:
+    the exponents of prime_exponents at the budget x sets (_budget)."""
+    ps, exps = prime_exponents(f, _budget(f, x), table)
+    return FactoredNatural._trusted(dict(zip(ps.tolist(), exps.tolist())))
 
 
 # -- the lcm side -----------------------------------------------------------------

@@ -97,6 +97,29 @@ def test_table_over_physical_memory_is_an_error(capsys):
     assert err.startswith("error: a prime table up to") and "memory" in err
 
 
+def test_scan_row_over_physical_memory_is_an_error(capsys, monkeypatch):
+    # an 8 GiB machine, whatever this one has: the row at 2^60 is never run
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1 << 21, "SC_PAGE_SIZE": 4096}.get)
+    monkeypatch.setattr(primes, "_default_table", primes.PrimeTable())
+    n = str(1 << 60)
+    code, out, err = run_cli(capsys, "scan", "--grid", f"list:{n}", "--nmax", n)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: a scan row at n = {n} needs about") and "memory" in err
+    assert primes._default_table.limit == 4  # refused before the table grew
+
+
+def test_scan_stdout_equals_out_file(capsys, tmp_path):
+    args = ["scan", "--grid", "list:100,5000,20000", "--nmax", "20000"]
+    heads = {"csv": "n,log_rho,log_sigma,", "json": '[\n {\n  "n": 100,\n  "log_rho": '}
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"scan.{fmt}"
+        code, out, _ = run_cli(capsys, *args, "--format", fmt)
+        assert code == 0 and out.startswith(heads[fmt])
+        code, _, _ = run_cli(capsys, *args, "--format", fmt, "--out", str(path))
+        assert code == 0
+        assert out.encode() == path.read_bytes()
+
+
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
 # runs `python -m lcmf.cli ARGS`, then prints which of the heavy modules got loaded
@@ -122,8 +145,8 @@ def test_startup_imports_no_mpmath_or_process_pool():
     assert _loaded_heavy_modules("compute", "rho", "1") == []
     # scans take c as a literal, so they need neither
     assert _loaded_heavy_modules("scan", "--grid", "list:1000", "--nmax", "1000") == []
-    # the commands that need mpmath still load it lazily and succeed
-    assert _loaded_heavy_modules("compute", "pif", "--f", "log", "--x", "3") == ["mpmath"]
+    # the log weight's cap floor(e**x) comes from the stdlib's decimal
+    assert _loaded_heavy_modules("compute", "pif", "--f", "log", "--x", "3") == []
 
 
 def test_internal_value_error_is_an_error_not_usage(capsys, monkeypatch):
@@ -258,14 +281,6 @@ def test_compute_past_int_str_digit_limit(capsys):
         assert int(decimals["rho"]) == naive_rho(2000)
     finally:
         sys.set_int_max_str_digits(saved)
-
-
-def test_bad_sieve_limit_env_is_usage_error(monkeypatch):
-    monkeypatch.setenv("LCMF_SIEVE_LIMIT", "abc")
-    monkeypatch.setattr(primes, "_default_table", None)  # as in a fresh process
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["compute", "sigma", "6"])
-    assert exc.value.code == 2
 
 
 def test_compute_over_digit_budget(capsys):

@@ -68,6 +68,14 @@ def test_auto_extend():
     assert t.limit >= 10_000
 
 
+def test_table_starts_at_its_least_limit():
+    t = PrimeTable()
+    assert t.limit == 4 and t.primes_up_to(4).tolist() == [2, 3]
+    assert t.pi(1000) == 168 and t.limit == 1000
+    t.ensure(1001)  # grows by at least doubling
+    assert t.limit == 2000
+
+
 def test_table_refuses_a_limit_over_physical_memory():
     # refused before anything is allocated: numpy would raise MemoryError
     with pytest.raises(ValueError, match="memory"):

@@ -1,9 +1,10 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
-from lcmf import primes
+from lcmf import primes, verify
 from lcmf.factored import FactoredNatural
 from lcmf.products import (
     WeightFunction,
@@ -11,6 +12,7 @@ from lcmf.products import (
     exp_floor,
     multiset_lcm,
     multiset_lcms,
+    prime_exponents,
     weighted_prime_product,
 )
 from lcmf.sequences import sigma
@@ -194,6 +196,116 @@ def test_log_weight_at_boundary_neighbors():
         above = exp_floor(math.nextafter(center, math.inf))
         assert below <= above <= m
         assert above in (m - 1, m) and below in (m - 1, m)
+
+
+def _exp_floor_oracle(x):
+    """floor(e**x) from mpmath, working 400 bits past the binary point.  The
+    floor is int() of the value: mpmath.floor would round it to the global
+    53 bits."""
+    import mpmath
+
+    with mpmath.workprec(400 + int(x / math.log(2)) + 1):
+        value, eps = mpmath.exp(mpmath.mpf(x)), mpmath.mpf(2) ** -390
+        lo, hi = int(value - eps), int(value + eps)
+    assert lo == hi, x  # the oracle is sure of its floor
+    return lo
+
+
+def test_exp_floor_on_the_log_lattice():
+    for m in range(2, 2000):
+        c = math.log(m)
+        for x in (math.nextafter(c, 0.0), c, math.nextafter(c, math.inf), c + 0.3):
+            assert exp_floor(x) == _exp_floor_oracle(x), (m, x)
+
+
+def test_exp_floor_past_the_float_mantissa():
+    # from x = 36.75 on e**x passes 2**53, so no float holds its floor
+    assert exp_floor(40.0) == 235385266837019985
+    for i in range(67_901):  # [30, 709] in steps of 0.01
+        x = 30 + i / 100
+        assert exp_floor(x) == _exp_floor_oracle(x), x
+
+
+def test_exp_floor_doubles_a_precision_that_is_too_small(monkeypatch):
+    # each precision exp_floor asks decimal for is cut to a sixteenth, so it
+    # must see the neighbours straddle an integer and try again
+    import decimal
+    from lcmf import products
+
+    class Starved:
+        Context = staticmethod(lambda prec: decimal.Context(prec=max(1, prec // 16)))
+        Decimal = decimal.Decimal
+
+    monkeypatch.setattr(products, "decimal", Starved)
+    for x in (1.0, math.log(7), math.nextafter(math.log(7), 0.0), 40.0, 300.5, 709.0):
+        assert exp_floor(x) == _exp_floor_oracle(x), x
+
+
+def test_log_weight_refuses_x_past_the_float_range(monkeypatch):
+    assert exp_floor(709.0) == _exp_floor_oracle(709.0)
+    top = math.log(sys.float_info.max)  # where math.exp overflows
+    assert exp_floor(top) == _exp_floor_oracle(top)
+
+    class NoDefault:
+        def __getattr__(self, name):
+            raise AssertionError("refused only after a prime table was asked for")
+
+    monkeypatch.setattr(primes, "_default_table", NoDefault())
+    f = WeightFunction.log()
+    for x in (710.0, math.nextafter(top, math.inf), 1e6):
+        with pytest.raises(ValueError):
+            exp_floor(x)
+        with pytest.raises(ValueError):
+            weighted_prime_product(f, x)
+        with pytest.raises(ValueError):
+            multiset_lcm(f, x)
+
+
+def _float_loop_exponents(f, x, ps):
+    """The per-prime float loop that computed non-integer powers before
+    prime_exponents took them, kept as the oracle."""
+    exps = {}
+    for p in ps:
+        w = f.value(p)
+        if w > x:
+            continue
+        e = int(x / w)
+        while (e + 1) * w <= x:
+            e += 1
+        while e > 0 and e * w > x:
+            e -= 1
+        if e > 0:
+            exps[p] = e
+    return exps
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.5, 1.1, 3.7])
+def test_non_integer_power_exponents_match_the_float_loop(alpha):
+    f = WeightFunction.power(alpha)
+    ps = trial_primes(600)
+    # a quarter-step grid, then e * f(p) and one ulp either side: there the
+    # quotient x / f(p) rounds to e or e + 1 and the one-step corrections decide
+    xs = [i / 4 for i in range(4001)]
+    for p in ps[:12]:
+        for e in range(1, 8):
+            c = e * f.value(p)
+            xs += [math.nextafter(c, 0.0), c, math.nextafter(c, math.inf)]
+    for x in xs:
+        got, exps = prime_exponents(f, float(x))
+        assert dict(zip(got.tolist(), exps.tolist())) == _float_loop_exponents(f, x, ps), x
+    assert verify.check_theorem1(f, 60).passed
+
+
+def test_prime_side_refuses_budgets_past_int64():
+    for f, x in ((WeightFunction.power(10), 10**20), (WeightFunction.power(10.5), 2.0**63)):
+        with pytest.raises(ValueError, match="int64"):
+            weighted_prime_product(f, x)
+
+
+def test_check_theorem1_at_m_to_the_2_5():
+    result = verify.check_theorem1(WeightFunction.power(2.5))
+    assert result.passed and result.cases == 25
+    assert verify.check_theorem1(WeightFunction.power(2.5), 4999.5).passed
 
 
 def test_hypothesis_full_scan_can_pass():
