@@ -83,12 +83,12 @@ def analytic_constant() -> Enclosure:
 def prime_series_constant(tail_cut: int, table: PrimeTable | None = None) -> Enclosure:
     """Enclose the constant sum over primes of log p / (p (p-1)).
 
-    lo is the partial sum over primes p <= tail_cut.  The tail beyond is
-    majorized by 2 * (sum over all integers m in (x, 2x] of log m / m**2
-    + integral of log t / t**2 from 2x to infinity): the factor 2 covers
-    log p/(p(p-1)) <= 2 log p/p**2, the integer sum dominates the primes in
-    (x, 2x], and the integral, evaluated in closed form as (log 2x + 1)/(2x),
-    dominates the rest.  A small constant slop absorbs float round-off.
+    lo is the partial sum over primes p <= tail_cut = x.  The tail beyond is
+    at most 2 (log x + 1) / x: log p/(p(p-1)) <= 2 log p/p**2, and since
+    log t / t**2 decreases for t >= 2, the sum of 2 log m / m**2 over all
+    integers m > x is at most 2 * integral of log t / t**2 from x to
+    infinity.  The same comparison between two cuts makes the enclosures
+    nest.  A small constant slop absorbs float round-off.
     """
     x = int(tail_cut)
     if x < 100:
@@ -96,17 +96,7 @@ def prime_series_constant(tail_cut: int, table: PrimeTable | None = None) -> Enc
     t = _primes._table(table)
     ps = t.primes_up_to(x).astype(np.float64)
     lo = float(np.sum(np.log(ps) / (ps * (ps - 1.0))))
-
-    integer_sum = 0.0
-    m0 = x + 1
-    chunk = 1 << 22
-    while m0 <= 2 * x:
-        m1 = min(m0 + chunk - 1, 2 * x)
-        mm = np.arange(m0, m1 + 1, dtype=np.float64)
-        integer_sum += float(np.sum(np.log(mm) / (mm * mm)))
-        m0 = m1 + 1
-    integral_tail = (math.log(2 * x) + 1.0) / (2 * x)
-    majorant = 2.0 * (integer_sum + integral_tail)
+    majorant = 2.0 * (math.log(x) + 1.0) / x
     return Enclosure(lo - _ROUNDING_SLOP, lo + majorant + _ROUNDING_SLOP)
 
 
@@ -522,22 +512,26 @@ def sampled_dyadic_grid(jmin: int, jmax: int, per_block: int = 8) -> list[int]:
 
 
 def parse_grid(spec: str, start: int, nmax: int) -> list[int]:
-    """Grid specs: "dyadic", "step:K", or "list:1,2,3"."""
+    """Grid specs: "dyadic", "step:K", or "list:1,2,3".  A grid with no n, or
+    a list value above nmax, is refused."""
     if spec == "dyadic":
-        return dyadic_grid(max(1, start), nmax)
-    if spec.startswith("step:"):
+        ns = dyadic_grid(max(1, start), nmax)
+    elif spec.startswith("step:"):
         step = int(spec[5:])
         if step < 1:
             raise ValueError("step must be >= 1")
-        return list(range(max(1, start), nmax + 1, step))
-    if spec.startswith("list:"):
-        ns = [int(s) for s in spec[5:].split(",") if s]
-        if not ns:
-            raise ValueError("empty list grid")
-        if min(ns) < 1:
+        ns = list(range(max(1, start), nmax + 1, step))
+    elif spec.startswith("list:"):
+        ns = sorted({int(s) for s in spec[5:].split(",") if s})
+        if ns and ns[0] < 1:
             raise ValueError("list grid values must be >= 1")
-        return sorted(set(ns))
-    raise ValueError(f"unknown grid spec {spec!r}")
+        if ns and ns[-1] > nmax:
+            raise ValueError(f"list grid value {ns[-1]} is above nmax = {nmax}")
+    else:
+        raise ValueError(f"unknown grid spec {spec!r}")
+    if not ns:
+        raise ValueError(f"grid {spec!r} holds no n in [{max(1, start)}, {nmax}]")
+    return ns
 
 
 # -- output and envelopes -------------------------------------------------------------

@@ -4,7 +4,8 @@ Exit codes are a stable contract: 0 on success or a passing verification,
 1 when a verification finds violations or a command fails (an I/O error or
 a ValueError while computing), 2 on usage errors (bad arguments).  Output
 files are reproducible byte for byte for a fixed command line, whatever the
-worker count.
+worker count.  Each command, compute target and verify check has its own
+parser, which accepts exactly the options that command reads.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 
 from . import analytics, primes, sequences, triangle, verify
 from .factored import DigitBudgetError, FactoredNatural
-from .products import WeightFunction
+from .products import WeightFunction, weighted_prime_product
 
 
 class UsageError(ValueError):
@@ -30,12 +31,17 @@ def _parse(fn, *args):
         raise UsageError(str(exc)) from None
 
 
-def _validate(args) -> None:
-    """The checks made before any subcommand runs; a failure is a usage error."""
-    if getattr(args, "workers", 1) < 1:  # `constant` takes neither option
-        raise UsageError("--workers must be >= 1")
-    if getattr(args, "nmax", None) is not None and args.nmax < 0:
-        raise UsageError("--nmax must be >= 0")
+def _int_from(low: int):
+    """An argparse type: an integer >= low, else a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+    return parse
 
 
 def _amount(text: str) -> float:
@@ -56,73 +62,44 @@ def _render(value: FactoredNatural) -> str:
 
 
 def _cmd_compute(args) -> int:
-    target = args.target
-    if any(v < 0 for v in args.ints):
-        raise UsageError(f"compute {target} takes integers >= 0")
-    if target in ("rho", "sigma"):
-        if len(args.ints) != 1:
-            raise UsageError(f"compute {target} takes one integer argument")
-        fn = sequences.rho if target == "rho" else sequences.sigma
-        print(_render(fn(args.ints[0])))
-    elif target == "q":
-        if len(args.ints) != 2:
-            raise UsageError("compute q takes two integer arguments: n k")
-        if args.ints[1] > args.ints[0]:
-            raise UsageError("compute q needs k <= n")
-        print(_render(triangle.q(args.ints[0], args.ints[1])))
-    elif target == "pif":
-        if args.weight is None or args.x is None:
-            raise UsageError("compute pif needs --f and --x")
-        f = _parse(WeightFunction.parse, args.weight)
-        from .products import weighted_prime_product
-
-        print(_render(weighted_prime_product(f, args.x)))
-    else:
-        raise UsageError(f"unknown compute target {target!r}")
+    print(_render(args.value(args)))
     return 0
 
 
-_VERIFY_IDS = ("theorem1", "prop1", "prop2", "prop3", "cor2", "theorem2", "eq14-16", "split")
+def _q(args) -> FactoredNatural:
+    n, k = args.ints
+    if k > n:
+        raise UsageError("compute q needs k <= n")
+    return triangle.q(n, k)
 
 
-def _run_verify(args) -> verify.CheckResult:
-    check, nmax = args.check, args.nmax
-    if check == "theorem1":
-        f = _parse(WeightFunction.parse, args.weight or "m")
-        _parse(verify.theorem1_grid, f, args.xmax)  # an oversized log grid is refused here
-        return verify.check_theorem1(f, args.xmax)
-    if check == "prop1":
-        return verify.check_prop1(nmax if nmax is not None else 12)
-    if check == "prop2":
-        return verify.check_prop2(nmax if nmax is not None else 1000)
-    if check == "prop3":
-        return verify.check_prop3(nmax if nmax is not None else 1000)
-    if check == "cor2":
-        return verify.check_cor2(nmax if nmax is not None else 25)
-    if check == "theorem2":
-        return verify.check_theorem2(nmax if nmax is not None else 500)
-    if check == "eq14-16":
-        return verify.check_theta_identities(nmax if nmax is not None else 10_000)
-    if check == "split":
-        return verify.check_split(nmax if nmax is not None else 2000)
-    raise UsageError(f"unknown check id {check!r}")
+def _pif(args) -> FactoredNatural:
+    return weighted_prime_product(_parse(WeightFunction.parse, args.weight), args.x)
 
 
-def _write_valuation_records(nmax: int, path: str) -> None:
-    t = primes.default_table()
-    t.ensure(nmax + 2)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(sequences.VALUATION_CSV_HEADER + "\n")
-        for n in range(1, nmax + 1):
-            for p in t.primes_up_to(n + 1).tolist():
-                if p * p > n + 1:
-                    fh.write(sequences.sigma_ratio_valuation(n, p, t).csv_row() + "\n")
+def _check_theorem1(args) -> verify.CheckResult:
+    f = _parse(WeightFunction.parse, args.weight)
+    _parse(verify.theorem1_grid, f, args.xmax)  # an oversized log grid is refused here
+    return verify.check_theorem1(f, args.xmax)
+
+
+def _check_theorem2(args) -> verify.CheckResult:
+    """The check, then with --out its valuation records as CSV."""
+    result = verify.check_theorem2(args.nmax)
+    if args.out:
+        t = primes.default_table()
+        t.ensure(args.nmax + 2)
+        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(sequences.VALUATION_CSV_HEADER + "\n")
+            for n in range(1, args.nmax + 1):
+                for p in t.primes_up_to(n + 1).tolist():
+                    if p * p > n + 1:
+                        fh.write(sequences.sigma_ratio_valuation(n, p, t).csv_row() + "\n")
+    return result
 
 
 def _cmd_verify(args) -> int:
-    result = _run_verify(args)
-    if args.check == "theorem2" and args.out:
-        _write_valuation_records(args.nmax if args.nmax is not None else 500, args.out)
+    result = args.run_check(args)
     for line in result.notes:
         print(f"note: {line}")
     if result.passed:
@@ -135,8 +112,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_triangle(args) -> int:
-    nmax = args.nmax if args.nmax is not None else 7
-    lines = [",".join(row) for row in triangle.rows_decimal(nmax)]
+    lines = [",".join(row) for row in triangle.rows_decimal(args.nmax)]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="ascii", newline="\n") as fh:
@@ -153,10 +129,7 @@ def _cmd_constant(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    if args.nmax is None:
-        raise UsageError("scan needs --nmax")
-    start = args.n if args.n is not None else 1
-    ns = _parse(analytics.parse_grid, args.grid, start, args.nmax)
+    ns = _parse(analytics.parse_grid, args.grid, args.n, args.nmax)
     enc = analytics.analytic_constant()
     records = analytics.scan(ns, c=enc.midpoint, workers=args.workers)
     write = analytics.write_csv if args.format == "csv" else analytics.write_json
@@ -186,49 +159,81 @@ def _write_gnuplot_stub(path: str, csv_path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# (check, its function of --nmax, the default --nmax, help) for the checks
+# that take only --nmax
+_NMAX_CHECKS = (
+    ("prop1", verify.check_prop1, 12, "diagonal divisibility and freezing at k = n"),
+    ("prop2", verify.check_prop2, 1000, "the divisibility chain and factorial sandwich"),
+    ("prop3", verify.check_prop3, 1000, "(n+1)! | sigma(n) | n! lcm(1..n+1)"),
+    ("cor2", verify.check_cor2, 25, "sigma(n) equals the frozen diagonal q(2n, n)"),
+    ("eq14-16", verify.check_theta_identities, 10_000, "the theta-sum forms of log rho, log sigma"),
+    ("split", verify.check_split, 2000, "sigma(n)/n! splits exactly at sqrt(n+1)"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    def add(sub, name, help, **defaults):
+        p = sub.add_parser(name, help=help, description=help, allow_abbrev=False)
+        p.set_defaults(**defaults)
+        return p
+
+    natural = _int_from(0)
     parser = argparse.ArgumentParser(
         prog="lcmf",
         description=(
             "Exact computation and verification of prime-power products with "
             "floor-quotient exponents, their lcm identities, and scan analytics."
         ),
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p):
-        p.add_argument("--f", dest="weight", help="weight spec: m | m-1 | m^A | log")
-        p.add_argument("--x", type=_amount, help="real argument for pif / theorem1")
-        p.add_argument("--n", type=int, help="single index or grid start")
-        p.add_argument("--nmax", type=int, help="range bound")
-        p.add_argument("--workers", type=int, default=1, help="worker processes for scans")
-
-    p_compute = sub.add_parser("compute", help="evaluate rho / sigma / q / pif")
-    p_compute.add_argument("target", choices=("rho", "sigma", "q", "pif"))
-    p_compute.add_argument("ints", type=int, nargs="*", help="integer arguments")
-    add_common(p_compute)
-
-    p_verify = sub.add_parser("verify", help="run a named identity check over a range")
-    p_verify.add_argument("check", choices=_VERIFY_IDS)
-    p_verify.add_argument("--xmax", type=_amount, help="x bound for theorem1")
-    p_verify.add_argument(
-        "--out", help="for theorem2: write the valuation records as CSV (n,p,v,witness_k)"
+    targets = add(sub, "compute", "evaluate rho / sigma / q / pif").add_subparsers(
+        dest="target", required=True
     )
-    add_common(p_verify)
+    for name, fn in (("rho", sequences.rho), ("sigma", sequences.sigma)):
+        p = add(targets, name, f"print {name}(n)", run=_cmd_compute,
+                value=lambda args, fn=fn: fn(args.ints[0]))
+        p.add_argument("ints", type=natural, nargs=1, metavar="n")
+    p = add(targets, "q", "print q(n, k): lcm of products of k parts with sum <= n",
+            run=_cmd_compute, value=_q)
+    p.add_argument("ints", type=natural, nargs=2, metavar="int", help="n, then k <= n")
+    p = add(targets, "pif", "print the product of p ** floor(x / f(p)) over primes p",
+            run=_cmd_compute, value=_pif)
+    p.add_argument("--f", dest="weight", required=True, help="weight: m | m-1 | m^A | log")
+    p.add_argument("--x", type=_amount, required=True, help="the real argument x")
 
-    p_triangle = sub.add_parser("triangle", help="emit the q(n,k) table as CSV rows")
-    add_common(p_triangle)
-    p_triangle.add_argument("--out", help="output path (default stdout)")
+    checks = add(sub, "verify", "run a named identity check over a range").add_subparsers(
+        dest="check", required=True
+    )
+    # perfbench/replay.py reads args.nmax for every check
+    p = add(checks, "theorem1", "the product equals the multiset lcm on an x grid",
+            run=_cmd_verify, run_check=_check_theorem1, nmax=None)
+    p.add_argument("--f", dest="weight", default="m", help="weight: m | m-1 | m^A | log")
+    p.add_argument("--xmax", type=_amount, help="largest x of the grid")
+    p = add(checks, "theorem2", "the sigma(n)/n! valuations agree and lie in {0, 1}",
+            run=_cmd_verify, run_check=_check_theorem2)
+    p.add_argument("--nmax", type=natural, default=500, help="range bound")
+    p.add_argument("--out", help="also write the valuation records as CSV (n,p,v,witness_k)")
+    for name, fn, nmax, help in _NMAX_CHECKS:
+        p = add(checks, name, help, run=_cmd_verify, run_check=lambda args, fn=fn: fn(args.nmax))
+        p.add_argument("--nmax", type=natural, default=nmax, help="range bound")
 
-    p_constant = sub.add_parser("constant", help="enclose the prime series constant")
-    p_constant.add_argument("--tail-cut", type=int, default=analytics.DEFAULT_TAIL_CUT)
+    p = add(sub, "triangle", "emit the q(n,k) table as CSV rows", run=_cmd_triangle)
+    p.add_argument("--nmax", type=natural, default=7, help="last row")
+    p.add_argument("--out", help="output path (default stdout)")
 
-    p_scan = sub.add_parser("scan", help="emit per-n scan records as CSV or JSON")
-    add_common(p_scan)
-    p_scan.add_argument("--grid", default="dyadic", help="dyadic | step:K | list:a,b,c")
-    p_scan.add_argument("--out", help="output path (default stdout)")
-    p_scan.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_scan.add_argument("--gnuplot", help="also write a gnuplot script stub to this path")
+    p = add(sub, "constant", "enclose the prime series constant", run=_cmd_constant)
+    p.add_argument("--tail-cut", type=_int_from(100), default=analytics.DEFAULT_TAIL_CUT)
+
+    p = add(sub, "scan", "emit per-n scan records as CSV or JSON", run=_cmd_scan)
+    p.add_argument("--grid", default="dyadic", help="dyadic | step:K | list:a,b,c")
+    p.add_argument("--n", type=int, default=1, help="grid start for dyadic and step:K")
+    p.add_argument("--nmax", type=natural, required=True, help="grid end")
+    p.add_argument("--workers", type=_int_from(1), default=1, help="worker processes")
+    p.add_argument("--out", help="output path (default stdout)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--gnuplot", help="also write a gnuplot script stub to this path")
 
     return parser
 
@@ -237,24 +242,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _validate(args)
-        if args.subcommand == "compute":
-            return _cmd_compute(args)
-        if args.subcommand == "verify":
-            return _cmd_verify(args)
-        if args.subcommand == "triangle":
-            return _cmd_triangle(args)
-        if args.subcommand == "constant":
-            return _cmd_constant(args)
-        if args.subcommand == "scan":
-            return _cmd_scan(args)
-        parser.error(f"unknown subcommand {args.subcommand!r}")
+        return args.run(args)
     except UsageError as exc:
         parser.error(str(exc))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -87,6 +87,13 @@ def test_analytic_constant_is_the_series_float():
     assert analytic_constant() == Enclosure(c - 2.0**-52, c + 2.0**-52)
 
 
+def test_constant_enclosure_holds_the_analytic_value_from_the_smallest_cut():
+    c = analytic_constant()
+    for x in (100, 101, 1000, 4099, 65_536):
+        enc = prime_series_constant(x)
+        assert enc.lo <= c.lo and c.hi <= enc.hi
+
+
 def test_constant_enclosure_width_at_ten_million():
     enc = prime_series_constant(10**7)
     assert enc.width <= 1e-5

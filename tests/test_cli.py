@@ -235,6 +235,14 @@ def test_scan_usage_error(capsys):
         ["scan", "--grid", "step:0", "--nmax", "10"],
         ["scan", "--grid", "list:0", "--nmax", "5"],
         ["scan", "--grid", "list:3,-2", "--nmax", "5"],
+        # an empty grid, a list value above --nmax and out-of-range options
+        ["scan", "--grid", "step:1", "--n", "10", "--nmax", "5"],
+        ["scan", "--grid", "dyadic", "--n", "5", "--nmax", "7"],
+        ["scan", "--grid", "list:", "--nmax", "5"],
+        ["scan", "--grid", "list:5", "--nmax", "3"],
+        ["scan", "--grid", "list:2,9", "--nmax", "8"],
+        ["scan", "--grid", "list:4", "--nmax", "4", "--workers", "0"],
+        ["constant", "--tail-cut", "50"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -295,3 +303,51 @@ def test_compute_over_digit_budget(capsys):
         factored.DIGIT_BUDGET_DEFAULT = old
     assert code == 0
     assert "2^6 * 3^3 * 5 * 7" in out and "60480" not in out
+
+
+def test_options_a_command_does_not_read_are_usage_errors(tmp_path):
+    out = tmp_path / "f.csv"
+    for argv in (
+        ["verify", "theorem1", "--f", "log", "--x", "5"],  # --x is not read as --xmax
+        ["verify", "theorem1", "--nmax", "5"],
+        ["verify", "prop2", "--nmax", "10", "--out", str(out)],
+        ["verify", "prop2", "--workers", "2"],
+        ["verify", "eq14-16", "--xmax", "3"],
+        ["triangle", "--nmax", "2", "--n", "5"],  # --n is not read as --nmax
+        ["compute", "pif", "7", "--f", "m", "--x", "3"],
+        ["compute", "rho", "6", "--f", "m"],
+        ["compute", "q", "7", "2", "--nmax", "3"],
+        ["scan", "--nmax", "64", "--f", "m-1"],
+        # no abbreviation of an option a command does read
+        ["verify", "theorem2", "--nma", "5"],
+        ["constant", "--tail", "1000"],
+        ["scan", "--grid", "list:4", "--nmax", "4", "--work", "1"],
+        ["scan", "--grid", "list:4", "--nmax", "4", "--form", "json"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+    assert not out.exists()
+
+
+def test_help_for_every_command_target_and_check(capsys):
+    argvs = [[], ["compute"], ["verify"], ["triangle"], ["constant"], ["scan"]]
+    argvs += [["compute", target] for target in ("rho", "sigma", "q", "pif")]
+    checks = ("theorem1", "theorem2", "prop1", "prop2", "prop3", "cor2", "eq14-16", "split")
+    argvs += [["verify", check] for check in checks]
+    for argv in argvs:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--help"])
+        assert exc.value.code == 0, argv
+        assert capsys.readouterr().out.startswith("usage: lcmf")
+
+
+def test_defaults_of_each_command(capsys):
+    code, out, _ = run_cli(capsys, "verify", "theorem2")
+    assert code == 0 and out == "ok: theorem2 passed on 23165 cases\n"  # --nmax 500
+    code, out, _ = run_cli(capsys, "verify", "theorem1")
+    assert code == 0 and out == "ok: theorem1[m] passed on 37 cases\n"  # --f m
+    code, out, _ = run_cli(capsys, "triangle")
+    assert code == 0 and len(out.splitlines()) == 8  # --nmax 7
+    code, out, _ = run_cli(capsys, "verify", "prop1")
+    assert code == 0 and out.startswith("ok: prop1 passed on")

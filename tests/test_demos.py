@@ -1,4 +1,4 @@
-"""Smoke test: the lcm-side demos run to completion.
+"""Smoke test: the demos run to completion.
 
 Demo 05 is left out because it writes scan_demo.csv next to itself.
 """
@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DEMOS = ("01_products_and_lcms.py", "02_triangle.py", "03_valuations.py")
+DEMOS = (
+    "01_products_and_lcms.py", "02_triangle.py", "03_valuations.py", "04_constant.py"
+)
 
 
 @pytest.mark.parametrize("name", DEMOS)
