@@ -21,18 +21,30 @@ from .sequences import (
     sigma_ratio_valuation,
     split_sigma_over_factorial,
 )
-from .analytics import (
-    Enclosure,
-    ScanRecord,
-    analytic_constant,
-    prime_series_constant,
-    s_split,
-    scan,
-    theta_sum_rho,
-    theta_sum_sigma,
-)
 
 __version__ = "0.1.0"
+
+# analytics imports numpy, so its names are loaded on first use (PEP 562) and
+# `import lcmf` stays on the standard library
+_ANALYTICS_NAMES = (
+    "Enclosure",
+    "ScanRecord",
+    "analytic_constant",
+    "prime_series_constant",
+    "s_split",
+    "scan",
+    "theta_sum_rho",
+    "theta_sum_sigma",
+)
+
+
+def __getattr__(name: str):
+    if name in _ANALYTICS_NAMES:
+        from . import analytics
+
+        return getattr(analytics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DigitBudgetError",

@@ -14,13 +14,14 @@ import argparse
 import math
 import sys
 
-from . import analytics, primes, sequences, triangle, verify
+from . import primes, sequences, triangle, verify
 from .factored import DigitBudgetError, FactoredNatural
 from .products import WeightFunction, weighted_prime_product
 
 
 class UsageError(ValueError):
-    """A bad command line; main() reports it through argparse (exit 2)."""
+    """A bad command line; main() reports it through the failing command's
+    own parser (exit 2)."""
 
 
 def _parse(fn, *args):
@@ -92,7 +93,7 @@ def _check_theorem2(args) -> verify.CheckResult:
         with open(args.out, "w", encoding="ascii", newline="\n") as fh:
             fh.write(sequences.VALUATION_CSV_HEADER + "\n")
             for n in range(1, args.nmax + 1):
-                for p in t.primes_up_to(n + 1).tolist():
+                for p in t.prime_list(n + 1):
                     if p * p > n + 1:
                         fh.write(sequences.sigma_ratio_valuation(n, p, t).csv_row() + "\n")
     return result
@@ -123,12 +124,17 @@ def _cmd_triangle(args) -> int:
 
 
 def _cmd_constant(args) -> int:
-    enc = analytics.prime_series_constant(args.tail_cut)
+    from . import analytics  # analytics imports numpy, so only its commands load it
+
+    tail_cut = analytics.DEFAULT_TAIL_CUT if args.tail_cut is None else args.tail_cut
+    enc = analytics.prime_series_constant(tail_cut)
     print(f"lo={enc.lo!r} hi={enc.hi!r} width={enc.width!r} midpoint={enc.midpoint!r}")
     return 0
 
 
 def _cmd_scan(args) -> int:
+    from . import analytics
+
     ns = _parse(analytics.parse_grid, args.grid, args.n, args.nmax)
     enc = analytics.analytic_constant()
     records = analytics.scan(ns, c=enc.midpoint, workers=args.workers)
@@ -174,7 +180,7 @@ _NMAX_CHECKS = (
 def build_parser() -> argparse.ArgumentParser:
     def add(sub, name, help, **defaults):
         p = sub.add_parser(name, help=help, description=help, allow_abbrev=False)
-        p.set_defaults(**defaults)
+        p.set_defaults(parser=p, **defaults)  # the innermost command's parser wins
         return p
 
     natural = _int_from(0)
@@ -224,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path (default stdout)")
 
     p = add(sub, "constant", "enclose the prime series constant", run=_cmd_constant)
-    p.add_argument("--tail-cut", type=_int_from(100), default=analytics.DEFAULT_TAIL_CUT)
+    p.add_argument("--tail-cut", type=_int_from(100))  # None: analytics.DEFAULT_TAIL_CUT
 
     p = add(sub, "scan", "emit per-n scan records as CSV or JSON", run=_cmd_scan)
     p.add_argument("--grid", default="dyadic", help="dyadic | step:K | list:a,b,c")
@@ -244,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.run(args)
     except UsageError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

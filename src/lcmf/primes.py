@@ -9,10 +9,13 @@ independent ways and cross-asserted).
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import os
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # numpy is imported where an array is made, not at start-up
+    import numpy as np
 
 DEFAULT_BLOCK_SIZE = 1 << 20
 SPF_CAP_DEFAULT = 10_000_000
@@ -85,10 +88,10 @@ def prime_powers(ps: np.ndarray, top: int):
     which shrinks as i grows.  The next power is formed only on the prefix
     where p**i <= top // p, so no int64 product exceeds top.
     """
-    pw = ps[: int(np.searchsorted(ps, top, side="right"))]
+    pw = ps[: int(ps.searchsorted(top, side="right"))]
     while len(pw):
         yield pw
-        k = int(np.count_nonzero(pw <= top // ps[: len(pw)]))
+        k = int((pw <= top // ps[: len(pw)]).sum())
         pw = pw[:k] * ps[:k]
 
 
@@ -103,29 +106,38 @@ def require_memory(need: int, what: str) -> None:
         )
 
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    """Boolean primality bitmap over [0, limit]."""
-    if limit < 1:
-        limit = 1
-    bitmap = np.ones(limit + 1, dtype=bool)
-    bitmap[:2] = False
+def _simple_sieve(limit: int) -> bytearray:
+    """Primality bitmap over [0, limit], one byte per integer (1 for a prime)."""
+    limit = max(limit, 1)
+    bitmap = bytearray([1]) * (limit + 1)
+    bitmap[:2] = b"\0\0"
     for p in range(2, math.isqrt(limit) + 1):
         if bitmap[p]:
-            bitmap[p * p :: p] = False
+            bitmap[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
     return bitmap
 
 
 class PrimeTable:
-    """Primality bitmap plus the primes and their theta prefix, grown on demand.
+    """Primality bitmap, grown on demand, with a scalar and an array view.
 
-    The bitmap is sieved block by block (DEFAULT_BLOCK_SIZE integers at a
-    time); the per-prime prefix sums of log p back theta()/pi().  A table
-    made without a limit starts at the least one, 4, and ensure() grows it.
-    The table holds about 1 + 16 / ln(limit) bytes per integer; a limit whose
-    arrays would not fit in physical memory is refused with ValueError.
+    The bitmap is a bytearray, one byte per integer, sieved block by block
+    (DEFAULT_BLOCK_SIZE integers at a time) by the primes up to its square
+    root.  The scalar reads need only the standard library: is_prime, and
+    prime_list, an ascending list of the primes kept as Python ints and
+    extended from the bitmap as far as it is asked for.  The array reads
+    (primes_up_to, primes_and_logs, prime_mask, pi, theta, theta_many) use
+    numpy arrays derived from the bitmap on the first array read after a
+    build: a zero-copy view of it, the primes, and the per-prime prefix sums
+    of log p.  So a command that reads no array never imports numpy.
+
+    A table made without a limit starts at the least one, 4, and ensure()
+    grows it.  With its arrays it holds about 1 + 16 / ln(limit) bytes per
+    integer; a limit whose arrays would not fit in physical memory is refused
+    with ValueError.
     """
 
     def __init__(self, limit: int | None = None):
+        self._listed, self._list = 1, []  # the primes <= _listed, ascending
         self._build(max(4, int(limit or 0)))
 
     def _build(self, limit: int) -> None:
@@ -134,33 +146,21 @@ class PrimeTable:
         require_memory(
             limit + 1 + 16 * int(1.26 * limit / math.log(limit)), f"a prime table up to {limit}"
         )
-        bitmap = np.zeros(limit + 1, dtype=bool)
+        bitmap = bytearray([1]) * (limit + 1)
+        bitmap[:2] = b"\0\0"
         base = _simple_sieve(math.isqrt(limit) + 1)
-        base_primes = np.flatnonzero(base)
-        lo = 0
-        while lo <= limit:
+        base_primes = list(itertools.compress(range(len(base)), base))
+        zeros = memoryview(bytes(min(DEFAULT_BLOCK_SIZE, limit + 1) // 2 + 1))
+        for lo in range(0, limit + 1, DEFAULT_BLOCK_SIZE):
             hi = min(lo + DEFAULT_BLOCK_SIZE, limit + 1)  # exclusive
-            seg = np.ones(hi - lo, dtype=bool)
-            if lo == 0:
-                seg[: min(2, hi)] = False
             for p in base_primes:
-                p = int(p)
                 start = max(p * p, ((lo + p - 1) // p) * p)
                 if start >= hi:
                     continue
-                seg[start - lo :: p] = False
-            bitmap[lo:hi] = seg
-            lo = hi
+                bitmap[start:hi:p] = zeros[: (hi - 1 - start) // p + 1]
         self.limit = limit
-        self._is_prime = bitmap
-        self._primes = np.flatnonzero(bitmap).astype(np.int64, copy=False)
-        # prefix[i] = sum of log over the first i primes, ascending order; the
-        # logs are summed in place, so the table holds no array of them
-        prefix = np.empty(len(self._primes) + 1, dtype=np.float64)
-        prefix[0] = 0.0
-        np.log(self._primes, out=prefix[1:])
-        np.cumsum(prefix[1:], out=prefix[1:])
-        self._theta_prefix = prefix
+        self._bitmap = bitmap
+        self._arrays = None  # (mask, primes, theta prefix), on the first array read
 
     def ensure(self, limit: int) -> None:
         """Grow the table (at least doubling) so that limit is covered."""
@@ -168,25 +168,54 @@ class PrimeTable:
         if limit > self.limit:
             self._build(max(limit, 2 * self.limit))
 
-    # -- queries ------------------------------------------------------------
+    # -- scalar queries ------------------------------------------------------
 
     def is_prime(self, n: int) -> bool:
         n = int(n)
         if n <= self.limit:
-            return bool(self._is_prime[n]) if n >= 0 else False
+            return n >= 0 and bool(self._bitmap[n])
         return is_probable_prime(n)
+
+    def prime_list(self, x: float) -> list[int]:
+        """Ascending list of all primes <= floor(x), as Python ints."""
+        if x < 2:
+            return []
+        bound = math.floor(x)
+        self.ensure(bound)
+        if bound > self._listed:
+            lo = self._listed + 1
+            self._list += itertools.compress(range(lo, bound + 1), self._bitmap[lo : bound + 1])
+            self._listed = bound
+        return self._list[: bisect.bisect_right(self._list, bound)]
+
+    # -- array queries -------------------------------------------------------
+
+    def _derived(self):
+        """(mask, primes, theta prefix) over the whole bitmap, derived once per build."""
+        if self._arrays is None:
+            import numpy as np
+
+            mask = np.frombuffer(self._bitmap, dtype=bool)
+            primes = np.flatnonzero(mask).astype(np.int64, copy=False)
+            # prefix[i] = sum of log over the first i primes, ascending order; the
+            # logs are summed in place, so the table holds no array of them
+            prefix = np.empty(len(primes) + 1, dtype=np.float64)
+            prefix[0] = 0.0
+            np.log(primes, out=prefix[1:])
+            np.cumsum(prefix[1:], out=prefix[1:])
+            self._arrays = mask, primes, prefix
+        return self._arrays
 
     def primes_up_to(self, x: float) -> np.ndarray:
         """Ascending int64 array of all primes <= floor(x)."""
-        if x < 2:
-            return self._primes[:0]
-        bound = math.floor(x)
-        self.ensure(bound)
-        idx = int(np.searchsorted(self._primes, bound, side="right"))
-        return self._primes[:idx]
+        count = self.pi(x)  # first: it may grow the table, and so replace its arrays
+        _, primes, _ = self._derived()
+        return primes[:count]
 
     def primes_and_logs(self, x: float) -> tuple[np.ndarray, np.ndarray]:
         """(primes <= x, their logs) as aligned arrays; the logs are taken on demand."""
+        import numpy as np
+
         ps = self.primes_up_to(x)
         return ps, np.log(ps.astype(np.float64))
 
@@ -196,26 +225,25 @@ class PrimeTable:
             return 0
         bound = math.floor(x)
         self.ensure(bound)
-        return int(np.searchsorted(self._primes, bound, side="right"))
+        _, primes, _ = self._derived()
+        return int(primes.searchsorted(bound, side="right"))
 
     def theta(self, x: float) -> float:
         """Sum of log p over primes p <= x (ascending summation order)."""
-        if x < 2:
-            return 0.0
-        bound = math.floor(x)
-        self.ensure(bound)
-        idx = int(np.searchsorted(self._primes, bound, side="right"))
-        return float(self._theta_prefix[idx])
+        count = self.pi(x)  # first, as in primes_up_to
+        _, _, prefix = self._derived()
+        return float(prefix[count])
 
     def theta_many(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized theta over an array of integer arguments <= limit."""
-        idx = np.searchsorted(self._primes, xs, side="right")
-        return self._theta_prefix[idx]
+        _, primes, prefix = self._derived()
+        return prefix[primes.searchsorted(xs, side="right")]
 
     def prime_mask(self, limit: int) -> np.ndarray:
         """Primality bitmap view over [0, limit], for bulk membership tests."""
         self.ensure(limit)
-        return self._is_prime[: limit + 1]
+        mask, _, _ = self._derived()
+        return mask[: limit + 1]
 
 
 _default_table: PrimeTable | None = None
@@ -278,13 +306,15 @@ class _SpfTable:
     def __init__(self, cap: int = SPF_CAP_DEFAULT):
         self.cap = cap
         self.limit = 0
-        self._spf = np.zeros(1, dtype=np.int32)
+        self._spf = None  # allocated by the first ensure() past 1
 
     def ensure(self, n: int) -> bool:
         if n <= self.limit:
             return True
         if n > self.cap:
             return False
+        import numpy as np
+
         limit = min(self.cap, max(n, 2 * self.limit, 1 << 16))
         spf = np.zeros(limit + 1, dtype=np.int32)
         for p in range(2, math.isqrt(limit) + 1):
@@ -328,8 +358,7 @@ def factorize(n: int, table: PrimeTable | None = None) -> dict[int, int]:
         return _spf.factorize(n)
     t = _table(table)
     factors: dict[int, int] = {}
-    for p in t.primes_up_to(math.isqrt(n)):
-        p = int(p)
+    for p in t.prime_list(math.isqrt(n)):
         if p * p > n:
             break
         if n % p == 0:

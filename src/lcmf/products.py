@@ -23,8 +23,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-import numpy as np
-
 from . import primes as _primes
 from .factored import FactoredNatural
 from .primes import PrimeTable
@@ -236,9 +234,9 @@ def _budget(f: WeightFunction, x):
 # -- the prime side --------------------------------------------------------------
 
 
-def prime_exponents(f: WeightFunction, X, table: PrimeTable | None = None):
-    """(primes p, exponents of p) over the primes with a positive exponent at
-    the budget X of f (_budget), as aligned int64 arrays.
+def prime_exponents(f: WeightFunction, X, table: PrimeTable | None = None) -> dict[int, int]:
+    """{p: exponent of p} over the primes with a positive exponent at the
+    budget X of f (_budget), in ascending p, in plain ints.
 
     The exponent is X // f(p) for the exact kinds.  For the log weight X is
     the cap floor(e**x), and the exponent is the number of i >= 1 with
@@ -247,38 +245,43 @@ def prime_exponents(f: WeightFunction, X, table: PrimeTable | None = None):
     arithmetic, on the floats f.value(p) gives: floor(x / f(p)), corrected
     by one step either way for the rounding of the quotient.
     """
-    if X >= 2**63:  # the exponents and the powers of p are int64
+    if X >= 2**63:  # the range of the int64 kernels that take the same exponents (sequences)
         raise ValueError(f"the budget {X} is past the int64 range of the prime side")
     t = _primes._table(table)
     if f.kind == "log":
-        ps = t.primes_up_to(X)
-        exps = np.zeros(len(ps), dtype=np.int64)
-        for pw in _primes.prime_powers(ps, X):
-            exps[: len(pw)] += 1
-        return ps, exps
+        ps = t.prime_list(X)
+        k = bisect.bisect_right(ps, math.isqrt(X))  # p * p > X past it: exponent 1
+        exps = {}
+        for p in ps[:k]:
+            e, pw = 1, p * p
+            while pw <= X:
+                e, pw = e + 1, pw * p
+            exps[p] = e
+        exps.update(dict.fromkeys(ps[k:], 1))
+        return exps
     if f.kind == "m":
-        ps = t.primes_up_to(X)
-        return ps, X // ps
+        return {p: X // p for p in t.prime_list(X)}
     if f.kind == "m-1":
-        ps = t.primes_up_to(X + 1)
-        return ps, X // (ps - 1)
+        return {p: X // (p - 1) for p in t.prime_list(X + 1)}
     if f.is_exact:
-        ps = t.primes_up_to(_primes.iroot(X, f.alpha))
-        return ps, X // ps**f.alpha
-    ps = t.primes_up_to(int(X ** (1.0 / f.alpha)) + 2)
-    w = np.array([float(p) ** f.alpha for p in ps.tolist()])  # as f.value(p) gives them
-    e = np.floor(X / w)
-    e += (e + 1) * w <= X
-    e -= e * w > X
-    k = int(np.count_nonzero(e))  # f(p) grows with p, so the positive exponents lead
-    return ps[:k], e[:k].astype(np.int64)
+        a = f.alpha
+        return {p: X // p**a for p in t.prime_list(_primes.iroot(X, a))}
+    exps = {}
+    for p in t.prime_list(int(X ** (1.0 / f.alpha)) + 2):
+        w = float(p) ** f.alpha  # as f.value(p) gives it
+        e = math.floor(X / w)
+        e += (e + 1) * w <= X
+        e -= e * w > X
+        if not e:  # f(p) grows with p, so the positive exponents lead
+            break
+        exps[p] = e
+    return exps
 
 
 def weighted_prime_product(f: WeightFunction, x, table: PrimeTable | None = None) -> FactoredNatural:
     """Product over primes p of p**floor(x / f(p)), as a FactoredNatural:
     the exponents of prime_exponents at the budget x sets (_budget)."""
-    ps, exps = prime_exponents(f, _budget(f, x), table)
-    return FactoredNatural._trusted(dict(zip(ps.tolist(), exps.tolist())))
+    return FactoredNatural._trusted(prime_exponents(f, _budget(f, x), table))
 
 
 # -- the lcm side -----------------------------------------------------------------

@@ -20,13 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import primes as _primes
 from .factored import FactoredNatural
 from .primes import PrimeTable
-from .products import WeightFunction, prime_exponents, weighted_prime_product
+from .products import WeightFunction, weighted_prime_product
+
+if TYPE_CHECKING:  # numpy is imported by the block kernels, not at start-up
+    import numpy as np
 
 
 def _legendre(ns, ps: np.ndarray) -> np.ndarray:
@@ -35,6 +37,8 @@ def _legendre(ns, ps: np.ndarray) -> np.ndarray:
     Legendre's sum of n // p**i; each term past the first fills only the
     column prefix where p**i <= max(ns), as it is 0 elsewhere.
     """
+    import numpy as np
+
     ns = np.asarray(ns, dtype=np.int64)[:, None]
     total = np.zeros((len(ns), len(ps)), dtype=np.int64)
     for pw in _primes.prime_powers(ps, int(ns.max(initial=0))):
@@ -43,6 +47,8 @@ def _legendre(ns, ps: np.ndarray) -> np.ndarray:
 
 
 def _rows(ns) -> np.ndarray:
+    import numpy as np
+
     ns = np.asarray(ns, dtype=np.int64).reshape(-1)
     if ns.min(initial=0) < 0:
         raise ValueError("n must be >= 0")
@@ -78,6 +84,8 @@ def chain_flags(ns, table: PrimeTable | None = None) -> np.ndarray:
     m = max(ns); a prime above a row's own bound has exponent 0 on both
     sides of every comparison, so one prime set serves the whole block.
     """
+    import numpy as np
+
     ns = _rows(ns)
     top = int(ns.max(initial=0))
     ps = _primes._table(table).primes_up_to(max(2 * top, top + 2, 2))
@@ -108,6 +116,8 @@ def sandwich_flags(ns, table: PrimeTable | None = None) -> np.ndarray:
         sum_i floor((n+1)/p**i)  <=  floor(n/(p-1))  <=  sum_i floor(n/p**i) + e,
     over the primes up to max(ns) + 1 (all three sides are 0 above n + 1).
     """
+    import numpy as np
+
     ns = _rows(ns)
     top = int(ns.max(initial=0)) + 1
     ps = _primes._table(table).primes_up_to(top)
@@ -236,11 +246,13 @@ def split_sigma_over_factorial(
     the product of the wide quotient primes exceeding sqrt(n+1), each to the
     first power — this is asserted, not assumed.
     """
+    import numpy as np
+
     if n < 1:
         raise ValueError("n must be >= 1")
     t = _primes._table(table)
-    ps, sig = prime_exponents(WeightFunction.shifted(), n, t)
-    v = sig - _legendre([n], ps)[0]
+    ps = t.primes_up_to(n + 1)
+    v = n // (ps - 1) - _legendre([n], ps)[0]  # the exponents of sigma(n), less n!'s
     if v.min(initial=0) < 0:
         raise ArithmeticError(f"sigma({n}) is not a multiple of {n}!")
     small = ps * ps <= n + 1

@@ -10,9 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import analytics, primes as _primes, sequences, triangle
+from . import primes as _primes, sequences, triangle
 from .primes import PrimeTable
 from .products import WeightFunction, multiset_lcms, weighted_prime_product
 
@@ -118,6 +116,8 @@ def _flag_sweep(check_id: str, nmax: int, flags, messages, bound: int, t) -> Che
     n runs in consecutive blocks whose rows times the primes up to bound (the
     widest block's columns) stay within _BLOCK_CELLS.
     """
+    import numpy as np
+
     res = CheckResult(check_id=check_id)
     rows = max(1, _BLOCK_CELLS // max(1, len(t.primes_up_to(bound))))
     for lo in range(0, nmax + 1, rows):
@@ -149,7 +149,7 @@ def check_theorem2(nmax: int, table: PrimeTable | None = None) -> CheckResult:
     t.ensure(nmax + 2)
     for n in range(1, nmax + 1):
         wide = sequences.quotient_primes(n, wide=True, table=t).members
-        for p in t.primes_up_to(n + 1).tolist():
+        for p in t.prime_list(n + 1):
             if p * p <= n + 1:
                 continue
             res.cases += 1
@@ -170,6 +170,8 @@ def check_theta_identities(
 
     Absolute tolerance 1e-6 * max(1, n) per identity per grid point.
     """
+    from . import analytics  # numpy-backed, so imported only by the checks that use it
+
     res = CheckResult(check_id="eq14-16")
     t = _primes._table(table)
     t.ensure(nmax + 2)

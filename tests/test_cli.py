@@ -68,6 +68,20 @@ def test_compute_usage_errors(capsys):
         assert exc.value.code == 2
 
 
+def test_usage_errors_in_a_handler_name_the_failing_command(capsys):
+    for argv, prog in (
+        (["compute", "q", "3", "5"], "lcmf compute q"),
+        (["compute", "pif", "--f", "m^", "--x", "2"], "lcmf compute pif"),
+        (["verify", "theorem1", "--f", "m+1"], "lcmf verify theorem1"),
+        (["scan", "--grid", "step:0", "--nmax", "10"], "lcmf scan"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: {prog} ") and f"\n{prog}: error: " in err, argv
+
+
 def test_oversized_log_grid_is_usage_error():
     log = WeightFunction.parse("log")
     assert len(verify.theorem1_grid(log, 8.98)) <= verify.GRID_MAX_POINTS
@@ -125,7 +139,7 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 # runs `python -m lcmf.cli ARGS`, then prints which of the heavy modules got loaded
 _IMPORT_PROBE = (
     "import atexit, runpy, sys\n"
-    "heavy = ('mpmath', 'concurrent.futures.process')\n"
+    "heavy = ('mpmath', 'concurrent.futures.process', 'numpy')\n"
     "atexit.register(lambda: print('loaded:', *[m for m in heavy if m in sys.modules]))\n"
     "runpy.run_module('lcmf.cli', run_name='__main__', alter_sys=True)\n"
 )
@@ -143,10 +157,27 @@ def _loaded_heavy_modules(*argv):
 
 def test_startup_imports_no_mpmath_or_process_pool():
     assert _loaded_heavy_modules("compute", "rho", "1") == []
-    # scans take c as a literal, so they need neither
-    assert _loaded_heavy_modules("scan", "--grid", "list:1000", "--nmax", "1000") == []
+    # scans take c as a literal, so they need neither; their arrays need numpy
+    assert _loaded_heavy_modules("scan", "--grid", "list:1000", "--nmax", "1000") == ["numpy"]
     # the log weight's cap floor(e**x) comes from the stdlib's decimal
     assert _loaded_heavy_modules("compute", "pif", "--f", "log", "--x", "3") == []
+
+
+def test_numpy_is_loaded_only_by_the_bulk_array_commands():
+    weights = ("m", "m-1", "m^1.5", "log")
+    scalar = [["compute", target, "1200"] for target in ("rho", "sigma")]
+    scalar += [["compute", "q", "72", "37"], ["verify", "prop1", "--nmax", "5"]]
+    scalar += [["verify", "cor2", "--nmax", "8"], ["verify", "theorem2", "--nmax", "50"]]
+    scalar += [["triangle", "--nmax", "6"]]
+    scalar += [["compute", "pif", "--f", f, "--x", "7.5"] for f in weights]
+    scalar += [["verify", "theorem1", "--f", f, "--xmax", "4"] for f in weights]
+    for argv in scalar:
+        assert _loaded_heavy_modules(*argv) == [], argv
+    assert _loaded_heavy_modules("verify", "prop2", "--nmax", "10") == ["numpy"]
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    probe = "import sys, lcmf; print('numpy' in sys.modules, lcmf.scan.__module__)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.stdout.split() == ["False", "lcmf.analytics"], proc.stderr
 
 
 def test_internal_value_error_is_an_error_not_usage(capsys, monkeypatch):

@@ -42,6 +42,36 @@ def test_prime_counts(table):
     assert np.array_equal(big.primes_up_to(3 << 20), np.flatnonzero(_simple_sieve(3 << 20)))
 
 
+def _numpy_sieve(limit: int) -> np.ndarray:
+    """Primality bitmap over [0, limit] from one unsegmented numpy sieve,
+    independent of the table's bytearray one."""
+    bitmap = np.ones(limit + 1, dtype=bool)
+    bitmap[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if bitmap[p]:
+            bitmap[p * p :: p] = False
+    return bitmap
+
+
+@pytest.mark.parametrize("limit", [(1 << 20) - 1, 1 << 20, (1 << 20) + 1, 3 << 20, None])
+def test_table_views_equal_an_independent_numpy_sieve(limit):
+    if limit is None:  # grown by ensure() from the least table, lists read in between
+        t = PrimeTable()
+        for bound in (4, 5, 1000, 70_001, 1 << 20):
+            t.ensure(bound)
+            assert t.prime_list(bound) == np.flatnonzero(_numpy_sieve(bound)).tolist()
+    else:
+        t = PrimeTable(limit)
+    bitmap = _numpy_sieve(t.limit)
+    ps = np.flatnonzero(bitmap)
+    assert np.array_equal(t.prime_mask(t.limit), bitmap)
+    assert np.array_equal(t.primes_up_to(t.limit), ps)
+    assert t.prime_list(t.limit) == ps.tolist()
+    assert [t.is_prime(n) for n in range(-3, 3000)] == [False] * 3 + bitmap[:3000].tolist()
+    # the theta prefix, bit for bit: the logs summed in ascending order
+    assert np.array_equal(t.theta_many(ps), np.cumsum(np.log(ps.astype(np.float64))))
+
+
 def test_bitmap_matches_trial_division(table):
     brute = set(trial_primes(10_000))
     mask = table.prime_mask(10_000)

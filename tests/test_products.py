@@ -291,8 +291,7 @@ def test_non_integer_power_exponents_match_the_float_loop(alpha):
             c = e * f.value(p)
             xs += [math.nextafter(c, 0.0), c, math.nextafter(c, math.inf)]
     for x in xs:
-        got, exps = prime_exponents(f, float(x))
-        assert dict(zip(got.tolist(), exps.tolist())) == _float_loop_exponents(f, x, ps), x
+        assert prime_exponents(f, float(x)) == _float_loop_exponents(f, x, ps), x
     assert verify.check_theorem1(f, 60).passed
 
 
