@@ -22,7 +22,7 @@ def main():
     n = 100
     t = default_table()
     print(f"== valuations of sigma({n})/{n}! at primes p with p*p > {n + 1} ==")
-    for p in t.primes_up_to(n + 1).tolist():
+    for p in t.prime_list(n + 1):
         if p * p <= n + 1:
             continue
         rec = sigma_ratio_valuation(n, p)

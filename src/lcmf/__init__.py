@@ -2,78 +2,51 @@
 floor-quotient exponents, their lcm identities, the q(n, k) triangle,
 and the rho/sigma sequences."""
 
-from .factored import DigitBudgetError, FactoredNatural
-from .primes import PrimeTable, default_table, digit_sum, factorial_valuation
-from .products import (
-    HypothesisReport,
-    WeightFunction,
-    check_hypothesis,
-    multiset_lcm,
-    weighted_prime_product,
-)
-from .triangle import diagonal, q, sigma_from_diagonal
-from .sequences import (
-    QuotientPrimes,
-    ValuationRecord,
-    quotient_primes,
-    rho,
-    sigma,
-    sigma_ratio_valuation,
-    split_sigma_over_factorial,
-)
-
 __version__ = "0.1.0"
 
-# analytics imports numpy, so its names are loaded on first use (PEP 562) and
-# `import lcmf` stays on the standard library
-_ANALYTICS_NAMES = (
-    "Enclosure",
-    "ScanRecord",
-    "analytic_constant",
-    "prime_series_constant",
-    "s_split",
-    "scan",
-    "theta_sum_rho",
-    "theta_sum_sigma",
-)
+# public name -> the submodule that defines it.  Each name is imported on
+# first use (PEP 562), so `import lcmf` loads no submodule, and a program
+# loads, and compiles, only the modules whose names it reads.
+_SUBMODULE = {
+    "DigitBudgetError": "factored",
+    "FactoredNatural": "factored",
+    "PrimeTable": "primes",
+    "default_table": "primes",
+    "digit_sum": "primes",
+    "factorial_valuation": "primes",
+    "HypothesisReport": "products",
+    "WeightFunction": "products",
+    "check_hypothesis": "products",
+    "multiset_lcm": "products",
+    "weighted_prime_product": "products",
+    "diagonal": "triangle",
+    "q": "triangle",
+    "sigma_from_diagonal": "triangle",
+    "QuotientPrimes": "sequences",
+    "ValuationRecord": "sequences",
+    "quotient_primes": "sequences",
+    "rho": "sequences",
+    "sigma": "sequences",
+    "sigma_ratio_valuation": "sequences",
+    "split_sigma_over_factorial": "sequences",
+    "Enclosure": "analytics",
+    "ScanRecord": "analytics",
+    "analytic_constant": "analytics",
+    "prime_series_constant": "analytics",
+    "s_split": "analytics",
+    "scan": "analytics",
+    "theta_sum_rho": "analytics",
+    "theta_sum_sigma": "analytics",
+}
+
+__all__ = sorted(_SUBMODULE)
 
 
 def __getattr__(name: str):
-    if name in _ANALYTICS_NAMES:
-        from . import analytics
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
 
-        return getattr(analytics, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "DigitBudgetError",
-    "Enclosure",
-    "FactoredNatural",
-    "HypothesisReport",
-    "PrimeTable",
-    "QuotientPrimes",
-    "ScanRecord",
-    "ValuationRecord",
-    "WeightFunction",
-    "analytic_constant",
-    "check_hypothesis",
-    "default_table",
-    "diagonal",
-    "digit_sum",
-    "factorial_valuation",
-    "multiset_lcm",
-    "prime_series_constant",
-    "q",
-    "quotient_primes",
-    "rho",
-    "s_split",
-    "scan",
-    "sigma",
-    "sigma_from_diagonal",
-    "sigma_ratio_valuation",
-    "split_sigma_over_factorial",
-    "theta_sum_rho",
-    "theta_sum_sigma",
-    "weighted_prime_product",
-]
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value  # later reads skip this function
+    return value

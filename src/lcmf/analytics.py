@@ -26,7 +26,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, fields, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,16 +37,20 @@ DEFAULT_TAIL_CUT = 50_000_000
 _ROUNDING_SLOP = 1e-11  # covers float accumulation error in the partial sums
 
 
-@dataclass(frozen=True)
-class Enclosure:
-    """A closed interval [lo, hi] certified to contain a target constant."""
-
+class _Interval(NamedTuple):
     lo: float
     hi: float
 
-    def __post_init__(self):
-        if not (self.lo <= self.hi):
+
+class Enclosure(_Interval):
+    """A closed interval [lo, hi] certified to contain a target constant."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: float, hi: float):
+        if not (lo <= hi):
             raise ValueError("need lo <= hi")
+        return super().__new__(cls, lo, hi)
 
     @property
     def width(self) -> float:
@@ -353,8 +357,7 @@ def quotient_prime_count(n: int, table: PrimeTable | None = None) -> int:
 CSV_HEADER = "n,log_rho,log_sigma,residual_rho,residual_sigma,card_A,conj2_stat,s1,s2"
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(NamedTuple):
     """Per-n measurements emitted by scan()."""
 
     n: int
@@ -368,23 +371,10 @@ class ScanRecord:
     s2: float
 
     def csv_row(self) -> str:
-        return ",".join(
-            repr(v) if isinstance(v, float) else str(v)
-            for v in (
-                self.n,
-                self.log_rho,
-                self.log_sigma,
-                self.residual_rho,
-                self.residual_sigma,
-                self.card_A,
-                self.conj2_stat,
-                self.s1,
-                self.s2,
-            )
-        )
+        return ",".join(repr(v) if isinstance(v, float) else str(v) for v in self)
 
 
-assert CSV_HEADER == ",".join(f.name for f in fields(ScanRecord))
+assert CSV_HEADER == ",".join(ScanRecord._fields)
 
 
 def _record(n: int, c: float, t: PrimeTable) -> ScanRecord:
@@ -556,12 +546,11 @@ def write_csv(records, path) -> None:
 def write_json(records, path) -> None:
     """The records as a JSON list of objects, to a file path or a text stream."""
     with _opened(path) as fh:
-        json.dump([asdict(rec) for rec in records], fh, indent=1)
+        json.dump([rec._asdict() for rec in records], fh, indent=1)
         fh.write("\n")
 
 
-@dataclass(frozen=True)
-class BlockEnvelope:
+class BlockEnvelope(NamedTuple):
     """Per-dyadic-block extremes of the normalized residuals and statistics."""
 
     block: int  # records with 2**block <= n < 2**(block+1)

@@ -5,7 +5,8 @@ Exit codes are a stable contract: 0 on success or a passing verification,
 a ValueError while computing), 2 on usage errors (bad arguments).  Output
 files are reproducible byte for byte for a fixed command line, whatever the
 worker count.  Each command, compute target and verify check has its own
-parser, which accepts exactly the options that command reads.
+parser, which accepts exactly the options that command reads.  Each handler
+imports the lcmf modules it runs, so a command loads no other.
 """
 
 from __future__ import annotations
@@ -13,10 +14,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-
-from . import primes, sequences, triangle, verify
-from .factored import DigitBudgetError, FactoredNatural
-from .products import WeightFunction, weighted_prime_product
 
 
 class UsageError(ValueError):
@@ -53,7 +50,10 @@ def _amount(text: str) -> float:
     return value
 
 
-def _render(value: FactoredNatural) -> str:
+def _render(value) -> str:
+    """A FactoredNatural as its factorization, then its decimal value."""
+    from .factored import DigitBudgetError
+
     if value.is_one():
         return "1"
     try:
@@ -67,25 +67,40 @@ def _cmd_compute(args) -> int:
     return 0
 
 
-def _q(args) -> FactoredNatural:
+def _rho_sigma(args):
+    from . import sequences
+
+    return getattr(sequences, args.target)(args.ints[0])
+
+
+def _q(args):
+    from . import triangle
+
     n, k = args.ints
     if k > n:
         raise UsageError("compute q needs k <= n")
     return triangle.q(n, k)
 
 
-def _pif(args) -> FactoredNatural:
+def _pif(args):
+    from .products import WeightFunction, weighted_prime_product
+
     return weighted_prime_product(_parse(WeightFunction.parse, args.weight), args.x)
 
 
-def _check_theorem1(args) -> verify.CheckResult:
+def _check_theorem1(args):
+    from . import verify
+    from .products import WeightFunction
+
     f = _parse(WeightFunction.parse, args.weight)
     _parse(verify.theorem1_grid, f, args.xmax)  # an oversized log grid is refused here
     return verify.check_theorem1(f, args.xmax)
 
 
-def _check_theorem2(args) -> verify.CheckResult:
+def _check_theorem2(args):
     """The check, then with --out its valuation records as CSV."""
+    from . import primes, sequences, verify
+
     result = verify.check_theorem2(args.nmax)
     if args.out:
         t = primes.default_table()
@@ -112,7 +127,16 @@ def _cmd_verify(args) -> int:
     return 1
 
 
+def _check_nmax(args):
+    """One of the _NMAX_CHECKS: its verify function at --nmax."""
+    from . import verify
+
+    return getattr(verify, args.check_fn)(args.nmax)
+
+
 def _cmd_triangle(args) -> int:
+    from . import triangle
+
     lines = [",".join(row) for row in triangle.rows_decimal(args.nmax)]
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -165,15 +189,15 @@ def _write_gnuplot_stub(path: str, csv_path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-# (check, its function of --nmax, the default --nmax, help) for the checks
-# that take only --nmax
+# (check, the name of its verify function of --nmax, the default --nmax,
+# help) for the checks that take only --nmax
 _NMAX_CHECKS = (
-    ("prop1", verify.check_prop1, 12, "diagonal divisibility and freezing at k = n"),
-    ("prop2", verify.check_prop2, 1000, "the divisibility chain and factorial sandwich"),
-    ("prop3", verify.check_prop3, 1000, "(n+1)! | sigma(n) | n! lcm(1..n+1)"),
-    ("cor2", verify.check_cor2, 25, "sigma(n) equals the frozen diagonal q(2n, n)"),
-    ("eq14-16", verify.check_theta_identities, 10_000, "the theta-sum forms of log rho, log sigma"),
-    ("split", verify.check_split, 2000, "sigma(n)/n! splits exactly at sqrt(n+1)"),
+    ("prop1", "check_prop1", 12, "diagonal divisibility and freezing at k = n"),
+    ("prop2", "check_prop2", 1000, "the divisibility chain and factorial sandwich"),
+    ("prop3", "check_prop3", 1000, "(n+1)! | sigma(n) | n! lcm(1..n+1)"),
+    ("cor2", "check_cor2", 25, "sigma(n) equals the frozen diagonal q(2n, n)"),
+    ("eq14-16", "check_theta_identities", 10_000, "the theta-sum forms of log rho, log sigma"),
+    ("split", "check_split", 2000, "sigma(n)/n! splits exactly at sqrt(n+1)"),
 )
 
 
@@ -197,9 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     targets = add(sub, "compute", "evaluate rho / sigma / q / pif").add_subparsers(
         dest="target", required=True
     )
-    for name, fn in (("rho", sequences.rho), ("sigma", sequences.sigma)):
-        p = add(targets, name, f"print {name}(n)", run=_cmd_compute,
-                value=lambda args, fn=fn: fn(args.ints[0]))
+    for name in ("rho", "sigma"):
+        p = add(targets, name, f"print {name}(n)", run=_cmd_compute, value=_rho_sigma)
         p.add_argument("ints", type=natural, nargs=1, metavar="n")
     p = add(targets, "q", "print q(n, k): lcm of products of k parts with sum <= n",
             run=_cmd_compute, value=_q)
@@ -222,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=natural, default=500, help="range bound")
     p.add_argument("--out", help="also write the valuation records as CSV (n,p,v,witness_k)")
     for name, fn, nmax, help in _NMAX_CHECKS:
-        p = add(checks, name, help, run=_cmd_verify, run_check=lambda args, fn=fn: fn(args.nmax))
+        p = add(checks, name, help, run=_cmd_verify, run_check=_check_nmax, check_fn=fn)
         p.add_argument("--nmax", type=natural, default=nmax, help="range bound")
 
     p = add(sub, "triangle", "emit the q(n,k) table as CSV rows", run=_cmd_triangle)

@@ -20,31 +20,36 @@ import decimal
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import primes as _primes
 from .factored import FactoredNatural
 from .primes import PrimeTable
 
 
-@dataclass(frozen=True)
-class WeightFunction:
-    """One of the supported weights: m, m-1, m**alpha (alpha >= 1), or log m."""
-
+class _Weight(NamedTuple):
     kind: str  # "m" | "m-1" | "m^a" | "log"
     alpha: float | None = None
 
+
+class WeightFunction(_Weight):
+    """One of the supported weights: m, m-1, m**alpha (alpha >= 1), or log m.
+
+    An immutable, hashable pair (kind, alpha), checked as it is built.
+    """
+
+    __slots__ = ()
     _KINDS = ("m", "m-1", "m^a", "log")
 
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown weight kind {self.kind!r}")
-        if self.kind == "m^a":
-            if self.alpha is None or self.alpha < 1:
+    def __new__(cls, kind: str, alpha: float | None = None):
+        if kind not in cls._KINDS:
+            raise ValueError(f"unknown weight kind {kind!r}")
+        if kind == "m^a":
+            if alpha is None or alpha < 1:
                 raise ValueError("power weight needs alpha >= 1")
-        elif self.alpha is not None:
+        elif alpha is not None:
             raise ValueError("alpha only applies to the power weight")
+        return super().__new__(cls, kind, alpha)
 
     @classmethod
     def linear(cls) -> "WeightFunction":
@@ -111,20 +116,28 @@ class WeightFunction:
 # -- admissibility check -------------------------------------------------------
 
 
-@dataclass
 class HypothesisReport:
     """Finite-range falsifier result for the nondecreasing-ratio condition.
 
     The condition: f(n)/log(n) must not decrease along any divisor pair
     a | b with 2 <= a < b <= checked_bound.  A passing report is evidence
-    up to the bound, not a proof.
+    up to the bound, not a proof.  violations lists the failing pairs (a, b);
+    fast_path names the shortcut that settled the check, if one did.
+    Mutable, so unhashable; two reports are equal when all fields are.
     """
 
-    weight_spec: str
-    checked_bound: int
-    divisor_pairs_checked: int = 0
-    violations: list[tuple[int, int]] = field(default_factory=list)
-    fast_path: str | None = None
+    def __init__(self, weight_spec: str, checked_bound: int):
+        self.weight_spec = weight_spec
+        self.checked_bound = checked_bound
+        self.divisor_pairs_checked = 0
+        self.violations: list[tuple[int, int]] = []
+        self.fast_path: str | None = None
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    def __repr__(self) -> str:
+        return f"HypothesisReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     @property
     def passed(self) -> bool:
@@ -359,7 +372,11 @@ class _LcmTable:
 def multiset_lcms(f: WeightFunction, xs) -> Iterator[FactoredNatural]:
     """multiset_lcm(f, x) for each x of xs, in order, read one at a time from
     one table built at the largest budget."""
-    budgets = [_budget(f, x) for x in xs]
+    return _lcms_at(f, [_budget(f, x) for x in xs])
+
+
+def _lcms_at(f: WeightFunction, budgets: list) -> Iterator[FactoredNatural]:
+    """The lcm side at each budget of f (_budget) in budgets, in order."""
     if f.kind == "log":  # the parts' product must stay within the cap
         table = _LcmTable(lambda m: m, max(budgets, default=1), operator.mul, 1)
     else:

@@ -19,16 +19,15 @@ computed as (n + k) // k, so no float ever decides a sharp range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import primes as _primes
-from .factored import FactoredNatural
 from .primes import PrimeTable
-from .products import WeightFunction, weighted_prime_product
 
-if TYPE_CHECKING:  # numpy is imported by the block kernels, not at start-up
+if TYPE_CHECKING:  # each is imported by the functions that use it, not at start-up
     import numpy as np
+
+    from .factored import FactoredNatural
 
 
 def _legendre(ns, ps: np.ndarray) -> np.ndarray:
@@ -57,6 +56,8 @@ def _rows(ns) -> np.ndarray:
 
 def rho(n: int, table: PrimeTable | None = None) -> FactoredNatural:
     """Product over primes p <= n of p**(n // p): the weight m at x = n."""
+    from .products import WeightFunction, weighted_prime_product
+
     if n < 0:
         raise ValueError("n must be >= 0")
     return weighted_prime_product(WeightFunction.linear(), n, table)
@@ -64,6 +65,8 @@ def rho(n: int, table: PrimeTable | None = None) -> FactoredNatural:
 
 def sigma(n: int, table: PrimeTable | None = None) -> FactoredNatural:
     """Product over primes p <= n + 1 of p**(n // (p - 1)): the weight m-1 at x = n."""
+    from .products import WeightFunction, weighted_prime_product
+
     if n < 0:
         raise ValueError("n must be >= 0")
     return weighted_prime_product(WeightFunction.shifted(), n, table)
@@ -152,8 +155,7 @@ def factorial_sandwich(n: int, table: PrimeTable | None = None) -> tuple[bool, b
 # -- the valuation dichotomy -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValuationRecord:
+class ValuationRecord(NamedTuple):
     """Valuation of sigma(n)/n! at a prime p with p*p > n+1, p <= n+1.
 
     valuation is 0 or 1, and equals 1 exactly when p = floor(n/k + 1) for
@@ -208,8 +210,7 @@ def sigma_ratio_valuation(n: int, p: int, table: PrimeTable | None = None) -> Va
     return ValuationRecord(n=n, p=p, valuation=v_digits, witness_k=witness)
 
 
-@dataclass(frozen=True)
-class QuotientPrimes:
+class QuotientPrimes(NamedTuple):
     """Primes of the form floor(n/k + 1) over a k range, with their k's.
 
     The narrow variant takes k <= sqrt(n); the wide one k < sqrt(n+1) + 1.
@@ -247,6 +248,8 @@ def split_sigma_over_factorial(
     first power — this is asserted, not assumed.
     """
     import numpy as np
+
+    from .factored import FactoredNatural
 
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -8,11 +8,13 @@ error.  The CLI maps its check ids onto these functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from . import primes as _primes, sequences, triangle
+from . import primes as _primes, sequences
 from .primes import PrimeTable
-from .products import WeightFunction, multiset_lcms, weighted_prime_product
+
+if TYPE_CHECKING:  # products and triangle are imported by the checks that use them
+    from .products import WeightFunction
 
 
 # prop2/prop3 decide a block of n at once over a (rows, primes) array; the
@@ -23,14 +25,23 @@ _BLOCK_CELLS = 1 << 18
 GRID_MAX_POINTS = 10_000
 
 
-@dataclass
 class CheckResult:
-    """Outcome of one sweep: cases tried, violations found, side data."""
+    """Outcome of one sweep: cases tried, violations found, side data.
 
-    check_id: str
-    cases: int = 0
-    violations: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    Mutable, so unhashable; two results are equal when all fields are.
+    """
+
+    def __init__(self, check_id: str):
+        self.check_id = check_id
+        self.cases = 0
+        self.violations: list[str] = []
+        self.notes: list[str] = []
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    def __repr__(self) -> str:
+        return f"CheckResult({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     @property
     def passed(self) -> bool:
@@ -70,12 +81,20 @@ def check_theorem1(
     xmax: float | None = None,
     table: PrimeTable | None = None,
 ) -> CheckResult:
-    """Prime-side product == multiset-lcm side, over the grid for f."""
+    """Prime-side product == multiset-lcm side, over the grid for f.
+
+    Each point's budget (products._budget) is computed once and given to
+    both sides: the lcm sweep and the prime exponents.
+    """
+    from . import products
+    from .factored import FactoredNatural
+
     res = CheckResult(check_id=f"theorem1[{f.spec}]")
     xs = theorem1_grid(f, xmax)
-    for x, rhs in zip(xs, multiset_lcms(f, xs)):
+    budgets = [products._budget(f, x) for x in xs]
+    for x, budget, rhs in zip(xs, budgets, products._lcms_at(f, budgets)):
         res.cases += 1
-        lhs = weighted_prime_product(f, x, table)
+        lhs = FactoredNatural._trusted(products.prime_exponents(f, budget, table))
         if lhs != rhs:
             res.violations.append(f"f={f.spec} x={x}: product {lhs} != lcm {rhs}")
     return res
@@ -83,6 +102,8 @@ def check_theorem1(
 
 def check_prop1(nmax: int) -> CheckResult:
     """Diagonal divisibility d(n,k) | d(n,k+1) and freezing at k = n."""
+    from . import triangle
+
     res = CheckResult(check_id="prop1")
     # k runs to 2n+1 for the chain and to n+5 for the freeze check
     ks = [range(max(2 * n + 2, n + 6)) for n in range(nmax + 1)]
@@ -101,6 +122,8 @@ def check_prop1(nmax: int) -> CheckResult:
 
 def check_cor2(nmax: int, table: PrimeTable | None = None) -> CheckResult:
     """sigma(n) equals the frozen diagonal q(2n, n)."""
+    from . import triangle
+
     res = CheckResult(check_id="cor2")
     frozen = triangle.diagonals((n, n) for n in range(nmax + 1))
     for n, d in zip(range(nmax + 1), frozen):

@@ -25,7 +25,7 @@ from lcmf.analytics import (
     write_csv,
     write_json,
 )
-from lcmf import analytics, primes
+from lcmf import analytics, cli, primes
 from lcmf.primes import PrimeTable, default_table
 from lcmf.sequences import rho, sigma
 
@@ -43,6 +43,9 @@ def test_enclosure_basics():
     assert 0.6 in e and 0.8 not in e
     with pytest.raises(ValueError):
         Enclosure(1.0, 0.5)
+    assert e == Enclosure(0.5, 0.75) and hash(e) == hash(Enclosure(0.5, 0.75))
+    with pytest.raises(AttributeError):
+        e.lo = 0.8
 
 
 def test_constant_enclosure_wide_cut_contains_reported_value():
@@ -330,6 +333,30 @@ def test_csv_and_json_output(tmp_path, c_mid):
     assert [d["n"] for d in data] == [10, 100, 1000]
     assert data[1]["card_A"] == 4
     assert data[1]["log_sigma"] == recs[1].log_sigma
+
+
+def test_scan_output_fields_in_the_fixed_order(capsys):
+    """The CLI's JSON objects carry the CSV header's names, in its order,
+    with the CSV row's values; the records are immutable."""
+    argv = ["scan", "--grid", "list:1000,70000,5000000", "--nmax", "5000000"]
+    texts = {}
+    for fmt in ("csv", "json"):
+        assert cli.main([*argv, "--format", fmt]) == 0
+        texts[fmt] = capsys.readouterr().out
+    header = "n,log_rho,log_sigma,residual_rho,residual_sigma,card_A,conj2_stat,s1,s2"
+    lines = texts["csv"].splitlines()
+    assert lines[0] == CSV_HEADER == header
+    names = header.split(",")
+    rows = [
+        {k: (int if k in ("n", "card_A") else float)(v) for k, v in zip(names, line.split(","))}
+        for line in lines[1:]
+    ]
+    assert [row["n"] for row in rows] == [1000, 70000, 5000000]
+    assert texts["json"] == json.dumps(rows, indent=1) + "\n"
+    recs = scan([1000, 70000, 5000000])
+    assert [rec.csv_row() for rec in recs] == lines[1:]
+    with pytest.raises(AttributeError):
+        recs[0].card_A = 0
 
 
 def test_s1_bounds_against_count(c_mid):

@@ -136,16 +136,20 @@ def test_scan_stdout_equals_out_file(capsys, tmp_path):
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
-# runs `python -m lcmf.cli ARGS`, then prints which of the heavy modules got loaded
+_HEAVY = ("mpmath", "concurrent.futures.process", "numpy")
+
+# runs `python -m lcmf.cli ARGS`, then prints which of the heavy modules, of
+# dataclasses and inspect, and of lcmf's submodules got loaded
 _IMPORT_PROBE = (
     "import atexit, runpy, sys\n"
-    "heavy = ('mpmath', 'concurrent.futures.process', 'numpy')\n"
-    "atexit.register(lambda: print('loaded:', *[m for m in heavy if m in sys.modules]))\n"
+    f"watched = {_HEAVY + ('dataclasses', 'inspect')!r}\n"
+    "atexit.register(lambda: print('loaded:', *[m for m in watched if m in sys.modules],\n"
+    "                              *sorted(m for m in sys.modules if m.startswith('lcmf.'))))\n"
     "runpy.run_module('lcmf.cli', run_name='__main__', alter_sys=True)\n"
 )
 
 
-def _loaded_heavy_modules(*argv):
+def _loaded_modules(*argv):
     env = dict(os.environ, PYTHONPATH=str(_SRC))
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, *argv],
@@ -153,6 +157,10 @@ def _loaded_heavy_modules(*argv):
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1].split()[1:]
+
+
+def _loaded_heavy_modules(*argv):
+    return [m for m in _loaded_modules(*argv) if m in _HEAVY]
 
 
 def test_startup_imports_no_mpmath_or_process_pool():
@@ -175,9 +183,52 @@ def test_numpy_is_loaded_only_by_the_bulk_array_commands():
         assert _loaded_heavy_modules(*argv) == [], argv
     assert _loaded_heavy_modules("verify", "prop2", "--nmax", "10") == ["numpy"]
     env = dict(os.environ, PYTHONPATH=str(_SRC))
-    probe = "import sys, lcmf; print('numpy' in sys.modules, lcmf.scan.__module__)"
+    probe = (
+        "import sys, lcmf; subs = [m for m in sys.modules if m.startswith('lcmf.')]; "
+        "print(len(subs), 'numpy' in sys.modules, lcmf.scan.__module__)"
+    )
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-    assert proc.stdout.split() == ["False", "lcmf.analytics"], proc.stderr
+    assert proc.stdout.split() == ["0", "False", "lcmf.analytics"], proc.stderr
+
+
+def test_every_public_name_loads_from_its_submodule():
+    import lcmf
+
+    for name in lcmf.__all__:
+        assert getattr(lcmf, name).__module__ == f"lcmf.{lcmf._SUBMODULE[name]}", name
+
+
+# one command of each shape that the benchmark's workloads run, at small sizes
+# (the modules a command loads do not depend on its sizes), and constant
+_WORKLOAD_COMMANDS = [
+    ["scan", "--grid", "list:1000,70000,5000000", "--nmax", "5000000", "--workers", "1"],
+    ["scan", "--grid", "step:1", "--nmax", "1100", "--workers", "1", "--n", "1000"],
+    *(["verify", check, "--nmax", "50"] for check in ("prop2", "prop3", "theorem2", "eq14-16")),
+    ["compute", "rho", "1200"], ["compute", "sigma", "5816"],
+    *(["verify", "theorem1", "--f", f, "--xmax", "4"] for f in ("m", "m-1", "m^1.5", "log")),
+    ["verify", "prop1", "--nmax", "5"], ["verify", "cor2", "--nmax", "8"],
+    ["compute", "q", "72", "37"],
+    *(["compute", "pif", "--f", f, "--x", "35.75"] for f in ("m", "m-1")),
+    ["triangle", "--nmax", "6"],
+    ["constant", "--tail-cut", "1000"],
+]
+
+
+def test_each_command_loads_only_its_own_modules():
+    for argv in _WORKLOAD_COMMANDS:
+        loaded = set(_loaded_modules(*argv))
+        name = " ".join(argv[:2]) if argv[0] in ("compute", "verify") else argv[0]
+        assert "dataclasses" not in loaded, argv
+        # numpy's own import loads inspect (numpy._core.overrides); nothing else may
+        assert "inspect" not in loaded or "numpy" in loaded, argv
+        if name in ("compute rho", "compute sigma", "compute pif", "verify theorem1"):
+            assert "lcmf.triangle" not in loaded, argv
+        if name in ("compute rho", "compute sigma", "compute pif"):
+            assert "lcmf.verify" not in loaded, argv
+        if name in ("compute q", "triangle"):
+            assert not loaded & {"lcmf.verify", "lcmf.sequences"}, argv
+        reads_analytics = name in ("scan", "constant", "verify eq14-16")
+        assert ("lcmf.analytics" in loaded) == reads_analytics, argv
 
 
 def test_internal_value_error_is_an_error_not_usage(capsys, monkeypatch):

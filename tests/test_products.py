@@ -47,6 +47,22 @@ def test_weight_parse_roundtrip():
         WeightFunction("m^a")  # missing alpha
 
 
+def test_weight_is_an_immutable_hashable_value():
+    assert WeightFunction.parse("m^2") == WeightFunction.power(2)
+    assert hash(WeightFunction.parse("m^2")) == hash(WeightFunction.power(2))
+    assert WeightFunction.parse("m^2.5") != WeightFunction.power(2)
+    assert len({WeightFunction.parse(spec) for spec in ("m", "m", "log", "m-1", "log")}) == 3
+    f = WeightFunction.linear()
+    with pytest.raises(AttributeError):
+        f.kind = "log"
+    with pytest.raises(AttributeError):
+        f.alpha = 2
+    assert f == WeightFunction("m")
+    for kind, alpha in (("m", 2), ("log", 1.5), ("m^a", 0.5), ("m+1", None)):
+        with pytest.raises(ValueError):
+            WeightFunction(kind, alpha)
+
+
 def test_hypothesis_catalog_passes():
     for f in CATALOG:
         report = check_hypothesis(f, 100)
