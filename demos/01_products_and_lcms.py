@@ -29,7 +29,7 @@ def main():
     print("== admissibility reports (finite-range falsifier) ==")
     for f in CATALOG:
         report = check_hypothesis(f, 200)
-        print(f"  f = {f.spec:5s}  passed={report.passed}  fast_path={report.fast_path}")
+        print(f"  f = {f.spec:5s}  passed={report.passed}  divisor pairs={report.cases}")
 
     class Dip:
         """A deliberately inadmissible weight: f(4) dips below f(2)."""

@@ -14,9 +14,7 @@ _SUBMODULE = {
     "default_table": "primes",
     "digit_sum": "primes",
     "factorial_valuation": "primes",
-    "HypothesisReport": "products",
     "WeightFunction": "products",
-    "check_hypothesis": "products",
     "multiset_lcm": "products",
     "weighted_prime_product": "products",
     "diagonal": "triangle",
@@ -37,6 +35,7 @@ _SUBMODULE = {
     "scan": "analytics",
     "theta_sum_rho": "analytics",
     "theta_sum_sigma": "analytics",
+    "check_hypothesis": "verify",
 }
 
 __all__ = sorted(_SUBMODULE)

@@ -468,7 +468,9 @@ def scan(
         raise ValueError("scan grid must be nonempty with n >= 1")
     t = _primes._table(table)
     top = ns[-1]
-    _primes.require_memory(_LUCY_BYTES_PER_ROOT * math.isqrt(top), f"a scan row at n = {top}")
+    rows = min(max(workers, 1), len(ns))  # the rows _scan_direct may hold at once
+    what = f"a scan row at n = {top}" if rows == 1 else f"{rows} scan rows at once up to n = {top}"
+    _primes.require_memory(rows * _LUCY_BYTES_PER_ROOT * math.isqrt(top), what)
     # a table row needs the table to n + 2, a Lucy row to sqrt(n) + 2
     t.ensure(max([n + 2 for n in ns if n < LUCY_THRESHOLD] + [math.isqrt(top) + 2]))
     if c is None:

@@ -68,9 +68,11 @@ def _cmd_compute(args) -> int:
 
 
 def _rho_sigma(args):
-    from . import sequences
+    """rho(n) or sigma(n): the prime side at the weight m or m-1, at x = n."""
+    from .products import WeightFunction, weighted_prime_product
 
-    return getattr(sequences, args.target)(args.ints[0])
+    f = WeightFunction.linear() if args.target == "rho" else WeightFunction.shifted()
+    return weighted_prime_product(f, args.ints[0])
 
 
 def _q(args):

@@ -16,7 +16,6 @@ is the rho and sigma sequences of the sequences module.
 from __future__ import annotations
 
 import bisect
-import decimal
 import math
 import operator
 import sys
@@ -113,91 +112,6 @@ class WeightFunction(_Weight):
         return float(m) ** self.alpha
 
 
-# -- admissibility check -------------------------------------------------------
-
-
-class HypothesisReport:
-    """Finite-range falsifier result for the nondecreasing-ratio condition.
-
-    The condition: f(n)/log(n) must not decrease along any divisor pair
-    a | b with 2 <= a < b <= checked_bound.  A passing report is evidence
-    up to the bound, not a proof.  violations lists the failing pairs (a, b);
-    fast_path names the shortcut that settled the check, if one did.
-    Mutable, so unhashable; two reports are equal when all fields are.
-    """
-
-    def __init__(self, weight_spec: str, checked_bound: int):
-        self.weight_spec = weight_spec
-        self.checked_bound = checked_bound
-        self.divisor_pairs_checked = 0
-        self.violations: list[tuple[int, int]] = []
-        self.fast_path: str | None = None
-
-    def __eq__(self, other):
-        return type(other) is type(self) and vars(other) == vars(self)
-
-    def __repr__(self) -> str:
-        return f"HypothesisReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-_REL_SLACK = 1e-12  # float comparisons treat near-ties as nondecreasing
-
-
-def _weight_callable(f) -> Callable[[int], float]:
-    if isinstance(f, WeightFunction):
-        return f.value
-    if callable(f):
-        return f
-    return f.value  # duck-typed weight object
-
-
-def _nondecreasing(values: list[float]) -> bool:
-    return all(b >= a * (1 - _REL_SLACK) for a, b in zip(values, values[1:]))
-
-
-def check_hypothesis(f, bound: int) -> HypothesisReport:
-    """Check the admissibility condition for f up to a finite bound.
-
-    Fast paths: if f(n)/n is nondecreasing on [2, bound] the condition holds
-    outright; failing that, it also holds when f(n)/log(n) is nondecreasing
-    on [3, bound] and does not drop from n=2 to n=4.  Otherwise every divisor
-    pair is checked explicitly and failures are returned as data.
-    """
-    if bound < 4:
-        raise ValueError("bound must be >= 4")
-    spec = f.spec if isinstance(f, WeightFunction) else getattr(f, "spec", repr(f))
-    fv = _weight_callable(f)
-    vals = {m: float(fv(m)) for m in range(2, bound + 1)}
-    for m, v in vals.items():
-        if v <= 0:
-            raise ValueError(f"weight must be positive on m >= 2, got f({m}) = {v}")
-
-    report = HypothesisReport(weight_spec=spec, checked_bound=bound)
-
-    if _nondecreasing([vals[m] / m for m in range(2, bound + 1)]):
-        report.fast_path = "ratio-monotone"
-        return report
-
-    tilde = {m: vals[m] / math.log(m) for m in range(2, bound + 1)}
-    if (
-        _nondecreasing([tilde[m] for m in range(3, bound + 1)])
-        and tilde[2] <= tilde[4] * (1 + _REL_SLACK)
-    ):
-        report.fast_path = "tilde-monotone-from-3"
-        return report
-
-    for b in range(4, bound + 1):
-        for a in _primes.divisors(b)[1:-1]:  # proper divisors >= 2
-            report.divisor_pairs_checked += 1
-            if tilde[a] > tilde[b] * (1 + _REL_SLACK):
-                report.violations.append((a, b))
-    return report
-
-
 # -- exact boundary helpers ------------------------------------------------------
 
 
@@ -218,6 +132,8 @@ def exp_floor(x: float) -> int:
         raise ValueError(f"x must be in [0, {_EXP_X_MAX!r}] for floor(e**x), got {x!r}")
     if x == 0:
         return 1
+    import decimal  # only the log weight's budget needs it
+
     prec = int(x / math.log(10)) + 20  # the integer digits and 19 more
     while True:
         ctx = decimal.Context(prec=prec)

@@ -2,7 +2,8 @@
 
 Each checker sweeps a parameter range, returns every violation as data, and
 never raises on a mathematical failure — a violation is a finding, not an
-error.  The CLI maps its check ids onto these functions.
+error.  The CLI maps its check ids onto these functions; check_hypothesis,
+which takes any weight, is the library's.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import math
 from typing import TYPE_CHECKING
 
 from . import primes as _primes, sequences
-from .primes import PrimeTable
 
 if TYPE_CHECKING:  # products and triangle are imported by the checks that use them
     from .products import WeightFunction
@@ -48,6 +48,38 @@ class CheckResult:
         return not self.violations
 
 
+def check_hypothesis(f, bound: int) -> CheckResult:
+    """Theorem 1's condition on the weight f, falsified up to bound.
+
+    The condition: f(n)/log(n) must not decrease along any divisor pair
+    a | b with 2 <= a < b <= bound.  Each pair is one case, taken b ascending,
+    then a; a drop by more than a relative 1e-12 is a violation naming a and
+    b.  A pass is evidence up to the bound, not a proof.  f is a
+    WeightFunction, any object with value(m) and spec, or a callable.
+    """
+    if bound < 4:
+        raise ValueError("bound must be >= 4")
+    value = f if callable(f) else f.value
+    ratio = [0.0, 0.0]  # f(m) / log(m) from m = 2 on
+    for m in range(2, bound + 1):
+        v = float(value(m))
+        if v <= 0:
+            raise ValueError(f"weight must be positive on m >= 2, got f({m}) = {v}")
+        ratio.append(v / math.log(m))
+    proper = [[] for _ in range(bound + 1)]  # the divisors 2 <= a < b of b, ascending
+    for a in range(2, bound // 2 + 1):
+        for b in range(2 * a, bound + 1, a):
+            proper[b].append(a)
+    res = CheckResult(check_id=f"hypothesis[{getattr(f, 'spec', repr(f))}]")
+    for b, divs in enumerate(proper):
+        for a in divs:
+            res.cases += 1
+            if ratio[a] > ratio[b] * (1 + 1e-12):
+                drop = f"f/log drops from {ratio[a]:.6g} to {ratio[b]:.6g}"
+                res.violations.append(f"{a} | {b}: {drop}")
+    return res
+
+
 def theorem1_grid(f: WeightFunction, xmax: float | None = None) -> list:
     """The x grid used for the product-vs-lcm equivalence sweep.
 
@@ -76,11 +108,7 @@ def theorem1_grid(f: WeightFunction, xmax: float | None = None) -> list:
     return [i / 2 for i in range(steps + 1)]
 
 
-def check_theorem1(
-    f: WeightFunction,
-    xmax: float | None = None,
-    table: PrimeTable | None = None,
-) -> CheckResult:
+def check_theorem1(f: WeightFunction, xmax: float | None = None) -> CheckResult:
     """Prime-side product == multiset-lcm side, over the grid for f.
 
     Each point's budget (products._budget) is computed once and given to
@@ -94,7 +122,7 @@ def check_theorem1(
     budgets = [products._budget(f, x) for x in xs]
     for x, budget, rhs in zip(xs, budgets, products._lcms_at(f, budgets)):
         res.cases += 1
-        lhs = FactoredNatural._trusted(products.prime_exponents(f, budget, table))
+        lhs = FactoredNatural._trusted(products.prime_exponents(f, budget))
         if lhs != rhs:
             res.violations.append(f"f={f.spec} x={x}: product {lhs} != lcm {rhs}")
     return res
@@ -120,7 +148,7 @@ def check_prop1(nmax: int) -> CheckResult:
     return res
 
 
-def check_cor2(nmax: int, table: PrimeTable | None = None) -> CheckResult:
+def check_cor2(nmax: int) -> CheckResult:
     """sigma(n) equals the frozen diagonal q(2n, n)."""
     from . import triangle
 
@@ -128,13 +156,14 @@ def check_cor2(nmax: int, table: PrimeTable | None = None) -> CheckResult:
     frozen = triangle.diagonals((n, n) for n in range(nmax + 1))
     for n, d in zip(range(nmax + 1), frozen):
         res.cases += 1
-        if sequences.sigma(n, table) != d:
+        if sequences.sigma(n) != d:
             res.violations.append(f"sigma({n}) != q({2*n},{n})")
     return res
 
 
-def _flag_sweep(check_id: str, nmax: int, flags, messages, bound: int, t) -> CheckResult:
-    """One case per n <= nmax and one violation per False column of flags(ns, t).
+def _flag_sweep(check_id: str, nmax: int, flags, messages, bound: int) -> CheckResult:
+    """One case per n <= nmax and one violation per False column of flags(ns, t),
+    t the default prime table.
 
     n runs in consecutive blocks whose rows times the primes up to bound (the
     widest block's columns) stay within _BLOCK_CELLS.
@@ -142,6 +171,7 @@ def _flag_sweep(check_id: str, nmax: int, flags, messages, bound: int, t) -> Che
     import numpy as np
 
     res = CheckResult(check_id=check_id)
+    t = _primes.default_table()
     rows = max(1, _BLOCK_CELLS // max(1, len(t.primes_up_to(bound))))
     for lo in range(0, nmax + 1, rows):
         ns = np.arange(lo, min(lo + rows, nmax + 1), dtype=np.int64)
@@ -151,24 +181,22 @@ def _flag_sweep(check_id: str, nmax: int, flags, messages, bound: int, t) -> Che
     return res
 
 
-def check_prop2(nmax: int, table: PrimeTable | None = None) -> CheckResult:
+def check_prop2(nmax: int) -> CheckResult:
     names = ("chain", "divides-factorial", "factorial-sandwich", "odd-doubling")
     messages = [f"{name} fails" for name in names]
     bound = max(2 * nmax, nmax + 2, 2)
-    return _flag_sweep("prop2", nmax, sequences.chain_flags, messages, bound, _primes._table(table))
+    return _flag_sweep("prop2", nmax, sequences.chain_flags, messages, bound)
 
 
-def check_prop3(nmax: int, table: PrimeTable | None = None) -> CheckResult:
+def check_prop3(nmax: int) -> CheckResult:
     messages = ["(n+1)! does not divide sigma(n)", "sigma(n) does not divide n! lcm(1..n+1)"]
-    return _flag_sweep(
-        "prop3", nmax, sequences.sandwich_flags, messages, nmax + 1, _primes._table(table)
-    )
+    return _flag_sweep("prop3", nmax, sequences.sandwich_flags, messages, nmax + 1)
 
 
-def check_theorem2(nmax: int, table: PrimeTable | None = None) -> CheckResult:
+def check_theorem2(nmax: int) -> CheckResult:
     """Dual-route valuations agree and stay in {0, 1} for all in-range primes."""
     res = CheckResult(check_id="theorem2")
-    t = _primes._table(table)
+    t = _primes.default_table()
     t.ensure(nmax + 2)
     for n in range(1, nmax + 1):
         wide = sequences.quotient_primes(n, wide=True, table=t).members
@@ -186,9 +214,7 @@ def check_theorem2(nmax: int, table: PrimeTable | None = None) -> CheckResult:
     return res
 
 
-def check_theta_identities(
-    nmax: int, points: int = 1000, table: PrimeTable | None = None
-) -> CheckResult:
+def check_theta_identities(nmax: int, points: int = 1000) -> CheckResult:
     """Theta-sum forms of log rho / log sigma and the quotient log gap.
 
     Absolute tolerance 1e-6 * max(1, n) per identity per grid point.
@@ -196,7 +222,7 @@ def check_theta_identities(
     from . import analytics  # numpy-backed, so imported only by the checks that use it
 
     res = CheckResult(check_id="eq14-16")
-    t = _primes._table(table)
+    t = _primes.default_table()
     t.ensure(nmax + 2)
     grid = sorted(set(max(1, (i * nmax) // points) for i in range(1, points + 1)))
     for n in grid:
@@ -214,10 +240,10 @@ def check_theta_identities(
     return res
 
 
-def check_split(nmax: int, table: PrimeTable | None = None) -> CheckResult:
+def check_split(nmax: int) -> CheckResult:
     """sigma(n)/n! splits exactly at sqrt(n+1); reports sup of small log / sqrt(n)."""
     res = CheckResult(check_id="split")
-    t = _primes._table(table)
+    t = _primes.default_table()
     t.ensure(nmax + 2)
     sup = 0.0
     sup_n = 1

@@ -122,6 +122,20 @@ def test_scan_row_over_physical_memory_is_an_error(capsys, monkeypatch):
     assert primes._default_table.limit == 4  # refused before the table grew
 
 
+def test_concurrent_scan_rows_over_physical_memory_are_an_error(capsys, monkeypatch):
+    # on an 8 GiB machine one row at 2^52 fits (about 7.8 GiB) and two do not,
+    # so two workers are refused before any row runs
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1 << 21, "SC_PAGE_SIZE": 4096}.get)
+    monkeypatch.setattr(primes, "_default_table", primes.PrimeTable())
+    n = 1 << 52
+    grid = f"list:{n - 1},{n}"
+    code, out, err = run_cli(capsys, "scan", "--grid", grid, "--nmax", str(n), "--workers", "2")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: 2 scan rows at once up to n = {n} needs about 15.6 GiB")
+    assert "memory" in err
+    assert primes._default_table.limit == 4
+
+
 def test_scan_stdout_equals_out_file(capsys, tmp_path):
     args = ["scan", "--grid", "list:100,5000,20000", "--nmax", "20000"]
     heads = {"csv": "n,log_rho,log_sigma,", "json": '[\n {\n  "n": 100,\n  "log_rho": '}
@@ -139,10 +153,10 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 _HEAVY = ("mpmath", "concurrent.futures.process", "numpy")
 
 # runs `python -m lcmf.cli ARGS`, then prints which of the heavy modules, of
-# dataclasses and inspect, and of lcmf's submodules got loaded
+# dataclasses, inspect and decimal, and of lcmf's submodules got loaded
 _IMPORT_PROBE = (
     "import atexit, runpy, sys\n"
-    f"watched = {_HEAVY + ('dataclasses', 'inspect')!r}\n"
+    f"watched = {_HEAVY + ('dataclasses', 'inspect', 'decimal')!r}\n"
     "atexit.register(lambda: print('loaded:', *[m for m in watched if m in sys.modules],\n"
     "                              *sorted(m for m in sys.modules if m.startswith('lcmf.'))))\n"
     "runpy.run_module('lcmf.cli', run_name='__main__', alter_sys=True)\n"
@@ -225,10 +239,13 @@ def test_each_command_loads_only_its_own_modules():
             assert "lcmf.triangle" not in loaded, argv
         if name in ("compute rho", "compute sigma", "compute pif"):
             assert "lcmf.verify" not in loaded, argv
-        if name in ("compute q", "triangle"):
+        if name in ("compute q", "triangle", "compute rho", "compute sigma"):
             assert not loaded & {"lcmf.verify", "lcmf.sequences"}, argv
+        if name in ("compute rho", "compute sigma"):  # only the log weight needs decimal
+            assert "decimal" not in loaded, argv
         reads_analytics = name in ("scan", "constant", "verify eq14-16")
         assert ("lcmf.analytics" in loaded) == reads_analytics, argv
+    assert "decimal" in _loaded_modules("compute", "pif", "--f", "log", "--x", "3")
 
 
 def test_internal_value_error_is_an_error_not_usage(capsys, monkeypatch):

@@ -1,6 +1,11 @@
 import math
+import os
+import random
+import re
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +13,6 @@ from lcmf import primes, verify
 from lcmf.factored import FactoredNatural
 from lcmf.products import (
     WeightFunction,
-    check_hypothesis,
     exp_floor,
     multiset_lcm,
     multiset_lcms,
@@ -17,6 +21,7 @@ from lcmf.products import (
 )
 from lcmf.sequences import sigma
 from lcmf.triangle import q, qs, rows
+from lcmf.verify import check_hypothesis
 
 from oracles import naive_weighted_lcm, trial_primes
 
@@ -63,26 +68,83 @@ def test_weight_is_an_immutable_hashable_value():
             WeightFunction(kind, alpha)
 
 
+class Dip:
+    """Inadmissible: f(2)/log 2 exceeds f(b)/log b at b = 4, 6 and 8."""
+
+    spec = "dip"
+
+    @staticmethod
+    def value(m):
+        return {2: 3.0, 4: 1.0}.get(m, float(m))
+
+
+class Bump:
+    """Admissible, although f(m)/m dips at 4 and f(m)/log m from 3 to 4:
+    3 and 4 divide neither each other nor 2."""
+
+    spec = "bump"
+
+    @staticmethod
+    def value(m):
+        return 3.5 if m == 3 else float(m)
+
+
+def _violating_pairs(result) -> list[tuple[int, int]]:
+    return [tuple(map(int, re.match(r"(\d+) \| (\d+): ", v).groups())) for v in result.violations]
+
+
+def _brute_force_hypothesis(value, bound: int):
+    """(pairs checked, failing pairs (a, b)) over every a < b with b % a == 0."""
+    ratio = {m: float(value(m)) / math.log(m) for m in range(2, bound + 1)}
+    pairs = [(a, b) for b in range(2, bound + 1) for a in range(2, b) if b % a == 0]
+    return len(pairs), [(a, b) for a, b in pairs if ratio[a] > ratio[b] * (1 + 1e-12)]
+
+
 def test_hypothesis_catalog_passes():
     for f in CATALOG:
         report = check_hypothesis(f, 100)
         assert report.passed, f.spec
-        assert report.fast_path is not None
+        assert report.check_id == f"hypothesis[{f.spec}]"
+        assert report.cases == 283  # the pairs a | b with 2 <= a < b <= 100
 
 
 def test_hypothesis_counterexample():
-    class Dip:
-        spec = "dip"
-
-        @staticmethod
-        def value(m):
-            return {2: 3.0, 4: 1.0}.get(m, float(m))
-
     report = check_hypothesis(Dip(), 50)
-    assert not report.passed
-    assert (2, 4) in report.violations
-    assert report.fast_path is None
-    assert report.divisor_pairs_checked > 0
+    assert not report.passed and report.check_id == "hypothesis[dip]"
+    assert _violating_pairs(report) == [(2, 4), (2, 6), (2, 8)]
+    assert report.cases == 108
+    with pytest.raises(ValueError, match="bound must be >= 4"):
+        check_hypothesis(Dip(), 3)
+    with pytest.raises(ValueError, match="positive"):
+        check_hypothesis(lambda m: m - 2.0, 10)
+
+
+def test_hypothesis_matches_a_brute_force_oracle():
+    rng = random.Random(13)
+    jitter = {m: m * rng.uniform(0.5, 1.5) for m in range(2, 301)}  # a perturbation of m
+    weights = [(f, f.value, bound) for f in CATALOG for bound in (4, 200)]
+    weights += [(Dip(), Dip.value, 50), (Bump(), Bump.value, 60)]
+    weights += [(jitter.__getitem__, jitter.__getitem__, 300)]
+    for f, value, bound in weights:
+        report = check_hypothesis(f, bound)
+        assert (report.cases, _violating_pairs(report)) == _brute_force_hypothesis(value, bound)
+    assert len(report.violations) > 20  # the perturbation fails at many pairs, in many a
+
+
+def test_hypothesis_check_loads_no_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys, lcmf\n"
+        "class Dip:\n"
+        "    spec = 'dip'\n"
+        "    value = staticmethod(lambda m: {2: 3.0, 4: 1.0}.get(m, float(m)))\n"
+        "print(lcmf.check_hypothesis(Dip(), 50).passed, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.stdout.split() == ["False", "False"], proc.stderr
 
 
 def test_prime_product_trivial_and_small():
@@ -246,13 +308,9 @@ def test_exp_floor_doubles_a_precision_that_is_too_small(monkeypatch):
     # each precision exp_floor asks decimal for is cut to a sixteenth, so it
     # must see the neighbours straddle an integer and try again
     import decimal
-    from lcmf import products
 
-    class Starved:
-        Context = staticmethod(lambda prec: decimal.Context(prec=max(1, prec // 16)))
-        Decimal = decimal.Decimal
-
-    monkeypatch.setattr(products, "decimal", Starved)
+    context = decimal.Context
+    monkeypatch.setattr(decimal, "Context", lambda prec: context(prec=max(1, prec // 16)))
     for x in (1.0, math.log(7), math.nextafter(math.log(7), 0.0), 40.0, 300.5, 709.0):
         assert exp_floor(x) == _exp_floor_oracle(x), x
 
@@ -324,19 +382,10 @@ def test_check_theorem1_at_m_to_the_2_5():
 
 
 def test_hypothesis_full_scan_can_pass():
-    # breaks both fast paths (ratio dips at 4, tilde dips from 3 to 4) while
-    # every divisor pair is still nondecreasing: the slow path must pass
-    class Bump:
-        spec = "bump"
-
-        @staticmethod
-        def value(m):
-            return 3.5 if m == 3 else float(m)
-
+    # f(m)/log m is not monotone, yet it does not decrease along any divisor pair
     report = check_hypothesis(Bump(), 60)
     assert report.passed
-    assert report.fast_path is None
-    assert report.divisor_pairs_checked > 50
+    assert report.cases == 142
 
 
 def test_equivalence_spot_checks_beyond_grid():
