@@ -133,22 +133,21 @@ def log_sigma(n: int, table: PrimeTable | None = None) -> float:
 
 def _quotients(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(small, large, mult): n // k for k <= r = isqrt(n), then each v <= n // (r+1)
-    with mult = n // v - n // (v+1), the number of k (all > r) with n // k == v."""
+    with mult = n // v - n // (v+1), the number of k (all > r) with n // k == v.
+
+    One division gives all three: top = n // (r+1) is r - 1 or r, so
+    q = n // k for k = 1..top+1 holds the small quotients, and the k it
+    divides by are the large ones."""
     r = math.isqrt(n)
-    small = n // np.arange(1, r + 1, dtype=np.int64)
-    large = np.arange(1, n // (r + 1) + 1, dtype=np.int64)
-    return small, large, n // large - n // (large + 1)
+    top = n // (r + 1)
+    ks = np.arange(1, top + 2, dtype=np.int64)
+    q = n // ks
+    return q[:r], ks[:top], q[:top] - q[1:]
 
 
 def _quotient_sum(quotients, at_small: np.ndarray, at_large: np.ndarray) -> float:
     """Sum over k = 1..n of g(n // k), from g at the small and at the large quotients."""
-    return float(np.sum(at_small) + np.sum(quotients[2] * at_large))
-
-
-def _theta_sum(t: PrimeTable, quotients, shift: int) -> float:
-    """Sum over k = 1..n of theta(n // k + shift), from the table's theta prefix."""
-    small, large, _ = quotients
-    return _quotient_sum(quotients, t.theta_many(small + shift), t.theta_many(large + shift))
+    return float(np.add.reduce(at_small) + np.add.reduce(quotients[2] * at_large))
 
 
 def _prime_quotients(quotients, small_prime, large_prime) -> tuple[int, float, float]:
@@ -157,23 +156,40 @@ def _prime_quotients(quotients, small_prime, large_prime) -> tuple[int, float, f
     hits = small[small_prime] + 1
     return (
         len(hits),
-        float(np.sum(np.log(hits))),
-        float(np.sum(mult[large_prime] * np.log(large[large_prime] + 1))),
+        float(np.add.reduce(np.log(hits))),
+        float(np.add.reduce(mult[large_prime] * np.log(large[large_prime] + 1))),
     )
 
 
-def _table_prime_quotients(t: PrimeTable, n: int, quotients) -> tuple[int, float, float]:
-    small, large, _ = quotients
-    mask = t.prime_mask(n + 2)
-    return _prime_quotients(quotients, mask[small + 1], mask[large + 1])
+def _table_row(n: int, t: PrimeTable) -> tuple[float, float, int, float, float]:
+    """(log_rho, log_sigma, card_A, s1, s2) of n from the prime table, grown to n + 2.
+
+    log rho and log sigma are the sums over k of theta(n // k) and of
+    theta(n // k + 1).  pi at the small quotients v takes one search of the
+    primes, and pi(v + 1) = pi(v) + [v + 1 prime]; pi at every large
+    quotient, v <= top = n // (isqrt(n) + 1), and at v + 1 is one running
+    count of the bitmap to top + 1.  theta is the prefix at pi.
+    """
+    mask = t.prime_mask(n + 2)  # first: it may grow the table
+    _, primes, prefix = t._derived()
+    quotients = small, large, _ = _quotients(n)
+    at = primes.searchsorted(small, side="right")
+    small_prime = mask[small + 1]
+    pi = np.cumsum(mask[: len(large) + 2])  # pi(v) for v <= top + 1
+    large_prime = mask[2 : len(large) + 2]  # v + 1 prime, for v = 1..top
+    return (
+        _quotient_sum(quotients, prefix[at], prefix[pi[1:-1]]),
+        _quotient_sum(quotients, prefix[at + small_prime], prefix[pi[2:]]),
+        *_prime_quotients(quotients, small_prime, large_prime),
+    )
 
 
 # -- Lucy's sieve ---------------------------------------------------------------------
 
 # Scan rows for n >= LUCY_THRESHOLD come from Lucy's sieve, rows below it from
-# the prime table.  At 2^22 a Lucy row takes about 5 ms and a table row 1 ms,
-# but only after a table up to n + 2, which takes 22 ms to build and holds
-# 1 + 16 / ln n bytes per integer.  Dense step:1 windows near 2^20 stay on the
+# the prime table.  At 2^22 a Lucy row takes about 4 ms and a table row 0.13 ms
+# (2-vCPU VM), but only after a table up to n + 2, which takes 28 ms to build
+# and holds 1 + 16 / ln n bytes per integer.  Dense step:1 windows near 2^20 stay on the
 # table.  The route depends on n alone, so a row is the same whatever the grid.
 LUCY_THRESHOLD = 1 << 22
 _PREFILTER_PRIMES = 32  # trial-divide by this many primes before Miller-Rabin
@@ -317,18 +333,14 @@ def theta_sum_rho(n: int, table: PrimeTable | None = None) -> float:
     """Sum over k = 1..n of theta(n / k); identical to log rho(n) exactly."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    t = _primes._table(table)
-    t.ensure(n + 1)
-    return _theta_sum(t, _quotients(n), 0)
+    return _table_row(n, _primes._table(table))[0]
 
 
 def theta_sum_sigma(n: int, table: PrimeTable | None = None) -> float:
     """Sum over k = 1..n of theta(n / k + 1); identical to log sigma(n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    t = _primes._table(table)
-    t.ensure(n + 2)
-    return _theta_sum(t, _quotients(n), 1)
+    return _table_row(n, _primes._table(table))[1]
 
 
 def s_split(n: int, table: PrimeTable | None = None) -> tuple[float, float, float]:
@@ -340,7 +352,7 @@ def s_split(n: int, table: PrimeTable | None = None) -> tuple[float, float, floa
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _, s1, s2 = _table_prime_quotients(_primes._table(table), n, _quotients(n))
+    *_, s1, s2 = _table_row(n, _primes._table(table))
     return s1 + s2, s1, s2
 
 
@@ -348,7 +360,7 @@ def quotient_prime_count(n: int, table: PrimeTable | None = None) -> int:
     """Number of k <= sqrt(n) for which floor(n/k + 1) is prime (card_A)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _table_prime_quotients(_primes._table(table), n, _quotients(n))[0]
+    return _table_row(n, _primes._table(table))[2]
 
 
 # -- scans --------------------------------------------------------------------------
@@ -384,16 +396,14 @@ def _record(n: int, c: float, t: PrimeTable) -> ScanRecord:
     n // k + 1 with k <= sqrt(n) from _prime_flags, so the table only needs
     to reach sqrt(n) + 2.
     """
-    quotients = small, large, _ = _quotients(n)
     if n < LUCY_THRESHOLD:
-        t.ensure(n + 2)
-        lr, ls = _theta_sum(t, quotients, 0), _theta_sum(t, quotients, 1)
-        card, s1, s2 = _table_prime_quotients(t, n, quotients)
+        lr, ls, card, s1, s2 = _table_row(n, t)
     else:
         t.ensure(math.isqrt(n) + 2)
+        quotients = small, large, _ = _quotients(n)
         _, (at_small, at_large) = _lucy(n, t, quotients)
         small_prime = _prime_flags(small + 1, t.primes_up_to(len(small))[:_PREFILTER_PRIMES])
-        large_prime = t.prime_mask(len(small) + 1)[large + 1]
+        large_prime = t.prime_mask(len(small) + 1)[2 : len(large) + 2]
         lr = _quotient_sum(quotients, at_small, at_large)
         # theta(v + 1) = theta(v) + log(v + 1) when v + 1 is prime
         ls = _quotient_sum(

@@ -8,12 +8,14 @@ which takes any weight, is the library's.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from typing import TYPE_CHECKING
 
-from . import primes as _primes, sequences
+from . import primes as _primes
 
-if TYPE_CHECKING:  # products and triangle are imported by the checks that use them
+if TYPE_CHECKING:  # products, sequences and triangle are imported by the checks that use them
     from .products import WeightFunction
 
 
@@ -55,7 +57,8 @@ def check_hypothesis(f, bound: int) -> CheckResult:
     a | b with 2 <= a < b <= bound.  Each pair is one case, taken b ascending,
     then a; a drop by more than a relative 1e-12 is a violation naming a and
     b.  A pass is evidence up to the bound, not a proof.  f is a
-    WeightFunction, any object with value(m) and spec, or a callable.
+    WeightFunction, any object with value(m) and spec, or a callable.  The
+    check_id names f by its spec, else by its (or its type's) __qualname__.
     """
     if bound < 4:
         raise ValueError("bound must be >= 4")
@@ -70,7 +73,8 @@ def check_hypothesis(f, bound: int) -> CheckResult:
     for a in range(2, bound // 2 + 1):
         for b in range(2 * a, bound + 1, a):
             proper[b].append(a)
-    res = CheckResult(check_id=f"hypothesis[{getattr(f, 'spec', repr(f))}]")
+    name = getattr(f, "spec", None) or getattr(f, "__qualname__", type(f).__qualname__)
+    res = CheckResult(check_id=f"hypothesis[{name}]")
     for b, divs in enumerate(proper):
         for a in divs:
             res.cases += 1
@@ -150,7 +154,7 @@ def check_prop1(nmax: int) -> CheckResult:
 
 def check_cor2(nmax: int) -> CheckResult:
     """sigma(n) equals the frozen diagonal q(2n, n)."""
-    from . import triangle
+    from . import sequences, triangle
 
     res = CheckResult(check_id="cor2")
     frozen = triangle.diagonals((n, n) for n in range(nmax + 1))
@@ -182,6 +186,8 @@ def _flag_sweep(check_id: str, nmax: int, flags, messages, bound: int) -> CheckR
 
 
 def check_prop2(nmax: int) -> CheckResult:
+    from . import sequences
+
     names = ("chain", "divides-factorial", "factorial-sandwich", "odd-doubling")
     messages = [f"{name} fails" for name in names]
     bound = max(2 * nmax, nmax + 2, 2)
@@ -189,23 +195,36 @@ def check_prop2(nmax: int) -> CheckResult:
 
 
 def check_prop3(nmax: int) -> CheckResult:
+    from . import sequences
+
     messages = ["(n+1)! does not divide sigma(n)", "sigma(n) does not divide n! lcm(1..n+1)"]
     return _flag_sweep("prop3", nmax, sequences.sandwich_flags, messages, nmax + 1)
 
 
 def check_theorem2(nmax: int) -> CheckResult:
-    """Dual-route valuations agree and stay in {0, 1} for all in-range primes."""
+    """Dual-route valuations agree and stay in {0, 1} for all in-range primes.
+
+    The cases are the pairs (n, p) with sqrt(n+1) < p <= n+1.  The digit
+    route's valuation is (n mod p + n div p) // (p - 1); the witness route's
+    is 1 when p is a wide quotient prime of n, else 0.  Each n's pairs are
+    walked one by one only when the two routes' sets of primes differ or a
+    digit valuation exceeds 1.
+    """
+    from . import sequences
+
     res = CheckResult(check_id="theorem2")
     t = _primes.default_table()
     t.ensure(nmax + 2)
+    primes = t.prime_list(nmax + 1)
     for n in range(1, nmax + 1):
+        lo, hi = bisect.bisect_right(primes, math.isqrt(n + 1)), bisect.bisect_right(primes, n + 1)
+        ps = primes[lo:hi]
+        res.cases += len(ps)
         wide = sequences.quotient_primes(n, wide=True, table=t).members
-        for p in t.prime_list(n + 1):
-            if p * p <= n + 1:
-                continue
-            res.cases += 1
-            a1, a0 = divmod(n, p)
-            v_digits = (a0 + a1) // (p - 1)
+        vs = [(n % p + n // p) // (p - 1) for p in ps]
+        if set(itertools.compress(ps, vs)) == wide.intersection(ps) and max(vs, default=0) <= 1:
+            continue
+        for p, v_digits in zip(ps, vs):
             v_witness = 1 if p in wide else 0
             if v_digits != v_witness or v_digits not in (0, 1):
                 res.violations.append(
@@ -230,18 +249,20 @@ def check_theta_identities(nmax: int, points: int = 1000) -> CheckResult:
         tol = 1e-6 * max(1.0, n)
         lr = analytics.log_rho(n, t)
         ls = analytics.log_sigma(n, t)
-        if abs(analytics.theta_sum_rho(n, t) - lr) > tol:
+        theta_rho, theta_sigma, _, s1, s2 = analytics._table_row(n, t)
+        if abs(theta_rho - lr) > tol:
             res.violations.append(f"n={n}: theta sum for rho off by more than {tol}")
-        if abs(analytics.theta_sum_sigma(n, t) - ls) > tol:
+        if abs(theta_sigma - ls) > tol:
             res.violations.append(f"n={n}: theta sum for sigma off by more than {tol}")
-        s_total, _, _ = analytics.s_split(n, t)
-        if abs(s_total - (ls - lr)) > tol:
+        if abs((s1 + s2) - (ls - lr)) > tol:
             res.violations.append(f"n={n}: quotient log split off by more than {tol}")
     return res
 
 
 def check_split(nmax: int) -> CheckResult:
     """sigma(n)/n! splits exactly at sqrt(n+1); reports sup of small log / sqrt(n)."""
+    from . import sequences
+
     res = CheckResult(check_id="split")
     t = _primes.default_table()
     t.ensure(nmax + 2)

@@ -142,6 +142,51 @@ def test_s_split_equals_log_gap():
         assert s2 == pytest.approx(math.fsum(v for k, v in logs.items() if k > r), abs=1e-9)
 
 
+def _table_row_oracle(n, t):
+    """(log_rho, log_sigma, card_A, s1, s2) of n the long way: the quotients by
+    three divisions, theta by a search of the primes at each of n // k,
+    n // k + 1, v and v + 1, and the sums in the same order as the table route."""
+    r = math.isqrt(n)
+    small = n // np.arange(1, r + 1, dtype=np.int64)
+    large = np.arange(1, n // (r + 1) + 1, dtype=np.int64)
+    mult = n // large - n // (large + 1)
+
+    def total(at_small, at_large):
+        return float(np.sum(at_small) + np.sum(mult * at_large))
+
+    mask = t.prime_mask(n + 2)
+    small_prime, large_prime = mask[small + 1], mask[large + 1]
+    hits = small[small_prime] + 1
+    return (
+        total(t.theta_many(small), t.theta_many(large)),
+        total(t.theta_many(small + 1), t.theta_many(large + 1)),
+        len(hits),
+        float(np.sum(np.log(hits))),
+        float(np.sum(mult[large_prime] * np.log(large[large_prime] + 1))),
+    )
+
+
+def test_table_rows_equal_the_three_division_route(c_mid):
+    t = PrimeTable(LUCY_THRESHOLD + 1)
+    ns = list(range(1, 3001)) + list(range((1 << 20) - 750, (1 << 20) + 750))
+    for r in (2, 3, 10, 99, 1000, 2047):
+        ns += [r * r - 1, r * r, r * r + r, r * r + 2 * r]
+    # the largest large quotient v = n // (r + 1) has v + 1 prime: the end of
+    # the slices that flag and count the large quotients
+    edge = next(n for n in range(10**6, 2 * 10**6) if t.is_prime(n // (math.isqrt(n) + 1) + 1))
+    ns += [edge, LUCY_THRESHOLD - 1]
+    for n in ns:
+        lr, ls, card, s1, s2 = want = _table_row_oracle(n, t)
+        logn = math.log(n)
+        assert analytics._record(n, c_mid, t) == (
+            n, lr, ls, lr - (n * logn - (c_mid + 1.0) * n), ls - (n * logn - n),
+            card, card * logn / math.sqrt(n), s1, s2,
+        ), n
+        assert (theta_sum_rho(n, t), theta_sum_sigma(n, t)) == want[:2], n
+        assert s_split(n, t) == (s1 + s2, s1, s2), n
+        assert quotient_prime_count(n, t) == card, n
+
+
 def test_residual_rho_dyadic_sup(c_mid):
     # H(n), the sum of floor(n / p**i) log p over primes p and i >= 2, is
     # log n! - log rho(n), so residual_rho = (log n! - n log n + n) - (H(n) - c n);

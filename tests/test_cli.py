@@ -241,6 +241,10 @@ def test_each_command_loads_only_its_own_modules():
             assert "lcmf.verify" not in loaded, argv
         if name in ("compute q", "triangle", "compute rho", "compute sigma"):
             assert not loaded & {"lcmf.verify", "lcmf.sequences"}, argv
+        if name in ("verify theorem1", "verify prop1", "verify eq14-16"):
+            assert "lcmf.sequences" not in loaded, argv
+        if name == "verify theorem2":
+            assert "lcmf.sequences" in loaded, argv
         if name in ("compute rho", "compute sigma"):  # only the log weight needs decimal
             assert "decimal" not in loaded, argv
         reads_analytics = name in ("scan", "constant", "verify eq14-16")

@@ -119,6 +119,15 @@ def test_hypothesis_counterexample():
         check_hypothesis(lambda m: m - 2.0, 10)
 
 
+def test_hypothesis_names_a_callable_by_its_qualname():
+    first, second = lambda m: float(m), lambda m: float(m)
+    assert check_hypothesis(first, 40) == check_hypothesis(second, 40)
+    assert check_hypothesis(first, 40).check_id.endswith(".<lambda>]")
+    assert check_hypothesis(Dip(), 40).check_id == "hypothesis[dip]"
+    weights = {m: float(m) for m in range(2, 41)}
+    assert check_hypothesis(weights.__getitem__, 40).check_id == "hypothesis[dict.__getitem__]"
+
+
 def test_hypothesis_matches_a_brute_force_oracle():
     rng = random.Random(13)
     jitter = {m: m * rng.uniform(0.5, 1.5) for m in range(2, 301)}  # a perturbation of m

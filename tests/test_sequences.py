@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lcmf import verify
+from lcmf import sequences, verify
 from lcmf.factored import FactoredNatural
 from lcmf.primes import default_table, factorial_valuation
 from lcmf.sequences import (
@@ -100,8 +100,8 @@ def test_prop_sweeps_report_each_false_flag(monkeypatch):
         flags[ns == 30, :] = False
         return flags
 
-    monkeypatch.setattr(verify.sequences, "chain_flags", chain)
-    monkeypatch.setattr(verify.sequences, "sandwich_flags", sandwich)
+    monkeypatch.setattr(sequences, "chain_flags", chain)
+    monkeypatch.setattr(sequences, "sandwich_flags", sandwich)
     res = verify.check_prop2(40)
     assert res.cases == 41
     assert res.violations == ["n=7: chain fails", "n=9: odd-doubling fails"]
@@ -110,6 +110,23 @@ def test_prop_sweeps_report_each_false_flag(monkeypatch):
     assert res.violations == [
         "n=30: (n+1)! does not divide sigma(n)",
         "n=30: sigma(n) does not divide n! lcm(1..n+1)",
+    ]
+
+
+def test_theorem2_reports_each_pair_a_dropped_witness_misses(monkeypatch):
+    dropped = {40: 7, 100: 13}  # n: a wide quotient prime of n above sqrt(n + 1)
+
+    def witness(n, wide=False, table=None):
+        qp = quotient_primes(n, wide, table)
+        return qp._replace(members=qp.members - {dropped.get(n)})
+
+    assert verify.check_theorem2(200).passed
+    monkeypatch.setattr(sequences, "quotient_primes", witness)
+    res = verify.check_theorem2(200)
+    assert res.cases == 4230
+    assert res.violations == [
+        "n=40 p=7: digit route 1, witness route 0",
+        "n=100 p=13: digit route 1, witness route 0",
     ]
 
 
