@@ -189,8 +189,9 @@ def _table_row(n: int, t: PrimeTable) -> tuple[float, float, int, float, float]:
 # Scan rows for n >= LUCY_THRESHOLD come from Lucy's sieve, rows below it from
 # the prime table.  At 2^22 a Lucy row takes about 4 ms and a table row 0.13 ms
 # (2-vCPU VM), but only after a table up to n + 2, which takes 28 ms to build
-# and holds 1 + 16 / ln n bytes per integer.  Dense step:1 windows near 2^20 stay on the
-# table.  The route depends on n alone, so a row is the same whatever the grid.
+# and holds 1 + 16 / ln n bytes per integer.  Dense step:1 windows near 2^20
+# stay on the table.  The route depends on n alone, so a row is the same
+# whatever the grid.
 LUCY_THRESHOLD = 1 << 22
 _PREFILTER_PRIMES = 32  # trial-divide by this many primes before Miller-Rabin
 _LUCY_BATCH_CELLS = 1 << 16  # (p, k) pairs per chunk of _lucy's second phase
