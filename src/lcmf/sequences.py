@@ -6,10 +6,12 @@ x = n for the weights m and m - 1.  Both divide into a web of exact
 relations — divisibility chains, factorial sandwiches, and a two-valued
 valuation dichotomy for sigma(n)/n! at primes p with p*p > n + 1 — that
 this module computes and cross-checks by independent routes.  The
-divisibility facts of Propositions 2 and 3 are decided for a block of n at
-once by chain_flags and sandwich_flags, from one 2-D Legendre kernel
-(v_p(n!) for every n and p of the block); divisibility_chain and
-factorial_sandwich are their one-n wrappers.
+divisibility facts of Propositions 2 and 3 are decided for a range of n at
+once by chain_flags and sandwich_flags, in plain ints: for one prime p,
+every side of every comparison is a step function of n that steps only at
+a few residues mod p and p - 1, so each comparison is evaluated once per
+interval between steps, about 7 n / p points for p rather than n;
+divisibility_chain and factorial_sandwich are their one-n wrappers.
 
 Boundary comparisons against sqrt(n + 1) are done in integer arithmetic
 (p > sqrt(n+1) iff p*p > n+1), and the quotient values floor(n/k + 1) are
@@ -19,6 +21,7 @@ computed as (n + k) // k, so no float ever decides a sharp range.
 from __future__ import annotations
 
 import math
+import operator
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import primes as _primes
@@ -45,15 +48,6 @@ def _legendre(ns, ps: np.ndarray) -> np.ndarray:
     return total
 
 
-def _rows(ns) -> np.ndarray:
-    import numpy as np
-
-    ns = np.asarray(ns, dtype=np.int64).reshape(-1)
-    if ns.min(initial=0) < 0:
-        raise ValueError("n must be >= 0")
-    return ns
-
-
 def rho(n: int, table: PrimeTable | None = None) -> FactoredNatural:
     """Product over primes p <= n of p**(n // p): the weight m at x = n."""
     from .products import WeightFunction, weighted_prime_product
@@ -75,81 +69,148 @@ def sigma(n: int, table: PrimeTable | None = None) -> FactoredNatural:
 # -- divisibility checks ----------------------------------------------------------
 
 
-def chain_flags(ns, table: PrimeTable | None = None) -> np.ndarray:
-    """Four exact facts about rho/sigma at each n of ns: a (len(ns), 4) bool array.
+def _vfact(n: int, p: int) -> int:
+    """v_p(n!) by Legendre's formula."""
+    v = 0
+    while n >= p:
+        n //= p
+        v += n
+    return v
 
-    Columns, False being data:
+
+def _log_floor(n: int, p: int) -> int:
+    """The largest e >= 0 with p**e <= n, for n >= 1."""
+    e, pw = 0, p
+    while pw <= n:
+        e, pw = e + 1, pw * p
+    return e
+
+
+# the residues (modulus, residue) at which some term of a check steps, per prime
+# p: n // p and v_p(n!) step at n = 0 (mod p); (n + 1) // p, v_p((n + 1)!) and
+# e_p(n + 1) at n = -1 (mod p); v_p((2n)!) at n = 0 and n = (p + 1) / 2 (mod p),
+# as (2n)! = (2n - 2)! (2n - 1) 2n; n // (p - 1), (n + 1) // (p - 1) and
+# (n - 1) // (p - 1) at n = 0, -1 and 1 (mod p - 1).  For p = 2 the modulus
+# p - 1 = 1 makes every n a step, as v_2((2n)!) needs.
+def _chain_steps(p: int):
+    return ((p, 0), (p, -1), (p, (p + 1) // 2), (p - 1, 0), (p - 1, -1), (p - 1, 1))
+
+
+def _sandwich_steps(p: int):
+    return ((p, 0), (p, -1), (p - 1, 0))
+
+
+def _breakpoints(lo: int, hi: int, steps) -> list[int]:
+    """The n in (lo, hi] with n = r (mod m) for some (m, r) of steps, ascending."""
+    if lo == hi:  # a one-row range has no step inside it
+        return []
+    points = set()
+    for m, r in steps:
+        points.update(range(lo + 1 + (r - lo - 1) % m, hi + 1, m))
+    return sorted(points)
+
+
+def _ns(ns) -> list[int]:
+    ns = [operator.index(n) for n in ns]
+    if min(ns, default=0) < 0:
+        raise ValueError("n must be >= 0")
+    return ns
+
+
+def _pieces(lo: int, hi: int, ps, steps):
+    """(p, b, e) for each prime p of ps and each [b, e) between consecutive
+    steps of p in [lo, hi], steps(p) naming the residues at which a term steps."""
+    for p in ps:
+        cuts = [lo, *_breakpoints(lo, hi, steps(p)), hi + 1]
+        for b, e in zip(cuts, cuts[1:]):
+            yield p, b, e
+
+
+def _rows(ns: list[int], lo: int, fails: list[bytearray]) -> list[tuple]:
+    """Per n of ns, one bool per bytearray of fails: whether n - lo is unmarked
+    in it.  Equal rows share one tuple, so the list holds a pointer per n."""
+    shared: dict[tuple, tuple] = {}
+    cols = ([not f[n - lo] for n in ns] for f in fails)
+    return [shared.setdefault(row, row) for row in zip(*cols)]
+
+
+def chain_flags(ns, table: PrimeTable | None = None) -> list[tuple[bool, bool, bool, bool]]:
+    """Four exact facts about rho/sigma at each n of ns: one tuple per n, in order.
+
+    The facts, False being data:
     (a) rho(n) | rho(n+1), sigma(n) | sigma(n+1), rho(n) | sigma(n);
     (b) rho(n) | n!;
     (c) n! | sigma(n) and sigma(n) | (2n)!;
     (d) for odd n, sigma(n) = 2 * sigma(n-1)  (vacuously true for even n).
     Each is compared prime by prime over the primes up to max(2m, m + 2, 2),
     m = max(ns); a prime above a row's own bound has exponent 0 on both
-    sides of every comparison, so one prime set serves the whole block.
+    sides of every comparison.  For one prime every side is a step function
+    of n (_chain_steps says where each steps), so each comparison is decided
+    once per interval of [min(ns), max(ns)] between steps, from scratch at
+    the interval's first n; (d), which holds at every even n, at the
+    interval's first odd n, for all of its odd n.  The work follows the width
+    of that range, not len(ns).
     """
-    import numpy as np
-
-    ns = _rows(ns)
-    top = int(ns.max(initial=0))
-    ps = _primes._table(table).primes_up_to(max(2 * top, top + 2, 2))
-    n = ns[:, None]
-    # built in this order so that at most three (rows, primes) arrays are alive
-    sig_n = n // (ps - 1)
-    chain = np.all(sig_n <= (n + 1) // (ps - 1), axis=1)
-    sandwich = np.all(sig_n <= _legendre(2 * ns, ps), axis=1)
-    sig_prev = (n - 1) // (ps - 1)
-    sig_prev += ps == 2
-    doubling = (ns % 2 == 0) | np.all(sig_n == sig_prev, axis=1)
-    del sig_prev
-    fact_n = _legendre(ns, ps)
-    sandwich &= np.all(fact_n <= sig_n, axis=1)
-    rho_n = n // ps
-    into_factorial = np.all(rho_n <= fact_n, axis=1)
-    del fact_n
-    chain &= np.all(rho_n <= (n + 1) // ps, axis=1) & np.all(rho_n <= sig_n, axis=1)
-    return np.stack([chain, into_factorial, sandwich, doubling], axis=1)
+    ns = _ns(ns)
+    lo, hi = min(ns, default=0), max(ns, default=0)
+    ps = _primes._table(table).prime_list(max(2 * hi, hi + 2, 2))
+    fails = [bytearray(hi - lo + 1) for _ in range(4)]
+    for p, b, e in _pieces(lo, hi, ps, _chain_steps):
+        q = p - 1
+        a, s, f = b // p, b // q, _vfact(b, p)
+        if s > (b + 1) // q or a > (b + 1) // p or a > s:
+            fails[0][b - lo : e - lo] = b"\1" * (e - b)
+        if a > f:
+            fails[1][b - lo : e - lo] = b"\1" * (e - b)
+        if not f <= s <= _vfact(2 * b, p):
+            fails[2][b - lo : e - lo] = b"\1" * (e - b)
+        odd = b | 1
+        if odd < e and odd // q != (odd - 1) // q + (p == 2):
+            fails[3][odd - lo : e - lo : 2] = b"\1" * len(range(odd, e, 2))
+    return _rows(ns, lo, fails)
 
 
-def sandwich_flags(ns, table: PrimeTable | None = None) -> np.ndarray:
-    """Whether (n+1)! | sigma(n) and sigma(n) | n! * lcm(1..n+1), per n of ns.
+def sandwich_flags(ns, table: PrimeTable | None = None) -> list[tuple[bool, bool]]:
+    """Whether (n+1)! | sigma(n) and sigma(n) | n! * lcm(1..n+1): one tuple per n of ns.
 
-    A (len(ns), 2) bool array.  Checked prime by prime through the
-    floor-quotient reduction: with e the largest exponent such that
-    p**e <= n + 1,
+    Checked prime by prime through the floor-quotient reduction: with e the
+    largest exponent such that p**e <= n + 1,
         sum_i floor((n+1)/p**i)  <=  floor(n/(p-1))  <=  sum_i floor(n/p**i) + e,
     over the primes up to max(ns) + 1 (all three sides are 0 above n + 1).
+    Each comparison is decided once per interval between the steps of its
+    sides (see _sandwich_steps), from scratch at its first n.
     """
-    import numpy as np
-
-    ns = _rows(ns)
-    top = int(ns.max(initial=0)) + 1
-    ps = _primes._table(table).primes_up_to(top)
-    mid = ns[:, None] // (ps - 1)
-    lower = np.all(_legendre(ns + 1, ps) <= mid, axis=1)
-    right = _legendre(ns, ps)
-    for pw in _primes.prime_powers(ps, top):  # adds e, the count of i with p**i <= n + 1
-        right[:, : len(pw)] += ns[:, None] + 1 >= pw
-    return np.stack([lower, np.all(mid <= right, axis=1)], axis=1)
+    ns = _ns(ns)
+    lo, hi = min(ns, default=0), max(ns, default=0)
+    ps = _primes._table(table).prime_list(hi + 1)
+    fails = [bytearray(hi - lo + 1) for _ in range(2)]
+    for p, b, e in _pieces(lo, hi, ps, _sandwich_steps):
+        mid = b // (p - 1)
+        if _vfact(b + 1, p) > mid:
+            fails[0][b - lo : e - lo] = b"\1" * (e - b)
+        if mid > _vfact(b, p) + _log_floor(b + 1, p):
+            fails[1][b - lo : e - lo] = b"\1" * (e - b)
+    return _rows(ns, lo, fails)
 
 
 def divisibility_chain(n: int, table: PrimeTable | None = None) -> tuple[bool, bool, bool, bool]:
     """The four facts of chain_flags at one n, as booleans.
 
-    A one-row wrapper: chain_flags, over a block of n, is the route the
+    A one-row wrapper: chain_flags, over a range of n, is the route the
     verify drivers take.
     """
-    return tuple(chain_flags([n], table)[0].tolist())
+    return chain_flags([n], table)[0]
 
 
 def factorial_sandwich(n: int, table: PrimeTable | None = None) -> tuple[bool, bool]:
     """Whether (n+1)! | sigma(n) and sigma(n) | n! * lcm(1..n+1), at one n.
 
-    A one-row wrapper: sandwich_flags, over a block of n, is the route the
+    A one-row wrapper: sandwich_flags, over a range of n, is the route the
     verify drivers take.  With e the largest exponent such that
     p**e <= n + 1, prime by prime:
         sum_i floor((n+1)/p**i)  <=  floor(n/(p-1))  <=  sum_i floor(n/p**i) + e.
     """
-    return tuple(sandwich_flags([n], table)[0].tolist())
+    return sandwich_flags([n], table)[0]
 
 
 # -- the valuation dichotomy -------------------------------------------------------
@@ -234,7 +295,8 @@ def quotient_primes(n: int, wide: bool = False, table: PrimeTable | None = None)
     values = [(n + k) // k for k in range(1, kmax + 1)]
     if len(set(values)) != len(values):
         raise ArithmeticError(f"quotient values not distinct at n={n}")
-    gen = {v: k for k, v in enumerate(values, start=1) if t.is_prime(v)}
+    bitmap = t._bitmap  # every value is at most n + 1, inside the table
+    gen = {v: k for k, v in enumerate(values, start=1) if bitmap[v]}
     return QuotientPrimes(n=n, wide=wide, members=frozenset(gen), generating_k=gen)
 
 

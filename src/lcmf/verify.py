@@ -19,10 +19,6 @@ if TYPE_CHECKING:  # products, sequences and triangle are imported by the checks
     from .products import WeightFunction
 
 
-# prop2/prop3 decide a block of n at once over a (rows, primes) array; the
-# rows per block are capped so that the array holds about this many cells
-_BLOCK_CELLS = 1 << 18
-
 # a theorem1 grid over this many points is refused, for every weight
 GRID_MAX_POINTS = 10_000
 
@@ -165,23 +161,14 @@ def check_cor2(nmax: int) -> CheckResult:
     return res
 
 
-def _flag_sweep(check_id: str, nmax: int, flags, messages, bound: int) -> CheckResult:
-    """One case per n <= nmax and one violation per False column of flags(ns, t),
-    t the default prime table.
-
-    n runs in consecutive blocks whose rows times the primes up to bound (the
-    widest block's columns) stay within _BLOCK_CELLS.
-    """
-    import numpy as np
-
+def _flag_sweep(check_id: str, nmax: int, flags, messages) -> CheckResult:
+    """One case per n <= nmax and one violation per False fact of flags(ns, t),
+    t the default prime table."""
     res = CheckResult(check_id=check_id)
-    t = _primes.default_table()
-    rows = max(1, _BLOCK_CELLS // max(1, len(t.primes_up_to(bound))))
-    for lo in range(0, nmax + 1, rows):
-        ns = np.arange(lo, min(lo + rows, nmax + 1), dtype=np.int64)
-        res.cases += len(ns)
-        for row, col in zip(*np.nonzero(~flags(ns, t))):
-            res.violations.append(f"n={ns[row]}: {messages[col]}")
+    ns = range(nmax + 1)
+    res.cases = len(ns)
+    for n, row in zip(ns, flags(ns, _primes.default_table())):
+        res.violations += (f"n={n}: {message}" for message, ok in zip(messages, row) if not ok)
     return res
 
 
@@ -190,15 +177,14 @@ def check_prop2(nmax: int) -> CheckResult:
 
     names = ("chain", "divides-factorial", "factorial-sandwich", "odd-doubling")
     messages = [f"{name} fails" for name in names]
-    bound = max(2 * nmax, nmax + 2, 2)
-    return _flag_sweep("prop2", nmax, sequences.chain_flags, messages, bound)
+    return _flag_sweep("prop2", nmax, sequences.chain_flags, messages)
 
 
 def check_prop3(nmax: int) -> CheckResult:
     from . import sequences
 
     messages = ["(n+1)! does not divide sigma(n)", "sigma(n) does not divide n! lcm(1..n+1)"]
-    return _flag_sweep("prop3", nmax, sequences.sandwich_flags, messages, nmax + 1)
+    return _flag_sweep("prop3", nmax, sequences.sandwich_flags, messages)
 
 
 def check_theorem2(nmax: int) -> CheckResult:

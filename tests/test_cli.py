@@ -190,12 +190,13 @@ def test_numpy_is_loaded_only_by_the_bulk_array_commands():
     scalar = [["compute", target, "1200"] for target in ("rho", "sigma")]
     scalar += [["compute", "q", "72", "37"], ["verify", "prop1", "--nmax", "5"]]
     scalar += [["verify", "cor2", "--nmax", "8"], ["verify", "theorem2", "--nmax", "50"]]
+    scalar += [["verify", check, "--nmax", "50"] for check in ("prop2", "prop3")]
     scalar += [["triangle", "--nmax", "6"]]
     scalar += [["compute", "pif", "--f", f, "--x", "7.5"] for f in weights]
     scalar += [["verify", "theorem1", "--f", f, "--xmax", "4"] for f in weights]
     for argv in scalar:
         assert _loaded_heavy_modules(*argv) == [], argv
-    assert _loaded_heavy_modules("verify", "prop2", "--nmax", "10") == ["numpy"]
+    assert _loaded_heavy_modules("verify", "eq14-16", "--nmax", "10") == ["numpy"]
     env = dict(os.environ, PYTHONPATH=str(_SRC))
     probe = (
         "import sys, lcmf; subs = [m for m in sys.modules if m.startswith('lcmf.')]; "
@@ -245,6 +246,8 @@ def test_each_command_loads_only_its_own_modules():
             assert "lcmf.sequences" not in loaded, argv
         if name == "verify theorem2":
             assert "lcmf.sequences" in loaded, argv
+        if name in ("verify prop2", "verify prop3"):  # decided on plain ints
+            assert "numpy" not in loaded, argv
         if name in ("compute rho", "compute sigma"):  # only the log weight needs decimal
             assert "decimal" not in loaded, argv
         reads_analytics = name in ("scan", "constant", "verify eq14-16")

@@ -7,7 +7,10 @@ from lcmf import sequences, verify
 from lcmf.factored import FactoredNatural
 from lcmf.primes import default_table, factorial_valuation
 from lcmf.sequences import (
+    _breakpoints,
+    _chain_steps,
     _legendre,
+    _sandwich_steps,
     chain_flags,
     divisibility_chain,
     factorial_sandwich,
@@ -65,14 +68,82 @@ def test_legendre_kernel_matches_factorial_valuation():
         assert _legendre([n], cols)[0].tolist() == expected, n
 
 
+def _chain_terms(n, p):
+    """Every side of chain_flags' comparisons at (n, p), from primes' Legendre route."""
+    q = p - 1
+    fact, fact_2n = factorial_valuation(n, p), factorial_valuation(2 * n, p)
+    return n // p, (n + 1) // p, n // q, (n + 1) // q, (n - 1) // q, fact, fact_2n
+
+
+def _sandwich_terms(n, p):
+    e = 0
+    while p ** (e + 1) <= n + 1:
+        e += 1
+    return n // (p - 1), factorial_valuation(n + 1, p), factorial_valuation(n, p), e
+
+
+def test_terms_step_only_at_breakpoints():
+    # the flag routes decide each comparison once per interval between steps,
+    # so no side may change at an n that is not a step of its prime
+    nmax = 3000
+    for p in default_table().prime_list(300):
+        for steps, terms in ((_chain_steps, _chain_terms), (_sandwich_steps, _sandwich_terms)):
+            cuts = set(_breakpoints(0, nmax, steps(p)))
+            for lo in (0, 1, 7, p, nmax - 1):  # a later range start keeps the later steps
+                assert _breakpoints(lo, nmax, steps(p)) == sorted(c for c in cuts if c > lo)
+            prev = terms(0, p)
+            for n in range(1, nmax + 1):
+                cur = terms(n, p)
+                assert n in cuts or cur == prev, (terms.__name__, p, n, prev, cur)
+                prev = cur
+
+
+def _oracle_chain(n):
+    """chain_flags' four facts at n, prime by prime over n's own primes."""
+    facts = [True] * 4
+    for p in default_table().prime_list(max(2 * n, n + 2, 2)):
+        q = p - 1
+        rho_n, sig_n, fact_n = n // p, n // q, factorial_valuation(n, p)
+        facts[0] &= sig_n <= (n + 1) // q and rho_n <= (n + 1) // p and rho_n <= sig_n
+        facts[1] &= rho_n <= fact_n
+        facts[2] &= fact_n <= sig_n <= factorial_valuation(2 * n, p)
+        facts[3] &= n % 2 == 0 or sig_n == (n - 1) // q + (p == 2)
+    return tuple(facts)
+
+
+def _oracle_sandwich(n):
+    lower = upper = True
+    for p in default_table().prime_list(n + 1):
+        mid, e = n // (p - 1), 0
+        while p ** (e + 1) <= n + 1:
+            e += 1
+        lower &= factorial_valuation(n + 1, p) <= mid
+        upper &= mid <= factorial_valuation(n, p) + e
+    return lower, upper
+
+
+def test_flag_tables_match_the_per_prime_oracle():
+    ns = list(range(601))
+    assert chain_flags(ns) == [_oracle_chain(n) for n in ns]
+    assert sandwich_flags(ns) == [_oracle_sandwich(n) for n in ns]
+    sparse = [0, 1, 2, 255, 256, 257, 4095, 4096]
+    chain, sandwich = chain_flags(sparse), sandwich_flags(sparse)
+    assert chain == [_oracle_chain(n) for n in sparse]
+    assert sandwich == [_oracle_sandwich(n) for n in sparse]
+    assert chain_flags(sparse[::-1]) == chain[::-1]  # rows come in the order of ns
+    for row, n in enumerate(sparse):
+        assert divisibility_chain(n) == chain[row], n
+        assert factorial_sandwich(n) == sandwich[row], n
+
+
 def test_batch_flags_match_per_n_wrappers():
     ns = [0, 1, 2, 255, 256, 257, 4095, 4096]
     chain = chain_flags(ns)
     sandwich = sandwich_flags(ns)
-    assert chain.shape == (8, 4) and sandwich.shape == (8, 2)
+    assert [len(row) for row in chain] == [4] * 8 and [len(row) for row in sandwich] == [2] * 8
     for row, n in enumerate(ns):
-        assert tuple(chain[row].tolist()) == divisibility_chain(n) == (True,) * 4, n
-        assert tuple(sandwich[row].tolist()) == factorial_sandwich(n) == (True, True), n
+        assert chain[row] == divisibility_chain(n) == (True,) * 4, n
+        assert sandwich[row] == factorial_sandwich(n) == (True, True), n
     with pytest.raises(ValueError):
         chain_flags([3, -1])
     with pytest.raises(ValueError):
@@ -80,25 +151,26 @@ def test_batch_flags_match_per_n_wrappers():
 
 
 @pytest.mark.parametrize("nmax", [0, 1, 255, 256, 257, 1000])
-def test_prop_sweeps_count_every_n(nmax, monkeypatch):
-    for cells in (verify._BLOCK_CELLS, 1000):  # the real block size, then many small blocks
-        monkeypatch.setattr(verify, "_BLOCK_CELLS", cells)
-        for res in (verify.check_prop2(nmax), verify.check_prop3(nmax)):
-            assert res.passed and res.cases == nmax + 1, (res.check_id, nmax, cells)
+def test_prop_sweeps_count_every_n(nmax):
+    for res in (verify.check_prop2(nmax), verify.check_prop3(nmax)):
+        assert res.passed and res.cases == nmax + 1, (res.check_id, nmax)
 
 
 def test_prop_sweeps_report_each_false_flag(monkeypatch):
-    monkeypatch.setattr(verify, "_BLOCK_CELLS", 500)  # blocks of a few rows
+    def falsify(rows, ns, n, cols):
+        i = list(ns).index(n)
+        rows[i] = tuple(ok and col not in cols for col, ok in enumerate(rows[i]))
 
     def chain(ns, table=None):
-        flags = chain_flags(ns, table)
-        flags[ns == 7, 0] = flags[ns == 9, 3] = False
-        return flags
+        rows = chain_flags(ns, table)
+        falsify(rows, ns, 7, {0})
+        falsify(rows, ns, 9, {3})
+        return rows
 
     def sandwich(ns, table=None):
-        flags = sandwich_flags(ns, table)
-        flags[ns == 30, :] = False
-        return flags
+        rows = sandwich_flags(ns, table)
+        falsify(rows, ns, 30, {0, 1})
+        return rows
 
     monkeypatch.setattr(sequences, "chain_flags", chain)
     monkeypatch.setattr(sequences, "sandwich_flags", sandwich)
