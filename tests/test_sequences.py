@@ -76,6 +76,7 @@ def _chain_terms(n, p):
 
 
 def _sandwich_terms(n, p):
+    """n // (p - 1), v_p((n + 1)!), v_p(n!) and e_p(n + 1), the sides of sandwich_flags'."""
     e = 0
     while p ** (e + 1) <= n + 1:
         e += 1
@@ -89,7 +90,7 @@ def test_terms_step_only_at_breakpoints():
     for p in default_table().prime_list(300):
         for steps, terms in ((_chain_steps, _chain_terms), (_sandwich_steps, _sandwich_terms)):
             cuts = set(_breakpoints(0, nmax, steps(p)))
-            for lo in (0, 1, 7, p, nmax - 1):  # a later range start keeps the later steps
+            for lo in (0, 1, 7, p, nmax - 1, nmax):  # a later range start keeps the later steps
                 assert _breakpoints(lo, nmax, steps(p)) == sorted(c for c in cuts if c > lo)
             prev = terms(0, p)
             for n in range(1, nmax + 1):
@@ -102,23 +103,20 @@ def _oracle_chain(n):
     """chain_flags' four facts at n, prime by prime over n's own primes."""
     facts = [True] * 4
     for p in default_table().prime_list(max(2 * n, n + 2, 2)):
-        q = p - 1
-        rho_n, sig_n, fact_n = n // p, n // q, factorial_valuation(n, p)
-        facts[0] &= sig_n <= (n + 1) // q and rho_n <= (n + 1) // p and rho_n <= sig_n
+        rho_n, rho_next, sig_n, sig_next, sig_prev, fact_n, fact_2n = _chain_terms(n, p)
+        facts[0] &= sig_n <= sig_next and rho_n <= rho_next and rho_n <= sig_n
         facts[1] &= rho_n <= fact_n
-        facts[2] &= fact_n <= sig_n <= factorial_valuation(2 * n, p)
-        facts[3] &= n % 2 == 0 or sig_n == (n - 1) // q + (p == 2)
+        facts[2] &= fact_n <= sig_n <= fact_2n
+        facts[3] &= n % 2 == 0 or sig_n == sig_prev + (p == 2)
     return tuple(facts)
 
 
 def _oracle_sandwich(n):
     lower = upper = True
     for p in default_table().prime_list(n + 1):
-        mid, e = n // (p - 1), 0
-        while p ** (e + 1) <= n + 1:
-            e += 1
-        lower &= factorial_valuation(n + 1, p) <= mid
-        upper &= mid <= factorial_valuation(n, p) + e
+        mid, fact_next, fact_n, e = _sandwich_terms(n, p)
+        lower &= fact_next <= mid
+        upper &= mid <= fact_n + e
     return lower, upper
 
 
