@@ -81,20 +81,6 @@ def iroot(n: int, k: int) -> int:
     return r
 
 
-def prime_powers(ps: np.ndarray, top: int):
-    """Yield p**i over the prefix of ps with p**i <= top, for i = 1, 2, ...
-
-    ps is ascending, so for each i the primes with p**i <= top are a prefix,
-    which shrinks as i grows.  The next power is formed only on the prefix
-    where p**i <= top // p, so no int64 product exceeds top.
-    """
-    pw = ps[: int(ps.searchsorted(top, side="right"))]
-    while len(pw):
-        yield pw
-        k = int((pw <= top // ps[: len(pw)]).sum())
-        pw = pw[:k] * ps[:k]
-
-
 def require_memory(need: int, what: str) -> None:
     """Raise ValueError when need bytes exceed this machine's physical memory,
     so that a request that cannot fit fails before anything is allocated."""

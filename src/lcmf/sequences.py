@@ -5,13 +5,13 @@ p**(n // (p - 1)): the weighted prime products of the products module at
 x = n for the weights m and m - 1.  Both divide into a web of exact
 relations — divisibility chains, factorial sandwiches, and a two-valued
 valuation dichotomy for sigma(n)/n! at primes p with p*p > n + 1 — that
-this module computes and cross-checks by independent routes.  The
-divisibility facts of Propositions 2 and 3 are decided for a range of n at
-once by chain_flags and sandwich_flags, in plain ints: for one prime p,
+this module computes and cross-checks by independent routes.  Every
+per-n check over a range of n is one walk on plain ints: for one prime p,
 every side of every comparison is a step function of n that steps only at
-a few residues mod p and p - 1, so each comparison is evaluated once per
-interval between steps, about 7 n / p points for p rather than n;
-divisibility_chain and factorial_sandwich are their one-n wrappers.
+a few residues mod p and p - 1, so it is evaluated once per interval that
+_pieces yields between steps, about 7 n / p points for p rather than n.
+chain_flags and sandwich_flags (Propositions 2 and 3) and _split_walk (the
+split of sigma(n)/n!) are such walks, each with a one-n wrapper.
 
 Boundary comparisons against sqrt(n + 1) are done in integer arithmetic
 (p > sqrt(n+1) iff p*p > n+1), and the quotient values floor(n/k + 1) are
@@ -20,32 +20,15 @@ computed as (n + k) // k, so no float ever decides a sharp range.
 
 from __future__ import annotations
 
+import itertools
 import math
-import operator
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import primes as _primes
 from .primes import PrimeTable
 
-if TYPE_CHECKING:  # each is imported by the functions that use it, not at start-up
-    import numpy as np
-
+if TYPE_CHECKING:  # imported by the functions that use it, not at start-up
     from .factored import FactoredNatural
-
-
-def _legendre(ns, ps: np.ndarray) -> np.ndarray:
-    """v_p(n!) for every row n of ns and column p of ps (ascending): int64 array.
-
-    Legendre's sum of n // p**i; each term past the first fills only the
-    column prefix where p**i <= max(ns), as it is 0 elsewhere.
-    """
-    import numpy as np
-
-    ns = np.asarray(ns, dtype=np.int64)[:, None]
-    total = np.zeros((len(ns), len(ps)), dtype=np.int64)
-    for pw in _primes.prime_powers(ps, int(ns.max(initial=0))):
-        total[:, : len(pw)] += ns // pw
-    return total
 
 
 def rho(n: int, table: PrimeTable | None = None) -> FactoredNatural:
@@ -100,106 +83,103 @@ def _sandwich_steps(p: int):
     return ((p, 0), (p, -1), (p - 1, 0))
 
 
-def _breakpoints(lo: int, hi: int, steps) -> list[int]:
-    """The n in (lo, hi] with n = r (mod m) for some (m, r) of steps, ascending."""
-    if lo == hi:  # a one-row range has no step inside it
-        return []
-    points = set()
-    for m, r in steps:
-        points.update(range(lo + 1 + (r - lo - 1) % m, hi + 1, m))
-    return sorted(points)
+# split's large-prime valuation n // (p - 1) - n // p steps at n = 0 (mod p, p - 1)
+def _split_steps(p: int):
+    return ((p, 0), (p - 1, 0))
 
 
-def _ns(ns) -> list[int]:
-    ns = [operator.index(n) for n in ns]
-    if min(ns, default=0) < 0:
-        raise ValueError("n must be >= 0")
-    return ns
+def _pieces(lo: int, hi: int, steps, p: int):
+    """Each [b, e) of [lo, hi], ascending, with b lo or a step of p and no step
+    in (b, e); a step is an n = r (mod m) for some (m, r) of steps.
+
+    The steps are sorted one window of max(p*p, isqrt(hi - lo)) integers at
+    a time: a window holds about p steps of each residue at least, and
+    O(sqrt(hi - lo)) steps at most, so no list of all n is made.
+    """
+    if lo > hi:
+        return
+    width = max(p * p, math.isqrt(hi - lo))
+    b = lo
+    for start in range(lo + 1, hi + 1, width):
+        top = min(start + width - 1, hi)
+        window = set()
+        for m, r in steps:
+            window.update(range(start + (r - start) % m, top + 1, m))
+        for n in sorted(window):
+            yield b, n
+            b = n
+    yield b, hi + 1
 
 
-def _pieces(lo: int, hi: int, ps, steps):
-    """(p, b, e) for each prime p of ps and each [b, e) between consecutive
-    steps of p in [lo, hi], steps(p) naming the residues at which a term steps."""
-    for p in ps:
-        cuts = [lo, *_breakpoints(lo, hi, steps(p)), hi + 1]
-        for b, e in zip(cuts, cuts[1:]):
-            yield p, b, e
+def chain_flags(lo: int, hi: int, table: PrimeTable | None = None) -> list[bytearray]:
+    """Where four exact facts about rho/sigma fail over [lo, hi]: one bytearray
+    per fact, byte n - lo nonzero when the fact fails at n.
 
-
-def _rows(ns: list[int], lo: int, fails: list[bytearray]) -> list[tuple]:
-    """Per n of ns, one bool per bytearray of fails: whether n - lo is unmarked
-    in it.  Equal rows share one tuple, so the list holds a pointer per n."""
-    shared: dict[tuple, tuple] = {}
-    cols = ([not f[n - lo] for n in ns] for f in fails)
-    return [shared.setdefault(row, row) for row in zip(*cols)]
-
-
-def chain_flags(ns, table: PrimeTable | None = None) -> list[tuple[bool, bool, bool, bool]]:
-    """Four exact facts about rho/sigma at each n of ns: one tuple per n, in order.
-
-    The facts, False being data:
+    The facts, a failure being data:
     (a) rho(n) | rho(n+1), sigma(n) | sigma(n+1), rho(n) | sigma(n);
     (b) rho(n) | n!;
     (c) n! | sigma(n) and sigma(n) | (2n)!;
     (d) for odd n, sigma(n) = 2 * sigma(n-1)  (vacuously true for even n).
-    Each is compared prime by prime over the primes up to max(2m, m + 2, 2),
-    m = max(ns); a prime above a row's own bound has exponent 0 on both
-    sides of every comparison.  For one prime every side is a step function
-    of n (_chain_steps says where each steps), so each comparison is decided
-    once per interval of [min(ns), max(ns)] between steps, from scratch at
-    the interval's first n; (d), which holds at every even n, at the
-    interval's first odd n, for all of its odd n.  The work follows the width
-    of that range, not len(ns).
+    Each is compared prime by prime over the primes up to max(2 hi, hi + 2, 2);
+    a prime above n's own bound has exponent 0 on both sides of every
+    comparison.  For one prime every side is a step function of n
+    (_chain_steps says where each steps), so each comparison is decided once
+    per interval of _pieces, from scratch at the interval's first n; (d),
+    which holds at every even n, at the interval's first odd n, for all of
+    its odd n.
     """
-    ns = _ns(ns)
-    lo, hi = min(ns, default=0), max(ns, default=0)
+    if lo < 0:
+        raise ValueError("n must be >= 0")
     ps = _primes._table(table).prime_list(max(2 * hi, hi + 2, 2))
-    fails = [bytearray(hi - lo + 1) for _ in range(4)]
-    for p, b, e in _pieces(lo, hi, ps, _chain_steps):
+    fails = [bytearray(len(range(lo, hi + 1))) for _ in range(4)]
+    for p in ps:
         q = p - 1
-        a, s, f = b // p, b // q, _vfact(b, p)
-        if s > (b + 1) // q or a > (b + 1) // p or a > s:
-            fails[0][b - lo : e - lo] = b"\1" * (e - b)
-        if a > f:
-            fails[1][b - lo : e - lo] = b"\1" * (e - b)
-        if not f <= s <= _vfact(2 * b, p):
-            fails[2][b - lo : e - lo] = b"\1" * (e - b)
-        odd = b | 1
-        if odd < e and odd // q != (odd - 1) // q + (p == 2):
-            fails[3][odd - lo : e - lo : 2] = b"\1" * len(range(odd, e, 2))
-    return _rows(ns, lo, fails)
+        for b, e in _pieces(lo, hi, _chain_steps(p), p):
+            a, s, f = b // p, b // q, _vfact(b, p)
+            if s > (b + 1) // q or a > (b + 1) // p or a > s:
+                fails[0][b - lo : e - lo] = b"\1" * (e - b)
+            if a > f:
+                fails[1][b - lo : e - lo] = b"\1" * (e - b)
+            if not f <= s <= _vfact(2 * b, p):
+                fails[2][b - lo : e - lo] = b"\1" * (e - b)
+            odd = b | 1
+            if odd < e and odd // q != (odd - 1) // q + (p == 2):
+                fails[3][odd - lo : e - lo : 2] = b"\1" * len(range(odd, e, 2))
+    return fails
 
 
-def sandwich_flags(ns, table: PrimeTable | None = None) -> list[tuple[bool, bool]]:
-    """Whether (n+1)! | sigma(n) and sigma(n) | n! * lcm(1..n+1): one tuple per n of ns.
+def sandwich_flags(lo: int, hi: int, table: PrimeTable | None = None) -> list[bytearray]:
+    """Where (n+1)! | sigma(n) and sigma(n) | n! * lcm(1..n+1) fail over [lo, hi]:
+    one bytearray per fact, byte n - lo nonzero when the fact fails at n.
 
     Checked prime by prime through the floor-quotient reduction: with e the
     largest exponent such that p**e <= n + 1,
         sum_i floor((n+1)/p**i)  <=  floor(n/(p-1))  <=  sum_i floor(n/p**i) + e,
-    over the primes up to max(ns) + 1 (all three sides are 0 above n + 1).
-    Each comparison is decided once per interval between the steps of its
-    sides (see _sandwich_steps), from scratch at its first n.
+    over the primes up to hi + 1 (all three sides are 0 above n + 1).  Each
+    comparison is decided once per interval of _pieces between the steps of
+    its sides (see _sandwich_steps), from scratch at its first n.
     """
-    ns = _ns(ns)
-    lo, hi = min(ns, default=0), max(ns, default=0)
+    if lo < 0:
+        raise ValueError("n must be >= 0")
     ps = _primes._table(table).prime_list(hi + 1)
-    fails = [bytearray(hi - lo + 1) for _ in range(2)]
-    for p, b, e in _pieces(lo, hi, ps, _sandwich_steps):
-        mid = b // (p - 1)
-        if _vfact(b + 1, p) > mid:
-            fails[0][b - lo : e - lo] = b"\1" * (e - b)
-        if mid > _vfact(b, p) + _log_floor(b + 1, p):
-            fails[1][b - lo : e - lo] = b"\1" * (e - b)
-    return _rows(ns, lo, fails)
+    fails = [bytearray(len(range(lo, hi + 1))) for _ in range(2)]
+    for p in ps:
+        for b, e in _pieces(lo, hi, _sandwich_steps(p), p):
+            mid = b // (p - 1)
+            if _vfact(b + 1, p) > mid:
+                fails[0][b - lo : e - lo] = b"\1" * (e - b)
+            if mid > _vfact(b, p) + _log_floor(b + 1, p):
+                fails[1][b - lo : e - lo] = b"\1" * (e - b)
+    return fails
 
 
 def divisibility_chain(n: int, table: PrimeTable | None = None) -> tuple[bool, bool, bool, bool]:
-    """The four facts of chain_flags at one n, as booleans.
+    """The four facts of chain_flags at one n, as booleans (True: the fact holds).
 
     A one-row wrapper: chain_flags, over a range of n, is the route the
     verify drivers take.
     """
-    return chain_flags([n], table)[0]
+    return tuple(not fails[0] for fails in chain_flags(n, n, table))
 
 
 def factorial_sandwich(n: int, table: PrimeTable | None = None) -> tuple[bool, bool]:
@@ -210,7 +190,7 @@ def factorial_sandwich(n: int, table: PrimeTable | None = None) -> tuple[bool, b
     p**e <= n + 1, prime by prime:
         sum_i floor((n+1)/p**i)  <=  floor(n/(p-1))  <=  sum_i floor(n/p**i) + e.
     """
-    return sandwich_flags([n], table)[0]
+    return tuple(not fails[0] for fails in sandwich_flags(n, n, table))
 
 
 # -- the valuation dichotomy -------------------------------------------------------
@@ -300,6 +280,50 @@ def quotient_primes(n: int, wide: bool = False, table: PrimeTable | None = None)
     return QuotientPrimes(n=n, wide=wide, members=frozenset(gen), generating_k=gen)
 
 
+def _split_walk(lo: int, hi: int, table: PrimeTable):
+    """(n, small log, large primes, failure or None) per n of [lo, hi], lo >= 1.
+
+    For p*p > n + 1, p's exponent in sigma(n)/n! is n // (p - 1) - n // p, so
+    each p is walked over the n where it is large, [p - 1, p*p - 2], counting
+    the primes of valuation 1 per n (as differences).  The large part is the
+    wide quotient primes above sqrt(n + 1) exactly when there are as many of
+    them as counted and each is a prime of valuation 1.
+    """
+    ps = table.prime_list(hi + 1)
+    above = bytearray(len(range(lo, hi + 1)))  # a large valuation exceeds 1
+    ones = [0] * (len(above) + 1)  # the primes of valuation 1, as differences
+    for p in ps:
+        for b, e in _pieces(max(lo, p - 1), min(hi, p * p - 2), _split_steps(p), p):
+            v = b // (p - 1) - b // p
+            if v == 1:
+                ones[b - lo] += 1
+                ones[e - lo] -= 1
+            elif v > 1:
+                above[b - lo : e - lo] = b"\1" * (e - b)
+    bitmap = table._bitmap  # every prime walked is at most hi + 1, inside the table
+    count = 0
+    for n in range(lo, hi + 1):
+        count += ones[n - lo]
+        small_log, large, failure = 0.0, None, None
+        for p in itertools.takewhile(lambda p: p * p <= n + 1, ps):  # ascending
+            e = n // (p - 1) - _vfact(n, p)
+            if e < 0:
+                failure = f"sigma({n}) is not a multiple of {n}!"
+                break
+            if e:
+                small_log += e * math.log(p)
+        if failure is None and above[n - lo]:
+            failure = f"large-prime valuation above 1 at n={n}"
+        if failure is None:
+            large = {p for p in quotient_primes(n, wide=True, table=table).members if p * p > n + 1}
+            if len(large) != count or not all(
+                n // (p - 1) - n // p == 1 and bitmap[p] for p in large
+            ):
+                got = {p for p in ps if p * p > n + 1 and n // (p - 1) - n // p}  # 0 past n + 1
+                failure = f"large part mismatch at n={n}: {got} vs {large}"
+        yield n, small_log, large, failure
+
+
 def split_sigma_over_factorial(
     n: int, table: PrimeTable | None = None
 ) -> tuple[float, FactoredNatural]:
@@ -307,33 +331,13 @@ def split_sigma_over_factorial(
 
     The small part collects primes with p*p <= n+1; the large part is exactly
     the product of the wide quotient primes exceeding sqrt(n+1), each to the
-    first power — this is asserted, not assumed.
+    first power — this is asserted, not assumed (_split_walk at one n).
     """
-    import numpy as np
-
     from .factored import FactoredNatural
 
     if n < 1:
         raise ValueError("n must be >= 1")
-    t = _primes._table(table)
-    ps = t.primes_up_to(n + 1)
-    v = n // (ps - 1) - _legendre([n], ps)[0]  # the exponents of sigma(n), less n!'s
-    if v.min(initial=0) < 0:
-        raise ArithmeticError(f"sigma({n}) is not a multiple of {n}!")
-    small = ps * ps <= n + 1
-    large_ps = ps[~small]
-    large_v = v[~small]
-    nonzero = large_v > 0
-    if not np.all(large_v[nonzero] == 1):
-        raise ArithmeticError(f"large-prime valuation above 1 at n={n}")
-    got = set(large_ps[nonzero].tolist())
-    expected = {
-        p for p in quotient_primes(n, wide=True, table=t).members if p * p > n + 1
-    }
-    if got != expected:
-        raise ArithmeticError(f"large part mismatch at n={n}: {got} vs {expected}")
-    small_log = 0.0
-    for p, e in zip(ps[small].tolist(), v[small].tolist()):
-        if e:
-            small_log += e * math.log(p)
-    return small_log, FactoredNatural._trusted({p: 1 for p in sorted(got)})
+    [(_, small_log, large, failure)] = _split_walk(n, n, _primes._table(table))
+    if failure is not None:
+        raise ArithmeticError(failure)
+    return small_log, FactoredNatural._trusted({p: 1 for p in sorted(large)})

@@ -162,13 +162,15 @@ def check_cor2(nmax: int) -> CheckResult:
 
 
 def _flag_sweep(check_id: str, nmax: int, flags, messages) -> CheckResult:
-    """One case per n <= nmax and one violation per False fact of flags(ns, t),
-    t the default prime table."""
+    """One case per n <= nmax and one violation per fact that flags(0, nmax, t)
+    marks failed at n, t the default prime table: n ascending, then in the
+    order of the facts."""
     res = CheckResult(check_id=check_id)
     ns = range(nmax + 1)
     res.cases = len(ns)
-    for n, row in zip(ns, flags(ns, _primes.default_table())):
-        res.violations += (f"n={n}: {message}" for message, ok in zip(messages, row) if not ok)
+    fails = flags(0, nmax, _primes.default_table())
+    for n in sorted(set().union(*(itertools.compress(ns, f) for f in fails))):
+        res.violations += (f"n={n}: {message}" for message, f in zip(messages, fails) if f[n])
     return res
 
 
@@ -246,7 +248,11 @@ def check_theta_identities(nmax: int, points: int = 1000) -> CheckResult:
 
 
 def check_split(nmax: int) -> CheckResult:
-    """sigma(n)/n! splits exactly at sqrt(n+1); reports sup of small log / sqrt(n)."""
+    """sigma(n)/n! splits exactly at sqrt(n+1); reports sup of small log / sqrt(n).
+
+    One walk over n <= nmax (sequences._split_walk); a violation is the
+    message split_sigma_over_factorial would raise at n.
+    """
     from . import sequences
 
     res = CheckResult(check_id="split")
@@ -254,12 +260,10 @@ def check_split(nmax: int) -> CheckResult:
     t.ensure(nmax + 2)
     sup = 0.0
     sup_n = 1
-    for n in range(1, nmax + 1):
+    for n, small_log, _, failure in sequences._split_walk(1, nmax, t):
         res.cases += 1
-        try:
-            small_log, _ = sequences.split_sigma_over_factorial(n, t)
-        except ArithmeticError as exc:
-            res.violations.append(str(exc))
+        if failure is not None:
+            res.violations.append(failure)
             continue
         ratio = small_log / math.sqrt(n)
         if ratio > sup:

@@ -190,7 +190,7 @@ def test_numpy_is_loaded_only_by_the_bulk_array_commands():
     scalar = [["compute", target, "1200"] for target in ("rho", "sigma")]
     scalar += [["compute", "q", "72", "37"], ["verify", "prop1", "--nmax", "5"]]
     scalar += [["verify", "cor2", "--nmax", "8"], ["verify", "theorem2", "--nmax", "50"]]
-    scalar += [["verify", check, "--nmax", "50"] for check in ("prop2", "prop3")]
+    scalar += [["verify", check, "--nmax", "50"] for check in ("prop2", "prop3", "split")]
     scalar += [["triangle", "--nmax", "6"]]
     scalar += [["compute", "pif", "--f", f, "--x", "7.5"] for f in weights]
     scalar += [["verify", "theorem1", "--f", f, "--xmax", "4"] for f in weights]
@@ -204,6 +204,9 @@ def test_numpy_is_loaded_only_by_the_bulk_array_commands():
     )
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert proc.stdout.split() == ["0", "False", "lcmf.analytics"], proc.stderr
+    probe = "import sys, lcmf.sequences; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.stdout.split() == ["False"], proc.stderr
 
 
 def test_every_public_name_loads_from_its_submodule():

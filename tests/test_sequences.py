@@ -1,16 +1,17 @@
 import math
+import tracemalloc
 
-import numpy as np
 import pytest
 
 from lcmf import sequences, verify
 from lcmf.factored import FactoredNatural
 from lcmf.primes import default_table, factorial_valuation
 from lcmf.sequences import (
-    _breakpoints,
     _chain_steps,
-    _legendre,
+    _pieces,
     _sandwich_steps,
+    _split_steps,
+    _split_walk,
     chain_flags,
     divisibility_chain,
     factorial_sandwich,
@@ -57,17 +58,6 @@ def test_factorial_sandwich_cases():
     assert (math.factorial(4) * 60) % s4 == 0
 
 
-def test_legendre_kernel_matches_factorial_valuation():
-    t = default_table()
-    ps = t.primes_up_to(2 * 600 + 2)
-    block = _legendre(np.arange(601), ps)  # one block: rows far below its max
-    for n in range(601):
-        cols = ps[ps <= 2 * n + 2]
-        expected = [factorial_valuation(n, p) for p in cols.tolist()]
-        assert block[n, : len(cols)].tolist() == expected, n
-        assert _legendre([n], cols)[0].tolist() == expected, n
-
-
 def _chain_terms(n, p):
     """Every side of chain_flags' comparisons at (n, p), from primes' Legendre route."""
     q = p - 1
@@ -83,20 +73,49 @@ def _sandwich_terms(n, p):
     return n // (p - 1), factorial_valuation(n + 1, p), factorial_valuation(n, p), e
 
 
+def _split_terms(n, p):
+    """split's large-prime valuation n // (p - 1) - v_p(n!), one Legendre term for p*p > n."""
+    return n // (p - 1) - factorial_valuation(n, p)
+
+
 def test_terms_step_only_at_breakpoints():
-    # the flag routes decide each comparison once per interval between steps,
-    # so no side may change at an n that is not a step of its prime
+    # the walks decide each comparison once per interval between steps, so no
+    # side may change at an n that is not a step of its prime; split's
+    # valuation is walked only where p is large, on [p - 1, p*p - 2]
     nmax = 3000
     for p in default_table().prime_list(300):
-        for steps, terms in ((_chain_steps, _chain_terms), (_sandwich_steps, _sandwich_terms)):
-            cuts = set(_breakpoints(0, nmax, steps(p)))
-            for lo in (0, 1, 7, p, nmax - 1, nmax):  # a later range start keeps the later steps
-                assert _breakpoints(lo, nmax, steps(p)) == sorted(c for c in cuts if c > lo)
-            prev = terms(0, p)
-            for n in range(1, nmax + 1):
+        for steps, terms, lo, hi in (
+            (_chain_steps, _chain_terms, 0, nmax),
+            (_sandwich_steps, _sandwich_terms, 0, nmax),
+            (_split_steps, _split_terms, p - 1, min(nmax, p * p - 2)),
+        ):
+            cuts = {b for b, _ in _pieces(lo, hi, steps(p), p)}
+            prev = terms(lo, p)
+            for n in range(lo + 1, hi + 1):
                 cur = terms(n, p)
                 assert n in cuts or cur == prev, (terms.__name__, p, n, prev, cur)
                 prev = cur
+
+
+def _brute_pieces(lo, hi, steps):
+    """[b, e) between consecutive steps of [lo, hi], from a test of every n."""
+    if lo > hi:
+        return []
+    cuts = [n for n in range(lo + 1, hi + 1) if any((n - r) % m == 0 for m, r in steps)]
+    bounds = [lo, *cuts, hi + 1]
+    return list(zip(bounds, bounds[1:]))
+
+
+def test_pieces_match_brute_force_intervals():
+    # every n is a step of p = 2, and of the chain's p = 3; over [0, 3000] the
+    # windows are 54 wide for p <= 7, so those ranges span many windows; and
+    # 101**2 exceeds the range
+    ranges = ((0, 0), (7, 7), (8, 7), (0, 1), (0, 3000), (777, 3000))
+    for p in (2, 3, 5, 7, 11, 101):
+        for steps in (_chain_steps(p), _sandwich_steps(p), _split_steps(p)):
+            for lo, hi in (*ranges, (p - 1, p * p - 2)):
+                got = list(_pieces(lo, hi, steps, p))
+                assert got == _brute_pieces(lo, hi, steps), (p, steps, lo, hi)
 
 
 def _oracle_chain(n):
@@ -120,30 +139,32 @@ def _oracle_sandwich(n):
     return lower, upper
 
 
+def _flag_rows(fails):
+    """Per n of the range, one bool per fact: whether it holds."""
+    return [tuple(not f[i] for f in fails) for i in range(len(fails[0]))]
+
+
 def test_flag_tables_match_the_per_prime_oracle():
-    ns = list(range(601))
-    assert chain_flags(ns) == [_oracle_chain(n) for n in ns]
-    assert sandwich_flags(ns) == [_oracle_sandwich(n) for n in ns]
-    sparse = [0, 1, 2, 255, 256, 257, 4095, 4096]
-    chain, sandwich = chain_flags(sparse), sandwich_flags(sparse)
-    assert chain == [_oracle_chain(n) for n in sparse]
-    assert sandwich == [_oracle_sandwich(n) for n in sparse]
-    assert chain_flags(sparse[::-1]) == chain[::-1]  # rows come in the order of ns
-    for row, n in enumerate(sparse):
-        assert divisibility_chain(n) == chain[row], n
-        assert factorial_sandwich(n) == sandwich[row], n
+    chain, sandwich = _flag_rows(chain_flags(0, 600)), _flag_rows(sandwich_flags(0, 600))
+    assert chain == [_oracle_chain(n) for n in range(601)]
+    assert sandwich == [_oracle_sandwich(n) for n in range(601)]
+    # a later range start decides its first n from scratch
+    assert _flag_rows(chain_flags(257, 600)) == chain[257:]
+    assert _flag_rows(sandwich_flags(257, 600)) == sandwich[257:]
+    for n in (0, 1, 2, 255, 256, 257, 4095, 4096):
+        assert divisibility_chain(n) == _oracle_chain(n), n
+        assert factorial_sandwich(n) == _oracle_sandwich(n), n
 
 
 def test_batch_flags_match_per_n_wrappers():
-    ns = [0, 1, 2, 255, 256, 257, 4095, 4096]
-    chain = chain_flags(ns)
-    sandwich = sandwich_flags(ns)
-    assert [len(row) for row in chain] == [4] * 8 and [len(row) for row in sandwich] == [2] * 8
-    for row, n in enumerate(ns):
-        assert chain[row] == divisibility_chain(n) == (True,) * 4, n
-        assert sandwich[row] == factorial_sandwich(n) == (True, True), n
+    chain, sandwich = chain_flags(0, 4096), sandwich_flags(0, 4096)
+    assert [len(f) for f in chain] == [4097] * 4 and [len(f) for f in sandwich] == [4097] * 2
+    for n in (0, 1, 2, 255, 256, 257, 4095, 4096):
+        assert tuple(not f[n] for f in chain) == divisibility_chain(n) == (True,) * 4, n
+        assert tuple(not f[n] for f in sandwich) == factorial_sandwich(n) == (True, True), n
+    assert chain_flags(5, 4) == [bytearray()] * 4 and sandwich_flags(5, 4) == [bytearray()] * 2
     with pytest.raises(ValueError):
-        chain_flags([3, -1])
+        chain_flags(-1, 3)
     with pytest.raises(ValueError):
         factorial_sandwich(-1)
 
@@ -155,32 +176,53 @@ def test_prop_sweeps_count_every_n(nmax):
 
 
 def test_prop_sweeps_report_each_false_flag(monkeypatch):
-    def falsify(rows, ns, n, cols):
-        i = list(ns).index(n)
-        rows[i] = tuple(ok and col not in cols for col, ok in enumerate(rows[i]))
+    def marking(flags, marks):
+        def marked(lo, hi, table=None):
+            fails = flags(lo, hi, table)
+            for n, fact in marks:
+                fails[fact][n - lo] = 1
+            return fails
 
-    def chain(ns, table=None):
-        rows = chain_flags(ns, table)
-        falsify(rows, ns, 7, {0})
-        falsify(rows, ns, 9, {3})
-        return rows
+        return marked
 
-    def sandwich(ns, table=None):
-        rows = sandwich_flags(ns, table)
-        falsify(rows, ns, 30, {0, 1})
-        return rows
-
+    # marked out of order: the violations come n ascending, then in fact order
+    chain = marking(chain_flags, [(9, 0), (7, 3), (7, 1)])
     monkeypatch.setattr(sequences, "chain_flags", chain)
-    monkeypatch.setattr(sequences, "sandwich_flags", sandwich)
+    monkeypatch.setattr(sequences, "sandwich_flags", marking(sandwich_flags, [(30, 1), (30, 0)]))
     res = verify.check_prop2(40)
     assert res.cases == 41
-    assert res.violations == ["n=7: chain fails", "n=9: odd-doubling fails"]
+    assert res.violations == [
+        "n=7: divides-factorial fails",
+        "n=7: odd-doubling fails",
+        "n=9: chain fails",
+    ]
     res = verify.check_prop3(40)
     assert res.cases == 41
     assert res.violations == [
         "n=30: (n+1)! does not divide sigma(n)",
         "n=30: sigma(n) does not divide n! lcm(1..n+1)",
     ]
+
+
+def test_flag_and_split_walks_hold_few_bytes_per_n():
+    # the walks keep a failure byte per fact (and split a count) per n, and
+    # O(sqrt(N)) steps at once; the table and its prime list are grown first.
+    # tracemalloc slows the walks about tenfold, so N is kept at 5000
+    n = 5000
+    t = default_table()
+    t.prime_list(2 * n + 2)
+    for walk in (
+        lambda: chain_flags(0, n, t),
+        lambda: sandwich_flags(0, n, t),
+        lambda: all(failure is None for *_, failure in _split_walk(1, n, t)),
+    ):
+        tracemalloc.start()
+        try:
+            assert walk()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * n, peak / n
 
 
 def test_theorem2_reports_each_pair_a_dropped_witness_misses(monkeypatch):
@@ -265,3 +307,72 @@ def test_split_reassembles_sigma_over_factorial():
         assert ratio % int(large.to_decimal()) == 0
         small = ratio // int(large.to_decimal())
         assert math.log(small) == pytest.approx(small_log, abs=1e-9)
+
+
+def _split_oracle(n):
+    """(small log, large primes) of sigma(n)/n! prime by prime over every
+    p <= n + 1: the exponent n // (p - 1) less Legendre's full sum for n!."""
+    small_log, large = 0.0, set()
+    for p in default_table().prime_list(n + 1):
+        q, fact = p, 0
+        while q <= n:
+            fact, q = fact + n // q, q * p
+        v = n // (p - 1) - fact
+        assert v >= 0, (n, p)
+        if p * p <= n + 1:
+            if v:
+                small_log += v * math.log(p)
+        elif v:
+            assert v == 1, (n, p)
+            large.add(p)
+    return small_log, large
+
+
+def test_split_walk_matches_the_per_prime_oracle():
+    t = default_table()
+    walked = list(_split_walk(1, 3000, t))
+    # a prime p is large at p*p - 2 and small at p*p - 1: past 3000 = 55**2 - 25,
+    # walk r*r - 2 .. r*r + 1 for every r < 100 and every prime r < 400
+    for r in [*range(55, 100), *(p for p in t.prime_list(400) if p > 100)]:
+        walked += _split_walk(r * r - 2, r * r + 1, t)
+    assert len(walked) == 3000 + 4 * (45 + 53)
+    for n, small_log, large, failure in walked:
+        assert failure is None, failure
+        assert (small_log, large) == _split_oracle(n), n
+    small_log, large = split_sigma_over_factorial(2025, t)  # the walk's one-n case
+    assert (small_log, set(large.factors)) == walked[2024][1:3]
+
+
+def _patch_quotient_primes(monkeypatch, gone, added):
+    def witness(n, wide=False, table=None):
+        qp = quotient_primes(n, wide, table)
+        return qp._replace(members=(qp.members - gone.get(n, set())) | added.get(n, set()))
+
+    monkeypatch.setattr(sequences, "quotient_primes", witness)
+
+
+_SPLIT_NOTE = ["sup of small-part log / sqrt(n) = 1.543577 at n = 48"]
+
+
+def test_split_reports_a_dropped_quotient_prime(monkeypatch):
+    _patch_quotient_primes(monkeypatch, {40: {7}, 100: {13}}, {})
+    res = verify.check_split(200)
+    assert res.cases == 200 and res.notes == _SPLIT_NOTE
+    assert res.violations == [
+        "large part mismatch at n=40: {41, 11, 7} vs {41, 11}",
+        "large part mismatch at n=100: {17, 101, 11, 13} vs {17, 11, 101}",
+    ]
+
+
+def test_split_reports_an_added_non_member(monkeypatch):
+    # at n = 100 the count differs; at 99 and 150 a member is swapped out, so
+    # only the added value's valuation (23 has 0 at 150) or primality (100,
+    # of valuation 1 at 99) tells the sets apart
+    _patch_quotient_primes(monkeypatch, {99: {13}, 150: {151}}, {99: {100}, 100: {19}, 150: {23}})
+    res = verify.check_split(200)
+    assert res.cases == 200 and res.notes == _SPLIT_NOTE
+    assert res.violations == [
+        "large part mismatch at n=99: {17, 13} vs {17, 100}",
+        "large part mismatch at n=100: {17, 101, 11, 13} vs {101, 11, 13, 17, 19}",
+        "large part mismatch at n=150: {13, 17, 19, 151, 31} vs {13, 17, 19, 23, 31}",
+    ]
