@@ -179,7 +179,7 @@ def divisibility_chain(n: int, table: PrimeTable | None = None) -> tuple[bool, b
     A one-row wrapper: chain_flags, over a range of n, is the route the
     verify drivers take.
     """
-    return tuple(not fails[0] for fails in chain_flags(n, n, table))
+    return tuple(not f[0] for f in chain_flags(n, n, table))
 
 
 def factorial_sandwich(n: int, table: PrimeTable | None = None) -> tuple[bool, bool]:
@@ -190,7 +190,7 @@ def factorial_sandwich(n: int, table: PrimeTable | None = None) -> tuple[bool, b
     p**e <= n + 1, prime by prime:
         sum_i floor((n+1)/p**i)  <=  floor(n/(p-1))  <=  sum_i floor(n/p**i) + e.
     """
-    return tuple(not fails[0] for fails in sandwich_flags(n, n, table))
+    return tuple(not f[0] for f in sandwich_flags(n, n, table))
 
 
 # -- the valuation dichotomy -------------------------------------------------------
