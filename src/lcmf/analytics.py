@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import json
 import math
 from typing import NamedTuple
@@ -193,10 +192,49 @@ def _table_row(n: int, t: PrimeTable) -> tuple[float, float, int, float, float]:
 # stay on the table.  The route depends on n alone, so a row is the same
 # whatever the grid.
 LUCY_THRESHOLD = 1 << 22
-_PREFILTER_PRIMES = 32  # trial-divide by this many primes before Miller-Rabin
-_LUCY_BATCH_CELLS = 1 << 16  # (p, k) pairs per chunk of _lucy's second phase
-# a Lucy row's peak (tracemalloc): 134.6 B per sqrt(n) at 2^34, 125.5 B at 2^36
-_LUCY_BYTES_PER_ROOT = 125
+_PREFILTER_PRIMES = 32  # trial-divide by this many primes, the 14 bases among them
+_LUCY_BATCH_CELLS = 1 << 16  # start values, or phase-2 (p, k) pairs, per chunk of _lucy
+
+
+def _row_bytes(n: int) -> int:
+    """An upper estimate of a scan row's peak bytes at n, its table already built.
+
+    The fixed term is ten int64 or float64 arrays of one _lucy chunk, the
+    other the arrays of sqrt(n) or 2 sqrt(n) entries.  The tracemalloc peak
+    of a row (_record) was 1.08 MB at 2^24, 5.1 MB at 2^28, 7.7 MB at 2^30,
+    17.6 MB at 2^34, and 32.9 and 40.2 MB at 2^36 and 1.5 * 2^36, which is
+    124.5 B more per sqrt(n): the chunk's arrays set the peak at the small n,
+    the sqrt(n) arrays at the large.
+    """
+    return 80 * _LUCY_BATCH_CELLS + 125 * math.isqrt(n)
+
+
+_LOG_FACTORIAL_CUT = 20  # log v! from a table below it, from Stirling's series at and above
+_LOG_FACTORIALS = np.array([math.lgamma(v + 1) for v in range(_LOG_FACTORIAL_CUT)])
+
+
+def _log_factorial(v: np.ndarray) -> np.ndarray:
+    """log v! at each v of an int64 array v >= 0, within 2 units of 2**-52 v log v.
+
+    Below _LOG_FACTORIAL_CUT the value is math.lgamma(v + 1), from a table.
+    At and above it, Stirling's series
+
+        log v! = v (log v - 1) + log(2 pi v) / 2
+                 + 1/(12 v) - 1/(360 v**3) + 1/(1260 v**5) - 1/(1680 v**7) + R,
+
+    where |R| is below the first term left out, 1/(1188 v**9), a tenth of a
+    unit at v = 20 and less above; the float64 evaluation adds at most about
+    1.2 units (tests/test_analytics.py measures both against mpmath).
+    """
+    x = np.maximum(v, _LOG_FACTORIAL_CUT).astype(np.float64)
+    lx = np.log(x)
+    inv = 1.0 / x
+    inv2 = inv * inv
+    series = inv * (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 * (1 / 1680))))
+    out = x * (lx - 1.0) + (0.5 * lx + (0.5 * math.log(2.0 * math.pi) + series))
+    small = np.flatnonzero(v < _LOG_FACTORIAL_CUT)
+    out[small] = _LOG_FACTORIALS[v[small]]
+    return out
 
 
 def _s1_budget(v, updates: int):
@@ -210,8 +248,9 @@ def _lucy(n: int, t: PrimeTable, quotients):
 
     Lucy's sieve (Lagarias-Miller-Odlyzko 1985, Deleglise-Rivat 1996): S0(v)
     counts and S1(v) log-sums the integers 2..v with no prime factor below p.
-    They start as v - 1 and lgamma(v + 1); for each prime p <= sqrt(n) and
-    each v >= p**2, the multiples of p with no smaller factor are removed:
+    They start as v - 1 and log v! (_log_factorial); for each prime
+    p <= sqrt(n) and each v >= p**2, the multiples of p with no smaller
+    factor are removed:
 
         S0(v) -= S0(v/p) - S0(p-1)
         S1(v) -= log p * (S0(v/p) - S0(p-1)) + S1(v/p) - S1(p-1)
@@ -232,18 +271,19 @@ def _lucy(n: int, t: PrimeTable, quotients):
        in chunks of at most _LUCY_BATCH_CELLS pairs.
 
     S0 is int64, so exact; its bincount sums are integers below n, exact in
-    float64.  S1 is float64.  At v every operand is at most
-    lgamma(v + 1) <= v log v, each of the pi(sqrt v) updates rounds four
-    times, and S1(v) inherits the errors of the S1(v/p) it reads, whose
-    weights fall off about as p**-1.5 (summed over the primes, 0.85).  That
-    gives the budget (_s1_budget)
+    float64.  S1 is float64.  At v every operand is at most log v! <= v log v,
+    each of the pi(sqrt v) updates rounds four times, and S1(v) inherits the
+    errors of the S1(v/p) it reads, whose weights fall off about as p**-1.5
+    (summed over the primes, 0.85).  That gives the budget (_s1_budget)
 
         |S1(v) - theta(v)| <= 2**-52 (16 pi(sqrt n) + 4) v log v,
 
-    about 8900 at v = n = 2^40, a relative 8e-9.  The batch keeps within it:
+    about 8900 at v = n = 2^40, a relative 8e-9.  The start values take 2
+    of the constant 4: each is within 2 units of 2**-52 v log v of log v!.
+    The batch keeps within the budget:
     an update there rounds in log p * d0, in d1 and in their sum, and then
     once as bincount adds it to a running sum of positive terms, which never
-    exceeds the lgamma(v + 1) it is taken from; the one subtraction per chunk
+    exceeds the log v! it is taken from; the one subtraction per chunk
     replaces the rounding of each update's own subtraction.  That is at most
     four roundings per update at magnitude <= v log v, as in phase 1, and no
     more.  Against an 80-bit run of the same recurrence the error stayed
@@ -256,13 +296,13 @@ def _lucy(n: int, t: PrimeTable, quotients):
     small, large, _ = quotients
     r, top = len(small), len(large)
     # one array per sum, hi then lo, index 0 of each padding: hi[k] holds
-    # S(n // k) and lo[v] S(v), so S(v) for v <= top is at r + 1 + v
-    all0 = np.concatenate(([0], small - 1, np.arange(-1, top, dtype=np.int64)))
-    all1 = np.fromiter(
-        map(math.lgamma, itertools.chain([1], (small + 1).tolist(), range(1, top + 2))),
-        np.float64,
-        r + top + 2,
-    )
+    # S(n // k) and lo[v] S(v), so S(v) for v <= top is at r + 1 + v.  They
+    # start as v - 1 and log v!, the latter _LUCY_BATCH_CELLS values at a time
+    all0 = np.concatenate(([0], small, np.arange(top + 1, dtype=np.int64)))
+    all1 = np.empty(len(all0))
+    for a in range(0, len(all0), _LUCY_BATCH_CELLS):
+        all1[a : a + _LUCY_BATCH_CELLS] = _log_factorial(all0[a : a + _LUCY_BATCH_CELLS])
+    all0 -= 1
     hi0, lo0, hi1, lo1 = all0[: r + 1], all0[r + 1 :], all1[: r + 1], all1[r + 1 :]
     ps = t.primes_up_to(r)
     cut = int(np.searchsorted(ps, _primes.iroot(n, 3), side="right"))
@@ -276,11 +316,15 @@ def _lucy(n: int, t: PrimeTable, quotients):
         hi1[1 : kmax + 1] -= lp * d0 + d1
         hi0[1 : kmax + 1] -= d0
         if p * p <= top:
-            # v // p over v = p**2..top: each j = p..top // p repeated p times
-            j, cells = slice(p, top // p + 1), top + 1 - p * p
-            e0 = np.repeat(lo0[j] - c0, p)[:cells]
-            lo1[p * p :] -= lp * e0 + np.repeat(lo1[j] - c1, p)[:cells]
-            lo0[p * p :] -= e0
+            # v // p over v = p**2..top is j = p.., p times each: a (rows, p)
+            # view of the full runs of p, then the tail of the last j
+            rows = (top + 1 - p * p) // p
+            e0 = lo0[p : p + rows + 1] - c0
+            e1 = lp * e0 + (lo1[p : p + rows + 1] - c1)
+            for lo, e in ((lo0, e0), (lo1, e1)):
+                runs = lo[p * p : p * (p + rows)].reshape(rows, p)
+                runs -= e[:rows, None]
+                lo[p * (p + rows) :] -= e[rows]
     # phase 2: the pairs (p, k) with k <= n // p**2, p ascending then k,
     # taken _LUCY_BATCH_CELLS at a time
     big = ps[cut:]
@@ -317,16 +361,17 @@ def _lucy(n: int, t: PrimeTable, quotients):
 
 
 def _prime_flags(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Primality of each x in xs, where every x exceeds every prime in ps.
+    """Primality of each x in xs, where ps holds the Miller-Rabin bases (the
+    primes up to 43) and every x exceeds every prime in ps.
 
-    Trial division by ps, vectorised, drops most composites; the survivors go
-    through the deterministic Miller-Rabin test.
+    Trial division by ps, vectorised, drops most composites; the survivors,
+    odd and free of the bases' factors, go through the Miller-Rabin rounds.
     """
     flags = np.ones(len(xs), dtype=bool)
     for p in ps.tolist():
         flags &= xs % p != 0
     idx = np.flatnonzero(flags)
-    flags[idx] = [_primes.is_probable_prime(x) for x in xs[idx].tolist()]
+    flags[idx] = list(map(_primes._miller_rabin, xs[idx].tolist()))
     return flags
 
 
@@ -445,7 +490,12 @@ def _scan_chunk(args) -> list[ScanRecord]:
 def _scan_direct(ns: list[int], c: float, t: PrimeTable, workers: int) -> list[ScanRecord]:
     if workers <= 1 or len(ns) <= 1:
         return [_record(n, c, t) for n in ns]
-    chunks = [ns[i : i + 16] for i in range(0, len(ns), 16)]
+    # each Lucy row is a task of its own, largest n (the most work) first, so
+    # that the heavy rows spread over the workers; the table rows, far
+    # lighter, follow in chunks of 16
+    light = [n for n in ns if n < LUCY_THRESHOLD]
+    chunks = [[n] for n in reversed(ns) if n >= LUCY_THRESHOLD]
+    chunks += [light[i : i + 16] for i in range(0, len(light), 16)]
     try:
         import multiprocessing as mp
         from concurrent.futures import ProcessPoolExecutor
@@ -459,7 +509,7 @@ def _scan_direct(ns: list[int], c: float, t: PrimeTable, workers: int) -> list[S
             parts = list(pool.map(_scan_chunk, [(chunk, c) for chunk in chunks]))
     except (ValueError, OSError):  # fork unavailable: fall back, same numbers
         return [_record(n, c, t) for n in ns]
-    return [rec for part in parts for rec in part]
+    return sorted((rec for part in parts for rec in part), key=lambda rec: rec.n)
 
 
 def scan(
@@ -481,7 +531,7 @@ def scan(
     top = ns[-1]
     rows = min(max(workers, 1), len(ns))  # the rows _scan_direct may hold at once
     what = f"a scan row at n = {top}" if rows == 1 else f"{rows} scan rows at once up to n = {top}"
-    _primes.require_memory(rows * _LUCY_BYTES_PER_ROOT * math.isqrt(top), what)
+    _primes.require_memory(rows * _row_bytes(top), what)
     # a table row needs the table to n + 2, a Lucy row to sqrt(n) + 2
     t.ensure(max([n + 2 for n in ns if n < LUCY_THRESHOLD] + [math.isqrt(top) + 2]))
     if c is None:

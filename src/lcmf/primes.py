@@ -54,6 +54,12 @@ def is_probable_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    return _miller_rabin(n)
+
+
+def _miller_rabin(n: int) -> bool:
+    """The Miller-Rabin rounds of is_probable_prime, for odd n above every base
+    (callers rule out the small factors first)."""
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
     d = (n - 1) >> s
     for a in _MR_BASES[: bisect.bisect_right(_MR_BOUNDS, n) + 1]:

@@ -272,11 +272,12 @@ def quotient_primes(n: int, wide: bool = False, table: PrimeTable | None = None)
     t = _primes._table(table)
     t.ensure(n + 2)
     kmax = math.isqrt(n) + 1 if wide else math.isqrt(n)
-    values = [(n + k) // k for k in range(1, kmax + 1)]
-    if len(set(values)) != len(values):
+    # n // k - n // (k + 1) >= 1 while k (k + 1) <= n, which holds for every
+    # pair of neighbours in the range but the last; the values fall as k grows
+    if kmax > 1 and n // (kmax - 1) == n // kmax:
         raise ArithmeticError(f"quotient values not distinct at n={n}")
     bitmap = t._bitmap  # every value is at most n + 1, inside the table
-    gen = {v: k for k, v in enumerate(values, start=1) if bitmap[v]}
+    gen = {v: k for k in range(1, kmax + 1) if bitmap[v := n // k + 1]}
     return QuotientPrimes(n=n, wide=wide, members=frozenset(gen), generating_k=gen)
 
 

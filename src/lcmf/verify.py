@@ -210,7 +210,8 @@ def check_theorem2(nmax: int) -> CheckResult:
         res.cases += len(ps)
         wide = sequences.quotient_primes(n, wide=True, table=t).members
         vs = [(n % p + n // p) // (p - 1) for p in ps]
-        if set(itertools.compress(ps, vs)) == wide.intersection(ps) and max(vs, default=0) <= 1:
+        above = {p for p in wide if p * p > n + 1}  # wide's members among ps
+        if set(itertools.compress(ps, vs)) == above and max(vs, default=0) <= 1:
             continue
         for p, v_digits in zip(ps, vs):
             v_witness = 1 if p in wide else 0

@@ -323,6 +323,69 @@ def test_lucy_rows_match_the_table_route(table_2_26, c_mid):
         assert abs(rec.log_sigma - theta_sum_sigma(n, table_2_26)) <= 2 * _row_budget(n, 1)
 
 
+def test_log_factorial_within_its_bound_of_mpmath():
+    # the bound _log_factorial states: 2 units of 2**-52 v log v (0 at v <= 1)
+    import random
+
+    import mpmath
+
+    cut = analytics._LOG_FACTORIAL_CUT
+    rng = random.Random(17)
+    vs = list(range(cut + 3))
+    vs += [(1 << k) + d for k in range(2, 49) for d in (-1, 0, 1)]
+    vs += [rng.randrange(cut, 1 << rng.randrange(5, 49)) for _ in range(1500)]
+    vs = np.array(sorted(set(vs)), dtype=np.int64)
+    got = analytics._log_factorial(vs)
+    with mpmath.workdps(40):
+        err = [abs(mpmath.mpf(float(g)) - mpmath.loggamma(v + 1)) for g, v in zip(got, vs.tolist())]
+    bound = 2 * 2.0**-52 * vs * np.log(np.maximum(vs, 2))
+    bound[vs <= 1] = 0.0
+    assert np.all(np.array(err, dtype=np.float64) <= bound)
+
+
+def test_scan_row_peak_is_below_the_estimate(c_mid):
+    import tracemalloc
+
+    for n in (1 << 24, 1 << 28):
+        t = PrimeTable(math.isqrt(n) + 2)
+        t.primes_up_to(2)  # the table's arrays are built before the row, as in a scan
+        tracemalloc.start()
+        try:
+            analytics._record(n, c_mid, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= analytics._row_bytes(n), (n, peak)
+
+
+def test_scan_workers_take_lucy_rows_heaviest_first(monkeypatch, c_mid):
+    import concurrent.futures
+
+    tasks = []
+
+    class InProcessPool:  # runs the tasks here, in the order they are handed out
+        def __init__(self, initializer, initargs, **_):
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            args = list(args)
+            tasks.extend(ns for ns, _ in args)
+            return map(fn, args)
+
+    ns = [LUCY_THRESHOLD + 3, 7, LUCY_THRESHOLD + 1, *range(100, 120), 3 * LUCY_THRESHOLD]
+    expected = scan(ns, c=c_mid)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    assert scan(ns, c=c_mid, workers=2) == expected
+    lucy = [[3 * LUCY_THRESHOLD], [LUCY_THRESHOLD + 3], [LUCY_THRESHOLD + 1]]
+    assert tasks == lucy + [[7, *range(100, 115)], list(range(115, 120))]
+
+
 def test_scan_workers_deterministic(tmp_path, c_mid):
     ns = list(range(1000, 41_000, 1000))  # sparse: per-record path
     recs1 = scan(ns, c=c_mid, workers=1)

@@ -5,7 +5,7 @@ import pytest
 
 from lcmf import sequences, verify
 from lcmf.factored import FactoredNatural
-from lcmf.primes import default_table, factorial_valuation
+from lcmf.primes import PrimeTable, default_table, factorial_valuation
 from lcmf.sequences import (
     _chain_steps,
     _pieces,
@@ -279,6 +279,21 @@ def test_quotient_primes_examples():
     assert quotient_primes(100).generating_k == {101: 1, 17: 6, 13: 8, 11: 10}
     assert sorted(quotient_primes(1).members) == [2]
     assert sorted(quotient_primes(10, wide=True).members) == [3, 11]
+    t = default_table()
+    for n in range(1, 3000):
+        for wide in (False, True):
+            ks = range(1, math.isqrt(n) + 1 + wide)
+            gen = {(n + k) // k: k for k in ks if t.is_prime((n + k) // k)}
+            qp = quotient_primes(n, wide, t)
+            assert (qp.members, qp.generating_k) == (frozenset(gen), gen), (n, wide)
+
+
+def test_quotient_primes_refuses_repeated_values(monkeypatch):
+    # a k range that runs past sqrt(n) + 1 repeats a value at its end
+    t = PrimeTable(200)
+    monkeypatch.setattr(sequences.math, "isqrt", lambda n: int(n**0.5) + 5)
+    with pytest.raises(ArithmeticError, match="not distinct at n=100"):
+        quotient_primes(100, wide=True, table=t)
 
 
 def test_quotient_values_distinct():
