@@ -310,7 +310,7 @@ def _lucy(n: int, t: PrimeTable, quotients):
         c0, c1, lp = lo0[p - 1], lo1[p - 1], math.log(p)
         kmax = min(r, n // (p * p))
         kd = min(kmax, r // p)  # k <= kd: n // (k p) is a small quotient, hi[k p]
-        far = (n // p) // np.arange(kd + 1, kmax + 1, dtype=np.int64)
+        far = small[kd:kmax] // p  # n // (k p) = (n // k) // p, for k = kd+1..kmax
         d0 = np.concatenate((hi0[p : kd * p + 1 : p], lo0[far])) - c0
         d1 = np.concatenate((hi1[p : kd * p + 1 : p], lo1[far])) - c1
         hi1[1 : kmax + 1] -= lp * d0 + d1
