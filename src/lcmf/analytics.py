@@ -369,7 +369,7 @@ def _prime_flags(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """
     flags = np.ones(len(xs), dtype=bool)
     for p in ps.tolist():
-        flags &= xs % p != 0
+        flags &= xs // p * p != xs  # numpy divides by a scalar faster than it takes %
     idx = np.flatnonzero(flags)
     flags[idx] = list(map(_primes._miller_rabin, xs[idx].tolist()))
     return flags
