@@ -14,7 +14,7 @@ The route of a row depends on n alone.  Below LUCY_THRESHOLD (2^22) theta
 and primality are lookups in a prime table up to n + 2, about
 1 + 16 / ln n bytes per integer.  From it on, theta at every quotient comes
 from Lucy's sieve (_lucy) in O(n**(3/4)) time and O(sqrt n) memory, with a
-table only up to sqrt(n) + 2: a row at 2^36 takes about 1.5 s and 67 MB.
+table only up to sqrt(n) + 2: a row at 2^36 takes about 1.4 s and 64 MB.
 Each row sums in a fixed order, so scan output is reproducible bit for bit
 on one platform whatever the grid or worker count.
 """
@@ -186,7 +186,7 @@ def _table_row(n: int, t: PrimeTable) -> tuple[float, float, int, float, float]:
 # -- Lucy's sieve ---------------------------------------------------------------------
 
 # Scan rows for n >= LUCY_THRESHOLD come from Lucy's sieve, rows below it from
-# the prime table.  At 2^22 a Lucy row takes about 4 ms and a table row 0.13 ms
+# the prime table.  At 2^22 a Lucy row takes about 3 ms and a table row 0.13 ms
 # (2-vCPU VM), but only after a table up to n + 2, which takes 28 ms to build
 # and holds 1 + 16 / ln n bytes per integer.  Dense step:1 windows near 2^20
 # stay on the table.  The route depends on n alone, so a row is the same
@@ -201,10 +201,10 @@ def _row_bytes(n: int) -> int:
 
     The fixed term is ten int64 or float64 arrays of one _lucy chunk, the
     other the arrays of sqrt(n) or 2 sqrt(n) entries.  The tracemalloc peak
-    of a row (_record) was 1.08 MB at 2^24, 5.1 MB at 2^28, 7.7 MB at 2^30,
-    17.6 MB at 2^34, and 32.9 and 40.2 MB at 2^36 and 1.5 * 2^36, which is
-    124.5 B more per sqrt(n): the chunk's arrays set the peak at the small n,
-    the sqrt(n) arrays at the large.
+    of a row (_record) was 1.09 MB at 2^24, 5.1 MB at 2^28, 7.7 MB at 2^30,
+    17.6 MB at 2^34, and 32.9 and 40.2 MB at 2^36 and 1.5 * 2^36, 124.5 B
+    more per sqrt(n) between those two: the chunk's arrays set the peak at
+    the small n, the sqrt(n) arrays at the large.
     """
     return 80 * _LUCY_BATCH_CELLS + 125 * math.isqrt(n)
 
@@ -232,8 +232,8 @@ def _log_factorial(v: np.ndarray) -> np.ndarray:
     inv2 = inv * inv
     series = inv * (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 * (1 / 1680))))
     out = x * (lx - 1.0) + (0.5 * lx + (0.5 * math.log(2.0 * math.pi) + series))
-    small = np.flatnonzero(v < _LOG_FACTORIAL_CUT)
-    out[small] = _LOG_FACTORIALS[v[small]]
+    tabled = np.flatnonzero(v < _LOG_FACTORIAL_CUT)
+    out[tabled] = _LOG_FACTORIALS[v[tabled]]
     return out
 
 

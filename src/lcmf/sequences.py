@@ -272,8 +272,8 @@ def quotient_primes(n: int, wide: bool = False, table: PrimeTable | None = None)
     t = _primes._table(table)
     t.ensure(n + 2)
     kmax = math.isqrt(n) + 1 if wide else math.isqrt(n)
-    # n // k - n // (k + 1) >= 1 while k (k + 1) <= n, which holds for every
-    # pair of neighbours in the range but the last; the values fall as k grows
+    # the values fall as k grows, by at least 1 while k (k + 1) <= n, which
+    # holds for every pair of neighbours in the range but the last
     if kmax > 1 and n // (kmax - 1) == n // kmax:
         raise ArithmeticError(f"quotient values not distinct at n={n}")
     bitmap = t._bitmap  # every value is at most n + 1, inside the table
