@@ -113,21 +113,63 @@ def default_constant() -> Enclosure:
 
 
 def log_rho(n: int, table: PrimeTable | None = None) -> float:
-    """log rho(n) as the fixed-order sum of (n // p) log p over p <= n."""
-    t = _primes._table(table)
-    ps, logs = t.primes_and_logs(n)
-    if len(ps) == 0:
-        return 0.0
-    return float(np.sum((n // ps).astype(np.float64) * logs))
+    """log rho(n) as the sum of (n // p) log p over p <= n, summed pairwise in
+    ascending p by the check route _prime_sums."""
+    return _prime_sums([n], _primes._table(table), 0)[0]
 
 
 def log_sigma(n: int, table: PrimeTable | None = None) -> float:
-    """log sigma(n) as the sum of (n // (p-1)) log p over p <= n + 1."""
-    t = _primes._table(table)
-    ps, logs = t.primes_and_logs(n + 1)
-    if len(ps) == 0:
-        return 0.0
-    return float(np.sum((n // (ps - 1)).astype(np.float64) * logs))
+    """log sigma(n) as the sum of (n // (p-1)) log p over p <= n + 1, summed
+    pairwise in ascending p by the check route _prime_sums."""
+    return _prime_sums([n], _primes._table(table), 1)[0]
+
+
+# Table rows (_table_rows) and the check route's sums (_prime_sums) are taken
+# for blocks of consecutive n at a time, each block holding at most this many
+# quotients or (n, p) pairs counted at its widest row; a block's arrays, a few
+# such arrays of 8-byte cells, stay within _row_bytes's fixed term
+_TABLE_BLOCK_CELLS = 1 << 13
+
+
+def _blocks(widths: list[int]):
+    """(a, b): consecutive ranges of rows with nondecreasing widths, each at
+    most _TABLE_BLOCK_CELLS cells counted at its widest, last, row; a row
+    wider than that is a block of its own."""
+    a = 0
+    while a < len(widths):
+        b = a + 1
+        while b < len(widths) and (b + 1 - a) * widths[b] <= _TABLE_BLOCK_CELLS:
+            b += 1
+        yield a, b
+        a = b
+
+
+def _prime_sums(ns: list[int], t: PrimeTable, shift: int) -> list[float]:
+    """The sum over primes p <= n + shift of (n // (p - shift)) log p, for each n
+    of the ascending ns: log rho(n) with shift 0, log sigma(n) with shift 1.
+
+    The check route of the theta sums: no quotient of n by k, only the primes,
+    cut at each n's own n + shift.  The quotients are floors of float64
+    divisions, exact for n < 2**53: fl(n/d) is within (n/d) 2**-53 < 1/d of
+    n/d, and n/d lies in [n // d, n // d + 1 - 1/d], so both round to the same
+    floor.  Larger n is refused with ValueError.  Each n sums pairwise in
+    ascending p over its own row, so its value does not depend on ns.
+    """
+    if not ns:
+        return []
+    if ns[-1] >= 1 << 53:
+        raise ValueError("the check route's float64 quotients are exact only for n < 2**53")
+    ps, logs = t.primes_and_logs(ns[-1] + shift)
+    divisors = (ps - shift).astype(np.float64)
+    counts = ps.searchsorted(np.array(ns, dtype=np.int64) + shift, side="right").tolist()
+    out = []
+    for a, b in _blocks(counts):
+        w = counts[b - 1]
+        q = np.divide(np.array(ns[a:b], dtype=np.float64)[:, None], divisors[:w])
+        np.floor(q, out=q)
+        q *= logs[:w]
+        out += [float(np.add.reduce(row[:c])) for row, c in zip(q, counts[a:b])]
+    return out
 
 
 def _quotients(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -160,27 +202,78 @@ def _prime_quotients(quotients, small_prime, large_prime) -> tuple[int, float, f
     )
 
 
-def _table_row(n: int, t: PrimeTable) -> tuple[float, float, int, float, float]:
-    """(log_rho, log_sigma, card_A, s1, s2) of n from the prime table, grown to n + 2.
+Row = tuple[float, float, int, float, float]  # (log_rho, log_sigma, card_A, s1, s2)
+
+
+def _table_rows(ns: list[int], t: PrimeTable) -> list[Row]:
+    """(log_rho, log_sigma, card_A, s1, s2) of each n of the ascending ns, from
+    the prime table, grown to max(ns) + 2.
 
     log rho and log sigma are the sums over k of theta(n // k) and of
-    theta(n // k + 1).  pi at the small quotients v takes one search of the
-    primes, and pi(v + 1) = pi(v) + [v + 1 prime]; pi at every large
-    quotient, v <= top = n // (isqrt(n) + 1), and at v + 1 is one running
-    count of the bitmap to top + 1.  theta is the prefix at pi.
+    theta(n // k + 1), in _quotients' layout: the small quotients n // k,
+    k <= r = isqrt(n), and the large ones v <= top = n // (r + 1), weighted
+    by mult.  theta at v and v + 1, and log(v + 1) where v + 1 is prime,
+    depend on v alone, so they are taken once per call for v <= top + 1,
+    from one running count of the bitmap.  The rest is taken a block of n at
+    a time (_blocks, _table_block).
     """
-    mask = t.prime_mask(n + 2)  # first: it may grow the table
+    mask = t.prime_mask(ns[-1] + 2)  # first: it may grow the table
     _, primes, prefix = t._derived()
-    quotients = small, large, _ = _quotients(n)
-    at = primes.searchsorted(small, side="right")
-    small_prime = mask[small + 1]
-    pi = np.cumsum(mask[: len(large) + 2])  # pi(v) for v <= top + 1
-    large_prime = mask[2 : len(large) + 2]  # v + 1 prime, for v = 1..top
-    return (
-        _quotient_sum(quotients, prefix[at], prefix[pi[1:-1]]),
-        _quotient_sum(quotients, prefix[at + small_prime], prefix[pi[2:]]),
-        *_prime_quotients(quotients, small_prime, large_prime),
-    )
+    top = ns[-1] // (math.isqrt(ns[-1]) + 1)  # the largest top: it is nondecreasing in n
+    theta = prefix[np.cumsum(mask[: top + 2])]  # theta(v) for v <= top + 1
+    hit = np.flatnonzero(mask[2 : top + 2])  # the v <= top with v + 1 prime, as v - 1
+    at_v = theta, hit, np.log(hit + 2)
+    rows: list[Row] = []
+    for a, b in _blocks([n // (math.isqrt(n) + 1) + 1 for n in ns]):
+        rows += _table_block(ns[a:b], mask, primes, prefix, at_v)
+    return rows
+
+
+def _table_block(ns: list[int], mask, primes, prefix, at_v) -> list[Row]:
+    """_table_rows of a block of ascending ns, from the table's mask, primes
+    and theta prefix and the per-v arrays (theta, hit, log(hit + 2)).
+
+    q = n // k for k = 1..w, w = top + 1 of the last, widest row, is one
+    array; pi at it is one search of the primes, and the flags of n // k + 1
+    and the theta gathers one step each.  Each row then sums with
+    np.add.reduce over its own slices of those arrays: the values and the
+    order of a row do not depend on the block, so neither do its sums.
+    """
+    theta, hit, hit_log = at_v
+    roots = [math.isqrt(n) for n in ns]
+    tops = [n // (r + 1) for n, r in zip(ns, roots)]
+    hits = hit.searchsorted(tops).tolist()  # how many large v with v + 1 prime, per row
+    w = tops[-1] + 1
+    ks = np.arange(1, w + 1, dtype=np.int64)
+    q = np.array(ns, dtype=np.int64)[:, None] // ks  # q[i, k - 1] = n // k
+    q_prime = mask[1:][q]  # n // k + 1 prime
+    at = primes.searchsorted(q, side="right")  # pi(n // k)
+    theta_rho = prefix[at]
+    at += q_prime
+    theta_sigma = prefix[at]
+    del at
+    # card_A and s1: the flagged cells, row after row; row i's small
+    # quotients are the cells from i w to i w + r
+    flagged = np.flatnonzero(q_prime)
+    logs = np.log(q.ravel()[flagged] + 1)
+    cuts = flagged.searchsorted([c for i, r in enumerate(roots) for c in (i * w, i * w + r)])
+    cuts = cuts.tolist()
+    mult = q[:, :-1] - q[:, 1:]  # at v = 1..w-1
+    del q
+    mult_rho, mult_sigma = mult * theta[1:w], mult * theta[2 : w + 1]
+    # s2: mult times log(v + 1) at the large v with v + 1 prime
+    mult_s2 = mult[:, hit[: hits[-1]]] * hit_log[: hits[-1]]
+    del mult
+    return [
+        (
+            float(np.add.reduce(theta_rho[i, :r]) + np.add.reduce(mult_rho[i, :top])),
+            float(np.add.reduce(theta_sigma[i, :r]) + np.add.reduce(mult_sigma[i, :top])),
+            cuts[2 * i + 1] - cuts[2 * i],
+            float(np.add.reduce(logs[cuts[2 * i] : cuts[2 * i + 1]])),
+            float(np.add.reduce(mult_s2[i, :m])),
+        )
+        for i, (r, top, m) in enumerate(zip(roots, tops, hits))
+    ]
 
 
 # -- Lucy's sieve ---------------------------------------------------------------------
@@ -375,18 +468,21 @@ def _prime_flags(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return flags
 
 
-def theta_sum_rho(n: int, table: PrimeTable | None = None) -> float:
-    """Sum over k = 1..n of theta(n / k); identical to log rho(n) exactly."""
+def _one_row(n: int, table: PrimeTable | None) -> Row:
+    """_table_rows at the one n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _table_row(n, _primes._table(table))[0]
+    return _table_rows([n], _primes._table(table))[0]
+
+
+def theta_sum_rho(n: int, table: PrimeTable | None = None) -> float:
+    """Sum over k = 1..n of theta(n / k); identical to log rho(n) exactly."""
+    return _one_row(n, table)[0]
 
 
 def theta_sum_sigma(n: int, table: PrimeTable | None = None) -> float:
     """Sum over k = 1..n of theta(n / k + 1); identical to log sigma(n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _table_row(n, _primes._table(table))[1]
+    return _one_row(n, table)[1]
 
 
 def s_split(n: int, table: PrimeTable | None = None) -> tuple[float, float, float]:
@@ -396,17 +492,13 @@ def s_split(n: int, table: PrimeTable | None = None) -> tuple[float, float, floa
     quotients), and s_total = s1 + s2 by construction.  s_total equals
     log sigma(n) - log rho(n) up to float accumulation.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    *_, s1, s2 = _table_row(n, _primes._table(table))
+    *_, s1, s2 = _one_row(n, table)
     return s1 + s2, s1, s2
 
 
 def quotient_prime_count(n: int, table: PrimeTable | None = None) -> int:
     """Number of k <= sqrt(n) for which floor(n/k + 1) is prime (card_A)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _table_row(n, _primes._table(table))[2]
+    return _one_row(n, table)[2]
 
 
 # -- scans --------------------------------------------------------------------------
@@ -435,43 +527,57 @@ class ScanRecord(NamedTuple):
 assert CSV_HEADER == ",".join(ScanRecord._fields)
 
 
-def _record(n: int, c: float, t: PrimeTable) -> ScanRecord:
-    """The scan row for n, every field from one set of quotient arrays.
-
-    From LUCY_THRESHOLD on, theta comes from _lucy and the primality of the
-    n // k + 1 with k <= sqrt(n) from _prime_flags, so the table only needs
-    to reach sqrt(n) + 2.
-    """
-    if n < LUCY_THRESHOLD:
-        lr, ls, card, s1, s2 = _table_row(n, t)
-    else:
-        t.ensure(math.isqrt(n) + 2)
-        quotients = small, large, _ = _quotients(n)
-        _, (at_small, at_large) = _lucy(n, t, quotients)
-        small_prime = _prime_flags(small + 1, t.primes_up_to(len(small))[:_PREFILTER_PRIMES])
-        large_prime = t.prime_mask(len(small) + 1)[2 : len(large) + 2]
-        lr = _quotient_sum(quotients, at_small, at_large)
-        # theta(v + 1) = theta(v) + log(v + 1) when v + 1 is prime
-        ls = _quotient_sum(
+def _lucy_row(n: int, t: PrimeTable) -> Row:
+    """(log_rho, log_sigma, card_A, s1, s2) of n >= LUCY_THRESHOLD: theta from
+    _lucy, and the primality of the n // k + 1 with k <= sqrt(n) from
+    _prime_flags, so the table only needs to reach sqrt(n) + 2."""
+    t.ensure(math.isqrt(n) + 2)
+    quotients = small, large, _ = _quotients(n)
+    _, (at_small, at_large) = _lucy(n, t, quotients)
+    small_prime = _prime_flags(small + 1, t.primes_up_to(len(small))[:_PREFILTER_PRIMES])
+    large_prime = t.prime_mask(len(small) + 1)[2 : len(large) + 2]
+    # theta(v + 1) = theta(v) + log(v + 1) when v + 1 is prime
+    return (
+        _quotient_sum(quotients, at_small, at_large),
+        _quotient_sum(
             quotients,
             at_small + np.where(small_prime, np.log(small + 1), 0.0),
             at_large + np.where(large_prime, np.log(large + 1), 0.0),
-        )
-        card, s1, s2 = _prime_quotients(quotients, small_prime, large_prime)
-    if abs((ls - lr) - (s1 + s2)) > 1e-6 * max(1.0, n):
-        raise ArithmeticError(f"quotient log split disagrees with log gap at n={n}")
-    logn = math.log(n)
-    return ScanRecord(
-        n=n,
-        log_rho=lr,
-        log_sigma=ls,
-        residual_rho=lr - (n * logn - (c + 1.0) * n),
-        residual_sigma=ls - (n * logn - n),
-        card_A=card,
-        conj2_stat=card * logn / math.sqrt(n),
-        s1=s1,
-        s2=s2,
+        ),
+        *_prime_quotients(quotients, small_prime, large_prime),
     )
+
+
+def _records(ns: list[int], c: float, t: PrimeTable) -> list[ScanRecord]:
+    """The scan rows of the ascending ns: those below LUCY_THRESHOLD from one
+    call of _table_rows, the others one _lucy_row each."""
+    light = [n for n in ns if n < LUCY_THRESHOLD]
+    rows = _table_rows(light, t) if light else []
+    rows += [_lucy_row(n, t) for n in ns[len(light) :]]
+    out = []
+    for n, (lr, ls, card, s1, s2) in zip(ns, rows):
+        if abs((ls - lr) - (s1 + s2)) > 1e-6 * max(1.0, n):
+            raise ArithmeticError(f"quotient log split disagrees with log gap at n={n}")
+        logn = math.log(n)
+        out.append(
+            ScanRecord(
+                n=n,
+                log_rho=lr,
+                log_sigma=ls,
+                residual_rho=lr - (n * logn - (c + 1.0) * n),
+                residual_sigma=ls - (n * logn - n),
+                card_A=card,
+                conj2_stat=card * logn / math.sqrt(n),
+                s1=s1,
+                s2=s2,
+            )
+        )
+    return out
+
+
+def _record(n: int, c: float, t: PrimeTable) -> ScanRecord:
+    """The scan row for n, every field from one set of quotient arrays."""
+    return _records([n], c, t)[0]
 
 
 _worker_table: PrimeTable | None = None  # the caller's table, in a scan worker
@@ -484,12 +590,12 @@ def _init_worker(table: PrimeTable) -> None:
 
 def _scan_chunk(args) -> list[ScanRecord]:
     ns, c = args
-    return [_record(n, c, _worker_table) for n in ns]
+    return _records(ns, c, _worker_table)
 
 
 def _scan_direct(ns: list[int], c: float, t: PrimeTable, workers: int) -> list[ScanRecord]:
     if workers <= 1 or len(ns) <= 1:
-        return [_record(n, c, t) for n in ns]
+        return _records(ns, c, t)
     # each Lucy row is a task of its own, largest n (the most work) first, so
     # that the heavy rows spread over the workers; the table rows, far
     # lighter, follow in chunks of 16
@@ -508,7 +614,7 @@ def _scan_direct(ns: list[int], c: float, t: PrimeTable, workers: int) -> list[S
         ) as pool:
             parts = list(pool.map(_scan_chunk, [(chunk, c) for chunk in chunks]))
     except (ValueError, OSError):  # fork unavailable: fall back, same numbers
-        return [_record(n, c, t) for n in ns]
+        return _records(ns, c, t)
     return sorted((rec for part in parts for rec in part), key=lambda rec: rec.n)
 
 

@@ -233,12 +233,11 @@ def check_theta_identities(nmax: int, points: int = 1000) -> CheckResult:
     t = _primes.default_table()
     t.ensure(nmax + 2)
     grid = sorted(set(max(1, (i * nmax) // points) for i in range(1, points + 1)))
-    for n in grid:
+    rows = analytics._table_rows(grid, t)
+    rhos, sigmas = analytics._prime_sums(grid, t, 0), analytics._prime_sums(grid, t, 1)
+    for n, (theta_rho, theta_sigma, _, s1, s2), lr, ls in zip(grid, rows, rhos, sigmas):
         res.cases += 1
         tol = 1e-6 * max(1.0, n)
-        lr = analytics.log_rho(n, t)
-        ls = analytics.log_sigma(n, t)
-        theta_rho, theta_sigma, _, s1, s2 = analytics._table_row(n, t)
         if abs(theta_rho - lr) > tol:
             res.violations.append(f"n={n}: theta sum for rho off by more than {tol}")
         if abs(theta_sigma - ls) > tol:
