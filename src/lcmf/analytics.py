@@ -4,19 +4,21 @@ The headline quantities are log rho(n) and log sigma(n).  Both admit exact
 rewrites as sums of theta values over the ~2 sqrt(n) distinct quotients n//k,
 and their gap is the log-sum over k of the prime quotient values
 floor(n/k + 1).  A scan row takes every field from those quotients; the
-direct sums of (n // p) log p in log_rho/log_sigma are the check route.
-Residuals subtract n log n - (c+1) n and n log n - n, where c is the sum over
-primes of log p / (p (p-1)): scans take it from analytic_constant(), the
-float of an analytic series, and prime_series_constant() encloses it
-rigorously.
+direct sums of (n // p) log p and (n // (p-1)) log p over the primes
+(_prime_sums, behind log_rho/log_sigma) are the check route.  Residuals
+subtract n log n - (c+1) n and n log n - n, where c is the sum over primes
+of log p / (p (p-1)): scans take it from analytic_constant(), the float of
+an analytic series, and prime_series_constant() encloses it rigorously.
 
 The route of a row depends on n alone.  Below LUCY_THRESHOLD (2^22) theta
 and primality are lookups in a prime table up to n + 2, about
-1 + 16 / ln n bytes per integer.  From it on, theta at every quotient comes
-from Lucy's sieve (_lucy) in O(n**(3/4)) time and O(sqrt n) memory, with a
-table only up to sqrt(n) + 2: a row at 2^36 takes about 1.4 s and 64 MB.
-Each row sums in a fixed order, so scan output is reproducible bit for bit
-on one platform whatever the grid or worker count.
+1 + 16 / ln n bytes per integer, taken for a block of n at a time
+(_table_rows): a step:1 window near 2^20 takes about 0.07 ms a row.  From
+it on, theta at every quotient comes from Lucy's sieve (_lucy) in
+O(n**(3/4)) time and O(sqrt n) memory, with a table only up to
+sqrt(n) + 2: a row at 2^36 takes about 1.4 s and 64 MB.  Each row sums in
+a fixed order over its own arrays, so scan output is reproducible bit for
+bit on one platform whatever the grid, its blocks or the worker count.
 """
 
 from __future__ import annotations
@@ -124,13 +126,6 @@ def log_sigma(n: int, table: PrimeTable | None = None) -> float:
     return _prime_sums([n], _primes._table(table), 1)[0]
 
 
-# Table rows (_table_rows) and the check route's sums (_prime_sums) are taken
-# for blocks of consecutive n at a time, each block holding at most this many
-# quotients or (n, p) pairs counted at its widest row; a block's arrays, a few
-# such arrays of 8-byte cells, stay within _row_bytes's fixed term
-_TABLE_BLOCK_CELLS = 1 << 13
-
-
 def _blocks(widths: list[int]):
     """(a, b): consecutive ranges of rows with nondecreasing widths, each at
     most _TABLE_BLOCK_CELLS cells counted at its widest, last, row; a row
@@ -149,11 +144,13 @@ def _prime_sums(ns: list[int], t: PrimeTable, shift: int) -> list[float]:
     of the ascending ns: log rho(n) with shift 0, log sigma(n) with shift 1.
 
     The check route of the theta sums: no quotient of n by k, only the primes,
-    cut at each n's own n + shift.  The quotients are floors of float64
-    divisions, exact for n < 2**53: fl(n/d) is within (n/d) 2**-53 < 1/d of
-    n/d, and n/d lies in [n // d, n // d + 1 - 1/d], so both round to the same
-    floor.  Larger n is refused with ValueError.  Each n sums pairwise in
-    ascending p over its own row, so its value does not depend on ns.
+    cut at each n's own n + shift, for a block of n at a time (_blocks).  The
+    quotients are floors of float64 divisions, exact for n < 2**53: n and d
+    are floats, n/d lies in [n // d, n // d + 1 - 1/d], and fl(n/d) is within
+    (n/d) 2**-53 < 1/d of it and, rounding being monotone, no less than the
+    float n // d, so its floor is n // d.  Larger n is refused with
+    ValueError.  Each n sums with np.add.reduce, pairwise in ascending p, over
+    its own slice of its row, so its value does not depend on ns.
     """
     if not ns:
         return []
@@ -279,14 +276,18 @@ def _table_block(ns: list[int], mask, primes, prefix, at_v) -> list[Row]:
 # -- Lucy's sieve ---------------------------------------------------------------------
 
 # Scan rows for n >= LUCY_THRESHOLD come from Lucy's sieve, rows below it from
-# the prime table.  At 2^22 a Lucy row takes about 3 ms and a table row 0.13 ms
-# (2-vCPU VM), but only after a table up to n + 2, which takes 28 ms to build
-# and holds 1 + 16 / ln n bytes per integer.  Dense step:1 windows near 2^20
-# stay on the table.  The route depends on n alone, so a row is the same
-# whatever the grid.
+# the prime table.  At 2^22 a Lucy row takes about 3 ms and a table row 0.19 ms
+# alone or 0.14 ms in a step:1 window (2-vCPU VM), but only after a table up
+# to n + 2, which takes 28 ms to build and holds 1 + 16 / ln n bytes per
+# integer.  Dense step:1 windows near 2^20 stay on the table.  The route
+# depends on n alone, so a row is the same whatever the grid.
 LUCY_THRESHOLD = 1 << 22
 _PREFILTER_PRIMES = 32  # trial-divide by this many primes, the 14 bases among them
 _LUCY_BATCH_CELLS = 1 << 16  # start values, or phase-2 (p, k) pairs, per chunk of _lucy
+# quotients of a block of table rows, or (n, p) pairs of a block of the check
+# route, counted at the block's widest row (_blocks); a block's few arrays of
+# 8-byte cells stay within _row_bytes's fixed term
+_TABLE_BLOCK_CELLS = 1 << 13
 
 
 def _row_bytes(n: int) -> int:
@@ -441,12 +442,12 @@ def _lucy(n: int, t: PrimeTable, quotients):
         dec0, dec1 = np.bincount(k, weights=d0), np.bincount(k, weights=logs[i] * d0 + d1)
         hi0[: len(dec0)] -= dec0.astype(np.int64)
         hi1[: len(dec1)] -= dec1
-    # the in-row check against the table, at every quotient v <= sqrt(n) + 1
-    vs = np.concatenate((large, small))
-    low = vs <= r + 1
-    vs = vs[low]
-    s0 = np.concatenate((lo0[1:], hi0[1:]))[low]
-    s1 = np.concatenate((lo1[1:], hi1[1:]))[low]
+    # the in-row check against the table, at every quotient v <= sqrt(n) + 1:
+    # all the large ones (top <= r), and the small n // k with k > n // (r + 2)
+    k0 = n // (r + 2)
+    vs = np.concatenate((large, small[k0:]))
+    s0 = np.concatenate((lo0[1:], hi0[k0 + 1 :]))
+    s1 = np.concatenate((lo1[1:], hi1[k0 + 1 :]))
     pi = np.searchsorted(t.primes_up_to(r + 1), vs, side="right")
     if np.any(s0 != pi) or np.any(np.abs(s1 - t.theta_many(vs)) > _s1_budget(vs, len(ps))):
         raise ArithmeticError(f"Lucy's sieve disagrees with the prime table at n={n}")

@@ -205,7 +205,12 @@ class PrimeTable:
         return primes[:count]
 
     def primes_and_logs(self, x: float) -> tuple[np.ndarray, np.ndarray]:
-        """(primes <= x, their logs) as aligned arrays; the logs are taken on demand."""
+        """(primes <= x, their logs) as aligned arrays; the logs are taken on demand.
+
+        The check route (analytics._prime_sums) asks once per call, at its
+        largest n, and cuts both arrays at each n: every n sums its own
+        prefix pairwise in ascending p.
+        """
         import numpy as np
 
         ps = self.primes_up_to(x)

@@ -1,5 +1,6 @@
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from lcmf.analytics import (
     write_csv,
     write_json,
 )
-from lcmf import analytics, cli, primes
+from lcmf import analytics, cli, primes, verify
 from lcmf.primes import PrimeTable, default_table
 from lcmf.sequences import rho, sigma
 
@@ -185,6 +186,110 @@ def test_table_rows_equal_the_three_division_route(c_mid):
         assert (theta_sum_rho(n, t), theta_sum_sigma(n, t)) == want[:2], n
         assert s_split(n, t) == (s1 + s2, s1, s2), n
         assert quotient_prime_count(n, t) == card, n
+
+
+def _table_row_widths(ns):
+    """The width of each n's row in _table_rows' blocks: top + 1 quotients."""
+    return [n // (math.isqrt(n) + 1) + 1 for n in ns]
+
+
+def test_table_rows_in_blocks_equal_the_oracle(monkeypatch):
+    # the ns of test_table_rows_equal_the_three_division_route, in one call
+    t = PrimeTable(LUCY_THRESHOLD + 1)
+    ns = list(range(1, 3001)) + list(range((1 << 20) - 750, (1 << 20) + 750))
+    for r in (2, 3, 10, 99, 1000, 2047):
+        ns += [r * r - 1, r * r, r * r + r, r * r + 2 * r]
+    edge = next(n for n in range(10**6, 2 * 10**6) if t.is_prime(n // (math.isqrt(n) + 1) + 1))
+    ns = sorted(set(ns + [edge, LUCY_THRESHOLD - 1]))
+    want = dict(zip(ns, (_table_row_oracle(n, t) for n in ns)))
+    # n = 1, 2 and 3 share a block with a large n at the default budget
+    few = [1, 2, 3, edge]
+    assert list(analytics._blocks(_table_row_widths(few))) == [(0, 4)]
+    assert analytics._table_rows(few, t) == [want[n] for n in few]
+    # a few hundred cells: blocks of many small rows, and rows wider than the
+    # budget each a block of its own
+    monkeypatch.setattr(analytics, "_TABLE_BLOCK_CELLS", 300)
+    sizes = [b - a for a, b in analytics._blocks(_table_row_widths(ns))]
+    assert max(sizes) > 20 and sizes.count(1) > 1500
+    assert analytics._table_rows(ns, t) == [want[n] for n in ns]
+
+
+def test_table_and_check_rows_hold_one_block_at_a_time():
+    # tracemalloc peak of the table rows over a step:1 window near 2^20, and
+    # of both routes over verify eq14-16's grid at nmax 10^5, whose rows widen
+    # along it: a block's few arrays of 8-byte cells and about 200 B per row
+    # returned.  (A check-route row at 2^20 is wider than a block, 82,025
+    # primes, and is a block of its own.)
+    import tracemalloc
+
+    t = PrimeTable((1 << 20) + 1000)
+    t.primes_up_to(2)  # the table's arrays are built before the rows
+    window = list(range((1 << 20) - 750, (1 << 20) + 750))
+    grid = [100 * i for i in range(1, 1001)]
+    for ns, route in (
+        (window, lambda: analytics._table_rows(window, t)),
+        (grid, lambda: analytics._table_rows(grid, t)),
+        (grid, lambda: analytics._prime_sums(grid, t, 1)),
+    ):
+        tracemalloc.start()
+        try:
+            route()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 80 * analytics._TABLE_BLOCK_CELLS + 200 * len(ns), (ns[0], peak)
+
+
+def test_check_route_sums_equal_the_integer_quotients(monkeypatch):
+    # blocks of many rows on the prime table, against the sum of the integer
+    # quotients n // (p - shift) converted to float64, in the same order
+    monkeypatch.setattr(analytics, "_TABLE_BLOCK_CELLS", 300)
+    t = PrimeTable(1 << 17)
+    ns = sorted({1, 2, 3, 4, 5, 97, 5040, 65535, 65536, 99_991, 100_000} | set(range(20, 2000, 7)))
+    for shift in (0, 1):
+        want = []
+        for n in ns:
+            ps = t.primes_up_to(n + shift)
+            want.append(float(np.sum((n // (ps - shift)).astype(np.float64) * np.log(ps.astype(np.float64)))))
+        assert analytics._prime_sums(ns, t, shift) == want
+        assert [(log_rho, log_sigma)[shift](n, t) for n in ns] == want
+    # the float64 floors are the integer quotients up to 2**53 - 1, at every
+    # divisor d <= 5000; _prime_sums reads only primes_and_logs, and any
+    # ascending divisors will do for it
+    ds = np.arange(2, 5001, dtype=np.int64)
+    fake = types.SimpleNamespace(primes_and_logs=lambda x: (ds, np.log(ds.astype(np.float64))))
+    ns = [(1 << 52) + 1, 3 << 51, (1 << 53) - 5, (1 << 53) - 1]
+    for shift in (0, 1):
+        for n, got in zip(ns, analytics._prime_sums(ns, fake, shift)):
+            q = np.array([n // (d - shift) for d in ds.tolist()], dtype=np.float64)
+            assert got == float(np.add.reduce(q * np.log(ds.astype(np.float64)))), n
+    for route in (log_rho, log_sigma):
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            route(1 << 53, t)
+
+
+def test_theta_identities_report_a_prime_cut_short(monkeypatch):
+    # eq14-16 in blocks of many grid points; with the check route's last prime
+    # dropped, the grid points that need it, and only those, are reported
+    monkeypatch.setattr(analytics, "_TABLE_BLOCK_CELLS", 300)
+    monkeypatch.setattr(primes, "_default_table", PrimeTable())
+    res = verify.check_theta_identities(30_000)
+    assert res.passed and res.cases == 1000
+
+    class Short(PrimeTable):
+        def primes_and_logs(self, x):
+            ps, logs = super().primes_and_logs(x)
+            return ps[:-1], logs[:-1]
+
+    monkeypatch.setattr(primes, "_default_table", Short())
+    res = verify.check_theta_identities(30_000, points=300)
+    # 29989 is the largest prime below 30000, so n = 29900 needs it for
+    # neither sum and n = 30000 for both; each loses log 29989, so the
+    # quotient log split, their difference, still holds
+    assert [v.split(" off")[0] for v in res.violations] == [
+        "n=30000: theta sum for rho",
+        "n=30000: theta sum for sigma",
+    ]
 
 
 def test_residual_rho_dyadic_sup(c_mid):

@@ -131,7 +131,10 @@ def test_concurrent_scan_rows_over_physical_memory_are_an_error(capsys, monkeypa
     grid = f"list:{n - 1},{n}"
     code, out, err = run_cli(capsys, "scan", "--grid", grid, "--nmax", str(n), "--workers", "2")
     assert code == 1 and out == ""
-    assert err.startswith(f"error: 2 scan rows at once up to n = {n} needs about 15.6 GiB")
+    from lcmf import analytics
+
+    need = 2 * analytics._row_bytes(n) / 2**30
+    assert err.startswith(f"error: 2 scan rows at once up to n = {n} needs about {need:.1f} GiB")
     assert "memory" in err
     assert primes._default_table.limit == 4
 
