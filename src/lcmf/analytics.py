@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import json
 import math
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -126,17 +127,18 @@ def log_sigma(n: int, table: PrimeTable | None = None) -> float:
     return _prime_sums([n], _primes._table(table), 1)[0]
 
 
-def _blocks(widths: list[int]):
+def _blocks(widths: Iterable[int]):
     """(a, b): consecutive ranges of rows with nondecreasing widths, each at
     most _TABLE_BLOCK_CELLS cells counted at its widest, last, row; a row
-    wider than that is a block of its own."""
-    a = 0
-    while a < len(widths):
-        b = a + 1
-        while b < len(widths) and (b + 1 - a) * widths[b] <= _TABLE_BLOCK_CELLS:
-            b += 1
+    wider than that is a block of its own.  The widths are read one by one."""
+    a = b = 0
+    for w in widths:  # of row b, the widest yet
+        if b > a and (b + 1 - a) * w > _TABLE_BLOCK_CELLS:
+            yield a, b
+            a = b
+        b += 1
+    if b > a:
         yield a, b
-        a = b
 
 
 def _prime_sums(ns: list[int], t: PrimeTable, shift: int) -> list[float]:
@@ -199,12 +201,12 @@ def _prime_quotients(quotients, small_prime, large_prime) -> tuple[int, float, f
     )
 
 
-Row = tuple[float, float, int, float, float]  # (log_rho, log_sigma, card_A, s1, s2)
+_Row = tuple[float, float, int, float, float]  # (log_rho, log_sigma, card_A, s1, s2)
 
 
-def _table_rows(ns: list[int], t: PrimeTable) -> list[Row]:
-    """(log_rho, log_sigma, card_A, s1, s2) of each n of the ascending ns, from
-    the prime table, grown to max(ns) + 2.
+def _table_rows(ns: list[int], t: PrimeTable) -> Iterator[_Row]:
+    """(log_rho, log_sigma, card_A, s1, s2) of each n of the ascending ns in
+    turn, from the prime table, grown to max(ns) + 2.
 
     log rho and log sigma are the sums over k of theta(n // k) and of
     theta(n // k + 1), in _quotients' layout: the small quotients n // k,
@@ -212,23 +214,24 @@ def _table_rows(ns: list[int], t: PrimeTable) -> list[Row]:
     by mult.  theta at v and v + 1, and log(v + 1) where v + 1 is prime,
     depend on v alone, so they are taken once per call for v <= top + 1,
     from one running count of the bitmap.  The rest is taken a block of n at
-    a time (_blocks, _table_block).
+    a time (_blocks, _table_block), and yielded row by row, so that a caller
+    holds no list of them.
     """
+    if not ns:
+        return
     mask = t.prime_mask(ns[-1] + 2)  # first: it may grow the table
     _, primes, prefix = t._derived()
     top = ns[-1] // (math.isqrt(ns[-1]) + 1)  # the largest top: it is nondecreasing in n
     theta = prefix[np.cumsum(mask[: top + 2])]  # theta(v) for v <= top + 1
     hit = np.flatnonzero(mask[2 : top + 2])  # the v <= top with v + 1 prime, as v - 1
-    at_v = theta, hit, np.log(hit + 2)
-    rows: list[Row] = []
-    for a, b in _blocks([n // (math.isqrt(n) + 1) + 1 for n in ns]):
-        rows += _table_block(ns[a:b], mask, primes, prefix, at_v)
-    return rows
+    hit_log = np.log(hit + 2)
+    for a, b in _blocks(n // (math.isqrt(n) + 1) + 1 for n in ns):
+        yield from _table_block(ns[a:b], mask, primes, prefix, theta, hit, hit_log)
 
 
-def _table_block(ns: list[int], mask, primes, prefix, at_v) -> list[Row]:
+def _table_block(ns: list[int], mask, primes, prefix, theta, hit, hit_log) -> list[_Row]:
     """_table_rows of a block of ascending ns, from the table's mask, primes
-    and theta prefix and the per-v arrays (theta, hit, log(hit + 2)).
+    and theta prefix and _table_rows' arrays over v (theta, hit, hit_log).
 
     q = n // k for k = 1..w, w = top + 1 of the last, widest row, is one
     array; pi at it is one search of the primes, and the flags of n // k + 1
@@ -236,7 +239,6 @@ def _table_block(ns: list[int], mask, primes, prefix, at_v) -> list[Row]:
     np.add.reduce over its own slices of those arrays: the values and the
     order of a row do not depend on the block, so neither do its sums.
     """
-    theta, hit, hit_log = at_v
     roots = [math.isqrt(n) for n in ns]
     tops = [n // (r + 1) for n, r in zip(ns, roots)]
     hits = hit.searchsorted(tops).tolist()  # how many large v with v + 1 prime, per row
@@ -248,13 +250,13 @@ def _table_block(ns: list[int], mask, primes, prefix, at_v) -> list[Row]:
     theta_rho = prefix[at]
     at += q_prime
     theta_sigma = prefix[at]
-    del at
+    del at  # each array goes once used, so that a block holds few at a time
     # card_A and s1: the flagged cells, row after row; row i's small
     # quotients are the cells from i w to i w + r
     flagged = np.flatnonzero(q_prime)
     logs = np.log(q.ravel()[flagged] + 1)
-    cuts = flagged.searchsorted([c for i, r in enumerate(roots) for c in (i * w, i * w + r)])
-    cuts = cuts.tolist()
+    bounds = [c for i, r in enumerate(roots) for c in (i * w, i * w + r)]
+    cuts = flagged.searchsorted(bounds).tolist()
     mult = q[:, :-1] - q[:, 1:]  # at v = 1..w-1
     del q
     mult_rho, mult_sigma = mult * theta[1:w], mult * theta[2 : w + 1]
@@ -469,11 +471,11 @@ def _prime_flags(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return flags
 
 
-def _one_row(n: int, table: PrimeTable | None) -> Row:
+def _one_row(n: int, table: PrimeTable | None) -> _Row:
     """_table_rows at the one n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _table_rows([n], _primes._table(table))[0]
+    return next(_table_rows([n], _primes._table(table)))
 
 
 def theta_sum_rho(n: int, table: PrimeTable | None = None) -> float:
@@ -528,7 +530,7 @@ class ScanRecord(NamedTuple):
 assert CSV_HEADER == ",".join(ScanRecord._fields)
 
 
-def _lucy_row(n: int, t: PrimeTable) -> Row:
+def _lucy_row(n: int, t: PrimeTable) -> _Row:
     """(log_rho, log_sigma, card_A, s1, s2) of n >= LUCY_THRESHOLD: theta from
     _lucy, and the primality of the n // k + 1 with k <= sqrt(n) from
     _prime_flags, so the table only needs to reach sqrt(n) + 2."""
@@ -553,8 +555,7 @@ def _records(ns: list[int], c: float, t: PrimeTable) -> list[ScanRecord]:
     """The scan rows of the ascending ns: those below LUCY_THRESHOLD from one
     call of _table_rows, the others one _lucy_row each."""
     light = [n for n in ns if n < LUCY_THRESHOLD]
-    rows = _table_rows(light, t) if light else []
-    rows += [_lucy_row(n, t) for n in ns[len(light) :]]
+    rows = itertools.chain(_table_rows(light, t), (_lucy_row(n, t) for n in ns[len(light) :]))
     out = []
     for n, (lr, ls, card, s1, s2) in zip(ns, rows):
         if abs((ls - lr) - (s1 + s2)) > 1e-6 * max(1.0, n):

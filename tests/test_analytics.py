@@ -205,13 +205,13 @@ def test_table_rows_in_blocks_equal_the_oracle(monkeypatch):
     # n = 1, 2 and 3 share a block with a large n at the default budget
     few = [1, 2, 3, edge]
     assert list(analytics._blocks(_table_row_widths(few))) == [(0, 4)]
-    assert analytics._table_rows(few, t) == [want[n] for n in few]
+    assert list(analytics._table_rows(few, t)) == [want[n] for n in few]
     # a few hundred cells: blocks of many small rows, and rows wider than the
     # budget each a block of its own
     monkeypatch.setattr(analytics, "_TABLE_BLOCK_CELLS", 300)
     sizes = [b - a for a, b in analytics._blocks(_table_row_widths(ns))]
     assert max(sizes) > 20 and sizes.count(1) > 1500
-    assert analytics._table_rows(ns, t) == [want[n] for n in ns]
+    assert list(analytics._table_rows(ns, t)) == [want[n] for n in ns]
 
 
 def test_table_and_check_rows_hold_one_block_at_a_time():
@@ -227,8 +227,8 @@ def test_table_and_check_rows_hold_one_block_at_a_time():
     window = list(range((1 << 20) - 750, (1 << 20) + 750))
     grid = [100 * i for i in range(1, 1001)]
     for ns, route in (
-        (window, lambda: analytics._table_rows(window, t)),
-        (grid, lambda: analytics._table_rows(grid, t)),
+        (window, lambda: list(analytics._table_rows(window, t))),
+        (grid, lambda: list(analytics._table_rows(grid, t))),
         (grid, lambda: analytics._prime_sums(grid, t, 1)),
     ):
         tracemalloc.start()
@@ -250,7 +250,8 @@ def test_check_route_sums_equal_the_integer_quotients(monkeypatch):
         want = []
         for n in ns:
             ps = t.primes_up_to(n + shift)
-            want.append(float(np.sum((n // (ps - shift)).astype(np.float64) * np.log(ps.astype(np.float64)))))
+            q = (n // (ps - shift)).astype(np.float64)
+            want.append(float(np.sum(q * np.log(ps.astype(np.float64)))))
         assert analytics._prime_sums(ns, t, shift) == want
         assert [(log_rho, log_sigma)[shift](n, t) for n in ns] == want
     # the float64 floors are the integer quotients up to 2**53 - 1, at every
