@@ -3,22 +3,24 @@
 The headline quantities are log rho(n) and log sigma(n).  Both admit exact
 rewrites as sums of theta values over the ~2 sqrt(n) distinct quotients n//k,
 and their gap is the log-sum over k of the prime quotient values
-floor(n/k + 1).  A scan row takes every field from those quotients; the
-direct sums of (n // p) log p and (n // (p-1)) log p over the primes
-(_prime_sums, behind log_rho/log_sigma) are the check route.  Residuals
-subtract n log n - (c+1) n and n log n - n, where c is the sum over primes
-of log p / (p (p-1)): scans take it from analytic_constant(), the float of
-an analytic series, and prime_series_constant() encloses it rigorously.
+floor(n/k + 1).  A scan row takes every field from one array q = n // k,
+summed by _rows on both routes below; the direct sums of (n // p) log p and
+(n // (p-1)) log p over the primes (_prime_sums, behind log_rho/log_sigma)
+are the check route.  Residuals subtract n log n - (c+1) n and n log n - n,
+where c is the sum over primes of log p / (p (p-1)): scans take it from
+analytic_constant(), the float of an analytic series, and
+prime_series_constant() encloses it rigorously.
 
 The route of a row depends on n alone.  Below LUCY_THRESHOLD (2^22) theta
 and primality are lookups in a prime table up to n + 2, about
 1 + 16 / ln n bytes per integer, taken for a block of n at a time
 (_table_rows): a step:1 window near 2^20 takes about 0.07 ms a row.  From
-it on, theta at every quotient comes from Lucy's sieve (_lucy) in
-O(n**(3/4)) time and O(sqrt n) memory, with a table only up to
-sqrt(n) + 2: a row at 2^36 takes about 1.4 s and 64 MB.  Each row sums in
-a fixed order over its own arrays, so scan output is reproducible bit for
-bit on one platform whatever the grid, its blocks or the worker count.
+it on, each row is a block of one (_lucy_row): theta at every quotient
+comes from Lucy's sieve (_lucy) in O(n**(3/4)) time and O(sqrt n) memory,
+with a table only up to sqrt(n) + 2: a row at 2^36 takes about 1.4 s and
+64 MB.  Each row sums in a fixed order over its own arrays, so scan output
+is reproducible bit for bit on one platform whatever the grid, its blocks
+or the worker count.
 """
 
 from __future__ import annotations
@@ -150,12 +152,14 @@ def _prime_sums(ns: list[int], t: PrimeTable, shift: int) -> list[float]:
     quotients are floors of float64 divisions, exact for n < 2**53: n and d
     are floats, n/d lies in [n // d, n // d + 1 - 1/d], and fl(n/d) is within
     (n/d) 2**-53 < 1/d of it and, rounding being monotone, no less than the
-    float n // d, so its floor is n // d.  Larger n is refused with
-    ValueError.  Each n sums with np.add.reduce, pairwise in ascending p, over
-    its own slice of its row, so its value does not depend on ns.
+    float n // d, so its floor is n // d.  Larger n, and n < 0, are refused
+    with ValueError.  Each n sums with np.add.reduce, pairwise in ascending
+    p, over its own slice of its row, so its value does not depend on ns.
     """
     if not ns:
         return []
+    if ns[0] < 0:
+        raise ValueError("n must be >= 0")
     if ns[-1] >= 1 << 53:
         raise ValueError("the check route's float64 quotients are exact only for n < 2**53")
     ps, logs = t.primes_and_logs(ns[-1] + shift)
@@ -171,51 +175,60 @@ def _prime_sums(ns: list[int], t: PrimeTable, shift: int) -> list[float]:
     return out
 
 
-def _quotients(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(small, large, mult): n // k for k <= r = isqrt(n), then each v <= n // (r+1)
-    with mult = n // v - n // (v+1), the number of k (all > r) with n // k == v.
-
-    One division gives all three: top = n // (r+1) is r - 1 or r, so
-    q = n // k for k = 1..top+1 holds the small quotients, and the k it
-    divides by are the large ones."""
-    r = math.isqrt(n)
-    top = n // (r + 1)
-    ks = np.arange(1, top + 2, dtype=np.int64)
-    q = n // ks
-    return q[:r], ks[:top], q[:top] - q[1:]
-
-
-def _quotient_sum(quotients, at_small: np.ndarray, at_large: np.ndarray) -> float:
-    """Sum over k = 1..n of g(n // k), from g at the small and at the large quotients."""
-    return float(np.add.reduce(at_small) + np.add.reduce(quotients[2] * at_large))
-
-
-def _prime_quotients(quotients, small_prime, large_prime) -> tuple[int, float, float]:
-    """(card_A, s1, s2) from the flags of the quotient values n // k + 1 that are prime."""
-    small, large, mult = quotients
-    hits = small[small_prime] + 1
-    return (
-        len(hits),
-        float(np.add.reduce(np.log(hits))),
-        float(np.add.reduce(mult[large_prime] * np.log(large[large_prime] + 1))),
-    )
-
-
 _Row = tuple[float, float, int, float, float]  # (log_rho, log_sigma, card_A, s1, s2)
+
+
+def _rows(ns: list[int], q, rho_q, sigma_q, prime_q, rho_v, sigma_v, hit, hit_log) -> list[_Row]:
+    """(log_rho, log_sigma, card_A, s1, s2) of each n of a block of ascending
+    ns: the one row assembly of both scan routes.
+
+    Row i of q holds n // k for k = 1..w, w = top + 1 of the widest row, with
+    r = isqrt(n) and top = n // (r + 1).  rho_q, sigma_q and prime_q hold
+    theta(n // k), theta(n // k + 1) and the primality of n // k + 1 for
+    k <= r, in rows of their own stride; rho_v and sigma_v hold theta(v) and
+    theta(v + 1) at index v < w, hit the v < w with v + 1 prime, as v - 1, and
+    hit_log log(v + 1) at those.  The large quotients v <= top weigh
+    mult = n // v - n // (v + 1), the number of k > r with n // k == v.  Each
+    row sums with np.add.reduce over its own slices: the values and the order
+    of a row do not depend on the block, so neither do its sums.
+    """
+    roots = [math.isqrt(n) for n in ns]
+    tops = [n // (r + 1) for n, r in zip(ns, roots)]
+    hits = hit.searchsorted(tops).tolist()  # how many large v with v + 1 prime, per row
+    w, stride = q.shape[1], prime_q.shape[1]
+    # card_A and s1: the flagged cells, row after row; row i's small
+    # quotients are the cells from i stride to i stride + r
+    flagged = np.flatnonzero(prime_q)
+    logs = np.log(q[:, :stride].ravel()[flagged] + 1)
+    bounds = [c for i, r in enumerate(roots) for c in (i * stride, i * stride + r)]
+    cuts = flagged.searchsorted(bounds).tolist()
+    mult = q[:, :-1] - q[:, 1:]  # at v = 1..w-1
+    mult_rho, mult_sigma = mult * rho_v[1:w], mult * sigma_v[1:w]
+    # s2: mult times log(v + 1) at the large v with v + 1 prime
+    mult_s2 = mult[:, hit[: hits[-1]]] * hit_log[: hits[-1]]
+    del mult
+    return [
+        (
+            float(np.add.reduce(rho_q[i, :r]) + np.add.reduce(mult_rho[i, :top])),
+            float(np.add.reduce(sigma_q[i, :r]) + np.add.reduce(mult_sigma[i, :top])),
+            cuts[2 * i + 1] - cuts[2 * i],
+            float(np.add.reduce(logs[cuts[2 * i] : cuts[2 * i + 1]])),
+            float(np.add.reduce(mult_s2[i, :m])),
+        )
+        for i, (r, top, m) in enumerate(zip(roots, tops, hits))
+    ]
 
 
 def _table_rows(ns: list[int], t: PrimeTable) -> Iterator[_Row]:
     """(log_rho, log_sigma, card_A, s1, s2) of each n of the ascending ns in
     turn, from the prime table, grown to max(ns) + 2.
 
-    log rho and log sigma are the sums over k of theta(n // k) and of
-    theta(n // k + 1), in _quotients' layout: the small quotients n // k,
-    k <= r = isqrt(n), and the large ones v <= top = n // (r + 1), weighted
-    by mult.  theta at v and v + 1, and log(v + 1) where v + 1 is prime,
-    depend on v alone, so they are taken once per call for v <= top + 1,
-    from one running count of the bitmap.  The rest is taken a block of n at
-    a time (_blocks, _table_block), and yielded row by row, so that a caller
-    holds no list of them.
+    theta at v and v + 1, and log(v + 1) where v + 1 is prime, depend on v
+    alone, so they are taken once per call, from one running count of the
+    bitmap.  The rest is taken a block of n at a time (_blocks): q = n // k
+    is one array, pi at it one search of the primes, and the flags of
+    n // k + 1 and the theta gathers one step each.  _rows sums each block,
+    whose rows are yielded one by one, so that a caller holds no list of them.
     """
     if not ns:
         return
@@ -226,53 +239,15 @@ def _table_rows(ns: list[int], t: PrimeTable) -> Iterator[_Row]:
     hit = np.flatnonzero(mask[2 : top + 2])  # the v <= top with v + 1 prime, as v - 1
     hit_log = np.log(hit + 2)
     for a, b in _blocks(n // (math.isqrt(n) + 1) + 1 for n in ns):
-        yield from _table_block(ns[a:b], mask, primes, prefix, theta, hit, hit_log)
-
-
-def _table_block(ns: list[int], mask, primes, prefix, theta, hit, hit_log) -> list[_Row]:
-    """_table_rows of a block of ascending ns, from the table's mask, primes
-    and theta prefix and _table_rows' arrays over v (theta, hit, hit_log).
-
-    q = n // k for k = 1..w, w = top + 1 of the last, widest row, is one
-    array; pi at it is one search of the primes, and the flags of n // k + 1
-    and the theta gathers one step each.  Each row then sums with
-    np.add.reduce over its own slices of those arrays: the values and the
-    order of a row do not depend on the block, so neither do its sums.
-    """
-    roots = [math.isqrt(n) for n in ns]
-    tops = [n // (r + 1) for n, r in zip(ns, roots)]
-    hits = hit.searchsorted(tops).tolist()  # how many large v with v + 1 prime, per row
-    w = tops[-1] + 1
-    ks = np.arange(1, w + 1, dtype=np.int64)
-    q = np.array(ns, dtype=np.int64)[:, None] // ks  # q[i, k - 1] = n // k
-    q_prime = mask[1:][q]  # n // k + 1 prime
-    at = primes.searchsorted(q, side="right")  # pi(n // k)
-    theta_rho = prefix[at]
-    at += q_prime
-    theta_sigma = prefix[at]
-    del at  # each array goes once used, so that a block holds few at a time
-    # card_A and s1: the flagged cells, row after row; row i's small
-    # quotients are the cells from i w to i w + r
-    flagged = np.flatnonzero(q_prime)
-    logs = np.log(q.ravel()[flagged] + 1)
-    bounds = [c for i, r in enumerate(roots) for c in (i * w, i * w + r)]
-    cuts = flagged.searchsorted(bounds).tolist()
-    mult = q[:, :-1] - q[:, 1:]  # at v = 1..w-1
-    del q
-    mult_rho, mult_sigma = mult * theta[1:w], mult * theta[2 : w + 1]
-    # s2: mult times log(v + 1) at the large v with v + 1 prime
-    mult_s2 = mult[:, hit[: hits[-1]]] * hit_log[: hits[-1]]
-    del mult
-    return [
-        (
-            float(np.add.reduce(theta_rho[i, :r]) + np.add.reduce(mult_rho[i, :top])),
-            float(np.add.reduce(theta_sigma[i, :r]) + np.add.reduce(mult_sigma[i, :top])),
-            cuts[2 * i + 1] - cuts[2 * i],
-            float(np.add.reduce(logs[cuts[2 * i] : cuts[2 * i + 1]])),
-            float(np.add.reduce(mult_s2[i, :m])),
-        )
-        for i, (r, top, m) in enumerate(zip(roots, tops, hits))
-    ]
+        w = ns[b - 1] // (math.isqrt(ns[b - 1]) + 1) + 1
+        q = np.array(ns[a:b], dtype=np.int64)[:, None] // np.arange(1, w + 1, dtype=np.int64)
+        prime_q = mask[1:][q]  # n // k + 1 prime
+        at = primes.searchsorted(q, side="right")  # pi(n // k)
+        rho_q = prefix[at]
+        at += prime_q
+        sigma_q = prefix[at]
+        del at  # each array goes once used, so that a block holds few at a time
+        yield from _rows(ns[a:b], q, rho_q, sigma_q, prime_q, theta, theta[1:], hit, hit_log)
 
 
 # -- Lucy's sieve ---------------------------------------------------------------------
@@ -297,10 +272,10 @@ def _row_bytes(n: int) -> int:
 
     The fixed term is ten int64 or float64 arrays of one _lucy chunk, the
     other the arrays of sqrt(n) or 2 sqrt(n) entries.  The tracemalloc peak
-    of a row (_record) was 1.09 MB at 2^24, 5.1 MB at 2^28, 7.7 MB at 2^30,
-    17.6 MB at 2^34, and 32.9 and 40.2 MB at 2^36 and 1.5 * 2^36, 124.5 B
-    more per sqrt(n) between those two: the chunk's arrays set the peak at
-    the small n, the sqrt(n) arrays at the large.
+    of a row was 1.01 MB at 2^24, 4.8 MB at 2^28, 7.1 MB at 2^30, 15.3 MB
+    at 2^34, and 28.2 and 34.4 MB at 2^36 and 1.5 * 2^36, 107 B more per
+    sqrt(n) between those two: the chunk's arrays set the peak at the small
+    n, the sqrt(n) arrays at the large.
     """
     return 80 * _LUCY_BATCH_CELLS + 125 * math.isqrt(n)
 
@@ -338,9 +313,10 @@ def _s1_budget(v, updates: int):
     return 2.0**-52 * (16 * updates + 4) * v * np.log(np.maximum(v, 2))
 
 
-def _lucy(n: int, t: PrimeTable, quotients):
-    """pi and theta at every quotient of n by Lucy's sieve, as two pairs of arrays
-    (at n // k for k <= r = isqrt(n), at v <= n // (r+1)), in _quotients' layout.
+def _lucy(n: int, t: PrimeTable, q: np.ndarray):
+    """pi and theta at every quotient of n by Lucy's sieve, from q = n // k for
+    k = 1..top + 1, top = n // (r + 1), r = isqrt(n): two pairs of arrays, pi
+    then theta, each at the small quotients q[:r] and at v = 0..top.
 
     Lucy's sieve (Lagarias-Miller-Odlyzko 1985, Deleglise-Rivat 1996): S0(v)
     counts and S1(v) log-sums the integers 2..v with no prime factor below p.
@@ -389,8 +365,8 @@ def _lucy(n: int, t: PrimeTable, quotients):
     The in-row check: at every v <= sqrt(n) + 1, S0 must equal the table's pi
     and S1 its theta within the budget, else ArithmeticError.
     """
-    small, large, _ = quotients
-    r, top = len(small), len(large)
+    r, top = math.isqrt(n), len(q) - 1
+    small = q[:r]
     # one array per sum, hi then lo, index 0 of each padding: hi[k] holds
     # S(n // k) and lo[v] S(v), so S(v) for v <= top is at r + 1 + v.  They
     # start as v - 1 and log v!, the latter _LUCY_BATCH_CELLS values at a time
@@ -447,13 +423,13 @@ def _lucy(n: int, t: PrimeTable, quotients):
     # the in-row check against the table, at every quotient v <= sqrt(n) + 1:
     # all the large ones (top <= r), and the small n // k with k > n // (r + 2)
     k0 = n // (r + 2)
-    vs = np.concatenate((large, small[k0:]))
+    vs = np.concatenate((np.arange(1, top + 1, dtype=np.int64), small[k0:]))
     s0 = np.concatenate((lo0[1:], hi0[k0 + 1 :]))
     s1 = np.concatenate((lo1[1:], hi1[k0 + 1 :]))
     pi = np.searchsorted(t.primes_up_to(r + 1), vs, side="right")
     if np.any(s0 != pi) or np.any(np.abs(s1 - t.theta_many(vs)) > _s1_budget(vs, len(ps))):
         raise ArithmeticError(f"Lucy's sieve disagrees with the prime table at n={n}")
-    return (hi0[1:], lo0[1:]), (hi1[1:], lo1[1:])
+    return (hi0[1:], lo0), (hi1[1:], lo1)
 
 
 def _prime_flags(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -531,24 +507,26 @@ assert CSV_HEADER == ",".join(ScanRecord._fields)
 
 
 def _lucy_row(n: int, t: PrimeTable) -> _Row:
-    """(log_rho, log_sigma, card_A, s1, s2) of n >= LUCY_THRESHOLD: theta from
-    _lucy, and the primality of the n // k + 1 with k <= sqrt(n) from
-    _prime_flags, so the table only needs to reach sqrt(n) + 2."""
-    t.ensure(math.isqrt(n) + 2)
-    quotients = small, large, _ = _quotients(n)
-    _, (at_small, at_large) = _lucy(n, t, quotients)
-    small_prime = _prime_flags(small + 1, t.primes_up_to(len(small))[:_PREFILTER_PRIMES])
-    large_prime = t.prime_mask(len(small) + 1)[2 : len(large) + 2]
-    # theta(v + 1) = theta(v) + log(v + 1) when v + 1 is prime
-    return (
-        _quotient_sum(quotients, at_small, at_large),
-        _quotient_sum(
-            quotients,
-            at_small + np.where(small_prime, np.log(small + 1), 0.0),
-            at_large + np.where(large_prime, np.log(large + 1), 0.0),
-        ),
-        *_prime_quotients(quotients, small_prime, large_prime),
+    """(log_rho, log_sigma, card_A, s1, s2) of n >= LUCY_THRESHOLD, by _rows as a
+    block of one: theta from _lucy, and the primality of the n // k + 1 with
+    k <= sqrt(n) from _prime_flags, so the table only needs to reach
+    sqrt(n) + 2."""
+    r = math.isqrt(n)
+    t.ensure(r + 2)
+    top = n // (r + 1)
+    q = n // np.arange(1, top + 2, dtype=np.int64)
+    _, (rho_q, rho_v) = _lucy(n, t, q)
+    prime_q = _prime_flags(q[:r] + 1, t.primes_up_to(r)[:_PREFILTER_PRIMES])
+    hit = np.flatnonzero(t.prime_mask(r + 1)[2 : top + 2])  # as in _table_rows
+    hit_log = np.log(hit + 2)
+    # theta(v + 1) = theta(v) + log(v + 1) when v + 1 is prime, in copies
+    sigma_q, sigma_v = rho_q.copy(), rho_v.copy()
+    sigma_q[prime_q] += np.log(q[:r][prime_q] + 1)
+    sigma_v[hit + 1] += hit_log
+    (row,) = _rows(
+        [n], q[None], rho_q[None], sigma_q[None], prime_q[None], rho_v, sigma_v, hit, hit_log
     )
+    return row
 
 
 def _records(ns: list[int], c: float, t: PrimeTable) -> list[ScanRecord]:
@@ -575,11 +553,6 @@ def _records(ns: list[int], c: float, t: PrimeTable) -> list[ScanRecord]:
             )
         )
     return out
-
-
-def _record(n: int, c: float, t: PrimeTable) -> ScanRecord:
-    """The scan row for n, every field from one set of quotient arrays."""
-    return _records([n], c, t)[0]
 
 
 _worker_table: PrimeTable | None = None  # the caller's table, in a scan worker
@@ -628,9 +601,10 @@ def scan(
 ) -> list[ScanRecord]:
     """One ScanRecord per requested n, in ascending order.
 
-    Each record is computed from n alone in O(sqrt(n)) array work, optionally
-    across a worker pool, so the row for a given n is byte-identical whatever
-    the grid or the worker count.  c defaults to analytic_constant().
+    Each record is computed from n alone, optionally across a worker pool, so
+    the row for a given n is byte-identical whatever the grid or the worker
+    count: below LUCY_THRESHOLD in O(sqrt(n)) array work, from it on in
+    O(n**(3/4)) time by Lucy's sieve.  c defaults to analytic_constant().
     """
     ns = sorted(set(int(n) for n in ns))
     if not ns or ns[0] < 1:

@@ -119,6 +119,15 @@ def test_theta_sums_match_exact_logs():
         assert theta_sum_sigma(n) == pytest.approx(log_sigma(n), abs=1e-6 * n)
 
 
+def test_log_rho_and_sigma_refuse_negative_n():
+    # as sequences.rho and sigma do; n = 0 is the empty product
+    for route, exact in ((log_rho, rho), (log_sigma, sigma)):
+        for f in (route, exact):
+            with pytest.raises(ValueError, match="n must be >= 0"):
+                f(-5)
+        assert route(0) == 0.0
+
+
 def test_s_split_examples():
     total, s1, s2 = s_split(6)
     assert total == pytest.approx(math.log(168), abs=1e-12)
@@ -179,7 +188,7 @@ def test_table_rows_equal_the_three_division_route(c_mid):
     for n in ns:
         lr, ls, card, s1, s2 = want = _table_row_oracle(n, t)
         logn = math.log(n)
-        assert analytics._record(n, c_mid, t) == (
+        assert analytics._records([n], c_mid, t)[0] == (
             n, lr, ls, lr - (n * logn - (c_mid + 1.0) * n), ls - (n * logn - n),
             card, card * logn / math.sqrt(n), s1, s2,
         ), n
@@ -348,24 +357,37 @@ def table_2_26():
     return PrimeTable((1 << 26) + 2)
 
 
+def _quotients(n):
+    """(q, small, large, mult): q = n // k for k = 1..top + 1, where r = isqrt(n)
+    and top = n // (r + 1); the small quotients q[:r]; the large ones
+    v = 1..top; and mult = n // v - n // (v + 1) at those."""
+    r = math.isqrt(n)
+    top = n // (r + 1)
+    q = n // np.arange(1, top + 2, dtype=np.int64)
+    return q, q[:r], np.arange(1, top + 1, dtype=np.int64), q[:top] - q[1:]
+
+
+def _quotient_sum(mult, at_small, at_large):
+    """Sum over k = 1..n of g(n // k), from g at the small and at the large quotients."""
+    return float(np.add.reduce(at_small) + np.add.reduce(mult * at_large))
+
+
 def _row_budget(n, shift):
     """Budget on a row's sum over k of theta(n // k + shift), from _s1_budget."""
-    q = small, large, _ = analytics._quotients(n)
+    _, small, large, mult = _quotients(n)
     updates = len(default_table().primes_up_to(math.isqrt(n)))
     at_small = analytics._s1_budget(small + shift, updates)
-    return analytics._quotient_sum(q, at_small, analytics._s1_budget(large + shift, updates))
+    return _quotient_sum(mult, at_small, analytics._s1_budget(large + shift, updates))
 
 
 def _lucy_at(n):
     """(quotients, S0, S1) of _lucy at n, small quotients then large."""
-    q = small, large, _ = analytics._quotients(n)
-    (pi_small, pi_large), (th_small, th_large) = analytics._lucy(
-        n, PrimeTable(math.isqrt(n) + 2), q
-    )
+    q, small, large, _ = _quotients(n)
+    (pi_small, pi_v), (th_small, th_v) = analytics._lucy(n, PrimeTable(math.isqrt(n) + 2), q)
     return (
         np.concatenate((small, large)),
-        np.concatenate((pi_small, pi_large)),
-        np.concatenate((th_small, th_large)),
+        np.concatenate((pi_small, pi_v[1:])),
+        np.concatenate((th_small, th_v[1:])),
     )
 
 
@@ -429,6 +451,62 @@ def test_lucy_rows_match_the_table_route(table_2_26, c_mid):
         assert abs(rec.log_sigma - theta_sum_sigma(n, table_2_26)) <= 2 * _row_budget(n, 1)
 
 
+def _lucy_row_by_parts(n, t):
+    """_lucy_row at n rebuilt from _lucy's arrays and _prime_flags, each sum
+    over its own arrays: theta(v + 1) by np.where, card_A and s1 from the
+    prime n // k + 1, s2 from mult at the large prime v + 1."""
+    q, small, large, mult = _quotients(n)
+    _, (at_small, at_v) = analytics._lucy(n, t, q)
+    at_large = at_v[1:]
+    small_prime = analytics._prime_flags(
+        small + 1, t.primes_up_to(len(small))[: analytics._PREFILTER_PRIMES]
+    )
+    large_prime = t.prime_mask(len(small) + 1)[2 : len(large) + 2]
+    hits = small[small_prime] + 1
+    return (
+        _quotient_sum(mult, at_small, at_large),
+        _quotient_sum(
+            mult,
+            at_small + np.where(small_prime, np.log(small + 1), 0.0),
+            at_large + np.where(large_prime, np.log(large + 1), 0.0),
+        ),
+        len(hits),
+        float(np.add.reduce(np.log(hits))),
+        float(np.add.reduce(mult[large_prime] * np.log(large[large_prime] + 1))),
+    )
+
+
+def test_lucy_rows_equal_their_parts():
+    ns = [LUCY_THRESHOLD, LUCY_THRESHOLD + 1, 3001 * 3002, 8191**2 - 1, *CUBE_NS, 1 << 26]
+    ns.sort()
+    t = PrimeTable(math.isqrt(ns[-1]) + 2)
+    want = {n: _lucy_row_by_parts(n, t) for n in ns}
+    for n in ns:
+        assert analytics._lucy_row(n, t) == want[n], n
+    # the rows up to 8191**2 - 1 as one block of _rows: q at the block's
+    # width, the small side at the widest r, one narrower, as the last top is
+    # r.  S1 at v depends on v alone, so the largest n's serves every row
+    ns = ns[: ns.index(8191**2 - 1) + 1]
+    roots = [math.isqrt(n) for n in ns]
+    w = ns[-1] // (roots[-1] + 1) + 1
+    assert w == roots[-1] + 1
+    q = np.array(ns, dtype=np.int64)[:, None] // np.arange(1, w + 1, dtype=np.int64)
+    rho_q, sigma_q = np.zeros((len(ns), roots[-1])), np.zeros((len(ns), roots[-1]))
+    prime_q = np.zeros((len(ns), roots[-1]), dtype=bool)
+    rho_v = analytics._lucy(ns[-1], t, q[-1])[1][1]
+    for i, (n, r) in enumerate(zip(ns, roots)):
+        _, (at_small, at_v) = analytics._lucy(n, t, _quotients(n)[0])
+        assert np.array_equal(at_v, rho_v[: len(at_v)]), n
+        flags = analytics._prime_flags(q[i, :r] + 1, t.primes_up_to(r)[: analytics._PREFILTER_PRIMES])
+        rho_q[i, :r], prime_q[i, :r] = at_small, flags
+        sigma_q[i, :r] = at_small + np.where(flags, np.log(q[i, :r] + 1), 0.0)
+    hit = np.flatnonzero(t.prime_mask(w + 1)[2 : w + 1])
+    sigma_v = rho_v.copy()
+    sigma_v[hit + 1] += np.log(hit + 2)
+    rows = analytics._rows(ns, q, rho_q, sigma_q, prime_q, rho_v, sigma_v, hit, np.log(hit + 2))
+    assert rows == [want[n] for n in ns]
+
+
 def test_log_factorial_within_its_bound_of_mpmath():
     # the bound _log_factorial states: 2 units of 2**-52 v log v (0 at v <= 1)
     import random
@@ -457,7 +535,7 @@ def test_scan_row_peak_is_below_the_estimate(c_mid):
         t.primes_up_to(2)  # the table's arrays are built before the row, as in a scan
         tracemalloc.start()
         try:
-            analytics._record(n, c_mid, t)
+            analytics._records([n], c_mid, t)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
