@@ -484,8 +484,9 @@ def test_lucy_rows_equal_their_parts():
     for n in ns:
         assert analytics._lucy_row(n, t) == want[n], n
     # the rows up to 8191**2 - 1 as one block of _rows: q at the block's
-    # width, the small side at the widest r, one narrower, as the last top is
-    # r.  S1 at v depends on v alone, so the largest n's serves every row
+    # width, the small side at the widest r, one cell narrower than q, as the
+    # last row's top is r.  S1 at v depends on v alone, so the largest n's
+    # serves every row
     ns = ns[: ns.index(8191**2 - 1) + 1]
     roots = [math.isqrt(n) for n in ns]
     w = ns[-1] // (roots[-1] + 1) + 1
@@ -497,7 +498,8 @@ def test_lucy_rows_equal_their_parts():
     for i, (n, r) in enumerate(zip(ns, roots)):
         _, (at_small, at_v) = analytics._lucy(n, t, _quotients(n)[0])
         assert np.array_equal(at_v, rho_v[: len(at_v)]), n
-        flags = analytics._prime_flags(q[i, :r] + 1, t.primes_up_to(r)[: analytics._PREFILTER_PRIMES])
+        bases = t.primes_up_to(r)[: analytics._PREFILTER_PRIMES]
+        flags = analytics._prime_flags(q[i, :r] + 1, bases)
         rho_q[i, :r], prime_q[i, :r] = at_small, flags
         sigma_q[i, :r] = at_small + np.where(flags, np.log(q[i, :r] + 1), 0.0)
     hit = np.flatnonzero(t.prime_mask(w + 1)[2 : w + 1])
