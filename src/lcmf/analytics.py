@@ -4,27 +4,27 @@ The headline quantities are log rho(n) and log sigma(n).  Both admit exact
 rewrites as sums of theta values over the ~2 sqrt(n) distinct quotients n//k,
 and their gap is the log-sum over k of the prime quotient values
 floor(n/k + 1).  A scan row takes every field from one array q = n // k,
-summed by _rows on both routes below; the direct sums of (n // p) log p and
-(n // (p-1)) log p over the primes (_prime_sums, behind log_rho/log_sigma)
-are the check route.  Residuals subtract n log n - (c+1) n and n log n - n,
-where c is the sum over primes of log p / (p (p-1)): scans take it from
-analytic_constant(), the float of an analytic series, and
-prime_series_constant() encloses it rigorously.
+summed by _rows on both routes below.  The check route, behind log_rho,
+log_sigma and verify eq14-16, is Legendre's formula for n! (_factorial_sums):
+it needs the primes up to sqrt(n) + 1 alone, and every scan row's log rho is
+checked against it within a stated budget.  Residuals subtract
+n log n - (c+1) n and n log n - n, where c is the sum over primes of
+log p / (p (p-1)): scans take it from analytic_constant(), the float of an
+analytic series, and prime_series_constant() encloses it rigorously.
 
-The route of a row depends on n alone.  Below LUCY_THRESHOLD (2^22) theta
-and primality are lookups in a prime table up to n + 2, about
+The route of a row depends on n alone (_scan_rows).  Below LUCY_THRESHOLD
+(2^22) theta and primality are lookups in a prime table up to n + 2, about
 1 + 16 / ln n bytes per integer, taken for a block of n at a time
-(_table_rows): a step:1 window near 2^20 takes about 0.07 ms a row.  From
-it on, each row is a block of one (_lucy_row): theta at every quotient
-comes from Lucy's sieve (_lucy) in O(n**(3/4)) time and O(sqrt n) memory,
-with a table only up to sqrt(n) + 2: a row at 2^36 takes about 1.4 s and
-64 MB.  Each row sums in a fixed order over its own arrays, so scan output
-is reproducible bit for bit on one platform whatever the grid, its blocks
-or the worker count.
+(_table_rows).  From it on, each row is a block of one (_lucy_row): theta at
+every quotient comes from Lucy's sieve (_lucy) in O(n**(3/4)) time and
+O(sqrt n) memory, with a table only up to sqrt(n) + 2.  Each row sums in a
+fixed order over its own arrays, so scan output is reproducible bit for bit
+on one platform whatever the grid, its blocks or the worker count.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import functools
 import itertools
@@ -118,15 +118,15 @@ def default_constant() -> Enclosure:
 
 
 def log_rho(n: int, table: PrimeTable | None = None) -> float:
-    """log rho(n) as the sum of (n // p) log p over p <= n, summed pairwise in
-    ascending p by the check route _prime_sums."""
-    return _prime_sums([n], _primes._table(table), 0)[0]
+    """log rho(n), the sum of (n // p) log p over primes p, by the check route
+    _factorial_rho, which reads the primes up to sqrt(n) alone."""
+    return float(_factorial_rho([n], _primes._table(table))[0])
 
 
 def log_sigma(n: int, table: PrimeTable | None = None) -> float:
-    """log sigma(n) as the sum of (n // (p-1)) log p over p <= n + 1, summed
-    pairwise in ascending p by the check route _prime_sums."""
-    return _prime_sums([n], _primes._table(table), 1)[0]
+    """log sigma(n), the sum of (n // (p-1)) log p over primes p, by the check
+    route _factorial_sums."""
+    return float(_factorial_sums([n], _primes._table(table))[1][0])
 
 
 def _blocks(widths: Iterable[int]):
@@ -143,36 +143,102 @@ def _blocks(widths: Iterable[int]):
         yield a, b
 
 
-def _prime_sums(ns: list[int], t: PrimeTable, shift: int) -> list[float]:
-    """The sum over primes p <= n + shift of (n // (p - shift)) log p, for each n
-    of the ascending ns: log rho(n) with shift 0, log sigma(n) with shift 1.
+def _slice_sums(m: np.ndarray, widths: list[int]) -> np.ndarray:
+    """np.add.reduce of each row i of the 2-D m over its first widths[i] cells.
+    A run of rows of one width takes one call, which on rows laid out in C
+    order sums each row as a call on it alone does, so no row's sum depends
+    on another."""
+    m, out, i = np.ascontiguousarray(m), [], 0
+    for w, run in itertools.groupby(widths):
+        j = i + len(list(run))
+        out.append(np.add.reduce(m[i:j, :w], axis=1))
+        i = j
+    return np.concatenate(out)
 
-    The check route of the theta sums: no quotient of n by k, only the primes,
-    cut at each n's own n + shift, for a block of n at a time (_blocks).  The
-    quotients are floors of float64 divisions, exact for n < 2**53: n and d
-    are floats, n/d lies in [n // d, n // d + 1 - 1/d], and fl(n/d) is within
-    (n/d) 2**-53 < 1/d of it and, rounding being monotone, no less than the
-    float n // d, so its floor is n // d.  Larger n, and n < 0, are refused
-    with ValueError.  Each n sums with np.add.reduce, pairwise in ascending
-    p, over its own slice of its row, so its value does not depend on ns.
+
+def _factorial_rho(ns: list[int], t: PrimeTable) -> np.ndarray:
+    """log rho(n) of each n of the nonempty ascending ns >= 0, by Legendre's
+    formula v_p(n!) = sum over e >= 1 of n // p**e, of which log rho(n) keeps
+    e = 1:
+
+        log rho(n) = log n! - sum over p**e <= n, e >= 2, of (n // p**e) log p.
+
+    The check route of the theta sums, with _factorial_sums: it reads no
+    theta, and of the table the primes up to sqrt(max(ns)) alone.  Each n
+    sums its prime powers in ascending order (_slice_sums), a block of n at
+    a time (_blocks), so its value does not depend on ns.
     """
-    if not ns:
-        return []
     if ns[0] < 0:
         raise ValueError("n must be >= 0")
-    if ns[-1] >= 1 << 53:
-        raise ValueError("the check route's float64 quotients are exact only for n < 2**53")
-    ps, logs = t.primes_and_logs(ns[-1] + shift)
-    divisors = (ps - shift).astype(np.float64)
-    counts = ps.searchsorted(np.array(ns, dtype=np.int64) + shift, side="right").tolist()
-    out = []
+    top = ns[-1]
+    ps = t.primes_up_to(math.isqrt(top))
+    levels = [ps * ps]  # p**(e+1) <= top when p**e <= top // p: for a prefix of the primes
+    while len(levels[-1]):
+        c = int(np.count_nonzero(levels[-1] <= top // ps[: len(levels[-1])]))
+        levels.append(levels[-1][:c] * ps[:c])
+    powers, owner = np.concatenate(levels), np.concatenate([np.arange(len(e)) for e in levels])
+    order = np.argsort(powers)
+    powers, logs = powers[order], np.log(ps)[owner[order]]
+    counts = powers.searchsorted(ns, side="right").tolist()  # the prime powers <= n
+    out = _log_factorial(np.array(ns, dtype=np.int64))
     for a, b in _blocks(counts):
-        w = counts[b - 1]
-        q = np.divide(np.array(ns[a:b], dtype=np.float64)[:, None], divisors[:w])
-        np.floor(q, out=q)
-        q *= logs[:w]
-        out += [float(np.add.reduce(row[:c])) for row, c in zip(q, counts[a:b])]
+        nb, w = np.array(ns[a:b], dtype=np.int64)[:, None], counts[b - 1]
+        # below 2**53 n and d are exact floats, so floor(fl(n / d)) = n // d
+        q = np.floor(nb / powers[:w]) if ns[b - 1] < 1 << 53 else nb // powers[:w]
+        out[a:b] -= _slice_sums(q * logs[:w], counts[a:b])
     return out
+
+
+def _factorial_sums(ns: list[int], t: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
+    """(log rho, log sigma) of each n of the nonempty ascending ns >= 0: the
+    check route of the theta sums.  log rho is _factorial_rho's, and with
+    r = isqrt(n)
+
+        log sigma(n) - log rho(n) = sum over primes p <= r + 1 of
+            (n // (p-1) - n // p) log p + sum of log(v + 1) over the
+            v = n // k > r with v + 1 prime,
+
+    as for a prime p > r + 1, n // (p-1) - n // p is 1 when p - 1 is a
+    quotient n // k, then with k <= r, and 0 otherwise.  v + 1 is tested as
+    the rows test it: on the table's bitmap, grown to n + 2 below
+    LUCY_THRESHOLD, and past its end by _prime_flags.  Each n sums its own
+    cells (_slice_sums), a block of n at a time (_blocks).
+    """
+    rho = _factorial_rho(ns, t)  # first: it refuses an n < 0
+    light = bisect.bisect_left(ns, LUCY_THRESHOLD)
+    t.ensure(max(ns[light - 1] + 2 if light else 0, math.isqrt(ns[-1]) + 2))
+    ps = t.primes_up_to(math.isqrt(ns[-1]) + 1)
+    logs, mask, gap = np.log(ps), t.prime_mask(t.limit), np.empty(len(ns))
+    for a, b in _blocks(math.isqrt(n) for n in ns):
+        nb, roots = np.array(ns[a:b], dtype=np.int64)[:, None], [math.isqrt(n) for n in ns[a:b]]
+        cuts = ps.searchsorted(np.array(roots) + 1, side="right").tolist()  # pi(r + 1)
+        d = (nb // (ps[: cuts[-1]] - 1) - nb // ps[: cuts[-1]]) * logs[: cuts[-1]]
+        x = nb // np.arange(1, roots[-1] + 1, dtype=np.int64) + 1  # v + 1 for v = n // k
+        hit, inside = x > np.array(roots)[:, None] + 1, x < len(mask)
+        hit[hit & inside] = mask[x[hit & inside]]
+        hit[hit & ~inside] = _prime_flags(x[hit & ~inside], ps[:_PREFILTER_PRIMES])
+        gap[a:b] = _slice_sums(d, cuts) + _slice_sums(np.where(hit, np.log(x), 0.0), roots)
+    return rho, rho + gap
+
+
+def _factorial_budget(n):
+    """Budget on |_factorial_sums' log rho(n) or log sigma(n) - the exact value|
+    at n >= 0, or an array of them, with u = 2**-52 and s = sqrt(n):
+
+        u (3 n log(n + 1) + 3 (s + 6) (n + (s + 1) log(n + 1))).
+
+    log n! is within 2 n log n units (_log_factorial); each term within 5
+    units (np.log within 4 ulps, the conversion to float64 and the product
+    half an ulp each); a sum of m nonnegative terms, in any order, within
+    (m - 1) u / 2 of their total, and each closing sum within u / 2 of its
+    value.  log rho subtracts at most s + n**(1/3) log2(n) terms (the perfect
+    powers), of total under 0.755 n; log sigma adds under 2 s more, of total
+    under 0.755 n + 1.39 (s + 1) + s log(n + 1), by
+    n // (p-1) - n // p <= n / (p (p-1)) + 1, theta(x) < 1.39 x (Chebyshev)
+    and log(v + 1) <= log(n + 1).  The formula covers the sum of these.
+    """
+    lg = np.log(n + 1.0)
+    return 2.0**-52 * (3 * n * lg + 3 * (np.sqrt(n) + 6) * (n + (np.sqrt(n) + 1) * lg))
 
 
 _Row = tuple[float, float, int, float, float]  # (log_rho, log_sigma, card_A, s1, s2)
@@ -189,8 +255,8 @@ def _rows(ns: list[int], q, rho_q, sigma_q, prime_q, rho_v, sigma_v, hit, hit_lo
     theta(v + 1) at index v < w, hit the v < w with v + 1 prime, as v - 1, and
     hit_log log(v + 1) at those.  The large quotients v <= top weigh
     mult = n // v - n // (v + 1), the number of k > r with n // k == v.  Each
-    row sums with np.add.reduce over its own slices: the values and the order
-    of a row do not depend on the block, so neither do its sums.
+    row sums with np.add.reduce over its own slices (_slice_sums): the values
+    and the order of a row do not depend on the block, so neither do its sums.
     """
     roots = [math.isqrt(n) for n in ns]
     tops = [n // (r + 1) for n, r in zip(ns, roots)]
@@ -207,16 +273,11 @@ def _rows(ns: list[int], q, rho_q, sigma_q, prime_q, rho_v, sigma_v, hit, hit_lo
     # s2: mult times log(v + 1) at the large v with v + 1 prime
     mult_s2 = mult[:, hit[: hits[-1]]] * hit_log[: hits[-1]]
     del mult
-    return [
-        (
-            float(np.add.reduce(rho_q[i, :r]) + np.add.reduce(mult_rho[i, :top])),
-            float(np.add.reduce(sigma_q[i, :r]) + np.add.reduce(mult_sigma[i, :top])),
-            cuts[2 * i + 1] - cuts[2 * i],
-            float(np.add.reduce(logs[cuts[2 * i] : cuts[2 * i + 1]])),
-            float(np.add.reduce(mult_s2[i, :m])),
-        )
-        for i, (r, top, m) in enumerate(zip(roots, tops, hits))
-    ]
+    rho = _slice_sums(rho_q, roots) + _slice_sums(mult_rho, tops)
+    sigma = _slice_sums(sigma_q, roots) + _slice_sums(mult_sigma, tops)
+    s1 = [float(np.add.reduce(logs[cuts[i] : cuts[i + 1]])) for i in range(0, len(cuts), 2)]
+    card = [cuts[i + 1] - cuts[i] for i in range(0, len(cuts), 2)]
+    return list(zip(rho.tolist(), sigma.tolist(), card, s1, _slice_sums(mult_s2, hits).tolist()))
 
 
 def _table_rows(ns: list[int], t: PrimeTable) -> Iterator[_Row]:
@@ -261,9 +322,9 @@ def _table_rows(ns: list[int], t: PrimeTable) -> Iterator[_Row]:
 LUCY_THRESHOLD = 1 << 22
 _PREFILTER_PRIMES = 32  # trial-divide by this many primes, the 14 bases among them
 _LUCY_BATCH_CELLS = 1 << 16  # start values, or phase-2 (p, k) pairs, per chunk of _lucy
-# quotients of a block of table rows, or (n, p) pairs of a block of the check
-# route, counted at the block's widest row (_blocks); a block's few arrays of
-# 8-byte cells stay within _row_bytes's fixed term
+# quotients of a block of table rows, or (n, prime power) and (n, k) cells of a
+# block of the check route, counted at the block's widest row (_blocks); a
+# block's few arrays of 8-byte cells stay within _row_bytes's fixed term
 _TABLE_BLOCK_CELLS = 1 << 13
 
 
@@ -447,11 +508,21 @@ def _prime_flags(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return flags
 
 
+def _scan_rows(ns: list[int], t: PrimeTable) -> Iterator[_Row]:
+    """The rows of the ascending ns >= 1 in turn: those below LUCY_THRESHOLD
+    from one call of _table_rows, the others one _lucy_row each."""
+    light = bisect.bisect_left(ns, LUCY_THRESHOLD)
+    yield from _table_rows(ns[:light], t)
+    for n in ns[light:]:
+        yield _lucy_row(n, t)
+
+
 def _one_row(n: int, table: PrimeTable | None) -> _Row:
-    """_table_rows at the one n."""
+    """The scan row of the one n: the table grows to n + 2 below
+    LUCY_THRESHOLD, to sqrt(n) + 2 from it on."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return next(_table_rows([n], _primes._table(table)))
+    return next(_scan_rows([n], _primes._table(table)))
 
 
 def theta_sum_rho(n: int, table: PrimeTable | None = None) -> float:
@@ -529,13 +600,41 @@ def _lucy_row(n: int, t: PrimeTable) -> _Row:
     return row
 
 
+def _row_budget(n: int, shift: int, updates: int) -> float:
+    """The sum over k = 1..n of _s1_budget(n // k + shift, updates): the budget
+    of a Lucy row's sum of theta(n // k + shift) from the errors of its S1."""
+    q = n // np.arange(1, n // (math.isqrt(n) + 1) + 2, dtype=np.int64)
+    small = _s1_budget(q[: math.isqrt(n)] + shift, updates)
+    large = _s1_budget(np.arange(1, len(q), dtype=np.int64) + shift, updates)
+    return float(np.add.reduce(small) + np.add.reduce((q[:-1] - q[1:]) * large))
+
+
+def _rho_budget(ns: np.ndarray, lr: np.ndarray, t: PrimeTable) -> np.ndarray:
+    """Budget on |a scan row's log rho - _factorial_rho's| at each n >= 1 of the
+    int64 array ns, whose rows' log rho are lr, with u = 2**-52: the sum of
+
+    - theta's error at the quotients, by multiplicity: on a Lucy row,
+      _row_budget(n, 0, pi(sqrt n)); on a table row, which reads the prefix
+      sums of np.log p (within 4 ulps), u (4 + pi(v) / 2) theta(v)
+      <= 0.7 u v (v + 8) at v = n // k <= n / k (pi(v) <= v, theta(v) < 1.39 v),
+      summed under 0.7 u (1.645 n**2 + 8 n (1 + log n));
+    - the row's rounding: under 2 sqrt(n) nonnegative terms, u (2 sqrt(n) + 1) lr;
+    - the check route's error, _factorial_budget(n).
+    """
+    n = ns.astype(np.float64)
+    theta = 2.0**-52 * 0.7 * (1.645 * n * n + 8 * n * (1 + np.log(n)))
+    for i in np.flatnonzero(ns >= LUCY_THRESHOLD).tolist():
+        theta[i] = _row_budget(int(ns[i]), 0, t.pi(math.isqrt(int(ns[i]))))
+    return theta + 2.0**-52 * (2 * np.sqrt(n) + 1) * lr + _factorial_budget(n)
+
+
 def _records(ns: list[int], c: float, t: PrimeTable) -> list[ScanRecord]:
-    """The scan rows of the ascending ns: those below LUCY_THRESHOLD from one
-    call of _table_rows, the others one _lucy_row each."""
-    light = [n for n in ns if n < LUCY_THRESHOLD]
-    rows = itertools.chain(_table_rows(light, t), (_lucy_row(n, t) for n in ns[len(light) :]))
+    """The scan records of the ascending ns, from _scan_rows.  A row whose log
+    split s1 + s2 is off log sigma - log rho by more than 1e-6 max(1, n), or
+    whose log rho is off _factorial_rho's by more than _rho_budget, raises
+    ArithmeticError."""
     out = []
-    for n, (lr, ls, card, s1, s2) in zip(ns, rows):
+    for n, (lr, ls, card, s1, s2) in zip(ns, _scan_rows(ns, t)):
         if abs((ls - lr) - (s1 + s2)) > 1e-6 * max(1.0, n):
             raise ArithmeticError(f"quotient log split disagrees with log gap at n={n}")
         logn = math.log(n)
@@ -552,6 +651,10 @@ def _records(ns: list[int], c: float, t: PrimeTable) -> list[ScanRecord]:
                 s2=s2,
             )
         )
+    lr = np.array([rec.log_rho for rec in out])
+    miss = np.abs(lr - _factorial_rho(ns, t)) > _rho_budget(np.array(ns, dtype=np.int64), lr, t)
+    if miss.any():
+        raise ArithmeticError(f"log rho disagrees with Legendre's formula at n={ns[miss.argmax()]}")
     return out
 
 

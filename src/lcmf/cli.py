@@ -1,12 +1,13 @@
 """Command-line front end: compute | verify | triangle | constant | scan.
 
 Exit codes are a stable contract: 0 on success or a passing verification,
-1 when a verification finds violations or a command fails (an I/O error or
-a ValueError while computing), 2 on usage errors (bad arguments).  Output
-files are reproducible byte for byte for a fixed command line, whatever the
-worker count.  Each command, compute target and verify check has its own
-parser, which accepts exactly the options that command reads.  Each handler
-imports the lcmf modules it runs, so a command loads no other.
+1 when a verification finds violations or a command fails (an I/O error, a
+ValueError while computing, or an ArithmeticError from a failed internal
+check), 2 on usage errors (bad arguments).  Output files are reproducible
+byte for byte for a fixed command line, whatever the worker count.  Each
+command, compute target and verify check has its own parser, which accepts
+exactly the options that command reads.  Each handler imports the lcmf
+modules it runs, so a command loads no other.
 """
 
 from __future__ import annotations
@@ -276,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except UsageError as exc:
         args.parser.error(str(exc))
-    except (ValueError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -117,10 +117,10 @@ class PrimeTable:
     root.  The scalar reads need only the standard library: is_prime, and
     prime_list, an ascending list of the primes kept as Python ints and
     extended from the bitmap as far as it is asked for.  The array reads
-    (primes_up_to, primes_and_logs, prime_mask, pi, theta, theta_many) use
-    numpy arrays derived from the bitmap on the first array read after a
-    build: a zero-copy view of it, the primes, and the per-prime prefix sums
-    of log p.  So a command that reads no array never imports numpy.
+    (primes_up_to, prime_mask, pi, theta, theta_many) use numpy arrays
+    derived from the bitmap on the first array read after a build: a
+    zero-copy view of it, the primes, and the per-prime prefix sums of log p.
+    So a command that reads no array never imports numpy.
 
     A table made without a limit starts at the least one, 4, and ensure()
     grows it.  With its arrays it holds about 1 + 16 / ln(limit) bytes per
@@ -203,18 +203,6 @@ class PrimeTable:
         count = self.pi(x)  # first: it may grow the table, and so replace its arrays
         _, primes, _ = self._derived()
         return primes[:count]
-
-    def primes_and_logs(self, x: float) -> tuple[np.ndarray, np.ndarray]:
-        """(primes <= x, their logs) as aligned arrays; the logs are taken on demand.
-
-        The check route (analytics._prime_sums) asks once per call, at its
-        largest n, and cuts both arrays at each n: every n sums its own
-        prefix pairwise in ascending p.
-        """
-        import numpy as np
-
-        ps = self.primes_up_to(x)
-        return ps, np.log(ps.astype(np.float64))
 
     def pi(self, x: float) -> int:
         """Number of primes <= x."""

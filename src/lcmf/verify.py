@@ -234,7 +234,7 @@ def check_theta_identities(nmax: int, points: int = 1000) -> CheckResult:
     t.ensure(nmax + 2)
     grid = sorted(set(max(1, (i * nmax) // points) for i in range(1, points + 1)))
     rows = analytics._table_rows(grid, t)
-    rhos, sigmas = analytics._prime_sums(grid, t, 0), analytics._prime_sums(grid, t, 1)
+    rhos, sigmas = (sums.tolist() for sums in analytics._factorial_sums(grid, t))
     for n, (theta_rho, theta_sigma, _, s1, s2), lr, ls in zip(grid, rows, rhos, sigmas):
         res.cases += 1
         tol = 1e-6 * max(1.0, n)

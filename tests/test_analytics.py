@@ -1,6 +1,5 @@
 import json
 import math
-import types
 
 import numpy as np
 import pytest
@@ -227,8 +226,7 @@ def test_table_and_check_rows_hold_one_block_at_a_time():
     # tracemalloc peak of the table rows over a step:1 window near 2^20, and
     # of both routes over verify eq14-16's grid at nmax 10^5, whose rows widen
     # along it: a block's few arrays of 8-byte cells and about 200 B per row
-    # returned.  (A check-route row at 2^20 is wider than a block, 82,025
-    # primes, and is a block of its own.)
+    # returned
     import tracemalloc
 
     t = PrimeTable((1 << 20) + 1000)
@@ -238,7 +236,7 @@ def test_table_and_check_rows_hold_one_block_at_a_time():
     for ns, route in (
         (window, lambda: list(analytics._table_rows(window, t))),
         (grid, lambda: list(analytics._table_rows(grid, t))),
-        (grid, lambda: analytics._prime_sums(grid, t, 1)),
+        (grid, lambda: analytics._factorial_sums(grid, t)),
     ):
         tracemalloc.start()
         try:
@@ -249,57 +247,82 @@ def test_table_and_check_rows_hold_one_block_at_a_time():
         assert peak <= 80 * analytics._TABLE_BLOCK_CELLS + 200 * len(ns), (ns[0], peak)
 
 
-def test_check_route_sums_equal_the_integer_quotients(monkeypatch):
-    # blocks of many rows on the prime table, against the sum of the integer
-    # quotients n // (p - shift) converted to float64, in the same order
-    monkeypatch.setattr(analytics, "_TABLE_BLOCK_CELLS", 300)
-    t = PrimeTable(1 << 17)
-    ns = sorted({1, 2, 3, 4, 5, 97, 5040, 65535, 65536, 99_991, 100_000} | set(range(20, 2000, 7)))
-    for shift in (0, 1):
-        want = []
-        for n in ns:
-            ps = t.primes_up_to(n + shift)
-            q = (n // (ps - shift)).astype(np.float64)
-            want.append(float(np.sum(q * np.log(ps.astype(np.float64)))))
-        assert analytics._prime_sums(ns, t, shift) == want
-        assert [(log_rho, log_sigma)[shift](n, t) for n in ns] == want
-    # the float64 floors are the integer quotients up to 2**53 - 1, at every
-    # divisor d <= 5000; _prime_sums reads only primes_and_logs, and any
-    # ascending divisors will do for it
-    ds = np.arange(2, 5001, dtype=np.int64)
-    fake = types.SimpleNamespace(primes_and_logs=lambda x: (ds, np.log(ds.astype(np.float64))))
-    ns = [(1 << 52) + 1, 3 << 51, (1 << 53) - 5, (1 << 53) - 1]
-    for shift in (0, 1):
-        for n, got in zip(ns, analytics._prime_sums(ns, fake, shift)):
-            q = np.array([n // (d - shift) for d in ds.tolist()], dtype=np.float64)
-            assert got == float(np.add.reduce(q * np.log(ds.astype(np.float64)))), n
-    for route in (log_rho, log_sigma):
-        with pytest.raises(ValueError, match="2\\*\\*53"):
-            route(1 << 53, t)
-
-
 def test_theta_identities_report_a_prime_cut_short(monkeypatch):
     # eq14-16 in blocks of many grid points; with the check route's last prime
-    # dropped, the grid points that need it, and only those, are reported
+    # dropped, the grid points that use it, and only those, are reported
     monkeypatch.setattr(analytics, "_TABLE_BLOCK_CELLS", 300)
     monkeypatch.setattr(primes, "_default_table", PrimeTable())
     res = verify.check_theta_identities(30_000)
     assert res.passed and res.cases == 1000
 
     class Short(PrimeTable):
-        def primes_and_logs(self, x):
-            ps, logs = super().primes_and_logs(x)
-            return ps[:-1], logs[:-1]
+        def primes_up_to(self, x):
+            return super().primes_up_to(x)[:-1]
 
     monkeypatch.setattr(primes, "_default_table", Short())
     res = verify.check_theta_identities(30_000, points=300)
-    # 29989 is the largest prime below 30000, so n = 29900 needs it for
-    # neither sum and n = 30000 for both; each loses log 29989, so the
-    # quotient log split, their difference, still holds
+    # the route reads the primes up to isqrt(30000) + 1 = 174, the last of
+    # them 173.  log rho subtracts (n // 173**2) log 173 at the n >= 29929,
+    # n = 30000 alone on this grid.  log sigma - log rho adds
+    # (n // 172 - n // 173) log 173 at the n with isqrt(n) + 1 >= 173,
+    # n >= 29584, where that is log 173; at n = 30000 the two cancel in
+    # log sigma.  The quotient log split compares log sigma - log rho with
+    # the rows' s1 + s2
     assert [v.split(" off")[0] for v in res.violations] == [
+        *(f"n={n}: {what}" for n in (29600, 29700, 29800, 29900)
+          for what in ("theta sum for sigma", "quotient log split")),
         "n=30000: theta sum for rho",
-        "n=30000: theta sum for sigma",
+        "n=30000: quotient log split",
     ]
+
+
+def _exact_logs(nmax):
+    """(log rho(n), log sigma(n)) for n = 0..nmax, each the float nearest the
+    exact sum: the integer exponents n // p and n // (p - 1) times log p in
+    fixed point, 2**-120 units from mpmath, divided once."""
+    import mpmath
+
+    ps = trial_primes(nmax + 1)
+    with mpmath.workprec(200):
+        fixed = {p: int(mpmath.floor(mpmath.log(p) * 2**120)) for p in ps}
+    rho_sums = [sum(n // p * fixed[p] for p in ps if p <= n) for n in range(nmax + 1)]
+    sigma_sums = [sum(n // (p - 1) * fixed[p] for p in ps if p <= n + 1) for n in range(nmax + 1)]
+    return [(a / 2**120, b / 2**120) for a, b in zip(rho_sums, sigma_sums)]
+
+
+def test_check_route_within_its_budget_of_exact_logs():
+    # the fixed-point sums are below the exact ones by under 2**-120 per unit
+    # of exponent, far below an ulp, so each reference is within an ulp
+    ns = list(range(3001))
+    rho_ref, sigma_ref = (np.array(v) for v in zip(*_exact_logs(3000)))
+    t = PrimeTable()
+    rhos, sigmas = analytics._factorial_sums(ns, t)
+    budget = analytics._factorial_budget(np.array(ns, dtype=np.float64))
+    ulp = np.spacing(np.maximum(rho_ref, sigma_ref))
+    assert np.all(np.abs(rhos - rho_ref) <= budget + ulp)
+    assert np.all(np.abs(sigmas - sigma_ref) <= budget + ulp)
+    assert rhos[0] == sigmas[0] == rhos[1] == 0.0 and sigmas[1] == math.log(2)
+    # the budget is not vacuous: a few hundred ulps at n = 3000
+    assert budget[-1] < 500 * ulp[-1]
+    assert [log_rho(n, t) for n in ns] == rhos.tolist()
+    assert [log_sigma(n, t) for n in ns] == sigmas.tolist()
+
+
+def test_check_route_in_blocks_equals_one_n_at_a_time(monkeypatch):
+    # blocks of many rows, rows wider than the block each a block of its
+    # own, and a block that crosses LUCY_THRESHOLD, where the primality of
+    # n // k + 1 comes from _prime_flags past the table's end
+    t = PrimeTable(math.isqrt(1 << 26) + 2)
+    ns = list(range(0, 200)) + list(range((1 << 20) - 300, (1 << 20) + 300, 7))
+    ns += [4093**2 - 1, 4093**2, LUCY_THRESHOLD - 1, LUCY_THRESHOLD, LUCY_THRESHOLD + 1, 1 << 26]
+    one = [tuple(float(v[0]) for v in analytics._factorial_sums([n], t)) for n in ns]
+    assert t.limit == LUCY_THRESHOLD + 1  # the bitmap reaches n + 2 for the n below it
+    monkeypatch.setattr(analytics, "_TABLE_BLOCK_CELLS", 300)
+    sizes = [b - a for a, b in analytics._blocks(math.isqrt(n) for n in ns)]
+    assert max(sizes) > 20 and sizes.count(1) > 5
+    rhos, sigmas = analytics._factorial_sums(ns, t)
+    assert list(zip(rhos.tolist(), sigmas.tolist())) == one
+    assert analytics._factorial_rho(ns, t).tolist() == rhos.tolist()
 
 
 def test_residual_rho_dyadic_sup(c_mid):
@@ -373,11 +396,8 @@ def _quotient_sum(mult, at_small, at_large):
 
 
 def _row_budget(n, shift):
-    """Budget on a row's sum over k of theta(n // k + shift), from _s1_budget."""
-    _, small, large, mult = _quotients(n)
-    updates = len(default_table().primes_up_to(math.isqrt(n)))
-    at_small = analytics._s1_budget(small + shift, updates)
-    return _quotient_sum(mult, at_small, analytics._s1_budget(large + shift, updates))
+    """analytics._row_budget at n, with the updates of _lucy at n."""
+    return analytics._row_budget(n, shift, len(default_table().primes_up_to(math.isqrt(n))))
 
 
 def _lucy_at(n):
@@ -444,11 +464,129 @@ def test_lucy_rows_match_the_table_route(table_2_26, c_mid):
     assert t.limit < 1 << 14  # Lucy rows need the table only to sqrt(n) + 2
     for rec in recs:
         n = rec.n
-        assert rec.card_A == quotient_prime_count(n, table_2_26)
-        assert (rec.s1 + rec.s2, rec.s1, rec.s2) == s_split(n, table_2_26)
+        lr, ls, card, s1, s2 = next(analytics._table_rows([n], table_2_26))
+        assert rec.card_A == card
+        assert (rec.s1 + rec.s2, rec.s1, rec.s2) == (s1 + s2, s1, s2)
         # each route within the budget of theta, so the two within twice it
-        assert abs(rec.log_rho - theta_sum_rho(n, table_2_26)) <= 2 * _row_budget(n, 0)
-        assert abs(rec.log_sigma - theta_sum_sigma(n, table_2_26)) <= 2 * _row_budget(n, 1)
+        assert abs(rec.log_rho - lr) <= 2 * _row_budget(n, 0)
+        assert abs(rec.log_sigma - ls) <= 2 * _row_budget(n, 1)
+
+
+def test_one_n_functions_take_the_scan_route():
+    # from LUCY_THRESHOLD on, the one-n functions are the scan row's fields
+    # bit for bit, and grow a fresh table only to sqrt(n) + 2
+    for n in (LUCY_THRESHOLD, LUCY_THRESHOLD + 1, 1 << 27):
+        (rec,) = scan([n], table=PrimeTable(), c=0.0)
+        for f, want in (
+            (theta_sum_rho, rec.log_rho),
+            (theta_sum_sigma, rec.log_sigma),
+            (s_split, (rec.s1 + rec.s2, rec.s1, rec.s2)),
+            (quotient_prime_count, rec.card_A),
+        ):
+            t = PrimeTable()
+            assert f(n, t) == want, (f.__name__, n)
+            assert t.limit <= math.isqrt(n) + 2, (f.__name__, n)
+
+
+def _lucy_checked_rows(n, t):
+    """(log rho, log sigma) of the scan row at n, and of the check route, and
+    the bounds the two must meet: _rho_budget for log rho, and for log sigma
+    its counterpart, _row_budget at shift 1 in place of shift 0."""
+    lr, ls, *_ = analytics._lucy_row(n, t)
+    rho, sigma = (float(v[0]) for v in analytics._factorial_sums([n], t))
+    rho_bound = float(analytics._rho_budget(np.array([n]), np.array([lr]), t)[0])
+    sigma_bound = rho_bound - _row_budget(n, 0) + _row_budget(n, 1)
+    sigma_bound += 2.0**-52 * (2 * math.sqrt(n) + 1) * (ls - lr)
+    return (lr, ls), (rho, sigma), (rho_bound, sigma_bound)
+
+
+def test_check_route_against_lucy_rows():
+    # the route's primality of n // k + 1 past the table's end is _prime_flags,
+    # as in the row, so the two differ by the rounding alone; a few ulps of
+    # the values, against budgets a thousand times wider and more
+    for n in [1 << 24, (1 << 30) + 12345, *CUBE_NS, 1 << 34]:
+        t = PrimeTable(math.isqrt(n) + 2)
+        rows, route, bounds = _lucy_checked_rows(n, t)
+        for got, want, bound in zip(rows, route, bounds):
+            assert abs(got - want) <= bound, n
+            assert abs(got - want) <= 8 * math.ulp(want) < bound / 1000, n
+
+
+_MUTANT_N = (1 << 30) + 12345  # a Lucy row whose budget is a few units
+
+
+def _scan_raises(n, table=None):
+    with pytest.raises(ArithmeticError, match=f"Legendre's formula at n={n}"):
+        scan([n], table=table, c=0.0)
+
+
+def test_scan_catches_theta_raised_at_one_quotient(monkeypatch):
+    # theta(n // 2) + 100: the in-row check reads only the v <= sqrt(n) + 1
+    real = analytics._lucy
+
+    def lucy(n, t, q):
+        pi, (at_small, at_v) = real(n, t, q)
+        at_small[1] += 100
+        return pi, (at_small, at_v)
+
+    (rec,) = scan([_MUTANT_N], c=0.0)
+    assert float(analytics._rho_budget(np.array([_MUTANT_N]), np.array([rec.log_rho]),
+                                       default_table())[0]) < 10
+    monkeypatch.setattr(analytics, "_lucy", lucy)
+    _scan_raises(_MUTANT_N)
+
+
+def test_scan_catches_a_dropped_phase2_chunk(monkeypatch):
+    # the first chunk of _lucy's batch, both of its bincount sums, left out
+    real = np.bincount
+    calls = []
+
+    def bincount(k, weights):
+        calls.append(k)
+        out = real(k, weights=weights)
+        return out * 0 if len(calls) <= 2 else out
+
+    monkeypatch.setattr(np, "bincount", bincount)
+    _scan_raises(_MUTANT_N)
+    assert len(calls) > 2
+
+
+def test_scan_catches_a_dropped_phase1_prime(monkeypatch):
+    # a prime p with n**(1/4) < p <= n**(1/3) left out of _lucy's primes: it
+    # changes S only at the v >= p**2 > sqrt(n) + 1, past the in-row check
+    real = analytics._lucy
+    p = 331
+    assert math.isqrt(math.isqrt(_MUTANT_N)) < p <= primes.iroot(_MUTANT_N, 3)
+
+    class Without:
+        def __init__(self, t):
+            self.t = t
+
+        def primes_up_to(self, x):
+            ps = self.t.primes_up_to(x)
+            return ps[ps != p] if x == math.isqrt(_MUTANT_N) else ps
+
+        def __getattr__(self, name):
+            return getattr(self.t, name)
+
+    monkeypatch.setattr(analytics, "_lucy", lambda n, t, q: real(n, Without(t), q))
+    _scan_raises(_MUTANT_N)
+
+
+def test_scan_catches_the_theta_prefix_raised_by_one():
+    # on a table row near 2^20, theta + 1 at n // 2 alone: the table's prefix
+    # sum at pi(n // 2), which no other quotient of n reads
+    n = (1 << 20) + 12345
+    t = PrimeTable(n + 2)
+    mask, ps, prefix = t._derived()
+    i = int(ps.searchsorted(n // 2, side="right"))
+    assert n // 3 < ps[i - 1] <= n // 2 < ps[i] <= n
+    (rec,) = scan([n], table=t, c=0.0)
+    assert float(analytics._rho_budget(np.array([n]), np.array([rec.log_rho]), t)[0]) < 0.01
+    prefix = prefix.copy()
+    prefix[i] += 1
+    t._arrays = mask, ps, prefix
+    _scan_raises(n, t)
 
 
 def _lucy_row_by_parts(n, t):

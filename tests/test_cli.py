@@ -271,6 +271,30 @@ def test_internal_value_error_is_an_error_not_usage(capsys, monkeypatch):
     assert "error: boom" in err
 
 
+def test_failed_scan_checks_are_errors(capsys, monkeypatch):
+    # a Lucy row's theta(n // 2) raised by 100, which the rows' check against
+    # Legendre's formula catches, and a failing in-row check of _lucy itself
+    from lcmf import analytics
+
+    n = (1 << 30) + 12345
+    argv = ("scan", "--grid", f"list:{n}", "--nmax", str(n))
+    real = analytics._lucy
+
+    def raised(m, t, q):
+        pi, (at_small, at_v) = real(m, t, q)
+        at_small[1] += 100
+        return pi, (at_small, at_v)
+
+    def failing(m, t, q):
+        raise ArithmeticError(f"Lucy's sieve disagrees with the prime table at n={m}")
+
+    for lucy, message in ((raised, "log rho disagrees with Legendre's formula"),
+                          (failing, "Lucy's sieve disagrees with the prime table")):
+        monkeypatch.setattr(analytics, "_lucy", lucy)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message} at n={n}\n")
+
+
 def test_verify_passing(capsys):
     code, out, _ = run_cli(capsys, "verify", "prop2", "--nmax", "300")
     assert code == 0
