@@ -309,20 +309,24 @@ def test_check_route_within_its_budget_of_exact_logs():
 
 
 def test_check_route_in_blocks_equals_one_n_at_a_time(monkeypatch):
-    # blocks of many rows, rows wider than the block each a block of its
-    # own, and a block that crosses LUCY_THRESHOLD, where the primality of
-    # n // k + 1 comes from _prime_flags past the table's end
+    # at the default budget a block crosses LUCY_THRESHOLD, where the
+    # primality of n // k + 1 passes from the bitmap to _prime_flags; at 300
+    # cells, blocks of many rows and rows wider than a block, each a block
+    # of its own.  4093**2 is a prime power
     t = PrimeTable(math.isqrt(1 << 26) + 2)
     ns = list(range(0, 200)) + list(range((1 << 20) - 300, (1 << 20) + 300, 7))
-    ns += [4093**2 - 1, 4093**2, LUCY_THRESHOLD - 1, LUCY_THRESHOLD, LUCY_THRESHOLD + 1, 1 << 26]
+    ns += [LUCY_THRESHOLD - 1, LUCY_THRESHOLD, LUCY_THRESHOLD + 1, 4093**2 - 1, 4093**2, 1 << 26]
     one = [tuple(float(v[0]) for v in analytics._factorial_sums([n], t)) for n in ns]
     assert t.limit == LUCY_THRESHOLD + 1  # the bitmap reaches n + 2 for the n below it
-    monkeypatch.setattr(analytics, "_TABLE_BLOCK_CELLS", 300)
+    i = ns.index(LUCY_THRESHOLD)
+    assert any(a < i < b for a, b in analytics._blocks(math.isqrt(n) for n in ns))
+    for cells in (analytics._TABLE_BLOCK_CELLS, 300):
+        monkeypatch.setattr(analytics, "_TABLE_BLOCK_CELLS", cells)
+        rhos, sigmas = analytics._factorial_sums(ns, t)
+        assert list(zip(rhos.tolist(), sigmas.tolist())) == one, cells
+        assert analytics._factorial_rho(ns, t).tolist() == rhos.tolist(), cells
     sizes = [b - a for a, b in analytics._blocks(math.isqrt(n) for n in ns)]
     assert max(sizes) > 20 and sizes.count(1) > 5
-    rhos, sigmas = analytics._factorial_sums(ns, t)
-    assert list(zip(rhos.tolist(), sigmas.tolist())) == one
-    assert analytics._factorial_rho(ns, t).tolist() == rhos.tolist()
 
 
 def test_residual_rho_dyadic_sup(c_mid):
