@@ -1,5 +1,6 @@
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -306,6 +307,24 @@ def test_check_route_within_its_budget_of_exact_logs():
     assert budget[-1] < 500 * ulp[-1]
     assert [log_rho(n, t) for n in ns] == rhos.tolist()
     assert [log_sigma(n, t) for n in ns] == sigmas.tolist()
+
+
+def test_check_route_quotients_are_exact_on_both_sides_of_2_53():
+    # _factorial_rho takes n // p**e as float64 floors below 2**53, where
+    # they are the integer quotients, and as int64 quotients from it on,
+    # where a float floor can be one too many.  With the primes up to 5000
+    # standing in for those up to sqrt(n) (it reads primes_up_to alone), its
+    # value equals the same sum over the integer quotients, in the same order
+    ps = np.array(trial_primes(5000), dtype=np.int64)
+    fake = types.SimpleNamespace(primes_up_to=lambda x: ps)
+    for n in [(1 << 52) + 1, 3 << 51, (1 << 53) - 5, (1 << 53) - 1, (1 << 53) + 3, (1 << 62) + 7]:
+        powers = sorted((p**e, p) for p in ps.tolist() for e in range(2, 63) if p**e <= n)
+        q = [n // pe for pe, _ in powers]
+        floors = np.floor(np.float64(n) / np.array([pe for pe, _ in powers], dtype=np.float64))
+        assert (floors.tolist() == q) == (n < 1 << 53), n
+        logs = np.log(np.array([p for _, p in powers], dtype=np.float64))
+        want = analytics._log_factorial(np.array([n]))[0] - np.add.reduce(np.array(q, float) * logs)
+        assert analytics._factorial_rho([n], fake)[0] == want, n
 
 
 def test_check_route_in_blocks_equals_one_n_at_a_time(monkeypatch):
