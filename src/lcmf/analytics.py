@@ -609,9 +609,9 @@ def _row_budget(n: int, shift: int, updates: int) -> float:
     return float(np.add.reduce(small) + np.add.reduce((q[:-1] - q[1:]) * large))
 
 
-def _rho_budget(ns: np.ndarray, lr: np.ndarray, t: PrimeTable) -> np.ndarray:
-    """Budget on |a scan row's log rho - _factorial_rho's| at each n >= 1 of the
-    int64 array ns, whose rows' log rho are lr, with u = 2**-52: the sum of
+def _rho_budget(ns: list[int], lr: np.ndarray, t: PrimeTable) -> np.ndarray:
+    """Budget on |a scan row's log rho - _factorial_rho's| at each n >= 1 of ns,
+    whose rows' log rho are lr, with u = 2**-52: the sum of
 
     - theta's error at the quotients, by multiplicity: on a Lucy row,
       _row_budget(n, 0, pi(sqrt n)); on a table row, which reads the prefix
@@ -621,10 +621,10 @@ def _rho_budget(ns: np.ndarray, lr: np.ndarray, t: PrimeTable) -> np.ndarray:
     - the row's rounding: under 2 sqrt(n) nonnegative terms, u (2 sqrt(n) + 1) lr;
     - the check route's error, _factorial_budget(n).
     """
-    n = ns.astype(np.float64)
+    n = np.array(ns, dtype=np.float64)
     theta = 2.0**-52 * 0.7 * (1.645 * n * n + 8 * n * (1 + np.log(n)))
-    for i in np.flatnonzero(ns >= LUCY_THRESHOLD).tolist():
-        theta[i] = _row_budget(int(ns[i]), 0, t.pi(math.isqrt(int(ns[i]))))
+    for i in np.flatnonzero(n >= LUCY_THRESHOLD).tolist():
+        theta[i] = _row_budget(ns[i], 0, t.pi(math.isqrt(ns[i])))
     return theta + 2.0**-52 * (2 * np.sqrt(n) + 1) * lr + _factorial_budget(n)
 
 
@@ -651,10 +651,13 @@ def _records(ns: list[int], c: float, t: PrimeTable) -> list[ScanRecord]:
                 s2=s2,
             )
         )
-    lr = np.array([rec.log_rho for rec in out])
-    miss = np.abs(lr - _factorial_rho(ns, t)) > _rho_budget(np.array(ns, dtype=np.int64), lr, t)
-    if miss.any():
-        raise ArithmeticError(f"log rho disagrees with Legendre's formula at n={ns[miss.argmax()]}")
+    # the check holds a few arrays of one cell per row, for a block of rows
+    for a in range(0, len(ns), _TABLE_BLOCK_CELLS):
+        part = ns[a : a + _TABLE_BLOCK_CELLS]
+        lr = np.array([rec.log_rho for rec in out[a : a + _TABLE_BLOCK_CELLS]])
+        miss = np.flatnonzero(np.abs(lr - _factorial_rho(part, t)) > _rho_budget(part, lr, t))
+        if len(miss):
+            raise ArithmeticError(f"log rho disagrees with Legendre's formula at n={part[miss[0]]}")
     return out
 
 

@@ -517,7 +517,7 @@ def _lucy_checked_rows(n, t):
     its counterpart, _row_budget at shift 1 in place of shift 0."""
     lr, ls, *_ = analytics._lucy_row(n, t)
     rho, sigma = (float(v[0]) for v in analytics._factorial_sums([n], t))
-    rho_bound = float(analytics._rho_budget(np.array([n]), np.array([lr]), t)[0])
+    rho_bound = float(analytics._rho_budget([n], np.array([lr]), t)[0])
     sigma_bound = rho_bound - _row_budget(n, 0) + _row_budget(n, 1)
     sigma_bound += 2.0**-52 * (2 * math.sqrt(n) + 1) * (ls - lr)
     return (lr, ls), (rho, sigma), (rho_bound, sigma_bound)
@@ -553,8 +553,8 @@ def test_scan_catches_theta_raised_at_one_quotient(monkeypatch):
         return pi, (at_small, at_v)
 
     (rec,) = scan([_MUTANT_N], c=0.0)
-    assert float(analytics._rho_budget(np.array([_MUTANT_N]), np.array([rec.log_rho]),
-                                       default_table())[0]) < 10
+    budget = analytics._rho_budget([_MUTANT_N], np.array([rec.log_rho]), default_table())
+    assert float(budget[0]) < 10
     monkeypatch.setattr(analytics, "_lucy", lucy)
     _scan_raises(_MUTANT_N)
 
@@ -605,7 +605,7 @@ def test_scan_catches_the_theta_prefix_raised_by_one():
     i = int(ps.searchsorted(n // 2, side="right"))
     assert n // 3 < ps[i - 1] <= n // 2 < ps[i] <= n
     (rec,) = scan([n], table=t, c=0.0)
-    assert float(analytics._rho_budget(np.array([n]), np.array([rec.log_rho]), t)[0]) < 0.01
+    assert float(analytics._rho_budget([n], np.array([rec.log_rho]), t)[0]) < 0.01
     prefix = prefix.copy()
     prefix[i] += 1
     t._arrays = mask, ps, prefix
