@@ -166,7 +166,8 @@ def _factorial_rho(ns: list[int], t: PrimeTable) -> np.ndarray:
     The check route of the theta sums, with _factorial_sums: it reads no
     theta, and of the table the primes up to sqrt(max(ns)) alone.  Each n
     sums its prime powers in ascending order (_slice_sums), a block of n at
-    a time (_blocks), so its value does not depend on ns.
+    a time (_blocks), so its value does not depend on ns; it is within
+    _factorial_budget(n) of log rho(n).
     """
     if ns[0] < 0:
         raise ValueError("n must be >= 0")
@@ -183,7 +184,8 @@ def _factorial_rho(ns: list[int], t: PrimeTable) -> np.ndarray:
     out = _log_factorial(np.array(ns, dtype=np.int64))
     for a, b in _blocks(counts):
         nb, w = np.array(ns[a:b], dtype=np.int64)[:, None], counts[b - 1]
-        # below 2**53 n and d are exact floats, so floor(fl(n / d)) = n // d
+        # below 2**53, n and d are exact floats and fl(n / d) lies in
+        # [n // d, n // d + 1), so its floor is n // d; from 2**53 on, n may not be
         q = np.floor(nb / powers[:w]) if ns[b - 1] < 1 << 53 else nb // powers[:w]
         out[a:b] -= _slice_sums(q * logs[:w], counts[a:b])
     return out
@@ -202,7 +204,8 @@ def _factorial_sums(ns: list[int], t: PrimeTable) -> tuple[np.ndarray, np.ndarra
     quotient n // k, then with k <= r, and 0 otherwise.  v + 1 is tested as
     the rows test it: on the table's bitmap, grown to n + 2 below
     LUCY_THRESHOLD, and past its end by _prime_flags.  Each n sums its own
-    cells (_slice_sums), a block of n at a time (_blocks).
+    cells (_slice_sums), a block of n at a time (_blocks); both values are
+    within _factorial_budget(n) of the exact ones.
     """
     rho = _factorial_rho(ns, t)  # first: it refuses an n < 0
     light = bisect.bisect_left(ns, LUCY_THRESHOLD)
@@ -323,8 +326,9 @@ LUCY_THRESHOLD = 1 << 22
 _PREFILTER_PRIMES = 32  # trial-divide by this many primes, the 14 bases among them
 _LUCY_BATCH_CELLS = 1 << 16  # start values, or phase-2 (p, k) pairs, per chunk of _lucy
 # quotients of a block of table rows, or (n, prime power) and (n, k) cells of a
-# block of the check route, counted at the block's widest row (_blocks); a
-# block's few arrays of 8-byte cells stay within _row_bytes's fixed term
+# block of the check route, counted at the block's widest row (_blocks), or
+# rows that _records checks at once; a block's few arrays of 8-byte cells stay
+# within _row_bytes's fixed term
 _TABLE_BLOCK_CELLS = 1 << 13
 
 
@@ -651,8 +655,7 @@ def _records(ns: list[int], c: float, t: PrimeTable) -> list[ScanRecord]:
                 s2=s2,
             )
         )
-    # the check holds a few arrays of one cell per row, for a block of rows
-    for a in range(0, len(ns), _TABLE_BLOCK_CELLS):
+    for a in range(0, len(ns), _TABLE_BLOCK_CELLS):  # a few arrays of a cell per row
         part = ns[a : a + _TABLE_BLOCK_CELLS]
         lr = np.array([rec.log_rho for rec in out[a : a + _TABLE_BLOCK_CELLS]])
         miss = np.flatnonzero(np.abs(lr - _factorial_rho(part, t)) > _rho_budget(part, lr, t))
