@@ -3,14 +3,15 @@
 The headline quantities are log rho(n) and log sigma(n).  Both admit exact
 rewrites as sums of theta values over the ~2 sqrt(n) distinct quotients n//k,
 and their gap is the log-sum over k of the prime quotient values
-floor(n/k + 1).  A scan row takes every field from one array q = n // k,
-summed by _rows on both routes below.  The check route, behind log_rho,
-log_sigma and verify eq14-16, is Legendre's formula for n! (_factorial_sums):
-it needs the primes up to sqrt(n) + 1 alone, and every scan row's log rho is
-checked against it within a stated budget.  Residuals subtract
-n log n - (c+1) n and n log n - n, where c is the sum over primes of
-log p / (p (p-1)): scans take it from analytic_constant(), the float of an
-analytic series, and prime_series_constant() encloses it rigorously.
+floor(n/k + 1).  Both routes below hand _rows theta at q = n // k and the
+primality of q + 1; it sums every field of a row, sigma's as theta plus those
+logs.  The check route, behind log_rho, log_sigma and verify eq14-16, is
+Legendre's formula for n! (_factorial_sums): it needs the primes up to
+sqrt(n) + 1 alone, and every scan row's log rho is checked against it within
+a stated budget.  Residuals subtract n log n - (c+1) n and n log n - n,
+where c is the sum over primes of log p / (p (p-1)): scans take it from
+analytic_constant(), the float of an analytic series, and
+prime_series_constant() encloses it rigorously.
 
 The route of a row depends on n alone (_scan_rows).  Below LUCY_THRESHOLD
 (2^22) theta and primality are lookups in a prime table up to n + 2, about
@@ -247,32 +248,38 @@ def _factorial_budget(n):
 _Row = tuple[float, float, int, float, float]  # (log_rho, log_sigma, card_A, s1, s2)
 
 
-def _rows(ns: list[int], q, rho_q, sigma_q, prime_q, rho_v, sigma_v, hit, hit_log) -> list[_Row]:
+def _rows(ns: list[int], q, rho_q, prime_q, rho_v, mask) -> list[_Row]:
     """(log_rho, log_sigma, card_A, s1, s2) of each n of a block of ascending
     ns: the one row assembly of both scan routes.
 
     Row i of q holds n // k for k = 1..w, w = top + 1 of the widest row, with
-    r = isqrt(n) and top = n // (r + 1).  rho_q, sigma_q and prime_q hold
-    theta(n // k), theta(n // k + 1) and the primality of n // k + 1 for
-    k <= r, in rows of their own stride; rho_v and sigma_v hold theta(v) and
-    theta(v + 1) at index v < w, hit the v < w with v + 1 prime, as v - 1, and
-    hit_log log(v + 1) at those.  The large quotients v <= top weigh
+    r = isqrt(n) and top = n // (r + 1).  rho_q and prime_q hold theta(n // k)
+    and the primality of n // k + 1 for k <= r, in rows of their own stride;
+    rho_v holds theta(v) at index v < w, and mask the primality of 0..w or
+    more.  theta(v + 1) is theta(v) plus log(v + 1), the log s1 or s2 takes,
+    where v + 1 is prime.  The large quotients v <= top weigh
     mult = n // v - n // (v + 1), the number of k > r with n // k == v.  Each
     row sums with np.add.reduce over its own slices (_slice_sums): the values
     and the order of a row do not depend on the block, so neither do its sums.
     """
     roots = [math.isqrt(n) for n in ns]
     tops = [n // (r + 1) for n, r in zip(ns, roots)]
-    hits = hit.searchsorted(tops).tolist()  # how many large v with v + 1 prime, per row
     w, stride = q.shape[1], prime_q.shape[1]
+    hit = np.flatnonzero(mask[2 : w + 1])  # the v < w with v + 1 prime, as v - 1
+    hit_log = np.log(hit + 2)
+    hits = hit.searchsorted(tops).tolist()  # how many large v with v + 1 prime, per row
     # card_A and s1: the flagged cells, row after row; row i's small
     # quotients are the cells from i stride to i stride + r
     flagged = np.flatnonzero(prime_q)
     logs = np.log(q[:, :stride].ravel()[flagged] + 1)
     bounds = [c for i, r in enumerate(roots) for c in (i * stride, i * stride + r)]
     cuts = flagged.searchsorted(bounds).tolist()
+    # theta(v + 1): copies of theta, plus the logs of s1 and s2 where v + 1 is prime
+    sigma_q, sigma_v = rho_q.copy(), rho_v[:w].copy()
+    sigma_q.flat[flagged] += logs
+    sigma_v[hit + 1] += hit_log
     mult = q[:, :-1] - q[:, 1:]  # at v = 1..w-1
-    mult_rho, mult_sigma = mult * rho_v[1:w], mult * sigma_v[1:w]
+    mult_rho, mult_sigma = mult * rho_v[1:w], mult * sigma_v[1:]
     # s2: mult times log(v + 1) at the large v with v + 1 prime
     mult_s2 = mult[:, hit[: hits[-1]]] * hit_log[: hits[-1]]
     del mult
@@ -287,31 +294,25 @@ def _table_rows(ns: list[int], t: PrimeTable) -> Iterator[_Row]:
     """(log_rho, log_sigma, card_A, s1, s2) of each n of the ascending ns in
     turn, from the prime table, grown to max(ns) + 2.
 
-    theta at v and v + 1, and log(v + 1) where v + 1 is prime, depend on v
-    alone, so they are taken once per call, from one running count of the
-    bitmap.  The rest is taken a block of n at a time (_blocks): q = n // k
-    is one array, pi at it one search of the primes, and the flags of
-    n // k + 1 and the theta gathers one step each.  _rows sums each block,
-    whose rows are yielded one by one, so that a caller holds no list of them.
+    theta at v <= top depends on v alone, so it is taken once per call, from
+    one running count of the bitmap.  The rest is taken a block of n at a
+    time (_blocks): q = n // k is one array, theta at it one search of the
+    primes and one gather, and the flags of n // k + 1 one step.  _rows sums
+    each block, whose rows are yielded one by one, so that a caller holds no
+    list of them; its theta(p) = theta(p - 1) + np.log(p) is the table's
+    bit for bit, as np.cumsum adds the prefix in order.
     """
     if not ns:
         return
     mask = t.prime_mask(ns[-1] + 2)  # first: it may grow the table
     _, primes, prefix = t._derived()
     top = ns[-1] // (math.isqrt(ns[-1]) + 1)  # the largest top: it is nondecreasing in n
-    theta = prefix[np.cumsum(mask[: top + 2])]  # theta(v) for v <= top + 1
-    hit = np.flatnonzero(mask[2 : top + 2])  # the v <= top with v + 1 prime, as v - 1
-    hit_log = np.log(hit + 2)
+    theta = prefix[np.cumsum(mask[: top + 1])]  # theta(v) for v <= top
     for a, b in _blocks(n // (math.isqrt(n) + 1) + 1 for n in ns):
         w = ns[b - 1] // (math.isqrt(ns[b - 1]) + 1) + 1
         q = np.array(ns[a:b], dtype=np.int64)[:, None] // np.arange(1, w + 1, dtype=np.int64)
-        prime_q = mask[1:][q]  # n // k + 1 prime
-        at = primes.searchsorted(q, side="right")  # pi(n // k)
-        rho_q = prefix[at]
-        at += prime_q
-        sigma_q = prefix[at]
-        del at  # each array goes once used, so that a block holds few at a time
-        yield from _rows(ns[a:b], q, rho_q, sigma_q, prime_q, theta, theta[1:], hit, hit_log)
+        rho_q = prefix[primes.searchsorted(q, side="right")]  # theta(n // k)
+        yield from _rows(ns[a:b], q, rho_q, mask[1:][q], theta, mask)
 
 
 # -- Lucy's sieve ---------------------------------------------------------------------
@@ -583,24 +584,15 @@ assert CSV_HEADER == ",".join(ScanRecord._fields)
 
 def _lucy_row(n: int, t: PrimeTable) -> _Row:
     """(log_rho, log_sigma, card_A, s1, s2) of n >= LUCY_THRESHOLD, by _rows as a
-    block of one: theta from _lucy, and the primality of the n // k + 1 with
-    k <= sqrt(n) from _prime_flags, so the table only needs to reach
-    sqrt(n) + 2."""
+    block of one: theta from _lucy, the primality of the n // k + 1 with
+    k <= sqrt(n) from _prime_flags, and that of the large v + 1 <= sqrt(n) + 1
+    from the table's bitmap, so the table only needs to reach sqrt(n) + 2."""
     r = math.isqrt(n)
     t.ensure(r + 2)
-    top = n // (r + 1)
-    q = n // np.arange(1, top + 2, dtype=np.int64)
+    q = n // np.arange(1, n // (r + 1) + 2, dtype=np.int64)
     _, (rho_q, rho_v) = _lucy(n, t, q)
     prime_q = _prime_flags(q[:r] + 1, t.primes_up_to(r)[:_PREFILTER_PRIMES])
-    hit = np.flatnonzero(t.prime_mask(r + 1)[2 : top + 2])  # as in _table_rows
-    hit_log = np.log(hit + 2)
-    # theta(v + 1) = theta(v) + log(v + 1) when v + 1 is prime, in copies
-    sigma_q, sigma_v = rho_q.copy(), rho_v.copy()
-    sigma_q[prime_q] += np.log(q[:r][prime_q] + 1)
-    sigma_v[hit + 1] += hit_log
-    (row,) = _rows(
-        [n], q[None], rho_q[None], sigma_q[None], prime_q[None], rho_v, sigma_v, hit, hit_log
-    )
+    (row,) = _rows([n], q[None], rho_q[None], prime_q[None], rho_v, t.prime_mask(r + 1))
     return row
 
 
@@ -639,6 +631,7 @@ def _records(ns: list[int], c: float, t: PrimeTable) -> list[ScanRecord]:
     ArithmeticError."""
     out = []
     for n, (lr, ls, card, s1, s2) in zip(ns, _scan_rows(ns, t)):
+        # it guards _rows' sigma: log rho plus the logs that s1 and s2 sum
         if abs((ls - lr) - (s1 + s2)) > 1e-6 * max(1.0, n):
             raise ArithmeticError(f"quotient log split disagrees with log gap at n={n}")
         logn = math.log(n)
@@ -747,11 +740,12 @@ def dyadic_grid(nmin: int, nmax: int) -> list[int]:
 
 
 def sampled_dyadic_grid(jmin: int, jmax: int, per_block: int = 8) -> list[int]:
-    """per_block evenly spaced n inside each dyadic block [2^j, 2^(j+1))."""
+    """per_block evenly spaced n inside each dyadic block [2^j, 2^(j+1)), or
+    each n of a block narrower than per_block."""
     out = []
     for j in range(jmin, jmax + 1):
         base = 1 << j
-        out.extend(base + (base // per_block) * i for i in range(per_block))
+        out.extend(range(base, 2 * base, max(base // per_block, 1))[:per_block])
     return out
 
 

@@ -162,6 +162,8 @@ def _cmd_constant(args) -> int:
 def _cmd_scan(args) -> int:
     from . import analytics
 
+    if args.gnuplot and args.format != "csv":
+        raise UsageError("--gnuplot plots a CSV scan: it needs --format csv")
     ns = _parse(analytics.parse_grid, args.grid, args.n, args.nmax)
     enc = analytics.analytic_constant()
     records = analytics.scan(ns, c=enc.midpoint, workers=args.workers)
@@ -265,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_int_from(1), default=1, help="worker processes")
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--gnuplot", help="also write a gnuplot script stub to this path")
+    p.add_argument("--gnuplot", help="also write a gnuplot script stub to this path (csv only)")
 
     return parser
 

@@ -653,20 +653,14 @@ def test_lucy_rows_equal_their_parts():
     w = ns[-1] // (roots[-1] + 1) + 1
     assert w == roots[-1] + 1
     q = np.array(ns, dtype=np.int64)[:, None] // np.arange(1, w + 1, dtype=np.int64)
-    rho_q, sigma_q = np.zeros((len(ns), roots[-1])), np.zeros((len(ns), roots[-1]))
-    prime_q = np.zeros((len(ns), roots[-1]), dtype=bool)
+    rho_q, prime_q = np.zeros((len(ns), roots[-1])), np.zeros((len(ns), roots[-1]), dtype=bool)
     rho_v = analytics._lucy(ns[-1], t, q[-1])[1][1]
     for i, (n, r) in enumerate(zip(ns, roots)):
         _, (at_small, at_v) = analytics._lucy(n, t, _quotients(n)[0])
         assert np.array_equal(at_v, rho_v[: len(at_v)]), n
         bases = t.primes_up_to(r)[: analytics._PREFILTER_PRIMES]
-        flags = analytics._prime_flags(q[i, :r] + 1, bases)
-        rho_q[i, :r], prime_q[i, :r] = at_small, flags
-        sigma_q[i, :r] = at_small + np.where(flags, np.log(q[i, :r] + 1), 0.0)
-    hit = np.flatnonzero(t.prime_mask(w + 1)[2 : w + 1])
-    sigma_v = rho_v.copy()
-    sigma_v[hit + 1] += np.log(hit + 2)
-    rows = analytics._rows(ns, q, rho_q, sigma_q, prime_q, rho_v, sigma_v, hit, np.log(hit + 2))
+        rho_q[i, :r], prime_q[i, :r] = at_small, analytics._prime_flags(q[i, :r] + 1, bases)
+    rows = analytics._rows(ns, q, rho_q, prime_q, rho_v, t.prime_mask(w + 1))
     assert rows == [want[n] for n in ns]
 
 
@@ -768,6 +762,7 @@ def test_grids():
     assert parse_grid("step:5", 3, 20) == [3, 8, 13, 18]
     assert parse_grid("list:7,3,3,9", 1, 100) == [3, 7, 9]
     assert sampled_dyadic_grid(4, 5, per_block=4) == [16, 20, 24, 28, 32, 40, 48, 56]
+    assert sampled_dyadic_grid(0, 3) == list(range(1, 16))
     with pytest.raises(ValueError):
         parse_grid("fancy", 1, 10)
 

@@ -406,6 +406,15 @@ def test_scan_gnuplot_stub(capsys, tmp_path):
     assert code == 0
     text = gp_path.read_text()
     assert "plot" in text and str(csv_path) in text
+    # the stub plots CSV columns, so a JSON scan with it is a usage error
+    json_gp = tmp_path / "j.gp"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", "--grid", "list:64", "--nmax", "64", "--format", "json",
+                  "--gnuplot", str(json_gp)])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "lcmf scan: error: --gnuplot" in out.err
+    assert not json_gp.exists()
 
 
 def test_compute_past_int_str_digit_limit(capsys):
