@@ -165,10 +165,13 @@ def _factorial_rho(ns: list[int], t: PrimeTable) -> np.ndarray:
         log rho(n) = log n! - sum over p**e <= n, e >= 2, of (n // p**e) log p.
 
     The check route of the theta sums, with _factorial_sums: it reads no
-    theta, and of the table the primes up to sqrt(max(ns)) alone.  Each n
-    sums its prime powers in ascending order (_slice_sums), a block of n at
-    a time (_blocks), so its value does not depend on ns; it is within
-    _factorial_budget(n) of log rho(n).
+    theta, and of the table the primes up to sqrt(max(ns)) alone.  The
+    quotients n // p**e are int64, exact at every n; converting one to
+    float64 as it is multiplied by log p is exact below 2**53, and above it
+    within the half unit that _factorial_budget's five units per term allow
+    for it.  Each n sums its prime powers in ascending order
+    (_slice_sums), a block of n at a time (_blocks), so its value does not
+    depend on ns; it is within _factorial_budget(n) of log rho(n).
     """
     if ns[0] < 0:
         raise ValueError("n must be >= 0")
@@ -185,10 +188,7 @@ def _factorial_rho(ns: list[int], t: PrimeTable) -> np.ndarray:
     out = _log_factorial(np.array(ns, dtype=np.int64))
     for a, b in _blocks(counts):
         nb, w = np.array(ns[a:b], dtype=np.int64)[:, None], counts[b - 1]
-        # below 2**53, n and d are exact floats and fl(n / d) lies in
-        # [n // d, n // d + 1), so its floor is n // d; from 2**53 on, n may not be
-        q = np.floor(nb / powers[:w]) if ns[b - 1] < 1 << 53 else nb // powers[:w]
-        out[a:b] -= _slice_sums(q * logs[:w], counts[a:b])
+        out[a:b] -= _slice_sums(nb // powers[:w] * logs[:w], counts[a:b])
     return out
 
 

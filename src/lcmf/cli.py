@@ -162,15 +162,15 @@ def _cmd_constant(args) -> int:
 def _cmd_scan(args) -> int:
     from . import analytics
 
-    if args.gnuplot and args.format != "csv":
-        raise UsageError("--gnuplot plots a CSV scan: it needs --format csv")
+    if args.gnuplot and (args.format != "csv" or not args.out):
+        raise UsageError("--gnuplot plots a CSV scan file: it needs --format csv and --out")
     ns = _parse(analytics.parse_grid, args.grid, args.n, args.nmax)
     enc = analytics.analytic_constant()
     records = analytics.scan(ns, c=enc.midpoint, workers=args.workers)
     write = analytics.write_csv if args.format == "csv" else analytics.write_json
     write(records, args.out or sys.stdout)
     if args.gnuplot:
-        _write_gnuplot_stub(args.gnuplot, args.out or "scan.csv")
+        _write_gnuplot_stub(args.gnuplot, args.out)
     print(
         f"constant enclosure [{enc.lo!r}, {enc.hi!r}]; "
         f"residual uncertainty at nmax: {args.nmax * enc.width:.3g}",
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_int_from(1), default=1, help="worker processes")
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--gnuplot", help="also write a gnuplot script stub to this path (csv only)")
+    p.add_argument("--gnuplot", help="also write a gnuplot script stub to this path (csv, with --out)")
 
     return parser
 

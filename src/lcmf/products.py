@@ -32,7 +32,7 @@ class _Weight(NamedTuple):
 
 
 class WeightFunction(_Weight):
-    """One of the supported weights: m, m-1, m**alpha (alpha >= 1), or log m.
+    """One of the supported weights: m, m-1, m**alpha (finite alpha >= 1), or log m.
 
     An immutable, hashable pair (kind, alpha), checked as it is built.
     """
@@ -44,8 +44,8 @@ class WeightFunction(_Weight):
         if kind not in cls._KINDS:
             raise ValueError(f"unknown weight kind {kind!r}")
         if kind == "m^a":
-            if alpha is None or alpha < 1:
-                raise ValueError("power weight needs alpha >= 1")
+            if alpha is None or not 1 <= alpha < math.inf:
+                raise ValueError("power weight needs a finite alpha >= 1")
         elif alpha is not None:
             raise ValueError("alpha only applies to the power weight")
         return super().__new__(cls, kind, alpha)

@@ -310,9 +310,9 @@ def test_check_route_within_its_budget_of_exact_logs():
 
 
 def test_check_route_quotients_are_exact_on_both_sides_of_2_53():
-    # _factorial_rho takes n // p**e as float64 floors below 2**53, where
-    # they are the integer quotients, and as int64 quotients from it on,
-    # where a float floor can be one too many.  With the primes up to 5000
+    # _factorial_rho takes n // p**e as int64 quotients at every n: float64
+    # floors equal them below 2**53 but from it on can be one too many, which
+    # is why the route takes no float floors.  With the primes up to 5000
     # standing in for those up to sqrt(n) (it reads primes_up_to alone), its
     # value equals the same sum over the integer quotients, in the same order
     ps = np.array(trial_primes(5000), dtype=np.int64)

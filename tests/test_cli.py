@@ -56,6 +56,7 @@ def test_compute_usage_errors(capsys):
         ["compute", "q", "3", "5"],
         ["compute", "rho", "-1"],
         ["compute", "pif", "--f", "m^", "--x", "2"],
+        ["compute", "pif", "--f", "m^nan", "--x", "2"],
         ["compute", "pif", "--f", "m", "--x", "-1"],
         ["compute", "pif", "--f", "m", "--x", "inf"],
         ["compute", "pif", "--f", "m", "--x", "nan"],
@@ -406,15 +407,16 @@ def test_scan_gnuplot_stub(capsys, tmp_path):
     assert code == 0
     text = gp_path.read_text()
     assert "plot" in text and str(csv_path) in text
-    # the stub plots CSV columns, so a JSON scan with it is a usage error
-    json_gp = tmp_path / "j.gp"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["scan", "--grid", "list:64", "--nmax", "64", "--format", "json",
-                  "--gnuplot", str(json_gp)])
-    assert exc.value.code == 2
-    out = capsys.readouterr()
-    assert out.out == "" and "lcmf scan: error: --gnuplot" in out.err
-    assert not json_gp.exists()
+    # the stub plots the columns of a CSV file, so a JSON scan or a scan to
+    # stdout with it is a usage error
+    bad_gp = tmp_path / "j.gp"
+    for extra in (["--format", "json", "--out", str(tmp_path / "j.json")], []):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["scan", "--grid", "list:64", "--nmax", "64", "--gnuplot", str(bad_gp)] + extra)
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "lcmf scan: error: --gnuplot" in out.err and "--out" in out.err
+        assert set(tmp_path.iterdir()) == {csv_path, gp_path}  # nothing written
 
 
 def test_compute_past_int_str_digit_limit(capsys):

@@ -46,8 +46,9 @@ def test_weight_parse_roundtrip():
         assert WeightFunction.parse(spec).spec == spec
     with pytest.raises(ValueError):
         WeightFunction.parse("n")
-    with pytest.raises(ValueError):
-        WeightFunction.parse("m^0.5")  # alpha below 1
+    for spec in ("m^0.5", "m^nan", "m^inf"):  # alpha below 1, NaN or infinite
+        with pytest.raises(ValueError):
+            WeightFunction.parse(spec)
     with pytest.raises(ValueError):
         WeightFunction("m^a")  # missing alpha
 

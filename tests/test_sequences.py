@@ -227,10 +227,12 @@ def test_flag_and_split_walks_hold_few_bytes_per_n():
 
 def test_theorem2_reports_each_pair_a_dropped_witness_misses(monkeypatch):
     dropped = {40: 7, 100: 13}  # n: a wide quotient prime of n above sqrt(n + 1)
+    added = {150: 23}  # n: a prime above sqrt(n + 1) of digit valuation 0
 
     def witness(n, wide=False, table=None):
         qp = quotient_primes(n, wide, table)
-        return qp._replace(members=qp.members - {dropped.get(n)})
+        members = qp.members - {dropped.get(n)}
+        return qp._replace(members=members | {added[n]} if n in added else members)
 
     assert verify.check_theorem2(200).passed
     monkeypatch.setattr(sequences, "quotient_primes", witness)
@@ -239,6 +241,7 @@ def test_theorem2_reports_each_pair_a_dropped_witness_misses(monkeypatch):
     assert res.violations == [
         "n=40 p=7: digit route 1, witness route 0",
         "n=100 p=13: digit route 1, witness route 0",
+        "n=150 p=23: digit route 0, witness route 1",
     ]
 
 
