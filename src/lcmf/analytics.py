@@ -202,16 +202,14 @@ def _factorial_sums(ns: list[int], t: PrimeTable) -> tuple[np.ndarray, np.ndarra
             v = n // k > r with v + 1 prime,
 
     as for a prime p > r + 1, n // (p-1) - n // p is 1 when p - 1 is a
-    quotient n // k, then with k <= r, and 0 otherwise.  v + 1 is tested as
-    the rows test it: on the table's bitmap, grown to n + 2 below
-    LUCY_THRESHOLD, and past its end by _prime_flags.  Each n sums its own
-    cells (_slice_sums), a block of n at a time (_blocks); both values are
-    within _factorial_budget(n) of the exact ones.
+    quotient n // k, then with k <= r, and 0 otherwise.  It reads the primes
+    up to sqrt(max(ns)) + 1 alone, and tests v + 1 exactly, on the bitmap as
+    far as the table reaches and past it by _prime_flags.  Each n sums its
+    own cells (_slice_sums), a block of n at a time (_blocks); both values
+    are within _factorial_budget(n) of the exact ones.
     """
-    rho = _factorial_rho(ns, t)  # first: it refuses an n < 0
-    light = bisect.bisect_left(ns, LUCY_THRESHOLD)
-    t.ensure(max(ns[light - 1] + 2 if light else 0, math.isqrt(ns[-1]) + 2))
-    ps = t.primes_up_to(math.isqrt(ns[-1]) + 1)
+    ps = t.primes_up_to(math.isqrt(max(ns[-1], 0)) + 1)  # first: the table grows once
+    rho = _factorial_rho(ns, t)  # it refuses an n < 0
     logs, mask, gap = np.log(ps), t.prime_mask(t.limit), np.empty(len(ns))
     for a, b in _blocks(math.isqrt(n) for n in ns):
         nb, roots = np.array(ns[a:b], dtype=np.int64)[:, None], [math.isqrt(n) for n in ns[a:b]]
@@ -499,11 +497,13 @@ def _lucy(n: int, t: PrimeTable, q: np.ndarray):
 
 
 def _prime_flags(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Primality of each x in xs, where ps holds the Miller-Rabin bases (the
-    primes up to 43) and every x exceeds every prime in ps.
+    """Primality of each x in xs, where every x exceeds every prime in ps and
+    ps holds every base that x's Miller-Rabin round uses (primes._MR_BOUNDS):
+    2 alone below 2047, and never more than the 14 primes up to 43.
 
-    Trial division by ps, vectorised, drops most composites; the survivors,
-    odd and free of the bases' factors, go through the Miller-Rabin rounds.
+    Trial division by ps, vectorised, drops most composites, and every
+    composite x <= (r + 1)**2 when ps holds the primes up to r + 1; the
+    survivors go through the rounds, exact at every x < 2**63.
     """
     flags = np.ones(len(xs), dtype=bool)
     for p in ps.tolist():
@@ -685,9 +685,9 @@ def _scan_direct(ns: list[int], c: float, t: PrimeTable, workers: int) -> list[S
 
         # forked workers inherit the initializer's arguments, so the table,
         # already sieved to max(ns), reaches them without being pickled
-        ctx = mp.get_context("fork")
         with ProcessPoolExecutor(
-            max_workers=workers, mp_context=ctx, initializer=_init_worker, initargs=(t,)
+            max_workers=min(workers, len(chunks)), mp_context=mp.get_context("fork"),
+            initializer=_init_worker, initargs=(t,),
         ) as pool:
             parts = list(pool.map(_scan_chunk, [(chunk, c) for chunk in chunks]))
     except (ValueError, OSError):  # fork unavailable: fall back, same numbers

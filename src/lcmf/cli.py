@@ -106,8 +106,7 @@ def _check_theorem2(args):
 
     result = verify.check_theorem2(args.nmax)
     if args.out:
-        t = primes.default_table()
-        t.ensure(args.nmax + 2)
+        t = primes.default_table()  # check_theorem2 grew it to nmax + 2
         with open(args.out, "w", encoding="ascii", newline="\n") as fh:
             fh.write(sequences.VALUATION_CSV_HEADER + "\n")
             for n in range(1, args.nmax + 1):

@@ -2,7 +2,7 @@
 
 Values here routinely have millions of bits when expanded, so they are
 stored as {prime: exponent} maps and only rendered to decimal on demand,
-under an explicit digit budget.
+under a digit budget, DIGIT_BUDGET_DEFAULT.
 """
 
 from __future__ import annotations
@@ -57,12 +57,6 @@ class FactoredNatural:
     def one(cls) -> "FactoredNatural":
         return cls._trusted({})
 
-    @classmethod
-    def from_integer(cls, n: int) -> "FactoredNatural":
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return cls._trusted(_primes.factorize(n))
-
     # -- accessors ------------------------------------------------------------
 
     @property
@@ -108,14 +102,12 @@ class FactoredNatural:
             total += self._factors[p] * math.log(p)
         return total
 
-    def to_decimal(self, digit_budget: int | None = None) -> str:
-        """Exact decimal expansion; refuses above the digit budget."""
-        if digit_budget is None:
-            digit_budget = DIGIT_BUDGET_DEFAULT
+    def to_decimal(self) -> str:
+        """Exact decimal expansion; refuses above DIGIT_BUDGET_DEFAULT digits."""
         estimate = self.log_value() / _LN10
-        if estimate > digit_budget + 1:
+        if estimate > DIGIT_BUDGET_DEFAULT + 1:
             raise DigitBudgetError(
-                f"about {estimate:.3g} digits exceeds the budget of {digit_budget}"
+                f"about {estimate:.3g} digits exceeds the budget of {DIGIT_BUDGET_DEFAULT}"
             )
         value = 1
         for p in sorted(self._factors):

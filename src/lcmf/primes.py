@@ -1,9 +1,9 @@
 """Sieve-backed prime infrastructure.
 
-Provides a growable prime table with the prime-counting function pi(x),
-the Chebyshev log-sum theta(x) = sum of log p over primes p <= x,
-base-b digit sums, and the exponent of a prime in n! (computed two
-independent ways and cross-asserted).
+Provides a growable prime table with the prime-counting function pi(x) and
+the Chebyshev log-sum theta(x) = sum of log p over primes p <= x, taken at
+an array of x; base-b digit sums; the exponent of a prime in n! (Legendre's
+formula, cross-asserted against the digit form); and the largest e with p**e <= n.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ class PrimeTable:
     root.  The scalar reads need only the standard library: is_prime, and
     prime_list, an ascending list of the primes kept as Python ints and
     extended from the bitmap as far as it is asked for.  The array reads
-    (primes_up_to, prime_mask, pi, theta, theta_many) use numpy arrays
+    (primes_up_to, prime_mask, pi, theta_many) use numpy arrays
     derived from the bitmap on the first array read after a build: a
     zero-copy view of it, the primes, and the per-prime prefix sums of log p.
     So a command that reads no array never imports numpy.
@@ -213,12 +213,6 @@ class PrimeTable:
         _, primes, _ = self._derived()
         return int(primes.searchsorted(bound, side="right"))
 
-    def theta(self, x: float) -> float:
-        """Sum of log p over primes p <= x (ascending summation order)."""
-        count = self.pi(x)  # first, as in primes_up_to
-        _, _, prefix = self._derived()
-        return float(prefix[count])
-
     def theta_many(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized theta over an array of integer arguments <= limit."""
         _, primes, prefix = self._derived()
@@ -248,6 +242,23 @@ def _table(table: PrimeTable | None) -> PrimeTable:
 # -- digit sums and factorial valuations -------------------------------------
 
 
+def _vfact(n: int, p: int) -> int:
+    """v_p(n!) by Legendre's formula, the sum over e >= 1 of n // p**e."""
+    v = 0
+    while n >= p:
+        n //= p
+        v += n
+    return v
+
+
+def _log_floor(n: int, p: int) -> int:
+    """The largest e >= 0 with p**e <= n, for n >= 1."""
+    e, pw = 0, p
+    while pw <= n:
+        e, pw = e + 1, pw * p
+    return e
+
+
 def digit_sum(n: int, base: int) -> int:
     """Sum of the base-b digits of n (n >= 0, b >= 2)."""
     if base < 2:
@@ -271,11 +282,7 @@ def factorial_valuation(n: int, p: int, table: PrimeTable | None = None) -> int:
         raise ValueError("n must be >= 0")
     if not _table(table).is_prime(p):
         raise ValueError(f"{p} is not prime")
-    total = 0
-    q = p
-    while q <= n:
-        total += n // q
-        q *= p
+    total = _vfact(n, p)
     alt, rem = divmod(n - digit_sum(n, p), p - 1)
     if rem != 0 or alt != total:
         raise AssertionError(f"factorial valuation routes disagree at n={n}, p={p}")

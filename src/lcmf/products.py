@@ -32,7 +32,7 @@ class _Weight(NamedTuple):
 
 
 class WeightFunction(_Weight):
-    """One of the supported weights: m, m-1, m**alpha (finite alpha >= 1), or log m.
+    """One of the supported weights: m, m-1, m**alpha (1 <= alpha <= 63), or log m.
 
     An immutable, hashable pair (kind, alpha), checked as it is built.
     """
@@ -44,8 +44,10 @@ class WeightFunction(_Weight):
         if kind not in cls._KINDS:
             raise ValueError(f"unknown weight kind {kind!r}")
         if kind == "m^a":
-            if alpha is None or not 1 <= alpha < math.inf:
-                raise ValueError("power weight needs a finite alpha >= 1")
+            if alpha is None or not 1 <= alpha <= 63:
+                raise ValueError(
+                    "power weight needs 1 <= alpha <= 63; past 63, 2**alpha exceeds all budgets"
+                )
         elif alpha is not None:
             raise ValueError("alpha only applies to the power weight")
         return super().__new__(cls, kind, alpha)
@@ -79,9 +81,11 @@ class WeightFunction(_Weight):
             return cls.log()
         if spec.startswith("m^"):
             try:
-                return cls.power(float(spec[2:]))
+                alpha = float(spec[2:])
             except ValueError:
                 pass
+            else:  # power() refuses an alpha out of range, saying why
+                return cls.power(alpha)
         raise ValueError(f"bad weight spec {spec!r} (want m, m-1, m^A, or log)")
 
     @property
@@ -180,12 +184,7 @@ def prime_exponents(f: WeightFunction, X, table: PrimeTable | None = None) -> di
     if f.kind == "log":
         ps = t.prime_list(X)
         k = bisect.bisect_right(ps, math.isqrt(X))  # p * p > X past it: exponent 1
-        exps = {}
-        for p in ps[:k]:
-            e, pw = 1, p * p
-            while pw <= X:
-                e, pw = e + 1, pw * p
-            exps[p] = e
+        exps = {p: _primes._log_floor(X, p) for p in ps[:k]}
         exps.update(dict.fromkeys(ps[k:], 1))
         return exps
     if f.kind == "m":

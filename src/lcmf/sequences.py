@@ -25,7 +25,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import primes as _primes
-from .primes import PrimeTable
+from .primes import PrimeTable, _log_floor, _vfact
 
 if TYPE_CHECKING:  # imported by the functions that use it, not at start-up
     from .factored import FactoredNatural
@@ -50,23 +50,6 @@ def sigma(n: int, table: PrimeTable | None = None) -> FactoredNatural:
 
 
 # -- divisibility checks ----------------------------------------------------------
-
-
-def _vfact(n: int, p: int) -> int:
-    """v_p(n!) by Legendre's formula."""
-    v = 0
-    while n >= p:
-        n //= p
-        v += n
-    return v
-
-
-def _log_floor(n: int, p: int) -> int:
-    """The largest e >= 0 with p**e <= n, for n >= 1."""
-    e, pw = 0, p
-    while pw <= n:
-        e, pw = e + 1, pw * p
-    return e
 
 
 # the residues (modulus, residue) at which some term of a check steps, per prime

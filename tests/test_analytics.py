@@ -328,15 +328,18 @@ def test_check_route_quotients_are_exact_on_both_sides_of_2_53():
 
 
 def test_check_route_in_blocks_equals_one_n_at_a_time(monkeypatch):
-    # at the default budget a block crosses LUCY_THRESHOLD, where the
-    # primality of n // k + 1 passes from the bitmap to _prime_flags; at 300
-    # cells, blocks of many rows and rows wider than a block, each a block
-    # of its own.  4093**2 is a prime power
+    # the route reads the primes up to sqrt(n) + 1 alone, so past the table's
+    # end the primality of n // k + 1 comes from _prime_flags, and on a table
+    # grown past every n + 2 from its bitmap, to the same bit; at 300 cells,
+    # blocks of many rows and rows wider than a block, each a block of its
+    # own.  4093**2 is a prime power
     t = PrimeTable(math.isqrt(1 << 26) + 2)
     ns = list(range(0, 200)) + list(range((1 << 20) - 300, (1 << 20) + 300, 7))
     ns += [LUCY_THRESHOLD - 1, LUCY_THRESHOLD, LUCY_THRESHOLD + 1, 4093**2 - 1, 4093**2, 1 << 26]
     one = [tuple(float(v[0]) for v in analytics._factorial_sums([n], t)) for n in ns]
-    assert t.limit == LUCY_THRESHOLD + 1  # the bitmap reaches n + 2 for the n below it
+    assert t.limit == math.isqrt(1 << 26) + 2  # the route grew no table
+    grown = PrimeTable(LUCY_THRESHOLD + 2)
+    assert [tuple(float(v[0]) for v in analytics._factorial_sums([n], grown)) for n in ns] == one
     i = ns.index(LUCY_THRESHOLD)
     assert any(a < i < b for a, b in analytics._blocks(math.isqrt(n) for n in ns))
     for cells in (analytics._TABLE_BLOCK_CELLS, 300):
@@ -346,6 +349,19 @@ def test_check_route_in_blocks_equals_one_n_at_a_time(monkeypatch):
         assert analytics._factorial_rho(ns, t).tolist() == rhos.tolist(), cells
     sizes = [b - a for a, b in analytics._blocks(math.isqrt(n) for n in ns)]
     assert max(sizes) > 20 and sizes.count(1) > 5
+
+
+def test_check_route_on_fresh_tables_equals_a_grown_table():
+    # a fresh table grows to sqrt(n) + 1, or to 8 from its least size 4, so
+    # nearly every v + 1 is tested by _prime_flags, with fewer than the 14
+    # Miller-Rabin bases in ps below n = 43**2; a table grown to 3002 tests
+    # each on its bitmap
+    grown = PrimeTable(3002)
+    for n in range(3001):
+        fresh = PrimeTable()
+        got = tuple(float(v[0]) for v in analytics._factorial_sums([n], fresh))
+        assert fresh.limit <= max(8, math.isqrt(n) + 1), n
+        assert got == tuple(float(v[0]) for v in analytics._factorial_sums([n], grown)), n
 
 
 def test_residual_rho_dyadic_sup(c_mid):
@@ -702,10 +718,11 @@ def test_scan_row_peak_is_below_the_estimate(c_mid):
 def test_scan_workers_take_lucy_rows_heaviest_first(monkeypatch, c_mid):
     import concurrent.futures
 
-    tasks = []
+    tasks, sizes = [], []
 
     class InProcessPool:  # runs the tasks here, in the order they are handed out
-        def __init__(self, initializer, initargs, **_):
+        def __init__(self, max_workers, initializer, initargs, **_):
+            sizes.append(max_workers)
             initializer(*initargs)
 
         def __enter__(self):
@@ -725,6 +742,9 @@ def test_scan_workers_take_lucy_rows_heaviest_first(monkeypatch, c_mid):
     assert scan(ns, c=c_mid, workers=2) == expected
     lucy = [[3 * LUCY_THRESHOLD], [LUCY_THRESHOLD + 3], [LUCY_THRESHOLD + 1]]
     assert tasks == lucy + [[7, *range(100, 115)], list(range(115, 120))]
+    # a pool forks all of its workers at once, so it is sized to the tasks
+    assert scan(ns, c=c_mid, workers=64) == expected
+    assert sizes == [2, 5]
 
 
 def test_scan_workers_deterministic(tmp_path, c_mid):

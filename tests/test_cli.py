@@ -57,6 +57,7 @@ def test_compute_usage_errors(capsys):
         ["compute", "rho", "-1"],
         ["compute", "pif", "--f", "m^", "--x", "2"],
         ["compute", "pif", "--f", "m^nan", "--x", "2"],
+        ["compute", "pif", "--f", "m^1e308", "--x", "5"],
         ["compute", "pif", "--f", "m", "--x", "-1"],
         ["compute", "pif", "--f", "m", "--x", "inf"],
         ["compute", "pif", "--f", "m", "--x", "nan"],

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcmf.factored import DigitBudgetError, FactoredNatural
+from lcmf.primes import factorize
 
 from oracles import naive_factorization
 
@@ -14,21 +15,9 @@ def test_one_is_empty_map():
     assert str(FactoredNatural.one()) == "1"
 
 
-def test_from_integer_small_cases():
-    assert FactoredNatural.from_integer(1).factors == {}
-    assert FactoredNatural.from_integer(12).factors == {2: 2, 3: 1}
-    f360 = FactoredNatural.from_integer(360)
-    assert math.prod(p**e for p, e in f360.items()) == 360
-
-
-def test_from_integer_rejects_zero():
-    with pytest.raises(ValueError):
-        FactoredNatural.from_integer(0)
-
-
 def test_roundtrip_to_decimal():
     for n in range(1, 100_001):
-        assert FactoredNatural.from_integer(n).to_decimal() == str(n)
+        assert FactoredNatural(factorize(n)).to_decimal() == str(n)
 
 
 def test_construction_canonicalizes():
@@ -41,9 +30,9 @@ def test_construction_canonicalizes():
 
 def test_equality_and_hash():
     a = FactoredNatural({2: 2, 3: 1})
-    b = FactoredNatural.from_integer(12)
+    b = FactoredNatural(factorize(12))
     assert a == b and hash(a) == hash(b)
-    assert a != FactoredNatural.from_integer(24)
+    assert a != FactoredNatural(factorize(24))
 
 
 def test_lcm_pointwise_max():
@@ -55,7 +44,7 @@ def test_lcm_pointwise_max():
 
 
 def test_valuation_examples():
-    f10fact = FactoredNatural.from_integer(math.factorial(10))
+    f10fact = FactoredNatural(factorize(math.factorial(10)))
     assert f10fact.valuation(2) == 8  # 5 + 2 + 1
     assert f10fact.valuation(11) == 0
     with pytest.raises(ValueError):
@@ -65,14 +54,14 @@ def test_valuation_examples():
 def test_log_value_examples():
     assert FactoredNatural.one().log_value() == 0.0
     assert FactoredNatural({2: 1}).log_value() == pytest.approx(math.log(2))
-    assert FactoredNatural.from_integer(360).log_value() == pytest.approx(math.log(360), abs=1e-12)
+    assert FactoredNatural(factorize(360)).log_value() == pytest.approx(math.log(360), abs=1e-12)
 
 
 def test_to_decimal_examples_and_budget():
     assert FactoredNatural({2: 4, 3: 2, 5: 1}).to_decimal() == "720"
     big = FactoredNatural({2: 10**7})
     with pytest.raises(DigitBudgetError):
-        big.to_decimal(digit_budget=1000)
+        big.to_decimal()
 
 
 def test_rendering():
@@ -81,7 +70,7 @@ def test_rendering():
 
 
 def test_divides_brute_force():
-    facs = [None] + [FactoredNatural.from_integer(n) for n in range(1, 2001)]
+    facs = [None] + [FactoredNatural(factorize(n)) for n in range(1, 2001)]
     for a in range(1, 2001):
         fa = facs[a]
         for b in range(1, 2001):
@@ -91,8 +80,8 @@ def test_divides_brute_force():
 @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=10**6))
 @settings(deadline=None)
 def test_multiply_matches_integers(n, m):
-    fn, fm = FactoredNatural.from_integer(n), FactoredNatural.from_integer(m)
-    assert fn.multiply(fm) == FactoredNatural.from_integer(n * m)
+    fn, fm = FactoredNatural(factorize(n)), FactoredNatural(factorize(m))
+    assert fn.multiply(fm) == FactoredNatural(factorize(n * m))
     assert fn.factors == naive_factorization(n)
 
 
@@ -103,11 +92,11 @@ def test_multiply_matches_integers(n, m):
 )
 @settings(deadline=None)
 def test_lcm_properties(a, b, c):
-    fa, fb, fc = (FactoredNatural.from_integer(v) for v in (a, b, c))
+    fa, fb, fc = (FactoredNatural(factorize(v)) for v in (a, b, c))
     assert fa.lcm(fb) == fb.lcm(fa)
     assert fa.lcm(fa) == fa
     assert fa.lcm(fb).lcm(fc) == fa.lcm(fb.lcm(fc))
-    assert fa.lcm(fb) == FactoredNatural.from_integer(math.lcm(a, b))
+    assert fa.lcm(fb) == FactoredNatural(factorize(math.lcm(a, b)))
 
 
 @given(
@@ -117,5 +106,5 @@ def test_lcm_properties(a, b, c):
 )
 @settings(deadline=None)
 def test_valuation_additive_under_multiply(a, b, p):
-    fa, fb = FactoredNatural.from_integer(a), FactoredNatural.from_integer(b)
+    fa, fb = FactoredNatural(factorize(a)), FactoredNatural(factorize(b))
     assert fa.multiply(fb).valuation(p) == fa.valuation(p) + fb.valuation(p)

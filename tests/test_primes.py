@@ -80,15 +80,19 @@ def test_bitmap_matches_trial_division(table):
 
 def test_theta_values(table):
     brute = trial_primes(10_000)
-    assert table.theta(1.5) == 0.0
-    assert table.theta(10) == pytest.approx(math.log(210), abs=1e-12)
-    for x in (100, 1234, 9999):
-        assert table.theta(x) == pytest.approx(naive_theta(x, brute), rel=1e-12)
+    table.ensure(10_000)  # theta_many reads arguments up to the table's limit
+    zero, ten, *rest = table.theta_many(np.array([1, 10, 100, 1234, 9999])).tolist()
+    assert zero == 0.0
+    assert ten == pytest.approx(math.log(210), abs=1e-12)
+    for x, theta in zip((100, 1234, 9999), rest):
+        assert theta == pytest.approx(naive_theta(x, brute), rel=1e-12)
 
 
 def test_theta_chebyshev_sanity(table):
-    for x in range(1000, 100_001, 7349):
-        assert 0.8 < table.theta(x) / x < 1.2
+    xs = np.arange(1000, 100_001, 7349)
+    table.ensure(100_000)
+    ratio = table.theta_many(xs) / xs
+    assert np.all((0.8 < ratio) & (ratio < 1.2))
 
 
 def test_auto_extend():
@@ -199,6 +203,8 @@ def test_factorize_and_divisors():
     assert divisors(1) == [1]
     big = 10_000_019 * 10_000_079  # above the spf cap: trial-division path
     assert factorize(big) == {10_000_019: 1, 10_000_079: 1}
+    with pytest.raises(ValueError):
+        factorize(0)
 
 
 def test_iroot_past_int64_squares():

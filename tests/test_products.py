@@ -49,6 +49,10 @@ def test_weight_parse_roundtrip():
     for spec in ("m^0.5", "m^nan", "m^inf"):  # alpha below 1, NaN or infinite
         with pytest.raises(ValueError):
             WeightFunction.parse(spec)
+    assert WeightFunction.parse("m^63").alpha == 63
+    for spec in ("m^64", "m^1e308"):  # 2**alpha past every budget: refused, saying why
+        with pytest.raises(ValueError, match="alpha <= 63"):
+            WeightFunction.parse(spec)
     with pytest.raises(ValueError):
         WeightFunction("m^a")  # missing alpha
 
