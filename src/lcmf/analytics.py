@@ -20,7 +20,9 @@ The route of a row depends on n alone (_scan_rows).  Below LUCY_THRESHOLD
 every quotient comes from Lucy's sieve (_lucy) in O(n**(3/4)) time and
 O(sqrt n) memory, with a table only up to sqrt(n) + 2.  Each row sums in a
 fixed order over its own arrays, so scan output is reproducible bit for bit
-on one platform whatever the grid, its blocks or the worker count.
+on one platform whatever the grid, its blocks or the worker count.  A scan
+is one stream of records in n order, checked a chunk of rows at a time
+(_records), which the writers take as it comes.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import functools
 import itertools
 import json
 import math
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -157,7 +159,34 @@ def _slice_sums(m: np.ndarray, widths: list[int]) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _factorial_rho(ns: list[int], t: PrimeTable) -> np.ndarray:
+def _prime_powers(top: int, t: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
+    """(powers, logs): the prime powers p**e <= top with e >= 2, ascending,
+    and log p of each; _factorial_rho's set-up, good for every n <= top.
+
+    The squares ascend with p already.  The higher powers, of the few primes
+    up to cbrt(top), are sorted in Python and merged in at their places.
+    """
+    ps = t.primes_up_to(math.isqrt(top))
+    higher = []
+    for i, p in enumerate(ps.tolist()):
+        v = p * p * p
+        if v > top:
+            break
+        while v <= top:
+            higher.append((v, i))
+            v *= p
+    higher.sort()
+    squares, hv = ps * ps, np.array([v for v, _ in higher], dtype=np.int64)
+    at = squares.searchsorted(hv) + np.arange(len(hv))  # the squares and higher powers below v
+    keep = np.ones(len(ps) + len(hv), dtype=bool)
+    keep[at] = False
+    powers, owner = np.empty(len(keep), dtype=np.int64), np.empty(len(keep), dtype=np.int64)
+    powers[at], owner[at] = hv, [i for _, i in higher]
+    powers[keep], owner[keep] = squares, np.arange(len(ps))
+    return powers, np.log(ps)[owner]
+
+
+def _factorial_rho(ns, t: PrimeTable, powers=None) -> np.ndarray:
     """log rho(n) of each n of the nonempty ascending ns >= 0, by Legendre's
     formula v_p(n!) = sum over e >= 1 of n // p**e, of which log rho(n) keeps
     e = 1:
@@ -165,25 +194,19 @@ def _factorial_rho(ns: list[int], t: PrimeTable) -> np.ndarray:
         log rho(n) = log n! - sum over p**e <= n, e >= 2, of (n // p**e) log p.
 
     The check route of the theta sums, with _factorial_sums: it reads no
-    theta, and of the table the primes up to sqrt(max(ns)) alone.  The
+    theta, and of the table the primes up to sqrt(max(ns)) alone, through
+    powers, _prime_powers at max(ns) or above, built here if not given.  The
     quotients n // p**e are int64, exact at every n; converting one to
     float64 as it is multiplied by log p is exact below 2**53, and above it
     within the half unit that _factorial_budget's five units per term allow
     for it.  Each n sums its prime powers in ascending order
     (_slice_sums), a block of n at a time (_blocks), so its value does not
-    depend on ns; it is within _factorial_budget(n) of log rho(n).
+    depend on ns or on how far powers reaches; it is within
+    _factorial_budget(n) of log rho(n).
     """
     if ns[0] < 0:
         raise ValueError("n must be >= 0")
-    top = ns[-1]
-    ps = t.primes_up_to(math.isqrt(top))
-    levels = [ps * ps]  # p**(e+1) <= top when p**e <= top // p: for a prefix of the primes
-    while len(levels[-1]):
-        c = int(np.count_nonzero(levels[-1] <= top // ps[: len(levels[-1])]))
-        levels.append(levels[-1][:c] * ps[:c])
-    powers, owner = np.concatenate(levels), np.concatenate([np.arange(len(e)) for e in levels])
-    order = np.argsort(powers)
-    powers, logs = powers[order], np.log(ps)[owner[order]]
+    powers, logs = _prime_powers(ns[-1], t) if powers is None else powers
     counts = powers.searchsorted(ns, side="right").tolist()  # the prime powers <= n
     out = _log_factorial(np.array(ns, dtype=np.int64))
     for a, b in _blocks(counts):
@@ -325,10 +348,12 @@ LUCY_THRESHOLD = 1 << 22
 _PREFILTER_PRIMES = 32  # trial-divide by this many primes, the 14 bases among them
 _LUCY_BATCH_CELLS = 1 << 16  # start values, or phase-2 (p, k) pairs, per chunk of _lucy
 # quotients of a block of table rows, or (n, prime power) and (n, k) cells of a
-# block of the check route, counted at the block's widest row (_blocks), or
-# rows that _records checks at once; a block's few arrays of 8-byte cells stay
-# within _row_bytes's fixed term
+# block of the check route, counted at the block's widest row (_blocks); a
+# block's few arrays of 8-byte cells stay within _row_bytes's fixed term
 _TABLE_BLOCK_CELLS = 1 << 13
+# rows that _records checks at once before it yields them: a chunk's records,
+# about 390 B a row, weigh about as much as a block's arrays
+_CHECK_ROWS = _TABLE_BLOCK_CELLS >> 5
 
 
 def _row_bytes(n: int) -> int:
@@ -576,9 +601,13 @@ class ScanRecord(NamedTuple):
     s2: float
 
     def csv_row(self) -> str:
-        return ",".join(repr(v) if isinstance(v, float) else str(v) for v in self)
+        """The fields joined by commas, str of the ints and repr of the floats."""
+        return _CSV_ROW % self
 
 
+_CSV_ROW = "%s,%r,%r,%r,%r,%s,%r,%r,%r"
+# a record as an object of json.dump(list, fh, indent=1), one level in
+_JSON_OBJECT = "{\n  " + ",\n  ".join(f'"{k}": %s' for k in ScanRecord._fields) + "\n }"
 assert CSV_HEADER == ",".join(ScanRecord._fields)
 
 
@@ -624,91 +653,114 @@ def _rho_budget(ns: list[int], lr: np.ndarray, t: PrimeTable) -> np.ndarray:
     return theta + 2.0**-52 * (2 * np.sqrt(n) + 1) * lr + _factorial_budget(n)
 
 
-def _records(ns: list[int], c: float, t: PrimeTable) -> list[ScanRecord]:
-    """The scan records of the ascending ns, from _scan_rows.  A row whose log
-    split s1 + s2 is off log sigma - log rho by more than 1e-6 max(1, n), or
-    whose log rho is off _factorial_rho's by more than _rho_budget, raises
-    ArithmeticError."""
-    out = []
-    for n, (lr, ls, card, s1, s2) in zip(ns, _scan_rows(ns, t)):
-        # it guards _rows' sigma: log rho plus the logs that s1 and s2 sum
-        if abs((ls - lr) - (s1 + s2)) > 1e-6 * max(1.0, n):
-            raise ArithmeticError(f"quotient log split disagrees with log gap at n={n}")
-        logn = math.log(n)
-        out.append(
-            ScanRecord(
-                n=n,
-                log_rho=lr,
-                log_sigma=ls,
-                residual_rho=lr - (n * logn - (c + 1.0) * n),
-                residual_sigma=ls - (n * logn - n),
-                card_A=card,
-                conj2_stat=card * logn / math.sqrt(n),
-                s1=s1,
-                s2=s2,
+def _records(ns, c: float, t: PrimeTable, powers=None) -> Iterator[ScanRecord]:
+    """The scan records of the ascending ns in turn, from _scan_rows, in
+    chunks of _CHECK_ROWS rows: no record of a chunk is yielded before every
+    row of it passes both checks.  A row whose log split s1 + s2 is off
+    log sigma - log rho by more than 1e-6 max(1, n), or whose log rho is off
+    _factorial_rho's by more than _rho_budget, raises ArithmeticError.
+    powers is _prime_powers at max(ns) or above, built here if not given."""
+    if powers is None:
+        powers = _prime_powers(ns[-1], t)
+    rows = _scan_rows(ns, t)
+    for a in range(0, len(ns), _CHECK_ROWS):
+        part, chunk = ns[a : a + _CHECK_ROWS], []
+        for n, (lr, ls, card, s1, s2) in zip(part, rows):
+            # it guards _rows' sigma: log rho plus the logs that s1 and s2 sum
+            if abs((ls - lr) - (s1 + s2)) > 1e-6 * max(1.0, n):
+                raise ArithmeticError(f"quotient log split disagrees with log gap at n={n}")
+            logn = math.log(n)
+            chunk.append(
+                ScanRecord(
+                    n=n,
+                    log_rho=lr,
+                    log_sigma=ls,
+                    residual_rho=lr - (n * logn - (c + 1.0) * n),
+                    residual_sigma=ls - (n * logn - n),
+                    card_A=card,
+                    conj2_stat=card * logn / math.sqrt(n),
+                    s1=s1,
+                    s2=s2,
+                )
             )
-        )
-    for a in range(0, len(ns), _TABLE_BLOCK_CELLS):  # a few arrays of a cell per row
-        part = ns[a : a + _TABLE_BLOCK_CELLS]
-        lr = np.array([rec.log_rho for rec in out[a : a + _TABLE_BLOCK_CELLS]])
-        miss = np.flatnonzero(np.abs(lr - _factorial_rho(part, t)) > _rho_budget(part, lr, t))
+        lr = np.array([rec.log_rho for rec in chunk])
+        miss = np.flatnonzero(np.abs(lr - _factorial_rho(part, t, powers)) > _rho_budget(part, lr, t))
         if len(miss):
             raise ArithmeticError(f"log rho disagrees with Legendre's formula at n={part[miss[0]]}")
-    return out
+        yield from chunk
 
 
-_worker_table: PrimeTable | None = None  # the caller's table, in a scan worker
+_worker_args: tuple = ()  # the caller's table and check set-up, in a scan worker
 
 
-def _init_worker(table: PrimeTable) -> None:
-    global _worker_table
-    _worker_table = table
+def _init_worker(table: PrimeTable, powers) -> None:
+    global _worker_args
+    _worker_args = table, powers
 
 
 def _scan_chunk(args) -> list[ScanRecord]:
     ns, c = args
-    return _records(ns, c, _worker_table)
+    return list(_records(ns, c, *_worker_args))
 
 
-def _scan_direct(ns: list[int], c: float, t: PrimeTable, workers: int) -> list[ScanRecord]:
+def _scan_direct(ns, c: float, t: PrimeTable, workers: int) -> Iterator[ScanRecord]:
+    """The records of the ascending ns in n order, as _records checks them,
+    from this process or a pool of workers."""
+    powers = _prime_powers(ns[-1], t)  # the check's set-up, once per scan
     if workers <= 1 or len(ns) <= 1:
-        return _records(ns, c, t)
+        yield from _records(ns, c, t, powers)
+        return
     # each Lucy row is a task of its own, largest n (the most work) first, so
     # that the heavy rows spread over the workers; the table rows, far
     # lighter, follow in chunks of 16
-    light = [n for n in ns if n < LUCY_THRESHOLD]
-    chunks = [[n] for n in reversed(ns) if n >= LUCY_THRESHOLD]
-    chunks += [light[i : i + 16] for i in range(0, len(light), 16)]
-    try:
-        import multiprocessing as mp
-        from concurrent.futures import ProcessPoolExecutor
+    light = ns[: bisect.bisect_left(ns, LUCY_THRESHOLD)]
+    heavy = [[n] for n in reversed(ns[len(light) :])]
+    chunks = heavy + [light[i : i + 16] for i in range(0, len(light), 16)]
+    import multiprocessing as mp
+    from concurrent.futures import ProcessPoolExecutor
 
-        # forked workers inherit the initializer's arguments, so the table,
-        # already sieved to max(ns), reaches them without being pickled
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(chunks)), mp_context=mp.get_context("fork"),
-            initializer=_init_worker, initargs=(t,),
-        ) as pool:
-            parts = list(pool.map(_scan_chunk, [(chunk, c) for chunk in chunks]))
-    except (ValueError, OSError):  # fork unavailable: fall back, same numbers
-        return _records(ns, c, t)
-    return sorted((rec for part in parts for rec in part), key=lambda rec: rec.n)
+    with contextlib.ExitStack() as stack:
+        try:
+            # forked workers inherit the initializer's arguments, so the table,
+            # already sieved to max(ns), reaches them without being pickled
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=min(workers, len(chunks)), mp_context=mp.get_context("fork"),
+                initializer=_init_worker, initargs=(t, powers),
+            ))
+            parts = pool.map(_scan_chunk, [(chunk, c) for chunk in chunks])
+        except (ValueError, OSError):  # fork unavailable: fall back, same numbers
+            parts = None
+        if parts is None:
+            yield from _records(ns, c, t, powers)
+            return
+        # the table rows in n order as they come back; the Lucy rows, which
+        # come back first, wait for their turn
+        held = [next(parts) for _ in heavy]
+        for part in parts:
+            yield from part
+        for part in reversed(held):
+            yield from part
 
 
-def scan(
+def scan_records(
     ns,
     table: PrimeTable | None = None,
     c: float | None = None,
     workers: int = 1,
-) -> list[ScanRecord]:
-    """One ScanRecord per requested n, in ascending order.
+) -> Iterator[ScanRecord]:
+    """One ScanRecord per requested n, in ascending order, as a stream.
 
     Each record is computed from n alone, optionally across a worker pool, so
     the row for a given n is byte-identical whatever the grid or the worker
     count: below LUCY_THRESHOLD in O(sqrt(n)) array work, from it on in
-    O(n**(3/4)) time by Lucy's sieve.  c defaults to analytic_constant().
+    O(n**(3/4)) time by Lucy's sieve.  The records come in checked chunks
+    (_records), so a caller that writes them as they come holds one chunk,
+    not the scan; an ascending range stays a range.  The grid, the memory
+    estimate and the table are settled here, before the first record is
+    asked for.  c defaults to analytic_constant().
     """
-    ns = sorted(set(int(n) for n in ns))
+    if not (isinstance(ns, range) and ns.step > 0):
+        ns = sorted(set(int(n) for n in ns))
     if not ns or ns[0] < 1:
         raise ValueError("scan grid must be nonempty with n >= 1")
     t = _primes._table(table)
@@ -717,10 +769,21 @@ def scan(
     what = f"a scan row at n = {top}" if rows == 1 else f"{rows} scan rows at once up to n = {top}"
     _primes.require_memory(rows * _row_bytes(top), what)
     # a table row needs the table to n + 2, a Lucy row to sqrt(n) + 2
-    t.ensure(max([n + 2 for n in ns if n < LUCY_THRESHOLD] + [math.isqrt(top) + 2]))
+    light = bisect.bisect_left(ns, LUCY_THRESHOLD)
+    t.ensure(max(ns[light - 1] + 2 if light else 0, math.isqrt(top) + 2))
     if c is None:
         c = analytic_constant().midpoint
     return _scan_direct(ns, c, t, workers)
+
+
+def scan(
+    ns,
+    table: PrimeTable | None = None,
+    c: float | None = None,
+    workers: int = 1,
+) -> list[ScanRecord]:
+    """The records of scan_records, as one list."""
+    return list(scan_records(ns, table, c, workers))
 
 
 # -- grids ---------------------------------------------------------------------------
@@ -749,16 +812,17 @@ def sampled_dyadic_grid(jmin: int, jmax: int, per_block: int = 8) -> list[int]:
     return out
 
 
-def parse_grid(spec: str, start: int, nmax: int) -> list[int]:
-    """Grid specs: "dyadic", "step:K", or "list:1,2,3".  A grid with no n, or
-    a list value above nmax, is refused."""
+def parse_grid(spec: str, start: int, nmax: int) -> Sequence[int]:
+    """Grid specs: "dyadic", "step:K", or "list:1,2,3", as an ascending list,
+    or for "step:K" a range.  A grid with no n, or a list value above nmax,
+    is refused."""
     if spec == "dyadic":
         ns = dyadic_grid(max(1, start), nmax)
     elif spec.startswith("step:"):
         step = int(spec[5:])
         if step < 1:
             raise ValueError("step must be >= 1")
-        ns = list(range(max(1, start), nmax + 1, step))
+        ns = range(max(1, start), nmax + 1, step)
     elif spec.startswith("list:"):
         ns = sorted({int(s) for s in spec[5:].split(",") if s})
         if ns and ns[0] < 1:
@@ -784,7 +848,8 @@ def _opened(path):
 
 
 def write_csv(records, path) -> None:
-    """The header and one CSV row per record, to a file path or a text stream."""
+    """The header and one CSV row per record, to a file path or a text
+    stream, each line written as the iterable records yields its record."""
     with _opened(path) as fh:
         fh.write(CSV_HEADER + "\n")
         for rec in records:
@@ -792,10 +857,16 @@ def write_csv(records, path) -> None:
 
 
 def write_json(records, path) -> None:
-    """The records as a JSON list of objects, to a file path or a text stream."""
+    """The records as a JSON list of objects, to a file path or a text
+    stream, one object at a time: the bytes of json.dump(list, fh, indent=1)
+    and a newline.  Each object takes its numbers from json.dumps of the
+    record, which writes them as json.dump does, comma and space between."""
     with _opened(path) as fh:
-        json.dump([rec._asdict() for rec in records], fh, indent=1)
-        fh.write("\n")
+        sep = "[\n "
+        for rec in records:
+            fh.write(sep + _JSON_OBJECT % tuple(json.dumps(rec)[1:-1].split(", ")))
+            sep = ",\n "
+        fh.write("[]\n" if sep == "[\n " else "\n]\n")
 
 
 class BlockEnvelope(NamedTuple):

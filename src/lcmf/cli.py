@@ -4,7 +4,9 @@ Exit codes are a stable contract: 0 on success or a passing verification,
 1 when a verification finds violations or a command fails (an I/O error, a
 ValueError while computing, or an ArithmeticError from a failed internal
 check), 2 on usage errors (bad arguments).  Output files are reproducible
-byte for byte for a fixed command line, whatever the worker count.  Each
+byte for byte for a fixed command line, whatever the worker count.  scan
+and triangle write their rows as they are made: a failure leaves an --out
+file as it was, while on stdout the rows written before it stay.  Each
 command, compute target and verify check has its own parser, which accepts
 exactly the options that command reads.  Each handler imports the lcmf
 modules it runs, so a command loads no other.
@@ -13,7 +15,9 @@ modules it runs, so a command loads no other.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
+import os
 import sys
 
 
@@ -136,16 +140,36 @@ def _check_nmax(args):
     return getattr(verify, args.check_fn)(args.nmax)
 
 
+def _write_out(path: str | None, write) -> None:
+    """write(fh) to the file path, or to stdout when path is None.  A file is
+    written as a temporary file beside it, which replaces path only once
+    write returns; if write raises, the temporary file is deleted and path
+    is left as it was."""
+    if not path:
+        write(sys.stdout)
+        return
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    fh = open(tmp, "x", encoding="ascii", newline="\n")  # never another's file
+    try:
+        with fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _cmd_triangle(args) -> int:
     from . import triangle
 
-    lines = [",".join(row) for row in triangle.rows_decimal(args.nmax)]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    values = triangle.qs((n, k) for n in range(args.nmax + 1) for k in range(n + 1))
+
+    def write(fh) -> None:  # one row at a time
+        for n in range(args.nmax + 1):
+            fh.write(",".join(next(values).to_decimal() for _ in range(n + 1)) + "\n")
+
+    _write_out(args.out, write)
     return 0
 
 
@@ -165,9 +189,12 @@ def _cmd_scan(args) -> int:
         raise UsageError("--gnuplot plots a CSV scan file: it needs --format csv and --out")
     ns = _parse(analytics.parse_grid, args.grid, args.n, args.nmax)
     enc = analytics.analytic_constant()
-    records = analytics.scan(ns, c=enc.midpoint, workers=args.workers)
+    records = analytics.scan_records(ns, c=enc.midpoint, workers=args.workers)
+    # the first chunk is checked before anything is written; the rest are
+    # written as they come, and a later failure ends the output there
+    records = itertools.chain([next(records)], records)
     write = analytics.write_csv if args.format == "csv" else analytics.write_json
-    write(records, args.out or sys.stdout)
+    _write_out(args.out, lambda fh: write(records, fh))
     if args.gnuplot:
         _write_gnuplot_stub(args.gnuplot, args.out)
     print(

@@ -188,7 +188,7 @@ def test_table_rows_equal_the_three_division_route(c_mid):
     for n in ns:
         lr, ls, card, s1, s2 = want = _table_row_oracle(n, t)
         logn = math.log(n)
-        assert analytics._records([n], c_mid, t)[0] == (
+        assert next(analytics._records([n], c_mid, t)) == (
             n, lr, ls, lr - (n * logn - (c_mid + 1.0) * n), ls - (n * logn - n),
             card, card * logn / math.sqrt(n), s1, s2,
         ), n
@@ -708,7 +708,7 @@ def test_scan_row_peak_is_below_the_estimate(c_mid):
         t.primes_up_to(2)  # the table's arrays are built before the row, as in a scan
         tracemalloc.start()
         try:
-            analytics._records([n], c_mid, t)[0]
+            next(analytics._records([n], c_mid, t))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -779,7 +779,7 @@ def test_scan_rejects_empty_or_bad():
 def test_grids():
     assert dyadic_grid(16, 1 << 20) == [1 << j for j in range(4, 21)]
     assert len(dyadic_grid(16, 1 << 20)) == 17
-    assert parse_grid("step:5", 3, 20) == [3, 8, 13, 18]
+    assert list(parse_grid("step:5", 3, 20)) == [3, 8, 13, 18]
     assert parse_grid("list:7,3,3,9", 1, 100) == [3, 7, 9]
     assert sampled_dyadic_grid(4, 5, per_block=4) == [16, 20, 24, 28, 32, 40, 48, 56]
     assert sampled_dyadic_grid(0, 3) == list(range(1, 16))
@@ -803,6 +803,31 @@ def test_csv_and_json_output(tmp_path, c_mid):
     assert [d["n"] for d in data] == [10, 100, 1000]
     assert data[1]["card_A"] == 4
     assert data[1]["log_sigma"] == recs[1].log_sigma
+
+
+def _joined(rec):
+    """A CSV row as one str or repr call per field, joined."""
+    return ",".join(repr(v) if isinstance(v, float) else str(v) for v in rec)
+
+
+def test_csv_row_equals_the_join_of_its_fields(c_mid):
+    # n = 1, card_A = 0 (at n = 3), and with c = -3 a negative residual_rho
+    recs = scan([1, 3, 10, 1000], c=c_mid) + scan([1000, 5 * 10**5], c=-3.0)
+    assert recs[0].n == 1 and recs[1].card_A == 0 and recs[-1].residual_rho < 0
+    recs.append(analytics.ScanRecord(7, 0.0, -0.0, -1.5e-300, -2.5, 0, float("nan"), float("inf"), -1.0))
+    for rec in recs:
+        assert rec.csv_row() == _joined(rec), rec
+
+
+def test_writers_stream_the_bytes_of_the_whole_list(tmp_path, c_mid):
+    recs = scan([1, 10, 100, 1000], c=c_mid)
+    recs.append(analytics.ScanRecord(7, 0.0, -0.0, -1.5e-300, -2.5, 0, float("nan"), float("inf"), -1e300))
+    for kept in (recs, recs[:1], []):
+        path = tmp_path / "out.json"
+        write_json(iter(kept), path)
+        assert path.read_text() == json.dumps([r._asdict() for r in kept], indent=1) + "\n"
+        write_csv(iter(kept), path)
+        assert path.read_text() == "".join(f"{line}\n" for line in [CSV_HEADER, *map(_joined, kept)])
 
 
 def test_scan_output_fields_in_the_fixed_order(capsys):

@@ -420,6 +420,109 @@ def test_scan_gnuplot_stub(capsys, tmp_path):
         assert set(tmp_path.iterdir()) == {csv_path, gp_path}  # nothing written
 
 
+def test_scan_peak_memory_stays_flat_over_the_window(capsys, tmp_path, monkeypatch):
+    # records reach the writer a checked chunk at a time, so a window ten
+    # times longer peaks within 256 KB of the shorter one
+    import tracemalloc
+
+    start = 1 << 16
+    table = primes.PrimeTable(start + 20_000 + 2)
+    table.primes_up_to(2)  # the table and its arrays are built before the runs
+    monkeypatch.setattr(primes, "_default_table", table)
+    peaks = []
+    for rows in (100, 2000, 20_000):  # the first run loads what every run uses
+        argv = ["scan", "--grid", "step:1", "--n", str(start), "--nmax", str(start + rows - 1)]
+        tracemalloc.start()
+        try:
+            assert cli.main([*argv, "--out", str(tmp_path / f"{rows}.csv")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert len((tmp_path / "20000.csv").read_text().splitlines()) == 20_001
+    assert abs(peaks[2] - peaks[1]) < 256 * 1024, peaks
+
+
+def test_streamed_scan_bytes_equal_the_whole_list_writers(capsys, tmp_path):
+    # windows of several checked chunks, the second with Lucy rows, written
+    # with one and two workers, against the records written as one list
+    from lcmf import analytics
+
+    start, rows = 70_000, 3 * analytics._CHECK_ROWS + 37
+    lucy = [analytics.LUCY_THRESHOLD + 7, 3 * analytics.LUCY_THRESHOLD]
+    grids = [
+        (range(start, start + rows), ["--grid", "step:1", "--n", str(start)]),
+        ([*range(start, start + rows, 3), *lucy], ["--grid", "list:" + ",".join(
+            map(str, [*range(start, start + rows, 3), *lucy]))]),
+    ]
+    c = analytics.analytic_constant().midpoint
+    for ns, grid in grids:
+        recs = analytics.scan(ns, c=c)
+        want = {
+            "csv": "".join(line + "\n" for line in [analytics.CSV_HEADER, *(
+                ",".join(repr(v) if isinstance(v, float) else str(v) for v in rec) for rec in recs)]),
+            "json": json.dumps([rec._asdict() for rec in recs], indent=1) + "\n",
+        }
+        for fmt in ("csv", "json"):
+            for workers in ("1", "2"):
+                path = tmp_path / f"scan.{fmt}"
+                argv = ["scan", *grid, "--nmax", str(max(ns)), "--format", fmt, "--workers", workers]
+                assert run_cli(capsys, *argv, "--out", str(path))[0] == 0
+                assert path.read_text() == want[fmt], (fmt, workers)
+                assert run_cli(capsys, *argv)[:2] == (0, want[fmt])
+
+
+def test_a_scan_failing_in_a_later_chunk(capsys, tmp_path, monkeypatch):
+    # the row at bad, in the third checked chunk, gets its log rho raised by
+    # one, which the split check catches
+    from lcmf import analytics
+
+    chunk, start = analytics._CHECK_ROWS, 1 << 16
+    bad = start + 2 * chunk + 5
+    argv = ["scan", "--grid", "step:1", "--n", str(start), "--nmax", str(start + 3 * chunk + 9)]
+    good = analytics.scan(range(start, start + 2 * chunk))
+    real = analytics._table_rows
+
+    def raised(ns, t):
+        for n, row in zip(ns, real(ns, t)):
+            yield (row[0] + 1.0, *row[1:]) if n == bad else row
+
+    monkeypatch.setattr(analytics, "_table_rows", raised)
+    error = f"error: quotient log split disagrees with log gap at n={bad}\n"
+    # on stdout: the rows of the chunks before it, then the error
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (1, error)
+    assert out.splitlines() == [analytics.CSV_HEADER, *(rec.csv_row() for rec in good)]
+    # to a file: nothing, and a file already there stays as it was
+    path = tmp_path / "scan.csv"
+    assert run_cli(capsys, *argv, "--out", str(path)) == (1, "", error)
+    assert list(tmp_path.iterdir()) == []
+    path.write_text("kept\n")
+    assert run_cli(capsys, *argv, "--out", str(path), "--format", "json") == (1, "", error)
+    assert list(tmp_path.iterdir()) == [path] and path.read_text() == "kept\n"
+
+
+def test_a_failed_triangle_leaves_its_out_file(capsys, tmp_path, monkeypatch):
+    from lcmf.factored import FactoredNatural
+
+    path = tmp_path / "tri.csv"
+    path.write_text("kept\n")
+    calls, real = [], FactoredNatural.to_decimal
+
+    def failing(self):  # the 20th entry, in row 5, fails
+        calls.append(1)
+        if len(calls) == 20:
+            raise ValueError("boom")
+        return real(self)
+
+    monkeypatch.setattr(FactoredNatural, "to_decimal", failing)
+    assert run_cli(capsys, "triangle", "--nmax", "7", "--out", str(path)) == (1, "", "error: boom\n")
+    assert list(tmp_path.iterdir()) == [path] and path.read_text() == "kept\n"
+    calls.clear()
+    code, out, _ = run_cli(capsys, "triangle", "--nmax", "7")
+    assert code == 1 and out.splitlines() == ["1", "1,1", "1,2,1", "1,6,2,1", "1,12,12,2,1"]
+
+
 def test_compute_past_int_str_digit_limit(capsys):
     # both values run past CPython's default 4300-digit str(int) limit
     saved = sys.get_int_max_str_digits()
