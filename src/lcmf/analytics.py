@@ -606,8 +606,6 @@ class ScanRecord(NamedTuple):
 
 
 _CSV_ROW = "%s,%r,%r,%r,%r,%s,%r,%r,%r"
-# a record as an object of json.dump(list, fh, indent=1), one level in
-_JSON_OBJECT = "{\n  " + ",\n  ".join(f'"{k}": %s' for k in ScanRecord._fields) + "\n }"
 assert CSV_HEADER == ",".join(ScanRecord._fields)
 
 
@@ -653,15 +651,13 @@ def _rho_budget(ns: list[int], lr: np.ndarray, t: PrimeTable) -> np.ndarray:
     return theta + 2.0**-52 * (2 * np.sqrt(n) + 1) * lr + _factorial_budget(n)
 
 
-def _records(ns, c: float, t: PrimeTable, powers=None) -> Iterator[ScanRecord]:
+def _records(ns, c: float, t: PrimeTable, powers) -> Iterator[ScanRecord]:
     """The scan records of the ascending ns in turn, from _scan_rows, in
     chunks of _CHECK_ROWS rows: no record of a chunk is yielded before every
     row of it passes both checks.  A row whose log split s1 + s2 is off
     log sigma - log rho by more than 1e-6 max(1, n), or whose log rho is off
     _factorial_rho's by more than _rho_budget, raises ArithmeticError.
-    powers is _prime_powers at max(ns) or above, built here if not given."""
-    if powers is None:
-        powers = _prime_powers(ns[-1], t)
+    powers is _prime_powers at max(ns) or above."""
     rows = _scan_rows(ns, t)
     for a in range(0, len(ns), _CHECK_ROWS):
         part, chunk = ns[a : a + _CHECK_ROWS], []
@@ -728,7 +724,9 @@ def _scan_direct(ns, c: float, t: PrimeTable, workers: int) -> Iterator[ScanReco
                 initializer=_init_worker, initargs=(t, powers),
             ))
             parts = pool.map(_scan_chunk, [(chunk, c) for chunk in chunks])
-        except (ValueError, OSError):  # fork unavailable: fall back, same numbers
+        # only a pool that cannot start or take its tasks (no fork) falls
+        # back, to the same numbers; an error in a worker ends the scan
+        except (ValueError, OSError):
             parts = None
         if parts is None:
             yield from _records(ns, c, t, powers)
@@ -859,12 +857,11 @@ def write_csv(records, path) -> None:
 def write_json(records, path) -> None:
     """The records as a JSON list of objects, to a file path or a text
     stream, one object at a time: the bytes of json.dump(list, fh, indent=1)
-    and a newline.  Each object takes its numbers from json.dumps of the
-    record, which writes them as json.dump does, comma and space between."""
+    and a newline, each object json.dumps(indent=1) one level in."""
     with _opened(path) as fh:
         sep = "[\n "
         for rec in records:
-            fh.write(sep + _JSON_OBJECT % tuple(json.dumps(rec)[1:-1].split(", ")))
+            fh.write(sep + json.dumps(rec._asdict(), indent=1).replace("\n", "\n "))
             sep = ",\n "
         fh.write("[]\n" if sep == "[\n " else "\n]\n")
 

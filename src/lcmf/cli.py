@@ -5,10 +5,10 @@ Exit codes are a stable contract: 0 on success or a passing verification,
 ValueError while computing, or an ArithmeticError from a failed internal
 check), 2 on usage errors (bad arguments).  Output files are reproducible
 byte for byte for a fixed command line, whatever the worker count.  scan
-and triangle write their rows as they are made: a failure leaves an --out
-file as it was, while on stdout the rows written before it stay.  Each
-command, compute target and verify check has its own parser, which accepts
-exactly the options that command reads.  Each handler imports the lcmf
+and triangle write their rows as they are made: a failure leaves a regular
+--out file as it was (_write_out), while on stdout the rows written before
+it stay.  Each command, compute target and verify check has its own parser,
+which accepts exactly the options that command reads.  Each handler imports the lcmf
 modules it runs, so a command loads no other.
 """
 
@@ -18,6 +18,7 @@ import argparse
 import itertools
 import math
 import os
+import stat
 import sys
 
 
@@ -141,20 +142,42 @@ def _check_nmax(args):
 
 
 def _write_out(path: str | None, write) -> None:
-    """write(fh) to the file path, or to stdout when path is None.  A file is
-    written as a temporary file beside it, which replaces path only once
-    write returns; if write raises, the temporary file is deleted and path
-    is left as it was."""
+    """write(fh) to the file path, or to stdout when path is None.
+
+    A regular file, or a path not there yet, is written as a temporary file
+    beside it with the old file's mode, which replaces it only once write
+    returns; if write raises, the temporary file is deleted and the old file
+    is left as it was.  A symlink is followed to its target first.  Anything
+    else (a device such as os.devnull, a fifo, a file with more than one
+    link, or a file in a directory this process cannot write to) is opened
+    and written through, as its rows come.
+    """
     if not path:
         write(sys.stdout)
         return
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-    fh = open(tmp, "x", encoding="ascii", newline="\n")  # never another's file
+    real = os.path.realpath(path)
+    try:
+        st = os.stat(real)
+    except FileNotFoundError:
+        st = None
+    fh = None
+    if st is None or (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):
+        head, tail = os.path.split(real)
+        tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+        try:
+            fh = open(tmp, "x", encoding="ascii", newline="\n")  # never another's file
+        except PermissionError:
+            pass
+    if fh is None:
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            write(fh)
+        return
     try:
         with fh:
+            if st is not None:
+                os.chmod(fh.fileno(), stat.S_IMODE(st.st_mode))
             write(fh)
-        os.replace(tmp, path)
+        os.replace(tmp, real)
     except BaseException:
         os.unlink(tmp)
         raise
@@ -163,11 +186,9 @@ def _write_out(path: str | None, write) -> None:
 def _cmd_triangle(args) -> int:
     from . import triangle
 
-    values = triangle.qs((n, k) for n in range(args.nmax + 1) for k in range(n + 1))
-
     def write(fh) -> None:  # one row at a time
-        for n in range(args.nmax + 1):
-            fh.write(",".join(next(values).to_decimal() for _ in range(n + 1)) + "\n")
+        for row in triangle.iter_rows(args.nmax):
+            fh.write(",".join(entry.to_decimal() for entry in row) + "\n")
 
     _write_out(args.out, write)
     return 0

@@ -14,6 +14,7 @@ the shifted-weight prime product.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator
 
 from .factored import FactoredNatural
@@ -62,12 +63,19 @@ def sigma_from_diagonal(n: int) -> FactoredNatural:
     return diagonal(n, n)
 
 
-def rows(nmax: int) -> list[list[FactoredNatural]]:
-    """Triangle rows [q(n, 0), ..., q(n, n)] for n = 0..nmax, from one table."""
+def iter_rows(nmax: int) -> Iterator[Iterator[FactoredNatural]]:
+    """Triangle rows q(n, 0), ..., q(n, n) for n = 0..nmax, from one table,
+    each row an iterator over one stream of entries, so that a reader holds
+    one entry at a time: read each row before asking for the next."""
     values = qs((n, k) for n in range(nmax + 1) for k in range(n + 1))
-    return [[next(values) for _ in range(n + 1)] for n in range(nmax + 1)]
+    return (itertools.islice(values, n + 1) for n in range(nmax + 1))
+
+
+def rows(nmax: int) -> list[list[FactoredNatural]]:
+    """The rows of iter_rows, as lists."""
+    return [list(row) for row in iter_rows(nmax)]
 
 
 def rows_decimal(nmax: int) -> list[list[str]]:
     """Triangle rows rendered as decimal strings (entries stay small)."""
-    return [[entry.to_decimal() for entry in row] for row in rows(nmax)]
+    return [[entry.to_decimal() for entry in row] for row in iter_rows(nmax)]

@@ -188,7 +188,7 @@ def test_table_rows_equal_the_three_division_route(c_mid):
     for n in ns:
         lr, ls, card, s1, s2 = want = _table_row_oracle(n, t)
         logn = math.log(n)
-        assert next(analytics._records([n], c_mid, t)) == (
+        assert next(analytics._records([n], c_mid, t, analytics._prime_powers(n, t))) == (
             n, lr, ls, lr - (n * logn - (c_mid + 1.0) * n), ls - (n * logn - n),
             card, card * logn / math.sqrt(n), s1, s2,
         ), n
@@ -708,7 +708,7 @@ def test_scan_row_peak_is_below_the_estimate(c_mid):
         t.primes_up_to(2)  # the table's arrays are built before the row, as in a scan
         tracemalloc.start()
         try:
-            next(analytics._records([n], c_mid, t))
+            next(analytics._records([n], c_mid, t, analytics._prime_powers(n, t)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -521,6 +522,30 @@ def test_a_failed_triangle_leaves_its_out_file(capsys, tmp_path, monkeypatch):
     calls.clear()
     code, out, _ = run_cli(capsys, "triangle", "--nmax", "7")
     assert code == 1 and out.splitlines() == ["1", "1,1", "1,2,1", "1,6,2,1", "1,12,12,2,1"]
+
+
+def test_out_writes_through_a_symlink_a_hard_link_and_a_device(capsys, tmp_path):
+    # a symlink keeps its link and its target gets the rows, in the target's
+    # mode; a file with a second link and a device are written through, never
+    # replaced
+    target, link, hard = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "hard.csv"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link.symlink_to(target)
+    for argv in (["triangle", "--nmax", "4"], ["scan", "--grid", "step:1", "--n", "10", "--nmax", "20"]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, *argv, "--out", str(link))[0] == 0
+        assert link.is_symlink() and target.read_text() == out
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        os.link(target, hard)
+        target.write_text("old\n")
+        assert run_cli(capsys, *argv, "--out", str(hard))[0] == 0
+        assert hard.read_text() == target.read_text() == out
+        hard.unlink()
+        assert run_cli(capsys, *argv, "--out", os.devnull)[0] == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert sorted(tmp_path.iterdir()) == [link, target]
 
 
 def test_compute_past_int_str_digit_limit(capsys):
