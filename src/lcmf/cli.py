@@ -147,28 +147,27 @@ def _write_out(path: str | None, write) -> None:
     A regular file, or a path not there yet, is written as a temporary file
     beside it with the old file's mode, which replaces it only once write
     returns; if write raises, the temporary file is deleted and the old file
-    is left as it was.  A symlink is followed to its target first.  Anything
-    else (a device such as os.devnull, a fifo, a file with more than one
-    link, or a file in a directory this process cannot write to) is opened
-    and written through, as its rows come.
+    is left as it was.  Anything else (a symlink, a device such as
+    os.devnull or /dev/stdout, a fifo, a file with more than one link, or a
+    file in a directory this process cannot write to) is opened and written
+    through, as the rows come.
     """
     if not path:
         write(sys.stdout)
         return
-    real = os.path.realpath(path)
     try:
-        st = os.stat(real)
+        st = os.lstat(path)
     except FileNotFoundError:
         st = None
-    fh = None
+    tmp = None
     if st is None or (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):
-        head, tail = os.path.split(real)
+        head, tail = os.path.split(path)
         tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
         try:
             fh = open(tmp, "x", encoding="ascii", newline="\n")  # never another's file
         except PermissionError:
-            pass
-    if fh is None:
+            tmp = None
+    if tmp is None:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             write(fh)
         return
@@ -177,7 +176,7 @@ def _write_out(path: str | None, write) -> None:
             if st is not None:
                 os.chmod(fh.fileno(), stat.S_IMODE(st.st_mode))
             write(fh)
-        os.replace(tmp, real)
+        os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise

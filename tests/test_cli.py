@@ -524,10 +524,9 @@ def test_a_failed_triangle_leaves_its_out_file(capsys, tmp_path, monkeypatch):
     assert code == 1 and out.splitlines() == ["1", "1,1", "1,2,1", "1,6,2,1", "1,12,12,2,1"]
 
 
-def test_out_writes_through_a_symlink_a_hard_link_and_a_device(capsys, tmp_path):
-    # a symlink keeps its link and its target gets the rows, in the target's
-    # mode; a file with a second link and a device are written through, never
-    # replaced
+def test_out_keeps_a_file_mode_and_writes_through_links_and_devices(capsys, tmp_path):
+    # a regular file keeps its mode; a symlink, a file with a second link and
+    # a device are written through, never replaced
     target, link, hard = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "hard.csv"
     target.write_text("old\n")
     target.chmod(0o640)
@@ -535,9 +534,11 @@ def test_out_writes_through_a_symlink_a_hard_link_and_a_device(capsys, tmp_path)
     for argv in (["triangle", "--nmax", "4"], ["scan", "--grid", "step:1", "--n", "10", "--nmax", "20"]):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
+        assert run_cli(capsys, *argv, "--out", str(target))[0] == 0
+        assert target.read_text() == out and stat.S_IMODE(target.stat().st_mode) == 0o640
+        target.write_text("old\n")
         assert run_cli(capsys, *argv, "--out", str(link))[0] == 0
         assert link.is_symlink() and target.read_text() == out
-        assert stat.S_IMODE(target.stat().st_mode) == 0o640
         os.link(target, hard)
         target.write_text("old\n")
         assert run_cli(capsys, *argv, "--out", str(hard))[0] == 0
