@@ -724,9 +724,9 @@ def _scan_direct(ns, c: float, t: PrimeTable, workers: int) -> Iterator[ScanReco
                 initializer=_init_worker, initargs=(t, powers),
             ))
             parts = pool.map(_scan_chunk, [(chunk, c) for chunk in chunks])
-        # only a pool that cannot start or take its tasks (no fork) falls
-        # back, to the same numbers; an error in a worker ends the scan
         except (ValueError, OSError):
+            # only a pool that cannot start or take its tasks (no fork) falls
+            # back, to the same numbers; an error in a worker ends the scan
             parts = None
         if parts is None:
             yield from _records(ns, c, t, powers)

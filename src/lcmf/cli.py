@@ -8,8 +8,8 @@ byte for byte for a fixed command line, whatever the worker count.  scan
 and triangle write their rows as they are made: a failure leaves a regular
 --out file as it was (_write_out), while on stdout the rows written before
 it stay.  Each command, compute target and verify check has its own parser,
-which accepts exactly the options that command reads.  Each handler imports the lcmf
-modules it runs, so a command loads no other.
+which accepts exactly the options that command reads.  Each handler imports
+the lcmf modules it runs, so a command loads no other.
 """
 
 from __future__ import annotations
