@@ -18,7 +18,9 @@ The route of a row depends on n alone (_scan_rows).  Below LUCY_THRESHOLD
 1 + 16 / ln n bytes per integer, taken for a block of n at a time
 (_table_rows).  From it on, each row is a block of one (_lucy_row): theta at
 every quotient comes from Lucy's sieve (_lucy) in O(n**(3/4)) time and
-O(sqrt n) memory, with a table only up to sqrt(n) + 2.  Each row sums in a
+O(sqrt n) memory, with a table only up to sqrt(n) + 2, and the primality of
+n // k + 1 from one sieved window above sqrt(n) and, for the few values
+past it, Miller-Rabin (_quotient_flags).  Each row sums in a
 fixed order over its own arrays, so scan output is reproducible bit for bit
 on one platform whatever the grid, its blocks or the worker count.  A scan
 is one stream of records in n order, checked a chunk of rows at a time
@@ -346,6 +348,12 @@ def _table_rows(ns: list[int], t: PrimeTable) -> Iterator[_Row]:
 # depends on n alone, so a row is the same whatever the grid.
 LUCY_THRESHOLD = 1 << 22
 _PREFILTER_PRIMES = 32  # trial-divide by this many primes, the 14 bases among them
+# a Lucy row sieves the n // k + 1 in [n // r + 1, n // r + 1 + _WINDOW_ROOTS r],
+# r = isqrt(n), the k from about n / ((_WINDOW_ROOTS + 1) r) to r.  At 2^40 +
+# 12345 the flags took 191, 140, 96, 90 and 158 ms at widths 2, 4, 8, 16 and
+# 32 r (one CPU of a 2-vCPU VM); 16 r led 8 r by under a tenth at every n from
+# 2^23 on, not worth twice the window's bytes
+_WINDOW_ROOTS = 8
 _LUCY_BATCH_CELLS = 1 << 16  # start values, or phase-2 (p, k) pairs, per chunk of _lucy
 # quotients of a block of table rows, or (n, prime power) and (n, k) cells of a
 # block of the check route, counted at the block's widest row (_blocks); a
@@ -360,13 +368,15 @@ def _row_bytes(n: int) -> int:
     """An upper estimate of a scan row's peak bytes at n, its table already built.
 
     The fixed term is ten int64 or float64 arrays of one _lucy chunk, the
-    other the arrays of sqrt(n) or 2 sqrt(n) entries.  The tracemalloc peak
-    of a row was 1.01 MB at 2^24, 4.8 MB at 2^28, 7.1 MB at 2^30, 15.3 MB
-    at 2^34, and 28.2 and 34.4 MB at 2^36 and 1.5 * 2^36, 107 B more per
-    sqrt(n) between those two: the chunk's arrays set the peak at the small
-    n, the sqrt(n) arrays at the large.
+    other the arrays of sqrt(n) or 2 sqrt(n) entries, 125 B per sqrt(n), and
+    the sieved window of _quotient_flags, _WINDOW_ROOTS B more.  The
+    tracemalloc peak of a row was 1.01 MB at 2^24, 4.8 MB at 2^28, 7.1 MB at
+    2^30, 15.3 MB at 2^34, and 28.2 and 34.4 MB at 2^36 and 1.5 * 2^36, 107 B
+    more per sqrt(n) between those two, with the window and without it: the
+    chunk's arrays set the peak at the small n, _lucy's sqrt(n) arrays at the
+    large, and the window, held after them, stays below it.
     """
-    return 80 * _LUCY_BATCH_CELLS + 125 * math.isqrt(n)
+    return 80 * _LUCY_BATCH_CELLS + (125 + _WINDOW_ROOTS) * math.isqrt(n)
 
 
 _LOG_FACTORIAL_CUT = 20  # log v! from a table below it, from Stirling's series at and above
@@ -524,7 +534,9 @@ def _lucy(n: int, t: PrimeTable, q: np.ndarray):
 def _prime_flags(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """Primality of each x in xs, where every x exceeds every prime in ps and
     ps holds every base that x's Miller-Rabin round uses (primes._MR_BOUNDS):
-    2 alone below 2047, and never more than the 14 primes up to 43.
+    2 alone below 2047, and never more than the 14 primes up to 43.  It
+    serves the n // k + 1 above a Lucy row's window (_quotient_flags) and
+    the v + 1 past the table in the check route (_factorial_sums).
 
     Trial division by ps, vectorised, drops most composites, and every
     composite x <= (r + 1)**2 when ps holds the primes up to r + 1; the
@@ -535,6 +547,25 @@ def _prime_flags(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
         flags &= xs // p * p != xs  # numpy divides by a scalar faster than it takes %
     idx = np.flatnonzero(flags)
     flags[idx] = list(map(_primes._miller_rabin, xs[idx].tolist()))
+    return flags
+
+
+def _quotient_flags(n: int, small: np.ndarray, t: PrimeTable) -> np.ndarray:
+    """Primality of x = v + 1 at each v of small = n // k, k = 1..r, r = isqrt(n),
+    with the table up to r + 2.
+
+    The x in the window [n // r + 1, n // r + 1 + _WINDOW_ROOTS r], those of
+    k > j = n // (window end), are read from one sieve of it (t.segment), by
+    the table's primes up to the square root of its end, about 3 sqrt(r);
+    the few x above it, of k <= j, go through _prime_flags.  Both are exact.
+    """
+    r = len(small)
+    lo = n // r + 1
+    end = lo + _WINDOW_ROOTS * r
+    j = n // end
+    flags = np.empty(r, dtype=bool)
+    flags[:j] = _prime_flags(small[:j] + 1, t.primes_up_to(r)[:_PREFILTER_PRIMES])
+    flags[j:] = np.frombuffer(t.segment(lo, end), dtype=bool)[small[j:] + (1 - lo)]
     return flags
 
 
@@ -612,13 +643,14 @@ assert CSV_HEADER == ",".join(ScanRecord._fields)
 def _lucy_row(n: int, t: PrimeTable) -> _Row:
     """(log_rho, log_sigma, card_A, s1, s2) of n >= LUCY_THRESHOLD, by _rows as a
     block of one: theta from _lucy, the primality of the n // k + 1 with
-    k <= sqrt(n) from _prime_flags, and that of the large v + 1 <= sqrt(n) + 1
-    from the table's bitmap, so the table only needs to reach sqrt(n) + 2."""
+    k <= sqrt(n) from _quotient_flags, a sieved window and _prime_flags above
+    it, and that of the large v + 1 <= sqrt(n) + 1 from the table's bitmap,
+    so the table only needs to reach sqrt(n) + 2."""
     r = math.isqrt(n)
     t.ensure(r + 2)
     q = n // np.arange(1, n // (r + 1) + 2, dtype=np.int64)
     _, (rho_q, rho_v) = _lucy(n, t, q)
-    prime_q = _prime_flags(q[:r] + 1, t.primes_up_to(r)[:_PREFILTER_PRIMES])
+    prime_q = _quotient_flags(n, q[:r], t)
     (row,) = _rows([n], q[None], rho_q[None], prime_q[None], rho_v, t.prime_mask(r + 1))
     return row
 

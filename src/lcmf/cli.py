@@ -5,11 +5,12 @@ Exit codes are a stable contract: 0 on success or a passing verification,
 ValueError while computing, or an ArithmeticError from a failed internal
 check), 2 on usage errors (bad arguments).  Output files are reproducible
 byte for byte for a fixed command line, whatever the worker count.  scan
-and triangle write their rows as they are made: a failure leaves a regular
---out file as it was (_write_out), while on stdout the rows written before
-it stay.  Each command, compute target and verify check has its own parser,
-which accepts exactly the options that command reads.  Each handler imports
-the lcmf modules it runs, so a command loads no other.
+and triangle write their rows as they are made, and so does verify
+theorem2 with --out: a failure leaves a regular --out file as it was
+(_write_out), while on stdout the rows written before it stay.  Each
+command, compute target and verify check has its own parser, which accepts
+exactly the options that command reads.  Each handler imports the lcmf
+modules it runs, so a command loads no other.
 """
 
 from __future__ import annotations
@@ -106,18 +107,21 @@ def _check_theorem1(args):
 
 
 def _check_theorem2(args):
-    """The check, then with --out its valuation records as CSV."""
+    """The check, then with --out its valuation records as CSV (_write_out)."""
     from . import primes, sequences, verify
 
     result = verify.check_theorem2(args.nmax)
+    t = primes.default_table()  # check_theorem2 grew it to nmax + 2
+
+    def write(fh) -> None:
+        fh.write(sequences.VALUATION_CSV_HEADER + "\n")
+        for n in range(1, args.nmax + 1):
+            for p in t.prime_list(n + 1):
+                if p * p > n + 1:
+                    fh.write(sequences.sigma_ratio_valuation(n, p, t).csv_row() + "\n")
+
     if args.out:
-        t = primes.default_table()  # check_theorem2 grew it to nmax + 2
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(sequences.VALUATION_CSV_HEADER + "\n")
-            for n in range(1, args.nmax + 1):
-                for p in t.prime_list(n + 1):
-                    if p * p > n + 1:
-                        fh.write(sequences.sigma_ratio_valuation(n, p, t).csv_row() + "\n")
+        _write_out(args.out, write)
     return result
 
 

@@ -109,14 +109,32 @@ def _simple_sieve(limit: int) -> bytearray:
     return bitmap
 
 
+def _cross_off(bitmap: bytearray, base: int, primes: list[int]) -> None:
+    """Zero, in bitmap, whose byte i stands for the integer base + i, the byte
+    of every multiple m >= p * p of each prime p of the ascending primes, a
+    block of DEFAULT_BLOCK_SIZE integers at a time: the block loop of the
+    table's build and of its segments."""
+    end = base + len(bitmap)  # exclusive
+    zeros = memoryview(bytes(min(DEFAULT_BLOCK_SIZE, len(bitmap)) // 2 + 1))
+    for lo in range(base, end, DEFAULT_BLOCK_SIZE):
+        hi = min(lo + DEFAULT_BLOCK_SIZE, end)  # exclusive
+        for p in primes:
+            start = max(p * p, ((lo + p - 1) // p) * p)
+            if start >= hi:
+                continue
+            bitmap[start - base : hi - base : p] = zeros[: (hi - 1 - start) // p + 1]
+
+
 class PrimeTable:
     """Primality bitmap, grown on demand, with a scalar and an array view.
 
     The bitmap is a bytearray, one byte per integer, sieved block by block
     (DEFAULT_BLOCK_SIZE integers at a time) by the primes up to its square
-    root.  The scalar reads need only the standard library: is_prime, and
+    root.  The scalar reads need only the standard library: is_prime;
     prime_list, an ascending list of the primes kept as Python ints and
-    extended from the bitmap as far as it is asked for.  The array reads
+    extended from the bitmap as far as it is asked for; and segment, the
+    bitmap of a range [lo, hi], which may lie past the table, sieved by the
+    list up to sqrt(hi).  The array reads
     (primes_up_to, prime_mask, pi, theta_many) use numpy arrays
     derived from the bitmap on the first array read after a build: a
     zero-copy view of it, the primes, and the per-prime prefix sums of log p.
@@ -141,15 +159,7 @@ class PrimeTable:
         bitmap = bytearray([1]) * (limit + 1)
         bitmap[:2] = b"\0\0"
         base = _simple_sieve(math.isqrt(limit) + 1)
-        base_primes = list(itertools.compress(range(len(base)), base))
-        zeros = memoryview(bytes(min(DEFAULT_BLOCK_SIZE, limit + 1) // 2 + 1))
-        for lo in range(0, limit + 1, DEFAULT_BLOCK_SIZE):
-            hi = min(lo + DEFAULT_BLOCK_SIZE, limit + 1)  # exclusive
-            for p in base_primes:
-                start = max(p * p, ((lo + p - 1) // p) * p)
-                if start >= hi:
-                    continue
-                bitmap[start:hi:p] = zeros[: (hi - 1 - start) // p + 1]
+        _cross_off(bitmap, 0, list(itertools.compress(range(len(base)), base)))
         self.limit = limit
         self._bitmap = bitmap
         self._arrays = None  # (mask, primes, theta prefix), on the first array read
@@ -179,6 +189,13 @@ class PrimeTable:
             self._list += itertools.compress(range(lo, bound + 1), self._bitmap[lo : bound + 1])
             self._listed = bound
         return self._list[: bisect.bisect_right(self._list, bound)]
+
+    def segment(self, lo: int, hi: int) -> bytearray:
+        """Primality bitmap over [lo, hi], 2 <= lo <= hi, byte i for lo + i,
+        sieved by the primes up to sqrt(hi), to which the table grows."""
+        seg = bytearray([1]) * (hi - lo + 1)
+        _cross_off(seg, lo, self.prime_list(math.isqrt(hi)))
+        return seg
 
     # -- array queries -------------------------------------------------------
 

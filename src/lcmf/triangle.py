@@ -21,6 +21,13 @@ from .factored import FactoredNatural
 from .products import _LcmTable
 
 
+def _entries(pairs: Iterable[tuple[int, int]], budget: int) -> Iterator[FactoredNatural]:
+    """q(n, k) for each (n, k) of pairs, 0 <= k <= n and n - k <= budget, in
+    order, read one at a time from one table built at budget."""
+    table = _LcmTable(lambda part: part - 1, budget)
+    return (table.lcm(n - k, k) for n, k in pairs)
+
+
 def qs(pairs: Iterable[tuple[int, int]]) -> Iterator[FactoredNatural]:
     """q(n, k) for each (n, k) of pairs, in order, read one at a time from
     one table built at the largest n - k."""
@@ -30,8 +37,7 @@ def qs(pairs: Iterable[tuple[int, int]]) -> Iterator[FactoredNatural]:
             raise ValueError("n and k must be >= 0")
         if k > n:
             raise ValueError(f"k = {k} exceeds n = {n}")
-    table = _LcmTable(lambda part: part - 1, max((n - k for n, k in pairs), default=0))
-    return (table.lcm(n - k, k) for n, k in pairs)
+    return _entries(pairs, max((n - k for n, k in pairs), default=0))
 
 
 def q(n: int, k: int) -> FactoredNatural:
@@ -64,10 +70,11 @@ def sigma_from_diagonal(n: int) -> FactoredNatural:
 
 
 def iter_rows(nmax: int) -> Iterator[Iterator[FactoredNatural]]:
-    """Triangle rows q(n, 0), ..., q(n, n) for n = 0..nmax, from one table,
-    each row an iterator over one stream of entries, so that a reader holds
-    one entry at a time: read each row before asking for the next."""
-    values = qs((n, k) for n in range(nmax + 1) for k in range(n + 1))
+    """Triangle rows q(n, 0), ..., q(n, n) for n = 0..nmax, from one table built
+    at budget nmax, each row an iterator over one stream of entries, read
+    from a stream of pairs, so that a reader holds one entry at a time: read
+    each row before asking for the next."""
+    values = _entries(((n, k) for n in range(nmax + 1) for k in range(n + 1)), nmax)
     return (itertools.islice(values, n + 1) for n in range(nmax + 1))
 
 

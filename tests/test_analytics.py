@@ -541,8 +541,9 @@ def _lucy_checked_rows(n, t):
 
 def test_check_route_against_lucy_rows():
     # the route's primality of n // k + 1 past the table's end is _prime_flags,
-    # as in the row, so the two differ by the rounding alone; a few ulps of
-    # the values, against budgets a thousand times wider and more
+    # the row's a sieved window and _prime_flags above it, both exact, so the
+    # two differ by the rounding alone; a few ulps of the values, against
+    # budgets a thousand times wider and more
     for n in [1 << 24, (1 << 30) + 12345, *CUBE_NS, 1 << 34]:
         t = PrimeTable(math.isqrt(n) + 2)
         rows, route, bounds = _lucy_checked_rows(n, t)
@@ -678,6 +679,34 @@ def test_lucy_rows_equal_their_parts():
         rho_q[i, :r], prime_q[i, :r] = at_small, analytics._prime_flags(q[i, :r] + 1, bases)
     rows = analytics._rows(ns, q, rho_q, prime_q, rho_v, t.prime_mask(w + 1))
     assert rows == [want[n] for n in ns]
+
+
+def test_quotient_flags_equal_prime_flags_at_every_k():
+    # the sieved window's flags of n // k + 1 against _prime_flags at every
+    # k <= r, on a table up to r + 2 alone; beside the n of the route's
+    # edges, an x_k on the window's last value, one on the first value past
+    # it, and one on p**2, p = isqrt(window end) the largest crossing prime
+    def window(n):
+        r = math.isqrt(n)
+        xs = set((n // np.arange(1, r + 1, dtype=np.int64) + 1).tolist())
+        return n // r + 1 + analytics._WINDOW_ROOTS * r, xs
+
+    end, xs = window(4208880)
+    assert end in xs
+    end, xs = window(4209108)
+    assert end + 1 in xs and end not in xs
+    end, xs = window(4354176)
+    p = math.isqrt(end)
+    assert primes.is_probable_prime(p) and p * p in xs
+    ns = [LUCY_THRESHOLD, LUCY_THRESHOLD + 1, 3001**2 - 1, 3001 * 3002, 4208880, 4209108]
+    ns += [4354176, _MUTANT_N, (1 << 34) + 12345]
+    for n in ns:
+        r = math.isqrt(n)
+        t = PrimeTable(r + 2)
+        small = n // np.arange(1, r + 1, dtype=np.int64)
+        want = analytics._prime_flags(small + 1, t.primes_up_to(r)[: analytics._PREFILTER_PRIMES])
+        assert np.array_equal(analytics._quotient_flags(n, small, t), want), n
+        assert t.limit == r + 2, n
 
 
 def test_log_factorial_within_its_bound_of_mpmath():

@@ -126,7 +126,7 @@ def test_scan_row_over_physical_memory_is_an_error(capsys, monkeypatch):
 
 
 def test_concurrent_scan_rows_over_physical_memory_are_an_error(capsys, monkeypatch):
-    # on an 8 GiB machine one row at 2^52 fits (about 7.8 GiB) and two do not,
+    # on an 8 GiB machine two rows at 2^52 (about 8.3 GiB each) do not fit,
     # so two workers are refused before any row runs
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1 << 21, "SC_PAGE_SIZE": 4096}.get)
     monkeypatch.setattr(primes, "_default_table", primes.PrimeTable())
@@ -396,6 +396,36 @@ def test_verify_theorem2_writes_records(capsys, tmp_path):
     assert lines[0] == "n,p,v,witness_k"
     assert "10,11,1,1" in lines
     assert "10,5,0," in lines
+
+
+def test_verify_theorem2_out_keeps_a_file_on_failure_and_writes_through_links(
+    capsys, tmp_path, monkeypatch
+):
+    from lcmf import sequences
+
+    argv = ["verify", "theorem2", "--nmax", "12", "--out"]
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    assert run_cli(capsys, *argv, str(target))[0] == 0
+    want = target.read_text()
+    # a symlink is written through, and stays a link
+    target.write_text("old\n")
+    link.symlink_to(target)
+    assert run_cli(capsys, *argv, str(link))[0] == 0
+    assert link.is_symlink() and target.read_text() == want
+    # a write that raises after its first records leaves the old file as it was
+    calls, real = [], sequences.sigma_ratio_valuation
+
+    def failing(n, p, t):
+        calls.append(1)
+        if len(calls) == 5:
+            raise ValueError("boom")
+        return real(n, p, t)
+
+    monkeypatch.setattr(sequences, "sigma_ratio_valuation", failing)
+    target.write_text("kept\n")
+    assert run_cli(capsys, *argv, str(target)) == (1, "", "error: boom\n")
+    assert len(calls) == 5
+    assert sorted(tmp_path.iterdir()) == [link, target] and target.read_text() == "kept\n"
 
 
 def test_scan_gnuplot_stub(capsys, tmp_path):

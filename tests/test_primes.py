@@ -41,6 +41,16 @@ def test_prime_counts(table):
     assert np.array_equal(big.primes_up_to(3 << 20), np.flatnonzero(_simple_sieve(3 << 20)))
 
 
+def test_segments_equal_the_unsegmented_sieve():
+    # one block, a segment across two block edges, one value, and the primes
+    # up to sqrt(hi) themselves inside a segment; the table grows only to sqrt(hi)
+    whole = _simple_sieve(3 << 20)
+    for lo, hi in [(2, 100), (2, 3 << 20), ((1 << 20) - 5, (2 << 20) + 7), (999_983, 999_983)]:
+        t = PrimeTable()
+        assert t.segment(lo, hi) == whole[lo : hi + 1], (lo, hi)
+        assert t.limit <= max(4, 2 * math.isqrt(hi)), (lo, hi)
+
+
 def _numpy_sieve(limit: int) -> np.ndarray:
     """Primality bitmap over [0, limit] from one unsegmented numpy sieve,
     independent of the table's bytearray one."""
