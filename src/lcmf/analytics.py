@@ -30,6 +30,7 @@ is one stream of records in n order, checked a chunk of rows at a time
 from __future__ import annotations
 
 import bisect
+import collections
 import contextlib
 import functools
 import itertools
@@ -550,6 +551,14 @@ def _prime_flags(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return flags
 
 
+def _window(n: int) -> tuple[int, int]:
+    """(lo, end) of the window that the Lucy row of n sieves (_quotient_flags).
+    end does not decrease as n grows."""
+    r = math.isqrt(n)
+    lo = n // r + 1
+    return lo, lo + _WINDOW_ROOTS * r
+
+
 def _quotient_flags(n: int, small: np.ndarray, t: PrimeTable) -> np.ndarray:
     """Primality of x = v + 1 at each v of small = n // k, k = 1..r, r = isqrt(n),
     with the table up to r + 2.
@@ -560,8 +569,7 @@ def _quotient_flags(n: int, small: np.ndarray, t: PrimeTable) -> np.ndarray:
     the few x above it, of k <= j, go through _prime_flags.  Both are exact.
     """
     r = len(small)
-    lo = n // r + 1
-    end = lo + _WINDOW_ROOTS * r
+    lo, end = _window(n)
     j = n // end
     flags = np.empty(r, dtype=bool)
     flags[:j] = _prime_flags(small[:j] + 1, t.primes_up_to(r)[:_PREFILTER_PRIMES])
@@ -569,13 +577,29 @@ def _quotient_flags(n: int, small: np.ndarray, t: PrimeTable) -> np.ndarray:
     return flags
 
 
-def _scan_rows(ns: list[int], t: PrimeTable) -> Iterator[_Row]:
+def _scan_rows(ns: list[int], t: PrimeTable, workers: int = 1) -> Iterator[_Row]:
     """The rows of the ascending ns >= 1 in turn: those below LUCY_THRESHOLD
-    from one call of _table_rows, the others one _lucy_row each."""
+    from one call of _table_rows, the others one _lucy_row each, here or,
+    with workers > 1, on a pool of that many threads (numpy's array loops
+    release the GIL), submitted in n order with at most workers in flight.
+    A row on a thread must not change t (scan_records' set-up)."""
     light = bisect.bisect_left(ns, LUCY_THRESHOLD)
     yield from _table_rows(ns[:light], t)
-    for n in ns[light:]:
-        yield _lucy_row(n, t)
+    heavy = ns[light:]
+    if workers <= 1 or len(heavy) <= 1:
+        for n in heavy:
+            yield _lucy_row(n, t)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(min(workers, len(heavy))) as pool:
+        flight = collections.deque(pool.submit(_lucy_row, n, t) for n in heavy[:workers])
+        for n in heavy[workers:]:
+            row = flight.popleft().result()
+            flight.append(pool.submit(_lucy_row, n, t))
+            yield row
+        for future in flight:
+            yield future.result()
 
 
 def _one_row(n: int, table: PrimeTable | None) -> _Row:
@@ -683,14 +707,14 @@ def _rho_budget(ns: list[int], lr: np.ndarray, t: PrimeTable) -> np.ndarray:
     return theta + 2.0**-52 * (2 * np.sqrt(n) + 1) * lr + _factorial_budget(n)
 
 
-def _records(ns, c: float, t: PrimeTable, powers) -> Iterator[ScanRecord]:
+def _records(ns, c: float, t: PrimeTable, powers, workers: int = 1) -> Iterator[ScanRecord]:
     """The scan records of the ascending ns in turn, from _scan_rows, in
     chunks of _CHECK_ROWS rows: no record of a chunk is yielded before every
     row of it passes both checks.  A row whose log split s1 + s2 is off
     log sigma - log rho by more than 1e-6 max(1, n), or whose log rho is off
     _factorial_rho's by more than _rho_budget, raises ArithmeticError.
     powers is _prime_powers at max(ns) or above."""
-    rows = _scan_rows(ns, t)
+    rows = _scan_rows(ns, t, workers)
     for a in range(0, len(ns), _CHECK_ROWS):
         part, chunk = ns[a : a + _CHECK_ROWS], []
         for n, (lr, ls, card, s1, s2) in zip(part, rows):
@@ -718,60 +742,6 @@ def _records(ns, c: float, t: PrimeTable, powers) -> Iterator[ScanRecord]:
         yield from chunk
 
 
-_worker_args: tuple = ()  # the caller's table and check set-up, in a scan worker
-
-
-def _init_worker(table: PrimeTable, powers) -> None:
-    global _worker_args
-    _worker_args = table, powers
-
-
-def _scan_chunk(args) -> list[ScanRecord]:
-    ns, c = args
-    return list(_records(ns, c, *_worker_args))
-
-
-def _scan_direct(ns, c: float, t: PrimeTable, workers: int) -> Iterator[ScanRecord]:
-    """The records of the ascending ns in n order, as _records checks them,
-    from this process or a pool of workers."""
-    powers = _prime_powers(ns[-1], t)  # the check's set-up, once per scan
-    if workers <= 1 or len(ns) <= 1:
-        yield from _records(ns, c, t, powers)
-        return
-    # each Lucy row is a task of its own, largest n (the most work) first, so
-    # that the heavy rows spread over the workers; the table rows, far
-    # lighter, follow in chunks of 16
-    light = ns[: bisect.bisect_left(ns, LUCY_THRESHOLD)]
-    heavy = [[n] for n in reversed(ns[len(light) :])]
-    chunks = heavy + [light[i : i + 16] for i in range(0, len(light), 16)]
-    import multiprocessing as mp
-    from concurrent.futures import ProcessPoolExecutor
-
-    with contextlib.ExitStack() as stack:
-        try:
-            # forked workers inherit the initializer's arguments, so the table,
-            # already sieved to max(ns), reaches them without being pickled
-            pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=min(workers, len(chunks)), mp_context=mp.get_context("fork"),
-                initializer=_init_worker, initargs=(t, powers),
-            ))
-            parts = pool.map(_scan_chunk, [(chunk, c) for chunk in chunks])
-        except (ValueError, OSError):
-            # only a pool that cannot start or take its tasks (no fork) falls
-            # back, to the same numbers; an error in a worker ends the scan
-            parts = None
-        if parts is None:
-            yield from _records(ns, c, t, powers)
-            return
-        # the table rows in n order as they come back; the Lucy rows, which
-        # come back first, wait for their turn
-        held = [next(parts) for _ in heavy]
-        for part in parts:
-            yield from part
-        for part in reversed(held):
-            yield from part
-
-
 def scan_records(
     ns,
     table: PrimeTable | None = None,
@@ -780,14 +750,17 @@ def scan_records(
 ) -> Iterator[ScanRecord]:
     """One ScanRecord per requested n, in ascending order, as a stream.
 
-    Each record is computed from n alone, optionally across a worker pool, so
-    the row for a given n is byte-identical whatever the grid or the worker
-    count: below LUCY_THRESHOLD in O(sqrt(n)) array work, from it on in
-    O(n**(3/4)) time by Lucy's sieve.  The records come in checked chunks
-    (_records), so a caller that writes them as they come holds one chunk,
-    not the scan; an ascending range stays a range.  The grid, the memory
-    estimate and the table are settled here, before the first record is
-    asked for.  c defaults to analytic_constant().
+    Each record is computed from n alone, so the row for a given n is
+    byte-identical whatever the grid or the worker count: below
+    LUCY_THRESHOLD in O(sqrt(n)) array work, in this thread, from it on in
+    O(n**(3/4)) time by Lucy's sieve, with workers > 1 on up to that many
+    threads at once, taken in n order (_scan_rows).  The records come in
+    checked chunks (_records), so a caller that writes them as they come
+    holds one chunk, not the scan; an ascending range stays a range.  The
+    grid, the memory estimate for the rows in flight, the table and the
+    check's set-up are settled here, before the first record is asked for,
+    and no row changes the table after that.  c defaults to
+    analytic_constant().
     """
     if not (isinstance(ns, range) and ns.step > 0):
         ns = sorted(set(int(n) for n in ns))
@@ -795,15 +768,20 @@ def scan_records(
         raise ValueError("scan grid must be nonempty with n >= 1")
     t = _primes._table(table)
     top = ns[-1]
-    rows = min(max(workers, 1), len(ns))  # the rows _scan_direct may hold at once
+    light = bisect.bisect_left(ns, LUCY_THRESHOLD)
+    # the table rows are done before the first Lucy row starts
+    rows = max(1, min(workers, len(ns) - light))
     what = f"a scan row at n = {top}" if rows == 1 else f"{rows} scan rows at once up to n = {top}"
     _primes.require_memory(rows * _row_bytes(top), what)
     # a table row needs the table to n + 2, a Lucy row to sqrt(n) + 2
-    light = bisect.bisect_left(ns, LUCY_THRESHOLD)
     t.ensure(max(ns[light - 1] + 2 if light else 0, math.isqrt(top) + 2))
+    # no row changes the table from here on, so Lucy rows on threads share it:
+    # the list that sieves their windows and the arrays are taken now
+    t.prime_list(math.isqrt(_window(top)[1]))
+    powers = _prime_powers(top, t)  # the check's set-up
     if c is None:
         c = analytic_constant().midpoint
-    return _scan_direct(ns, c, t, workers)
+    return _records(ns, c, t, powers, workers)
 
 
 def scan(

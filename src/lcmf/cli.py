@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="dyadic", help="dyadic | step:K | list:a,b,c")
     p.add_argument("--n", type=int, default=1, help="grid start for dyadic and step:K")
     p.add_argument("--nmax", type=natural, required=True, help="grid end")
-    p.add_argument("--workers", type=_int_from(1), default=1, help="worker processes")
+    p.add_argument("--workers", type=_int_from(1), default=1, help="threads for Lucy rows")
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--gnuplot", help="also write a gnuplot script stub to this path (csv, with --out)")

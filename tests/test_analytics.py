@@ -744,36 +744,84 @@ def test_scan_row_peak_is_below_the_estimate(c_mid):
         assert peak <= analytics._row_bytes(n), (n, peak)
 
 
-def test_scan_workers_take_lucy_rows_heaviest_first(monkeypatch, c_mid):
+def test_scan_workers_take_lucy_rows_in_n_order(monkeypatch, c_mid):
     import concurrent.futures
+    import threading
 
-    tasks, sizes = [], []
+    real, lock = analytics._lucy_row, threading.Lock()
+    started, threads, running, sizes = [], set(), [0, 0], []  # running: now, most
 
-    class InProcessPool:  # runs the tasks here, in the order they are handed out
-        def __init__(self, max_workers, initializer, initargs, **_):
+    def counted(n, t):
+        with lock:
+            started.append(n)
+            threads.add(threading.get_ident())
+            running[0] += 1
+            running[1] = max(running)
+        try:
+            return real(n, t)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    class Sized(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
             sizes.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args):
-            args = list(args)
-            tasks.extend(ns for ns, _ in args)
-            return map(fn, args)
+            super().__init__(max_workers)
 
     ns = [LUCY_THRESHOLD + 3, 7, LUCY_THRESHOLD + 1, *range(100, 120), 3 * LUCY_THRESHOLD]
     expected = scan(ns, c=c_mid)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    assert scan(ns, c=c_mid, workers=2) == expected
-    lucy = [[3 * LUCY_THRESHOLD], [LUCY_THRESHOLD + 3], [LUCY_THRESHOLD + 1]]
-    assert tasks == lucy + [[7, *range(100, 115)], list(range(115, 120))]
-    # a pool forks all of its workers at once, so it is sized to the tasks
-    assert scan(ns, c=c_mid, workers=64) == expected
-    assert sizes == [2, 5]
+    monkeypatch.setattr(analytics, "_lucy_row", counted)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Sized)
+    for workers in (2, 64):
+        started.clear()
+        threads.clear()
+        running[1] = 0
+        assert scan(ns, c=c_mid, workers=workers) == expected
+        assert started == [LUCY_THRESHOLD + 1, LUCY_THRESHOLD + 3, 3 * LUCY_THRESHOLD]
+        assert 1 <= running[1] <= min(workers, 3) and len(threads) <= min(workers, 3)
+    # a pool no larger than the Lucy rows: with 64 workers three threads
+    assert sizes == [2, 3]
+
+
+def test_lucy_rows_leave_the_table_as_the_scan_set_up_left_it(c_mid):
+    # Lucy rows on threads share the table, so once scan_records has set up
+    # no row may grow it, extend its prime list or derive its arrays; the
+    # threads switch often here, and more run than there are cores
+    import sys
+
+    ns = [LUCY_THRESHOLD, 3001**2 - 1, (1 << 26) + 5, (1 << 30) + 12345, (1 << 31) + 7]
+    expected = scan(ns, table=PrimeTable(), c=c_mid)
+    t = PrimeTable()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        records = analytics.scan_records(ns, table=t, c=c_mid, workers=8)
+        limit, listed, count, arrays = t.limit, t._listed, len(t._list), t._arrays
+        assert list(records) == expected
+    finally:
+        sys.setswitchinterval(interval)
+    assert (t.limit, t._listed, len(t._list)) == (limit, listed, count)
+    assert t._arrays is arrays
+
+
+def test_scan_asks_memory_for_the_rows_in_flight(monkeypatch):
+    # the table rows are done before the first Lucy row starts, and at most
+    # workers Lucy rows run at once
+    asked = []
+    monkeypatch.setattr(primes, "require_memory", lambda need, what: asked.append((need, what)))
+    top = 1 << 40
+    for ns, workers, rows in (
+        ([100, top], 2, 1),
+        ([top - 1, top], 2, 2),
+        ([top - 2, top - 1, top], 2, 2),
+        ([LUCY_THRESHOLD, top], 8, 2),
+        ([100, 200], 8, 1),
+    ):
+        asked.clear()
+        analytics.scan_records(ns, table=PrimeTable(), c=0.0, workers=workers)
+        ((need, what),) = [(need, what) for need, what in asked if "scan row" in what]
+        assert need == rows * analytics._row_bytes(ns[-1]), (ns, workers)
+        assert what.startswith("a scan row" if rows == 1 else f"{rows} scan rows"), (ns, workers)
 
 
 def test_scan_workers_deterministic(tmp_path, c_mid):

@@ -276,11 +276,14 @@ def test_internal_value_error_is_an_error_not_usage(capsys, monkeypatch):
 
 def test_failed_scan_checks_are_errors(capsys, monkeypatch):
     # a Lucy row's theta(n // 2) raised by 100, which the rows' check against
-    # Legendre's formula catches, and a failing in-row check of _lucy itself
+    # Legendre's formula catches, and a failing in-row check of _lucy itself,
+    # on one row, and on two rows on one thread or on two
     from lcmf import analytics
 
     n = (1 << 30) + 12345
-    argv = ("scan", "--grid", f"list:{n}", "--nmax", str(n))
+    argvs = [("scan", "--grid", f"list:{n}", "--nmax", str(n))]
+    argvs += [("scan", "--grid", f"list:{n},{n + 2}", "--nmax", str(n + 2), "--workers", w)
+              for w in ("1", "2")]
     real = analytics._lucy
 
     def raised(m, t, q):
@@ -294,8 +297,9 @@ def test_failed_scan_checks_are_errors(capsys, monkeypatch):
     for lucy, message in ((raised, "log rho disagrees with Legendre's formula"),
                           (failing, "Lucy's sieve disagrees with the prime table")):
         monkeypatch.setattr(analytics, "_lucy", lucy)
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out, err) == (1, "", f"error: {message} at n={n}\n")
+        for argv in argvs:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, err) == (1, "", f"error: {message} at n={n}\n"), argv
 
 
 def test_verify_passing(capsys):
