@@ -582,7 +582,7 @@ def _scan_rows(ns: list[int], t: PrimeTable, workers: int = 1) -> Iterator[_Row]
     from one call of _table_rows, the others one _lucy_row each, here or,
     with workers > 1, on a pool of that many threads (numpy's array loops
     release the GIL), submitted in n order with at most workers in flight.
-    A row on a thread must not change t (scan_records' set-up)."""
+    A row on a thread must not change t (_scan_setup)."""
     light = bisect.bisect_left(ns, LUCY_THRESHOLD)
     yield from _table_rows(ns[:light], t)
     heavy = ns[light:]
@@ -603,11 +603,10 @@ def _scan_rows(ns: list[int], t: PrimeTable, workers: int = 1) -> Iterator[_Row]
 
 
 def _one_row(n: int, table: PrimeTable | None) -> _Row:
-    """The scan row of the one n: the table grows to n + 2 below
-    LUCY_THRESHOLD, to sqrt(n) + 2 from it on."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return next(_scan_rows([n], _primes._table(table)))
+    """The scan row of the one n, after _scan_setup."""
+    t = _primes._table(table)
+    _scan_setup([n], t)
+    return next(_scan_rows([n], t))
 
 
 def theta_sum_rho(n: int, table: PrimeTable | None = None) -> float:
@@ -669,9 +668,8 @@ def _lucy_row(n: int, t: PrimeTable) -> _Row:
     block of one: theta from _lucy, the primality of the n // k + 1 with
     k <= sqrt(n) from _quotient_flags, a sieved window and _prime_flags above
     it, and that of the large v + 1 <= sqrt(n) + 1 from the table's bitmap,
-    so the table only needs to reach sqrt(n) + 2."""
+    so the table only needs to reach sqrt(n) + 2 (_scan_setup)."""
     r = math.isqrt(n)
-    t.ensure(r + 2)
     q = n // np.arange(1, n // (r + 1) + 2, dtype=np.int64)
     _, (rho_q, rho_v) = _lucy(n, t, q)
     prime_q = _quotient_flags(n, q[:r], t)
@@ -742,6 +740,25 @@ def _records(ns, c: float, t: PrimeTable, powers, workers: int = 1) -> Iterator[
         yield from chunk
 
 
+def _scan_setup(ns, t: PrimeTable, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Set t up for _scan_rows over the ascending ns >= 1, with up to
+    workers Lucy rows in flight (scan_records, verify eq14-16): price the
+    rows in flight, min(workers, Lucy rows) and at least one, at
+    _row_bytes(max(ns)) each, then grow t to n + 2 for the last n below
+    LUCY_THRESHOLD and to sqrt(max(ns)) + 2 and list the window primes.  The
+    returned _prime_powers(max(ns)) derives the arrays; no row changes t."""
+    if not ns or ns[0] < 1:
+        raise ValueError("scan grid must be nonempty with n >= 1")
+    top = ns[-1]
+    light = bisect.bisect_left(ns, LUCY_THRESHOLD)
+    rows = max(1, min(workers, len(ns) - light))
+    what = f"a scan row at n = {top}" if rows == 1 else f"{rows} scan rows at once up to n = {top}"
+    _primes.require_memory(rows * _row_bytes(top), what)
+    t.ensure(max(ns[light - 1] + 2 if light else 0, math.isqrt(top) + 2))
+    t.prime_list(math.isqrt(_window(top)[1]))
+    return _prime_powers(top, t)
+
+
 def scan_records(
     ns,
     table: PrimeTable | None = None,
@@ -757,28 +774,13 @@ def scan_records(
     threads at once, taken in n order (_scan_rows).  The records come in
     checked chunks (_records), so a caller that writes them as they come
     holds one chunk, not the scan; an ascending range stays a range.  The
-    grid, the memory estimate for the rows in flight, the table and the
-    check's set-up are settled here, before the first record is asked for,
-    and no row changes the table after that.  c defaults to
-    analytic_constant().
+    grid and _scan_setup are settled before the first record is asked for.
+    c defaults to analytic_constant().
     """
     if not (isinstance(ns, range) and ns.step > 0):
         ns = sorted(set(int(n) for n in ns))
-    if not ns or ns[0] < 1:
-        raise ValueError("scan grid must be nonempty with n >= 1")
     t = _primes._table(table)
-    top = ns[-1]
-    light = bisect.bisect_left(ns, LUCY_THRESHOLD)
-    # the table rows are done before the first Lucy row starts
-    rows = max(1, min(workers, len(ns) - light))
-    what = f"a scan row at n = {top}" if rows == 1 else f"{rows} scan rows at once up to n = {top}"
-    _primes.require_memory(rows * _row_bytes(top), what)
-    # a table row needs the table to n + 2, a Lucy row to sqrt(n) + 2
-    t.ensure(max(ns[light - 1] + 2 if light else 0, math.isqrt(top) + 2))
-    # no row changes the table from here on, so Lucy rows on threads share it:
-    # the list that sieves their windows and the arrays are taken now
-    t.prime_list(math.isqrt(_window(top)[1]))
-    powers = _prime_powers(top, t)  # the check's set-up
+    powers = _scan_setup(ns, t, workers)
     if c is None:
         c = analytic_constant().midpoint
     return _records(ns, c, t, powers, workers)

@@ -107,21 +107,19 @@ def _check_theorem1(args):
 
 
 def _check_theorem2(args):
-    """The check, then with --out its valuation records as CSV (_write_out)."""
-    from . import primes, sequences, verify
+    """The check; with --out, its valuation records as CSV from the same walk."""
+    from . import verify
 
-    result = verify.check_theorem2(args.nmax)
-    t = primes.default_table()  # check_theorem2 grew it to nmax + 2
+    if not args.out:
+        return verify.check_theorem2(args.nmax)
+    result = verify.CheckResult(check_id="theorem2")
 
     def write(fh) -> None:
-        fh.write(sequences.VALUATION_CSV_HEADER + "\n")
-        for n in range(1, args.nmax + 1):
-            for p in t.prime_list(n + 1):
-                if p * p > n + 1:
-                    fh.write(sequences.sigma_ratio_valuation(n, p, t).csv_row() + "\n")
+        fh.write("n,p,v,witness_k\n")
+        for n, ps, vs, witness_k in verify._theorem2_walk(args.nmax, result):
+            fh.write("".join(f"{n},{p},{v},{witness_k.get(p, '')}\n" for p, v in zip(ps, vs)))
 
-    if args.out:
-        _write_out(args.out, write)
+    _write_out(args.out, write)
     return result
 
 

@@ -191,13 +191,6 @@ class ValuationRecord(NamedTuple):
     valuation: int
     witness_k: int | None
 
-    def csv_row(self) -> str:
-        w = "" if self.witness_k is None else str(self.witness_k)
-        return f"{self.n},{self.p},{self.valuation},{w}"
-
-
-VALUATION_CSV_HEADER = "n,p,v,witness_k"
-
 
 def sigma_ratio_valuation(n: int, p: int, table: PrimeTable | None = None) -> ValuationRecord:
     """Compute the valuation of sigma(n)/n! at p by two independent routes.

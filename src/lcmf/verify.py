@@ -9,6 +9,7 @@ which takes any weight, is the library's.
 from __future__ import annotations
 
 import bisect
+import collections
 import itertools
 import math
 from typing import TYPE_CHECKING
@@ -190,44 +191,50 @@ def check_prop3(nmax: int) -> CheckResult:
 
 
 def check_theorem2(nmax: int) -> CheckResult:
-    """Dual-route valuations agree and stay in {0, 1} for all in-range primes.
+    """Dual-route valuations agree and stay in {0, 1} for all in-range
+    primes: the pairs (n, p) with sqrt(n+1) < p <= n+1 (_theorem2_walk)."""
+    res = CheckResult(check_id="theorem2")
+    collections.deque(_theorem2_walk(nmax, res), 0)
+    return res
 
-    The cases are the pairs (n, p) with sqrt(n+1) < p <= n+1.  The digit
-    route's valuation is (n mod p + n div p) // (p - 1); the witness route's
-    is 1 when p is a wide quotient prime of n, else 0.  Each pair is decided
-    by one comparison of the two: a digit valuation above 1 differs from both.
-    """
+
+def _theorem2_walk(nmax: int, res: CheckResult):
+    """(n, ps, vs, witness_k) per n of 1..nmax, once res has its pairs and
+    violations: ps the primes in range, vs an iterator of their digit-route
+    valuations (n mod p + n div p) // (p - 1), witness_k the k of the wide
+    quotient primes, of witness-route valuation 1, the rest 0.  One
+    comparison decides a pair: a digit valuation above 1 differs from both."""
     from . import sequences
 
-    res = CheckResult(check_id="theorem2")
     t = _primes.default_table()
     t.ensure(nmax + 2)
     primes = t.prime_list(nmax + 1)
     for n in range(1, nmax + 1):
         lo, hi = bisect.bisect_right(primes, math.isqrt(n + 1)), bisect.bisect_right(primes, n + 1)
         ps = primes[lo:hi]
+        *_, wide, witness_k = sequences.quotient_primes(n, wide=True, table=t)
         res.cases += len(ps)
-        wide = sequences.quotient_primes(n, wide=True, table=t).members
         res.violations += [
             f"n={n} p={p}: digit route {v}, witness route {int(p in wide)}"
             for p in ps
             if (v := (n % p + n // p) // (p - 1)) != (p in wide)
         ]
-    return res
+        # the digit valuations again, computed only if read: a list of them
+        # cost the check a tenth more at nmax 2000
+        yield n, ps, ((n % p + n // p) // (p - 1) for p in ps), witness_k
 
 
 def check_theta_identities(nmax: int, points: int = 1000) -> CheckResult:
-    """Theta-sum forms of log rho / log sigma and the quotient log gap.
-
-    Absolute tolerance 1e-6 * max(1, n) per identity per grid point.
-    """
+    """Theta-sum forms of log rho / log sigma and the quotient log gap, on
+    the scan's rows after analytics._scan_setup (Lucy rows from 2^22 on), at
+    absolute tolerance 1e-6 * max(1, n) per identity per grid point."""
     from . import analytics  # numpy-backed, so imported only by the checks that use it
 
     res = CheckResult(check_id="eq14-16")
     t = _primes.default_table()
-    t.ensure(nmax + 2)
     grid = sorted(set(max(1, (i * nmax) // points) for i in range(1, points + 1)))
-    rows = analytics._table_rows(grid, t)
+    analytics._scan_setup(grid, t)
+    rows = analytics._scan_rows(grid, t)
     rhos, sigmas = (sums.tolist() for sums in analytics._factorial_sums(grid, t))
     for n, (theta_rho, theta_sigma, _, s1, s2), lr, ls in zip(grid, rows, rhos, sigmas):
         res.cases += 1

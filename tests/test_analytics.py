@@ -277,6 +277,32 @@ def test_theta_identities_report_a_prime_cut_short(monkeypatch):
     ]
 
 
+def test_theta_identities_check_lucy_rows_on_a_small_table(monkeypatch):
+    # from LUCY_THRESHOLD on, eq14-16's points are the scan's Lucy rows, so
+    # the table reaches the last point below it + 2, not nmax + 2
+    t = PrimeTable()
+    monkeypatch.setattr(primes, "_default_table", t)
+    nmax = 2 * LUCY_THRESHOLD
+    res = verify.check_theta_identities(nmax)
+    assert res.passed and res.cases == 1000
+    assert t.limit <= LUCY_THRESHOLD + 2
+    # a Lucy row's theta(n // 2) raised by 100 is reported at every point
+    # from LUCY_THRESHOLD on, and at no point below it
+    real = analytics._lucy
+
+    def raised(m, t, q):
+        pi, (at_small, at_v) = real(m, t, q)
+        at_small[1] += 100
+        return pi, (at_small, at_v)
+
+    monkeypatch.setattr(analytics, "_lucy", raised)
+    res = verify.check_theta_identities(nmax, points=20)
+    grid = [i * nmax // 20 for i in range(1, 21)]
+    rho = [v.split(":")[0] for v in res.violations if "theta sum for rho" in v]
+    assert res.cases == 20 and rho == [f"n={n}" for n in grid if n >= LUCY_THRESHOLD]
+    assert all(int(v[2:].split(":")[0]) >= LUCY_THRESHOLD for v in res.violations)
+
+
 def _exact_logs(nmax):
     """(log rho(n), log sigma(n)) for n = 0..nmax, each the float nearest the
     exact sum: the integer exponents n // p and n // (p - 1) times log p in

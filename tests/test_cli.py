@@ -109,7 +109,8 @@ def test_oversized_grid_is_usage_error_for_every_weight():
 
 
 def test_table_over_physical_memory_is_an_error(capsys):
-    code, _, err = run_cli(capsys, "verify", "eq14-16", "--nmax", str(10**13))
+    # theorem2 sieves a table up to nmax + 2
+    code, _, err = run_cli(capsys, "verify", "theorem2", "--nmax", str(10**13))
     assert code == 1
     assert err.startswith("error: a prime table up to") and "memory" in err
 
@@ -120,6 +121,18 @@ def test_scan_row_over_physical_memory_is_an_error(capsys, monkeypatch):
     monkeypatch.setattr(primes, "_default_table", primes.PrimeTable())
     n = str(1 << 60)
     code, out, err = run_cli(capsys, "scan", "--grid", f"list:{n}", "--nmax", n)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: a scan row at n = {n} needs about") and "memory" in err
+    assert primes._default_table.limit == 4  # refused before the table grew
+
+
+def test_theta_identities_row_over_physical_memory_is_an_error(capsys, monkeypatch):
+    # eq14-16 takes the scan's rows and its set-up, so on an 8 GiB machine
+    # its grid point at 2^60 is refused as the scan's row is
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1 << 21, "SC_PAGE_SIZE": 4096}.get)
+    monkeypatch.setattr(primes, "_default_table", primes.PrimeTable())
+    n = str(1 << 60)
+    code, out, err = run_cli(capsys, "verify", "eq14-16", "--nmax", n)
     assert code == 1 and out == ""
     assert err.startswith(f"error: a scan row at n = {n} needs about") and "memory" in err
     assert primes._default_table.limit == 4  # refused before the table grew
@@ -402,6 +415,27 @@ def test_verify_theorem2_writes_records(capsys, tmp_path):
     assert "10,5,0," in lines
 
 
+def test_verify_theorem2_out_equals_the_one_pair_records(capsys, tmp_path):
+    # the records come from the check's own walk, one per pair as
+    # sequences.sigma_ratio_valuation gives it
+    from lcmf import sequences
+
+    path = tmp_path / "records.csv"
+    assert run_cli(capsys, "verify", "theorem2", "--nmax", "300", "--out", str(path)) == (
+        0, "ok: theorem2 passed on 9001 cases\n", ""
+    )
+    records = (
+        sequences.sigma_ratio_valuation(n, p)
+        for n in range(1, 301)
+        for p in primes.default_table().prime_list(n + 1)
+        if p * p > n + 1
+    )
+    want = ["n,p,v,witness_k"] + [
+        f"{r.n},{r.p},{r.valuation},{'' if r.witness_k is None else r.witness_k}" for r in records
+    ]
+    assert path.read_text().splitlines() == want
+
+
 def test_verify_theorem2_out_keeps_a_file_on_failure_and_writes_through_links(
     capsys, tmp_path, monkeypatch
 ):
@@ -417,15 +451,15 @@ def test_verify_theorem2_out_keeps_a_file_on_failure_and_writes_through_links(
     assert run_cli(capsys, *argv, str(link))[0] == 0
     assert link.is_symlink() and target.read_text() == want
     # a write that raises after its first records leaves the old file as it was
-    calls, real = [], sequences.sigma_ratio_valuation
+    calls, real = [], sequences.quotient_primes
 
-    def failing(n, p, t):
+    def failing(n, wide, table):
         calls.append(1)
         if len(calls) == 5:
             raise ValueError("boom")
-        return real(n, p, t)
+        return real(n, wide, table)
 
-    monkeypatch.setattr(sequences, "sigma_ratio_valuation", failing)
+    monkeypatch.setattr(sequences, "quotient_primes", failing)
     target.write_text("kept\n")
     assert run_cli(capsys, *argv, str(target)) == (1, "", "error: boom\n")
     assert len(calls) == 5
