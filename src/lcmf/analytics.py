@@ -5,12 +5,13 @@ rewrites as sums of theta values over the ~2 sqrt(n) distinct quotients n//k,
 and their gap is the log-sum over k of the prime quotient values
 floor(n/k + 1).  Both routes below hand _rows theta at q = n // k and the
 primality of q + 1; it sums every field of a row, sigma's as theta plus those
-logs.  The check route, behind log_rho, log_sigma and verify eq14-16, is
-Legendre's formula for n! (_factorial_sums): it needs the primes up to
-sqrt(n) + 1 alone, and every scan row's log rho is checked against it within
-a stated budget.  Residuals subtract n log n - (c+1) n and n log n - n,
-where c is the sum over primes of log p / (p (p-1)): scans take it from
-analytic_constant(), the float of an analytic series, and
+logs.  The check route, Legendre's formula for n! (_factorial_sums), needs
+the primes up to sqrt(n) + 1 alone; _checked compares every row of scan,
+verify eq14-16 and the one-n functions with it, log rho and log sigma within
+stated budgets and s1 + s2 with its gap, so its own primality tests check
+the flags behind s1 and card_A.  Residuals subtract n log n - (c+1) n and
+n log n - n, where c is the sum over primes of log p / (p (p-1)): scans take
+it from analytic_constant(), the float of an analytic series, and
 prime_series_constant() encloses it rigorously.
 
 The route of a row depends on n alone (_scan_rows).  Below LUCY_THRESHOLD
@@ -132,7 +133,7 @@ def log_rho(n: int, table: PrimeTable | None = None) -> float:
 def log_sigma(n: int, table: PrimeTable | None = None) -> float:
     """log sigma(n), the sum of (n // (p-1)) log p over primes p, by the check
     route _factorial_sums."""
-    return float(_factorial_sums([n], _primes._table(table))[1][0])
+    return float(_factorial_sums([n], _primes._table(table), None)[1][0])
 
 
 def _blocks(widths: Iterable[int]):
@@ -218,10 +219,10 @@ def _factorial_rho(ns, t: PrimeTable, powers=None) -> np.ndarray:
     return out
 
 
-def _factorial_sums(ns: list[int], t: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
+def _factorial_sums(ns, t: PrimeTable, powers) -> tuple[np.ndarray, np.ndarray]:
     """(log rho, log sigma) of each n of the nonempty ascending ns >= 0: the
-    check route of the theta sums.  log rho is _factorial_rho's, and with
-    r = isqrt(n)
+    check route of the theta sums.  log rho is _factorial_rho's, with powers
+    as there, and with r = isqrt(n)
 
         log sigma(n) - log rho(n) = sum over primes p <= r + 1 of
             (n // (p-1) - n // p) log p + sum of log(v + 1) over the
@@ -235,7 +236,7 @@ def _factorial_sums(ns: list[int], t: PrimeTable) -> tuple[np.ndarray, np.ndarra
     are within _factorial_budget(n) of the exact ones.
     """
     ps = t.primes_up_to(math.isqrt(max(ns[-1], 0)) + 1)  # first: the table grows once
-    rho = _factorial_rho(ns, t)  # it refuses an n < 0
+    rho = _factorial_rho(ns, t, powers)  # it refuses an n < 0
     logs, mask, gap = np.log(ps), t.prime_mask(t.limit), np.empty(len(ns))
     for a, b in _blocks(math.isqrt(n) for n in ns):
         nb, roots = np.array(ns[a:b], dtype=np.int64)[:, None], [math.isqrt(n) for n in ns[a:b]]
@@ -244,8 +245,11 @@ def _factorial_sums(ns: list[int], t: PrimeTable) -> tuple[np.ndarray, np.ndarra
         x = nb // np.arange(1, roots[-1] + 1, dtype=np.int64) + 1  # v + 1 for v = n // k
         hit, inside = x > np.array(roots)[:, None] + 1, x < len(mask)
         hit[hit & inside] = mask[x[hit & inside]]
-        hit[hit & ~inside] = _prime_flags(x[hit & ~inside], ps[:_PREFILTER_PRIMES])
-        gap[a:b] = _slice_sums(d, cuts) + _slice_sums(np.where(hit, np.log(x), 0.0), roots)
+        if not inside.all():  # none is past a table up to max(ns) + 1
+            hit[hit & ~inside] = _prime_flags(x[hit & ~inside], ps[:_PREFILTER_PRIMES])
+        cells = np.zeros(x.shape)
+        cells[hit] = np.log(x[hit])
+        gap[a:b] = _slice_sums(d, cuts) + _slice_sums(cells, roots)
     return rho, rho + gap
 
 
@@ -360,8 +364,8 @@ _LUCY_BATCH_CELLS = 1 << 16  # start values, or phase-2 (p, k) pairs, per chunk 
 # block of the check route, counted at the block's widest row (_blocks); a
 # block's few arrays of 8-byte cells stay within _row_bytes's fixed term
 _TABLE_BLOCK_CELLS = 1 << 13
-# rows that _records checks at once before it yields them: a chunk's records,
-# about 390 B a row, weigh about as much as a block's arrays
+# rows that _checked compares at once before _records yields them: a chunk's
+# records, about 390 B a row, weigh about as much as a block's arrays
 _CHECK_ROWS = _TABLE_BLOCK_CELLS >> 5
 
 
@@ -375,7 +379,9 @@ def _row_bytes(n: int) -> int:
     2^30, 15.3 MB at 2^34, and 28.2 and 34.4 MB at 2^36 and 1.5 * 2^36, 107 B
     more per sqrt(n) between those two, with the window and without it: the
     chunk's arrays set the peak at the small n, _lucy's sqrt(n) arrays at the
-    large, and the window, held after them, stays below it.
+    large, and the window, held after them, stays below it.  A row's check
+    (_factorial_sums, _theta_budget), beside the rows in flight if workers >
+    1, peaked at up to 50 B per sqrt(n), within the margin of two rows.
     """
     return 80 * _LUCY_BATCH_CELLS + (125 + _WINDOW_ROOTS) * math.isqrt(n)
 
@@ -602,21 +608,20 @@ def _scan_rows(ns: list[int], t: PrimeTable, workers: int = 1) -> Iterator[_Row]
             yield future.result()
 
 
-def _one_row(n: int, table: PrimeTable | None) -> _Row:
-    """The scan row of the one n, after _scan_setup."""
+def _one_row(n: int, table: PrimeTable | None) -> ScanRecord:
+    """The scan record of the one n at c = 0, checked (_records)."""
     t = _primes._table(table)
-    _scan_setup([n], t)
-    return next(_scan_rows([n], t))
+    return next(_records([n], 0.0, t, _scan_setup([n], t)))
 
 
 def theta_sum_rho(n: int, table: PrimeTable | None = None) -> float:
     """Sum over k = 1..n of theta(n / k); identical to log rho(n) exactly."""
-    return _one_row(n, table)[0]
+    return _one_row(n, table).log_rho
 
 
 def theta_sum_sigma(n: int, table: PrimeTable | None = None) -> float:
     """Sum over k = 1..n of theta(n / k + 1); identical to log sigma(n)."""
-    return _one_row(n, table)[1]
+    return _one_row(n, table).log_sigma
 
 
 def s_split(n: int, table: PrimeTable | None = None) -> tuple[float, float, float]:
@@ -626,13 +631,13 @@ def s_split(n: int, table: PrimeTable | None = None) -> tuple[float, float, floa
     quotients), and s_total = s1 + s2 by construction.  s_total equals
     log sigma(n) - log rho(n) up to float accumulation.
     """
-    *_, s1, s2 = _one_row(n, table)
-    return s1 + s2, s1, s2
+    rec = _one_row(n, table)
+    return rec.s1 + rec.s2, rec.s1, rec.s2
 
 
 def quotient_prime_count(n: int, table: PrimeTable | None = None) -> int:
     """Number of k <= sqrt(n) for which floor(n/k + 1) is prime (card_A)."""
-    return _one_row(n, table)[2]
+    return _one_row(n, table).card_A
 
 
 # -- scans --------------------------------------------------------------------------
@@ -686,67 +691,91 @@ def _row_budget(n: int, shift: int, updates: int) -> float:
     return float(np.add.reduce(small) + np.add.reduce((q[:-1] - q[1:]) * large))
 
 
-def _rho_budget(ns: list[int], lr: np.ndarray, t: PrimeTable) -> np.ndarray:
-    """Budget on |a scan row's log rho - _factorial_rho's| at each n >= 1 of ns,
-    whose rows' log rho are lr, with u = 2**-52: the sum of
+def _theta_budget(ns, sums, t: PrimeTable, shift: int) -> np.ndarray:
+    """Budget on |a row's sum of theta(n // k + shift), k = 1..n, minus
+    _factorial_sums' value| (log rho at shift 0, log sigma at 1) at each
+    n >= 1 of ns, whose rows' sums are sums; with u = 2**-52 the sum of
 
-    - theta's error at the quotients, by multiplicity: on a Lucy row,
-      _row_budget(n, 0, pi(sqrt n)); on a table row, which reads the prefix
-      sums of np.log p (within 4 ulps), u (4 + pi(v) / 2) theta(v)
-      <= 0.7 u v (v + 8) at v = n // k <= n / k (pi(v) <= v, theta(v) < 1.39 v),
-      summed under 0.7 u (1.645 n**2 + 8 n (1 + log n));
-    - the row's rounding: under 2 sqrt(n) nonnegative terms, u (2 sqrt(n) + 1) lr;
-    - the check route's error, _factorial_budget(n).
-    """
+    - theta's error at w = n // k + shift, by multiplicity: on a Lucy row
+      _row_budget(n, shift, pi(sqrt n)); on a table row, where theta(w) is
+      the prefix of np.log p (within 4 ulps; at shift 1 _rows adds log w as
+      np.cumsum does), u (4 + pi(w) / 2) theta(w) <= 0.7 u w (w + 8)
+      (pi(w) <= w, theta(w) < 1.39 w), summed over w <= n / k + shift under
+      0.7 u (1.645 n**2 + (2 shift + 8) n (1 + log n) + shift (shift + 8) n);
+    - the row's rounding, u (2 sqrt(n) + 1) sums over under 2 sqrt(n) terms:
+      twice what they round, the rest covering a Lucy row's S1(v) + log(v + 1)
+      at shift 1, under 4.5 u theta(v + 1) a cell;
+    - the check route's error, _factorial_budget(n);
+
+    and at most 1e-6 max(1, n), eq14-16's tolerance, which the sum passes on
+    Lucy rows from about 2^45."""
     n = np.array(ns, dtype=np.float64)
-    theta = 2.0**-52 * 0.7 * (1.645 * n * n + 8 * n * (1 + np.log(n)))
+    theta = 0.7 * 2.0**-52 * (
+        1.645 * n * n + (2 * shift + 8) * n * (1 + np.log(n)) + shift * (shift + 8) * n
+    )
     for i in np.flatnonzero(n >= LUCY_THRESHOLD).tolist():
-        theta[i] = _row_budget(ns[i], 0, t.pi(math.isqrt(ns[i])))
-    return theta + 2.0**-52 * (2 * np.sqrt(n) + 1) * lr + _factorial_budget(n)
+        theta[i] = _row_budget(ns[i], shift, t.pi(math.isqrt(ns[i])))
+    budget = theta + 2.0**-52 * (2 * np.sqrt(n) + 1) * sums + _factorial_budget(n)
+    return np.minimum(budget, 1e-6 * np.maximum(1.0, n))
 
 
-def _records(ns, c: float, t: PrimeTable, powers, workers: int = 1) -> Iterator[ScanRecord]:
-    """The scan records of the ascending ns in turn, from _scan_rows, in
-    chunks of _CHECK_ROWS rows: no record of a chunk is yielded before every
-    row of it passes both checks.  A row whose log split s1 + s2 is off
-    log sigma - log rho by more than 1e-6 max(1, n), or whose log rho is off
-    _factorial_rho's by more than _rho_budget, raises ArithmeticError.
+def _checked(ns, t: PrimeTable, powers, workers: int):
+    """(part, rows, ratio, bound) per chunk of _CHECK_ROWS rows of the
+    ascending ns (_scan_rows): ratio[i] is row i's |difference| / bound[i]
+    against the check route _factorial_sums, log rho and log sigma within
+    _theta_budget and s1 + s2 with the route's gap within 1e-6 max(1, n).
     powers is _prime_powers at max(ns) or above."""
     rows = _scan_rows(ns, t, workers)
     for a in range(0, len(ns), _CHECK_ROWS):
-        part, chunk = ns[a : a + _CHECK_ROWS], []
+        part = ns[a : a + _CHECK_ROWS]
+        chunk = list(itertools.islice(rows, len(part)))
+        lr, ls, _, s1, s2 = np.array(chunk).T
+        rho, sigma = _factorial_sums(part, t, powers)
+        split = 1e-6 * np.maximum(1.0, np.array(part, dtype=np.float64))
+        bound = np.stack((_theta_budget(part, lr, t, 0), _theta_budget(part, ls, t, 1), split), 1)
+        off = np.stack((lr - rho, ls - sigma, (s1 + s2) - (sigma - rho)), 1)
+        yield part, chunk, np.abs(off) / bound, bound
+
+
+# _records' error for a row past each bound of _checked, in its order
+_FAILURES = (
+    "log rho disagrees with Legendre's formula",
+    "log sigma disagrees with Legendre's formula",
+    "quotient log split disagrees with log gap",
+)
+
+
+def _records(ns, c: float, t: PrimeTable, powers, workers: int = 1) -> Iterator[ScanRecord]:
+    """The scan records of the ascending ns, a chunk of _checked at a time
+    once all its rows are within their bounds; else ArithmeticError at the
+    first row past one, naming its first failing comparison."""
+    for part, rows, ratio, _ in _checked(ns, t, powers, workers):
+        bad = np.argwhere(~(ratio <= 1.0))  # a NaN fails too
+        if len(bad):
+            i, j = bad[0].tolist()
+            raise ArithmeticError(f"{_FAILURES[j]} at n={part[i]}")
         for n, (lr, ls, card, s1, s2) in zip(part, rows):
-            # it guards _rows' sigma: log rho plus the logs that s1 and s2 sum
-            if abs((ls - lr) - (s1 + s2)) > 1e-6 * max(1.0, n):
-                raise ArithmeticError(f"quotient log split disagrees with log gap at n={n}")
             logn = math.log(n)
-            chunk.append(
-                ScanRecord(
-                    n=n,
-                    log_rho=lr,
-                    log_sigma=ls,
-                    residual_rho=lr - (n * logn - (c + 1.0) * n),
-                    residual_sigma=ls - (n * logn - n),
-                    card_A=card,
-                    conj2_stat=card * logn / math.sqrt(n),
-                    s1=s1,
-                    s2=s2,
-                )
+            yield ScanRecord(
+                n=n,
+                log_rho=lr,
+                log_sigma=ls,
+                residual_rho=lr - (n * logn - (c + 1.0) * n),
+                residual_sigma=ls - (n * logn - n),
+                card_A=card,
+                conj2_stat=card * logn / math.sqrt(n),
+                s1=s1,
+                s2=s2,
             )
-        lr = np.array([rec.log_rho for rec in chunk])
-        miss = np.flatnonzero(np.abs(lr - _factorial_rho(part, t, powers)) > _rho_budget(part, lr, t))
-        if len(miss):
-            raise ArithmeticError(f"log rho disagrees with Legendre's formula at n={part[miss[0]]}")
-        yield from chunk
 
 
 def _scan_setup(ns, t: PrimeTable, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Set t up for _scan_rows over the ascending ns >= 1, with up to
-    workers Lucy rows in flight (scan_records, verify eq14-16): price the
-    rows in flight, min(workers, Lucy rows) and at least one, at
-    _row_bytes(max(ns)) each, then grow t to n + 2 for the last n below
-    LUCY_THRESHOLD and to sqrt(max(ns)) + 2 and list the window primes.  The
-    returned _prime_powers(max(ns)) derives the arrays; no row changes t."""
+    workers Lucy rows in flight (_checked's callers): price the rows in
+    flight, min(workers, Lucy rows) and at least one, at _row_bytes(max(ns))
+    each, then grow t to n + 2 for the last n below LUCY_THRESHOLD and to
+    sqrt(max(ns)) + 2 and list the window primes.  The returned
+    _prime_powers(max(ns)), for _checked, derives the arrays; no row changes t."""
     if not ns or ns[0] < 1:
         raise ValueError("scan grid must be nonempty with n >= 1")
     top = ns[-1]

@@ -225,26 +225,24 @@ def _theorem2_walk(nmax: int, res: CheckResult):
 
 
 def check_theta_identities(nmax: int, points: int = 1000) -> CheckResult:
-    """Theta-sum forms of log rho / log sigma and the quotient log gap, on
-    the scan's rows after analytics._scan_setup (Lucy rows from 2^22 on), at
-    absolute tolerance 1e-6 * max(1, n) per identity per grid point."""
+    """Theta-sum forms of log rho / log sigma and the quotient log split, on
+    the scan's rows after analytics._scan_setup (Lucy rows from 2^22 on),
+    each within its bound in analytics._checked, at most 1e-6 * max(1, n);
+    a note gives the worst |difference| / bound."""
     from . import analytics  # numpy-backed, so imported only by the checks that use it
 
     res = CheckResult(check_id="eq14-16")
+    names = ("theta sum for rho", "theta sum for sigma", "quotient log split")
     t = _primes.default_table()
     grid = sorted(set(max(1, (i * nmax) // points) for i in range(1, points + 1)))
-    analytics._scan_setup(grid, t)
-    rows = analytics._scan_rows(grid, t)
-    rhos, sigmas = (sums.tolist() for sums in analytics._factorial_sums(grid, t))
-    for n, (theta_rho, theta_sigma, _, s1, s2), lr, ls in zip(grid, rows, rhos, sigmas):
-        res.cases += 1
-        tol = 1e-6 * max(1.0, n)
-        if abs(theta_rho - lr) > tol:
-            res.violations.append(f"n={n}: theta sum for rho off by more than {tol}")
-        if abs(theta_sigma - ls) > tol:
-            res.violations.append(f"n={n}: theta sum for sigma off by more than {tol}")
-        if abs((s1 + s2) - (ls - lr)) > tol:
-            res.violations.append(f"n={n}: quotient log split off by more than {tol}")
+    worst = (0.0, grid[0], names[0])  # |difference| / bound, n, comparison
+    for part, _, ratio, bound in analytics._checked(grid, t, analytics._scan_setup(grid, t), 1):
+        res.cases += len(part)
+        for i, j in zip(*(~(ratio <= 1.0)).nonzero()):  # a NaN fails too
+            res.violations.append(f"n={part[i]}: {names[j]} off by more than {bound[i, j]}")
+        i, j = divmod(int(ratio.argmax()), 3)
+        worst = max(worst, (float(ratio[i, j]), part[i], names[j]))
+    res.notes.append(f"worst |difference| / bound = {worst[0]:.3g}, {worst[2]} at n = {worst[1]}")
     return res
 
 

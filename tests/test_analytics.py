@@ -237,7 +237,7 @@ def test_table_and_check_rows_hold_one_block_at_a_time():
     for ns, route in (
         (window, lambda: list(analytics._table_rows(window, t))),
         (grid, lambda: list(analytics._table_rows(grid, t))),
-        (grid, lambda: analytics._factorial_sums(grid, t)),
+        (grid, lambda: analytics._factorial_sums(grid, t, None)),
     ):
         tracemalloc.start()
         try:
@@ -249,8 +249,9 @@ def test_table_and_check_rows_hold_one_block_at_a_time():
 
 
 def test_theta_identities_report_a_prime_cut_short(monkeypatch):
-    # eq14-16 in blocks of many grid points; with the check route's last prime
-    # dropped, the grid points that use it, and only those, are reported
+    # eq14-16 in blocks of many grid points; with the check route's largest
+    # prime, 173, dropped from every list it reads, the grid points that use
+    # it, and only those, are reported
     monkeypatch.setattr(analytics, "_TABLE_BLOCK_CELLS", 300)
     monkeypatch.setattr(primes, "_default_table", PrimeTable())
     res = verify.check_theta_identities(30_000)
@@ -258,7 +259,8 @@ def test_theta_identities_report_a_prime_cut_short(monkeypatch):
 
     class Short(PrimeTable):
         def primes_up_to(self, x):
-            return super().primes_up_to(x)[:-1]
+            ps = super().primes_up_to(x)
+            return ps[ps != 173]
 
     monkeypatch.setattr(primes, "_default_table", Short())
     res = verify.check_theta_identities(30_000, points=300)
@@ -323,7 +325,7 @@ def test_check_route_within_its_budget_of_exact_logs():
     ns = list(range(3001))
     rho_ref, sigma_ref = (np.array(v) for v in zip(*_exact_logs(3000)))
     t = PrimeTable()
-    rhos, sigmas = analytics._factorial_sums(ns, t)
+    rhos, sigmas = analytics._factorial_sums(ns, t, None)
     budget = analytics._factorial_budget(np.array(ns, dtype=np.float64))
     ulp = np.spacing(np.maximum(rho_ref, sigma_ref))
     assert np.all(np.abs(rhos - rho_ref) <= budget + ulp)
@@ -362,15 +364,15 @@ def test_check_route_in_blocks_equals_one_n_at_a_time(monkeypatch):
     t = PrimeTable(math.isqrt(1 << 26) + 2)
     ns = list(range(0, 200)) + list(range((1 << 20) - 300, (1 << 20) + 300, 7))
     ns += [LUCY_THRESHOLD - 1, LUCY_THRESHOLD, LUCY_THRESHOLD + 1, 4093**2 - 1, 4093**2, 1 << 26]
-    one = [tuple(float(v[0]) for v in analytics._factorial_sums([n], t)) for n in ns]
+    one = [tuple(float(v[0]) for v in analytics._factorial_sums([n], t, None)) for n in ns]
     assert t.limit == math.isqrt(1 << 26) + 2  # the route grew no table
     grown = PrimeTable(LUCY_THRESHOLD + 2)
-    assert [tuple(float(v[0]) for v in analytics._factorial_sums([n], grown)) for n in ns] == one
+    assert [tuple(float(v[0]) for v in analytics._factorial_sums([n], grown, None)) for n in ns] == one
     i = ns.index(LUCY_THRESHOLD)
     assert any(a < i < b for a, b in analytics._blocks(math.isqrt(n) for n in ns))
     for cells in (analytics._TABLE_BLOCK_CELLS, 300):
         monkeypatch.setattr(analytics, "_TABLE_BLOCK_CELLS", cells)
-        rhos, sigmas = analytics._factorial_sums(ns, t)
+        rhos, sigmas = analytics._factorial_sums(ns, t, None)
         assert list(zip(rhos.tolist(), sigmas.tolist())) == one, cells
         assert analytics._factorial_rho(ns, t).tolist() == rhos.tolist(), cells
     sizes = [b - a for a, b in analytics._blocks(math.isqrt(n) for n in ns)]
@@ -385,9 +387,9 @@ def test_check_route_on_fresh_tables_equals_a_grown_table():
     grown = PrimeTable(3002)
     for n in range(3001):
         fresh = PrimeTable()
-        got = tuple(float(v[0]) for v in analytics._factorial_sums([n], fresh))
+        got = tuple(float(v[0]) for v in analytics._factorial_sums([n], fresh, None))
         assert fresh.limit <= max(8, math.isqrt(n) + 1), n
-        assert got == tuple(float(v[0]) for v in analytics._factorial_sums([n], grown)), n
+        assert got == tuple(float(v[0]) for v in analytics._factorial_sums([n], grown, None)), n
 
 
 def test_residual_rho_dyadic_sup(c_mid):
@@ -555,14 +557,11 @@ def test_one_n_functions_take_the_scan_route():
 
 def _lucy_checked_rows(n, t):
     """(log rho, log sigma) of the scan row at n, and of the check route, and
-    the bounds the two must meet: _rho_budget for log rho, and for log sigma
-    its counterpart, _row_budget at shift 1 in place of shift 0."""
+    the bounds the two must meet: _theta_budget at shift 0 and 1."""
     lr, ls, *_ = analytics._lucy_row(n, t)
-    rho, sigma = (float(v[0]) for v in analytics._factorial_sums([n], t))
-    rho_bound = float(analytics._rho_budget([n], np.array([lr]), t)[0])
-    sigma_bound = rho_bound - _row_budget(n, 0) + _row_budget(n, 1)
-    sigma_bound += 2.0**-52 * (2 * math.sqrt(n) + 1) * (ls - lr)
-    return (lr, ls), (rho, sigma), (rho_bound, sigma_bound)
+    rho, sigma = (float(v[0]) for v in analytics._factorial_sums([n], t, None))
+    bounds = [analytics._theta_budget([n], np.array([v]), t, s)[0] for s, v in ((0, lr), (1, ls))]
+    return (lr, ls), (rho, sigma), bounds
 
 
 def test_check_route_against_lucy_rows():
@@ -596,7 +595,7 @@ def test_scan_catches_theta_raised_at_one_quotient(monkeypatch):
         return pi, (at_small, at_v)
 
     (rec,) = scan([_MUTANT_N], c=0.0)
-    budget = analytics._rho_budget([_MUTANT_N], np.array([rec.log_rho]), default_table())
+    budget = analytics._theta_budget([_MUTANT_N], np.array([rec.log_rho]), default_table(), 0)
     assert float(budget[0]) < 10
     monkeypatch.setattr(analytics, "_lucy", lucy)
     _scan_raises(_MUTANT_N)
@@ -648,11 +647,73 @@ def test_scan_catches_the_theta_prefix_raised_by_one():
     i = int(ps.searchsorted(n // 2, side="right"))
     assert n // 3 < ps[i - 1] <= n // 2 < ps[i] <= n
     (rec,) = scan([n], table=t, c=0.0)
-    assert float(analytics._rho_budget([n], np.array([rec.log_rho]), t)[0]) < 0.01
+    assert float(analytics._theta_budget([n], np.array([rec.log_rho]), t, 0)[0]) < 0.01
     prefix = prefix.copy()
     prefix[i] += 1
     t._arrays = mask, ps, prefix
     _scan_raises(n, t)
+
+
+def _last_composite_k(n):
+    """The largest k <= sqrt(n) with n // k + 1 composite."""
+    return next(k for k in range(math.isqrt(n), 0, -1) if not primes.is_probable_prime(n // k + 1))
+
+
+def _flagged_row_fails(capsys, n, *more):
+    """scan, verify eq14-16 at n alone and theta_sum_sigma on the row at n,
+    one of whose composite n // k + 1 is flagged prime: each fails on log
+    sigma, and the verify reports the violations more after it."""
+    error = f"log sigma disagrees with Legendre's formula at n={n}"
+    assert cli.main(["scan", "--grid", f"list:{n}", "--nmax", str(n)]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    res = verify.check_theta_identities(n, points=1)
+    assert [v.split(" off")[0] for v in res.violations] == [f"n={n}: theta sum for sigma", *more]
+    with pytest.raises(ArithmeticError, match=error):
+        theta_sum_sigma(n)
+
+
+def test_a_composite_flagged_prime_in_a_row_fails_on_log_sigma(monkeypatch, capsys):
+    # one composite n // k + 1 flagged prime in a row's assembly, not in the
+    # table: log sigma and s1 gain the same log and card_A one, so only the
+    # check route's own flags see it.  First in _rows' prime_q on a table
+    # row near 2^20, then from _quotient_flags on the Lucy row at _MUTANT_N
+    n = (1 << 20) + 12345
+    k = _last_composite_k(n)
+    real_rows = analytics._rows
+
+    def rows(ns, q, rho_q, prime_q, rho_v, mask):
+        if n in ns:
+            prime_q = prime_q.copy()
+            prime_q[list(ns).index(n), k - 1] = True
+        return real_rows(ns, q, rho_q, prime_q, rho_v, mask)
+
+    monkeypatch.setattr(analytics, "_rows", rows)
+    # the split's 1e-6 n, about 1.05 here, sees the log too; at 2^30 it does not
+    _flagged_row_fails(capsys, n, f"n={n}: quotient log split")
+    monkeypatch.undo()
+    k = _last_composite_k(_MUTANT_N)
+    real_flags = analytics._quotient_flags
+
+    def flags(m, small, t):
+        out = real_flags(m, small, t)
+        out[k - 1] |= m == _MUTANT_N
+        return out
+
+    monkeypatch.setattr(analytics, "_quotient_flags", flags)
+    _flagged_row_fails(capsys, _MUTANT_N)
+
+
+def test_theta_budgets_stay_within_the_verify_tolerance():
+    # both budgets at most eq14-16's 1e-6 max(1, n), with the row's sum taken
+    # as n log(n + 1) + 2 n, above log sigma(n) <= log n! + psi(n + 1)
+    # (Prop 3); a Lucy row's sum passes the tolerance from about 2^45 on, so
+    # at 2^48 the budget is the tolerance itself
+    t = PrimeTable()
+    for n in (1, LUCY_THRESHOLD - 1, LUCY_THRESHOLD, _MUTANT_N, 1 << 40, 1 << 44, 1 << 48):
+        tol = 1e-6 * max(1, n)
+        for shift in (0, 1):
+            budget = analytics._theta_budget([n], np.array([n * math.log(n + 1) + 2 * n]), t, shift)
+            assert 0 < budget[0] <= tol and (budget[0] == tol) == (n == 1 << 48), (n, shift)
 
 
 def _lucy_row_by_parts(n, t):

@@ -335,6 +335,15 @@ def test_verify_theorem2_and_theta(capsys):
     assert code == 0
     code, out, _ = run_cli(capsys, "verify", "eq14-16", "--nmax", "2000")
     assert code == 0
+    # one note: the worst |difference| / bound, its comparison and its n
+    note, ok = out.splitlines()
+    assert ok == "ok: eq14-16 passed on 1000 cases"
+    prefix = "note: worst |difference| / bound = "
+    ratio, where = note.removeprefix(prefix).split(", ")
+    what, n = where.split(" at n = ")
+    assert note.startswith(prefix) and 0 < float(ratio) <= 1
+    assert what in ("theta sum for rho", "theta sum for sigma", "quotient log split")
+    assert 1 <= int(n) <= 2000
 
 
 def test_triangle_output(capsys, tmp_path):
@@ -543,7 +552,7 @@ def test_streamed_scan_bytes_equal_the_whole_list_writers(capsys, tmp_path):
 
 def test_a_scan_failing_in_a_later_chunk(capsys, tmp_path, monkeypatch):
     # the row at bad, in the third checked chunk, gets its log rho raised by
-    # one, which the split check catches
+    # one, which the check of log rho against Legendre's formula catches
     from lcmf import analytics
 
     chunk, start = analytics._CHECK_ROWS, 1 << 16
@@ -557,7 +566,7 @@ def test_a_scan_failing_in_a_later_chunk(capsys, tmp_path, monkeypatch):
             yield (row[0] + 1.0, *row[1:]) if n == bad else row
 
     monkeypatch.setattr(analytics, "_table_rows", raised)
-    error = f"error: quotient log split disagrees with log gap at n={bad}\n"
+    error = f"error: log rho disagrees with Legendre's formula at n={bad}\n"
     # on stdout: the rows of the chunks before it, then the error
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (1, error)
