@@ -3,29 +3,36 @@
 The headline quantities are log rho(n) and log sigma(n).  Both admit exact
 rewrites as sums of theta values over the ~2 sqrt(n) distinct quotients n//k,
 and their gap is the log-sum over k of the prime quotient values
-floor(n/k + 1).  Both routes below hand _rows theta at q = n // k and the
-primality of q + 1; it sums every field of a row, sigma's as theta plus those
-logs.  The check route, Legendre's formula for n! (_factorial_sums), needs
-the primes up to sqrt(n) + 1 alone; _checked compares every row of scan,
-verify eq14-16 and the one-n functions with it, log rho and log sigma within
-stated budgets and s1 + s2 with its gap, so its own primality tests check
-the flags behind s1 and card_A.  Residuals subtract n log n - (c+1) n and
-n log n - n, where c is the sum over primes of log p / (p (p-1)): scans take
-it from analytic_constant(), the float of an analytic series, and
+floor(n/k + 1).  The theta-sum routes below hand _rows theta at q = n // k
+and the primality of q + 1; it sums every field of a row, sigma's as theta
+plus those logs, and card_A, s1 and s2 through _prime_quotients.  The check
+route, Legendre's formula for n! over the prime powers (_factorial_sums),
+needs the primes up to sqrt(n) + 1 alone; _checked compares every row of
+scan, verify eq14-16 and the one-n functions with it, log rho and log sigma
+within stated budgets and s1 + s2 with its gap, so its own primality tests
+check the flags behind s1 and card_A.  Residuals subtract n log n - (c+1) n
+and n log n - n, where c is the sum over primes of log p / (p (p-1)): scans
+take it from analytic_constant(), the float of an analytic series, and
 prime_series_constant() encloses it rigorously.
 
-The route of a row depends on n alone (_scan_rows).  Below LUCY_THRESHOLD
-(2^22) theta and primality are lookups in a prime table up to n + 2, about
-1 + 16 / ln n bytes per integer, taken for a block of n at a time
-(_table_rows).  From it on, each row is a block of one (_lucy_row): theta at
-every quotient comes from Lucy's sieve (_lucy) in O(n**(3/4)) time and
-O(sqrt n) memory, with a table only up to sqrt(n) + 2, and the primality of
-n // k + 1 from one sieved window above sqrt(n) and, for the few values
-past it, Miller-Rabin (_quotient_flags).  Each row sums in a
-fixed order over its own arrays, so scan output is reproducible bit for bit
-on one platform whatever the grid, its blocks or the worker count.  A scan
-is one stream of records in n order, checked a chunk of rows at a time
-(_records), which the writers take as it comes.
+The route of a row depends on n and on what the caller reads (_scan_rows).
+Below LUCY_THRESHOLD (2^22) theta and primality are lookups in a prime
+table up to n + 2, about 1 + 16 / ln n bytes per integer, taken for a block
+of n at a time (_table_rows), for every caller.  From it on, with a table
+only up to sqrt(n) + 2, a scan row and the one-n functions that read no
+theta (s_split, quotient_prime_count) take _legendre_row, in O(sqrt n):
+log rho from Legendre's formula one prime at a time, and card_A, s1 and s2
+from _prime_quotients, with the primality of n // k + 1 from one sieved
+window above sqrt(n) and, for the few values past it, Miller-Rabin
+(_quotient_flags); log sigma is log rho + (s1 + s2).  verify eq14-16 and
+theta_sum_rho and theta_sum_sigma, which check the theta sums themselves,
+take a block of one of _rows (_lucy_row) with theta at every quotient from
+Lucy's sieve (_lucy), in O(n**(3/4)) time and O(sqrt n) memory, and the
+same flags.  Each row sums in a fixed order over its own arrays, so scan
+output is reproducible bit for bit on one platform whatever the grid, its
+blocks or the worker count.  A scan is one stream of records in n order,
+checked a chunk of rows at a time (_records), which the writers take as it
+comes.
 """
 
 from __future__ import annotations
@@ -276,19 +283,18 @@ def _factorial_budget(n):
 _Row = tuple[float, float, int, float, float]  # (log_rho, log_sigma, card_A, s1, s2)
 
 
-def _rows(ns: list[int], q, rho_q, prime_q, rho_v, mask) -> list[_Row]:
-    """(log_rho, log_sigma, card_A, s1, s2) of each n of a block of ascending
-    ns: the one row assembly of both scan routes.
+def _prime_quotients(ns: list[int], q, prime_q, mask):
+    """((card_A, s1, s2), (flagged, logs, hit, hit_log)) of a block of
+    ascending ns laid out as _rows takes it: the one sum of the prime
+    quotient values n // k + 1, which _rows and _legendre_row both call.
 
-    Row i of q holds n // k for k = 1..w, w = top + 1 of the widest row, with
-    r = isqrt(n) and top = n // (r + 1).  rho_q and prime_q hold theta(n // k)
-    and the primality of n // k + 1 for k <= r, in rows of their own stride;
-    rho_v holds theta(v) at index v < w, and mask the primality of 0..w or
-    more.  theta(v + 1) is theta(v) plus log(v + 1), the log s1 or s2 takes,
-    where v + 1 is prime.  The large quotients v <= top weigh
-    mult = n // v - n // (v + 1), the number of k > r with n // k == v.  Each
-    row sums with np.add.reduce over its own slices (_slice_sums): the values
-    and the order of a row do not depend on the block, so neither do its sums.
+    card_A counts and s1 sums log(n // k + 1) over the flagged cells of
+    prime_q, row after row, row i's small quotients being the cells from
+    i stride to i stride + r; s2 sums mult = n // v - n // (v + 1) times
+    log(v + 1) over the large v <= top with v + 1 prime on mask.  flagged,
+    the flat indices of those cells, logs, hit, the v - 1 of the v < w with
+    v + 1 prime, and hit_log, log(v + 1) at each, are what _rows adds to
+    theta for sigma.  Each row sums over its own cells, in a fixed order.
     """
     roots = [math.isqrt(n) for n in ns]
     tops = [n // (r + 1) for n, r in zip(ns, roots)]
@@ -296,26 +302,46 @@ def _rows(ns: list[int], q, rho_q, prime_q, rho_v, mask) -> list[_Row]:
     hit = np.flatnonzero(mask[2 : w + 1])  # the v < w with v + 1 prime, as v - 1
     hit_log = np.log(hit + 2)
     hits = hit.searchsorted(tops).tolist()  # how many large v with v + 1 prime, per row
-    # card_A and s1: the flagged cells, row after row; row i's small
-    # quotients are the cells from i stride to i stride + r
     flagged = np.flatnonzero(prime_q)
     logs = np.log(q[:, :stride].ravel()[flagged] + 1)
     bounds = [c for i, r in enumerate(roots) for c in (i * stride, i * stride + r)]
     cuts = flagged.searchsorted(bounds).tolist()
+    s1 = [float(np.add.reduce(logs[cuts[i] : cuts[i + 1]])) for i in range(0, len(cuts), 2)]
+    card = [cuts[i + 1] - cuts[i] for i in range(0, len(cuts), 2)]
+    h = hit[: hits[-1]]  # v - 1 at each large v with v + 1 prime: mult is q[:, h] - q[:, h + 1]
+    s2 = _slice_sums((q[:, h] - q[:, h + 1]) * hit_log[: hits[-1]], hits).tolist()
+    return (card, s1, s2), (flagged, logs, hit, hit_log)
+
+
+def _rows(ns: list[int], q, rho_q, prime_q, rho_v, mask) -> list[_Row]:
+    """(log_rho, log_sigma, card_A, s1, s2) of each n of a block of ascending
+    ns: the one row assembly of the theta-sum routes.
+
+    Row i of q holds n // k for k = 1..w, w = top + 1 of the widest row, with
+    r = isqrt(n) and top = n // (r + 1).  rho_q and prime_q hold theta(n // k)
+    and the primality of n // k + 1 for k <= r, in rows of their own stride;
+    rho_v holds theta(v) at index v < w, and mask the primality of 0..w or
+    more.  card_A, s1 and s2 are _prime_quotients'.  theta(v + 1) is theta(v)
+    plus log(v + 1), the log s1 or s2 takes, where v + 1 is prime.  The large
+    quotients v <= top weigh mult = n // v - n // (v + 1), the number of
+    k > r with n // k == v.  Each row sums with np.add.reduce over its own
+    slices (_slice_sums): the values and the order of a row do not depend on
+    the block, so neither do its sums.
+    """
+    roots = [math.isqrt(n) for n in ns]
+    tops = [n // (r + 1) for n, r in zip(ns, roots)]
+    w = q.shape[1]
+    (card, s1, s2), (flagged, logs, hit, hit_log) = _prime_quotients(ns, q, prime_q, mask)
     # theta(v + 1): copies of theta, plus the logs of s1 and s2 where v + 1 is prime
     sigma_q, sigma_v = rho_q.copy(), rho_v[:w].copy()
     sigma_q.flat[flagged] += logs
     sigma_v[hit + 1] += hit_log
     mult = q[:, :-1] - q[:, 1:]  # at v = 1..w-1
     mult_rho, mult_sigma = mult * rho_v[1:w], mult * sigma_v[1:]
-    # s2: mult times log(v + 1) at the large v with v + 1 prime
-    mult_s2 = mult[:, hit[: hits[-1]]] * hit_log[: hits[-1]]
     del mult
     rho = _slice_sums(rho_q, roots) + _slice_sums(mult_rho, tops)
     sigma = _slice_sums(sigma_q, roots) + _slice_sums(mult_sigma, tops)
-    s1 = [float(np.add.reduce(logs[cuts[i] : cuts[i + 1]])) for i in range(0, len(cuts), 2)]
-    card = [cuts[i + 1] - cuts[i] for i in range(0, len(cuts), 2)]
-    return list(zip(rho.tolist(), sigma.tolist(), card, s1, _slice_sums(mult_s2, hits).tolist()))
+    return list(zip(rho.tolist(), sigma.tolist(), card, s1, s2))
 
 
 def _table_rows(ns: list[int], t: PrimeTable) -> Iterator[_Row]:
@@ -345,19 +371,22 @@ def _table_rows(ns: list[int], t: PrimeTable) -> Iterator[_Row]:
 
 # -- Lucy's sieve ---------------------------------------------------------------------
 
-# Scan rows for n >= LUCY_THRESHOLD come from Lucy's sieve, rows below it from
-# the prime table.  At 2^22 a Lucy row takes about 3 ms and a table row 0.19 ms
-# alone or 0.14 ms in a step:1 window (2-vCPU VM), but only after a table up
-# to n + 2, which takes 28 ms to build and holds 1 + 16 / ln n bytes per
-# integer.  Dense step:1 windows near 2^20 stay on the table.  The route
-# depends on n alone, so a row is the same whatever the grid.
+# Rows for n >= LUCY_THRESHOLD need a table only up to sqrt(n) + 2: a scan's
+# from Legendre's formula (_legendre_row), the theta sums' from Lucy's sieve
+# (_lucy_row); rows below it come from the prime table.  At 2^22 a Lucy row
+# takes about 3 ms, a _legendre_row 0.8 ms and a table row 0.19 ms alone or
+# 0.14 ms in a step:1 window (2-vCPU VM), but only after a table up to n + 2,
+# which takes 28 ms to build and holds 1 + 16 / ln n bytes per integer.
+# Dense step:1 windows near 2^20 stay on the table.  The route depends on n
+# and on whether the caller reads theta sums, never on the grid.
 LUCY_THRESHOLD = 1 << 22
 _PREFILTER_PRIMES = 32  # trial-divide by this many primes, the 14 bases among them
-# a Lucy row sieves the n // k + 1 in [n // r + 1, n // r + 1 + _WINDOW_ROOTS r],
-# r = isqrt(n), the k from about n / ((_WINDOW_ROOTS + 1) r) to r.  At 2^40 +
-# 12345 the flags took 191, 140, 96, 90 and 158 ms at widths 2, 4, 8, 16 and
-# 32 r (one CPU of a 2-vCPU VM); 16 r led 8 r by under a tenth at every n from
-# 2^23 on, not worth twice the window's bytes
+# a row from LUCY_THRESHOLD on sieves the n // k + 1 in [n // r + 1,
+# n // r + 1 + _WINDOW_ROOTS r], r = isqrt(n), the k from about
+# n / ((_WINDOW_ROOTS + 1) r) to r.  At 2^40 + 12345 the flags took 191, 140,
+# 96, 90 and 158 ms at widths 2, 4, 8, 16 and 32 r (one CPU of a 2-vCPU VM);
+# 16 r led 8 r by under a tenth at every n from 2^23 on, not worth twice the
+# window's bytes
 _WINDOW_ROOTS = 8
 _LUCY_BATCH_CELLS = 1 << 16  # start values, or phase-2 (p, k) pairs, per chunk of _lucy
 # quotients of a block of table rows, or (n, prime power) and (n, k) cells of a
@@ -370,7 +399,7 @@ _CHECK_ROWS = _TABLE_BLOCK_CELLS >> 5
 
 
 def _row_bytes(n: int) -> int:
-    """An upper estimate of a scan row's peak bytes at n, its table already built.
+    """An upper estimate of a Lucy row's peak bytes at n, its table already built.
 
     The fixed term is ten int64 or float64 arrays of one _lucy chunk, the
     other the arrays of sqrt(n) or 2 sqrt(n) entries, 125 B per sqrt(n), and
@@ -380,10 +409,23 @@ def _row_bytes(n: int) -> int:
     more per sqrt(n) between those two, with the window and without it: the
     chunk's arrays set the peak at the small n, _lucy's sqrt(n) arrays at the
     large, and the window, held after them, stays below it.  A row's check
-    (_factorial_sums, _theta_budget), beside the rows in flight if workers >
-    1, peaked at up to 50 B per sqrt(n), within the margin of two rows.
+    (_factorial_sums, _theta_budget), which takes both of _row_budget's
+    shifts from one set of quotients, peaked at up to 42 B per sqrt(n),
+    below the row's own peak.
     """
     return 80 * _LUCY_BATCH_CELLS + (125 + _WINDOW_ROOTS) * math.isqrt(n)
+
+
+def _legendre_bytes(n: int) -> int:
+    """An upper estimate of the peak bytes of a _legendre_row at n with its
+    check, the table already built: a block's arrays (_TABLE_BLOCK_CELLS)
+    and 48 B per sqrt(n).  By tracemalloc a row and its check peaked at
+    1.21 MB at 2^30 + 12345 and 7.71 MB at 2^36 + 12345, 36.9 and 29.4 B per
+    sqrt(n), the check route's arrays (_factorial_sums) setting the peak;
+    the row alone, its quotients, flags and sieved window, held 25 B.  So
+    with workers > 1 the rows in flight and one check stay within the
+    estimate of that many rows."""
+    return 80 * _TABLE_BLOCK_CELLS + 48 * math.isqrt(n)
 
 
 _LOG_FACTORIAL_CUT = 20  # log v! from a table below it, from Stirling's series at and above
@@ -542,7 +584,7 @@ def _prime_flags(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """Primality of each x in xs, where every x exceeds every prime in ps and
     ps holds every base that x's Miller-Rabin round uses (primes._MR_BOUNDS):
     2 alone below 2047, and never more than the 14 primes up to 43.  It
-    serves the n // k + 1 above a Lucy row's window (_quotient_flags) and
+    serves the n // k + 1 above a row's window (_quotient_flags) and
     the v + 1 past the table in the check route (_factorial_sums).
 
     Trial division by ps, vectorised, drops most composites, and every
@@ -558,7 +600,7 @@ def _prime_flags(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
 
 
 def _window(n: int) -> tuple[int, int]:
-    """(lo, end) of the window that the Lucy row of n sieves (_quotient_flags).
+    """(lo, end) of the window that a row of n >= LUCY_THRESHOLD sieves (_quotient_flags).
     end does not decrease as n grows."""
     r = math.isqrt(n)
     lo = n // r + 1
@@ -583,45 +625,47 @@ def _quotient_flags(n: int, small: np.ndarray, t: PrimeTable) -> np.ndarray:
     return flags
 
 
-def _scan_rows(ns: list[int], t: PrimeTable, workers: int = 1) -> Iterator[_Row]:
+def _scan_rows(ns: list[int], t: PrimeTable, workers: int, theta: bool) -> Iterator[_Row]:
     """The rows of the ascending ns >= 1 in turn: those below LUCY_THRESHOLD
-    from one call of _table_rows, the others one _lucy_row each, here or,
-    with workers > 1, on a pool of that many threads (numpy's array loops
-    release the GIL), submitted in n order with at most workers in flight.
-    A row on a thread must not change t (_scan_setup)."""
+    from one call of _table_rows, the others one row each, a _lucy_row where
+    theta sums are asked for (theta) and else a _legendre_row, here or, with
+    workers > 1, on a pool of that many threads (numpy's array loops release
+    the GIL), submitted in n order with at most workers in flight.  A row on
+    a thread must not change t (_scan_setup)."""
     light = bisect.bisect_left(ns, LUCY_THRESHOLD)
     yield from _table_rows(ns[:light], t)
-    heavy = ns[light:]
+    heavy, row = ns[light:], _lucy_row if theta else _legendre_row
     if workers <= 1 or len(heavy) <= 1:
         for n in heavy:
-            yield _lucy_row(n, t)
+            yield row(n, t)
         return
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(min(workers, len(heavy))) as pool:
-        flight = collections.deque(pool.submit(_lucy_row, n, t) for n in heavy[:workers])
+        flight = collections.deque(pool.submit(row, n, t) for n in heavy[:workers])
         for n in heavy[workers:]:
-            row = flight.popleft().result()
-            flight.append(pool.submit(_lucy_row, n, t))
-            yield row
+            done = flight.popleft().result()
+            flight.append(pool.submit(row, n, t))
+            yield done
         for future in flight:
             yield future.result()
 
 
-def _one_row(n: int, table: PrimeTable | None) -> ScanRecord:
-    """The scan record of the one n at c = 0, checked (_records)."""
+def _one_row(n: int, table: PrimeTable | None, theta: bool) -> ScanRecord:
+    """The record of the one n at c = 0, checked (_records): a theta-sum row
+    if theta, else the scan's row."""
     t = _primes._table(table)
-    return next(_records([n], 0.0, t, _scan_setup([n], t)))
+    return next(_records([n], 0.0, t, _scan_setup([n], t, 1, theta), 1, theta))
 
 
 def theta_sum_rho(n: int, table: PrimeTable | None = None) -> float:
     """Sum over k = 1..n of theta(n / k); identical to log rho(n) exactly."""
-    return _one_row(n, table).log_rho
+    return _one_row(n, table, True).log_rho
 
 
 def theta_sum_sigma(n: int, table: PrimeTable | None = None) -> float:
     """Sum over k = 1..n of theta(n / k + 1); identical to log sigma(n)."""
-    return _one_row(n, table).log_sigma
+    return _one_row(n, table, True).log_sigma
 
 
 def s_split(n: int, table: PrimeTable | None = None) -> tuple[float, float, float]:
@@ -631,13 +675,13 @@ def s_split(n: int, table: PrimeTable | None = None) -> tuple[float, float, floa
     quotients), and s_total = s1 + s2 by construction.  s_total equals
     log sigma(n) - log rho(n) up to float accumulation.
     """
-    rec = _one_row(n, table)
+    rec = _one_row(n, table, False)
     return rec.s1 + rec.s2, rec.s1, rec.s2
 
 
 def quotient_prime_count(n: int, table: PrimeTable | None = None) -> int:
     """Number of k <= sqrt(n) for which floor(n/k + 1) is prime (card_A)."""
-    return _one_row(n, table).card_A
+    return _one_row(n, table, False).card_A
 
 
 # -- scans --------------------------------------------------------------------------
@@ -682,22 +726,74 @@ def _lucy_row(n: int, t: PrimeTable) -> _Row:
     return row
 
 
-def _row_budget(n: int, shift: int, updates: int) -> float:
-    """The sum over k = 1..n of _s1_budget(n // k + shift, updates): the budget
-    of a Lucy row's sum of theta(n // k + shift) from the errors of its S1."""
-    q = n // np.arange(1, n // (math.isqrt(n) + 1) + 2, dtype=np.int64)
-    small = _s1_budget(q[: math.isqrt(n)] + shift, updates)
-    large = _s1_budget(np.arange(1, len(q), dtype=np.int64) + shift, updates)
-    return float(np.add.reduce(small) + np.add.reduce((q[:-1] - q[1:]) * large))
+def _legendre_exponents(n: int, ps: np.ndarray) -> np.ndarray:
+    """e_p = sum over e >= 2 of n // p**e at each prime p <= sqrt(n) of the
+    ascending ps, int64: n // p divided by p again and again.  As n // p**e
+    falls as p grows, the p with a nonzero quotient are a prefix of ps, and
+    each step divides that prefix alone."""
+    q, e, m = n // ps, np.zeros(len(ps), dtype=np.int64), len(ps)
+    while m:
+        q = q[:m] // ps[:m]
+        m = int(np.count_nonzero(q))
+        e[:m] += q[:m]
+    return e
 
 
-def _theta_budget(ns, sums, t: PrimeTable, shift: int) -> np.ndarray:
-    """Budget on |a row's sum of theta(n // k + shift), k = 1..n, minus
-    _factorial_sums' value| (log rho at shift 0, log sigma at 1) at each
-    n >= 1 of ns, whose rows' sums are sums; with u = 2**-52 the sum of
+def _legendre_row(n: int, t: PrimeTable) -> _Row:
+    """(log_rho, log_sigma, card_A, s1, s2) of n >= LUCY_THRESHOLD: the scan's
+    row, in O(sqrt n), with the table up to sqrt(n) + 2 (_scan_setup).
+
+    By Legendre's formula, log rho(n) = log n! - sum over primes p <= sqrt(n)
+    of e_p log p (_legendre_exponents), one term per prime.  card_A, s1 and
+    s2 are _prime_quotients' over the arrays that _lucy_row hands _rows: the
+    primality of n // k + 1, k <= sqrt(n), from _quotient_flags, and of the
+    large v + 1 <= sqrt(n) + 1 from the bitmap; so they equal _lucy_row's
+    bit for bit.  s1 + s2 is the log-sum of the prime n // k + 1 over
+    k = 1..n, log sigma(n) - log rho(n), so log sigma = log rho + (s1 + s2).
+
+    Both values are within _factorial_budget(n) of the exact ones, by that
+    budget's own count: log n! is the check route's; log rho subtracts
+    pi(sqrt n) <= sqrt(n) terms of total under 0.755 n, and s1 and s2 add
+    at most sqrt(n) terms each, of total log sigma(n) - log rho(n), each
+    term within 5 units (np.log, the conversion of e_p or mult, the
+    product); the sums and the two closing sums round as the route's do.
+    """
+    r = math.isqrt(n)
+    q = n // np.arange(1, n // (r + 1) + 2, dtype=np.int64)
+    flags = _quotient_flags(n, q[:r], t)[None]
+    (card,), (s1,), (s2,) = _prime_quotients([n], q[None], flags, t.prime_mask(r + 1))[0]
+    del q, flags
+    ps = t.primes_up_to(r)
+    lf = _log_factorial(np.array([n], dtype=np.int64))[0]
+    rho = float(lf - np.add.reduce(_legendre_exponents(n, ps) * np.log(ps)))
+    return rho, rho + (s1 + s2), card, s1, s2
+
+
+def _row_budget(n: int, updates: int) -> tuple[float, float]:
+    """The sums over k = 1..n of _s1_budget(n // k + shift, updates) at
+    shift 0 and 1, from one set of quotients: the budgets of a Lucy row's
+    sums of theta(n // k) and theta(n // k + 1) from the errors of its S1.
+    The large quotients' terms at both shifts are slices of one array."""
+    r = math.isqrt(n)
+    q = n // np.arange(1, n // (r + 1) + 2, dtype=np.int64)
+    small = [np.add.reduce(_s1_budget(q[:r] + shift, updates)) for shift in (0, 1)]
+    mult, top = q[:-1] - q[1:], len(q) - 1  # mult at v = 1..top
+    del q
+    at = _s1_budget(np.arange(1, top + 2, dtype=np.int64), updates)  # at v = 1..top + 1
+    return tuple(float(small[s] + np.add.reduce(mult * at[s : s + top])) for s in (0, 1))
+
+
+def _theta_budget(ns, rho, sigma, t: PrimeTable, theta: bool) -> np.ndarray:
+    """Budgets on |a row's log rho(n) and log sigma(n) - _factorial_sums'
+    values|, in columns 0 and 1, at each n >= 1 of ns, whose rows' values
+    are rho and sigma.
+
+    A theta-sum row's value is its sum of theta(n // k + shift), k = 1..n,
+    shift 0 for log rho and 1 for log sigma; with u = 2**-52 its budget is
+    the sum of
 
     - theta's error at w = n // k + shift, by multiplicity: on a Lucy row
-      _row_budget(n, shift, pi(sqrt n)); on a table row, where theta(w) is
+      _row_budget(n, pi(sqrt n)); on a table row, where theta(w) is
       the prefix of np.log p (within 4 ulps; at shift 1 _rows adds log w as
       np.cumsum does), u (4 + pi(w) / 2) theta(w) <= 0.7 u w (w + 8)
       (pi(w) <= w, theta(w) < 1.39 w), summed over w <= n / k + shift under
@@ -705,34 +801,45 @@ def _theta_budget(ns, sums, t: PrimeTable, shift: int) -> np.ndarray:
     - the row's rounding, u (2 sqrt(n) + 1) sums over under 2 sqrt(n) terms:
       twice what they round, the rest covering a Lucy row's S1(v) + log(v + 1)
       at shift 1, under 4.5 u theta(v + 1) a cell;
-    - the check route's error, _factorial_budget(n);
+    - the check route's error, _factorial_budget(n).
 
-    and at most 1e-6 max(1, n), eq14-16's tolerance, which the sum passes on
-    Lucy rows from about 2^45."""
+    The rows from LUCY_THRESHOLD on are Lucy rows if theta, else
+    _legendre_rows, whose budget is 2 _factorial_budget(n): the row and the
+    check route are each within _factorial_budget(n) of the exact value.
+    Every budget is at most 1e-6 max(1, n), eq14-16's tolerance, which a
+    Lucy row's passes from about 2^45.
+    """
     n = np.array(ns, dtype=np.float64)
-    theta = 0.7 * 2.0**-52 * (
-        1.645 * n * n + (2 * shift + 8) * n * (1 + np.log(n)) + shift * (shift + 8) * n
-    )
-    for i in np.flatnonzero(n >= LUCY_THRESHOLD).tolist():
-        theta[i] = _row_budget(ns[i], shift, t.pi(math.isqrt(ns[i])))
-    budget = theta + 2.0**-52 * (2 * np.sqrt(n) + 1) * sums + _factorial_budget(n)
-    return np.minimum(budget, 1e-6 * np.maximum(1.0, n))
+    heavy = np.flatnonzero(n >= LUCY_THRESHOLD).tolist()
+    lucy = [_row_budget(ns[i], t.pi(math.isqrt(ns[i]))) for i in heavy] if theta else []
+    out = []
+    for shift, sums in ((0, rho), (1, sigma)):
+        err = 0.7 * 2.0**-52 * (
+            1.645 * n * n + (2 * shift + 8) * n * (1 + np.log(n)) + shift * (shift + 8) * n
+        )
+        for i, pair in zip(heavy, lucy):
+            err[i] = pair[shift]
+        out.append(err + 2.0**-52 * (2 * np.sqrt(n) + 1) * sums + _factorial_budget(n))
+    budget = np.stack(out, 1)
+    if not theta:
+        budget[heavy] = 2 * _factorial_budget(n[heavy])[:, None]
+    return np.minimum(budget, 1e-6 * np.maximum(1.0, n)[:, None])
 
 
-def _checked(ns, t: PrimeTable, powers, workers: int):
+def _checked(ns, t: PrimeTable, powers, workers: int, theta: bool):
     """(part, rows, ratio, bound) per chunk of _CHECK_ROWS rows of the
-    ascending ns (_scan_rows): ratio[i] is row i's |difference| / bound[i]
-    against the check route _factorial_sums, log rho and log sigma within
-    _theta_budget and s1 + s2 with the route's gap within 1e-6 max(1, n).
-    powers is _prime_powers at max(ns) or above."""
-    rows = _scan_rows(ns, t, workers)
+    ascending ns (_scan_rows, theta-sum rows if theta): ratio[i] is row i's
+    |difference| / bound[i] against the check route _factorial_sums, log rho
+    and log sigma within _theta_budget and s1 + s2 with the route's gap
+    within 1e-6 max(1, n).  powers is _prime_powers at max(ns) or above."""
+    rows = _scan_rows(ns, t, workers, theta)
     for a in range(0, len(ns), _CHECK_ROWS):
         part = ns[a : a + _CHECK_ROWS]
         chunk = list(itertools.islice(rows, len(part)))
         lr, ls, _, s1, s2 = np.array(chunk).T
         rho, sigma = _factorial_sums(part, t, powers)
         split = 1e-6 * np.maximum(1.0, np.array(part, dtype=np.float64))
-        bound = np.stack((_theta_budget(part, lr, t, 0), _theta_budget(part, ls, t, 1), split), 1)
+        bound = np.column_stack((_theta_budget(part, lr, ls, t, theta), split))
         off = np.stack((lr - rho, ls - sigma, (s1 + s2) - (sigma - rho)), 1)
         yield part, chunk, np.abs(off) / bound, bound
 
@@ -745,11 +852,14 @@ _FAILURES = (
 )
 
 
-def _records(ns, c: float, t: PrimeTable, powers, workers: int = 1) -> Iterator[ScanRecord]:
-    """The scan records of the ascending ns, a chunk of _checked at a time
-    once all its rows are within their bounds; else ArithmeticError at the
-    first row past one, naming its first failing comparison."""
-    for part, rows, ratio, _ in _checked(ns, t, powers, workers):
+def _records(
+    ns, c: float, t: PrimeTable, powers, workers: int = 1, theta: bool = False
+) -> Iterator[ScanRecord]:
+    """The records of the ascending ns, the scan's rows or, if theta, the
+    theta-sum rows, a chunk of _checked at a time once all its rows are
+    within their bounds; else ArithmeticError at the first row past one,
+    naming its first failing comparison."""
+    for part, rows, ratio, _ in _checked(ns, t, powers, workers, theta):
         bad = np.argwhere(~(ratio <= 1.0))  # a NaN fails too
         if len(bad):
             i, j = bad[0].tolist()
@@ -769,12 +879,15 @@ def _records(ns, c: float, t: PrimeTable, powers, workers: int = 1) -> Iterator[
             )
 
 
-def _scan_setup(ns, t: PrimeTable, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def _scan_setup(
+    ns, t: PrimeTable, workers: int = 1, theta: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """Set t up for _scan_rows over the ascending ns >= 1, with up to
-    workers Lucy rows in flight (_checked's callers): price the rows in
-    flight, min(workers, Lucy rows) and at least one, at _row_bytes(max(ns))
-    each, then grow t to n + 2 for the last n below LUCY_THRESHOLD and to
-    sqrt(max(ns)) + 2 and list the window primes.  The returned
+    workers rows from LUCY_THRESHOLD on in flight (_checked's callers): price
+    the rows in flight, min(workers, such rows) and at least one, at
+    _row_bytes(max(ns)) each for theta-sum rows and _legendre_bytes(max(ns))
+    for the scan's, then grow t to n + 2 for the last n below LUCY_THRESHOLD
+    and to sqrt(max(ns)) + 2 and list the window primes.  The returned
     _prime_powers(max(ns)), for _checked, derives the arrays; no row changes t."""
     if not ns or ns[0] < 1:
         raise ValueError("scan grid must be nonempty with n >= 1")
@@ -782,7 +895,7 @@ def _scan_setup(ns, t: PrimeTable, workers: int = 1) -> tuple[np.ndarray, np.nda
     light = bisect.bisect_left(ns, LUCY_THRESHOLD)
     rows = max(1, min(workers, len(ns) - light))
     what = f"a scan row at n = {top}" if rows == 1 else f"{rows} scan rows at once up to n = {top}"
-    _primes.require_memory(rows * _row_bytes(top), what)
+    _primes.require_memory(rows * (_row_bytes if theta else _legendre_bytes)(top), what)
     t.ensure(max(ns[light - 1] + 2 if light else 0, math.isqrt(top) + 2))
     t.prime_list(math.isqrt(_window(top)[1]))
     return _prime_powers(top, t)
@@ -798,10 +911,13 @@ def scan_records(
 
     Each record is computed from n alone, so the row for a given n is
     byte-identical whatever the grid or the worker count: below
-    LUCY_THRESHOLD in O(sqrt(n)) array work, in this thread, from it on in
-    O(n**(3/4)) time by Lucy's sieve, with workers > 1 on up to that many
-    threads at once, taken in n order (_scan_rows).  The records come in
-    checked chunks (_records), so a caller that writes them as they come
+    LUCY_THRESHOLD in O(sqrt(n)) array work on a table up to n + 2, in this
+    thread, from it on in O(sqrt(n)) time by Legendre's formula and the
+    sieved flags of n // k + 1 (_legendre_row) on a table up to
+    sqrt(n) + 2, with workers > 1 on up to that many threads at once, taken
+    in n order (_scan_rows).  No row reads theta at the quotients: that is
+    for verify eq14-16 and theta_sum_rho/theta_sum_sigma.  The records come
+    in checked chunks (_records), so a caller that writes them as they come
     holds one chunk, not the scan; an ascending range stays a range.  The
     grid and _scan_setup are settled before the first record is asked for.
     c defaults to analytic_constant().

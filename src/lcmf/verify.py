@@ -226,9 +226,9 @@ def _theorem2_walk(nmax: int, res: CheckResult):
 
 def check_theta_identities(nmax: int, points: int = 1000) -> CheckResult:
     """Theta-sum forms of log rho / log sigma and the quotient log split, on
-    the scan's rows after analytics._scan_setup (Lucy rows from 2^22 on),
-    each within its bound in analytics._checked, at most 1e-6 * max(1, n);
-    a note gives the worst |difference| / bound."""
+    the theta-sum rows after analytics._scan_setup (table rows below 2^22,
+    Lucy rows from it on), each within its bound in analytics._checked, at
+    most 1e-6 * max(1, n); a note gives the worst |difference| / bound."""
     from . import analytics  # numpy-backed, so imported only by the checks that use it
 
     res = CheckResult(check_id="eq14-16")
@@ -236,7 +236,8 @@ def check_theta_identities(nmax: int, points: int = 1000) -> CheckResult:
     t = _primes.default_table()
     grid = sorted(set(max(1, (i * nmax) // points) for i in range(1, points + 1)))
     worst = (0.0, grid[0], names[0])  # |difference| / bound, n, comparison
-    for part, _, ratio, bound in analytics._checked(grid, t, analytics._scan_setup(grid, t), 1):
+    powers = analytics._scan_setup(grid, t, 1, theta=True)
+    for part, _, ratio, bound in analytics._checked(grid, t, powers, 1, theta=True):
         res.cases += len(part)
         for i, j in zip(*(~(ratio <= 1.0)).nonzero()):  # a NaN fails too
             res.violations.append(f"n={part[i]}: {names[j]} off by more than {bound[i, j]}")

@@ -426,7 +426,7 @@ def test_scan_single_record(c_mid):
 
 def test_scan_dense_matches_direct(c_mid):
     # a row depends on n alone: step:1, dyadic and per-n list grids and 1 or 2
-    # workers agree byte for byte, on the table route and on Lucy's
+    # workers agree byte for byte, on table rows and on _legendre_rows
     for start, stop in (
         (2, 400),
         ((1 << 20) - 40, (1 << 20) + 40),
@@ -463,8 +463,8 @@ def _quotient_sum(mult, at_small, at_large):
 
 
 def _row_budget(n, shift):
-    """analytics._row_budget at n, with the updates of _lucy at n."""
-    return analytics._row_budget(n, shift, len(default_table().primes_up_to(math.isqrt(n))))
+    """analytics._row_budget at n and shift, with the updates of _lucy at n."""
+    return analytics._row_budget(n, len(default_table().primes_up_to(math.isqrt(n))))[shift]
 
 
 def _lucy_at(n):
@@ -527,7 +527,7 @@ def test_lucy_batch_in_many_chunks(table_2_26, monkeypatch):
 def test_lucy_rows_match_the_table_route(table_2_26, c_mid):
     ns = [LUCY_THRESHOLD, LUCY_THRESHOLD + 1, 3001 * 3002, 8191**2 - 1, 1 << 26]
     t = PrimeTable(1 << 12)
-    recs = scan(ns, table=t, c=c_mid)
+    recs = list(analytics._records(ns, c_mid, t, analytics._scan_setup(ns, t, 1, True), 1, True))
     assert t.limit < 1 << 14  # Lucy rows need the table only to sqrt(n) + 2
     for rec in recs:
         n = rec.n
@@ -540,13 +540,17 @@ def test_lucy_rows_match_the_table_route(table_2_26, c_mid):
 
 
 def test_one_n_functions_take_the_scan_route():
-    # from LUCY_THRESHOLD on, the one-n functions are the scan row's fields
-    # bit for bit, and grow a fresh table only to sqrt(n) + 2
+    # from LUCY_THRESHOLD on, s_split and quotient_prime_count are the scan
+    # row's fields bit for bit, theta_sum_rho and theta_sum_sigma the Lucy
+    # row's, and each grows a fresh table only to sqrt(n) + 2
     for n in (LUCY_THRESHOLD, LUCY_THRESHOLD + 1, 1 << 27):
         (rec,) = scan([n], table=PrimeTable(), c=0.0)
+        lucy = PrimeTable()
+        analytics._scan_setup([n], lucy, 1, True)
+        lr, ls, *_ = analytics._lucy_row(n, lucy)
         for f, want in (
-            (theta_sum_rho, rec.log_rho),
-            (theta_sum_sigma, rec.log_sigma),
+            (theta_sum_rho, lr),
+            (theta_sum_sigma, ls),
             (s_split, (rec.s1 + rec.s2, rec.s1, rec.s2)),
             (quotient_prime_count, rec.card_A),
         ):
@@ -560,7 +564,7 @@ def _lucy_checked_rows(n, t):
     the bounds the two must meet: _theta_budget at shift 0 and 1."""
     lr, ls, *_ = analytics._lucy_row(n, t)
     rho, sigma = (float(v[0]) for v in analytics._factorial_sums([n], t, None))
-    bounds = [analytics._theta_budget([n], np.array([v]), t, s)[0] for s, v in ((0, lr), (1, ls))]
+    bounds = analytics._theta_budget([n], np.array([lr]), np.array([ls]), t, True)[0].tolist()
     return (lr, ls), (rho, sigma), bounds
 
 
@@ -585,6 +589,19 @@ def _scan_raises(n, table=None):
         scan([n], table=table, c=0.0)
 
 
+def _theta_sums_fail(n, scanned):
+    """From LUCY_THRESHOLD on only the theta-sum rows run Lucy's sieve: with
+    _lucy mutated, verify eq14-16 at n alone reports its theta sum for rho
+    and theta_sum_rho and theta_sum_sigma raise on it, while the scan's row
+    at n is still the record scanned before the mutation."""
+    res = verify.check_theta_identities(n, points=1)
+    assert [v.split(" off")[0] for v in res.violations][:1] == [f"n={n}: theta sum for rho"]
+    for f in (theta_sum_rho, theta_sum_sigma):
+        with pytest.raises(ArithmeticError, match=f"log rho disagrees with Legendre's formula at n={n}"):
+            f(n)
+    assert scan([n], c=0.0) == scanned
+
+
 def test_scan_catches_theta_raised_at_one_quotient(monkeypatch):
     # theta(n // 2) + 100: the in-row check reads only the v <= sqrt(n) + 1
     real = analytics._lucy
@@ -594,26 +611,37 @@ def test_scan_catches_theta_raised_at_one_quotient(monkeypatch):
         at_small[1] += 100
         return pi, (at_small, at_v)
 
-    (rec,) = scan([_MUTANT_N], c=0.0)
-    budget = analytics._theta_budget([_MUTANT_N], np.array([rec.log_rho]), default_table(), 0)
-    assert float(budget[0]) < 10
+    scanned = scan([_MUTANT_N], c=0.0)
+    lr, ls = theta_sum_rho(_MUTANT_N), theta_sum_sigma(_MUTANT_N)
+    budget = analytics._theta_budget([_MUTANT_N], np.array([lr]), np.array([ls]), default_table(), True)
+    assert float(budget[0, 0]) < 10
     monkeypatch.setattr(analytics, "_lucy", lucy)
-    _scan_raises(_MUTANT_N)
+    _theta_sums_fail(_MUTANT_N, scanned)
 
 
 def test_scan_catches_a_dropped_phase2_chunk(monkeypatch):
     # the first chunk of _lucy's batch, both of its bincount sums, left out
-    real = np.bincount
-    calls = []
+    # of every Lucy row
+    real_lucy, real = analytics._lucy, np.bincount
+    calls, most = [], []
+
+    def lucy(n, t, q):
+        calls.clear()
+        try:
+            return real_lucy(n, t, q)
+        finally:
+            most.append(len(calls))
 
     def bincount(k, weights):
         calls.append(k)
         out = real(k, weights=weights)
         return out * 0 if len(calls) <= 2 else out
 
+    scanned = scan([_MUTANT_N], c=0.0)
+    monkeypatch.setattr(analytics, "_lucy", lucy)
     monkeypatch.setattr(np, "bincount", bincount)
-    _scan_raises(_MUTANT_N)
-    assert len(calls) > 2
+    _theta_sums_fail(_MUTANT_N, scanned)
+    assert len(most) == 3 and min(most) > 2
 
 
 def test_scan_catches_a_dropped_phase1_prime(monkeypatch):
@@ -634,8 +662,35 @@ def test_scan_catches_a_dropped_phase1_prime(monkeypatch):
         def __getattr__(self, name):
             return getattr(self.t, name)
 
+    scanned = scan([_MUTANT_N], c=0.0)
     monkeypatch.setattr(analytics, "_lucy", lambda n, t, q: real(n, Without(t), q))
-    _scan_raises(_MUTANT_N)
+    _theta_sums_fail(_MUTANT_N, scanned)
+
+
+def _scan_fails_on_log_rho(capsys, n):
+    assert cli.main(["scan", "--grid", f"list:{n}", "--nmax", str(n)]) == 1
+    assert capsys.readouterr().err == f"error: log rho disagrees with Legendre's formula at n={n}\n"
+
+
+def test_scan_catches_a_prime_power_dropped_from_the_check_route(monkeypatch, capsys):
+    # 4 = 2**2 left out of the check route's prime powers: its log rho is
+    # (n // 4) log 2 too large, while the scan's row takes 2's exponent
+    # from _legendre_exponents
+    real = analytics._prime_powers
+
+    def without_four(top, t):
+        powers, logs = real(top, t)
+        return powers[powers != 4], logs[powers != 4]
+
+    monkeypatch.setattr(analytics, "_prime_powers", without_four)
+    _scan_fails_on_log_rho(capsys, _MUTANT_N)
+
+
+def test_scan_catches_exponents_cut_after_the_squares(monkeypatch, capsys):
+    # the row's loop over e stopped after e = 2: every e_p of a p <= cbrt(n)
+    # too small, and log rho too large by the sum of n // p**e log p, e >= 3
+    monkeypatch.setattr(analytics, "_legendre_exponents", lambda n, ps: n // ps // ps)
+    _scan_fails_on_log_rho(capsys, _MUTANT_N)
 
 
 def test_scan_catches_the_theta_prefix_raised_by_one():
@@ -647,7 +702,8 @@ def test_scan_catches_the_theta_prefix_raised_by_one():
     i = int(ps.searchsorted(n // 2, side="right"))
     assert n // 3 < ps[i - 1] <= n // 2 < ps[i] <= n
     (rec,) = scan([n], table=t, c=0.0)
-    assert float(analytics._theta_budget([n], np.array([rec.log_rho]), t, 0)[0]) < 0.01
+    rho, sigma = np.array([rec.log_rho]), np.array([rec.log_sigma])
+    assert float(analytics._theta_budget([n], rho, sigma, t, False)[0, 0]) < 0.01
     prefix = prefix.copy()
     prefix[i] += 1
     t._arrays = mask, ps, prefix
@@ -707,13 +763,21 @@ def test_theta_budgets_stay_within_the_verify_tolerance():
     # both budgets at most eq14-16's 1e-6 max(1, n), with the row's sum taken
     # as n log(n + 1) + 2 n, above log sigma(n) <= log n! + psi(n + 1)
     # (Prop 3); a Lucy row's sum passes the tolerance from about 2^45 on, so
-    # at 2^48 the budget is the tolerance itself
+    # at 2^48 the budget is the tolerance itself.  A _legendre_row's budget,
+    # twice _factorial_budget, grows as n**1.5: a fiftieth of the tolerance
+    # at 2^48, and the tolerance itself only from about 2^59
     t = PrimeTable()
     for n in (1, LUCY_THRESHOLD - 1, LUCY_THRESHOLD, _MUTANT_N, 1 << 40, 1 << 44, 1 << 48):
-        tol = 1e-6 * max(1, n)
-        for shift in (0, 1):
-            budget = analytics._theta_budget([n], np.array([n * math.log(n + 1) + 2 * n]), t, shift)
-            assert 0 < budget[0] <= tol and (budget[0] == tol) == (n == 1 << 48), (n, shift)
+        tol, sums = 1e-6 * max(1, n), np.array([n * math.log(n + 1) + 2 * n])
+        lucy = analytics._theta_budget([n], sums, sums, t, True)[0]
+        assert np.all(0 < lucy) and np.all(lucy <= tol), n
+        assert np.all((lucy == tol) == (n == 1 << 48)), n
+        legendre = analytics._theta_budget([n], sums, sums, t, False)[0]
+        if n < LUCY_THRESHOLD:
+            assert np.array_equal(legendre, lucy), n
+        else:
+            assert np.all(legendre == 2 * analytics._factorial_budget(float(n))), n
+            assert np.all(0 < legendre) and np.all(legendre < tol / 40), n
 
 
 def _lucy_row_by_parts(n, t):
@@ -768,6 +832,26 @@ def test_lucy_rows_equal_their_parts():
     assert rows == [want[n] for n in ns]
 
 
+def test_legendre_rows_equal_lucy_rows_in_the_prime_quotients():
+    # _prime_quotients sums card_A, s1 and s2 for both rows from the same
+    # arrays, so they are equal bit for bit; log rho and log sigma are within
+    # the new row's budget of the check route, and a few ulps of the Lucy
+    # row's.  The exponents are Legendre's, v_p(n!) - n // p, exactly
+    ns = [LUCY_THRESHOLD, LUCY_THRESHOLD + 1, *CUBE_NS, 1 << 26, _MUTANT_N]
+    t = PrimeTable()
+    analytics._scan_setup(ns, t, 1, True)
+    for n in ns:
+        lucy, row = analytics._lucy_row(n, t), analytics._legendre_row(n, t)
+        assert row[2:] == lucy[2:], n
+        route = [float(v[0]) for v in analytics._factorial_sums([n], t, None)]
+        bound = analytics._theta_budget([n], *([v] for v in row[:2]), t, False)[0].tolist()
+        for got, want, lucy_value, b in zip(row[:2], route, lucy[:2], bound):
+            assert abs(got - want) <= b and abs(got - lucy_value) <= 8 * math.ulp(got), n
+        ps = t.primes_up_to(math.isqrt(n))
+        e = [primes.factorial_valuation(n, p) - n // p for p in ps.tolist()]
+        assert analytics._legendre_exponents(n, ps).tolist() == e, n
+
+
 def test_quotient_flags_equal_prime_flags_at_every_k():
     # the sieved window's flags of n // k + 1 against _prime_flags at every
     # k <= r, on a table up to r + 2 alone; beside the n of the route's
@@ -817,25 +901,30 @@ def test_log_factorial_within_its_bound_of_mpmath():
 
 
 def test_scan_row_peak_is_below_the_estimate(c_mid):
+    # a row and its check: the scan's against _legendre_bytes, a theta-sum
+    # (Lucy) row's against _row_bytes
     import tracemalloc
 
     for n in (1 << 24, 1 << 28):
-        t = PrimeTable(math.isqrt(n) + 2)
-        t.primes_up_to(2)  # the table's arrays are built before the row, as in a scan
-        tracemalloc.start()
-        try:
-            next(analytics._records([n], c_mid, t, analytics._prime_powers(n, t)))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= analytics._row_bytes(n), (n, peak)
+        for theta, estimate in ((False, analytics._legendre_bytes), (True, analytics._row_bytes)):
+            t = PrimeTable(math.isqrt(n) + 2)
+            t.primes_up_to(2)  # the table's arrays are built before the row, as in a scan
+            tracemalloc.start()
+            try:
+                next(analytics._records([n], c_mid, t, analytics._prime_powers(n, t), 1, theta))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= estimate(n), (n, theta, peak)
 
 
 def test_scan_workers_take_lucy_rows_in_n_order(monkeypatch, c_mid):
+    # the scan's rows from LUCY_THRESHOLD on, _legendre_rows since Lucy's
+    # sieve serves the theta sums alone, start in n order on the pool
     import concurrent.futures
     import threading
 
-    real, lock = analytics._lucy_row, threading.Lock()
+    real, lock = analytics._legendre_row, threading.Lock()
     started, threads, running, sizes = [], set(), [0, 0], []  # running: now, most
 
     def counted(n, t):
@@ -857,7 +946,7 @@ def test_scan_workers_take_lucy_rows_in_n_order(monkeypatch, c_mid):
 
     ns = [LUCY_THRESHOLD + 3, 7, LUCY_THRESHOLD + 1, *range(100, 120), 3 * LUCY_THRESHOLD]
     expected = scan(ns, c=c_mid)
-    monkeypatch.setattr(analytics, "_lucy_row", counted)
+    monkeypatch.setattr(analytics, "_legendre_row", counted)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Sized)
     for workers in (2, 64):
         started.clear()
@@ -866,12 +955,13 @@ def test_scan_workers_take_lucy_rows_in_n_order(monkeypatch, c_mid):
         assert scan(ns, c=c_mid, workers=workers) == expected
         assert started == [LUCY_THRESHOLD + 1, LUCY_THRESHOLD + 3, 3 * LUCY_THRESHOLD]
         assert 1 <= running[1] <= min(workers, 3) and len(threads) <= min(workers, 3)
-    # a pool no larger than the Lucy rows: with 64 workers three threads
+    # a pool no larger than the rows from LUCY_THRESHOLD on: with 64 workers
+    # three threads
     assert sizes == [2, 3]
 
 
 def test_lucy_rows_leave_the_table_as_the_scan_set_up_left_it(c_mid):
-    # Lucy rows on threads share the table, so once scan_records has set up
+    # rows on threads share the table, so once scan_records has set up
     # no row may grow it, extend its prime list or derive its arrays; the
     # threads switch often here, and more run than there are cores
     import sys
@@ -892,8 +982,9 @@ def test_lucy_rows_leave_the_table_as_the_scan_set_up_left_it(c_mid):
 
 
 def test_scan_asks_memory_for_the_rows_in_flight(monkeypatch):
-    # the table rows are done before the first Lucy row starts, and at most
-    # workers Lucy rows run at once
+    # the table rows are done before the first row from LUCY_THRESHOLD on
+    # starts, and at most workers such rows run at once: the scan's priced by
+    # _legendre_bytes, verify eq14-16's Lucy rows by _row_bytes
     asked = []
     monkeypatch.setattr(primes, "require_memory", lambda need, what: asked.append((need, what)))
     top = 1 << 40
@@ -907,8 +998,12 @@ def test_scan_asks_memory_for_the_rows_in_flight(monkeypatch):
         asked.clear()
         analytics.scan_records(ns, table=PrimeTable(), c=0.0, workers=workers)
         ((need, what),) = [(need, what) for need, what in asked if "scan row" in what]
-        assert need == rows * analytics._row_bytes(ns[-1]), (ns, workers)
+        assert need == rows * analytics._legendre_bytes(ns[-1]), (ns, workers)
         assert what.startswith("a scan row" if rows == 1 else f"{rows} scan rows"), (ns, workers)
+        t = PrimeTable()
+        asked.clear()
+        analytics._scan_setup(ns, t, 1, True)
+        assert [need for need, what in asked if "scan row" in what] == [analytics._row_bytes(ns[-1])]
 
 
 def test_scan_workers_deterministic(tmp_path, c_mid):

@@ -139,17 +139,17 @@ def test_theta_identities_row_over_physical_memory_is_an_error(capsys, monkeypat
 
 
 def test_concurrent_scan_rows_over_physical_memory_are_an_error(capsys, monkeypatch):
-    # on an 8 GiB machine two rows at 2^52 (about 8.3 GiB each) do not fit,
+    # on an 8 GiB machine two rows at 2^54 (about 6 GiB each) do not fit,
     # so two workers are refused before any row runs
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1 << 21, "SC_PAGE_SIZE": 4096}.get)
     monkeypatch.setattr(primes, "_default_table", primes.PrimeTable())
-    n = 1 << 52
+    n = 1 << 54
     grid = f"list:{n - 1},{n}"
     code, out, err = run_cli(capsys, "scan", "--grid", grid, "--nmax", str(n), "--workers", "2")
     assert code == 1 and out == ""
     from lcmf import analytics
 
-    need = 2 * analytics._row_bytes(n) / 2**30
+    need = 2 * analytics._legendre_bytes(n) / 2**30
     assert err.startswith(f"error: 2 scan rows at once up to n = {n} needs about {need:.1f} GiB")
     assert "memory" in err
     assert primes._default_table.limit == 4
@@ -288,15 +288,37 @@ def test_internal_value_error_is_an_error_not_usage(capsys, monkeypatch):
 
 
 def test_failed_scan_checks_are_errors(capsys, monkeypatch):
-    # a Lucy row's theta(n // 2) raised by 100, which the rows' check against
-    # Legendre's formula catches, and a failing in-row check of _lucy itself,
-    # on one row, and on two rows on one thread or on two
+    # one prime's exponent in a scan row raised by one, which the rows' check
+    # against Legendre's formula catches, and a row that raises, on one row,
+    # and on two rows on one thread or on two.  Then Lucy's sieve, which
+    # serves the theta sums alone: theta(n // 2) raised by 100 and a failing
+    # in-row check of _lucy, at the one Lucy row of verify eq14-16's grid
     from lcmf import analytics
 
     n = (1 << 30) + 12345
     argvs = [("scan", "--grid", f"list:{n}", "--nmax", str(n))]
     argvs += [("scan", "--grid", f"list:{n},{n + 2}", "--nmax", str(n + 2), "--workers", w)
               for w in ("1", "2")]
+    exponents = analytics._legendre_exponents
+
+    def raised_exponent(m, ps):
+        return exponents(m, ps) + (ps == 3)
+
+    def failing_row(m, t):
+        raise ArithmeticError(f"a row failed at n={m}")
+
+    for name, mutant, message in (
+        ("_legendre_exponents", raised_exponent, "log rho disagrees with Legendre's formula"),
+        ("_legendre_row", failing_row, "a row failed"),
+    ):
+        monkeypatch.setattr(analytics, name, mutant)
+        for argv in argvs:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, err) == (1, "", f"error: {message} at n={n}\n"), argv
+        monkeypatch.undo()
+    # the grid's last point alone is at or above LUCY_THRESHOLD
+    nmax = analytics.LUCY_THRESHOLD + 2000
+    assert 999 * nmax // 1000 < analytics.LUCY_THRESHOLD
     real = analytics._lucy
 
     def raised(m, t, q):
@@ -307,12 +329,15 @@ def test_failed_scan_checks_are_errors(capsys, monkeypatch):
     def failing(m, t, q):
         raise ArithmeticError(f"Lucy's sieve disagrees with the prime table at n={m}")
 
-    for lucy, message in ((raised, "log rho disagrees with Legendre's formula"),
-                          (failing, "Lucy's sieve disagrees with the prime table")):
-        monkeypatch.setattr(analytics, "_lucy", lucy)
-        for argv in argvs:
-            code, out, err = run_cli(capsys, *argv)
-            assert (code, out, err) == (1, "", f"error: {message} at n={n}\n"), argv
+    monkeypatch.setattr(analytics, "_lucy", raised)
+    code, out, err = run_cli(capsys, "verify", "eq14-16", "--nmax", str(nmax))
+    assert code == 1 and err == ""
+    assert [line.split(" off")[0] for line in out.splitlines() if line.startswith("violation")] == [
+        f"violation: n={nmax}: theta sum for {what}" for what in ("rho", "sigma")
+    ]
+    monkeypatch.setattr(analytics, "_lucy", failing)
+    code, out, err = run_cli(capsys, "verify", "eq14-16", "--nmax", str(nmax))
+    assert (code, out, err) == (1, "", f"error: Lucy's sieve disagrees with the prime table at n={nmax}\n")
 
 
 def test_verify_passing(capsys):
