@@ -29,16 +29,15 @@ theta_sum_rho and theta_sum_sigma, which check the theta sums themselves,
 take a block of one of _rows (_lucy_row) with theta at every quotient from
 Lucy's sieve (_lucy), in O(n**(3/4)) time and O(sqrt n) memory, and the
 same flags.  Each row sums in a fixed order over its own arrays, so scan
-output is reproducible bit for bit on one platform whatever the grid, its
-blocks or the worker count.  A scan is one stream of records in n order,
-checked a chunk of rows at a time (_records), which the writers take as it
-comes.
+output is reproducible bit for bit on one platform whatever the grid or its
+blocks.  A scan is one stream of records in n order, made and checked a
+chunk of rows at a time in the calling thread (_records), which the writers
+take as it comes.
 """
 
 from __future__ import annotations
 
 import bisect
-import collections
 import contextlib
 import functools
 import itertools
@@ -226,10 +225,10 @@ def _factorial_rho(ns, t: PrimeTable, powers=None) -> np.ndarray:
     return out
 
 
-def _factorial_sums(ns, t: PrimeTable, powers) -> tuple[np.ndarray, np.ndarray]:
-    """(log rho, log sigma) of each n of the nonempty ascending ns >= 0: the
-    check route of the theta sums.  log rho is _factorial_rho's, with powers
-    as there, and with r = isqrt(n)
+def _factorial_sums(ns, t: PrimeTable, powers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log rho, log sigma, card_A) of each n of the nonempty ascending
+    ns >= 0: the check route of the theta sums.  log rho is _factorial_rho's,
+    with powers as there, and with r = isqrt(n)
 
         log sigma(n) - log rho(n) = sum over primes p <= r + 1 of
             (n // (p-1) - n // p) log p + sum of log(v + 1) over the
@@ -240,11 +239,14 @@ def _factorial_sums(ns, t: PrimeTable, powers) -> tuple[np.ndarray, np.ndarray]:
     up to sqrt(max(ns)) + 1 alone, and tests v + 1 exactly, on the bitmap as
     far as the table reaches and past it by _prime_flags.  Each n sums its
     own cells (_slice_sums), a block of n at a time (_blocks); both values
-    are within _factorial_budget(n) of the exact ones.
+    are within _factorial_budget(n) of the exact ones.  card_A, the number
+    of k <= r with n // k + 1 prime, is exact: the v + 1 above counted, and
+    r + 1 where it is n // r + 1, that is where n < r (r + 1).
     """
     ps = t.primes_up_to(math.isqrt(max(ns[-1], 0)) + 1)  # first: the table grows once
     rho = _factorial_rho(ns, t, powers)  # it refuses an n < 0
     logs, mask, gap = np.log(ps), t.prime_mask(t.limit), np.empty(len(ns))
+    count = np.empty(len(ns), dtype=np.int64)
     for a, b in _blocks(math.isqrt(n) for n in ns):
         nb, roots = np.array(ns[a:b], dtype=np.int64)[:, None], [math.isqrt(n) for n in ns[a:b]]
         cuts = ps.searchsorted(np.array(roots) + 1, side="right").tolist()  # pi(r + 1)
@@ -257,7 +259,9 @@ def _factorial_sums(ns, t: PrimeTable, powers) -> tuple[np.ndarray, np.ndarray]:
         cells = np.zeros(x.shape)
         cells[hit] = np.log(x[hit])
         gap[a:b] = _slice_sums(d, cuts) + _slice_sums(cells, roots)
-    return rho, rho + gap
+        edge = [n < r * (r + 1) and mask[r + 1] for n, r in zip(ns[a:b], roots)]
+        count[a:b] = _slice_sums(hit, roots) + edge
+    return rho, rho + gap, count
 
 
 def _factorial_budget(n):
@@ -422,9 +426,7 @@ def _legendre_bytes(n: int) -> int:
     and 48 B per sqrt(n).  By tracemalloc a row and its check peaked at
     1.21 MB at 2^30 + 12345 and 7.71 MB at 2^36 + 12345, 36.9 and 29.4 B per
     sqrt(n), the check route's arrays (_factorial_sums) setting the peak;
-    the row alone, its quotients, flags and sieved window, held 25 B.  So
-    with workers > 1 the rows in flight and one check stay within the
-    estimate of that many rows."""
+    the row alone, its quotients, flags and sieved window, held 25 B."""
     return 80 * _TABLE_BLOCK_CELLS + 48 * math.isqrt(n)
 
 
@@ -599,14 +601,6 @@ def _prime_flags(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return flags
 
 
-def _window(n: int) -> tuple[int, int]:
-    """(lo, end) of the window that a row of n >= LUCY_THRESHOLD sieves (_quotient_flags).
-    end does not decrease as n grows."""
-    r = math.isqrt(n)
-    lo = n // r + 1
-    return lo, lo + _WINDOW_ROOTS * r
-
-
 def _quotient_flags(n: int, small: np.ndarray, t: PrimeTable) -> np.ndarray:
     """Primality of x = v + 1 at each v of small = n // k, k = 1..r, r = isqrt(n),
     with the table up to r + 2.
@@ -617,7 +611,8 @@ def _quotient_flags(n: int, small: np.ndarray, t: PrimeTable) -> np.ndarray:
     the few x above it, of k <= j, go through _prime_flags.  Both are exact.
     """
     r = len(small)
-    lo, end = _window(n)
+    lo = n // r + 1
+    end = lo + _WINDOW_ROOTS * r
     j = n // end
     flags = np.empty(r, dtype=bool)
     flags[:j] = _prime_flags(small[:j] + 1, t.primes_up_to(r)[:_PREFILTER_PRIMES])
@@ -625,37 +620,22 @@ def _quotient_flags(n: int, small: np.ndarray, t: PrimeTable) -> np.ndarray:
     return flags
 
 
-def _scan_rows(ns: list[int], t: PrimeTable, workers: int, theta: bool) -> Iterator[_Row]:
+def _scan_rows(ns: list[int], t: PrimeTable, theta: bool) -> Iterator[_Row]:
     """The rows of the ascending ns >= 1 in turn: those below LUCY_THRESHOLD
     from one call of _table_rows, the others one row each, a _lucy_row where
-    theta sums are asked for (theta) and else a _legendre_row, here or, with
-    workers > 1, on a pool of that many threads (numpy's array loops release
-    the GIL), submitted in n order with at most workers in flight.  A row on
-    a thread must not change t (_scan_setup)."""
+    theta sums are asked for (theta) and else a _legendre_row."""
     light = bisect.bisect_left(ns, LUCY_THRESHOLD)
     yield from _table_rows(ns[:light], t)
-    heavy, row = ns[light:], _lucy_row if theta else _legendre_row
-    if workers <= 1 or len(heavy) <= 1:
-        for n in heavy:
-            yield row(n, t)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(min(workers, len(heavy))) as pool:
-        flight = collections.deque(pool.submit(row, n, t) for n in heavy[:workers])
-        for n in heavy[workers:]:
-            done = flight.popleft().result()
-            flight.append(pool.submit(row, n, t))
-            yield done
-        for future in flight:
-            yield future.result()
+    row = _lucy_row if theta else _legendre_row
+    for n in ns[light:]:
+        yield row(n, t)
 
 
 def _one_row(n: int, table: PrimeTable | None, theta: bool) -> ScanRecord:
     """The record of the one n at c = 0, checked (_records): a theta-sum row
     if theta, else the scan's row."""
     t = _primes._table(table)
-    return next(_records([n], 0.0, t, _scan_setup([n], t, 1, theta), 1, theta))
+    return next(_records([n], 0.0, t, _scan_setup([n], t, theta), theta))
 
 
 def theta_sum_rho(n: int, table: PrimeTable | None = None) -> float:
@@ -826,21 +806,24 @@ def _theta_budget(ns, rho, sigma, t: PrimeTable, theta: bool) -> np.ndarray:
     return np.minimum(budget, 1e-6 * np.maximum(1.0, n)[:, None])
 
 
-def _checked(ns, t: PrimeTable, powers, workers: int, theta: bool):
+def _checked(ns, t: PrimeTable, powers, theta: bool):
     """(part, rows, ratio, bound) per chunk of _CHECK_ROWS rows of the
     ascending ns (_scan_rows, theta-sum rows if theta): ratio[i] is row i's
     |difference| / bound[i] against the check route _factorial_sums, log rho
-    and log sigma within _theta_budget and s1 + s2 with the route's gap
-    within 1e-6 max(1, n).  powers is _prime_powers at max(ns) or above."""
-    rows = _scan_rows(ns, t, workers, theta)
+    and log sigma within _theta_budget, s1 + s2 with the route's gap within
+    1e-6 max(1, n), and card_A with the route's exact count within 1/2, so
+    that one flag of n // k + 1 wrong fails at any n.  powers is
+    _prime_powers at max(ns) or above."""
+    rows = _scan_rows(ns, t, theta)
     for a in range(0, len(ns), _CHECK_ROWS):
         part = ns[a : a + _CHECK_ROWS]
         chunk = list(itertools.islice(rows, len(part)))
-        lr, ls, _, s1, s2 = np.array(chunk).T
-        rho, sigma = _factorial_sums(part, t, powers)
+        lr, ls, card, s1, s2 = np.array(chunk).T
+        rho, sigma, count = _factorial_sums(part, t, powers)
         split = 1e-6 * np.maximum(1.0, np.array(part, dtype=np.float64))
-        bound = np.column_stack((_theta_budget(part, lr, ls, t, theta), split))
-        off = np.stack((lr - rho, ls - sigma, (s1 + s2) - (sigma - rho)), 1)
+        budget = _theta_budget(part, lr, ls, t, theta)
+        bound = np.column_stack((budget, split, np.full(len(part), 0.5)))
+        off = np.stack((lr - rho, ls - sigma, (s1 + s2) - (sigma - rho), card - count), 1)
         yield part, chunk, np.abs(off) / bound, bound
 
 
@@ -849,17 +832,16 @@ _FAILURES = (
     "log rho disagrees with Legendre's formula",
     "log sigma disagrees with Legendre's formula",
     "quotient log split disagrees with log gap",
+    "card_A disagrees with the check route's count of prime quotients",
 )
 
 
-def _records(
-    ns, c: float, t: PrimeTable, powers, workers: int = 1, theta: bool = False
-) -> Iterator[ScanRecord]:
+def _records(ns, c: float, t: PrimeTable, powers, theta: bool = False) -> Iterator[ScanRecord]:
     """The records of the ascending ns, the scan's rows or, if theta, the
     theta-sum rows, a chunk of _checked at a time once all its rows are
     within their bounds; else ArithmeticError at the first row past one,
     naming its first failing comparison."""
-    for part, rows, ratio, _ in _checked(ns, t, powers, workers, theta):
+    for part, rows, ratio, _ in _checked(ns, t, powers, theta):
         bad = np.argwhere(~(ratio <= 1.0))  # a NaN fails too
         if len(bad):
             i, j = bad[0].tolist()
@@ -879,43 +861,33 @@ def _records(
             )
 
 
-def _scan_setup(
-    ns, t: PrimeTable, workers: int = 1, theta: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Set t up for _scan_rows over the ascending ns >= 1, with up to
-    workers rows from LUCY_THRESHOLD on in flight (_checked's callers): price
-    the rows in flight, min(workers, such rows) and at least one, at
-    _row_bytes(max(ns)) each for theta-sum rows and _legendre_bytes(max(ns))
-    for the scan's, then grow t to n + 2 for the last n below LUCY_THRESHOLD
-    and to sqrt(max(ns)) + 2 and list the window primes.  The returned
-    _prime_powers(max(ns)), for _checked, derives the arrays; no row changes t."""
+def _scan_setup(ns, t: PrimeTable, theta: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Set t up for _scan_rows over the ascending ns >= 1 (_checked's
+    callers): price one row at max(ns), by _row_bytes for theta-sum rows and
+    _legendre_bytes for the scan's, then grow t to n + 2 for the last n below
+    LUCY_THRESHOLD and to sqrt(max(ns)) + 2.  The returned
+    _prime_powers(max(ns)), for _checked, derives the arrays."""
     if not ns or ns[0] < 1:
         raise ValueError("scan grid must be nonempty with n >= 1")
     top = ns[-1]
     light = bisect.bisect_left(ns, LUCY_THRESHOLD)
-    rows = max(1, min(workers, len(ns) - light))
-    what = f"a scan row at n = {top}" if rows == 1 else f"{rows} scan rows at once up to n = {top}"
-    _primes.require_memory(rows * (_row_bytes if theta else _legendre_bytes)(top), what)
+    need = (_row_bytes if theta else _legendre_bytes)(top)
+    _primes.require_memory(need, f"a scan row at n = {top}")
     t.ensure(max(ns[light - 1] + 2 if light else 0, math.isqrt(top) + 2))
-    t.prime_list(math.isqrt(_window(top)[1]))
     return _prime_powers(top, t)
 
 
 def scan_records(
-    ns,
-    table: PrimeTable | None = None,
-    c: float | None = None,
-    workers: int = 1,
+    ns, table: PrimeTable | None = None, c: float | None = None
 ) -> Iterator[ScanRecord]:
     """One ScanRecord per requested n, in ascending order, as a stream.
 
     Each record is computed from n alone, so the row for a given n is
-    byte-identical whatever the grid or the worker count: below
-    LUCY_THRESHOLD in O(sqrt(n)) array work on a table up to n + 2, in this
-    thread, from it on in O(sqrt(n)) time by Legendre's formula and the
-    sieved flags of n // k + 1 (_legendre_row) on a table up to
-    sqrt(n) + 2, with workers > 1 on up to that many threads at once, taken
-    in n order (_scan_rows).  No row reads theta at the quotients: that is
+    byte-identical whatever the grid: below LUCY_THRESHOLD in O(sqrt(n))
+    array work on a table up to n + 2, from it on in O(sqrt(n)) time by
+    Legendre's formula and the sieved flags of n // k + 1 (_legendre_row) on
+    a table up to sqrt(n) + 2, one row after another in this thread
+    (_scan_rows).  No row reads theta at the quotients: that is
     for verify eq14-16 and theta_sum_rho/theta_sum_sigma.  The records come
     in checked chunks (_records), so a caller that writes them as they come
     holds one chunk, not the scan; an ascending range stays a range.  The
@@ -925,20 +897,15 @@ def scan_records(
     if not (isinstance(ns, range) and ns.step > 0):
         ns = sorted(set(int(n) for n in ns))
     t = _primes._table(table)
-    powers = _scan_setup(ns, t, workers)
+    powers = _scan_setup(ns, t)
     if c is None:
         c = analytic_constant().midpoint
-    return _records(ns, c, t, powers, workers)
+    return _records(ns, c, t, powers)
 
 
-def scan(
-    ns,
-    table: PrimeTable | None = None,
-    c: float | None = None,
-    workers: int = 1,
-) -> list[ScanRecord]:
+def scan(ns, table: PrimeTable | None = None, c: float | None = None) -> list[ScanRecord]:
     """The records of scan_records, as one list."""
-    return list(scan_records(ns, table, c, workers))
+    return list(scan_records(ns, table, c))
 
 
 # -- grids ---------------------------------------------------------------------------

@@ -4,13 +4,14 @@ Exit codes are a stable contract: 0 on success or a passing verification,
 1 when a verification finds violations or a command fails (an I/O error, a
 ValueError while computing, or an ArithmeticError from a failed internal
 check), 2 on usage errors (bad arguments).  Output files are reproducible
-byte for byte for a fixed command line, whatever the worker count.  scan
-and triangle write their rows as they are made, and so does verify
-theorem2 with --out: a failure leaves a regular --out file as it was
-(_write_out), while on stdout the rows written before it stay.  Each
-command, compute target and verify check has its own parser, which accepts
-exactly the options that command reads.  Each handler imports the lcmf
-modules it runs, so a command loads no other.
+byte for byte for a fixed command line.  scan and triangle write their rows
+as they are made, and so does verify theorem2 with --out: a failure leaves
+a regular --out file as it was (_write_out), while on stdout the rows
+written before it stay.  Each command, compute target and verify check has
+its own parser, which accepts exactly the options that command reads, save
+one scan option that nothing reads, kept while the benchmark's workloads
+pass it (build_parser).  Each handler imports the lcmf modules it runs, so
+a command loads no other.
 """
 
 from __future__ import annotations
@@ -211,7 +212,7 @@ def _cmd_scan(args) -> int:
         raise UsageError("--gnuplot plots a CSV scan file: it needs --format csv and --out")
     ns = _parse(analytics.parse_grid, args.grid, args.n, args.nmax)
     enc = analytics.analytic_constant()
-    records = analytics.scan_records(ns, c=enc.midpoint, workers=args.workers)
+    records = analytics.scan_records(ns, c=enc.midpoint)
     # the first chunk is checked before anything is written; the rest are
     # written as they come, and a later failure ends the output there
     records = itertools.chain([next(records)], records)
@@ -312,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="dyadic", help="dyadic | step:K | list:a,b,c")
     p.add_argument("--n", type=int, default=1, help="grid start for dyadic and step:K")
     p.add_argument("--nmax", type=natural, required=True, help="grid end")
-    p.add_argument("--workers", type=_int_from(1), default=1, help="threads for Lucy rows")
+    p.add_argument("--workers", type=_int_from(1), default=1, help="accepted; has no effect")
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--gnuplot", help="also write a gnuplot script stub to this path (csv, with --out)")

@@ -225,23 +225,25 @@ def _theorem2_walk(nmax: int, res: CheckResult):
 
 
 def check_theta_identities(nmax: int, points: int = 1000) -> CheckResult:
-    """Theta-sum forms of log rho / log sigma and the quotient log split, on
-    the theta-sum rows after analytics._scan_setup (table rows below 2^22,
-    Lucy rows from it on), each within its bound in analytics._checked, at
-    most 1e-6 * max(1, n); a note gives the worst |difference| / bound."""
+    """Theta-sum forms of log rho / log sigma, the quotient log split and the
+    quotient prime count, on the theta-sum rows after analytics._scan_setup
+    (table rows below 2^22, Lucy rows from it on), each within its bound in
+    analytics._checked, at most 1e-6 * max(1, n); a note gives the worst
+    |difference| / bound."""
     from . import analytics  # numpy-backed, so imported only by the checks that use it
 
     res = CheckResult(check_id="eq14-16")
-    names = ("theta sum for rho", "theta sum for sigma", "quotient log split")
+    names = ("theta sum for rho", "theta sum for sigma", "quotient log split",
+             "quotient prime count")
     t = _primes.default_table()
     grid = sorted(set(max(1, (i * nmax) // points) for i in range(1, points + 1)))
     worst = (0.0, grid[0], names[0])  # |difference| / bound, n, comparison
-    powers = analytics._scan_setup(grid, t, 1, theta=True)
-    for part, _, ratio, bound in analytics._checked(grid, t, powers, 1, theta=True):
+    powers = analytics._scan_setup(grid, t, theta=True)
+    for part, _, ratio, bound in analytics._checked(grid, t, powers, theta=True):
         res.cases += len(part)
         for i, j in zip(*(~(ratio <= 1.0)).nonzero()):  # a NaN fails too
             res.violations.append(f"n={part[i]}: {names[j]} off by more than {bound[i, j]}")
-        i, j = divmod(int(ratio.argmax()), 3)
+        i, j = divmod(int(ratio.argmax()), len(names))
         worst = max(worst, (float(ratio[i, j]), part[i], names[j]))
     res.notes.append(f"worst |difference| / bound = {worst[0]:.3g}, {worst[2]} at n = {worst[1]}")
     return res

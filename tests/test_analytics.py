@@ -325,7 +325,7 @@ def test_check_route_within_its_budget_of_exact_logs():
     ns = list(range(3001))
     rho_ref, sigma_ref = (np.array(v) for v in zip(*_exact_logs(3000)))
     t = PrimeTable()
-    rhos, sigmas = analytics._factorial_sums(ns, t, None)
+    rhos, sigmas, _ = analytics._factorial_sums(ns, t, None)
     budget = analytics._factorial_budget(np.array(ns, dtype=np.float64))
     ulp = np.spacing(np.maximum(rho_ref, sigma_ref))
     assert np.all(np.abs(rhos - rho_ref) <= budget + ulp)
@@ -372,8 +372,8 @@ def test_check_route_in_blocks_equals_one_n_at_a_time(monkeypatch):
     assert any(a < i < b for a, b in analytics._blocks(math.isqrt(n) for n in ns))
     for cells in (analytics._TABLE_BLOCK_CELLS, 300):
         monkeypatch.setattr(analytics, "_TABLE_BLOCK_CELLS", cells)
-        rhos, sigmas = analytics._factorial_sums(ns, t, None)
-        assert list(zip(rhos.tolist(), sigmas.tolist())) == one, cells
+        rhos, sigmas, counts = analytics._factorial_sums(ns, t, None)
+        assert list(zip(rhos.tolist(), sigmas.tolist(), counts.tolist())) == one, cells
         assert analytics._factorial_rho(ns, t).tolist() == rhos.tolist(), cells
     sizes = [b - a for a, b in analytics._blocks(math.isqrt(n) for n in ns)]
     assert max(sizes) > 20 and sizes.count(1) > 5
@@ -425,16 +425,14 @@ def test_scan_single_record(c_mid):
 
 
 def test_scan_dense_matches_direct(c_mid):
-    # a row depends on n alone: step:1, dyadic and per-n list grids and 1 or 2
-    # workers agree byte for byte, on table rows and on _legendre_rows
+    # a row depends on n alone: step:1, dyadic and per-n list grids agree
+    # byte for byte, on table rows and on _legendre_rows
     for start, stop in (
         (2, 400),
         ((1 << 20) - 40, (1 << 20) + 40),
         (LUCY_THRESHOLD - 20, LUCY_THRESHOLD + 20),
     ):
         dense = {r.n: r.csv_row() for r in scan(parse_grid("step:1", start, stop), c=c_mid)}
-        pooled = scan(parse_grid("step:1", start, stop), c=c_mid, workers=2)
-        assert [r.csv_row() for r in pooled] == list(dense.values())
         dyadic = scan(parse_grid("dyadic", start, stop), c=c_mid)
         assert dyadic and all(dense[r.n] == r.csv_row() for r in dyadic)
         for n in dense:
@@ -527,7 +525,7 @@ def test_lucy_batch_in_many_chunks(table_2_26, monkeypatch):
 def test_lucy_rows_match_the_table_route(table_2_26, c_mid):
     ns = [LUCY_THRESHOLD, LUCY_THRESHOLD + 1, 3001 * 3002, 8191**2 - 1, 1 << 26]
     t = PrimeTable(1 << 12)
-    recs = list(analytics._records(ns, c_mid, t, analytics._scan_setup(ns, t, 1, True), 1, True))
+    recs = list(analytics._records(ns, c_mid, t, analytics._scan_setup(ns, t, True), True))
     assert t.limit < 1 << 14  # Lucy rows need the table only to sqrt(n) + 2
     for rec in recs:
         n = rec.n
@@ -546,7 +544,7 @@ def test_one_n_functions_take_the_scan_route():
     for n in (LUCY_THRESHOLD, LUCY_THRESHOLD + 1, 1 << 27):
         (rec,) = scan([n], table=PrimeTable(), c=0.0)
         lucy = PrimeTable()
-        analytics._scan_setup([n], lucy, 1, True)
+        analytics._scan_setup([n], lucy, True)
         lr, ls, *_ = analytics._lucy_row(n, lucy)
         for f, want in (
             (theta_sum_rho, lr),
@@ -563,7 +561,7 @@ def _lucy_checked_rows(n, t):
     """(log rho, log sigma) of the scan row at n, and of the check route, and
     the bounds the two must meet: _theta_budget at shift 0 and 1."""
     lr, ls, *_ = analytics._lucy_row(n, t)
-    rho, sigma = (float(v[0]) for v in analytics._factorial_sums([n], t, None))
+    rho, sigma, _ = (float(v[0]) for v in analytics._factorial_sums([n], t, None))
     bounds = analytics._theta_budget([n], np.array([lr]), np.array([ls]), t, True)[0].tolist()
     return (lr, ls), (rho, sigma), bounds
 
@@ -718,12 +716,15 @@ def _last_composite_k(n):
 def _flagged_row_fails(capsys, n, *more):
     """scan, verify eq14-16 at n alone and theta_sum_sigma on the row at n,
     one of whose composite n // k + 1 is flagged prime: each fails on log
-    sigma, and the verify reports the violations more after it."""
+    sigma, and the verify reports the violations more after it, then the
+    quotient prime count."""
     error = f"log sigma disagrees with Legendre's formula at n={n}"
     assert cli.main(["scan", "--grid", f"list:{n}", "--nmax", str(n)]) == 1
     assert capsys.readouterr().err == f"error: {error}\n"
     res = verify.check_theta_identities(n, points=1)
-    assert [v.split(" off")[0] for v in res.violations] == [f"n={n}: theta sum for sigma", *more]
+    assert [v.split(" off")[0] for v in res.violations] == [
+        f"n={n}: theta sum for sigma", *more, f"n={n}: quotient prime count"
+    ]
     with pytest.raises(ArithmeticError, match=error):
         theta_sum_sigma(n)
 
@@ -757,6 +758,45 @@ def test_a_composite_flagged_prime_in_a_row_fails_on_log_sigma(monkeypatch, caps
 
     monkeypatch.setattr(analytics, "_quotient_flags", flags)
     _flagged_row_fails(capsys, _MUTANT_N)
+
+
+def test_a_composite_flagged_prime_fails_on_card_A_where_the_logs_pass(monkeypatch, capsys):
+    # at 2^36 + 12345 the composite n // 2^18 + 1 = 262145 = 5 * 52429,
+    # flagged prime in the row's window, adds about 12.5 to log sigma and s1
+    # alike, inside log sigma's bound of 24 and the split's 1e-6 n; only
+    # card_A against the check route's exact count sees it
+    n = (1 << 36) + 12345
+    k = math.isqrt(n)
+    assert n // k + 1 == 262145 == 5 * 52429
+    bound = analytics._theta_budget([n], np.zeros(1), np.zeros(1), PrimeTable(k + 2), False)[0, 1]
+    assert math.log(262145) < bound
+    real_flags = analytics._quotient_flags
+
+    def flags(m, small, t):
+        out = real_flags(m, small, t)
+        out[k - 1] |= m == n
+        return out
+
+    monkeypatch.setattr(analytics, "_quotient_flags", flags)
+    error = f"card_A disagrees with the check route's count of prime quotients at n={n}"
+    assert cli.main(["scan", "--grid", f"list:{n}", "--nmax", str(n)]) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    with pytest.raises(ArithmeticError, match=error):
+        quotient_prime_count(n, PrimeTable())
+
+
+def test_check_route_counts_the_prime_quotients_exactly():
+    # card_A of the check route, the k <= sqrt(n) with n // k + 1 prime,
+    # against is_probable_prime at each: n < r (r + 1) makes k = r give
+    # r + 1, which the route's log sum leaves to the primes p <= r + 1 but
+    # its count takes
+    ns = [*range(3001), *range(LUCY_THRESHOLD - 3, LUCY_THRESHOLD + 3), 4093**2 - 1, 4093**2]
+    _, _, counts = analytics._factorial_sums(ns, PrimeTable(), None)
+    want = [
+        sum(primes.is_probable_prime(n // k + 1) for k in range(1, math.isqrt(n) + 1)) for n in ns
+    ]
+    assert counts.tolist() == want
+    assert [rec.card_A for rec in scan(ns[1:], c=0.0)] == want[1:]
 
 
 def test_theta_budgets_stay_within_the_verify_tolerance():
@@ -839,7 +879,7 @@ def test_legendre_rows_equal_lucy_rows_in_the_prime_quotients():
     # row's.  The exponents are Legendre's, v_p(n!) - n // p, exactly
     ns = [LUCY_THRESHOLD, LUCY_THRESHOLD + 1, *CUBE_NS, 1 << 26, _MUTANT_N]
     t = PrimeTable()
-    analytics._scan_setup(ns, t, 1, True)
+    analytics._scan_setup(ns, t, True)
     for n in ns:
         lucy, row = analytics._lucy_row(n, t), analytics._legendre_row(n, t)
         assert row[2:] == lucy[2:], n
@@ -911,121 +951,54 @@ def test_scan_row_peak_is_below_the_estimate(c_mid):
             t.primes_up_to(2)  # the table's arrays are built before the row, as in a scan
             tracemalloc.start()
             try:
-                next(analytics._records([n], c_mid, t, analytics._prime_powers(n, t), 1, theta))
+                next(analytics._records([n], c_mid, t, analytics._prime_powers(n, t), theta))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak <= estimate(n), (n, theta, peak)
 
 
-def test_scan_workers_take_lucy_rows_in_n_order(monkeypatch, c_mid):
-    # the scan's rows from LUCY_THRESHOLD on, _legendre_rows since Lucy's
-    # sieve serves the theta sums alone, start in n order on the pool
-    import concurrent.futures
-    import threading
-
-    real, lock = analytics._legendre_row, threading.Lock()
-    started, threads, running, sizes = [], set(), [0, 0], []  # running: now, most
-
-    def counted(n, t):
-        with lock:
-            started.append(n)
-            threads.add(threading.get_ident())
-            running[0] += 1
-            running[1] = max(running)
-        try:
-            return real(n, t)
-        finally:
-            with lock:
-                running[0] -= 1
-
-    class Sized(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
-
-    ns = [LUCY_THRESHOLD + 3, 7, LUCY_THRESHOLD + 1, *range(100, 120), 3 * LUCY_THRESHOLD]
-    expected = scan(ns, c=c_mid)
-    monkeypatch.setattr(analytics, "_legendre_row", counted)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Sized)
-    for workers in (2, 64):
-        started.clear()
-        threads.clear()
-        running[1] = 0
-        assert scan(ns, c=c_mid, workers=workers) == expected
-        assert started == [LUCY_THRESHOLD + 1, LUCY_THRESHOLD + 3, 3 * LUCY_THRESHOLD]
-        assert 1 <= running[1] <= min(workers, 3) and len(threads) <= min(workers, 3)
-    # a pool no larger than the rows from LUCY_THRESHOLD on: with 64 workers
-    # three threads
-    assert sizes == [2, 3]
-
-
 def test_lucy_rows_leave_the_table_as_the_scan_set_up_left_it(c_mid):
-    # rows on threads share the table, so once scan_records has set up
-    # no row may grow it, extend its prime list or derive its arrays; the
-    # threads switch often here, and more run than there are cores
-    import sys
-
+    # once scan_records has set up, no row grows the table or re-derives
+    # its arrays: rows from LUCY_THRESHOLD on read it up to sqrt(n) + 2
     ns = [LUCY_THRESHOLD, 3001**2 - 1, (1 << 26) + 5, (1 << 30) + 12345, (1 << 31) + 7]
     expected = scan(ns, table=PrimeTable(), c=c_mid)
     t = PrimeTable()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        records = analytics.scan_records(ns, table=t, c=c_mid, workers=8)
-        limit, listed, count, arrays = t.limit, t._listed, len(t._list), t._arrays
-        assert list(records) == expected
-    finally:
-        sys.setswitchinterval(interval)
-    assert (t.limit, t._listed, len(t._list)) == (limit, listed, count)
-    assert t._arrays is arrays
+    records = analytics.scan_records(ns, table=t, c=c_mid)
+    limit, arrays = t.limit, t._arrays
+    assert list(records) == expected
+    assert t.limit == limit and t._arrays is arrays
 
 
 def test_scan_asks_memory_for_the_rows_in_flight(monkeypatch):
-    # the table rows are done before the first row from LUCY_THRESHOLD on
-    # starts, and at most workers such rows run at once: the scan's priced by
+    # the rows run one at a time, the table rows before the first row from
+    # LUCY_THRESHOLD on: one row at max(ns) is priced, the scan's by
     # _legendre_bytes, verify eq14-16's Lucy rows by _row_bytes
     asked = []
     monkeypatch.setattr(primes, "require_memory", lambda need, what: asked.append((need, what)))
     top = 1 << 40
-    for ns, workers, rows in (
-        ([100, top], 2, 1),
-        ([top - 1, top], 2, 2),
-        ([top - 2, top - 1, top], 2, 2),
-        ([LUCY_THRESHOLD, top], 8, 2),
-        ([100, 200], 8, 1),
-    ):
+    grids = [[100, top], [top - 1, top], [top - 2, top - 1, top], [LUCY_THRESHOLD, top], [100, 200]]
+    for ns in grids:
+        for theta, estimate in ((False, analytics._legendre_bytes), (True, analytics._row_bytes)):
+            asked.clear()
+            analytics._scan_setup(ns, PrimeTable(), theta)
+            rows = [(need, what) for need, what in asked if "scan row" in what]
+            assert rows == [(estimate(ns[-1]), f"a scan row at n = {ns[-1]}")], (ns, theta)
         asked.clear()
-        analytics.scan_records(ns, table=PrimeTable(), c=0.0, workers=workers)
-        ((need, what),) = [(need, what) for need, what in asked if "scan row" in what]
-        assert need == rows * analytics._legendre_bytes(ns[-1]), (ns, workers)
-        assert what.startswith("a scan row" if rows == 1 else f"{rows} scan rows"), (ns, workers)
-        t = PrimeTable()
-        asked.clear()
-        analytics._scan_setup(ns, t, 1, True)
-        assert [need for need, what in asked if "scan row" in what] == [analytics._row_bytes(ns[-1])]
-
-
-def test_scan_workers_deterministic(tmp_path, c_mid):
-    ns = list(range(1000, 41_000, 1000))  # sparse: per-record path
-    recs1 = scan(ns, c=c_mid, workers=1)
-    recs8 = scan(ns, c=c_mid, workers=8)
-    assert recs1 == recs8
-    p1, p8 = tmp_path / "w1.csv", tmp_path / "w8.csv"
-    write_csv(recs1, p1)
-    write_csv(recs8, p8)
-    assert p1.read_bytes() == p8.read_bytes()
+        analytics.scan_records(ns, table=PrimeTable(), c=0.0)
+        need = [need for need, what in asked if "scan row" in what]
+        assert need == [analytics._legendre_bytes(ns[-1])], ns
 
 
 def test_scan_workers_use_the_callers_table(monkeypatch, c_mid):
     class NoDefault:
         def __getattr__(self, name):
-            raise AssertionError("worker used the default table")
+            raise AssertionError("scan used the default table")
 
     ns = range(1000, 41_000, 1000)
-    expected = scan(ns, table=PrimeTable(1 << 16), c=c_mid, workers=1)
+    expected = scan(ns, table=PrimeTable(1 << 16), c=c_mid)
     monkeypatch.setattr(primes, "_default_table", NoDefault())
-    assert scan(ns, table=PrimeTable(1 << 16), c=c_mid, workers=2) == expected
+    assert scan(ns, table=PrimeTable(1 << 16), c=c_mid) == expected
 
 
 def test_scan_rejects_empty_or_bad():

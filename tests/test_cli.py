@@ -138,23 +138,6 @@ def test_theta_identities_row_over_physical_memory_is_an_error(capsys, monkeypat
     assert primes._default_table.limit == 4  # refused before the table grew
 
 
-def test_concurrent_scan_rows_over_physical_memory_are_an_error(capsys, monkeypatch):
-    # on an 8 GiB machine two rows at 2^54 (about 6 GiB each) do not fit,
-    # so two workers are refused before any row runs
-    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1 << 21, "SC_PAGE_SIZE": 4096}.get)
-    monkeypatch.setattr(primes, "_default_table", primes.PrimeTable())
-    n = 1 << 54
-    grid = f"list:{n - 1},{n}"
-    code, out, err = run_cli(capsys, "scan", "--grid", grid, "--nmax", str(n), "--workers", "2")
-    assert code == 1 and out == ""
-    from lcmf import analytics
-
-    need = 2 * analytics._legendre_bytes(n) / 2**30
-    assert err.startswith(f"error: 2 scan rows at once up to n = {n} needs about {need:.1f} GiB")
-    assert "memory" in err
-    assert primes._default_table.limit == 4
-
-
 def test_scan_stdout_equals_out_file(capsys, tmp_path):
     args = ["scan", "--grid", "list:100,5000,20000", "--nmax", "20000"]
     heads = {"csv": "n,log_rho,log_sigma,", "json": '[\n {\n  "n": 100,\n  "log_rho": '}
@@ -290,7 +273,7 @@ def test_internal_value_error_is_an_error_not_usage(capsys, monkeypatch):
 def test_failed_scan_checks_are_errors(capsys, monkeypatch):
     # one prime's exponent in a scan row raised by one, which the rows' check
     # against Legendre's formula catches, and a row that raises, on one row,
-    # and on two rows on one thread or on two.  Then Lucy's sieve, which
+    # and on two rows with --workers 1 or 2.  Then Lucy's sieve, which
     # serves the theta sums alone: theta(n // 2) raised by 100 and a failing
     # in-row check of _lucy, at the one Lucy row of verify eq14-16's grid
     from lcmf import analytics
@@ -402,6 +385,23 @@ def test_scan_dyadic_grid_counts(capsys, tmp_path):
     assert "constant enclosure" in err and "residual uncertainty at nmax: " in err
     lo, hi = map(float, err.split("[", 1)[1].split("]", 1)[0].split(", "))
     assert lo < 0.7553666108316880 < hi and hi - lo < 1e-15  # the analytic c
+
+
+def test_scan_rows_run_in_the_calling_thread(capsys, monkeypatch):
+    # --workers is accepted and read by nothing: two rows from 2^22 on with
+    # --workers 2 and no thread able to start give the bytes of --workers 1
+    import threading
+
+    n = (1 << 30) + 12345
+    argv = ["scan", "--grid", f"list:{n},{n + 2}", "--nmax", str(n + 2), "--workers"]
+    code, want, _ = run_cli(capsys, *argv, "1")
+    assert code == 0 and len(want.splitlines()) == 3
+
+    def start(self):
+        raise RuntimeError("a scan started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    assert run_cli(capsys, *argv, "2")[:2] == (0, want)
 
 
 def test_scan_json_and_worker_determinism(capsys, tmp_path):
