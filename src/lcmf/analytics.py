@@ -4,16 +4,16 @@ The headline quantities are log rho(n) and log sigma(n).  Both admit exact
 rewrites as sums of theta values over the ~2 sqrt(n) distinct quotients n//k,
 and their gap is the log-sum over k of the prime quotient values
 floor(n/k + 1).  The theta-sum routes below hand _rows theta at q = n // k
-and the primality of q + 1; it sums every field of a row, sigma's as theta
-plus those logs, and card_A, s1 and s2 through _prime_quotients.  The check
-route, Legendre's formula for n! over the prime powers (_factorial_sums),
-needs the primes up to sqrt(n) + 1 alone; _checked compares every row of
-scan, verify eq14-16 and the one-n functions with it, log rho and log sigma
-within stated budgets and s1 + s2 with its gap, so its own primality tests
-check the flags behind s1 and card_A.  Residuals subtract n log n - (c+1) n
-and n log n - n, where c is the sum over primes of log p / (p (p-1)): scans
-take it from analytic_constant(), the float of an analytic series, and
-prime_series_constant() encloses it rigorously.
+and the primality of q + 1; it sums log rho over theta, and card_A, s1 and
+s2 through _prime_quotients.  Every row's log sigma is log rho + (s1 + s2).
+The check route, Legendre's formula for n! over the prime powers
+(_factorial_sums), needs the primes up to sqrt(n) + 1 alone; _checked
+compares every row of scan, verify eq14-16 and the one-n functions with it,
+log rho and log sigma within stated budgets and s1 + s2 with its gap, so
+its own primality tests check the flags behind s1 and card_A.  Residuals
+subtract n log n - (c+1) n and n log n - n, where c is the sum over primes
+of log p / (p (p-1)): scans take it from analytic_constant(), the float of
+an analytic series, and prime_series_constant() encloses it rigorously.
 
 The route of a row depends on n and on what the caller reads (_scan_rows).
 Below LUCY_THRESHOLD (2^22) theta and primality are lookups in a prime
@@ -24,15 +24,14 @@ theta (s_split, quotient_prime_count) take _legendre_row, in O(sqrt n):
 log rho from Legendre's formula one prime at a time, and card_A, s1 and s2
 from _prime_quotients, with the primality of n // k + 1 from one sieved
 window above sqrt(n) and, for the few values past it, Miller-Rabin
-(_quotient_flags); log sigma is log rho + (s1 + s2).  verify eq14-16 and
-theta_sum_rho and theta_sum_sigma, which check the theta sums themselves,
-take a block of one of _rows (_lucy_row) with theta at every quotient from
-Lucy's sieve (_lucy), in O(n**(3/4)) time and O(sqrt n) memory, and the
-same flags.  Each row sums in a fixed order over its own arrays, so scan
-output is reproducible bit for bit on one platform whatever the grid or its
-blocks.  A scan is one stream of records in n order, made and checked a
-chunk of rows at a time in the calling thread (_records), which the writers
-take as it comes.
+(_quotient_flags).  verify eq14-16 and theta_sum_rho and theta_sum_sigma,
+which check the theta sums themselves, take a block of one of _rows
+(_lucy_row) with theta at every quotient from Lucy's sieve (_lucy), in
+O(n**(3/4)) time and O(sqrt n) memory, and the same flags.  Each row sums
+in a fixed order over its own arrays, so scan output is reproducible bit
+for bit on one platform whatever the grid or its blocks.  A scan is one
+stream of records in n order, made and checked a chunk of rows at a time
+in the calling thread (_records), which the writers take as it comes.
 """
 
 from __future__ import annotations
@@ -139,7 +138,7 @@ def log_rho(n: int, table: PrimeTable | None = None) -> float:
 def log_sigma(n: int, table: PrimeTable | None = None) -> float:
     """log sigma(n), the sum of (n // (p-1)) log p over primes p, by the check
     route _factorial_sums."""
-    return float(_factorial_sums([n], _primes._table(table), None)[1][0])
+    return float(_factorial_sums([n], _primes._table(table))[1][0])
 
 
 def _blocks(widths: Iterable[int]):
@@ -196,7 +195,7 @@ def _prime_powers(top: int, t: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
     return powers, np.log(ps)[owner]
 
 
-def _factorial_rho(ns, t: PrimeTable, powers=None) -> np.ndarray:
+def _factorial_rho(ns, t: PrimeTable) -> np.ndarray:
     """log rho(n) of each n of the nonempty ascending ns >= 0, by Legendre's
     formula v_p(n!) = sum over e >= 1 of n // p**e, of which log rho(n) keeps
     e = 1:
@@ -205,18 +204,17 @@ def _factorial_rho(ns, t: PrimeTable, powers=None) -> np.ndarray:
 
     The check route of the theta sums, with _factorial_sums: it reads no
     theta, and of the table the primes up to sqrt(max(ns)) alone, through
-    powers, _prime_powers at max(ns) or above, built here if not given.  The
-    quotients n // p**e are int64, exact at every n; converting one to
-    float64 as it is multiplied by log p is exact below 2**53, and above it
-    within the half unit that _factorial_budget's five units per term allow
-    for it.  Each n sums its prime powers in ascending order
-    (_slice_sums), a block of n at a time (_blocks), so its value does not
-    depend on ns or on how far powers reaches; it is within
-    _factorial_budget(n) of log rho(n).
+    _prime_powers(max(ns)), which each call builds.  The quotients n // p**e
+    are int64, exact at every n; converting one to float64 as it is
+    multiplied by log p is exact below 2**53, and above it within the half
+    unit that _factorial_budget's five units per term allow for it.  Each n
+    sums its own prime powers in ascending order (_slice_sums), a block of n
+    at a time (_blocks), so its value does not depend on ns or on how far
+    the powers reach; it is within _factorial_budget(n) of log rho(n).
     """
     if ns[0] < 0:
         raise ValueError("n must be >= 0")
-    powers, logs = _prime_powers(ns[-1], t) if powers is None else powers
+    powers, logs = _prime_powers(ns[-1], t)
     counts = powers.searchsorted(ns, side="right").tolist()  # the prime powers <= n
     out = _log_factorial(np.array(ns, dtype=np.int64))
     for a, b in _blocks(counts):
@@ -225,10 +223,10 @@ def _factorial_rho(ns, t: PrimeTable, powers=None) -> np.ndarray:
     return out
 
 
-def _factorial_sums(ns, t: PrimeTable, powers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _factorial_sums(ns, t: PrimeTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(log rho, log sigma, card_A) of each n of the nonempty ascending
     ns >= 0: the check route of the theta sums.  log rho is _factorial_rho's,
-    with powers as there, and with r = isqrt(n)
+    and with r = isqrt(n)
 
         log sigma(n) - log rho(n) = sum over primes p <= r + 1 of
             (n // (p-1) - n // p) log p + sum of log(v + 1) over the
@@ -244,7 +242,7 @@ def _factorial_sums(ns, t: PrimeTable, powers) -> tuple[np.ndarray, np.ndarray, 
     r + 1 where it is n // r + 1, that is where n < r (r + 1).
     """
     ps = t.primes_up_to(math.isqrt(max(ns[-1], 0)) + 1)  # first: the table grows once
-    rho = _factorial_rho(ns, t, powers)  # it refuses an n < 0
+    rho = _factorial_rho(ns, t)  # it refuses an n < 0
     logs, mask, gap = np.log(ps), t.prime_mask(t.limit), np.empty(len(ns))
     count = np.empty(len(ns), dtype=np.int64)
     for a, b in _blocks(math.isqrt(n) for n in ns):
@@ -288,23 +286,20 @@ _Row = tuple[float, float, int, float, float]  # (log_rho, log_sigma, card_A, s1
 
 
 def _prime_quotients(ns: list[int], q, prime_q, mask):
-    """((card_A, s1, s2), (flagged, logs, hit, hit_log)) of a block of
-    ascending ns laid out as _rows takes it: the one sum of the prime
-    quotient values n // k + 1, which _rows and _legendre_row both call.
+    """(card_A, s1, s2) of a block of ascending ns laid out as _rows takes
+    it: the one sum of the prime quotient values n // k + 1, which _rows and
+    _legendre_row both call.
 
     card_A counts and s1 sums log(n // k + 1) over the flagged cells of
     prime_q, row after row, row i's small quotients being the cells from
     i stride to i stride + r; s2 sums mult = n // v - n // (v + 1) times
-    log(v + 1) over the large v <= top with v + 1 prime on mask.  flagged,
-    the flat indices of those cells, logs, hit, the v - 1 of the v < w with
-    v + 1 prime, and hit_log, log(v + 1) at each, are what _rows adds to
-    theta for sigma.  Each row sums over its own cells, in a fixed order.
+    log(v + 1) over the large v <= top with v + 1 prime on mask.  Each row
+    sums over its own cells, in a fixed order.
     """
     roots = [math.isqrt(n) for n in ns]
     tops = [n // (r + 1) for n, r in zip(ns, roots)]
     w, stride = q.shape[1], prime_q.shape[1]
     hit = np.flatnonzero(mask[2 : w + 1])  # the v < w with v + 1 prime, as v - 1
-    hit_log = np.log(hit + 2)
     hits = hit.searchsorted(tops).tolist()  # how many large v with v + 1 prime, per row
     flagged = np.flatnonzero(prime_q)
     logs = np.log(q[:, :stride].ravel()[flagged] + 1)
@@ -313,8 +308,8 @@ def _prime_quotients(ns: list[int], q, prime_q, mask):
     s1 = [float(np.add.reduce(logs[cuts[i] : cuts[i + 1]])) for i in range(0, len(cuts), 2)]
     card = [cuts[i + 1] - cuts[i] for i in range(0, len(cuts), 2)]
     h = hit[: hits[-1]]  # v - 1 at each large v with v + 1 prime: mult is q[:, h] - q[:, h + 1]
-    s2 = _slice_sums((q[:, h] - q[:, h + 1]) * hit_log[: hits[-1]], hits).tolist()
-    return (card, s1, s2), (flagged, logs, hit, hit_log)
+    s2 = _slice_sums((q[:, h] - q[:, h + 1]) * np.log(h + 2), hits).tolist()
+    return card, s1, s2
 
 
 def _rows(ns: list[int], q, rho_q, prime_q, rho_v, mask) -> list[_Row]:
@@ -325,27 +320,20 @@ def _rows(ns: list[int], q, rho_q, prime_q, rho_v, mask) -> list[_Row]:
     r = isqrt(n) and top = n // (r + 1).  rho_q and prime_q hold theta(n // k)
     and the primality of n // k + 1 for k <= r, in rows of their own stride;
     rho_v holds theta(v) at index v < w, and mask the primality of 0..w or
-    more.  card_A, s1 and s2 are _prime_quotients'.  theta(v + 1) is theta(v)
-    plus log(v + 1), the log s1 or s2 takes, where v + 1 is prime.  The large
-    quotients v <= top weigh mult = n // v - n // (v + 1), the number of
-    k > r with n // k == v.  Each row sums with np.add.reduce over its own
-    slices (_slice_sums): the values and the order of a row do not depend on
-    the block, so neither do its sums.
+    more.  The large quotients v <= top weigh mult = n // v - n // (v + 1),
+    the number of k > r with n // k == v.  card_A, s1 and s2 are
+    _prime_quotients'; s1 + s2 is the log-sum of the prime n // k + 1 over
+    k = 1..n, log sigma(n) - log rho(n), so log sigma = log rho + (s1 + s2).
+    Each row sums with np.add.reduce over its own slices (_slice_sums): the
+    values and the order of a row do not depend on the block, so neither do
+    its sums.
     """
     roots = [math.isqrt(n) for n in ns]
     tops = [n // (r + 1) for n, r in zip(ns, roots)]
-    w = q.shape[1]
-    (card, s1, s2), (flagged, logs, hit, hit_log) = _prime_quotients(ns, q, prime_q, mask)
-    # theta(v + 1): copies of theta, plus the logs of s1 and s2 where v + 1 is prime
-    sigma_q, sigma_v = rho_q.copy(), rho_v[:w].copy()
-    sigma_q.flat[flagged] += logs
-    sigma_v[hit + 1] += hit_log
-    mult = q[:, :-1] - q[:, 1:]  # at v = 1..w-1
-    mult_rho, mult_sigma = mult * rho_v[1:w], mult * sigma_v[1:]
-    del mult
-    rho = _slice_sums(rho_q, roots) + _slice_sums(mult_rho, tops)
-    sigma = _slice_sums(sigma_q, roots) + _slice_sums(mult_sigma, tops)
-    return list(zip(rho.tolist(), sigma.tolist(), card, s1, s2))
+    card, s1, s2 = _prime_quotients(ns, q, prime_q, mask)
+    mult_rho = (q[:, :-1] - q[:, 1:]) * rho_v[1 : q.shape[1]]  # at v = 1..w-1
+    rho = (_slice_sums(rho_q, roots) + _slice_sums(mult_rho, tops)).tolist()
+    return [(lr, lr + (a + b), c, a, b) for lr, c, a, b in zip(rho, card, s1, s2)]
 
 
 def _table_rows(ns: list[int], t: PrimeTable) -> Iterator[_Row]:
@@ -357,8 +345,7 @@ def _table_rows(ns: list[int], t: PrimeTable) -> Iterator[_Row]:
     time (_blocks): q = n // k is one array, theta at it one search of the
     primes and one gather, and the flags of n // k + 1 one step.  _rows sums
     each block, whose rows are yielded one by one, so that a caller holds no
-    list of them; its theta(p) = theta(p - 1) + np.log(p) is the table's
-    bit for bit, as np.cumsum adds the prefix in order.
+    list of them.
     """
     if not ns:
         return
@@ -413,9 +400,8 @@ def _row_bytes(n: int) -> int:
     more per sqrt(n) between those two, with the window and without it: the
     chunk's arrays set the peak at the small n, _lucy's sqrt(n) arrays at the
     large, and the window, held after them, stays below it.  A row's check
-    (_factorial_sums, _theta_budget), which takes both of _row_budget's
-    shifts from one set of quotients, peaked at up to 42 B per sqrt(n),
-    below the row's own peak.
+    (_factorial_sums, _theta_budget with its one _row_budget) peaked at up to
+    42 B per sqrt(n), below the row's own peak.
     """
     return 80 * _LUCY_BATCH_CELLS + (125 + _WINDOW_ROOTS) * math.isqrt(n)
 
@@ -635,7 +621,8 @@ def _one_row(n: int, table: PrimeTable | None, theta: bool) -> ScanRecord:
     """The record of the one n at c = 0, checked (_records): a theta-sum row
     if theta, else the scan's row."""
     t = _primes._table(table)
-    return next(_records([n], 0.0, t, _scan_setup([n], t, theta), theta))
+    _scan_setup([n], t, theta)
+    return next(_records([n], 0.0, t, theta))
 
 
 def theta_sum_rho(n: int, table: PrimeTable | None = None) -> float:
@@ -697,7 +684,8 @@ def _lucy_row(n: int, t: PrimeTable) -> _Row:
     block of one: theta from _lucy, the primality of the n // k + 1 with
     k <= sqrt(n) from _quotient_flags, a sieved window and _prime_flags above
     it, and that of the large v + 1 <= sqrt(n) + 1 from the table's bitmap,
-    so the table only needs to reach sqrt(n) + 2 (_scan_setup)."""
+    so the table only needs to reach sqrt(n) + 2 (_scan_setup).  Its log
+    sigma is log rho + (s1 + s2), as on every row."""
     r = math.isqrt(n)
     q = n // np.arange(1, n // (r + 1) + 2, dtype=np.int64)
     _, (rho_q, rho_v) = _lucy(n, t, q)
@@ -728,8 +716,7 @@ def _legendre_row(n: int, t: PrimeTable) -> _Row:
     s2 are _prime_quotients' over the arrays that _lucy_row hands _rows: the
     primality of n // k + 1, k <= sqrt(n), from _quotient_flags, and of the
     large v + 1 <= sqrt(n) + 1 from the bitmap; so they equal _lucy_row's
-    bit for bit.  s1 + s2 is the log-sum of the prime n // k + 1 over
-    k = 1..n, log sigma(n) - log rho(n), so log sigma = log rho + (s1 + s2).
+    bit for bit.  log sigma is log rho + (s1 + s2), as _rows takes it.
 
     Both values are within _factorial_budget(n) of the exact ones, by that
     budget's own count: log n! is the check route's; log rho subtracts
@@ -741,7 +728,7 @@ def _legendre_row(n: int, t: PrimeTable) -> _Row:
     r = math.isqrt(n)
     q = n // np.arange(1, n // (r + 1) + 2, dtype=np.int64)
     flags = _quotient_flags(n, q[:r], t)[None]
-    (card,), (s1,), (s2,) = _prime_quotients([n], q[None], flags, t.prime_mask(r + 1))[0]
+    (card,), (s1,), (s2,) = _prime_quotients([n], q[None], flags, t.prime_mask(r + 1))
     del q, flags
     ps = t.primes_up_to(r)
     lf = _log_factorial(np.array([n], dtype=np.int64))[0]
@@ -749,18 +736,16 @@ def _legendre_row(n: int, t: PrimeTable) -> _Row:
     return rho, rho + (s1 + s2), card, s1, s2
 
 
-def _row_budget(n: int, updates: int) -> tuple[float, float]:
-    """The sums over k = 1..n of _s1_budget(n // k + shift, updates) at
-    shift 0 and 1, from one set of quotients: the budgets of a Lucy row's
-    sums of theta(n // k) and theta(n // k + 1) from the errors of its S1.
-    The large quotients' terms at both shifts are slices of one array."""
+def _row_budget(n: int, updates: int) -> float:
+    """The sum over k = 1..n of _s1_budget(n // k, updates): the budget of a
+    Lucy row's sum of theta(n // k) from the errors of its S1."""
     r = math.isqrt(n)
     q = n // np.arange(1, n // (r + 1) + 2, dtype=np.int64)
-    small = [np.add.reduce(_s1_budget(q[:r] + shift, updates)) for shift in (0, 1)]
+    small = np.add.reduce(_s1_budget(q[:r], updates))
     mult, top = q[:-1] - q[1:], len(q) - 1  # mult at v = 1..top
     del q
-    at = _s1_budget(np.arange(1, top + 2, dtype=np.int64), updates)  # at v = 1..top + 1
-    return tuple(float(small[s] + np.add.reduce(mult * at[s : s + top])) for s in (0, 1))
+    at = _s1_budget(np.arange(1, top + 1, dtype=np.int64), updates)  # at v = 1..top
+    return float(small + np.add.reduce(mult * at))
 
 
 def _theta_budget(ns, rho, sigma, t: PrimeTable, theta: bool) -> np.ndarray:
@@ -768,20 +753,29 @@ def _theta_budget(ns, rho, sigma, t: PrimeTable, theta: bool) -> np.ndarray:
     values|, in columns 0 and 1, at each n >= 1 of ns, whose rows' values
     are rho and sigma.
 
-    A theta-sum row's value is its sum of theta(n // k + shift), k = 1..n,
-    shift 0 for log rho and 1 for log sigma; with u = 2**-52 its budget is
-    the sum of
+    A theta-sum row's log rho is its sum of theta(n // k), k = 1..n, over
+    m = r + top <= 2 sqrt(n) terms, r = isqrt(n) and top = n // (r + 1), and
+    its log sigma is log rho + (s1 + s2) (_rows).  With u = 2**-52 and x the
+    column's value, rho or sigma, the budget is the sum of
 
-    - theta's error at w = n // k + shift, by multiplicity: on a Lucy row
-      _row_budget(n, pi(sqrt n)); on a table row, where theta(w) is
-      the prefix of np.log p (within 4 ulps; at shift 1 _rows adds log w as
-      np.cumsum does), u (4 + pi(w) / 2) theta(w) <= 0.7 u w (w + 8)
-      (pi(w) <= w, theta(w) < 1.39 w), summed over w <= n / k + shift under
-      0.7 u (1.645 n**2 + (2 shift + 8) n (1 + log n) + shift (shift + 8) n);
-    - the row's rounding, u (2 sqrt(n) + 1) sums over under 2 sqrt(n) terms:
-      twice what they round, the rest covering a Lucy row's S1(v) + log(v + 1)
-      at shift 1, under 4.5 u theta(v + 1) a cell;
+    - theta's error at w = n // k, by multiplicity: on a Lucy row
+      _row_budget(n, pi(sqrt n)); on a table row, where theta(w) is the
+      prefix of np.log p (within 4 ulps), u (4 + pi(w) / 2) theta(w)
+      <= 0.7 u w (w + 8) (pi(w) <= w, theta(w) < 1.39 w), summed over
+      w <= n / k under 0.7 u (1.645 n**2 + 8 n (1 + log n));
+    - the row's rounding, u (2 sqrt(n) + 1) x;
     - the check route's error, _factorial_budget(n).
+
+    log rho's m - 1 adds and its products mult theta(v) round by under
+    u (m + 1) rho / 2, about half its share.  log sigma's error is log
+    rho's, plus the split's, plus one add.  s1 + s2 sums at most m terms,
+    each within 5 u of its value (np.log, the conversion of mult, the
+    product), in m - 1 adds, so it is within u (m / 2 + 4.5) (s1 + s2); the
+    add rounds by u sigma / 2.  As sigma = rho + (s1 + s2), u (2 sqrt(n) + 1)
+    sigma covers the three roundings where m / 2 + 4 <= 2 sqrt(n), at every
+    n >= 13; below it the rest, (m / 2 + 4 - 2 sqrt(n)) u (s1 + s2), under
+    6.2 u (most at n = 4), is within the 6.3 u that the theta term counts
+    at k = n, where theta(n // k) = theta(1) = 0 has no error.
 
     The rows from LUCY_THRESHOLD on are Lucy rows if theta, else
     _legendre_rows, whose budget is 2 _factorial_budget(n): the row and the
@@ -791,35 +785,31 @@ def _theta_budget(ns, rho, sigma, t: PrimeTable, theta: bool) -> np.ndarray:
     """
     n = np.array(ns, dtype=np.float64)
     heavy = np.flatnonzero(n >= LUCY_THRESHOLD).tolist()
-    lucy = [_row_budget(ns[i], t.pi(math.isqrt(ns[i]))) for i in heavy] if theta else []
-    out = []
-    for shift, sums in ((0, rho), (1, sigma)):
-        err = 0.7 * 2.0**-52 * (
-            1.645 * n * n + (2 * shift + 8) * n * (1 + np.log(n)) + shift * (shift + 8) * n
-        )
-        for i, pair in zip(heavy, lucy):
-            err[i] = pair[shift]
-        out.append(err + 2.0**-52 * (2 * np.sqrt(n) + 1) * sums + _factorial_budget(n))
-    budget = np.stack(out, 1)
+    err = 0.7 * 2.0**-52 * (1.645 * n * n + 8 * n * (1 + np.log(n)))
+    if theta:
+        for i in heavy:
+            err[i] = _row_budget(ns[i], t.pi(math.isqrt(ns[i])))
+    row, route = 2.0**-52 * (2 * np.sqrt(n) + 1), _factorial_budget(n)
+    budget = np.stack([err + row * x + route for x in (rho, sigma)], 1)
     if not theta:
-        budget[heavy] = 2 * _factorial_budget(n[heavy])[:, None]
+        budget[heavy] = 2 * route[heavy, None]
     return np.minimum(budget, 1e-6 * np.maximum(1.0, n)[:, None])
 
 
-def _checked(ns, t: PrimeTable, powers, theta: bool):
+def _checked(ns, t: PrimeTable, theta: bool):
     """(part, rows, ratio, bound) per chunk of _CHECK_ROWS rows of the
     ascending ns (_scan_rows, theta-sum rows if theta): ratio[i] is row i's
     |difference| / bound[i] against the check route _factorial_sums, log rho
     and log sigma within _theta_budget, s1 + s2 with the route's gap within
     1e-6 max(1, n), and card_A with the route's exact count within 1/2, so
-    that one flag of n // k + 1 wrong fails at any n.  powers is
-    _prime_powers at max(ns) or above."""
+    that one flag of n // k + 1 wrong fails at any n.  The route builds its
+    own prime powers for each chunk (_factorial_rho)."""
     rows = _scan_rows(ns, t, theta)
     for a in range(0, len(ns), _CHECK_ROWS):
         part = ns[a : a + _CHECK_ROWS]
         chunk = list(itertools.islice(rows, len(part)))
         lr, ls, card, s1, s2 = np.array(chunk).T
-        rho, sigma, count = _factorial_sums(part, t, powers)
+        rho, sigma, count = _factorial_sums(part, t)
         split = 1e-6 * np.maximum(1.0, np.array(part, dtype=np.float64))
         budget = _theta_budget(part, lr, ls, t, theta)
         bound = np.column_stack((budget, split, np.full(len(part), 0.5)))
@@ -836,12 +826,12 @@ _FAILURES = (
 )
 
 
-def _records(ns, c: float, t: PrimeTable, powers, theta: bool = False) -> Iterator[ScanRecord]:
+def _records(ns, c: float, t: PrimeTable, theta: bool = False) -> Iterator[ScanRecord]:
     """The records of the ascending ns, the scan's rows or, if theta, the
     theta-sum rows, a chunk of _checked at a time once all its rows are
     within their bounds; else ArithmeticError at the first row past one,
     naming its first failing comparison."""
-    for part, rows, ratio, _ in _checked(ns, t, powers, theta):
+    for part, rows, ratio, _ in _checked(ns, t, theta):
         bad = np.argwhere(~(ratio <= 1.0))  # a NaN fails too
         if len(bad):
             i, j = bad[0].tolist()
@@ -861,12 +851,12 @@ def _records(ns, c: float, t: PrimeTable, powers, theta: bool = False) -> Iterat
             )
 
 
-def _scan_setup(ns, t: PrimeTable, theta: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _scan_setup(ns, t: PrimeTable, theta: bool = False) -> None:
     """Set t up for _scan_rows over the ascending ns >= 1 (_checked's
     callers): price one row at max(ns), by _row_bytes for theta-sum rows and
     _legendre_bytes for the scan's, then grow t to n + 2 for the last n below
-    LUCY_THRESHOLD and to sqrt(max(ns)) + 2.  The returned
-    _prime_powers(max(ns)), for _checked, derives the arrays."""
+    LUCY_THRESHOLD and to sqrt(max(ns)) + 2.  The first row derives the
+    table's arrays."""
     if not ns or ns[0] < 1:
         raise ValueError("scan grid must be nonempty with n >= 1")
     top = ns[-1]
@@ -874,7 +864,6 @@ def _scan_setup(ns, t: PrimeTable, theta: bool = False) -> tuple[np.ndarray, np.
     need = (_row_bytes if theta else _legendre_bytes)(top)
     _primes.require_memory(need, f"a scan row at n = {top}")
     t.ensure(max(ns[light - 1] + 2 if light else 0, math.isqrt(top) + 2))
-    return _prime_powers(top, t)
 
 
 def scan_records(
@@ -897,10 +886,10 @@ def scan_records(
     if not (isinstance(ns, range) and ns.step > 0):
         ns = sorted(set(int(n) for n in ns))
     t = _primes._table(table)
-    powers = _scan_setup(ns, t)
+    _scan_setup(ns, t)
     if c is None:
         c = analytic_constant().midpoint
-    return _records(ns, c, t, powers)
+    return _records(ns, c, t)
 
 
 def scan(ns, table: PrimeTable | None = None, c: float | None = None) -> list[ScanRecord]:

@@ -238,8 +238,8 @@ def check_theta_identities(nmax: int, points: int = 1000) -> CheckResult:
     t = _primes.default_table()
     grid = sorted(set(max(1, (i * nmax) // points) for i in range(1, points + 1)))
     worst = (0.0, grid[0], names[0])  # |difference| / bound, n, comparison
-    powers = analytics._scan_setup(grid, t, theta=True)
-    for part, _, ratio, bound in analytics._checked(grid, t, powers, theta=True):
+    analytics._scan_setup(grid, t, theta=True)
+    for part, _, ratio, bound in analytics._checked(grid, t, theta=True):
         res.cases += len(part)
         for i, j in zip(*(~(ratio <= 1.0)).nonzero()):  # a NaN fails too
             res.violations.append(f"n={part[i]}: {names[j]} off by more than {bound[i, j]}")

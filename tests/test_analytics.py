@@ -153,9 +153,12 @@ def test_s_split_equals_log_gap():
 
 
 def _table_row_oracle(n, t):
-    """(log_rho, log_sigma, card_A, s1, s2) of n the long way: the quotients by
-    three divisions, theta by a search of the primes at each of n // k,
-    n // k + 1, v and v + 1, and the sums in the same order as the table route."""
+    """((log_rho, log_sigma, card_A, s1, s2), theta_sigma) of n the long way:
+    the quotients by three divisions, theta by a search of the primes at each
+    of n // k, n // k + 1, v and v + 1, and the sums in the same order as the
+    table route.  log sigma is log_rho + (s1 + s2), as the row takes it, and
+    theta_sigma the sum of theta(n // k + 1) over k = 1..n, log sigma by
+    another grouping of the same logs."""
     r = math.isqrt(n)
     small = n // np.arange(1, r + 1, dtype=np.int64)
     large = np.arange(1, n // (r + 1) + 1, dtype=np.int64)
@@ -167,13 +170,18 @@ def _table_row_oracle(n, t):
     mask = t.prime_mask(n + 2)
     small_prime, large_prime = mask[small + 1], mask[large + 1]
     hits = small[small_prime] + 1
-    return (
-        total(t.theta_many(small), t.theta_many(large)),
-        total(t.theta_many(small + 1), t.theta_many(large + 1)),
-        len(hits),
-        float(np.sum(np.log(hits))),
-        float(np.sum(mult[large_prime] * np.log(large[large_prime] + 1))),
-    )
+    lr = total(t.theta_many(small), t.theta_many(large))
+    s1 = float(np.sum(np.log(hits)))
+    s2 = float(np.sum(mult[large_prime] * np.log(large[large_prime] + 1)))
+    theta_sigma = total(t.theta_many(small + 1), t.theta_many(large + 1))
+    return (lr, lr + (s1 + s2), len(hits), s1, s2), theta_sigma
+
+
+def _within_sigma_column(row, theta_sigma, n, t, theta=False):
+    """Whether the row's log sigma is within _theta_budget's sigma column of
+    theta_sigma, a sum of theta(n // k + 1)."""
+    bound = analytics._theta_budget([n], np.array(row[:1]), np.array(row[1:2]), t, theta)[0, 1]
+    return abs(row[1] - theta_sigma) <= bound
 
 
 def test_table_rows_equal_the_three_division_route(c_mid):
@@ -186,9 +194,11 @@ def test_table_rows_equal_the_three_division_route(c_mid):
     edge = next(n for n in range(10**6, 2 * 10**6) if t.is_prime(n // (math.isqrt(n) + 1) + 1))
     ns += [edge, LUCY_THRESHOLD - 1]
     for n in ns:
-        lr, ls, card, s1, s2 = want = _table_row_oracle(n, t)
+        want, theta_sigma = _table_row_oracle(n, t)
+        lr, ls, card, s1, s2 = want
+        assert _within_sigma_column(want, theta_sigma, n, t), n
         logn = math.log(n)
-        assert next(analytics._records([n], c_mid, t, analytics._prime_powers(n, t))) == (
+        assert next(analytics._records([n], c_mid, t)) == (
             n, lr, ls, lr - (n * logn - (c_mid + 1.0) * n), ls - (n * logn - n),
             card, card * logn / math.sqrt(n), s1, s2,
         ), n
@@ -210,7 +220,9 @@ def test_table_rows_in_blocks_equal_the_oracle(monkeypatch):
         ns += [r * r - 1, r * r, r * r + r, r * r + 2 * r]
     edge = next(n for n in range(10**6, 2 * 10**6) if t.is_prime(n // (math.isqrt(n) + 1) + 1))
     ns = sorted(set(ns + [edge, LUCY_THRESHOLD - 1]))
-    want = dict(zip(ns, (_table_row_oracle(n, t) for n in ns)))
+    oracle = dict(zip(ns, (_table_row_oracle(n, t) for n in ns)))
+    want = {n: row for n, (row, _) in oracle.items()}
+    assert all(_within_sigma_column(row, ts, n, t) for n, (row, ts) in oracle.items())
     # n = 1, 2 and 3 share a block with a large n at the default budget
     few = [1, 2, 3, edge]
     assert list(analytics._blocks(_table_row_widths(few))) == [(0, 4)]
@@ -237,7 +249,7 @@ def test_table_and_check_rows_hold_one_block_at_a_time():
     for ns, route in (
         (window, lambda: list(analytics._table_rows(window, t))),
         (grid, lambda: list(analytics._table_rows(grid, t))),
-        (grid, lambda: analytics._factorial_sums(grid, t, None)),
+        (grid, lambda: analytics._factorial_sums(grid, t)),
     ):
         tracemalloc.start()
         try:
@@ -325,7 +337,7 @@ def test_check_route_within_its_budget_of_exact_logs():
     ns = list(range(3001))
     rho_ref, sigma_ref = (np.array(v) for v in zip(*_exact_logs(3000)))
     t = PrimeTable()
-    rhos, sigmas, _ = analytics._factorial_sums(ns, t, None)
+    rhos, sigmas, _ = analytics._factorial_sums(ns, t)
     budget = analytics._factorial_budget(np.array(ns, dtype=np.float64))
     ulp = np.spacing(np.maximum(rho_ref, sigma_ref))
     assert np.all(np.abs(rhos - rho_ref) <= budget + ulp)
@@ -364,15 +376,15 @@ def test_check_route_in_blocks_equals_one_n_at_a_time(monkeypatch):
     t = PrimeTable(math.isqrt(1 << 26) + 2)
     ns = list(range(0, 200)) + list(range((1 << 20) - 300, (1 << 20) + 300, 7))
     ns += [LUCY_THRESHOLD - 1, LUCY_THRESHOLD, LUCY_THRESHOLD + 1, 4093**2 - 1, 4093**2, 1 << 26]
-    one = [tuple(float(v[0]) for v in analytics._factorial_sums([n], t, None)) for n in ns]
+    one = [tuple(float(v[0]) for v in analytics._factorial_sums([n], t)) for n in ns]
     assert t.limit == math.isqrt(1 << 26) + 2  # the route grew no table
     grown = PrimeTable(LUCY_THRESHOLD + 2)
-    assert [tuple(float(v[0]) for v in analytics._factorial_sums([n], grown, None)) for n in ns] == one
+    assert [tuple(float(v[0]) for v in analytics._factorial_sums([n], grown)) for n in ns] == one
     i = ns.index(LUCY_THRESHOLD)
     assert any(a < i < b for a, b in analytics._blocks(math.isqrt(n) for n in ns))
     for cells in (analytics._TABLE_BLOCK_CELLS, 300):
         monkeypatch.setattr(analytics, "_TABLE_BLOCK_CELLS", cells)
-        rhos, sigmas, counts = analytics._factorial_sums(ns, t, None)
+        rhos, sigmas, counts = analytics._factorial_sums(ns, t)
         assert list(zip(rhos.tolist(), sigmas.tolist(), counts.tolist())) == one, cells
         assert analytics._factorial_rho(ns, t).tolist() == rhos.tolist(), cells
     sizes = [b - a for a, b in analytics._blocks(math.isqrt(n) for n in ns)]
@@ -387,9 +399,9 @@ def test_check_route_on_fresh_tables_equals_a_grown_table():
     grown = PrimeTable(3002)
     for n in range(3001):
         fresh = PrimeTable()
-        got = tuple(float(v[0]) for v in analytics._factorial_sums([n], fresh, None))
+        got = tuple(float(v[0]) for v in analytics._factorial_sums([n], fresh))
         assert fresh.limit <= max(8, math.isqrt(n) + 1), n
-        assert got == tuple(float(v[0]) for v in analytics._factorial_sums([n], grown, None)), n
+        assert got == tuple(float(v[0]) for v in analytics._factorial_sums([n], grown)), n
 
 
 def test_residual_rho_dyadic_sup(c_mid):
@@ -460,9 +472,9 @@ def _quotient_sum(mult, at_small, at_large):
     return float(np.add.reduce(at_small) + np.add.reduce(mult * at_large))
 
 
-def _row_budget(n, shift):
-    """analytics._row_budget at n and shift, with the updates of _lucy at n."""
-    return analytics._row_budget(n, len(default_table().primes_up_to(math.isqrt(n))))[shift]
+def _row_budget(n):
+    """analytics._row_budget at n, with the updates of _lucy at n."""
+    return analytics._row_budget(n, len(default_table().primes_up_to(math.isqrt(n))))
 
 
 def _lucy_at(n):
@@ -525,16 +537,18 @@ def test_lucy_batch_in_many_chunks(table_2_26, monkeypatch):
 def test_lucy_rows_match_the_table_route(table_2_26, c_mid):
     ns = [LUCY_THRESHOLD, LUCY_THRESHOLD + 1, 3001 * 3002, 8191**2 - 1, 1 << 26]
     t = PrimeTable(1 << 12)
-    recs = list(analytics._records(ns, c_mid, t, analytics._scan_setup(ns, t, True), True))
+    analytics._scan_setup(ns, t, True)
+    recs = list(analytics._records(ns, c_mid, t, True))
     assert t.limit < 1 << 14  # Lucy rows need the table only to sqrt(n) + 2
     for rec in recs:
         n = rec.n
         lr, ls, card, s1, s2 = next(analytics._table_rows([n], table_2_26))
         assert rec.card_A == card
         assert (rec.s1 + rec.s2, rec.s1, rec.s2) == (s1 + s2, s1, s2)
-        # each route within the budget of theta, so the two within twice it
-        assert abs(rec.log_rho - lr) <= 2 * _row_budget(n, 0)
-        assert abs(rec.log_sigma - ls) <= 2 * _row_budget(n, 1)
+        # each route within the budget of theta, so the two within twice it;
+        # both take log sigma as log rho + the same s1 + s2
+        assert abs(rec.log_rho - lr) <= 2 * _row_budget(n)
+        assert abs(rec.log_sigma - ls) <= 2 * _row_budget(n)
 
 
 def test_one_n_functions_take_the_scan_route():
@@ -559,9 +573,9 @@ def test_one_n_functions_take_the_scan_route():
 
 def _lucy_checked_rows(n, t):
     """(log rho, log sigma) of the scan row at n, and of the check route, and
-    the bounds the two must meet: _theta_budget at shift 0 and 1."""
+    the bounds the two must meet: _theta_budget's two columns."""
     lr, ls, *_ = analytics._lucy_row(n, t)
-    rho, sigma, _ = (float(v[0]) for v in analytics._factorial_sums([n], t, None))
+    rho, sigma, _ = (float(v[0]) for v in analytics._factorial_sums([n], t))
     bounds = analytics._theta_budget([n], np.array([lr]), np.array([ls]), t, True)[0].tolist()
     return (lr, ls), (rho, sigma), bounds
 
@@ -791,7 +805,7 @@ def test_check_route_counts_the_prime_quotients_exactly():
     # r + 1, which the route's log sum leaves to the primes p <= r + 1 but
     # its count takes
     ns = [*range(3001), *range(LUCY_THRESHOLD - 3, LUCY_THRESHOLD + 3), 4093**2 - 1, 4093**2]
-    _, _, counts = analytics._factorial_sums(ns, PrimeTable(), None)
+    _, _, counts = analytics._factorial_sums(ns, PrimeTable())
     want = [
         sum(primes.is_probable_prime(n // k + 1) for k in range(1, math.isqrt(n) + 1)) for n in ns
     ]
@@ -820,10 +834,79 @@ def test_theta_budgets_stay_within_the_verify_tolerance():
             assert np.all(0 < legendre) and np.all(legendre < tol / 40), n
 
 
+def test_every_row_takes_log_sigma_as_log_rho_plus_the_split(table_2_26):
+    # one formula for log sigma, bit for bit as floats: table rows in blocks
+    # and alone, _legendre_rows, and Lucy rows through theta_sum_sigma and
+    # through _checked, which hands its rows to scan, the one-n functions and
+    # verify eq14-16
+    def off(rows):
+        return [row for row in rows if row[1] != row[0] + (row[3] + row[4])]
+
+    ns = [*range(1, 2001), *range((1 << 20) - 300, (1 << 20) + 300), LUCY_THRESHOLD - 1]
+    assert len(list(analytics._blocks(_table_row_widths(ns)))) > 1
+    assert off(analytics._table_rows(ns, table_2_26)) == []
+    for n in (1, 5, 100, 3001, (1 << 20) + 7, LUCY_THRESHOLD - 1):
+        assert off(analytics._table_rows([n], table_2_26)) == [], n
+    heavy = [LUCY_THRESHOLD, LUCY_THRESHOLD + 12345, (1 << 26) + 5, _MUTANT_N]
+    t = PrimeTable()
+    analytics._scan_setup(heavy, t, True)
+    for n in heavy:
+        assert off([analytics._legendre_row(n, t)]) == [], n
+        _, s1, s2 = s_split(n, t)  # the scan row's split, which the Lucy row shares
+        assert theta_sum_sigma(n, t) == theta_sum_rho(n, t) + (s1 + s2), n
+    grid = ns[::40] + heavy
+    for theta in (False, True):
+        analytics._scan_setup(grid, t, theta)
+        chunks = [chunk for _, chunk, _, _ in analytics._checked(grid, t, theta)]
+        assert sum(map(len, chunks)) == len(grid) and off(sum(chunks, [])) == [], theta
+
+
+def _exact_log_sigma(n, t):
+    """log sigma(n), the sum over primes p <= n + 1 of (n // (p - 1)) log p,
+    by math.fsum of the float products, a run of primes at a time: within
+    5 units of 2**-52 log sigma(n), np.log being within 4 ulps and each
+    product within half of one.  The primes past t's end are tested one by
+    one."""
+    tail = [p for p in range(t.limit + 1, n + 2) if primes.is_probable_prime(p)]
+    ps = np.concatenate((t.primes_up_to(min(n + 1, t.limit)), np.array(tail, dtype=np.int64)))
+    runs = (ps[a : a + (1 << 18)] for a in range(0, len(ps), 1 << 18))
+    return math.fsum(math.fsum(n // (run - 1) * np.log(run)) for run in runs)
+
+
+def test_row_log_sigma_within_its_budget_of_the_exact_value(table_2_26):
+    # the row's log sigma, log rho + (s1 + s2), within _theta_budget's sigma
+    # column of the exact value, on table rows and on Lucy rows; and within
+    # the row's own share of it, the column less the check route's
+    # _factorial_budget, allowing the reference its 5 units.  Below 13 the
+    # share leans on the theta term's slack at k = n (_theta_budget): every
+    # table row up to 200 against the fixed-point sums of _exact_logs
+    u = 2.0**-52
+    for n, (_, want) in zip(range(1, 201), _exact_logs(200)[1:]):
+        lr, ls, *_ = next(analytics._table_rows([n], table_2_26))
+        bound = analytics._theta_budget([n], np.array([lr]), np.array([ls]), table_2_26, False)
+        share = bound[0, 1] - analytics._factorial_budget(float(n))
+        assert abs(ls - want) <= share + math.ulp(want), n
+    t = PrimeTable()
+    for n, theta in (
+        *((n, False) for n in (5, 100, 3001, (1 << 20) + 7, LUCY_THRESHOLD - 1)),
+        *((n, True) for n in (LUCY_THRESHOLD, LUCY_THRESHOLD + 12345, (1 << 26) + 5)),
+    ):
+        if theta:
+            lr, ls = theta_sum_rho(n, t), theta_sum_sigma(n, t)
+        else:
+            lr, ls, *_ = next(analytics._table_rows([n], table_2_26))
+        bound = analytics._theta_budget([n], np.array([lr]), np.array([ls]), t, theta)[0, 1]
+        exact = _exact_log_sigma(n, table_2_26)
+        assert abs(ls - exact) <= bound, n
+        assert abs(ls - exact) <= bound - analytics._factorial_budget(float(n)) + 5 * u * exact, n
+
+
 def _lucy_row_by_parts(n, t):
-    """_lucy_row at n rebuilt from _lucy's arrays and _prime_flags, each sum
-    over its own arrays: theta(v + 1) by np.where, card_A and s1 from the
-    prime n // k + 1, s2 from mult at the large prime v + 1."""
+    """(_lucy_row at n, theta_sigma): the row rebuilt from _lucy's arrays and
+    _prime_flags, each sum over its own arrays: card_A and s1 from the prime
+    n // k + 1, s2 from mult at the large prime v + 1, and log sigma as
+    log rho + (s1 + s2); theta_sigma the sum of theta(n // k + 1), with
+    theta(v + 1) by np.where."""
     q, small, large, mult = _quotients(n)
     _, (at_small, at_v) = analytics._lucy(n, t, q)
     at_large = at_v[1:]
@@ -832,26 +915,26 @@ def _lucy_row_by_parts(n, t):
     )
     large_prime = t.prime_mask(len(small) + 1)[2 : len(large) + 2]
     hits = small[small_prime] + 1
-    return (
-        _quotient_sum(mult, at_small, at_large),
-        _quotient_sum(
-            mult,
-            at_small + np.where(small_prime, np.log(small + 1), 0.0),
-            at_large + np.where(large_prime, np.log(large + 1), 0.0),
-        ),
-        len(hits),
-        float(np.add.reduce(np.log(hits))),
-        float(np.add.reduce(mult[large_prime] * np.log(large[large_prime] + 1))),
+    lr = _quotient_sum(mult, at_small, at_large)
+    s1 = float(np.add.reduce(np.log(hits)))
+    s2 = float(np.add.reduce(mult[large_prime] * np.log(large[large_prime] + 1)))
+    theta_sigma = _quotient_sum(
+        mult,
+        at_small + np.where(small_prime, np.log(small + 1), 0.0),
+        at_large + np.where(large_prime, np.log(large + 1), 0.0),
     )
+    return (lr, lr + (s1 + s2), len(hits), s1, s2), theta_sigma
 
 
 def test_lucy_rows_equal_their_parts():
     ns = [LUCY_THRESHOLD, LUCY_THRESHOLD + 1, 3001 * 3002, 8191**2 - 1, *CUBE_NS, 1 << 26]
     ns.sort()
     t = PrimeTable(math.isqrt(ns[-1]) + 2)
-    want = {n: _lucy_row_by_parts(n, t) for n in ns}
+    want = {}
     for n in ns:
+        want[n], theta_sigma = _lucy_row_by_parts(n, t)
         assert analytics._lucy_row(n, t) == want[n], n
+        assert _within_sigma_column(want[n], theta_sigma, n, t, theta=True), n
     # the rows up to 8191**2 - 1 as one block of _rows: q at the block's
     # width, the small side at the widest r, one cell narrower than q, as the
     # last row's top is r.  S1 at v depends on v alone, so the largest n's
@@ -883,7 +966,7 @@ def test_legendre_rows_equal_lucy_rows_in_the_prime_quotients():
     for n in ns:
         lucy, row = analytics._lucy_row(n, t), analytics._legendre_row(n, t)
         assert row[2:] == lucy[2:], n
-        route = [float(v[0]) for v in analytics._factorial_sums([n], t, None)]
+        route = [float(v[0]) for v in analytics._factorial_sums([n], t)]
         bound = analytics._theta_budget([n], *([v] for v in row[:2]), t, False)[0].tolist()
         for got, want, lucy_value, b in zip(row[:2], route, lucy[:2], bound):
             assert abs(got - want) <= b and abs(got - lucy_value) <= 8 * math.ulp(got), n
@@ -951,7 +1034,7 @@ def test_scan_row_peak_is_below_the_estimate(c_mid):
             t.primes_up_to(2)  # the table's arrays are built before the row, as in a scan
             tracemalloc.start()
             try:
-                next(analytics._records([n], c_mid, t, analytics._prime_powers(n, t), theta))
+                next(analytics._records([n], c_mid, t, theta))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -959,15 +1042,23 @@ def test_scan_row_peak_is_below_the_estimate(c_mid):
 
 
 def test_lucy_rows_leave_the_table_as_the_scan_set_up_left_it(c_mid):
-    # once scan_records has set up, no row grows the table or re-derives
-    # its arrays: rows from LUCY_THRESHOLD on read it up to sqrt(n) + 2
+    # once scan_records has set up, no row grows the table, and its arrays
+    # are derived once, by the first row: rows from LUCY_THRESHOLD on read it
+    # up to sqrt(n) + 2, and the check route's prime powers no further
+    class Counted(PrimeTable):
+        derived = 0
+
+        def _derived(self):
+            self.derived += self._arrays is None
+            return super()._derived()
+
     ns = [LUCY_THRESHOLD, 3001**2 - 1, (1 << 26) + 5, (1 << 30) + 12345, (1 << 31) + 7]
     expected = scan(ns, table=PrimeTable(), c=c_mid)
-    t = PrimeTable()
+    t = Counted()
     records = analytics.scan_records(ns, table=t, c=c_mid)
-    limit, arrays = t.limit, t._arrays
+    limit = t.limit
     assert list(records) == expected
-    assert t.limit == limit and t._arrays is arrays
+    assert t.limit == limit and t.derived == 1
 
 
 def test_scan_asks_memory_for_the_rows_in_flight(monkeypatch):
