@@ -15,21 +15,24 @@ subtract n log n - (c+1) n and n log n - n, where c is the sum over primes
 of log p / (p (p-1)): scans take it from analytic_constant(), the float of
 an analytic series, and prime_series_constant() encloses it rigorously.
 
-The route of a row depends on n and on what the caller reads (_scan_rows).
-Below LUCY_THRESHOLD (2^22) theta and primality are lookups in a prime
-table up to n + 2, about 1 + 16 / ln n bytes per integer, taken for a block
-of n at a time (_table_rows), for every caller.  From it on, with a table
-only up to sqrt(n) + 2, a scan row and the one-n functions that read no
-theta (s_split, quotient_prime_count) take _legendre_row, in O(sqrt n):
-log rho from Legendre's formula one prime at a time, and card_A, s1 and s2
-from _prime_quotients, with the primality of n // k + 1 from one sieved
-window above sqrt(n) and, for the few values past it, Miller-Rabin
-(_quotient_flags).  verify eq14-16 and theta_sum_rho and theta_sum_sigma,
-which check the theta sums themselves, take a block of one of _rows
-(_lucy_row) with theta at every quotient from Lucy's sieve (_lucy), in
-O(n**(3/4)) time and O(sqrt n) memory, and the same flags.  Each row sums
-in a fixed order over its own arrays, so scan output is reproducible bit
-for bit on one platform whatever the grid or its blocks.  A scan is one
+The route of a row depends on what the caller reads (_scan_rows).  A scan
+row, and the one-n functions that read no theta (s_split,
+quotient_prime_count), take _legendre_rows at every n, a block of n at a
+time, in O(sqrt n) per row: log rho from Legendre's formula, one term per
+prime up to sqrt(n), and card_A, s1 and s2 from _prime_quotients, with the
+primality of n // k + 1 from the table's bitmap where it reaches n + 1
+(below LUCY_THRESHOLD, 2^22, _scan_setup grows it to n + 2) and else from
+one sieved window above sqrt(n) and, for the few values past that,
+Miller-Rabin (_quotient_flags).
+Of the table such a row reads the bitmap and the primes up to sqrt(n) + 1
+alone.  verify eq14-16 and theta_sum_rho and theta_sum_sigma, which check
+the theta sums themselves, take theta-sum rows: below LUCY_THRESHOLD
+lookups in a prime table up to n + 2, about 1 + 16 / ln n bytes per
+integer, a block of n at a time (_table_rows); from it on a block of one of
+_rows (_lucy_row) with theta at every quotient from Lucy's sieve (_lucy),
+in O(n**(3/4)) time and O(sqrt n) memory, and the window's flags.  Each row
+sums in a fixed order over its own arrays, so scan output is reproducible
+bit for bit on one platform whatever the grid or its blocks.  A scan is one
 stream of records in n order, made and checked a chunk of rows at a time
 in the calling thread (_records), which the writers take as it comes.
 """
@@ -288,7 +291,7 @@ _Row = tuple[float, float, int, float, float]  # (log_rho, log_sigma, card_A, s1
 def _prime_quotients(ns: list[int], q, prime_q, mask):
     """(card_A, s1, s2) of a block of ascending ns laid out as _rows takes
     it: the one sum of the prime quotient values n // k + 1, which _rows and
-    _legendre_row both call.
+    _legendre_rows both call.
 
     card_A counts and s1 sums log(n // k + 1) over the flagged cells of
     prime_q, row after row, row i's small quotients being the cells from
@@ -338,7 +341,9 @@ def _rows(ns: list[int], q, rho_q, prime_q, rho_v, mask) -> list[_Row]:
 
 def _table_rows(ns: list[int], t: PrimeTable) -> Iterator[_Row]:
     """(log_rho, log_sigma, card_A, s1, s2) of each n of the ascending ns in
-    turn, from the prime table, grown to max(ns) + 2.
+    turn, from the prime table, grown to max(ns) + 2, with its primes and
+    theta prefix derived to max(ns): the theta-sum rows below LUCY_THRESHOLD
+    of verify eq14-16 and theta_sum_rho/theta_sum_sigma.
 
     theta at v <= top depends on v alone, so it is taken once per call, from
     one running count of the bitmap.  The rest is taken a block of n at a
@@ -350,7 +355,7 @@ def _table_rows(ns: list[int], t: PrimeTable) -> Iterator[_Row]:
     if not ns:
         return
     mask = t.prime_mask(ns[-1] + 2)  # first: it may grow the table
-    _, primes, prefix = t._derived()
+    primes, prefix = t._derived(ns[-1])  # theta(n // k) reads them up to n
     top = ns[-1] // (math.isqrt(ns[-1]) + 1)  # the largest top: it is nondecreasing in n
     theta = prefix[np.cumsum(mask[: top + 1])]  # theta(v) for v <= top
     for a, b in _blocks(n // (math.isqrt(n) + 1) + 1 for n in ns):
@@ -362,14 +367,17 @@ def _table_rows(ns: list[int], t: PrimeTable) -> Iterator[_Row]:
 
 # -- Lucy's sieve ---------------------------------------------------------------------
 
-# Rows for n >= LUCY_THRESHOLD need a table only up to sqrt(n) + 2: a scan's
-# from Legendre's formula (_legendre_row), the theta sums' from Lucy's sieve
-# (_lucy_row); rows below it come from the prime table.  At 2^22 a Lucy row
-# takes about 3 ms, a _legendre_row 0.8 ms and a table row 0.19 ms alone or
-# 0.14 ms in a step:1 window (2-vCPU VM), but only after a table up to n + 2,
-# which takes 28 ms to build and holds 1 + 16 / ln n bytes per integer.
-# Dense step:1 windows near 2^20 stay on the table.  The route depends on n
-# and on whether the caller reads theta sums, never on the grid.
+# LUCY_THRESHOLD picks the theta-sum rows' route and the scan's flag source.
+# Below it a theta-sum row is a table row, which needs the table up to n + 2
+# and its primes and theta prefix derived that far; from it on a Lucy row
+# (_lucy_row), which needs the table only up to sqrt(n) + 2.  At 2^22 a Lucy
+# row takes about 3 ms and a table row 0.19 ms alone or 0.14 ms in a step:1
+# window (2-vCPU VM), but only after a table up to n + 2, which takes 28 ms
+# to build and holds 1 + 16 / ln n bytes per integer.  The scan's rows
+# (_legendre_rows) read the flags of n // k + 1 from that table's bitmap
+# below it, which _scan_setup grows to n + 2, and from _quotient_flags on a
+# table up to sqrt(n) + 2 from it on.  The route depends on n and on whether
+# the caller reads theta sums, never on the grid.
 LUCY_THRESHOLD = 1 << 22
 _PREFILTER_PRIMES = 32  # trial-divide by this many primes, the 14 bases among them
 # a row from LUCY_THRESHOLD on sieves the n // k + 1 in [n // r + 1,
@@ -407,8 +415,8 @@ def _row_bytes(n: int) -> int:
 
 
 def _legendre_bytes(n: int) -> int:
-    """An upper estimate of the peak bytes of a _legendre_row at n with its
-    check, the table already built: a block's arrays (_TABLE_BLOCK_CELLS)
+    """An upper estimate of the peak bytes of a _legendre_rows row at n with
+    its check, the table already built: a block's arrays (_TABLE_BLOCK_CELLS)
     and 48 B per sqrt(n).  By tracemalloc a row and its check peaked at
     1.21 MB at 2^30 + 12345 and 7.71 MB at 2^36 + 12345, 36.9 and 29.4 B per
     sqrt(n), the check route's arrays (_factorial_sums) setting the peak;
@@ -606,15 +614,93 @@ def _quotient_flags(n: int, small: np.ndarray, t: PrimeTable) -> np.ndarray:
     return flags
 
 
-def _scan_rows(ns: list[int], t: PrimeTable, theta: bool) -> Iterator[_Row]:
-    """The rows of the ascending ns >= 1 in turn: those below LUCY_THRESHOLD
-    from one call of _table_rows, the others one row each, a _lucy_row where
-    theta sums are asked for (theta) and else a _legendre_row."""
+def _exponents(nb: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """e_p = sum over e >= 2 of n // p**e at each n of the column nb and each
+    prime p of the ascending ps, int64, one row per n: n // p divided by p
+    again and again.  As n // p**e falls as p grows and rises with n, the p
+    with a nonzero quotient in any row are a prefix of ps, the last row's
+    (nb ascends), and each step divides that prefix alone."""
+    q, e, m = nb // ps, np.zeros((len(nb), len(ps)), dtype=np.int64), len(ps)
+    while m:
+        q = q[:, :m] // ps[:m]
+        m = int(np.count_nonzero(q[-1]))
+        e[:, :m] += q[:, :m]
+    return e
+
+
+def _legendre_rho(ns: Sequence[int], t: PrimeTable) -> Iterator[float]:
+    """log rho(n) of each n of the ascending ns in turn, by Legendre's formula
+
+        log rho(n) = log n! - sum over primes p <= sqrt(n) of e_p log p,
+
+    with e_p from _exponents, one term per prime, a block of n at a time
+    (_blocks) counted at pi(sqrt n) < 1.26 sqrt(n) / log(sqrt(n)) cells a row
+    (Rosser-Schoenfeld 1962): a step:1 window near 2^20 has about 40 rows to
+    a block, so the repeated division runs its steps once for them all.
+    Each row sums its own terms (_slice_sums), so its value does not depend
+    on the block."""
+    widths = (1 + int(1.26 * r / math.log(r)) if r > 1 else 1 for r in map(math.isqrt, ns))
+    for a, b in _blocks(widths):
+        roots = [math.isqrt(n) for n in ns[a:b]]
+        nb = np.array(ns[a:b], dtype=np.int64)[:, None]
+        ps = t.primes_up_to(roots[-1])
+        cuts = ps.searchsorted(roots, side="right").tolist()  # pi(sqrt n)
+        sums = _slice_sums(_exponents(nb, ps) * np.log(ps), cuts)  # no product outlives it
+        yield from (_log_factorial(nb[:, 0]) - sums).tolist()
+
+
+def _legendre_rows(ns: Sequence[int], t: PrimeTable) -> Iterator[_Row]:
+    """(log_rho, log_sigma, card_A, s1, s2) of each n of the ascending ns >= 1
+    in turn: the scan's row at every n, in O(sqrt n) per row.
+
+    log rho is _legendre_rho's, and log sigma is log rho + (s1 + s2), as
+    _rows takes it.  card_A, s1 and s2 are _prime_quotients' over q = n // k,
+    one array for a block of n at a time (_blocks, as _table_rows), the
+    flags of n // k + 1, k <= sqrt(n), and the bitmap up to sqrt(n) + 2 for
+    the large v + 1.  The flags are the bitmap's where the table reaches
+    every n // k + 1 of the block, n + 1 at most (below LUCY_THRESHOLD
+    _scan_setup grows it to n + 2), else each row's _quotient_flags, a
+    sieved window and Miller-Rabin above it; both are exact, so a row's
+    values do not depend on which one was read, nor on the blocks.
+
+    Both values are within _factorial_budget(n) of the exact ones, by that
+    budget's own count: log n! is the check route's; log rho subtracts
+    pi(sqrt n) <= sqrt(n) terms of total under 0.755 n, and s1 and s2 add
+    at most sqrt(n) terms each, of total log sigma(n) - log rho(n), each
+    term within 5 units (np.log, the conversion of e_p or mult, the
+    product); the sums and the two closing sums round as the route's do.
+    """
+    rhos = _legendre_rho(ns, t)
+    for a, b in _blocks(n // (math.isqrt(n) + 1) + 1 for n in ns):
+        block = ns[a:b]
+        roots = [math.isqrt(n) for n in block]
+        nb = np.array(block, dtype=np.int64)[:, None]
+        q = nb // np.arange(1, block[-1] // (roots[-1] + 1) + 2, dtype=np.int64)
+        if block[-1] < t.limit:  # the bitmap reaches n // 1 + 1 = n + 1
+            flags = t.prime_mask(block[-1] + 1)[1:][q[:, : roots[-1]]]
+        else:  # each row's own window, stacked once the last window is gone
+            rows = [_quotient_flags(n, q[i, :r], t) for i, (n, r) in enumerate(zip(block, roots))]
+            flags = np.zeros((len(rows), roots[-1]), dtype=bool)
+            for i, r in enumerate(roots):
+                flags[i, :r] = rows[i]
+            del rows
+        card, s1, s2 = _prime_quotients(block, q, flags, t.prime_mask(roots[-1] + 1))
+        del q, flags  # before _legendre_rho's next block
+        yield from ((lr, lr + (x + y), c, x, y) for c, x, y, lr in zip(card, s1, s2, rhos))
+
+
+def _scan_rows(ns: Sequence[int], t: PrimeTable, theta: bool) -> Iterator[_Row]:
+    """The rows of the ascending ns >= 1 in turn: the scan's from _legendre_rows
+    at every n, or where theta sums are asked for (theta) those below
+    LUCY_THRESHOLD from one call of _table_rows and the others a _lucy_row
+    each."""
+    if not theta:
+        yield from _legendre_rows(ns, t)
+        return
     light = bisect.bisect_left(ns, LUCY_THRESHOLD)
     yield from _table_rows(ns[:light], t)
-    row = _lucy_row if theta else _legendre_row
     for n in ns[light:]:
-        yield row(n, t)
+        yield _lucy_row(n, t)
 
 
 def _one_row(n: int, table: PrimeTable | None, theta: bool) -> ScanRecord:
@@ -694,48 +780,6 @@ def _lucy_row(n: int, t: PrimeTable) -> _Row:
     return row
 
 
-def _legendre_exponents(n: int, ps: np.ndarray) -> np.ndarray:
-    """e_p = sum over e >= 2 of n // p**e at each prime p <= sqrt(n) of the
-    ascending ps, int64: n // p divided by p again and again.  As n // p**e
-    falls as p grows, the p with a nonzero quotient are a prefix of ps, and
-    each step divides that prefix alone."""
-    q, e, m = n // ps, np.zeros(len(ps), dtype=np.int64), len(ps)
-    while m:
-        q = q[:m] // ps[:m]
-        m = int(np.count_nonzero(q))
-        e[:m] += q[:m]
-    return e
-
-
-def _legendre_row(n: int, t: PrimeTable) -> _Row:
-    """(log_rho, log_sigma, card_A, s1, s2) of n >= LUCY_THRESHOLD: the scan's
-    row, in O(sqrt n), with the table up to sqrt(n) + 2 (_scan_setup).
-
-    By Legendre's formula, log rho(n) = log n! - sum over primes p <= sqrt(n)
-    of e_p log p (_legendre_exponents), one term per prime.  card_A, s1 and
-    s2 are _prime_quotients' over the arrays that _lucy_row hands _rows: the
-    primality of n // k + 1, k <= sqrt(n), from _quotient_flags, and of the
-    large v + 1 <= sqrt(n) + 1 from the bitmap; so they equal _lucy_row's
-    bit for bit.  log sigma is log rho + (s1 + s2), as _rows takes it.
-
-    Both values are within _factorial_budget(n) of the exact ones, by that
-    budget's own count: log n! is the check route's; log rho subtracts
-    pi(sqrt n) <= sqrt(n) terms of total under 0.755 n, and s1 and s2 add
-    at most sqrt(n) terms each, of total log sigma(n) - log rho(n), each
-    term within 5 units (np.log, the conversion of e_p or mult, the
-    product); the sums and the two closing sums round as the route's do.
-    """
-    r = math.isqrt(n)
-    q = n // np.arange(1, n // (r + 1) + 2, dtype=np.int64)
-    flags = _quotient_flags(n, q[:r], t)[None]
-    (card,), (s1,), (s2,) = _prime_quotients([n], q[None], flags, t.prime_mask(r + 1))
-    del q, flags
-    ps = t.primes_up_to(r)
-    lf = _log_factorial(np.array([n], dtype=np.int64))[0]
-    rho = float(lf - np.add.reduce(_legendre_exponents(n, ps) * np.log(ps)))
-    return rho, rho + (s1 + s2), card, s1, s2
-
-
 def _row_budget(n: int, updates: int) -> float:
     """The sum over k = 1..n of _s1_budget(n // k, updates): the budget of a
     Lucy row's sum of theta(n // k) from the errors of its S1."""
@@ -753,16 +797,21 @@ def _theta_budget(ns, rho, sigma, t: PrimeTable, theta: bool) -> np.ndarray:
     values|, in columns 0 and 1, at each n >= 1 of ns, whose rows' values
     are rho and sigma.
 
+    A scan row (_legendre_rows) and the check route are each within
+    _factorial_budget(n) of the exact value, so a scan row's budget is
+    2 _factorial_budget(n) in both columns, at every n.
+
     A theta-sum row's log rho is its sum of theta(n // k), k = 1..n, over
     m = r + top <= 2 sqrt(n) terms, r = isqrt(n) and top = n // (r + 1), and
     its log sigma is log rho + (s1 + s2) (_rows).  With u = 2**-52 and x the
     column's value, rho or sigma, the budget is the sum of
 
-    - theta's error at w = n // k, by multiplicity: on a Lucy row
-      _row_budget(n, pi(sqrt n)); on a table row, where theta(w) is the
-      prefix of np.log p (within 4 ulps), u (4 + pi(w) / 2) theta(w)
-      <= 0.7 u w (w + 8) (pi(w) <= w, theta(w) < 1.39 w), summed over
-      w <= n / k under 0.7 u (1.645 n**2 + 8 n (1 + log n));
+    - theta's error at w = n // k, by multiplicity: on a Lucy row, from
+      LUCY_THRESHOLD on, _row_budget(n, pi(sqrt n)); on a table row, where
+      theta(w) is the prefix of np.log p (within 4 ulps),
+      u (4 + pi(w) / 2) theta(w) <= 0.7 u w (w + 8) (pi(w) <= w,
+      theta(w) < 1.39 w), summed over w <= n / k under
+      0.7 u (1.645 n**2 + 8 n (1 + log n));
     - the row's rounding, u (2 sqrt(n) + 1) x;
     - the check route's error, _factorial_budget(n).
 
@@ -777,22 +826,19 @@ def _theta_budget(ns, rho, sigma, t: PrimeTable, theta: bool) -> np.ndarray:
     6.2 u (most at n = 4), is within the 6.3 u that the theta term counts
     at k = n, where theta(n // k) = theta(1) = 0 has no error.
 
-    The rows from LUCY_THRESHOLD on are Lucy rows if theta, else
-    _legendre_rows, whose budget is 2 _factorial_budget(n): the row and the
-    check route are each within _factorial_budget(n) of the exact value.
     Every budget is at most 1e-6 max(1, n), eq14-16's tolerance, which a
-    Lucy row's passes from about 2^45.
+    Lucy row's passes from about 2^45 and a scan row's from about 2^59.
     """
     n = np.array(ns, dtype=np.float64)
-    heavy = np.flatnonzero(n >= LUCY_THRESHOLD).tolist()
-    err = 0.7 * 2.0**-52 * (1.645 * n * n + 8 * n * (1 + np.log(n)))
+    route = _factorial_budget(n)
     if theta:
-        for i in heavy:
+        err = 0.7 * 2.0**-52 * (1.645 * n * n + 8 * n * (1 + np.log(n)))
+        for i in np.flatnonzero(n >= LUCY_THRESHOLD).tolist():
             err[i] = _row_budget(ns[i], t.pi(math.isqrt(ns[i])))
-    row, route = 2.0**-52 * (2 * np.sqrt(n) + 1), _factorial_budget(n)
-    budget = np.stack([err + row * x + route for x in (rho, sigma)], 1)
-    if not theta:
-        budget[heavy] = 2 * route[heavy, None]
+        row = 2.0**-52 * (2 * np.sqrt(n) + 1)
+        budget = np.stack([err + row * x + route for x in (rho, sigma)], 1)
+    else:
+        budget = np.stack([2 * route] * 2, 1)
     return np.minimum(budget, 1e-6 * np.maximum(1.0, n)[:, None])
 
 
@@ -855,8 +901,9 @@ def _scan_setup(ns, t: PrimeTable, theta: bool = False) -> None:
     """Set t up for _scan_rows over the ascending ns >= 1 (_checked's
     callers): price one row at max(ns), by _row_bytes for theta-sum rows and
     _legendre_bytes for the scan's, then grow t to n + 2 for the last n below
-    LUCY_THRESHOLD and to sqrt(max(ns)) + 2.  The first row derives the
-    table's arrays."""
+    LUCY_THRESHOLD and to sqrt(max(ns)) + 2.  The rows derive the table's
+    arrays only as far as they read them: a scan's and its check's to
+    sqrt(max(ns)) + 1, theta-sum table rows' to their largest n."""
     if not ns or ns[0] < 1:
         raise ValueError("scan grid must be nonempty with n >= 1")
     top = ns[-1]
@@ -872,11 +919,11 @@ def scan_records(
     """One ScanRecord per requested n, in ascending order, as a stream.
 
     Each record is computed from n alone, so the row for a given n is
-    byte-identical whatever the grid: below LUCY_THRESHOLD in O(sqrt(n))
-    array work on a table up to n + 2, from it on in O(sqrt(n)) time by
-    Legendre's formula and the sieved flags of n // k + 1 (_legendre_row) on
-    a table up to sqrt(n) + 2, one row after another in this thread
-    (_scan_rows).  No row reads theta at the quotients: that is
+    byte-identical whatever the grid: in O(sqrt(n)) time by Legendre's
+    formula and the flags of n // k + 1, a block of rows at a time in this
+    thread (_legendre_rows), the flags from the bitmap of a table up to
+    n + 2 below LUCY_THRESHOLD and from a sieved window on a table up to
+    sqrt(n) + 2 from it on.  No row reads theta at the quotients: that is
     for verify eq14-16 and theta_sum_rho/theta_sum_sigma.  The records come
     in checked chunks (_records), so a caller that writes them as they come
     holds one chunk, not the scan; an ascending range stays a range.  The

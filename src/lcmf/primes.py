@@ -134,16 +134,18 @@ class PrimeTable:
     prime_list, an ascending list of the primes kept as Python ints and
     extended from the bitmap as far as it is asked for; and segment, the
     bitmap of a range [lo, hi], which may lie past the table, sieved by the
-    list up to sqrt(hi).  The array reads
-    (primes_up_to, prime_mask, pi, theta_many) use numpy arrays
-    derived from the bitmap on the first array read after a build: a
-    zero-copy view of it, the primes, and the per-prime prefix sums of log p.
-    So a command that reads no array never imports numpy.
+    list up to sqrt(hi).  The array reads use numpy: prime_mask is a
+    zero-copy view of the bitmap and derives nothing; primes_up_to, pi and
+    theta_many read the int64 primes and the float64 per-prime prefix sums
+    of log p, which are derived from the bitmap only as far as a read needs,
+    at least twice as far as the last time (_derived).  So a command that
+    reads no array never imports numpy, and a scan whose rows read the
+    primes up to sqrt(n) alone derives them no further.
 
     A table made without a limit starts at the least one, 4, and ensure()
-    grows it.  With its arrays it holds about 1 + 16 / ln(limit) bytes per
-    integer; a limit whose arrays would not fit in physical memory is refused
-    with ValueError.
+    grows it.  With its arrays derived to the end it holds about
+    1 + 16 / ln(limit) bytes per integer; a limit whose bitmap and arrays
+    would not fit in physical memory is refused with ValueError.
     """
 
     def __init__(self, limit: int | None = None):
@@ -151,7 +153,8 @@ class PrimeTable:
         self._build(max(4, int(limit or 0)))
 
     def _build(self, limit: int) -> None:
-        # bitmap, the int64 primes and the float64 prefix; pi(x) < 1.26 x / ln x
+        # an upper bound: the bitmap, and the int64 primes and float64 prefix
+        # derived to the end, which a read may never ask for; pi(x) < 1.26 x / ln x
         # (Rosser-Schoenfeld 1962) bounds the prime count
         require_memory(
             limit + 1 + 16 * int(1.26 * limit / math.log(limit)), f"a prime table up to {limit}"
@@ -162,7 +165,7 @@ class PrimeTable:
         _cross_off(bitmap, 0, list(itertools.compress(range(len(base)), base)))
         self.limit = limit
         self._bitmap = bitmap
-        self._arrays = None  # (mask, primes, theta prefix), on the first array read
+        self._arrays = -1, None, None  # (reach, primes <= reach, theta prefix), by _derived
 
     def ensure(self, limit: int) -> None:
         """Grow the table (at least doubling) so that limit is covered."""
@@ -199,47 +202,49 @@ class PrimeTable:
 
     # -- array queries -------------------------------------------------------
 
-    def _derived(self):
-        """(mask, primes, theta prefix) over the whole bitmap, derived once per build."""
-        if self._arrays is None:
+    def _derived(self, x: int):
+        """(primes, theta prefix) over the bitmap up to at least x <= limit.
+        When the last derivation stopped below x, both are derived again from
+        the bitmap, as far as 2 x or the limit, so each derivation reaches at
+        least twice as far as the last, and a run of reads up to x derives
+        O(x) entries in all."""
+        reach, primes, prefix = self._arrays
+        if x > reach:
             import numpy as np
 
-            mask = np.frombuffer(self._bitmap, dtype=bool)
-            primes = np.flatnonzero(mask).astype(np.int64, copy=False)
+            reach = min(self.limit, 2 * x)
+            primes = np.flatnonzero(self.prime_mask(reach)).astype(np.int64, copy=False)
             # prefix[i] = sum of log over the first i primes, ascending order; the
             # logs are summed in place, so the table holds no array of them
             prefix = np.empty(len(primes) + 1, dtype=np.float64)
             prefix[0] = 0.0
             np.log(primes, out=prefix[1:])
             np.cumsum(prefix[1:], out=prefix[1:])
-            self._arrays = mask, primes, prefix
-        return self._arrays
+            self._arrays = reach, primes, prefix
+        return primes, prefix
 
     def primes_up_to(self, x: float) -> np.ndarray:
         """Ascending int64 array of all primes <= floor(x)."""
-        count = self.pi(x)  # first: it may grow the table, and so replace its arrays
-        _, primes, _ = self._derived()
-        return primes[:count]
+        bound = max(math.floor(x), 0)
+        self.ensure(bound)  # first: it may grow the table, and so drop its arrays
+        primes, _ = self._derived(bound)
+        return primes[: primes.searchsorted(bound, side="right")]
 
     def pi(self, x: float) -> int:
         """Number of primes <= x."""
-        if x < 2:
-            return 0
-        bound = math.floor(x)
-        self.ensure(bound)
-        _, primes, _ = self._derived()
-        return int(primes.searchsorted(bound, side="right"))
+        return len(self.primes_up_to(x)) if x >= 2 else 0
 
     def theta_many(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized theta over an array of integer arguments <= limit."""
-        _, primes, prefix = self._derived()
+        primes, prefix = self._derived(int(xs.max(initial=0)))
         return prefix[primes.searchsorted(xs, side="right")]
 
     def prime_mask(self, limit: int) -> np.ndarray:
         """Primality bitmap view over [0, limit], for bulk membership tests."""
+        import numpy as np
+
         self.ensure(limit)
-        mask, _, _ = self._derived()
-        return mask[: limit + 1]
+        return np.frombuffer(self._bitmap, dtype=bool)[: limit + 1]
 
 
 _default_table: PrimeTable | None = None

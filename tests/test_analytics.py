@@ -177,14 +177,26 @@ def _table_row_oracle(n, t):
     return (lr, lr + (s1 + s2), len(hits), s1, s2), theta_sigma
 
 
-def _within_sigma_column(row, theta_sigma, n, t, theta=False):
-    """Whether the row's log sigma is within _theta_budget's sigma column of
-    theta_sigma, a sum of theta(n // k + 1)."""
-    bound = analytics._theta_budget([n], np.array(row[:1]), np.array(row[1:2]), t, theta)[0, 1]
+def _within_sigma_column(row, theta_sigma, n, t):
+    """Whether the theta-sum row's log sigma is within _theta_budget's sigma
+    column of theta_sigma, a sum of theta(n // k + 1)."""
+    bound = analytics._theta_budget([n], np.array(row[:1]), np.array(row[1:2]), t, True)[0, 1]
     return abs(row[1] - theta_sigma) <= bound
 
 
+def _legendre_oracle(n, t):
+    """log rho(n) of the scan's row the long way: log n! from _log_factorial,
+    less the np.add.reduce of e_p log p over the primes p <= sqrt(n), with
+    e_p = v_p(n!) - n // p from primes._vfact, in the row's order."""
+    ps = t.primes_up_to(math.isqrt(n))
+    e = np.array([primes._vfact(n, p) - n // p for p in ps.tolist()], dtype=np.int64)
+    return float(analytics._log_factorial(np.array([n]))[0] - np.add.reduce(e * np.log(ps)))
+
+
 def test_table_rows_equal_the_three_division_route(c_mid):
+    # the scan's records, s_split and quotient_prime_count against the
+    # Legendre oracle's log rho and the theta oracle's split; theta_sum_rho
+    # and theta_sum_sigma against the theta oracle
     t = PrimeTable(LUCY_THRESHOLD + 1)
     ns = list(range(1, 3001)) + list(range((1 << 20) - 750, (1 << 20) + 750))
     for r in (2, 3, 10, 99, 1000, 2047):
@@ -195,9 +207,10 @@ def test_table_rows_equal_the_three_division_route(c_mid):
     ns += [edge, LUCY_THRESHOLD - 1]
     for n in ns:
         want, theta_sigma = _table_row_oracle(n, t)
-        lr, ls, card, s1, s2 = want
+        _, _, card, s1, s2 = want
         assert _within_sigma_column(want, theta_sigma, n, t), n
-        logn = math.log(n)
+        lr = _legendre_oracle(n, t)
+        ls, logn = lr + (s1 + s2), math.log(n)
         assert next(analytics._records([n], c_mid, t)) == (
             n, lr, ls, lr - (n * logn - (c_mid + 1.0) * n), ls - (n * logn - n),
             card, card * logn / math.sqrt(n), s1, s2,
@@ -236,19 +249,21 @@ def test_table_rows_in_blocks_equal_the_oracle(monkeypatch):
 
 
 def test_table_and_check_rows_hold_one_block_at_a_time():
-    # tracemalloc peak of the table rows over a step:1 window near 2^20, and
-    # of both routes over verify eq14-16's grid at nmax 10^5, whose rows widen
-    # along it: a block's few arrays of 8-byte cells and about 200 B per row
-    # returned
+    # tracemalloc peak of the table rows and the scan's rows over a step:1
+    # window near 2^20, and of them and the check route over verify
+    # eq14-16's grid at nmax 10^5, whose rows widen along it: a block's few
+    # arrays of 8-byte cells and about 200 B per row returned
     import tracemalloc
 
     t = PrimeTable((1 << 20) + 1000)
-    t.primes_up_to(2)  # the table's arrays are built before the rows
+    t.primes_up_to(t.limit)  # the table's arrays are derived before the rows
     window = list(range((1 << 20) - 750, (1 << 20) + 750))
     grid = [100 * i for i in range(1, 1001)]
     for ns, route in (
         (window, lambda: list(analytics._table_rows(window, t))),
         (grid, lambda: list(analytics._table_rows(grid, t))),
+        (window, lambda: list(analytics._legendre_rows(window, t))),
+        (grid, lambda: list(analytics._legendre_rows(grid, t))),
         (grid, lambda: analytics._factorial_sums(grid, t)),
     ):
         tracemalloc.start()
@@ -438,11 +453,15 @@ def test_scan_single_record(c_mid):
 
 def test_scan_dense_matches_direct(c_mid):
     # a row depends on n alone: step:1, dyadic and per-n list grids agree
-    # byte for byte, on table rows and on _legendre_rows
+    # byte for byte, with the flags from the bitmap and from the sieved
+    # window; the window from LUCY_THRESHOLD spans several blocks of rows
+    wide = (LUCY_THRESHOLD, LUCY_THRESHOLD + 12)
+    assert len(list(analytics._blocks(_table_row_widths(range(*wide))))) > 1
     for start, stop in (
         (2, 400),
         ((1 << 20) - 40, (1 << 20) + 40),
         (LUCY_THRESHOLD - 20, LUCY_THRESHOLD + 20),
+        wide,
     ):
         dense = {r.n: r.csv_row() for r in scan(parse_grid("step:1", start, stop), c=c_mid)}
         dyadic = scan(parse_grid("dyadic", start, stop), c=c_mid)
@@ -450,6 +469,84 @@ def test_scan_dense_matches_direct(c_mid):
         for n in dense:
             (single,) = scan(parse_grid(f"list:{n}", 1, n), c=c_mid)
             assert single.csv_row() == dense[n]
+
+
+# log rho of the scan's row at these n when rows from LUCY_THRESHOLD on were
+# taken one at a time, each alone
+_ONE_ROW_LOG_RHO = {
+    LUCY_THRESHOLD: "0x1.afd3f939b97abp+25",
+    (1 << 26) + 5: "0x1.04442e9842262p+30",
+    (1 << 40) + 12345: "0x1.9f874268b2839p+44",
+}
+
+
+def test_scan_rows_in_blocks_equal_rows_alone():
+    # a scan row is the same, bit for bit, in a block of many rows and as a
+    # block of one, with the flags from the bitmap or from the sieved
+    # window; from LUCY_THRESHOLD on its log rho is the one-row value
+    ns = list(range(1, 3001)) + list(range((1 << 20) - 750, (1 << 20) + 750))
+    for r in (2, 3, 10, 99, 1000, 2047):
+        ns += [r * r - 1, r * r, r * r + r, r * r + 2 * r]
+    ns = sorted(set(ns + [LUCY_THRESHOLD - 1]))
+    sizes = [b - a for a, b in analytics._blocks(_table_row_widths(ns))]
+    assert max(sizes) > 20 and len(sizes) > 100
+    t = PrimeTable(LUCY_THRESHOLD + 1)
+    assert list(analytics._legendre_rows(ns, t)) == [next(analytics._legendre_rows([n], t)) for n in ns]
+    heavy = [LUCY_THRESHOLD - 1, LUCY_THRESHOLD, LUCY_THRESHOLD + 1, (1 << 26) + 5, (1 << 40) + 12345]
+    assert [b - a for a, b in analytics._blocks(_table_row_widths(heavy))] == [3, 1, 1]
+    bitmap = PrimeTable(LUCY_THRESHOLD + 3)  # the bitmap reaches the first block's n + 2
+    window = PrimeTable(math.isqrt(heavy[-1]) + 2)
+    rows = list(analytics._legendre_rows(heavy, window))
+    assert rows[:3] == list(analytics._legendre_rows(heavy[:3], bitmap))
+    assert rows == [next(analytics._legendre_rows([n], window)) for n in heavy]
+    assert rows[:3] == [next(analytics._legendre_rows([n], bitmap)) for n in heavy[:3]]
+    assert {n: row[0].hex() for n, row in zip(heavy, rows) if n in _ONE_ROW_LOG_RHO} == _ONE_ROW_LOG_RHO
+
+
+def test_scan_rows_within_their_share_of_exact_logs():
+    # the scan row's log rho and log sigma within _factorial_budget(n), its
+    # half of the scan's budget, of 120-bit sums: log n! (mpmath.loggamma)
+    # less e_p log p over the primes p <= sqrt(n), e_p = v_p(n!) - n // p,
+    # and plus log(n // k + 1) for each k = 1..n with n // k + 1 prime
+    import mpmath
+
+    ns = [5, 100, 3001, (1 << 20) + 7, 3 << 20, LUCY_THRESHOLD - 1]
+    t = PrimeTable()
+    analytics._scan_setup(ns, t)
+    rows = dict(zip(ns, analytics._legendre_rows(ns, t)))
+    with mpmath.workprec(120):
+        for n in ns:
+            r, log = math.isqrt(n), mpmath.log
+            rho = mpmath.loggamma(n + 1) - mpmath.fsum(
+                (primes._vfact(n, p) - n // p) * log(p) for p in trial_primes(r)
+            )
+            small = (n // k + 1 for k in range(1, r + 1))
+            large = range(1, n // (r + 1) + 1)  # v = n // k for k > r, n // v - n // (v + 1) times
+            split = mpmath.fsum(log(x) for x in small if primes.is_probable_prime(x)) + mpmath.fsum(
+                (n // v - n // (v + 1)) * log(v + 1) for v in large if primes.is_probable_prime(v + 1)
+            )
+            lr, ls, *_ = rows[n]
+            bound = analytics._factorial_budget(float(n))
+            assert abs(lr - rho) <= bound and abs(ls - (rho + split)) <= bound, n
+
+
+def test_a_scan_below_the_threshold_derives_the_primes_to_sqrt_n_alone(c_mid):
+    # scan-sparse's first command: pairs of n in the dyadic blocks 2^16 to
+    # 2^20 and 3 * 2^20.  Its rows and their check read the bitmap up to
+    # n + 2, which _scan_setup grew, and the primes up to sqrt(n) + 1 alone,
+    # so the primes and the theta prefix are derived below 2^13, and no row
+    # grows the table
+    ns = [3 << 20]
+    for j in range(16, 21):
+        ns += [(3 << (j - 1)) + d for d in (-(1 << (j - 3)), -5, 5, 1 << (j - 3))]
+    ns.sort()
+    t = PrimeTable()
+    records = analytics.scan_records(ns, table=t, c=c_mid)
+    assert t.limit == ns[-1] + 2
+    assert list(records) == scan(ns, table=PrimeTable(LUCY_THRESHOLD), c=c_mid)
+    reach, ps, prefix = t._arrays
+    assert t.limit == ns[-1] + 2 and math.isqrt(ns[-1]) < reach < 1 << 13
+    assert ps[-1] < 1 << 13 and len(ps) + 1 == len(prefix)
 
 
 @pytest.fixture(scope="module")
@@ -687,7 +784,7 @@ def _scan_fails_on_log_rho(capsys, n):
 def test_scan_catches_a_prime_power_dropped_from_the_check_route(monkeypatch, capsys):
     # 4 = 2**2 left out of the check route's prime powers: its log rho is
     # (n // 4) log 2 too large, while the scan's row takes 2's exponent
-    # from _legendre_exponents
+    # from _exponents
     real = analytics._prime_powers
 
     def without_four(top, t):
@@ -701,25 +798,32 @@ def test_scan_catches_a_prime_power_dropped_from_the_check_route(monkeypatch, ca
 def test_scan_catches_exponents_cut_after_the_squares(monkeypatch, capsys):
     # the row's loop over e stopped after e = 2: every e_p of a p <= cbrt(n)
     # too small, and log rho too large by the sum of n // p**e log p, e >= 3
-    monkeypatch.setattr(analytics, "_legendre_exponents", lambda n, ps: n // ps // ps)
+    monkeypatch.setattr(analytics, "_exponents", lambda nb, ps: nb // ps // ps)
     _scan_fails_on_log_rho(capsys, _MUTANT_N)
 
 
-def test_scan_catches_the_theta_prefix_raised_by_one():
-    # on a table row near 2^20, theta + 1 at n // 2 alone: the table's prefix
-    # sum at pi(n // 2), which no other quotient of n reads
+def test_scan_catches_the_theta_prefix_raised_by_one(monkeypatch):
+    # on a theta-sum table row near 2^20, theta + 1 at n // 2 alone: the
+    # table's prefix sum at pi(n // 2), which no other quotient of n reads.
+    # verify eq14-16 and theta_sum_rho fail on it; the scan's row reads no
+    # theta and stays as it was
     n = (1 << 20) + 12345
     t = PrimeTable(n + 2)
-    mask, ps, prefix = t._derived()
+    ps, prefix = t._derived(t.limit)
     i = int(ps.searchsorted(n // 2, side="right"))
     assert n // 3 < ps[i - 1] <= n // 2 < ps[i] <= n
-    (rec,) = scan([n], table=t, c=0.0)
-    rho, sigma = np.array([rec.log_rho]), np.array([rec.log_sigma])
-    assert float(analytics._theta_budget([n], rho, sigma, t, False)[0, 0]) < 0.01
+    scanned = scan([n], table=t, c=0.0)
+    lr, ls = theta_sum_rho(n, t), theta_sum_sigma(n, t)
+    assert float(analytics._theta_budget([n], np.array([lr]), np.array([ls]), t, True)[0, 0]) < 0.01
     prefix = prefix.copy()
     prefix[i] += 1
-    t._arrays = mask, ps, prefix
-    _scan_raises(n, t)
+    t._arrays = t.limit, ps, prefix
+    monkeypatch.setattr(primes, "_default_table", t)
+    res = verify.check_theta_identities(n, points=1)
+    assert [v.split(" off")[0] for v in res.violations][:1] == [f"n={n}: theta sum for rho"]
+    with pytest.raises(ArithmeticError, match=f"log rho disagrees with Legendre's formula at n={n}"):
+        theta_sum_rho(n, t)
+    assert scan([n], table=t, c=0.0) == scanned
 
 
 def _last_composite_k(n):
@@ -746,19 +850,20 @@ def _flagged_row_fails(capsys, n, *more):
 def test_a_composite_flagged_prime_in_a_row_fails_on_log_sigma(monkeypatch, capsys):
     # one composite n // k + 1 flagged prime in a row's assembly, not in the
     # table: log sigma and s1 gain the same log and card_A one, so only the
-    # check route's own flags see it.  First in _rows' prime_q on a table
-    # row near 2^20, then from _quotient_flags on the Lucy row at _MUTANT_N
+    # check route's own flags see it.  First in the flags that
+    # _prime_quotients reads, on the scan's row and the table row near 2^20,
+    # then from _quotient_flags on the scan's and the Lucy row at _MUTANT_N
     n = (1 << 20) + 12345
     k = _last_composite_k(n)
-    real_rows = analytics._rows
+    real_quotients = analytics._prime_quotients
 
-    def rows(ns, q, rho_q, prime_q, rho_v, mask):
+    def quotients(ns, q, prime_q, mask):
         if n in ns:
             prime_q = prime_q.copy()
             prime_q[list(ns).index(n), k - 1] = True
-        return real_rows(ns, q, rho_q, prime_q, rho_v, mask)
+        return real_quotients(ns, q, prime_q, mask)
 
-    monkeypatch.setattr(analytics, "_rows", rows)
+    monkeypatch.setattr(analytics, "_prime_quotients", quotients)
     # the split's 1e-6 n, about 1.05 here, sees the log too; at 2^30 it does not
     _flagged_row_fails(capsys, n, f"n={n}: quotient log split")
     monkeypatch.undo()
@@ -817,26 +922,26 @@ def test_theta_budgets_stay_within_the_verify_tolerance():
     # both budgets at most eq14-16's 1e-6 max(1, n), with the row's sum taken
     # as n log(n + 1) + 2 n, above log sigma(n) <= log n! + psi(n + 1)
     # (Prop 3); a Lucy row's sum passes the tolerance from about 2^45 on, so
-    # at 2^48 the budget is the tolerance itself.  A _legendre_row's budget,
-    # twice _factorial_budget, grows as n**1.5: a fiftieth of the tolerance
-    # at 2^48, and the tolerance itself only from about 2^59
+    # at 2^48 the budget is the tolerance itself.  A scan row's budget, twice
+    # _factorial_budget at every n, grows as n**1.5: a fiftieth of the
+    # tolerance at 2^48, and the tolerance itself only from about 2^59; at
+    # 2^20 it is under a hundredth of the table row's theta budget
     t = PrimeTable()
-    for n in (1, LUCY_THRESHOLD - 1, LUCY_THRESHOLD, _MUTANT_N, 1 << 40, 1 << 44, 1 << 48):
+    for n in (1, 1 << 20, LUCY_THRESHOLD - 1, LUCY_THRESHOLD, _MUTANT_N, 1 << 40, 1 << 44, 1 << 48):
         tol, sums = 1e-6 * max(1, n), np.array([n * math.log(n + 1) + 2 * n])
-        lucy = analytics._theta_budget([n], sums, sums, t, True)[0]
-        assert np.all(0 < lucy) and np.all(lucy <= tol), n
-        assert np.all((lucy == tol) == (n == 1 << 48)), n
-        legendre = analytics._theta_budget([n], sums, sums, t, False)[0]
-        if n < LUCY_THRESHOLD:
-            assert np.array_equal(legendre, lucy), n
-        else:
-            assert np.all(legendre == 2 * analytics._factorial_budget(float(n))), n
-            assert np.all(0 < legendre) and np.all(legendre < tol / 40), n
+        theta = analytics._theta_budget([n], sums, sums, t, True)[0]
+        assert np.all(0 < theta) and np.all(theta <= tol), n
+        assert np.all((theta == tol) == (n == 1 << 48)), n
+        scan_row = analytics._theta_budget([n], sums, sums, t, False)[0]
+        assert np.all(scan_row == 2 * analytics._factorial_budget(float(n))), n
+        assert np.all(0 < scan_row) and np.all(scan_row < tol / 40), n
+        if n == 1 << 20:
+            assert np.all(scan_row < theta / 100), n
 
 
 def test_every_row_takes_log_sigma_as_log_rho_plus_the_split(table_2_26):
-    # one formula for log sigma, bit for bit as floats: table rows in blocks
-    # and alone, _legendre_rows, and Lucy rows through theta_sum_sigma and
+    # one formula for log sigma, bit for bit as floats: table rows and the
+    # scan's rows in blocks and alone, and Lucy rows through theta_sum_sigma and
     # through _checked, which hands its rows to scan, the one-n functions and
     # verify eq14-16
     def off(rows):
@@ -844,14 +949,15 @@ def test_every_row_takes_log_sigma_as_log_rho_plus_the_split(table_2_26):
 
     ns = [*range(1, 2001), *range((1 << 20) - 300, (1 << 20) + 300), LUCY_THRESHOLD - 1]
     assert len(list(analytics._blocks(_table_row_widths(ns)))) > 1
-    assert off(analytics._table_rows(ns, table_2_26)) == []
-    for n in (1, 5, 100, 3001, (1 << 20) + 7, LUCY_THRESHOLD - 1):
-        assert off(analytics._table_rows([n], table_2_26)) == [], n
+    for route in (analytics._table_rows, analytics._legendre_rows):
+        assert off(route(ns, table_2_26)) == [], route
+        for n in (1, 5, 100, 3001, (1 << 20) + 7, LUCY_THRESHOLD - 1):
+            assert off(route([n], table_2_26)) == [], (route, n)
     heavy = [LUCY_THRESHOLD, LUCY_THRESHOLD + 12345, (1 << 26) + 5, _MUTANT_N]
     t = PrimeTable()
     analytics._scan_setup(heavy, t, True)
+    assert off(analytics._legendre_rows(heavy, t)) == []
     for n in heavy:
-        assert off([analytics._legendre_row(n, t)]) == [], n
         _, s1, s2 = s_split(n, t)  # the scan row's split, which the Lucy row shares
         assert theta_sum_sigma(n, t) == theta_sum_rho(n, t) + (s1 + s2), n
     grid = ns[::40] + heavy
@@ -874,8 +980,8 @@ def _exact_log_sigma(n, t):
 
 
 def test_row_log_sigma_within_its_budget_of_the_exact_value(table_2_26):
-    # the row's log sigma, log rho + (s1 + s2), within _theta_budget's sigma
-    # column of the exact value, on table rows and on Lucy rows; and within
+    # the theta-sum row's log sigma, log rho + (s1 + s2), within _theta_budget's
+    # sigma column of the exact value, on table rows and on Lucy rows; and within
     # the row's own share of it, the column less the check route's
     # _factorial_budget, allowing the reference its 5 units.  Below 13 the
     # share leans on the theta term's slack at k = n (_theta_budget): every
@@ -883,19 +989,19 @@ def test_row_log_sigma_within_its_budget_of_the_exact_value(table_2_26):
     u = 2.0**-52
     for n, (_, want) in zip(range(1, 201), _exact_logs(200)[1:]):
         lr, ls, *_ = next(analytics._table_rows([n], table_2_26))
-        bound = analytics._theta_budget([n], np.array([lr]), np.array([ls]), table_2_26, False)
+        bound = analytics._theta_budget([n], np.array([lr]), np.array([ls]), table_2_26, True)
         share = bound[0, 1] - analytics._factorial_budget(float(n))
         assert abs(ls - want) <= share + math.ulp(want), n
     t = PrimeTable()
-    for n, theta in (
+    for n, lucy in (
         *((n, False) for n in (5, 100, 3001, (1 << 20) + 7, LUCY_THRESHOLD - 1)),
         *((n, True) for n in (LUCY_THRESHOLD, LUCY_THRESHOLD + 12345, (1 << 26) + 5)),
     ):
-        if theta:
+        if lucy:
             lr, ls = theta_sum_rho(n, t), theta_sum_sigma(n, t)
         else:
             lr, ls, *_ = next(analytics._table_rows([n], table_2_26))
-        bound = analytics._theta_budget([n], np.array([lr]), np.array([ls]), t, theta)[0, 1]
+        bound = analytics._theta_budget([n], np.array([lr]), np.array([ls]), t, True)[0, 1]
         exact = _exact_log_sigma(n, table_2_26)
         assert abs(ls - exact) <= bound, n
         assert abs(ls - exact) <= bound - analytics._factorial_budget(float(n)) + 5 * u * exact, n
@@ -934,7 +1040,7 @@ def test_lucy_rows_equal_their_parts():
     for n in ns:
         want[n], theta_sigma = _lucy_row_by_parts(n, t)
         assert analytics._lucy_row(n, t) == want[n], n
-        assert _within_sigma_column(want[n], theta_sigma, n, t, theta=True), n
+        assert _within_sigma_column(want[n], theta_sigma, n, t), n
     # the rows up to 8191**2 - 1 as one block of _rows: q at the block's
     # width, the small side at the widest r, one cell narrower than q, as the
     # last row's top is r.  S1 at v depends on v alone, so the largest n's
@@ -964,7 +1070,7 @@ def test_legendre_rows_equal_lucy_rows_in_the_prime_quotients():
     t = PrimeTable()
     analytics._scan_setup(ns, t, True)
     for n in ns:
-        lucy, row = analytics._lucy_row(n, t), analytics._legendre_row(n, t)
+        lucy, row = analytics._lucy_row(n, t), next(analytics._legendre_rows([n], t))
         assert row[2:] == lucy[2:], n
         route = [float(v[0]) for v in analytics._factorial_sums([n], t)]
         bound = analytics._theta_budget([n], *([v] for v in row[:2]), t, False)[0].tolist()
@@ -972,7 +1078,7 @@ def test_legendre_rows_equal_lucy_rows_in_the_prime_quotients():
             assert abs(got - want) <= b and abs(got - lucy_value) <= 8 * math.ulp(got), n
         ps = t.primes_up_to(math.isqrt(n))
         e = [primes.factorial_valuation(n, p) - n // p for p in ps.tolist()]
-        assert analytics._legendre_exponents(n, ps).tolist() == e, n
+        assert analytics._exponents(np.array([[n]]), ps).tolist() == [e], n
 
 
 def test_quotient_flags_equal_prime_flags_at_every_k():
@@ -1031,7 +1137,7 @@ def test_scan_row_peak_is_below_the_estimate(c_mid):
     for n in (1 << 24, 1 << 28):
         for theta, estimate in ((False, analytics._legendre_bytes), (True, analytics._row_bytes)):
             t = PrimeTable(math.isqrt(n) + 2)
-            t.primes_up_to(2)  # the table's arrays are built before the row, as in a scan
+            t.primes_up_to(t.limit)  # the table's arrays are derived before the row
             tracemalloc.start()
             try:
                 next(analytics._records([n], c_mid, t, theta))
@@ -1042,15 +1148,16 @@ def test_scan_row_peak_is_below_the_estimate(c_mid):
 
 
 def test_lucy_rows_leave_the_table_as_the_scan_set_up_left_it(c_mid):
-    # once scan_records has set up, no row grows the table, and its arrays
-    # are derived once, by the first row: rows from LUCY_THRESHOLD on read it
-    # up to sqrt(n) + 2, and the check route's prime powers no further
+    # once scan_records has set up, no row grows the table, and no row
+    # derives its arrays past sqrt(max n) + 2: rows from LUCY_THRESHOLD on
+    # read it up to sqrt(n) + 2, and the check route's prime powers no further
     class Counted(PrimeTable):
-        derived = 0
+        reach = 0
 
-        def _derived(self):
-            self.derived += self._arrays is None
-            return super()._derived()
+        def _derived(self, x):
+            out = super()._derived(x)
+            self.reach = max(self.reach, self._arrays[0])
+            return out
 
     ns = [LUCY_THRESHOLD, 3001**2 - 1, (1 << 26) + 5, (1 << 30) + 12345, (1 << 31) + 7]
     expected = scan(ns, table=PrimeTable(), c=c_mid)
@@ -1058,7 +1165,7 @@ def test_lucy_rows_leave_the_table_as_the_scan_set_up_left_it(c_mid):
     records = analytics.scan_records(ns, table=t, c=c_mid)
     limit = t.limit
     assert list(records) == expected
-    assert t.limit == limit and t.derived == 1
+    assert t.limit == limit and 0 < t.reach <= math.isqrt(ns[-1]) + 2
 
 
 def test_scan_asks_memory_for_the_rows_in_flight(monkeypatch):

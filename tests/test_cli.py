@@ -282,17 +282,17 @@ def test_failed_scan_checks_are_errors(capsys, monkeypatch):
     argvs = [("scan", "--grid", f"list:{n}", "--nmax", str(n))]
     argvs += [("scan", "--grid", f"list:{n},{n + 2}", "--nmax", str(n + 2), "--workers", w)
               for w in ("1", "2")]
-    exponents = analytics._legendre_exponents
+    exponents = analytics._exponents
 
-    def raised_exponent(m, ps):
-        return exponents(m, ps) + (ps == 3)
+    def raised_exponent(nb, ps):
+        return exponents(nb, ps) + (ps == 3)
 
-    def failing_row(m, t):
-        raise ArithmeticError(f"a row failed at n={m}")
+    def failing_rows(ns, t):
+        raise ArithmeticError(f"a row failed at n={ns[0]}")
 
     for name, mutant, message in (
-        ("_legendre_exponents", raised_exponent, "log rho disagrees with Legendre's formula"),
-        ("_legendre_row", failing_row, "a row failed"),
+        ("_exponents", raised_exponent, "log rho disagrees with Legendre's formula"),
+        ("_legendre_rows", failing_rows, "a row failed"),
     ):
         monkeypatch.setattr(analytics, name, mutant)
         for argv in argvs:
@@ -530,7 +530,7 @@ def test_scan_peak_memory_stays_flat_over_the_window(capsys, tmp_path, monkeypat
 
     start = 1 << 16
     table = primes.PrimeTable(start + 20_000 + 2)
-    table.primes_up_to(2)  # the table and its arrays are built before the runs
+    table.primes_up_to(table.limit)  # the table and its arrays are built before the runs
     monkeypatch.setattr(primes, "_default_table", table)
     peaks = []
     for rows in (100, 2000, 20_000):  # the first run loads what every run uses
@@ -584,13 +584,13 @@ def test_a_scan_failing_in_a_later_chunk(capsys, tmp_path, monkeypatch):
     bad = start + 2 * chunk + 5
     argv = ["scan", "--grid", "step:1", "--n", str(start), "--nmax", str(start + 3 * chunk + 9)]
     good = analytics.scan(range(start, start + 2 * chunk))
-    real = analytics._table_rows
+    real = analytics._legendre_rows
 
     def raised(ns, t):
         for n, row in zip(ns, real(ns, t)):
             yield (row[0] + 1.0, *row[1:]) if n == bad else row
 
-    monkeypatch.setattr(analytics, "_table_rows", raised)
+    monkeypatch.setattr(analytics, "_legendre_rows", raised)
     error = f"error: log rho disagrees with Legendre's formula at n={bad}\n"
     # on stdout: the rows of the chunks before it, then the error
     code, out, err = run_cli(capsys, *argv)

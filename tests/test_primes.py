@@ -81,6 +81,27 @@ def test_table_views_equal_an_independent_numpy_sieve(limit):
     assert np.array_equal(t.theta_many(ps), np.cumsum(np.log(ps.astype(np.float64))))
 
 
+def test_array_reads_derive_the_primes_only_as_far_as_they_read():
+    # prime_mask derives nothing; primes_up_to, pi and theta_many derive the
+    # primes and the theta prefix to twice what they read, or to the limit,
+    # and again only past that, to the same bits as one derivation to the
+    # end; a rebuild drops them
+    t, full = PrimeTable(10**6), PrimeTable(10**6)
+    full.primes_up_to(full.limit)
+    assert int(t.prime_mask(10**6).sum()) == 78498 and t._arrays[0] == -1
+    assert t.primes_up_to(100).tolist() == trial_primes(100) and t._arrays[0] == 200
+    assert t.pi(200) == 46 and t._arrays[0] == 200
+    assert t.pi(201) == 46 and t._arrays[0] == 402
+    assert t.theta_many(np.array([1000, 7])).tolist() == full.theta_many(np.array([1000, 7])).tolist()
+    xs = np.arange(2001)
+    assert t._arrays[0] == 2000 and np.array_equal(t.theta_many(xs), full.theta_many(xs))
+    assert np.array_equal(t.primes_up_to(600_000), full.primes_up_to(600_000))
+    xs = np.arange(0, 10**6 + 1, 997)
+    assert t._arrays[0] == 10**6 and np.array_equal(t.theta_many(xs), full.theta_many(xs))
+    t.ensure(10**6 + 1)
+    assert t._arrays[0] == -1 and t.pi(10**6) == 78498 and t._arrays[0] == t.limit
+
+
 def test_bitmap_matches_trial_division(table):
     brute = set(trial_primes(10_000))
     mask = table.prime_mask(10_000)
