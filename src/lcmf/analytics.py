@@ -3,10 +3,10 @@
 The headline quantities are log rho(n) and log sigma(n).  Both admit exact
 rewrites as sums of theta values over the ~2 sqrt(n) distinct quotients n//k,
 and their gap is the log-sum over k of the prime quotient values
-floor(n/k + 1).  The theta-sum routes below hand _rows theta at q = n // k
-and the primality of q + 1; it sums log rho over theta, and card_A, s1 and
-s2 through _prime_quotients.  Every row's log sigma is log rho + (s1 + s2).
-The check route, Legendre's formula for n! over the prime powers
+floor(n/k + 1).  Every row is assembled by one function, _rows, a block of n
+at a time: card_A, s1 and s2 through _prime_quotients, log sigma as
+log rho + (s1 + s2), and log rho from a stream that the caller picks.  The
+check route, Legendre's formula for n! over the prime powers
 (_factorial_sums), needs the primes up to sqrt(n) + 1 alone; _checked
 compares every row of scan, verify eq14-16 and the one-n functions with it,
 log rho and log sigma within stated budgets and s1 + s2 with its gap, so
@@ -15,26 +15,24 @@ subtract n log n - (c+1) n and n log n - n, where c is the sum over primes
 of log p / (p (p-1)): scans take it from analytic_constant(), the float of
 an analytic series, and prime_series_constant() encloses it rigorously.
 
-The route of a row depends on what the caller reads (_scan_rows).  A scan
-row, and the one-n functions that read no theta (s_split,
-quotient_prime_count), take _legendre_rows at every n, a block of n at a
-time, in O(sqrt n) per row: log rho from Legendre's formula, one term per
-prime up to sqrt(n), and card_A, s1 and s2 from _prime_quotients, with the
-primality of n // k + 1 from the table's bitmap where it reaches n + 1
-(below LUCY_THRESHOLD, 2^22, _scan_setup grows it to n + 2) and else from
-one sieved window above sqrt(n) and, for the few values past that,
-Miller-Rabin (_quotient_flags).
+_rows reads the primality of n // k + 1 from the table's bitmap where it
+reaches n + 1 (below LUCY_THRESHOLD, 2^22, _scan_setup grows it to n + 2)
+and else from one sieved window above sqrt(n) and, for the few values past
+that, Miller-Rabin (_quotient_flags).  The log rho stream depends on what
+the caller reads (_checked).  A scan row, and the one-n functions that read
+no theta (s_split, quotient_prime_count), take _legendre_rho at every n, in
+O(sqrt n) per row: Legendre's formula, one term per prime up to sqrt(n).
 Of the table such a row reads the bitmap and the primes up to sqrt(n) + 1
 alone.  verify eq14-16 and theta_sum_rho and theta_sum_sigma, which check
-the theta sums themselves, take theta-sum rows: below LUCY_THRESHOLD
-lookups in a prime table up to n + 2, about 1 + 16 / ln n bytes per
-integer, a block of n at a time (_table_rows); from it on a block of one of
-_rows (_lucy_row) with theta at every quotient from Lucy's sieve (_lucy),
-in O(n**(3/4)) time and O(sqrt n) memory, and the window's flags.  Each row
-sums in a fixed order over its own arrays, so scan output is reproducible
-bit for bit on one platform whatever the grid or its blocks.  A scan is one
-stream of records in n order, made and checked a chunk of rows at a time
-in the calling thread (_records), which the writers take as it comes.
+the theta sums themselves, take _theta_rho, the sum of theta(n // k):
+below LUCY_THRESHOLD lookups in a prime table up to n + 2, about
+1 + 16 / ln n bytes per integer, a block of n at a time; from it on theta
+at every quotient from Lucy's sieve (_lucy), in O(n**(3/4)) time and
+O(sqrt n) memory, one n at a time.  Each row sums in a fixed order over its
+own arrays, so scan output is reproducible bit for bit on one platform
+whatever the grid or its blocks.  A scan is one stream of records in n
+order, made and checked a chunk of rows at a time in the calling thread
+(_records), which the writers take as it comes.
 """
 
 from __future__ import annotations
@@ -290,8 +288,7 @@ _Row = tuple[float, float, int, float, float]  # (log_rho, log_sigma, card_A, s1
 
 def _prime_quotients(ns: list[int], q, prime_q, mask):
     """(card_A, s1, s2) of a block of ascending ns laid out as _rows takes
-    it: the one sum of the prime quotient values n // k + 1, which _rows and
-    _legendre_rows both call.
+    it: the one sum of the prime quotient values n // k + 1, of every row.
 
     card_A counts and s1 sums log(n // k + 1) over the flagged cells of
     prime_q, row after row, row i's small quotients being the cells from
@@ -315,69 +312,19 @@ def _prime_quotients(ns: list[int], q, prime_q, mask):
     return card, s1, s2
 
 
-def _rows(ns: list[int], q, rho_q, prime_q, rho_v, mask) -> list[_Row]:
-    """(log_rho, log_sigma, card_A, s1, s2) of each n of a block of ascending
-    ns: the one row assembly of the theta-sum routes.
-
-    Row i of q holds n // k for k = 1..w, w = top + 1 of the widest row, with
-    r = isqrt(n) and top = n // (r + 1).  rho_q and prime_q hold theta(n // k)
-    and the primality of n // k + 1 for k <= r, in rows of their own stride;
-    rho_v holds theta(v) at index v < w, and mask the primality of 0..w or
-    more.  The large quotients v <= top weigh mult = n // v - n // (v + 1),
-    the number of k > r with n // k == v.  card_A, s1 and s2 are
-    _prime_quotients'; s1 + s2 is the log-sum of the prime n // k + 1 over
-    k = 1..n, log sigma(n) - log rho(n), so log sigma = log rho + (s1 + s2).
-    Each row sums with np.add.reduce over its own slices (_slice_sums): the
-    values and the order of a row do not depend on the block, so neither do
-    its sums.
-    """
-    roots = [math.isqrt(n) for n in ns]
-    tops = [n // (r + 1) for n, r in zip(ns, roots)]
-    card, s1, s2 = _prime_quotients(ns, q, prime_q, mask)
-    mult_rho = (q[:, :-1] - q[:, 1:]) * rho_v[1 : q.shape[1]]  # at v = 1..w-1
-    rho = (_slice_sums(rho_q, roots) + _slice_sums(mult_rho, tops)).tolist()
-    return [(lr, lr + (a + b), c, a, b) for lr, c, a, b in zip(rho, card, s1, s2)]
-
-
-def _table_rows(ns: list[int], t: PrimeTable) -> Iterator[_Row]:
-    """(log_rho, log_sigma, card_A, s1, s2) of each n of the ascending ns in
-    turn, from the prime table, grown to max(ns) + 2, with its primes and
-    theta prefix derived to max(ns): the theta-sum rows below LUCY_THRESHOLD
-    of verify eq14-16 and theta_sum_rho/theta_sum_sigma.
-
-    theta at v <= top depends on v alone, so it is taken once per call, from
-    one running count of the bitmap.  The rest is taken a block of n at a
-    time (_blocks): q = n // k is one array, theta at it one search of the
-    primes and one gather, and the flags of n // k + 1 one step.  _rows sums
-    each block, whose rows are yielded one by one, so that a caller holds no
-    list of them.
-    """
-    if not ns:
-        return
-    mask = t.prime_mask(ns[-1] + 2)  # first: it may grow the table
-    primes, prefix = t._derived(ns[-1])  # theta(n // k) reads them up to n
-    top = ns[-1] // (math.isqrt(ns[-1]) + 1)  # the largest top: it is nondecreasing in n
-    theta = prefix[np.cumsum(mask[: top + 1])]  # theta(v) for v <= top
-    for a, b in _blocks(n // (math.isqrt(n) + 1) + 1 for n in ns):
-        w = ns[b - 1] // (math.isqrt(ns[b - 1]) + 1) + 1
-        q = np.array(ns[a:b], dtype=np.int64)[:, None] // np.arange(1, w + 1, dtype=np.int64)
-        rho_q = prefix[primes.searchsorted(q, side="right")]  # theta(n // k)
-        yield from _rows(ns[a:b], q, rho_q, mask[1:][q], theta, mask)
-
-
 # -- Lucy's sieve ---------------------------------------------------------------------
 
-# LUCY_THRESHOLD picks the theta-sum rows' route and the scan's flag source.
-# Below it a theta-sum row is a table row, which needs the table up to n + 2
-# and its primes and theta prefix derived that far; from it on a Lucy row
-# (_lucy_row), which needs the table only up to sqrt(n) + 2.  At 2^22 a Lucy
-# row takes about 3 ms and a table row 0.19 ms alone or 0.14 ms in a step:1
-# window (2-vCPU VM), but only after a table up to n + 2, which takes 28 ms
-# to build and holds 1 + 16 / ln n bytes per integer.  The scan's rows
-# (_legendre_rows) read the flags of n // k + 1 from that table's bitmap
-# below it, which _scan_setup grows to n + 2, and from _quotient_flags on a
-# table up to sqrt(n) + 2 from it on.  The route depends on n and on whether
-# the caller reads theta sums, never on the grid.
+# LUCY_THRESHOLD picks the theta sums' route (_theta_rho) and the rows' flag
+# source (_rows).  Below it theta is looked up in the table, which needs the
+# table up to n + 2 and its primes and theta prefix derived that far; from it
+# on it is Lucy's sieve's, which needs the table only up to sqrt(n) + 2.  At
+# 2^22 a Lucy row takes about 3 ms and a table row 0.19 ms alone or 0.14 ms
+# in a step:1 window (2-vCPU VM), but only after a table up to n + 2, which
+# takes 28 ms to build and holds 1 + 16 / ln n bytes per integer.  Every row
+# reads the flags of n // k + 1 from that table's bitmap below it, which
+# _scan_setup grows to n + 2, and from _quotient_flags on a table up to
+# sqrt(n) + 2 from it on.  The route depends on n and on whether the caller
+# reads theta sums, never on the grid.
 LUCY_THRESHOLD = 1 << 22
 _PREFILTER_PRIMES = 32  # trial-divide by this many primes, the 14 bases among them
 # a row from LUCY_THRESHOLD on sieves the n // k + 1 in [n // r + 1,
@@ -398,7 +345,8 @@ _CHECK_ROWS = _TABLE_BLOCK_CELLS >> 5
 
 
 def _row_bytes(n: int) -> int:
-    """An upper estimate of a Lucy row's peak bytes at n, its table already built.
+    """An upper estimate of the peak bytes of a theta-sum row at n from
+    LUCY_THRESHOLD on, its table already built.
 
     The fixed term is ten int64 or float64 arrays of one _lucy chunk, the
     other the arrays of sqrt(n) or 2 sqrt(n) entries, 125 B per sqrt(n), and
@@ -407,7 +355,8 @@ def _row_bytes(n: int) -> int:
     2^30, 15.3 MB at 2^34, and 28.2 and 34.4 MB at 2^36 and 1.5 * 2^36, 107 B
     more per sqrt(n) between those two, with the window and without it: the
     chunk's arrays set the peak at the small n, _lucy's sqrt(n) arrays at the
-    large, and the window, held after them, stays below it.  A row's check
+    large, and _rows' quotients and window, made once _theta_rho has let
+    _lucy's arrays go, stay below it.  A row's check
     (_factorial_sums, _theta_budget with its one _row_budget) peaked at up to
     42 B per sqrt(n), below the row's own peak.
     """
@@ -415,12 +364,13 @@ def _row_bytes(n: int) -> int:
 
 
 def _legendre_bytes(n: int) -> int:
-    """An upper estimate of the peak bytes of a _legendre_rows row at n with
-    its check, the table already built: a block's arrays (_TABLE_BLOCK_CELLS)
-    and 48 B per sqrt(n).  By tracemalloc a row and its check peaked at
-    1.21 MB at 2^30 + 12345 and 7.71 MB at 2^36 + 12345, 36.9 and 29.4 B per
-    sqrt(n), the check route's arrays (_factorial_sums) setting the peak;
-    the row alone, its quotients, flags and sieved window, held 25 B."""
+    """An upper estimate of the peak bytes of a scan row at n (_rows with
+    _legendre_rho's log rho) with its check, the table already built: a
+    block's arrays (_TABLE_BLOCK_CELLS) and 48 B per sqrt(n).  By
+    tracemalloc a row and its check peaked at 1.21 MB at 2^30 + 12345 and
+    7.71 MB at 2^36 + 12345, 36.9 and 29.4 B per sqrt(n), the check route's
+    arrays (_factorial_sums) setting the peak; the row alone, its quotients,
+    flags and sieved window, held 25 B."""
     return 80 * _TABLE_BLOCK_CELLS + 48 * math.isqrt(n)
 
 
@@ -649,29 +599,81 @@ def _legendre_rho(ns: Sequence[int], t: PrimeTable) -> Iterator[float]:
         yield from (_log_factorial(nb[:, 0]) - sums).tolist()
 
 
-def _legendre_rows(ns: Sequence[int], t: PrimeTable) -> Iterator[_Row]:
-    """(log_rho, log_sigma, card_A, s1, s2) of each n of the ascending ns >= 1
-    in turn: the scan's row at every n, in O(sqrt n) per row.
+def _theta_rho(ns: Sequence[int], t: PrimeTable) -> Iterator[float]:
+    """log rho(n) of each n of the ascending ns >= 1 in turn, as the sum over
+    k = 1..n of theta(n // k), eq. (14): theta at the r = isqrt(n) small
+    quotients n // k, k <= r, and at each large v <= top = n // (r + 1),
+    weighed by mult = n // v - n // (v + 1), the number of k > r with
+    n // k == v.  The theta sums that verify eq14-16 and
+    theta_sum_rho/theta_sum_sigma check.
 
-    log rho is _legendre_rho's, and log sigma is log rho + (s1 + s2), as
-    _rows takes it.  card_A, s1 and s2 are _prime_quotients' over q = n // k,
-    one array for a block of n at a time (_blocks, as _table_rows), the
-    flags of n // k + 1, k <= sqrt(n), and the bitmap up to sqrt(n) + 2 for
-    the large v + 1.  The flags are the bitmap's where the table reaches
-    every n // k + 1 of the block, n + 1 at most (below LUCY_THRESHOLD
-    _scan_setup grows it to n + 2), else each row's _quotient_flags, a
-    sieved window and Miller-Rabin above it; both are exact, so a row's
-    values do not depend on which one was read, nor on the blocks.
-
-    Both values are within _factorial_budget(n) of the exact ones, by that
-    budget's own count: log n! is the check route's; log rho subtracts
-    pi(sqrt n) <= sqrt(n) terms of total under 0.755 n, and s1 and s2 add
-    at most sqrt(n) terms each, of total log sigma(n) - log rho(n), each
-    term within 5 units (np.log, the conversion of e_p or mult, the
-    product); the sums and the two closing sums round as the route's do.
+    Below LUCY_THRESHOLD theta is looked up in the table, which _scan_setup
+    grows to n + 2, with its primes and theta prefix derived to n: theta at
+    v <= top from one running count of the bitmap, taken once per call, and
+    at q = n // k one search of the primes, a block of n at a time
+    (_blocks, as _rows).  From it on theta at every quotient is _lucy's, in
+    O(n**(3/4)) time and O(sqrt n) memory, one n at a time.  Each row sums
+    its own slices (_slice_sums), so its value does not depend on the block.
     """
-    rhos = _legendre_rho(ns, t)
+    light = bisect.bisect_left(ns, LUCY_THRESHOLD)
+    if light:
+        primes, prefix = t._derived(ns[light - 1])  # theta(n // k) reads them up to n
+        top = ns[light - 1] // (math.isqrt(ns[light - 1]) + 1)  # nondecreasing in n
+        theta = prefix[np.cumsum(t.prime_mask(top))]  # theta(v) for v <= top
+    for a, b in _blocks(n // (math.isqrt(n) + 1) + 1 for n in ns[:light]):
+        w = ns[b - 1] // (math.isqrt(ns[b - 1]) + 1) + 1
+        q = np.array(ns[a:b], dtype=np.int64)[:, None] // np.arange(1, w + 1, dtype=np.int64)
+        theta_q, mult = prefix[primes.searchsorted(q, side="right")], q[:, :-1] - q[:, 1:]
+        del q  # not held beside the products, nor while _rows makes its block
+        sums = _theta_sums(ns[a:b], mult, theta_q, theta)
+        del mult, theta_q
+        yield from sums
+    for n in ns[light:]:
+        q = n // np.arange(1, n // (math.isqrt(n) + 1) + 2, dtype=np.int64)
+        theta_q, theta_v = _lucy(n, t, q)[1]
+        (value,) = _theta_sums([n], (q[:-1] - q[1:])[None], theta_q[None], theta_v)
+        del q, theta_q, theta_v
+        yield value
+
+
+def _theta_sums(ns: list[int], mult, theta_q, theta_v) -> list[float]:
+    """The sum of theta(n // k) over k = 1..n of each n of a block of ascending
+    ns: row i of theta_q holds theta(n // k) at its first r = isqrt(n) cells,
+    theta_v theta(v) at each v < w, w = top + 1 of the widest row, and row i
+    of mult n // v - n // (v + 1) at v = 1..w-1, the number of k > r with
+    n // k == v for v <= top.  Each row sums over its own slices
+    (_slice_sums), so its sum does not depend on the block."""
+    roots = [math.isqrt(n) for n in ns]
+    tops = [n // (r + 1) for n, r in zip(ns, roots)]
+    mult_theta = mult * theta_v[1 : mult.shape[1] + 1]  # at v = 1..w-1
+    return (_slice_sums(theta_q, roots) + _slice_sums(mult_theta, tops)).tolist()
+
+
+def _rows(ns: Sequence[int], t: PrimeTable, rhos: Iterator[float]) -> Iterator[_Row]:
+    """(log_rho, log_sigma, card_A, s1, s2) of each n of the ascending ns >= 1
+    in turn, log rho taken from rhos, one value per n: the one row assembly,
+    of the scan's rows (_legendre_rho) and the theta-sum rows (_theta_rho).
+
+    card_A, s1 and s2 are _prime_quotients' over q = n // k, one array for a
+    block of n at a time (_blocks), the flags of n // k + 1, k <= sqrt(n),
+    and the bitmap up to sqrt(n) + 2 for the large v + 1.  The flags are the
+    bitmap's where the table reaches every n // k + 1 of the block, n + 1 at
+    most (below LUCY_THRESHOLD _scan_setup grows it to n + 2), else each
+    row's _quotient_flags, a sieved window and Miller-Rabin above it; both
+    are exact, so a row's values do not depend on which one was read, nor
+    on the blocks.  s1 + s2 is the log-sum of the prime n // k + 1 over
+    k = 1..n, log sigma(n) - log rho(n), so log sigma = log rho + (s1 + s2).
+
+    With _legendre_rho's log rho both values are within _factorial_budget(n)
+    of the exact ones, by that budget's own count: log n! is the check
+    route's; log rho subtracts pi(sqrt n) <= sqrt(n) terms of total under
+    0.755 n, and s1 and s2 add at most sqrt(n) terms each, of total log
+    sigma(n) - log rho(n), each term within 5 units (np.log, the conversion
+    of e_p or mult, the product); the sums and the two closing sums round as
+    the route's do.  With _theta_rho's, _theta_budget gives the bound.
+    """
     for a, b in _blocks(n // (math.isqrt(n) + 1) + 1 for n in ns):
+        rho = list(itertools.islice(rhos, b - a))  # first: holding none of this block
         block = ns[a:b]
         roots = [math.isqrt(n) for n in block]
         nb = np.array(block, dtype=np.int64)[:, None]
@@ -685,27 +687,15 @@ def _legendre_rows(ns: Sequence[int], t: PrimeTable) -> Iterator[_Row]:
                 flags[i, :r] = rows[i]
             del rows
         card, s1, s2 = _prime_quotients(block, q, flags, t.prime_mask(roots[-1] + 1))
-        del q, flags  # before _legendre_rho's next block
-        yield from ((lr, lr + (x + y), c, x, y) for c, x, y, lr in zip(card, s1, s2, rhos))
-
-
-def _scan_rows(ns: Sequence[int], t: PrimeTable, theta: bool) -> Iterator[_Row]:
-    """The rows of the ascending ns >= 1 in turn: the scan's from _legendre_rows
-    at every n, or where theta sums are asked for (theta) those below
-    LUCY_THRESHOLD from one call of _table_rows and the others a _lucy_row
-    each."""
-    if not theta:
-        yield from _legendre_rows(ns, t)
-        return
-    light = bisect.bisect_left(ns, LUCY_THRESHOLD)
-    yield from _table_rows(ns[:light], t)
-    for n in ns[light:]:
-        yield _lucy_row(n, t)
+        del q, flags  # not held while the caller checks the rows
+        yield from ((lr, lr + (x + y), c, x, y) for lr, c, x, y in zip(rho, card, s1, s2))
 
 
 def _one_row(n: int, table: PrimeTable | None, theta: bool) -> ScanRecord:
     """The record of the one n at c = 0, checked (_records): a theta-sum row
     if theta, else the scan's row."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     t = _primes._table(table)
     _scan_setup([n], t, theta)
     return next(_records([n], 0.0, t, theta))
@@ -765,21 +755,6 @@ _CSV_ROW = "%s,%r,%r,%r,%r,%s,%r,%r,%r"
 assert CSV_HEADER == ",".join(ScanRecord._fields)
 
 
-def _lucy_row(n: int, t: PrimeTable) -> _Row:
-    """(log_rho, log_sigma, card_A, s1, s2) of n >= LUCY_THRESHOLD, by _rows as a
-    block of one: theta from _lucy, the primality of the n // k + 1 with
-    k <= sqrt(n) from _quotient_flags, a sieved window and _prime_flags above
-    it, and that of the large v + 1 <= sqrt(n) + 1 from the table's bitmap,
-    so the table only needs to reach sqrt(n) + 2 (_scan_setup).  Its log
-    sigma is log rho + (s1 + s2), as on every row."""
-    r = math.isqrt(n)
-    q = n // np.arange(1, n // (r + 1) + 2, dtype=np.int64)
-    _, (rho_q, rho_v) = _lucy(n, t, q)
-    prime_q = _quotient_flags(n, q[:r], t)
-    (row,) = _rows([n], q[None], rho_q[None], prime_q[None], rho_v, t.prime_mask(r + 1))
-    return row
-
-
 def _row_budget(n: int, updates: int) -> float:
     """The sum over k = 1..n of _s1_budget(n // k, updates): the budget of a
     Lucy row's sum of theta(n // k) from the errors of its S1."""
@@ -797,7 +772,7 @@ def _theta_budget(ns, rho, sigma, t: PrimeTable, theta: bool) -> np.ndarray:
     values|, in columns 0 and 1, at each n >= 1 of ns, whose rows' values
     are rho and sigma.
 
-    A scan row (_legendre_rows) and the check route are each within
+    A scan row (_legendre_rho's log rho) and the check route are each within
     _factorial_budget(n) of the exact value, so a scan row's budget is
     2 _factorial_budget(n) in both columns, at every n.
 
@@ -844,13 +819,14 @@ def _theta_budget(ns, rho, sigma, t: PrimeTable, theta: bool) -> np.ndarray:
 
 def _checked(ns, t: PrimeTable, theta: bool):
     """(part, rows, ratio, bound) per chunk of _CHECK_ROWS rows of the
-    ascending ns (_scan_rows, theta-sum rows if theta): ratio[i] is row i's
-    |difference| / bound[i] against the check route _factorial_sums, log rho
-    and log sigma within _theta_budget, s1 + s2 with the route's gap within
-    1e-6 max(1, n), and card_A with the route's exact count within 1/2, so
-    that one flag of n // k + 1 wrong fails at any n.  The route builds its
-    own prime powers for each chunk (_factorial_rho)."""
-    rows = _scan_rows(ns, t, theta)
+    ascending ns (_rows, with _theta_rho's log rho if theta, else
+    _legendre_rho's): ratio[i] is row i's |difference| / bound[i] against
+    the check route _factorial_sums, log rho and log sigma within
+    _theta_budget, s1 + s2 with the route's gap within 1e-6 max(1, n), and
+    card_A with the route's exact count within 1/2, so that one flag of
+    n // k + 1 wrong fails at any n.  The route builds its own prime powers
+    for each chunk (_factorial_rho)."""
+    rows = _rows(ns, t, (_theta_rho if theta else _legendre_rho)(ns, t))
     for a in range(0, len(ns), _CHECK_ROWS):
         part = ns[a : a + _CHECK_ROWS]
         chunk = list(itertools.islice(rows, len(part)))
@@ -898,12 +874,13 @@ def _records(ns, c: float, t: PrimeTable, theta: bool = False) -> Iterator[ScanR
 
 
 def _scan_setup(ns, t: PrimeTable, theta: bool = False) -> None:
-    """Set t up for _scan_rows over the ascending ns >= 1 (_checked's
+    """Set t up for _checked's rows over the ascending ns >= 1 (its
     callers): price one row at max(ns), by _row_bytes for theta-sum rows and
     _legendre_bytes for the scan's, then grow t to n + 2 for the last n below
-    LUCY_THRESHOLD and to sqrt(max(ns)) + 2.  The rows derive the table's
-    arrays only as far as they read them: a scan's and its check's to
-    sqrt(max(ns)) + 1, theta-sum table rows' to their largest n."""
+    LUCY_THRESHOLD, where _rows reads every flag on the bitmap, and to
+    sqrt(max(ns)) + 2.  The rows derive the table's arrays only as far as
+    they read them: a scan's and its check's to sqrt(max(ns)) + 1, the theta
+    sums below LUCY_THRESHOLD (_theta_rho) to their largest n."""
     if not ns or ns[0] < 1:
         raise ValueError("scan grid must be nonempty with n >= 1")
     top = ns[-1]
@@ -921,10 +898,11 @@ def scan_records(
     Each record is computed from n alone, so the row for a given n is
     byte-identical whatever the grid: in O(sqrt(n)) time by Legendre's
     formula and the flags of n // k + 1, a block of rows at a time in this
-    thread (_legendre_rows), the flags from the bitmap of a table up to
-    n + 2 below LUCY_THRESHOLD and from a sieved window on a table up to
-    sqrt(n) + 2 from it on.  No row reads theta at the quotients: that is
-    for verify eq14-16 and theta_sum_rho/theta_sum_sigma.  The records come
+    thread (_rows with _legendre_rho's log rho), the flags from the bitmap
+    of a table up to n + 2 below LUCY_THRESHOLD and from a sieved window on
+    a table up to sqrt(n) + 2 from it on.  No row reads theta at the
+    quotients: that is for verify eq14-16 and theta_sum_rho/theta_sum_sigma
+    (_theta_rho).  The records come
     in checked chunks (_records), so a caller that writes them as they come
     holds one chunk, not the scan; an ascending range stays a range.  The
     grid and _scan_setup are settled before the first record is asked for.

@@ -235,8 +235,11 @@ class PrimeTable:
         return len(self.primes_up_to(x)) if x >= 2 else 0
 
     def theta_many(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized theta over an array of integer arguments <= limit."""
-        primes, prefix = self._derived(int(xs.max(initial=0)))
+        """Vectorized theta over an array of integer arguments, to the largest
+        of which the table grows."""
+        bound = int(xs.max(initial=0))
+        self.ensure(bound)  # first: it may grow the table, and so drop its arrays
+        primes, prefix = self._derived(bound)
         return prefix[primes.searchsorted(xs, side="right")]
 
     def prime_mask(self, limit: int) -> np.ndarray:

@@ -226,10 +226,11 @@ def _theorem2_walk(nmax: int, res: CheckResult):
 
 def check_theta_identities(nmax: int, points: int = 1000) -> CheckResult:
     """Theta-sum forms of log rho / log sigma, the quotient log split and the
-    quotient prime count, on the theta-sum rows after analytics._scan_setup
-    (table rows below 2^22, Lucy rows from it on), each within its bound in
-    analytics._checked, at most 1e-6 * max(1, n); a note gives the worst
-    |difference| / bound."""
+    quotient prime count, on the theta-sum rows after analytics._scan_setup:
+    the scan's row assembly (analytics._rows) with log rho the sum of
+    theta(n // k), from table lookups below 2^22 and Lucy's sieve from it on
+    (analytics._theta_rho), each within its bound in analytics._checked, at
+    most 1e-6 * max(1, n); a note gives the worst |difference| / bound."""
     from . import analytics  # numpy-backed, so imported only by the checks that use it
 
     res = CheckResult(check_id="eq14-16")

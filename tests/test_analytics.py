@@ -128,6 +128,14 @@ def test_log_rho_and_sigma_refuse_negative_n():
         assert route(0) == 0.0
 
 
+@pytest.mark.parametrize("f", [theta_sum_rho, theta_sum_sigma, s_split, quotient_prime_count])
+@pytest.mark.parametrize("n", [0, -3])
+def test_one_n_functions_refuse_n_below_one(f, n):
+    # as sequences.quotient_primes does: the message names n, not a scan grid
+    with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+        f(n, PrimeTable())
+
+
 def test_s_split_examples():
     total, s1, s2 = s_split(6)
     assert total == pytest.approx(math.log(168), abs=1e-12)
@@ -193,6 +201,16 @@ def _legendre_oracle(n, t):
     return float(analytics._log_factorial(np.array([n]))[0] - np.add.reduce(e * np.log(ps)))
 
 
+def _theta_rows(ns, t):
+    """The theta-sum rows of the ascending ns: _rows with _theta_rho's log rho."""
+    return analytics._rows(ns, t, analytics._theta_rho(ns, t))
+
+
+def _scan_rows(ns, t):
+    """The scan's rows of the ascending ns: _rows with _legendre_rho's log rho."""
+    return analytics._rows(ns, t, analytics._legendre_rho(ns, t))
+
+
 def test_table_rows_equal_the_three_division_route(c_mid):
     # the scan's records, s_split and quotient_prime_count against the
     # Legendre oracle's log rho and the theta oracle's split; theta_sum_rho
@@ -221,7 +239,7 @@ def test_table_rows_equal_the_three_division_route(c_mid):
 
 
 def _table_row_widths(ns):
-    """The width of each n's row in _table_rows' blocks: top + 1 quotients."""
+    """The width of each n's row in _rows' blocks: top + 1 quotients."""
     return [n // (math.isqrt(n) + 1) + 1 for n in ns]
 
 
@@ -239,13 +257,13 @@ def test_table_rows_in_blocks_equal_the_oracle(monkeypatch):
     # n = 1, 2 and 3 share a block with a large n at the default budget
     few = [1, 2, 3, edge]
     assert list(analytics._blocks(_table_row_widths(few))) == [(0, 4)]
-    assert list(analytics._table_rows(few, t)) == [want[n] for n in few]
+    assert list(_theta_rows(few, t)) == [want[n] for n in few]
     # a few hundred cells: blocks of many small rows, and rows wider than the
     # budget each a block of its own
     monkeypatch.setattr(analytics, "_TABLE_BLOCK_CELLS", 300)
     sizes = [b - a for a, b in analytics._blocks(_table_row_widths(ns))]
     assert max(sizes) > 20 and sizes.count(1) > 1500
-    assert list(analytics._table_rows(ns, t)) == [want[n] for n in ns]
+    assert list(_theta_rows(ns, t)) == [want[n] for n in ns]
 
 
 def test_table_and_check_rows_hold_one_block_at_a_time():
@@ -260,10 +278,10 @@ def test_table_and_check_rows_hold_one_block_at_a_time():
     window = list(range((1 << 20) - 750, (1 << 20) + 750))
     grid = [100 * i for i in range(1, 1001)]
     for ns, route in (
-        (window, lambda: list(analytics._table_rows(window, t))),
-        (grid, lambda: list(analytics._table_rows(grid, t))),
-        (window, lambda: list(analytics._legendre_rows(window, t))),
-        (grid, lambda: list(analytics._legendre_rows(grid, t))),
+        (window, lambda: list(_theta_rows(window, t))),
+        (grid, lambda: list(_theta_rows(grid, t))),
+        (window, lambda: list(_scan_rows(window, t))),
+        (grid, lambda: list(_scan_rows(grid, t))),
         (grid, lambda: analytics._factorial_sums(grid, t)),
     ):
         tracemalloc.start()
@@ -491,15 +509,15 @@ def test_scan_rows_in_blocks_equal_rows_alone():
     sizes = [b - a for a, b in analytics._blocks(_table_row_widths(ns))]
     assert max(sizes) > 20 and len(sizes) > 100
     t = PrimeTable(LUCY_THRESHOLD + 1)
-    assert list(analytics._legendre_rows(ns, t)) == [next(analytics._legendre_rows([n], t)) for n in ns]
+    assert list(_scan_rows(ns, t)) == [next(_scan_rows([n], t)) for n in ns]
     heavy = [LUCY_THRESHOLD - 1, LUCY_THRESHOLD, LUCY_THRESHOLD + 1, (1 << 26) + 5, (1 << 40) + 12345]
     assert [b - a for a, b in analytics._blocks(_table_row_widths(heavy))] == [3, 1, 1]
     bitmap = PrimeTable(LUCY_THRESHOLD + 3)  # the bitmap reaches the first block's n + 2
     window = PrimeTable(math.isqrt(heavy[-1]) + 2)
-    rows = list(analytics._legendre_rows(heavy, window))
-    assert rows[:3] == list(analytics._legendre_rows(heavy[:3], bitmap))
-    assert rows == [next(analytics._legendre_rows([n], window)) for n in heavy]
-    assert rows[:3] == [next(analytics._legendre_rows([n], bitmap)) for n in heavy[:3]]
+    rows = list(_scan_rows(heavy, window))
+    assert rows[:3] == list(_scan_rows(heavy[:3], bitmap))
+    assert rows == [next(_scan_rows([n], window)) for n in heavy]
+    assert rows[:3] == [next(_scan_rows([n], bitmap)) for n in heavy[:3]]
     assert {n: row[0].hex() for n, row in zip(heavy, rows) if n in _ONE_ROW_LOG_RHO} == _ONE_ROW_LOG_RHO
 
 
@@ -513,7 +531,7 @@ def test_scan_rows_within_their_share_of_exact_logs():
     ns = [5, 100, 3001, (1 << 20) + 7, 3 << 20, LUCY_THRESHOLD - 1]
     t = PrimeTable()
     analytics._scan_setup(ns, t)
-    rows = dict(zip(ns, analytics._legendre_rows(ns, t)))
+    rows = dict(zip(ns, _scan_rows(ns, t)))
     with mpmath.workprec(120):
         for n in ns:
             r, log = math.isqrt(n), mpmath.log
@@ -631,15 +649,17 @@ def test_lucy_batch_in_many_chunks(table_2_26, monkeypatch):
         _check_lucy(n, table_2_26)
 
 
-def test_lucy_rows_match_the_table_route(table_2_26, c_mid):
+def test_lucy_rows_match_the_table_route(table_2_26, c_mid, monkeypatch):
     ns = [LUCY_THRESHOLD, LUCY_THRESHOLD + 1, 3001 * 3002, 8191**2 - 1, 1 << 26]
     t = PrimeTable(1 << 12)
     analytics._scan_setup(ns, t, True)
     recs = list(analytics._records(ns, c_mid, t, True))
     assert t.limit < 1 << 14  # Lucy rows need the table only to sqrt(n) + 2
-    for rec in recs:
+    # the table route at the same n: theta from the prefix up to 2^26 + 2
+    monkeypatch.setattr(analytics, "LUCY_THRESHOLD", table_2_26.limit)
+    table_rows = list(_theta_rows(ns, table_2_26))
+    for rec, (lr, ls, card, s1, s2) in zip(recs, table_rows):
         n = rec.n
-        lr, ls, card, s1, s2 = next(analytics._table_rows([n], table_2_26))
         assert rec.card_A == card
         assert (rec.s1 + rec.s2, rec.s1, rec.s2) == (s1 + s2, s1, s2)
         # each route within the budget of theta, so the two within twice it;
@@ -656,7 +676,7 @@ def test_one_n_functions_take_the_scan_route():
         (rec,) = scan([n], table=PrimeTable(), c=0.0)
         lucy = PrimeTable()
         analytics._scan_setup([n], lucy, True)
-        lr, ls, *_ = analytics._lucy_row(n, lucy)
+        lr, ls, *_ = next(_theta_rows([n], lucy))
         for f, want in (
             (theta_sum_rho, lr),
             (theta_sum_sigma, ls),
@@ -671,7 +691,7 @@ def test_one_n_functions_take_the_scan_route():
 def _lucy_checked_rows(n, t):
     """(log rho, log sigma) of the scan row at n, and of the check route, and
     the bounds the two must meet: _theta_budget's two columns."""
-    lr, ls, *_ = analytics._lucy_row(n, t)
+    lr, ls, *_ = next(_theta_rows([n], t))
     rho, sigma, _ = (float(v[0]) for v in analytics._factorial_sums([n], t))
     bounds = analytics._theta_budget([n], np.array([lr]), np.array([ls]), t, True)[0].tolist()
     return (lr, ls), (rho, sigma), bounds
@@ -949,14 +969,14 @@ def test_every_row_takes_log_sigma_as_log_rho_plus_the_split(table_2_26):
 
     ns = [*range(1, 2001), *range((1 << 20) - 300, (1 << 20) + 300), LUCY_THRESHOLD - 1]
     assert len(list(analytics._blocks(_table_row_widths(ns)))) > 1
-    for route in (analytics._table_rows, analytics._legendre_rows):
+    for route in (_theta_rows, _scan_rows):
         assert off(route(ns, table_2_26)) == [], route
         for n in (1, 5, 100, 3001, (1 << 20) + 7, LUCY_THRESHOLD - 1):
             assert off(route([n], table_2_26)) == [], (route, n)
     heavy = [LUCY_THRESHOLD, LUCY_THRESHOLD + 12345, (1 << 26) + 5, _MUTANT_N]
     t = PrimeTable()
     analytics._scan_setup(heavy, t, True)
-    assert off(analytics._legendre_rows(heavy, t)) == []
+    assert off(_scan_rows(heavy, t)) == []
     for n in heavy:
         _, s1, s2 = s_split(n, t)  # the scan row's split, which the Lucy row shares
         assert theta_sum_sigma(n, t) == theta_sum_rho(n, t) + (s1 + s2), n
@@ -988,7 +1008,7 @@ def test_row_log_sigma_within_its_budget_of_the_exact_value(table_2_26):
     # table row up to 200 against the fixed-point sums of _exact_logs
     u = 2.0**-52
     for n, (_, want) in zip(range(1, 201), _exact_logs(200)[1:]):
-        lr, ls, *_ = next(analytics._table_rows([n], table_2_26))
+        lr, ls, *_ = next(_theta_rows([n], table_2_26))
         bound = analytics._theta_budget([n], np.array([lr]), np.array([ls]), table_2_26, True)
         share = bound[0, 1] - analytics._factorial_budget(float(n))
         assert abs(ls - want) <= share + math.ulp(want), n
@@ -1000,7 +1020,7 @@ def test_row_log_sigma_within_its_budget_of_the_exact_value(table_2_26):
         if lucy:
             lr, ls = theta_sum_rho(n, t), theta_sum_sigma(n, t)
         else:
-            lr, ls, *_ = next(analytics._table_rows([n], table_2_26))
+            lr, ls, *_ = next(_theta_rows([n], table_2_26))
         bound = analytics._theta_budget([n], np.array([lr]), np.array([ls]), t, True)[0, 1]
         exact = _exact_log_sigma(n, table_2_26)
         assert abs(ls - exact) <= bound, n
@@ -1008,7 +1028,7 @@ def test_row_log_sigma_within_its_budget_of_the_exact_value(table_2_26):
 
 
 def _lucy_row_by_parts(n, t):
-    """(_lucy_row at n, theta_sigma): the row rebuilt from _lucy's arrays and
+    """(the theta-sum row at n, theta_sigma): the Lucy row rebuilt from _lucy's arrays and
     _prime_flags, each sum over its own arrays: card_A and s1 from the prime
     n // k + 1, s2 from mult at the large prime v + 1, and log sigma as
     log rho + (s1 + s2); theta_sigma the sum of theta(n // k + 1), with
@@ -1032,50 +1052,54 @@ def _lucy_row_by_parts(n, t):
     return (lr, lr + (s1 + s2), len(hits), s1, s2), theta_sigma
 
 
-def test_lucy_rows_equal_their_parts():
+def test_lucy_rows_equal_their_parts(monkeypatch):
     ns = [LUCY_THRESHOLD, LUCY_THRESHOLD + 1, 3001 * 3002, 8191**2 - 1, *CUBE_NS, 1 << 26]
     ns.sort()
     t = PrimeTable(math.isqrt(ns[-1]) + 2)
     want = {}
     for n in ns:
         want[n], theta_sigma = _lucy_row_by_parts(n, t)
-        assert analytics._lucy_row(n, t) == want[n], n
+        assert next(_theta_rows([n], t)) == want[n], n
         assert _within_sigma_column(want[n], theta_sigma, n, t), n
-    # the rows up to 8191**2 - 1 as one block of _rows: q at the block's
-    # width, the small side at the widest r, one cell narrower than q, as the
-    # last row's top is r.  S1 at v depends on v alone, so the largest n's
-    # serves every row
+    # S1 at v depends on v alone, so the largest n's serves every row
     ns = ns[: ns.index(8191**2 - 1) + 1]
-    roots = [math.isqrt(n) for n in ns]
-    w = ns[-1] // (roots[-1] + 1) + 1
-    assert w == roots[-1] + 1
-    q = np.array(ns, dtype=np.int64)[:, None] // np.arange(1, w + 1, dtype=np.int64)
-    rho_q, prime_q = np.zeros((len(ns), roots[-1])), np.zeros((len(ns), roots[-1]), dtype=bool)
-    rho_v = analytics._lucy(ns[-1], t, q[-1])[1][1]
-    for i, (n, r) in enumerate(zip(ns, roots)):
-        _, (at_small, at_v) = analytics._lucy(n, t, _quotients(n)[0])
+    rho_v = analytics._lucy(ns[-1], t, _quotients(ns[-1])[0])[1][1]
+    for n in ns:
+        at_v = analytics._lucy(n, t, _quotients(n)[0])[1][1]
         assert np.array_equal(at_v, rho_v[: len(at_v)]), n
-        bases = t.primes_up_to(r)[: analytics._PREFILTER_PRIMES]
-        rho_q[i, :r], prime_q[i, :r] = at_small, analytics._prime_flags(q[i, :r] + 1, bases)
-    rows = analytics._rows(ns, q, rho_q, prime_q, rho_v, t.prime_mask(w + 1))
+    # the rows up to 8191**2 - 1 as one block of _rows, each row's flags
+    # from its own window stacked at the widest r, with the parts' log rho
+    monkeypatch.setattr(analytics, "_TABLE_BLOCK_CELLS", 1 << 30)
+    assert list(analytics._blocks(_table_row_widths(ns))) == [(0, len(ns))]
+    rows = list(analytics._rows(ns, t, iter([want[n][0] for n in ns])))
     assert rows == [want[n] for n in ns]
 
 
 def test_legendre_rows_equal_lucy_rows_in_the_prime_quotients():
-    # _prime_quotients sums card_A, s1 and s2 for both rows from the same
-    # arrays, so they are equal bit for bit; log rho and log sigma are within
-    # the new row's budget of the check route, and a few ulps of the Lucy
-    # row's.  The exponents are Legendre's, v_p(n!) - n // p, exactly
-    ns = [LUCY_THRESHOLD, LUCY_THRESHOLD + 1, *CUBE_NS, 1 << 26, _MUTANT_N]
+    # _rows sums card_A, s1 and s2 for the scan's rows and the theta-sum
+    # rows from the same arrays, so they are equal bit for bit, on the table
+    # rows below LUCY_THRESHOLD in blocks and on the Lucy rows from it on.
+    # The scan row's log rho and log sigma are within its budget of the check
+    # route, and of the theta-sum row's within a few ulps on a Lucy row and
+    # within the theta-sum row's budget on a table row.  The exponents are
+    # Legendre's, v_p(n!) - n // p, exactly
+    light = [*range(1, 2001), 3001, (1 << 20) + 7, LUCY_THRESHOLD - 1]
+    ns = sorted([*light, LUCY_THRESHOLD, LUCY_THRESHOLD + 1, *CUBE_NS, 1 << 26, _MUTANT_N])
     t = PrimeTable()
     analytics._scan_setup(ns, t, True)
-    for n in ns:
-        lucy, row = analytics._lucy_row(n, t), next(analytics._legendre_rows([n], t))
-        assert row[2:] == lucy[2:], n
-        route = [float(v[0]) for v in analytics._factorial_sums([n], t)]
+    assert len(list(analytics._blocks(_table_row_widths(light)))) < len(light) / 20
+    rows, theta_rows = _scan_rows(ns, t), _theta_rows(ns, t)
+    route = zip(*(v.tolist() for v in analytics._factorial_sums(ns, t)))
+    for n, row, theta_row, (rho, sigma, _) in zip(ns, rows, theta_rows, route, strict=True):
+        assert row[2:] == theta_row[2:], n
         bound = analytics._theta_budget([n], *([v] for v in row[:2]), t, False)[0].tolist()
-        for got, want, lucy_value, b in zip(row[:2], route, lucy[:2], bound):
-            assert abs(got - want) <= b and abs(got - lucy_value) <= 8 * math.ulp(got), n
+        theta_bound = analytics._theta_budget([n], *([v] for v in theta_row[:2]), t, True)[0]
+        for got, want, theta_value, b, tb in zip(row[:2], (rho, sigma), theta_row[:2], bound, theta_bound):
+            assert abs(got - want) <= b, n
+            if n < LUCY_THRESHOLD:
+                assert abs(got - theta_value) <= tb, n
+            else:
+                assert abs(got - theta_value) <= 8 * math.ulp(got), n
         ps = t.primes_up_to(math.isqrt(n))
         e = [primes.factorial_valuation(n, p) - n // p for p in ps.tolist()]
         assert analytics._exponents(np.array([[n]]), ps).tolist() == [e], n

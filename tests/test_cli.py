@@ -287,12 +287,12 @@ def test_failed_scan_checks_are_errors(capsys, monkeypatch):
     def raised_exponent(nb, ps):
         return exponents(nb, ps) + (ps == 3)
 
-    def failing_rows(ns, t):
+    def failing_rows(ns, t, rhos):
         raise ArithmeticError(f"a row failed at n={ns[0]}")
 
     for name, mutant, message in (
         ("_exponents", raised_exponent, "log rho disagrees with Legendre's formula"),
-        ("_legendre_rows", failing_rows, "a row failed"),
+        ("_rows", failing_rows, "a row failed"),
     ):
         monkeypatch.setattr(analytics, name, mutant)
         for argv in argvs:
@@ -584,13 +584,13 @@ def test_a_scan_failing_in_a_later_chunk(capsys, tmp_path, monkeypatch):
     bad = start + 2 * chunk + 5
     argv = ["scan", "--grid", "step:1", "--n", str(start), "--nmax", str(start + 3 * chunk + 9)]
     good = analytics.scan(range(start, start + 2 * chunk))
-    real = analytics._legendre_rows
+    real = analytics._rows
 
-    def raised(ns, t):
-        for n, row in zip(ns, real(ns, t)):
+    def raised(ns, t, rhos):
+        for n, row in zip(ns, real(ns, t, rhos)):
             yield (row[0] + 1.0, *row[1:]) if n == bad else row
 
-    monkeypatch.setattr(analytics, "_legendre_rows", raised)
+    monkeypatch.setattr(analytics, "_rows", raised)
     error = f"error: log rho disagrees with Legendre's formula at n={bad}\n"
     # on stdout: the rows of the chunks before it, then the error
     code, out, err = run_cli(capsys, *argv)

@@ -126,6 +126,15 @@ def test_theta_chebyshev_sanity(table):
     assert np.all((0.8 < ratio) & (ratio < 1.2))
 
 
+def test_theta_many_grows_the_table_past_its_end():
+    # as primes_up_to, pi and prime_mask do: theta(1000) on a table up to 100
+    t = PrimeTable(100)
+    xs = np.array([7, 100, 101, 1000])
+    assert t.theta_many(xs).tolist() == PrimeTable(1000).theta_many(xs).tolist()
+    assert t.limit >= 1000
+    assert t.theta_many(np.array([1000]))[0] == pytest.approx(naive_theta(1000, trial_primes(1000)))
+
+
 def test_auto_extend():
     t = PrimeTable(limit=100)
     assert t.pi(10_000) == 1229  # grows transparently
