@@ -3,9 +3,11 @@
 The headline quantities are log rho(n) and log sigma(n).  Both admit exact
 rewrites as sums of theta values over the ~2 sqrt(n) distinct quotients n//k,
 and their gap is the log-sum over k of the prime quotient values
-floor(n/k + 1).  Every row is assembled by one function, _rows, a block of n
-at a time: card_A, s1 and s2 through _prime_quotients, log sigma as
-log rho + (s1 + s2), and log rho from a stream that the caller picks.  The
+floor(n/k + 1).  _checked cuts the grid into blocks of n once (_blocks),
+and a block's rows, their log rho and their check are plain functions of
+it.  One function, _rows, assembles every row from the block's one array of
+quotients n // k: card_A, s1 and s2 through _prime_quotients, log sigma as
+log rho + (s1 + s2), and log rho by the route that the caller picks.  The
 check route, Legendre's formula for n! over the prime powers
 (_factorial_sums), needs the primes up to sqrt(n) + 1 alone; _checked
 compares every row of scan, verify eq14-16 and the one-n functions with it,
@@ -18,20 +20,20 @@ an analytic series, and prime_series_constant() encloses it rigorously.
 _rows reads the primality of n // k + 1 from the table's bitmap where it
 reaches n + 1 (below LUCY_THRESHOLD, 2^22, _scan_setup grows it to n + 2)
 and else from one sieved window above sqrt(n) and, for the few values past
-that, Miller-Rabin (_quotient_flags).  The log rho stream depends on what
-the caller reads (_checked).  A scan row, and the one-n functions that read
+that, Miller-Rabin (_quotient_flags).  The log rho route depends on what
+the caller reads.  A scan row, and the one-n functions that read
 no theta (s_split, quotient_prime_count), take _legendre_rho at every n, in
 O(sqrt n) per row: Legendre's formula, one term per prime up to sqrt(n).
 Of the table such a row reads the bitmap and the primes up to sqrt(n) + 1
 alone.  verify eq14-16 and theta_sum_rho and theta_sum_sigma, which check
 the theta sums themselves, take _theta_rho, the sum of theta(n // k):
 below LUCY_THRESHOLD lookups in a prime table up to n + 2, about
-1 + 16 / ln n bytes per integer, a block of n at a time; from it on theta
+1 + 16 / ln n bytes per integer, at the block's quotients; from it on theta
 at every quotient from Lucy's sieve (_lucy), in O(n**(3/4)) time and
 O(sqrt n) memory, one n at a time.  Each row sums in a fixed order over its
 own arrays, so scan output is reproducible bit for bit on one platform
 whatever the grid or its blocks.  A scan is one stream of records in n
-order, made and checked a chunk of rows at a time in the calling thread
+order, made and checked a block at a time in the calling thread
 (_records), which the writers take as it comes.
 """
 
@@ -145,7 +147,8 @@ def log_sigma(n: int, table: PrimeTable | None = None) -> float:
 def _blocks(widths: Iterable[int]):
     """(a, b): consecutive ranges of rows with nondecreasing widths, each at
     most _TABLE_BLOCK_CELLS cells counted at its widest, last, row; a row
-    wider than that is a block of its own.  The widths are read one by one."""
+    wider than that is a block of its own.  The widths are read one by one.
+    _checked's one cut of the grid, at top + 1 cells a row."""
     a = b = 0
     for w in widths:  # of row b, the widest yet
         if b > a and (b + 1 - a) * w > _TABLE_BLOCK_CELLS:
@@ -197,9 +200,9 @@ def _prime_powers(top: int, t: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _factorial_rho(ns, t: PrimeTable) -> np.ndarray:
-    """log rho(n) of each n of the nonempty ascending ns >= 0, by Legendre's
-    formula v_p(n!) = sum over e >= 1 of n // p**e, of which log rho(n) keeps
-    e = 1:
+    """log rho(n) of each n of the nonempty ascending ns >= 0, one block, by
+    Legendre's formula v_p(n!) = sum over e >= 1 of n // p**e, of which
+    log rho(n) keeps e = 1:
 
         log rho(n) = log n! - sum over p**e <= n, e >= 2, of (n // p**e) log p.
 
@@ -209,25 +212,22 @@ def _factorial_rho(ns, t: PrimeTable) -> np.ndarray:
     are int64, exact at every n; converting one to float64 as it is
     multiplied by log p is exact below 2**53, and above it within the half
     unit that _factorial_budget's five units per term allow for it.  Each n
-    sums its own prime powers in ascending order (_slice_sums), a block of n
-    at a time (_blocks), so its value does not depend on ns or on how far
-    the powers reach; it is within _factorial_budget(n) of log rho(n).
+    sums its own prime powers in ascending order (_slice_sums), so its value
+    does not depend on ns or on how far the powers reach; it is within
+    _factorial_budget(n) of log rho(n).
     """
     if ns[0] < 0:
         raise ValueError("n must be >= 0")
     powers, logs = _prime_powers(ns[-1], t)
     counts = powers.searchsorted(ns, side="right").tolist()  # the prime powers <= n
-    out = _log_factorial(np.array(ns, dtype=np.int64))
-    for a, b in _blocks(counts):
-        nb, w = np.array(ns[a:b], dtype=np.int64)[:, None], counts[b - 1]
-        out[a:b] -= _slice_sums(nb // powers[:w] * logs[:w], counts[a:b])
-    return out
+    nb, w = np.array(ns, dtype=np.int64), counts[-1]
+    return _log_factorial(nb) - _slice_sums(nb[:, None] // powers[:w] * logs[:w], counts)
 
 
 def _factorial_sums(ns, t: PrimeTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(log rho, log sigma, card_A) of each n of the nonempty ascending
-    ns >= 0: the check route of the theta sums.  log rho is _factorial_rho's,
-    and with r = isqrt(n)
+    ns >= 0, one block: the check route of the theta sums.  log rho is
+    _factorial_rho's, and with r = isqrt(n)
 
         log sigma(n) - log rho(n) = sum over primes p <= r + 1 of
             (n // (p-1) - n // p) log p + sum of log(v + 1) over the
@@ -237,30 +237,27 @@ def _factorial_sums(ns, t: PrimeTable) -> tuple[np.ndarray, np.ndarray, np.ndarr
     quotient n // k, then with k <= r, and 0 otherwise.  It reads the primes
     up to sqrt(max(ns)) + 1 alone, and tests v + 1 exactly, on the bitmap as
     far as the table reaches and past it by _prime_flags.  Each n sums its
-    own cells (_slice_sums), a block of n at a time (_blocks); both values
-    are within _factorial_budget(n) of the exact ones.  card_A, the number
-    of k <= r with n // k + 1 prime, is exact: the v + 1 above counted, and
-    r + 1 where it is n // r + 1, that is where n < r (r + 1).
+    own cells (_slice_sums); both values are within _factorial_budget(n) of
+    the exact ones.  card_A, the number of k <= r with n // k + 1 prime, is
+    exact: the v + 1 above counted, and r + 1 where it is n // r + 1, that
+    is where n < r (r + 1).
     """
     ps = t.primes_up_to(math.isqrt(max(ns[-1], 0)) + 1)  # first: the table grows once
     rho = _factorial_rho(ns, t)  # it refuses an n < 0
-    logs, mask, gap = np.log(ps), t.prime_mask(t.limit), np.empty(len(ns))
-    count = np.empty(len(ns), dtype=np.int64)
-    for a, b in _blocks(math.isqrt(n) for n in ns):
-        nb, roots = np.array(ns[a:b], dtype=np.int64)[:, None], [math.isqrt(n) for n in ns[a:b]]
-        cuts = ps.searchsorted(np.array(roots) + 1, side="right").tolist()  # pi(r + 1)
-        d = (nb // (ps[: cuts[-1]] - 1) - nb // ps[: cuts[-1]]) * logs[: cuts[-1]]
-        x = nb // np.arange(1, roots[-1] + 1, dtype=np.int64) + 1  # v + 1 for v = n // k
-        hit, inside = x > np.array(roots)[:, None] + 1, x < len(mask)
-        hit[hit & inside] = mask[x[hit & inside]]
-        if not inside.all():  # none is past a table up to max(ns) + 1
-            hit[hit & ~inside] = _prime_flags(x[hit & ~inside], ps[:_PREFILTER_PRIMES])
-        cells = np.zeros(x.shape)
-        cells[hit] = np.log(x[hit])
-        gap[a:b] = _slice_sums(d, cuts) + _slice_sums(cells, roots)
-        edge = [n < r * (r + 1) and mask[r + 1] for n, r in zip(ns[a:b], roots)]
-        count[a:b] = _slice_sums(hit, roots) + edge
-    return rho, rho + gap, count
+    mask, roots = t.prime_mask(t.limit), [math.isqrt(n) for n in ns]
+    nb = np.array(ns, dtype=np.int64)[:, None]
+    cuts = ps.searchsorted(np.array(roots) + 1, side="right").tolist()  # pi(r + 1)
+    d = (nb // (ps[: cuts[-1]] - 1) - nb // ps[: cuts[-1]]) * np.log(ps[: cuts[-1]])
+    x = nb // np.arange(1, roots[-1] + 1, dtype=np.int64) + 1  # v + 1 for v = n // k
+    hit, inside = x > np.array(roots)[:, None] + 1, x < len(mask)
+    hit[hit & inside] = mask[x[hit & inside]]
+    if not inside.all():  # none is past a table up to max(ns) + 1
+        hit[hit & ~inside] = _prime_flags(x[hit & ~inside], ps[:_PREFILTER_PRIMES])
+    cells = np.zeros(x.shape)
+    cells[hit] = np.log(x[hit])
+    gap = _slice_sums(d, cuts) + _slice_sums(cells, roots)
+    edge = [n < r * (r + 1) and mask[r + 1] for n, r in zip(ns, roots)]
+    return rho, rho + gap, _slice_sums(hit, roots) + edge
 
 
 def _factorial_budget(n):
@@ -335,13 +332,14 @@ _PREFILTER_PRIMES = 32  # trial-divide by this many primes, the 14 bases among t
 # window's bytes
 _WINDOW_ROOTS = 8
 _LUCY_BATCH_CELLS = 1 << 16  # start values, or phase-2 (p, k) pairs, per chunk of _lucy
-# quotients of a block of table rows, or (n, prime power) and (n, k) cells of a
-# block of the check route, counted at the block's widest row (_blocks); a
-# block's few arrays of 8-byte cells stay within _row_bytes's fixed term
-_TABLE_BLOCK_CELLS = 1 << 13
-# rows that _checked compares at once before _records yields them: a chunk's
-# records, about 390 B a row, weigh about as much as a block's arrays
-_CHECK_ROWS = _TABLE_BLOCK_CELLS >> 5
+# the quotients n // k, k = 1..top + 1, of a block of rows, counted at its
+# widest row (_blocks), where _checked cuts the grid once for the rows, their
+# log rho and their check: a block's few arrays of 8-byte cells stay within
+# _legendre_bytes' fixed term.  Each block pays fixed costs (_prime_powers,
+# _exponents, _log_factorial, _theta_budget): the scan rows and check of a
+# 1500-row step:1 window near 2^20 took 107 ms at 2^13 and 96 ms at 2^14
+# (medians of 8 processes on one CPU of a 2-vCPU VM)
+_TABLE_BLOCK_CELLS = 1 << 14
 
 
 def _row_bytes(n: int) -> int:
@@ -354,19 +352,20 @@ def _row_bytes(n: int) -> int:
     tracemalloc peak of a row was 1.01 MB at 2^24, 4.8 MB at 2^28, 7.1 MB at
     2^30, 15.3 MB at 2^34, and 28.2 and 34.4 MB at 2^36 and 1.5 * 2^36, 107 B
     more per sqrt(n) between those two, with the window and without it: the
-    chunk's arrays set the peak at the small n, _lucy's sqrt(n) arrays at the
-    large, and _rows' quotients and window, made once _theta_rho has let
-    _lucy's arrays go, stay below it.  A row's check
-    (_factorial_sums, _theta_budget with its one _row_budget) peaked at up to
-    42 B per sqrt(n), below the row's own peak.
+    chunk's arrays set the peak at the small n, _lucy's sqrt(n) arrays, its
+    quotients the row of _rows' q, at the large, and _rows' flags and
+    window, made once _theta_rho has let _lucy's arrays go, stay below it.
+    A row's check (_factorial_sums, _theta_budget with its one _row_budget)
+    peaked at up to 42 B per sqrt(n), below the row's own peak.
     """
     return 80 * _LUCY_BATCH_CELLS + (125 + _WINDOW_ROOTS) * math.isqrt(n)
 
 
 def _legendre_bytes(n: int) -> int:
     """An upper estimate of the peak bytes of a scan row at n (_rows with
-    _legendre_rho's log rho) with its check, the table already built: a
-    block's arrays (_TABLE_BLOCK_CELLS) and 48 B per sqrt(n).  By
+    _legendre_rho's log rho) with its check, the table already built: the
+    arrays of a block of _checked (_TABLE_BLOCK_CELLS) and 48 B per
+    sqrt(n).  By
     tracemalloc a row and its check peaked at 1.21 MB at 2^30 + 12345 and
     7.71 MB at 2^36 + 12345, 36.9 and 29.4 B per sqrt(n), the check route's
     arrays (_factorial_sums) setting the peak; the row alone, its quotients,
@@ -578,62 +577,55 @@ def _exponents(nb: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return e
 
 
-def _legendre_rho(ns: Sequence[int], t: PrimeTable) -> Iterator[float]:
-    """log rho(n) of each n of the ascending ns in turn, by Legendre's formula
+def _legendre_rho(ns: Sequence[int], t: PrimeTable) -> list[float]:
+    """log rho(n) of each n of the ascending ns, one block, by Legendre's
+    formula
 
         log rho(n) = log n! - sum over primes p <= sqrt(n) of e_p log p,
 
-    with e_p from _exponents, one term per prime, a block of n at a time
-    (_blocks) counted at pi(sqrt n) < 1.26 sqrt(n) / log(sqrt(n)) cells a row
-    (Rosser-Schoenfeld 1962): a step:1 window near 2^20 has about 40 rows to
-    a block, so the repeated division runs its steps once for them all.
-    Each row sums its own terms (_slice_sums), so its value does not depend
-    on the block."""
-    widths = (1 + int(1.26 * r / math.log(r)) if r > 1 else 1 for r in map(math.isqrt, ns))
-    for a, b in _blocks(widths):
-        roots = [math.isqrt(n) for n in ns[a:b]]
-        nb = np.array(ns[a:b], dtype=np.int64)[:, None]
-        ps = t.primes_up_to(roots[-1])
-        cuts = ps.searchsorted(roots, side="right").tolist()  # pi(sqrt n)
-        sums = _slice_sums(_exponents(nb, ps) * np.log(ps), cuts)  # no product outlives it
-        yield from (_log_factorial(nb[:, 0]) - sums).tolist()
+    with e_p from _exponents, one term per prime, so the repeated division
+    runs its steps once for the whole block.  Each row sums its own terms
+    (_slice_sums), so its value does not depend on the block."""
+    roots = [math.isqrt(n) for n in ns]
+    nb = np.array(ns, dtype=np.int64)[:, None]
+    ps = t.primes_up_to(roots[-1])
+    cuts = ps.searchsorted(roots, side="right").tolist()  # pi(sqrt n)
+    sums = _slice_sums(_exponents(nb, ps) * np.log(ps), cuts)  # no product outlives it
+    return (_log_factorial(nb[:, 0]) - sums).tolist()
 
 
-def _theta_rho(ns: Sequence[int], t: PrimeTable) -> Iterator[float]:
-    """log rho(n) of each n of the ascending ns >= 1 in turn, as the sum over
-    k = 1..n of theta(n // k), eq. (14): theta at the r = isqrt(n) small
-    quotients n // k, k <= r, and at each large v <= top = n // (r + 1),
+def _theta_rho(ns: Sequence[int], q: np.ndarray, t: PrimeTable) -> list[float]:
+    """log rho(n) of each n of the ascending ns >= 1, one block whose
+    quotients q = n // k, k = 1..top + 1 of the last row, _rows made, as the
+    sum over k = 1..n of theta(n // k), eq. (14): theta at the r = isqrt(n)
+    small quotients n // k, k <= r, and at each large v <= top = n // (r + 1),
     weighed by mult = n // v - n // (v + 1), the number of k > r with
     n // k == v.  The theta sums that verify eq14-16 and
     theta_sum_rho/theta_sum_sigma check.
 
     Below LUCY_THRESHOLD theta is looked up in the table, which _scan_setup
     grows to n + 2, with its primes and theta prefix derived to n: theta at
-    v <= top from one running count of the bitmap, taken once per call, and
-    at q = n // k one search of the primes, a block of n at a time
-    (_blocks, as _rows).  From it on theta at every quotient is _lucy's, in
+    v <= top from one running count of the bitmap, and at q one search of
+    the primes, for all the block's rows below it at once, over their own
+    columns of q, up to top + 1 of the last of them.  From it on theta
+    at every quotient is _lucy's, from row i's q[i, :top + 1], in
     O(n**(3/4)) time and O(sqrt n) memory, one n at a time.  Each row sums
     its own slices (_slice_sums), so its value does not depend on the block.
     """
     light = bisect.bisect_left(ns, LUCY_THRESHOLD)
+    out = []
     if light:
         primes, prefix = t._derived(ns[light - 1])  # theta(n // k) reads them up to n
-        top = ns[light - 1] // (math.isqrt(ns[light - 1]) + 1)  # nondecreasing in n
-        theta = prefix[np.cumsum(t.prime_mask(top))]  # theta(v) for v <= top
-    for a, b in _blocks(n // (math.isqrt(n) + 1) + 1 for n in ns[:light]):
-        w = ns[b - 1] // (math.isqrt(ns[b - 1]) + 1) + 1
-        q = np.array(ns[a:b], dtype=np.int64)[:, None] // np.arange(1, w + 1, dtype=np.int64)
-        theta_q, mult = prefix[primes.searchsorted(q, side="right")], q[:, :-1] - q[:, 1:]
-        del q  # not held beside the products, nor while _rows makes its block
-        sums = _theta_sums(ns[a:b], mult, theta_q, theta)
-        del mult, theta_q
-        yield from sums
-    for n in ns[light:]:
-        q = n // np.arange(1, n // (math.isqrt(n) + 1) + 2, dtype=np.int64)
-        theta_q, theta_v = _lucy(n, t, q)[1]
-        (value,) = _theta_sums([n], (q[:-1] - q[1:])[None], theta_q[None], theta_v)
-        del q, theta_q, theta_v
-        yield value
+        w = ns[light - 1] // (math.isqrt(ns[light - 1]) + 1) + 1  # top + 1, nondecreasing in n
+        theta = prefix[np.cumsum(t.prime_mask(w - 1))]  # theta(v) for v <= top
+        q_light = q[:light, :w]
+        theta_q = prefix[primes.searchsorted(q_light, side="right")]
+        out = _theta_sums(ns[:light], q_light[:, :-1] - q_light[:, 1:], theta_q, theta)
+    for i, n in enumerate(ns[light:], light):
+        row = q[i, : n // (math.isqrt(n) + 1) + 1]
+        theta_q, theta_v = _lucy(n, t, row)[1]
+        out += _theta_sums([n], (row[:-1] - row[1:])[None], theta_q[None], theta_v)
+    return out
 
 
 def _theta_sums(ns: list[int], mult, theta_q, theta_v) -> list[float]:
@@ -649,20 +641,21 @@ def _theta_sums(ns: list[int], mult, theta_q, theta_v) -> list[float]:
     return (_slice_sums(theta_q, roots) + _slice_sums(mult_theta, tops)).tolist()
 
 
-def _rows(ns: Sequence[int], t: PrimeTable, rhos: Iterator[float]) -> Iterator[_Row]:
-    """(log_rho, log_sigma, card_A, s1, s2) of each n of the ascending ns >= 1
-    in turn, log rho taken from rhos, one value per n: the one row assembly,
-    of the scan's rows (_legendre_rho) and the theta-sum rows (_theta_rho).
+def _rows(ns: Sequence[int], t: PrimeTable, theta: bool) -> list[_Row]:
+    """(log_rho, log_sigma, card_A, s1, s2) of each n of the ascending ns >= 1,
+    one block of _checked: the one row assembly, of the scan's rows (log rho
+    from _legendre_rho) and, if theta, the theta-sum rows (_theta_rho).
 
-    card_A, s1 and s2 are _prime_quotients' over q = n // k, one array for a
-    block of n at a time (_blocks), the flags of n // k + 1, k <= sqrt(n),
-    and the bitmap up to sqrt(n) + 2 for the large v + 1.  The flags are the
-    bitmap's where the table reaches every n // k + 1 of the block, n + 1 at
-    most (below LUCY_THRESHOLD _scan_setup grows it to n + 2), else each
-    row's _quotient_flags, a sieved window and Miller-Rabin above it; both
-    are exact, so a row's values do not depend on which one was read, nor
-    on the blocks.  s1 + s2 is the log-sum of the prime n // k + 1 over
-    k = 1..n, log sigma(n) - log rho(n), so log sigma = log rho + (s1 + s2).
+    q = n // k, k = 1..top + 1 of the last row, is made once for the block.
+    card_A, s1 and s2 are _prime_quotients' over q, the flags of n // k + 1,
+    k <= sqrt(n), and the bitmap up to sqrt(n) + 2 for the large v + 1.  The
+    flags are the bitmap's where the table reaches every n // k + 1 of the
+    block, n + 1 at most (below LUCY_THRESHOLD _scan_setup grows it to
+    n + 2), else each row's _quotient_flags, a sieved window and
+    Miller-Rabin above it; both are exact, so a row's values do not depend
+    on which one was read, nor on the block.  s1 + s2 is the log-sum of the
+    prime n // k + 1 over k = 1..n, log sigma(n) - log rho(n), so
+    log sigma = log rho + (s1 + s2).
 
     With _legendre_rho's log rho both values are within _factorial_budget(n)
     of the exact ones, by that budget's own count: log n! is the check
@@ -672,23 +665,17 @@ def _rows(ns: Sequence[int], t: PrimeTable, rhos: Iterator[float]) -> Iterator[_
     of e_p or mult, the product); the sums and the two closing sums round as
     the route's do.  With _theta_rho's, _theta_budget gives the bound.
     """
-    for a, b in _blocks(n // (math.isqrt(n) + 1) + 1 for n in ns):
-        rho = list(itertools.islice(rhos, b - a))  # first: holding none of this block
-        block = ns[a:b]
-        roots = [math.isqrt(n) for n in block]
-        nb = np.array(block, dtype=np.int64)[:, None]
-        q = nb // np.arange(1, block[-1] // (roots[-1] + 1) + 2, dtype=np.int64)
-        if block[-1] < t.limit:  # the bitmap reaches n // 1 + 1 = n + 1
-            flags = t.prime_mask(block[-1] + 1)[1:][q[:, : roots[-1]]]
-        else:  # each row's own window, stacked once the last window is gone
-            rows = [_quotient_flags(n, q[i, :r], t) for i, (n, r) in enumerate(zip(block, roots))]
-            flags = np.zeros((len(rows), roots[-1]), dtype=bool)
-            for i, r in enumerate(roots):
-                flags[i, :r] = rows[i]
-            del rows
-        card, s1, s2 = _prime_quotients(block, q, flags, t.prime_mask(roots[-1] + 1))
-        del q, flags  # not held while the caller checks the rows
-        yield from ((lr, lr + (x + y), c, x, y) for lr, c, x, y in zip(rho, card, s1, s2))
+    nb, roots = np.array(ns, dtype=np.int64)[:, None], [math.isqrt(n) for n in ns]
+    q = nb // np.arange(1, ns[-1] // (roots[-1] + 1) + 2, dtype=np.int64)
+    rho = _theta_rho(ns, q, t) if theta else _legendre_rho(ns, t)
+    if ns[-1] < t.limit:  # the bitmap reaches n // 1 + 1 = n + 1
+        flags = t.prime_mask(ns[-1] + 1)[1:][q[:, : roots[-1]]]
+    else:  # each row's own window
+        flags = np.zeros((len(ns), roots[-1]), dtype=bool)
+        for i, (n, r) in enumerate(zip(ns, roots)):
+            flags[i, :r] = _quotient_flags(n, q[i, :r], t)
+    card, s1, s2 = _prime_quotients(ns, q, flags, t.prime_mask(roots[-1] + 1))
+    return [(lr, lr + (x + y), c, x, y) for lr, c, x, y in zip(rho, card, s1, s2)]
 
 
 def _one_row(n: int, table: PrimeTable | None, theta: bool) -> ScanRecord:
@@ -818,25 +805,24 @@ def _theta_budget(ns, rho, sigma, t: PrimeTable, theta: bool) -> np.ndarray:
 
 
 def _checked(ns, t: PrimeTable, theta: bool):
-    """(part, rows, ratio, bound) per chunk of _CHECK_ROWS rows of the
-    ascending ns (_rows, with _theta_rho's log rho if theta, else
-    _legendre_rho's): ratio[i] is row i's |difference| / bound[i] against
-    the check route _factorial_sums, log rho and log sigma within
-    _theta_budget, s1 + s2 with the route's gap within 1e-6 max(1, n), and
-    card_A with the route's exact count within 1/2, so that one flag of
-    n // k + 1 wrong fails at any n.  The route builds its own prime powers
-    for each chunk (_factorial_rho)."""
-    rows = _rows(ns, t, (_theta_rho if theta else _legendre_rho)(ns, t))
-    for a in range(0, len(ns), _CHECK_ROWS):
-        part = ns[a : a + _CHECK_ROWS]
-        chunk = list(itertools.islice(rows, len(part)))
-        lr, ls, card, s1, s2 = np.array(chunk).T
-        rho, sigma, count = _factorial_sums(part, t)
-        split = 1e-6 * np.maximum(1.0, np.array(part, dtype=np.float64))
-        budget = _theta_budget(part, lr, ls, t, theta)
-        bound = np.column_stack((budget, split, np.full(len(part), 0.5)))
+    """(block, rows, ratio, bound) per block of the ascending ns, cut once
+    here (_blocks, top + 1 cells a row): the block's rows (_rows, with
+    _theta_rho's log rho if theta, else _legendre_rho's) and its check
+    route (_factorial_sums, which builds its own prime powers for the
+    block).  ratio[i] is row i's |difference| / bound[i] against the route,
+    log rho and log sigma within _theta_budget, s1 + s2 with the route's gap
+    within 1e-6 max(1, n), and card_A with the route's exact count within
+    1/2, so that one flag of n // k + 1 wrong fails at any n."""
+    for a, b in _blocks(n // (math.isqrt(n) + 1) + 1 for n in ns):
+        block = ns[a:b]
+        rows = _rows(block, t, theta)
+        lr, ls, card, s1, s2 = np.array(rows).T
+        rho, sigma, count = _factorial_sums(block, t)
+        split = 1e-6 * np.maximum(1.0, np.array(block, dtype=np.float64))
+        budget = _theta_budget(block, lr, ls, t, theta)
+        bound = np.column_stack((budget, split, np.full(len(block), 0.5)))
         off = np.stack((lr - rho, ls - sigma, (s1 + s2) - (sigma - rho), card - count), 1)
-        yield part, chunk, np.abs(off) / bound, bound
+        yield block, rows, np.abs(off) / bound, bound
 
 
 # _records' error for a row past each bound of _checked, in its order
@@ -850,7 +836,7 @@ _FAILURES = (
 
 def _records(ns, c: float, t: PrimeTable, theta: bool = False) -> Iterator[ScanRecord]:
     """The records of the ascending ns, the scan's rows or, if theta, the
-    theta-sum rows, a chunk of _checked at a time once all its rows are
+    theta-sum rows, a block of _checked at a time once all its rows are
     within their bounds; else ArithmeticError at the first row past one,
     naming its first failing comparison."""
     for part, rows, ratio, _ in _checked(ns, t, theta):
@@ -897,14 +883,14 @@ def scan_records(
 
     Each record is computed from n alone, so the row for a given n is
     byte-identical whatever the grid: in O(sqrt(n)) time by Legendre's
-    formula and the flags of n // k + 1, a block of rows at a time in this
-    thread (_rows with _legendre_rho's log rho), the flags from the bitmap
-    of a table up to n + 2 below LUCY_THRESHOLD and from a sieved window on
-    a table up to sqrt(n) + 2 from it on.  No row reads theta at the
-    quotients: that is for verify eq14-16 and theta_sum_rho/theta_sum_sigma
-    (_theta_rho).  The records come
-    in checked chunks (_records), so a caller that writes them as they come
-    holds one chunk, not the scan; an ascending range stays a range.  The
+    formula and the flags of n // k + 1, a block of _checked at a time in
+    this thread (_rows with _legendre_rho's log rho), the flags from the
+    bitmap of a table up to n + 2 below LUCY_THRESHOLD and from a sieved
+    window on a table up to sqrt(n) + 2 from it on.  No row reads theta at
+    the quotients: that is for verify eq14-16 and
+    theta_sum_rho/theta_sum_sigma (_theta_rho).  The records come in checked
+    blocks (_records), so a caller that writes them as they come holds one
+    block, not the scan; an ascending range stays a range.  The
     grid and _scan_setup are settled before the first record is asked for.
     c defaults to analytic_constant().
     """

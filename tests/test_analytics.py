@@ -201,14 +201,21 @@ def _legendre_oracle(n, t):
     return float(analytics._log_factorial(np.array([n]))[0] - np.add.reduce(e * np.log(ps)))
 
 
+def _checked_blocks(ns, t, theta):
+    """(blocks, rows): the blocks that _checked cuts the ascending ns into and
+    the rows it gives, the theta-sum rows if theta, else the scan's."""
+    parts = [(block, rows) for block, rows, _, _ in analytics._checked(ns, t, theta)]
+    return [list(block) for block, _ in parts], [row for _, rows in parts for row in rows]
+
+
 def _theta_rows(ns, t):
-    """The theta-sum rows of the ascending ns: _rows with _theta_rho's log rho."""
-    return analytics._rows(ns, t, analytics._theta_rho(ns, t))
+    """The theta-sum rows of the ascending ns, in _checked's blocks."""
+    return _checked_blocks(ns, t, True)[1]
 
 
 def _scan_rows(ns, t):
-    """The scan's rows of the ascending ns: _rows with _legendre_rho's log rho."""
-    return analytics._rows(ns, t, analytics._legendre_rho(ns, t))
+    """The scan's rows of the ascending ns, in _checked's blocks."""
+    return _checked_blocks(ns, t, False)[1]
 
 
 def test_table_rows_equal_the_three_division_route(c_mid):
@@ -238,11 +245,6 @@ def test_table_rows_equal_the_three_division_route(c_mid):
         assert quotient_prime_count(n, t) == card, n
 
 
-def _table_row_widths(ns):
-    """The width of each n's row in _rows' blocks: top + 1 quotients."""
-    return [n // (math.isqrt(n) + 1) + 1 for n in ns]
-
-
 def test_table_rows_in_blocks_equal_the_oracle(monkeypatch):
     # the ns of test_table_rows_equal_the_three_division_route, in one call
     t = PrimeTable(LUCY_THRESHOLD + 1)
@@ -254,43 +256,41 @@ def test_table_rows_in_blocks_equal_the_oracle(monkeypatch):
     oracle = dict(zip(ns, (_table_row_oracle(n, t) for n in ns)))
     want = {n: row for n, (row, _) in oracle.items()}
     assert all(_within_sigma_column(row, ts, n, t) for n, (row, ts) in oracle.items())
-    # n = 1, 2 and 3 share a block with a large n at the default budget
+    # n = 1, 2 and 3 share a block of _checked with a large n at the default
+    # budget
     few = [1, 2, 3, edge]
-    assert list(analytics._blocks(_table_row_widths(few))) == [(0, 4)]
-    assert list(_theta_rows(few, t)) == [want[n] for n in few]
-    # a few hundred cells: blocks of many small rows, and rows wider than the
-    # budget each a block of its own
-    monkeypatch.setattr(analytics, "_TABLE_BLOCK_CELLS", 300)
-    sizes = [b - a for a, b in analytics._blocks(_table_row_widths(ns))]
-    assert max(sizes) > 20 and sizes.count(1) > 1500
-    assert list(_theta_rows(ns, t)) == [want[n] for n in ns]
+    assert _checked_blocks(few, t, True) == ([few], [want[n] for n in few])
+    # the default budget and a few hundred cells: blocks of many small rows,
+    # and at 300 rows wider than the budget each a block of its own
+    for cells in (analytics._TABLE_BLOCK_CELLS, 300):
+        monkeypatch.setattr(analytics, "_TABLE_BLOCK_CELLS", cells)
+        blocks, rows = _checked_blocks(ns, t, True)
+        sizes = [len(block) for block in blocks]
+        assert sum(blocks, []) == ns and max(sizes) > 20, cells
+        assert sizes.count(1) > 1500 if cells == 300 else len(sizes) < 200, cells
+        assert rows == [want[n] for n in ns], cells
 
 
 def test_table_and_check_rows_hold_one_block_at_a_time():
-    # tracemalloc peak of the table rows and the scan's rows over a step:1
-    # window near 2^20, and of them and the check route over verify
-    # eq14-16's grid at nmax 10^5, whose rows widen along it: a block's few
-    # arrays of 8-byte cells and about 200 B per row returned
+    # tracemalloc peak of _checked, the rows and their check, for the
+    # theta-sum rows and the scan's rows over a step:1 window near 2^20 and
+    # over verify eq14-16's grid at nmax 10^5, whose rows widen along it: a
+    # block's few arrays of 8-byte cells and about 200 B per row returned
     import tracemalloc
 
     t = PrimeTable((1 << 20) + 1000)
     t.primes_up_to(t.limit)  # the table's arrays are derived before the rows
     window = list(range((1 << 20) - 750, (1 << 20) + 750))
     grid = [100 * i for i in range(1, 1001)]
-    for ns, route in (
-        (window, lambda: list(_theta_rows(window, t))),
-        (grid, lambda: list(_theta_rows(grid, t))),
-        (window, lambda: list(_scan_rows(window, t))),
-        (grid, lambda: list(_scan_rows(grid, t))),
-        (grid, lambda: analytics._factorial_sums(grid, t)),
-    ):
+    for ns, theta in ((window, True), (grid, True), (window, False), (grid, False)):
         tracemalloc.start()
         try:
-            route()
+            rows = [row for _, part, _, _ in analytics._checked(ns, t, theta) for row in part]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 80 * analytics._TABLE_BLOCK_CELLS + 200 * len(ns), (ns[0], peak)
+        assert len(rows) == len(ns)
+        assert peak <= 80 * analytics._TABLE_BLOCK_CELLS + 200 * len(ns), (ns[0], theta, peak)
 
 
 def test_theta_identities_report_a_prime_cut_short(monkeypatch):
@@ -413,15 +413,24 @@ def test_check_route_in_blocks_equals_one_n_at_a_time(monkeypatch):
     assert t.limit == math.isqrt(1 << 26) + 2  # the route grew no table
     grown = PrimeTable(LUCY_THRESHOLD + 2)
     assert [tuple(float(v[0]) for v in analytics._factorial_sums([n], grown)) for n in ns] == one
-    i = ns.index(LUCY_THRESHOLD)
-    assert any(a < i < b for a, b in analytics._blocks(math.isqrt(n) for n in ns))
+    # the route over _checked's blocks, at the default budget with a block
+    # that straddles LUCY_THRESHOLD, and at 300 cells
+    ns = ns[1:]  # _checked's rows start at n = 1
     for cells in (analytics._TABLE_BLOCK_CELLS, 300):
         monkeypatch.setattr(analytics, "_TABLE_BLOCK_CELLS", cells)
-        rhos, sigmas, counts = analytics._factorial_sums(ns, t)
-        assert list(zip(rhos.tolist(), sigmas.tolist(), counts.tolist())) == one, cells
-        assert analytics._factorial_rho(ns, t).tolist() == rhos.tolist(), cells
-    sizes = [b - a for a, b in analytics._blocks(math.isqrt(n) for n in ns)]
-    assert max(sizes) > 20 and sizes.count(1) > 5
+        blocks = _checked_blocks(ns, t, False)[0]
+        assert sum(blocks, []) == ns, cells
+        got = []
+        for block in blocks:
+            rhos, sigmas, counts = analytics._factorial_sums(block, t)
+            assert analytics._factorial_rho(block, t).tolist() == rhos.tolist(), cells
+            got += zip(rhos.tolist(), sigmas.tolist(), counts.tolist())
+        assert got == one[1:], cells
+        sizes = [len(block) for block in blocks]
+        if cells == 300:
+            assert max(sizes) > 20 and sizes.count(1) > 5
+        else:
+            assert any(block[0] < LUCY_THRESHOLD <= block[-1] for block in blocks)
 
 
 def test_check_route_on_fresh_tables_equals_a_grown_table():
@@ -474,7 +483,7 @@ def test_scan_dense_matches_direct(c_mid):
     # byte for byte, with the flags from the bitmap and from the sieved
     # window; the window from LUCY_THRESHOLD spans several blocks of rows
     wide = (LUCY_THRESHOLD, LUCY_THRESHOLD + 12)
-    assert len(list(analytics._blocks(_table_row_widths(range(*wide))))) > 1
+    assert len(_checked_blocks(range(*wide), PrimeTable(), False)[0]) > 1
     for start, stop in (
         (2, 400),
         ((1 << 20) - 40, (1 << 20) + 40),
@@ -498,26 +507,31 @@ _ONE_ROW_LOG_RHO = {
 }
 
 
-def test_scan_rows_in_blocks_equal_rows_alone():
-    # a scan row is the same, bit for bit, in a block of many rows and as a
-    # block of one, with the flags from the bitmap or from the sieved
-    # window; from LUCY_THRESHOLD on its log rho is the one-row value
+def test_scan_rows_in_blocks_equal_rows_alone(monkeypatch):
+    # a scan row is the same, bit for bit, in a block of _checked of many
+    # rows, at the default budget and at 300 cells, and as a block of one,
+    # with the flags from the bitmap or from the sieved window; from
+    # LUCY_THRESHOLD on its log rho is the one-row value
     ns = list(range(1, 3001)) + list(range((1 << 20) - 750, (1 << 20) + 750))
     for r in (2, 3, 10, 99, 1000, 2047):
         ns += [r * r - 1, r * r, r * r + r, r * r + 2 * r]
     ns = sorted(set(ns + [LUCY_THRESHOLD - 1]))
-    sizes = [b - a for a, b in analytics._blocks(_table_row_widths(ns))]
-    assert max(sizes) > 20 and len(sizes) > 100
     t = PrimeTable(LUCY_THRESHOLD + 1)
-    assert list(_scan_rows(ns, t)) == [next(_scan_rows([n], t)) for n in ns]
+    alone = [_scan_rows([n], t)[0] for n in ns]
+    for cells in (analytics._TABLE_BLOCK_CELLS, 300):
+        monkeypatch.setattr(analytics, "_TABLE_BLOCK_CELLS", cells)
+        blocks, rows = _checked_blocks(ns, t, False)
+        assert max(map(len, blocks)) > 20 and len(blocks) > 100, cells
+        assert rows == alone, cells
+    monkeypatch.undo()
     heavy = [LUCY_THRESHOLD - 1, LUCY_THRESHOLD, LUCY_THRESHOLD + 1, (1 << 26) + 5, (1 << 40) + 12345]
-    assert [b - a for a, b in analytics._blocks(_table_row_widths(heavy))] == [3, 1, 1]
     bitmap = PrimeTable(LUCY_THRESHOLD + 3)  # the bitmap reaches the first block's n + 2
     window = PrimeTable(math.isqrt(heavy[-1]) + 2)
-    rows = list(_scan_rows(heavy, window))
+    blocks, rows = _checked_blocks(heavy, window, False)
+    assert blocks == [heavy[:3], heavy[3:4], heavy[4:]]
     assert rows[:3] == list(_scan_rows(heavy[:3], bitmap))
-    assert rows == [next(_scan_rows([n], window)) for n in heavy]
-    assert rows[:3] == [next(_scan_rows([n], bitmap)) for n in heavy[:3]]
+    assert rows == [_scan_rows([n], window)[0] for n in heavy]
+    assert rows[:3] == [_scan_rows([n], bitmap)[0] for n in heavy[:3]]
     assert {n: row[0].hex() for n, row in zip(heavy, rows) if n in _ONE_ROW_LOG_RHO} == _ONE_ROW_LOG_RHO
 
 
@@ -676,7 +690,7 @@ def test_one_n_functions_take_the_scan_route():
         (rec,) = scan([n], table=PrimeTable(), c=0.0)
         lucy = PrimeTable()
         analytics._scan_setup([n], lucy, True)
-        lr, ls, *_ = next(_theta_rows([n], lucy))
+        lr, ls, *_ = _theta_rows([n], lucy)[0]
         for f, want in (
             (theta_sum_rho, lr),
             (theta_sum_sigma, ls),
@@ -691,7 +705,7 @@ def test_one_n_functions_take_the_scan_route():
 def _lucy_checked_rows(n, t):
     """(log rho, log sigma) of the scan row at n, and of the check route, and
     the bounds the two must meet: _theta_budget's two columns."""
-    lr, ls, *_ = next(_theta_rows([n], t))
+    lr, ls, *_ = _theta_rows([n], t)[0]
     rho, sigma, _ = (float(v[0]) for v in analytics._factorial_sums([n], t))
     bounds = analytics._theta_budget([n], np.array([lr]), np.array([ls]), t, True)[0].tolist()
     return (lr, ls), (rho, sigma), bounds
@@ -968,9 +982,10 @@ def test_every_row_takes_log_sigma_as_log_rho_plus_the_split(table_2_26):
         return [row for row in rows if row[1] != row[0] + (row[3] + row[4])]
 
     ns = [*range(1, 2001), *range((1 << 20) - 300, (1 << 20) + 300), LUCY_THRESHOLD - 1]
-    assert len(list(analytics._blocks(_table_row_widths(ns)))) > 1
+    for theta in (True, False):
+        blocks, rows = _checked_blocks(ns, table_2_26, theta)
+        assert len(blocks) > 1 and off(rows) == [], theta
     for route in (_theta_rows, _scan_rows):
-        assert off(route(ns, table_2_26)) == [], route
         for n in (1, 5, 100, 3001, (1 << 20) + 7, LUCY_THRESHOLD - 1):
             assert off(route([n], table_2_26)) == [], (route, n)
     heavy = [LUCY_THRESHOLD, LUCY_THRESHOLD + 12345, (1 << 26) + 5, _MUTANT_N]
@@ -983,8 +998,8 @@ def test_every_row_takes_log_sigma_as_log_rho_plus_the_split(table_2_26):
     grid = ns[::40] + heavy
     for theta in (False, True):
         analytics._scan_setup(grid, t, theta)
-        chunks = [chunk for _, chunk, _, _ in analytics._checked(grid, t, theta)]
-        assert sum(map(len, chunks)) == len(grid) and off(sum(chunks, [])) == [], theta
+        blocks, rows = _checked_blocks(grid, t, theta)
+        assert sum(blocks, []) == grid and off(rows) == [], theta
 
 
 def _exact_log_sigma(n, t):
@@ -1008,7 +1023,7 @@ def test_row_log_sigma_within_its_budget_of_the_exact_value(table_2_26):
     # table row up to 200 against the fixed-point sums of _exact_logs
     u = 2.0**-52
     for n, (_, want) in zip(range(1, 201), _exact_logs(200)[1:]):
-        lr, ls, *_ = next(_theta_rows([n], table_2_26))
+        lr, ls, *_ = _theta_rows([n], table_2_26)[0]
         bound = analytics._theta_budget([n], np.array([lr]), np.array([ls]), table_2_26, True)
         share = bound[0, 1] - analytics._factorial_budget(float(n))
         assert abs(ls - want) <= share + math.ulp(want), n
@@ -1020,7 +1035,7 @@ def test_row_log_sigma_within_its_budget_of_the_exact_value(table_2_26):
         if lucy:
             lr, ls = theta_sum_rho(n, t), theta_sum_sigma(n, t)
         else:
-            lr, ls, *_ = next(_theta_rows([n], table_2_26))
+            lr, ls, *_ = _theta_rows([n], table_2_26)[0]
         bound = analytics._theta_budget([n], np.array([lr]), np.array([ls]), t, True)[0, 1]
         exact = _exact_log_sigma(n, table_2_26)
         assert abs(ls - exact) <= bound, n
@@ -1059,7 +1074,7 @@ def test_lucy_rows_equal_their_parts(monkeypatch):
     want = {}
     for n in ns:
         want[n], theta_sigma = _lucy_row_by_parts(n, t)
-        assert next(_theta_rows([n], t)) == want[n], n
+        assert _theta_rows([n], t)[0] == want[n], n
         assert _within_sigma_column(want[n], theta_sigma, n, t), n
     # S1 at v depends on v alone, so the largest n's serves every row
     ns = ns[: ns.index(8191**2 - 1) + 1]
@@ -1067,12 +1082,31 @@ def test_lucy_rows_equal_their_parts(monkeypatch):
     for n in ns:
         at_v = analytics._lucy(n, t, _quotients(n)[0])[1][1]
         assert np.array_equal(at_v, rho_v[: len(at_v)]), n
-    # the rows up to 8191**2 - 1 as one block of _rows, each row's flags
-    # from its own window stacked at the widest r, with the parts' log rho
+    # the rows up to 8191**2 - 1 as one block of _checked, each row's flags
+    # from its own window stacked at the widest r, and each row's quotients
+    # for _lucy a row of the block's q
     monkeypatch.setattr(analytics, "_TABLE_BLOCK_CELLS", 1 << 30)
-    assert list(analytics._blocks(_table_row_widths(ns))) == [(0, len(ns))]
-    rows = list(analytics._rows(ns, t, iter([want[n][0] for n in ns])))
-    assert rows == [want[n] for n in ns]
+    assert _checked_blocks(ns, t, True) == ([ns], [want[n] for n in ns])
+
+
+def test_a_theta_block_of_table_and_lucy_rows_equals_its_rows_alone():
+    # at the default budget these n, of 55 to 2050 quotients a row, are one
+    # block of _checked, three table rows and four Lucy rows: _theta_rho
+    # splits the block at LUCY_THRESHOLD, the table rows reading theta over
+    # their own columns of the block's q and each Lucy row passing its own
+    # row of q to _lucy.  Each row equals itself computed alone, bit for bit,
+    # and the one-n functions' values on a fresh table
+    r = math.isqrt(LUCY_THRESHOLD)
+    ns = [3001, LUCY_THRESHOLD - 3, LUCY_THRESHOLD - 1, LUCY_THRESHOLD, LUCY_THRESHOLD + 1,
+          LUCY_THRESHOLD + r, (r + 1) * (r + 2)]
+    t = PrimeTable()
+    analytics._scan_setup(ns, t, True)
+    blocks, rows = _checked_blocks(ns, t, True)
+    assert blocks == [ns]
+    assert rows == [_theta_rows([n], t)[0] for n in ns]
+    assert [row[:2] for row in rows] == [
+        (theta_sum_rho(n, PrimeTable()), theta_sum_sigma(n, PrimeTable())) for n in ns
+    ]
 
 
 def test_legendre_rows_equal_lucy_rows_in_the_prime_quotients():
@@ -1087,9 +1121,10 @@ def test_legendre_rows_equal_lucy_rows_in_the_prime_quotients():
     ns = sorted([*light, LUCY_THRESHOLD, LUCY_THRESHOLD + 1, *CUBE_NS, 1 << 26, _MUTANT_N])
     t = PrimeTable()
     analytics._scan_setup(ns, t, True)
-    assert len(list(analytics._blocks(_table_row_widths(light)))) < len(light) / 20
-    rows, theta_rows = _scan_rows(ns, t), _theta_rows(ns, t)
-    route = zip(*(v.tolist() for v in analytics._factorial_sums(ns, t)))
+    blocks, rows = _checked_blocks(ns, t, False)
+    assert sum(block[0] < LUCY_THRESHOLD for block in blocks) < len(light) / 20
+    theta_rows = _theta_rows(ns, t)
+    route = [row for b in blocks for row in zip(*(v.tolist() for v in analytics._factorial_sums(b, t)))]
     for n, row, theta_row, (rho, sigma, _) in zip(ns, rows, theta_rows, route, strict=True):
         assert row[2:] == theta_row[2:], n
         bound = analytics._theta_budget([n], *([v] for v in row[:2]), t, False)[0].tolist()

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import stat
 import subprocess
@@ -287,7 +288,7 @@ def test_failed_scan_checks_are_errors(capsys, monkeypatch):
     def raised_exponent(nb, ps):
         return exponents(nb, ps) + (ps == 3)
 
-    def failing_rows(ns, t, rhos):
+    def failing_rows(ns, t, theta):
         raise ArithmeticError(f"a row failed at n={ns[0]}")
 
     for name, mutant, message in (
@@ -546,12 +547,22 @@ def test_scan_peak_memory_stays_flat_over_the_window(capsys, tmp_path, monkeypat
     assert abs(peaks[2] - peaks[1]) < 256 * 1024, peaks
 
 
+def _block_ends(start):
+    """The ends, counted from start, of the blocks that _checked cuts a
+    step:1 grid from start into (analytics._blocks), over 1000 rows."""
+    from lcmf import analytics
+
+    ns = range(start, start + 1000)
+    return [b for _, b in analytics._blocks(n // (math.isqrt(n) + 1) + 1 for n in ns)]
+
+
 def test_streamed_scan_bytes_equal_the_whole_list_writers(capsys, tmp_path):
-    # windows of several checked chunks, the second with Lucy rows, written
+    # windows of several checked blocks, the second with Lucy rows, written
     # with one and two workers, against the records written as one list
     from lcmf import analytics
 
-    start, rows = 70_000, 3 * analytics._CHECK_ROWS + 37
+    start = 70_000
+    rows = _block_ends(start)[2] + 37
     lucy = [analytics.LUCY_THRESHOLD + 7, 3 * analytics.LUCY_THRESHOLD]
     grids = [
         (range(start, start + rows), ["--grid", "step:1", "--n", str(start)]),
@@ -576,23 +587,23 @@ def test_streamed_scan_bytes_equal_the_whole_list_writers(capsys, tmp_path):
 
 
 def test_a_scan_failing_in_a_later_chunk(capsys, tmp_path, monkeypatch):
-    # the row at bad, in the third checked chunk, gets its log rho raised by
+    # the row at bad, in the third checked block, gets its log rho raised by
     # one, which the check of log rho against Legendre's formula catches
     from lcmf import analytics
 
-    chunk, start = analytics._CHECK_ROWS, 1 << 16
-    bad = start + 2 * chunk + 5
-    argv = ["scan", "--grid", "step:1", "--n", str(start), "--nmax", str(start + 3 * chunk + 9)]
-    good = analytics.scan(range(start, start + 2 * chunk))
+    start = 1 << 16
+    ends = _block_ends(start)
+    bad = start + ends[1] + 5
+    argv = ["scan", "--grid", "step:1", "--n", str(start), "--nmax", str(start + ends[2] + 9)]
+    good = analytics.scan(range(start, start + ends[1]))
     real = analytics._rows
 
-    def raised(ns, t, rhos):
-        for n, row in zip(ns, real(ns, t, rhos)):
-            yield (row[0] + 1.0, *row[1:]) if n == bad else row
+    def raised(ns, t, theta):
+        return [(row[0] + 1.0, *row[1:]) if n == bad else row for n, row in zip(ns, real(ns, t, theta))]
 
     monkeypatch.setattr(analytics, "_rows", raised)
     error = f"error: log rho disagrees with Legendre's formula at n={bad}\n"
-    # on stdout: the rows of the chunks before it, then the error
+    # on stdout: the rows of the blocks before it, then the error
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (1, error)
     assert out.splitlines() == [analytics.CSV_HEADER, *(rec.csv_row() for rec in good)]
