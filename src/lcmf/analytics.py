@@ -18,7 +18,7 @@ of log p / (p (p-1)): scans take it from analytic_constant(), the float of
 an analytic series, and prime_series_constant() encloses it rigorously.
 
 _rows reads the primality of n // k + 1 from the table's bitmap where it
-reaches n + 1 (below LUCY_THRESHOLD, 2^22, _scan_setup grows it to n + 2)
+reaches n + 1 (below LUCY_THRESHOLD, 2^22, _checked grows it to n + 2)
 and else from one sieved window above sqrt(n) and, for the few values past
 that, Miller-Rabin (_quotient_flags).  The log rho route depends on what
 the caller reads.  A scan row, and the one-n functions that read
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import bisect
 import contextlib
-import functools
 import itertools
 import json
 import math
@@ -123,25 +122,21 @@ def prime_series_constant(tail_cut: int, table: PrimeTable | None = None) -> Enc
     return Enclosure(lo - _ROUNDING_SLOP, lo + majorant + _ROUNDING_SLOP)
 
 
-@functools.cache
-def default_constant() -> Enclosure:
-    """Cached enclosure at the default tail cut (width under 1e-6)."""
-    return prime_series_constant(DEFAULT_TAIL_CUT)
-
-
 # -- exact log values and theta-sum identities ------------------------------------
 
 
 def log_rho(n: int, table: PrimeTable | None = None) -> float:
     """log rho(n), the sum of (n // p) log p over primes p, by the check route
     _factorial_rho, which reads the primes up to sqrt(n) alone."""
-    return float(_factorial_rho([n], _primes._table(table))[0])
+    return float(_factorial_rho([n], _prime_powers(n, _primes._table(table)))[0])
 
 
 def log_sigma(n: int, table: PrimeTable | None = None) -> float:
     """log sigma(n), the sum of (n // (p-1)) log p over primes p, by the check
     route _factorial_sums."""
-    return float(_factorial_sums([n], _primes._table(table))[1][0])
+    t = _primes._table(table)
+    t.ensure(math.isqrt(max(n, 0)) + 1)  # first: the table grows once, as far as the route reads
+    return float(_factorial_sums([n], t, _prime_powers(n, t))[1][0])
 
 
 def _blocks(widths: Iterable[int]):
@@ -175,10 +170,13 @@ def _slice_sums(m: np.ndarray, widths: list[int]) -> np.ndarray:
 def _prime_powers(top: int, t: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
     """(powers, logs): the prime powers p**e <= top with e >= 2, ascending,
     and log p of each; _factorial_rho's set-up, good for every n <= top.
+    It refuses a top < 0, as log rho and log sigma refuse n < 0.
 
     The squares ascend with p already.  The higher powers, of the few primes
     up to cbrt(top), are sorted in Python and merged in at their places.
     """
+    if top < 0:
+        raise ValueError("n must be >= 0")
     ps = t.primes_up_to(math.isqrt(top))
     higher = []
     for i, p in enumerate(ps.tolist()):
@@ -199,7 +197,7 @@ def _prime_powers(top: int, t: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
     return powers, np.log(ps)[owner]
 
 
-def _factorial_rho(ns, t: PrimeTable) -> np.ndarray:
+def _factorial_rho(ns, powers) -> np.ndarray:
     """log rho(n) of each n of the nonempty ascending ns >= 0, one block, by
     Legendre's formula v_p(n!) = sum over e >= 1 of n // p**e, of which
     log rho(n) keeps e = 1:
@@ -207,27 +205,25 @@ def _factorial_rho(ns, t: PrimeTable) -> np.ndarray:
         log rho(n) = log n! - sum over p**e <= n, e >= 2, of (n // p**e) log p.
 
     The check route of the theta sums, with _factorial_sums: it reads no
-    theta, and of the table the primes up to sqrt(max(ns)) alone, through
-    _prime_powers(max(ns)), which each call builds.  The quotients n // p**e
-    are int64, exact at every n; converting one to float64 as it is
-    multiplied by log p is exact below 2**53, and above it within the half
-    unit that _factorial_budget's five units per term allow for it.  Each n
-    sums its own prime powers in ascending order (_slice_sums), so its value
-    does not depend on ns or on how far the powers reach; it is within
-    _factorial_budget(n) of log rho(n).
+    theta and no table, only the powers and logs of _prime_powers at a top
+    of at least max(ns), which _checked builds once for its grid.  The
+    quotients n // p**e are int64, exact at every n; converting one to
+    float64 as it is multiplied by log p is exact below 2**53, and above it
+    within the half unit that _factorial_budget's five units per term allow
+    for it.  Each n sums its own prime powers in ascending order
+    (_slice_sums), so its value does not depend on ns or on how far the
+    powers reach; it is within _factorial_budget(n) of log rho(n).
     """
-    if ns[0] < 0:
-        raise ValueError("n must be >= 0")
-    powers, logs = _prime_powers(ns[-1], t)
+    powers, logs = powers
     counts = powers.searchsorted(ns, side="right").tolist()  # the prime powers <= n
     nb, w = np.array(ns, dtype=np.int64), counts[-1]
     return _log_factorial(nb) - _slice_sums(nb[:, None] // powers[:w] * logs[:w], counts)
 
 
-def _factorial_sums(ns, t: PrimeTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _factorial_sums(ns, t: PrimeTable, powers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(log rho, log sigma, card_A) of each n of the nonempty ascending
     ns >= 0, one block: the check route of the theta sums.  log rho is
-    _factorial_rho's, and with r = isqrt(n)
+    _factorial_rho's on the powers, and with r = isqrt(n)
 
         log sigma(n) - log rho(n) = sum over primes p <= r + 1 of
             (n // (p-1) - n // p) log p + sum of log(v + 1) over the
@@ -242,8 +238,8 @@ def _factorial_sums(ns, t: PrimeTable) -> tuple[np.ndarray, np.ndarray, np.ndarr
     exact: the v + 1 above counted, and r + 1 where it is n // r + 1, that
     is where n < r (r + 1).
     """
-    ps = t.primes_up_to(math.isqrt(max(ns[-1], 0)) + 1)  # first: the table grows once
-    rho = _factorial_rho(ns, t)  # it refuses an n < 0
+    ps = t.primes_up_to(math.isqrt(ns[-1]) + 1)
+    rho = _factorial_rho(ns, powers)
     mask, roots = t.prime_mask(t.limit), [math.isqrt(n) for n in ns]
     nb = np.array(ns, dtype=np.int64)[:, None]
     cuts = ps.searchsorted(np.array(roots) + 1, side="right").tolist()  # pi(r + 1)
@@ -319,7 +315,7 @@ def _prime_quotients(ns: list[int], q, prime_q, mask):
 # in a step:1 window (2-vCPU VM), but only after a table up to n + 2, which
 # takes 28 ms to build and holds 1 + 16 / ln n bytes per integer.  Every row
 # reads the flags of n // k + 1 from that table's bitmap below it, which
-# _scan_setup grows to n + 2, and from _quotient_flags on a table up to
+# _checked grows to n + 2, and from _quotient_flags on a table up to
 # sqrt(n) + 2 from it on.  The route depends on n and on whether the caller
 # reads theta sums, never on the grid.
 LUCY_THRESHOLD = 1 << 22
@@ -335,8 +331,8 @@ _LUCY_BATCH_CELLS = 1 << 16  # start values, or phase-2 (p, k) pairs, per chunk 
 # the quotients n // k, k = 1..top + 1, of a block of rows, counted at its
 # widest row (_blocks), where _checked cuts the grid once for the rows, their
 # log rho and their check: a block's few arrays of 8-byte cells stay within
-# _legendre_bytes' fixed term.  Each block pays fixed costs (_prime_powers,
-# _exponents, _log_factorial, _theta_budget): the scan rows and check of a
+# _legendre_bytes' fixed term.  Each block pays fixed costs (_exponents,
+# _log_factorial, _theta_budget): the scan rows and check of a
 # 1500-row step:1 window near 2^20 took 107 ms at 2^13 and 96 ms at 2^14
 # (medians of 8 processes on one CPU of a 2-vCPU VM)
 _TABLE_BLOCK_CELLS = 1 << 14
@@ -603,7 +599,7 @@ def _theta_rho(ns: Sequence[int], q: np.ndarray, t: PrimeTable) -> list[float]:
     n // k == v.  The theta sums that verify eq14-16 and
     theta_sum_rho/theta_sum_sigma check.
 
-    Below LUCY_THRESHOLD theta is looked up in the table, which _scan_setup
+    Below LUCY_THRESHOLD theta is looked up in the table, which _checked
     grows to n + 2, with its primes and theta prefix derived to n: theta at
     v <= top from one running count of the bitmap, and at q one search of
     the primes, for all the block's rows below it at once, over their own
@@ -650,7 +646,7 @@ def _rows(ns: Sequence[int], t: PrimeTable, theta: bool) -> list[_Row]:
     card_A, s1 and s2 are _prime_quotients' over q, the flags of n // k + 1,
     k <= sqrt(n), and the bitmap up to sqrt(n) + 2 for the large v + 1.  The
     flags are the bitmap's where the table reaches every n // k + 1 of the
-    block, n + 1 at most (below LUCY_THRESHOLD _scan_setup grows it to
+    block, n + 1 at most (below LUCY_THRESHOLD _checked grows it to
     n + 2), else each row's _quotient_flags, a sieved window and
     Miller-Rabin above it; both are exact, so a row's values do not depend
     on which one was read, nor on the block.  s1 + s2 is the log-sum of the
@@ -683,9 +679,7 @@ def _one_row(n: int, table: PrimeTable | None, theta: bool) -> ScanRecord:
     if theta, else the scan's row."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    t = _primes._table(table)
-    _scan_setup([n], t, theta)
-    return next(_records([n], 0.0, t, theta))
+    return next(_records(_checked([n], _primes._table(table), theta), 0.0))
 
 
 def theta_sum_rho(n: int, table: PrimeTable | None = None) -> float:
@@ -805,24 +799,45 @@ def _theta_budget(ns, rho, sigma, t: PrimeTable, theta: bool) -> np.ndarray:
 
 
 def _checked(ns, t: PrimeTable, theta: bool):
-    """(block, rows, ratio, bound) per block of the ascending ns, cut once
-    here (_blocks, top + 1 cells a row): the block's rows (_rows, with
-    _theta_rho's log rho if theta, else _legendre_rho's) and its check
-    route (_factorial_sums, which builds its own prime powers for the
-    block).  ratio[i] is row i's |difference| / bound[i] against the route,
-    log rho and log sigma within _theta_budget, s1 + s2 with the route's gap
-    within 1e-6 max(1, n), and card_A with the route's exact count within
-    1/2, so that one flag of n // k + 1 wrong fails at any n."""
-    for a, b in _blocks(n // (math.isqrt(n) + 1) + 1 for n in ns):
-        block = ns[a:b]
-        rows = _rows(block, t, theta)
-        lr, ls, card, s1, s2 = np.array(rows).T
-        rho, sigma, count = _factorial_sums(block, t)
-        split = 1e-6 * np.maximum(1.0, np.array(block, dtype=np.float64))
-        budget = _theta_budget(block, lr, ls, t, theta)
-        bound = np.column_stack((budget, split, np.full(len(block), 0.5)))
-        off = np.stack((lr - rho, ls - sigma, (s1 + s2) - (sigma - rho), card - count), 1)
-        yield block, rows, np.abs(off) / bound, bound
+    """An iterator of (block, rows, ratio, bound) per block of the ascending
+    ns, cut once here (_blocks, top + 1 cells a row): the block's rows
+    (_rows, with _theta_rho's log rho if theta, else _legendre_rho's) and
+    its check route (_factorial_sums).  ratio[i] is row i's |difference| /
+    bound[i] against the route, log rho and log sigma within _theta_budget,
+    s1 + s2 with the route's gap within 1e-6 max(1, n), and card_A with the
+    route's exact count within 1/2, so that one flag of n // k + 1 wrong
+    fails at any n.
+
+    The grid's set-up is done at the call, before any block: it refuses a
+    grid that is empty or has an n < 1, prices one row at max(ns), by
+    _row_bytes for theta-sum rows and _legendre_bytes for the scan's, grows
+    t to n + 2 for the last n below LUCY_THRESHOLD, where _rows reads every
+    flag on the bitmap, and to sqrt(max(ns)) + 2, and builds the route's
+    prime powers once, at max(ns) (_prime_powers).  The rows derive the
+    table's arrays only as far as they read them: a scan's and its check's
+    to sqrt(max(ns)) + 1, the theta sums below LUCY_THRESHOLD (_theta_rho)
+    to their largest n."""
+    if not ns or ns[0] < 1:
+        raise ValueError("scan grid must be nonempty with n >= 1")
+    top, light = ns[-1], bisect.bisect_left(ns, LUCY_THRESHOLD)
+    need = (_row_bytes if theta else _legendre_bytes)(top)
+    _primes.require_memory(need, f"a scan row at n = {top}")
+    t.ensure(max(ns[light - 1] + 2 if light else 0, math.isqrt(top) + 2))
+    powers = _prime_powers(top, t)
+    cuts = _blocks(n // (math.isqrt(n) + 1) + 1 for n in ns)
+    return (_check_block(ns[a:b], t, theta, powers) for a, b in cuts)
+
+
+def _check_block(block, t: PrimeTable, theta: bool, powers):
+    """_checked's (block, rows, ratio, bound) of one block."""
+    rows = _rows(block, t, theta)
+    lr, ls, card, s1, s2 = np.array(rows).T
+    rho, sigma, count = _factorial_sums(block, t, powers)
+    split = 1e-6 * np.maximum(1.0, np.array(block, dtype=np.float64))
+    budget = _theta_budget(block, lr, ls, t, theta)
+    bound = np.column_stack((budget, split, np.full(len(block), 0.5)))
+    off = np.stack((lr - rho, ls - sigma, (s1 + s2) - (sigma - rho), card - count), 1)
+    return block, rows, np.abs(off) / bound, bound
 
 
 # _records' error for a row past each bound of _checked, in its order
@@ -834,12 +849,12 @@ _FAILURES = (
 )
 
 
-def _records(ns, c: float, t: PrimeTable, theta: bool = False) -> Iterator[ScanRecord]:
-    """The records of the ascending ns, the scan's rows or, if theta, the
-    theta-sum rows, a block of _checked at a time once all its rows are
-    within their bounds; else ArithmeticError at the first row past one,
-    naming its first failing comparison."""
-    for part, rows, ratio, _ in _checked(ns, t, theta):
+def _records(checked, c: float) -> Iterator[ScanRecord]:
+    """The records of _checked's blocks, the scan's rows or the theta-sum
+    rows, a block at a time once all its rows are within their bounds;
+    else ArithmeticError at the first row past one, naming its first
+    failing comparison."""
+    for part, rows, ratio, _ in checked:
         bad = np.argwhere(~(ratio <= 1.0))  # a NaN fails too
         if len(bad):
             i, j = bad[0].tolist()
@@ -859,23 +874,6 @@ def _records(ns, c: float, t: PrimeTable, theta: bool = False) -> Iterator[ScanR
             )
 
 
-def _scan_setup(ns, t: PrimeTable, theta: bool = False) -> None:
-    """Set t up for _checked's rows over the ascending ns >= 1 (its
-    callers): price one row at max(ns), by _row_bytes for theta-sum rows and
-    _legendre_bytes for the scan's, then grow t to n + 2 for the last n below
-    LUCY_THRESHOLD, where _rows reads every flag on the bitmap, and to
-    sqrt(max(ns)) + 2.  The rows derive the table's arrays only as far as
-    they read them: a scan's and its check's to sqrt(max(ns)) + 1, the theta
-    sums below LUCY_THRESHOLD (_theta_rho) to their largest n."""
-    if not ns or ns[0] < 1:
-        raise ValueError("scan grid must be nonempty with n >= 1")
-    top = ns[-1]
-    light = bisect.bisect_left(ns, LUCY_THRESHOLD)
-    need = (_row_bytes if theta else _legendre_bytes)(top)
-    _primes.require_memory(need, f"a scan row at n = {top}")
-    t.ensure(max(ns[light - 1] + 2 if light else 0, math.isqrt(top) + 2))
-
-
 def scan_records(
     ns, table: PrimeTable | None = None, c: float | None = None
 ) -> Iterator[ScanRecord]:
@@ -891,16 +889,13 @@ def scan_records(
     theta_sum_rho/theta_sum_sigma (_theta_rho).  The records come in checked
     blocks (_records), so a caller that writes them as they come holds one
     block, not the scan; an ascending range stays a range.  The
-    grid and _scan_setup are settled before the first record is asked for.
-    c defaults to analytic_constant().
+    grid and its set-up (_checked) are settled before the first record is
+    asked for.  c defaults to analytic_constant().
     """
     if not (isinstance(ns, range) and ns.step > 0):
         ns = sorted(set(int(n) for n in ns))
-    t = _primes._table(table)
-    _scan_setup(ns, t)
-    if c is None:
-        c = analytic_constant().midpoint
-    return _records(ns, c, t)
+    checked = _checked(ns, _primes._table(table), False)
+    return _records(checked, analytic_constant().midpoint if c is None else c)
 
 
 def scan(ns, table: PrimeTable | None = None, c: float | None = None) -> list[ScanRecord]:

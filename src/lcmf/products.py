@@ -178,8 +178,6 @@ def prime_exponents(f: WeightFunction, X, table: PrimeTable | None = None) -> di
     arithmetic, on the floats f.value(p) gives: floor(x / f(p)), corrected
     by one step either way for the rounding of the quotient.
     """
-    if X >= 2**63:  # the range of the int64 kernels that take the same exponents (sequences)
-        raise ValueError(f"the budget {X} is past the int64 range of the prime side")
     t = _primes._table(table)
     if f.kind == "log":
         ps = t.prime_list(X)

@@ -78,11 +78,6 @@ def iter_rows(nmax: int) -> Iterator[Iterator[FactoredNatural]]:
     return (itertools.islice(values, n + 1) for n in range(nmax + 1))
 
 
-def rows(nmax: int) -> list[list[FactoredNatural]]:
-    """The rows of iter_rows, as lists."""
-    return [list(row) for row in iter_rows(nmax)]
-
-
 def rows_decimal(nmax: int) -> list[list[str]]:
     """Triangle rows rendered as decimal strings (entries stay small)."""
     return [[entry.to_decimal() for entry in row] for row in iter_rows(nmax)]

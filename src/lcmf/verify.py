@@ -226,11 +226,12 @@ def _theorem2_walk(nmax: int, res: CheckResult):
 
 def check_theta_identities(nmax: int, points: int = 1000) -> CheckResult:
     """Theta-sum forms of log rho / log sigma, the quotient log split and the
-    quotient prime count, on the theta-sum rows after analytics._scan_setup:
-    the scan's row assembly (analytics._rows) with log rho the sum of
-    theta(n // k), from table lookups below 2^22 and Lucy's sieve from it on
-    (analytics._theta_rho), each within its bound in analytics._checked, at
-    most 1e-6 * max(1, n); a note gives the worst |difference| / bound."""
+    quotient prime count, on the theta-sum rows of one analytics._checked
+    call, which sets the table up for its grid: the scan's row assembly
+    (analytics._rows) with log rho the sum of theta(n // k), from table
+    lookups below 2^22 and Lucy's sieve from it on (analytics._theta_rho),
+    each within its bound in analytics._checked, at most 1e-6 * max(1, n);
+    a note gives the worst |difference| / bound."""
     from . import analytics  # numpy-backed, so imported only by the checks that use it
 
     res = CheckResult(check_id="eq14-16")
@@ -239,7 +240,6 @@ def check_theta_identities(nmax: int, points: int = 1000) -> CheckResult:
     t = _primes.default_table()
     grid = sorted(set(max(1, (i * nmax) // points) for i in range(1, points + 1)))
     worst = (0.0, grid[0], names[0])  # |difference| / bound, n, comparison
-    analytics._scan_setup(grid, t, theta=True)
     for part, _, ratio, bound in analytics._checked(grid, t, theta=True):
         res.cases += len(part)
         for i, j in zip(*(~(ratio <= 1.0)).nonzero()):  # a NaN fails too

@@ -28,7 +28,7 @@ TRIANGLE_TABLE = [
 
 @pytest.fixture(scope="module")
 def enclosure():
-    return analytics.default_constant()
+    return analytics.prime_series_constant(analytics.DEFAULT_TAIL_CUT)
 
 
 @pytest.fixture(scope="module")

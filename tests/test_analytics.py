@@ -236,7 +236,7 @@ def test_table_rows_equal_the_three_division_route(c_mid):
         assert _within_sigma_column(want, theta_sigma, n, t), n
         lr = _legendre_oracle(n, t)
         ls, logn = lr + (s1 + s2), math.log(n)
-        assert next(analytics._records([n], c_mid, t)) == (
+        assert next(analytics._records(analytics._checked([n], t, False), c_mid)) == (
             n, lr, ls, lr - (n * logn - (c_mid + 1.0) * n), ls - (n * logn - n),
             card, card * logn / math.sqrt(n), s1, s2,
         ), n
@@ -370,7 +370,7 @@ def test_check_route_within_its_budget_of_exact_logs():
     ns = list(range(3001))
     rho_ref, sigma_ref = (np.array(v) for v in zip(*_exact_logs(3000)))
     t = PrimeTable()
-    rhos, sigmas, _ = analytics._factorial_sums(ns, t)
+    rhos, sigmas, _ = analytics._factorial_sums(ns, t, analytics._prime_powers(ns[-1], t))
     budget = analytics._factorial_budget(np.array(ns, dtype=np.float64))
     ulp = np.spacing(np.maximum(rho_ref, sigma_ref))
     assert np.all(np.abs(rhos - rho_ref) <= budget + ulp)
@@ -397,7 +397,7 @@ def test_check_route_quotients_are_exact_on_both_sides_of_2_53():
         assert (floors.tolist() == q) == (n < 1 << 53), n
         logs = np.log(np.array([p for _, p in powers], dtype=np.float64))
         want = analytics._log_factorial(np.array([n]))[0] - np.add.reduce(np.array(q, float) * logs)
-        assert analytics._factorial_rho([n], fake)[0] == want, n
+        assert analytics._factorial_rho([n], analytics._prime_powers(n, fake))[0] == want, n
 
 
 def test_check_route_in_blocks_equals_one_n_at_a_time(monkeypatch):
@@ -409,21 +409,28 @@ def test_check_route_in_blocks_equals_one_n_at_a_time(monkeypatch):
     t = PrimeTable(math.isqrt(1 << 26) + 2)
     ns = list(range(0, 200)) + list(range((1 << 20) - 300, (1 << 20) + 300, 7))
     ns += [LUCY_THRESHOLD - 1, LUCY_THRESHOLD, LUCY_THRESHOLD + 1, 4093**2 - 1, 4093**2, 1 << 26]
-    one = [tuple(float(v[0]) for v in analytics._factorial_sums([n], t)) for n in ns]
+
+    def alone(table):
+        sums = (analytics._factorial_sums([n], table, analytics._prime_powers(n, table)) for n in ns)
+        return [tuple(float(v[0]) for v in row) for row in sums]
+
+    one = alone(t)
     assert t.limit == math.isqrt(1 << 26) + 2  # the route grew no table
-    grown = PrimeTable(LUCY_THRESHOLD + 2)
-    assert [tuple(float(v[0]) for v in analytics._factorial_sums([n], grown)) for n in ns] == one
-    # the route over _checked's blocks, at the default budget with a block
-    # that straddles LUCY_THRESHOLD, and at 300 cells
+    assert alone(PrimeTable(LUCY_THRESHOLD + 2)) == one
+    # the route over _checked's blocks, on t with the grid's one set of
+    # prime powers, at the default budget with a block that straddles
+    # LUCY_THRESHOLD, and at 300 cells; the cuts are taken on a table of
+    # their own, which _checked grows
     ns = ns[1:]  # _checked's rows start at n = 1
+    powers = analytics._prime_powers(ns[-1], t)
     for cells in (analytics._TABLE_BLOCK_CELLS, 300):
         monkeypatch.setattr(analytics, "_TABLE_BLOCK_CELLS", cells)
-        blocks = _checked_blocks(ns, t, False)[0]
+        blocks = _checked_blocks(ns, PrimeTable(), False)[0]
         assert sum(blocks, []) == ns, cells
         got = []
         for block in blocks:
-            rhos, sigmas, counts = analytics._factorial_sums(block, t)
-            assert analytics._factorial_rho(block, t).tolist() == rhos.tolist(), cells
+            rhos, sigmas, counts = analytics._factorial_sums(block, t, powers)
+            assert analytics._factorial_rho(block, powers).tolist() == rhos.tolist(), cells
             got += zip(rhos.tolist(), sigmas.tolist(), counts.tolist())
         assert got == one[1:], cells
         sizes = [len(block) for block in blocks]
@@ -431,19 +438,45 @@ def test_check_route_in_blocks_equals_one_n_at_a_time(monkeypatch):
             assert max(sizes) > 20 and sizes.count(1) > 5
         else:
             assert any(block[0] < LUCY_THRESHOLD <= block[-1] for block in blocks)
+    assert t.limit == math.isqrt(1 << 26) + 2  # the blocks' route grew no table either
+
+
+def test_check_route_does_not_depend_on_how_far_the_powers_reach():
+    # _checked builds the prime powers once, at its grid's largest n: over
+    # its blocks of the 1500-row window from 1102578 and of a grid across
+    # 2^22 up to 2^26, the route on those powers equals, bit for bit, the
+    # route on powers that reach the block's last n alone; and the one-n
+    # log rho and log sigma, which build their own, keep their values
+    window = list(range(1102578, 1102578 + 1500))
+    across = [*range(LUCY_THRESHOLD - 3000, LUCY_THRESHOLD + 3000, 37), 1 << 26]
+    for ns in (window, across):
+        t = PrimeTable()
+        blocks = _checked_blocks(ns, t, False)[0]
+        assert len(blocks) > 10
+        top = analytics._prime_powers(ns[-1], t)
+        for block in blocks:
+            wide = analytics._factorial_sums(block, t, top)
+            own = analytics._factorial_sums(block, t, analytics._prime_powers(block[-1], t))
+            assert [v.tobytes() for v in wide] == [v.tobytes() for v in own], block[0]
+    n = (1 << 30) + 12345
+    assert log_rho(n, PrimeTable()).hex() == "0x1.30a112e39832fp+34"
+    assert log_sigma(n, PrimeTable()).hex() == "0x1.3cb7174c229d1p+34"
 
 
 def test_check_route_on_fresh_tables_equals_a_grown_table():
     # a fresh table grows to sqrt(n) + 1, or to 8 from its least size 4, so
     # nearly every v + 1 is tested by _prime_flags, with fewer than the 14
     # Miller-Rabin bases in ps below n = 43**2; a table grown to 3002 tests
-    # each on its bitmap
+    # each on its bitmap.  The powers are built beforehand, as _checked
+    # builds them for its grid
     grown = PrimeTable(3002)
     for n in range(3001):
-        fresh = PrimeTable()
-        got = tuple(float(v[0]) for v in analytics._factorial_sums([n], fresh))
+        fresh, powers = PrimeTable(), analytics._prime_powers(n, grown)
+        got = tuple(float(v[0]) for v in analytics._factorial_sums([n], fresh, powers))
         assert fresh.limit <= max(8, math.isqrt(n) + 1), n
-        assert got == tuple(float(v[0]) for v in analytics._factorial_sums([n], grown)), n
+        assert got == tuple(float(v[0]) for v in analytics._factorial_sums([n], grown, powers)), n
+        fresh = PrimeTable()  # log_sigma, which builds its own powers, grows it no further
+        assert log_sigma(n, fresh) == got[1] and fresh.limit <= max(8, math.isqrt(n) + 1), n
 
 
 def test_residual_rho_dyadic_sup(c_mid):
@@ -544,7 +577,6 @@ def test_scan_rows_within_their_share_of_exact_logs():
 
     ns = [5, 100, 3001, (1 << 20) + 7, 3 << 20, LUCY_THRESHOLD - 1]
     t = PrimeTable()
-    analytics._scan_setup(ns, t)
     rows = dict(zip(ns, _scan_rows(ns, t)))
     with mpmath.workprec(120):
         for n in ns:
@@ -565,7 +597,7 @@ def test_scan_rows_within_their_share_of_exact_logs():
 def test_a_scan_below_the_threshold_derives_the_primes_to_sqrt_n_alone(c_mid):
     # scan-sparse's first command: pairs of n in the dyadic blocks 2^16 to
     # 2^20 and 3 * 2^20.  Its rows and their check read the bitmap up to
-    # n + 2, which _scan_setup grew, and the primes up to sqrt(n) + 1 alone,
+    # n + 2, which _checked grew, and the primes up to sqrt(n) + 1 alone,
     # so the primes and the theta prefix are derived below 2^13, and no row
     # grows the table
     ns = [3 << 20]
@@ -666,8 +698,7 @@ def test_lucy_batch_in_many_chunks(table_2_26, monkeypatch):
 def test_lucy_rows_match_the_table_route(table_2_26, c_mid, monkeypatch):
     ns = [LUCY_THRESHOLD, LUCY_THRESHOLD + 1, 3001 * 3002, 8191**2 - 1, 1 << 26]
     t = PrimeTable(1 << 12)
-    analytics._scan_setup(ns, t, True)
-    recs = list(analytics._records(ns, c_mid, t, True))
+    recs = list(analytics._records(analytics._checked(ns, t, True), c_mid))
     assert t.limit < 1 << 14  # Lucy rows need the table only to sqrt(n) + 2
     # the table route at the same n: theta from the prefix up to 2^26 + 2
     monkeypatch.setattr(analytics, "LUCY_THRESHOLD", table_2_26.limit)
@@ -688,9 +719,7 @@ def test_one_n_functions_take_the_scan_route():
     # row's, and each grows a fresh table only to sqrt(n) + 2
     for n in (LUCY_THRESHOLD, LUCY_THRESHOLD + 1, 1 << 27):
         (rec,) = scan([n], table=PrimeTable(), c=0.0)
-        lucy = PrimeTable()
-        analytics._scan_setup([n], lucy, True)
-        lr, ls, *_ = _theta_rows([n], lucy)[0]
+        lr, ls, *_ = _theta_rows([n], PrimeTable())[0]
         for f, want in (
             (theta_sum_rho, lr),
             (theta_sum_sigma, ls),
@@ -706,7 +735,8 @@ def _lucy_checked_rows(n, t):
     """(log rho, log sigma) of the scan row at n, and of the check route, and
     the bounds the two must meet: _theta_budget's two columns."""
     lr, ls, *_ = _theta_rows([n], t)[0]
-    rho, sigma, _ = (float(v[0]) for v in analytics._factorial_sums([n], t))
+    powers = analytics._prime_powers(n, t)
+    rho, sigma, _ = (float(v[0]) for v in analytics._factorial_sums([n], t, powers))
     bounds = analytics._theta_budget([n], np.array([lr]), np.array([ls]), t, True)[0].tolist()
     return (lr, ls), (rho, sigma), bounds
 
@@ -944,7 +974,8 @@ def test_check_route_counts_the_prime_quotients_exactly():
     # r + 1, which the route's log sum leaves to the primes p <= r + 1 but
     # its count takes
     ns = [*range(3001), *range(LUCY_THRESHOLD - 3, LUCY_THRESHOLD + 3), 4093**2 - 1, 4093**2]
-    _, _, counts = analytics._factorial_sums(ns, PrimeTable())
+    t = PrimeTable()
+    _, _, counts = analytics._factorial_sums(ns, t, analytics._prime_powers(ns[-1], t))
     want = [
         sum(primes.is_probable_prime(n // k + 1) for k in range(1, math.isqrt(n) + 1)) for n in ns
     ]
@@ -990,14 +1021,12 @@ def test_every_row_takes_log_sigma_as_log_rho_plus_the_split(table_2_26):
             assert off(route([n], table_2_26)) == [], (route, n)
     heavy = [LUCY_THRESHOLD, LUCY_THRESHOLD + 12345, (1 << 26) + 5, _MUTANT_N]
     t = PrimeTable()
-    analytics._scan_setup(heavy, t, True)
     assert off(_scan_rows(heavy, t)) == []
     for n in heavy:
         _, s1, s2 = s_split(n, t)  # the scan row's split, which the Lucy row shares
         assert theta_sum_sigma(n, t) == theta_sum_rho(n, t) + (s1 + s2), n
     grid = ns[::40] + heavy
     for theta in (False, True):
-        analytics._scan_setup(grid, t, theta)
         blocks, rows = _checked_blocks(grid, t, theta)
         assert sum(blocks, []) == grid and off(rows) == [], theta
 
@@ -1100,7 +1129,6 @@ def test_a_theta_block_of_table_and_lucy_rows_equals_its_rows_alone():
     ns = [3001, LUCY_THRESHOLD - 3, LUCY_THRESHOLD - 1, LUCY_THRESHOLD, LUCY_THRESHOLD + 1,
           LUCY_THRESHOLD + r, (r + 1) * (r + 2)]
     t = PrimeTable()
-    analytics._scan_setup(ns, t, True)
     blocks, rows = _checked_blocks(ns, t, True)
     assert blocks == [ns]
     assert rows == [_theta_rows([n], t)[0] for n in ns]
@@ -1120,11 +1148,11 @@ def test_legendre_rows_equal_lucy_rows_in_the_prime_quotients():
     light = [*range(1, 2001), 3001, (1 << 20) + 7, LUCY_THRESHOLD - 1]
     ns = sorted([*light, LUCY_THRESHOLD, LUCY_THRESHOLD + 1, *CUBE_NS, 1 << 26, _MUTANT_N])
     t = PrimeTable()
-    analytics._scan_setup(ns, t, True)
     blocks, rows = _checked_blocks(ns, t, False)
     assert sum(block[0] < LUCY_THRESHOLD for block in blocks) < len(light) / 20
     theta_rows = _theta_rows(ns, t)
-    route = [row for b in blocks for row in zip(*(v.tolist() for v in analytics._factorial_sums(b, t)))]
+    powers = analytics._prime_powers(ns[-1], t)
+    route = [row for b in blocks for row in zip(*(v.tolist() for v in analytics._factorial_sums(b, t, powers)))]
     for n, row, theta_row, (rho, sigma, _) in zip(ns, rows, theta_rows, route, strict=True):
         assert row[2:] == theta_row[2:], n
         bound = analytics._theta_budget([n], *([v] for v in row[:2]), t, False)[0].tolist()
@@ -1199,7 +1227,7 @@ def test_scan_row_peak_is_below_the_estimate(c_mid):
             t.primes_up_to(t.limit)  # the table's arrays are derived before the row
             tracemalloc.start()
             try:
-                next(analytics._records([n], c_mid, t, theta))
+                next(analytics._records(analytics._checked([n], t, theta), c_mid))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -1230,21 +1258,56 @@ def test_lucy_rows_leave_the_table_as_the_scan_set_up_left_it(c_mid):
 def test_scan_asks_memory_for_the_rows_in_flight(monkeypatch):
     # the rows run one at a time, the table rows before the first row from
     # LUCY_THRESHOLD on: one row at max(ns) is priced, the scan's by
-    # _legendre_bytes, verify eq14-16's Lucy rows by _row_bytes
+    # _legendre_bytes, verify eq14-16's Lucy rows by _row_bytes.  A refused
+    # grid raises at the call to _checked or scan_records, before any block
+    # and before the table grows
+    class Refused(Exception):
+        pass
+
+    def refuse(need, what):
+        asked.append((need, what))
+        if "scan row" in what:
+            raise Refused
+
     asked = []
-    monkeypatch.setattr(primes, "require_memory", lambda need, what: asked.append((need, what)))
+    monkeypatch.setattr(primes, "require_memory", refuse)
     top = 1 << 40
     grids = [[100, top], [top - 1, top], [top - 2, top - 1, top], [LUCY_THRESHOLD, top], [100, 200]]
     for ns in grids:
         for theta, estimate in ((False, analytics._legendre_bytes), (True, analytics._row_bytes)):
+            t = PrimeTable()
             asked.clear()
-            analytics._scan_setup(ns, PrimeTable(), theta)
-            rows = [(need, what) for need, what in asked if "scan row" in what]
-            assert rows == [(estimate(ns[-1]), f"a scan row at n = {ns[-1]}")], (ns, theta)
+            with pytest.raises(Refused):
+                analytics._checked(ns, t, theta)
+            assert asked == [(estimate(ns[-1]), f"a scan row at n = {ns[-1]}")], (ns, theta)
+            assert t.limit == 4, (ns, theta)
+        t = PrimeTable()
         asked.clear()
-        analytics.scan_records(ns, table=PrimeTable(), c=0.0)
-        need = [need for need, what in asked if "scan row" in what]
-        assert need == [analytics._legendre_bytes(ns[-1])], ns
+        with pytest.raises(Refused):
+            analytics.scan_records(ns, table=t, c=0.0)
+        assert asked == [(analytics._legendre_bytes(ns[-1]), f"a scan row at n = {ns[-1]}")], ns
+        assert t.limit == 4, ns
+
+
+def test_checked_sets_up_its_own_grid(monkeypatch):
+    # verify eq14-16's grid at nmax 30000, table rows of theta sums: on a
+    # fresh table _checked's rows equal those on a table set up beforehand,
+    # grown to the last n + 2 with its arrays derived that far
+    nmax = 30000
+    grid = sorted(set(max(1, (i * nmax) // 1000) for i in range(1, 1001)))
+    ready = PrimeTable(nmax + 2)
+    ready.primes_up_to(nmax)
+    assert _theta_rows(grid, PrimeTable()) == _theta_rows(grid, ready)
+    # the 1500-row window from 1102578: once _checked is called, and before
+    # any block is read, the table reaches its last n + 2, so every row
+    # reads its flags on the bitmap and none takes a sieved window
+    window = list(range(1102578, 1102578 + 1500))
+    t = PrimeTable()
+    checked = analytics._checked(window, t, False)
+    assert t.limit == window[-1] + 2
+    monkeypatch.setattr(analytics, "_quotient_flags", None)
+    rows = [row for _, part, _, _ in checked for row in part]
+    assert rows == _scan_rows(window, PrimeTable(window[-1] + 2))
 
 
 def test_scan_workers_use_the_callers_table(monkeypatch, c_mid):

@@ -38,6 +38,21 @@ def test_compute_pif(capsys):
     assert out.strip() == "2^2 * 3 = 12"
 
 
+def test_compute_pif_past_2_63(capsys):
+    # a budget of 10^20 > 2^63 on both sides: 2 ** (10^20 // 2^63) = 2^10
+    from lcmf.products import multiset_lcm
+
+    code, out, _ = run_cli(capsys, "compute", "pif", "--f", "m^63", "--x", "1e20")
+    lcm = multiset_lcm(WeightFunction.parse("m^63"), 1e20)
+    assert code == 0 and out.strip() == "2^10 = 1024" == f"{lcm} = {lcm.to_decimal()}"
+
+
+def test_compute_pif_past_memory_is_refused(capsys):
+    # m at 10^19 needs a prime table up to 10^19: refused before it is built
+    code, _, err = run_cli(capsys, "compute", "pif", "--f", "m", "--x", "1e19")
+    assert code == 1 and "needs about" in err
+
+
 def test_compute_q(capsys):
     code, out, _ = run_cli(capsys, "compute", "q", "7", "2")
     assert code == 0

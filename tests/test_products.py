@@ -20,7 +20,7 @@ from lcmf.products import (
     weighted_prime_product,
 )
 from lcmf.sequences import sigma
-from lcmf.triangle import q, qs, rows
+from lcmf.triangle import iter_rows, q, qs
 from lcmf.verify import check_hypothesis
 
 from oracles import naive_weighted_lcm, trial_primes
@@ -383,10 +383,19 @@ def test_non_integer_power_exponents_match_the_float_loop(alpha):
     assert verify.check_theorem1(f, 60).passed
 
 
-def test_prime_side_refuses_budgets_past_int64():
-    for f, x in ((WeightFunction.power(10), 10**20), (WeightFunction.power(10.5), 2.0**63)):
-        with pytest.raises(ValueError, match="int64"):
-            weighted_prime_product(f, x)
+def test_prime_side_takes_budgets_past_int64():
+    # the exponents are plain ints at every budget: at 10^20 > 2^63, X // p**10
+    # for m^10; at x = 2^63 for m^10.5, the largest e with e * p**10.5 <= x in
+    # floats; and m^63 at 10^20 gives 2^10 on both sides
+    assert prime_exponents(WeightFunction.power(10), 10**20) == {
+        p: 10**20 // p**10 for p in trial_primes(100)
+    }
+    x = 2.0**63
+    exps = prime_exponents(WeightFunction.power(10.5), x)
+    assert sorted(exps) == [p for p in trial_primes(100) if float(p) ** 10.5 <= x]
+    assert all(e * float(p) ** 10.5 <= x < (e + 1) * float(p) ** 10.5 for p, e in exps.items())
+    f = WeightFunction.power(63)
+    assert weighted_prime_product(f, 10**20) == multiset_lcm(f, 10**20) == FactoredNatural({2: 10})
 
 
 def test_check_theorem1_at_m_to_the_2_5():
@@ -441,4 +450,4 @@ def test_lcm_side_reads_no_sieve(monkeypatch):
         assert multiset_lcm(f, xs[f.spec][-1]) == expected[f.spec][-1], f.spec
     assert list(qs((2 * n, n) for n in range(30))) == sigmas
     assert q(40, 20) == sigmas[20]
-    assert len(rows(9)) == 10
+    assert len([list(row) for row in iter_rows(9)]) == 10

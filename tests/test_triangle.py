@@ -2,7 +2,7 @@ import pytest
 
 from lcmf.factored import FactoredNatural
 from lcmf.products import WeightFunction, weighted_prime_product
-from lcmf.triangle import diagonal, q, rows, rows_decimal, sigma_from_diagonal
+from lcmf.triangle import diagonal, iter_rows, q, rows_decimal, sigma_from_diagonal
 from lcmf.verify import check_cor2, check_prop1
 
 from oracles import naive_q
@@ -32,7 +32,7 @@ def test_q_spot_values(n, k, value):
 
 
 def test_q_against_naive_enumeration():
-    table = rows(12)  # one step table for every entry
+    table = [list(row) for row in iter_rows(12)]  # one step table for every entry
     for n in range(13):
         for k in range(n + 1):
             assert int(q(n, k).to_decimal()) == naive_q(n, k), (n, k)
