@@ -11,22 +11,28 @@ log rho + (s1 + s2), and log rho by the route that the caller picks.  The
 check route, Legendre's formula for n! over the prime powers
 (_factorial_sums), needs the primes up to sqrt(n) + 1 alone; _checked
 compares every row of scan, verify eq14-16 and the one-n functions with it,
-log rho and log sigma within stated budgets and s1 + s2 with its gap, so
-its own primality tests check the flags behind s1 and card_A.  Residuals
-subtract n log n - (c+1) n and n log n - n, where c is the sum over primes
-of log p / (p (p-1)): scans take it from analytic_constant(), the float of
-an analytic series, and prime_series_constant() encloses it rigorously.
+log rho and log sigma within stated budgets, s1 + s2 with its gap and card_A
+with its exact count, so its own primality tests, which share no code with
+the row's, check the flags behind s1 and card_A.  Residuals subtract
+n log n - (c+1) n and n log n - n, where c is the sum over primes of
+log p / (p (p-1)): scans take it from analytic_constant(), the float of an
+analytic series, and prime_series_constant() encloses it rigorously.
 
 _rows reads the primality of n // k + 1 from the table's bitmap where it
-reaches n + 1 (below LUCY_THRESHOLD, 2^22, _checked grows it to n + 2)
-and else from one sieved window above sqrt(n) and, for the few values past
-that, Miller-Rabin (_quotient_flags).  The log rho route depends on what
-the caller reads.  A scan row, and the one-n functions that read
-no theta (s_split, quotient_prime_count), take _legendre_rho at every n, in
-O(sqrt n) per row: Legendre's formula, one term per prime up to sqrt(n).
-Of the table such a row reads the bitmap and the primes up to sqrt(n) + 1
-alone.  verify eq14-16 and theta_sum_rho and theta_sum_sigma, which check
-the theta sums themselves, take _theta_rho, the sum of theta(n // k):
+reaches n + 1, and else from one sieved window above sqrt(n) and, for the
+few values past that, Miller-Rabin (_quotient_flags); the check route reads
+the bitmap as far as it reaches and past it sieves the same window and
+tests the values above it on bases of its own (_route_flags).  Below
+LUCY_THRESHOLD, 2^22, _checked grows the table to the last n + 2 for theta
+rows and for a scan grid dense enough to pay for it (_DENSE_GRID), and else
+to sqrt(max n) + 2.  The log rho route depends on what the caller reads.
+A scan row, and the one-n functions that read no theta (s_split,
+quotient_prime_count), take _legendre_rho at every n, in O(sqrt n) per row:
+Legendre's formula, one term per prime up to sqrt(n).  Of the table such a
+row reads the bitmap, as far as _checked grew it, and the primes up to
+sqrt(n) + 1 alone.  verify eq14-16 and theta_sum_rho and theta_sum_sigma,
+which check the theta sums themselves, take _theta_rho, the sum of
+theta(n // k):
 below LUCY_THRESHOLD lookups in a prime table up to n + 2, about
 1 + 16 / ln n bytes per integer, at the block's quotients; from it on theta
 at every quotient from Lucy's sieve (_lucy), in O(n**(3/4)) time and
@@ -232,11 +238,12 @@ def _factorial_sums(ns, t: PrimeTable, powers) -> tuple[np.ndarray, np.ndarray, 
     as for a prime p > r + 1, n // (p-1) - n // p is 1 when p - 1 is a
     quotient n // k, then with k <= r, and 0 otherwise.  It reads the primes
     up to sqrt(max(ns)) + 1 alone, and tests v + 1 exactly, on the bitmap as
-    far as the table reaches and past it by _prime_flags.  Each n sums its
-    own cells (_slice_sums); both values are within _factorial_budget(n) of
-    the exact ones.  card_A, the number of k <= r with n // k + 1 prime, is
-    exact: the v + 1 above counted, and r + 1 where it is n // r + 1, that
-    is where n < r (r + 1).
+    far as the table reaches and past it by its own tests (_route_flags),
+    which share no code with the row's.  Each n sums its own cells
+    (_slice_sums); both values are within _factorial_budget(n) of the exact
+    ones.  card_A, the number of k <= r with n // k + 1 prime, is exact: the
+    v + 1 above counted, and r + 1 where it is n // r + 1, that is where
+    n < r (r + 1).
     """
     ps = t.primes_up_to(math.isqrt(ns[-1]) + 1)
     rho = _factorial_rho(ns, powers)
@@ -245,10 +252,12 @@ def _factorial_sums(ns, t: PrimeTable, powers) -> tuple[np.ndarray, np.ndarray, 
     cuts = ps.searchsorted(np.array(roots) + 1, side="right").tolist()  # pi(r + 1)
     d = (nb // (ps[: cuts[-1]] - 1) - nb // ps[: cuts[-1]]) * np.log(ps[: cuts[-1]])
     x = nb // np.arange(1, roots[-1] + 1, dtype=np.int64) + 1  # v + 1 for v = n // k
-    hit, inside = x > np.array(roots)[:, None] + 1, x < len(mask)
-    hit[hit & inside] = mask[x[hit & inside]]
-    if not inside.all():  # none is past a table up to max(ns) + 1
-        hit[hit & ~inside] = _prime_flags(x[hit & ~inside], ps[:_PREFILTER_PRIMES])
+    hit = x > np.array(roots)[:, None] + 1
+    inside = hit & (x < len(mask))
+    hit[inside] = mask[x[inside]]
+    for i in np.flatnonzero(nb[:, 0] + 1 >= len(mask)).tolist():  # rows whose n + 1 is past the table
+        past = int(np.count_nonzero(x[i, : roots[i]] >= len(mask)))  # x descends in k
+        hit[i, :past] = _route_flags(ns[i], x[i, :past], t)
     cells = np.zeros(x.shape)
     cells[hit] = np.log(x[hit])
     gap = _slice_sums(d, cuts) + _slice_sums(cells, roots)
@@ -307,25 +316,36 @@ def _prime_quotients(ns: list[int], q, prime_q, mask):
 
 # -- Lucy's sieve ---------------------------------------------------------------------
 
-# LUCY_THRESHOLD picks the theta sums' route (_theta_rho) and the rows' flag
-# source (_rows).  Below it theta is looked up in the table, which needs the
-# table up to n + 2 and its primes and theta prefix derived that far; from it
-# on it is Lucy's sieve's, which needs the table only up to sqrt(n) + 2.  At
-# 2^22 a Lucy row takes about 3 ms and a table row 0.19 ms alone or 0.14 ms
-# in a step:1 window (2-vCPU VM), but only after a table up to n + 2, which
-# takes 28 ms to build and holds 1 + 16 / ln n bytes per integer.  Every row
-# reads the flags of n // k + 1 from that table's bitmap below it, which
-# _checked grows to n + 2, and from _quotient_flags on a table up to
-# sqrt(n) + 2 from it on.  The route depends on n and on whether the caller
-# reads theta sums, never on the grid.
+# LUCY_THRESHOLD picks the theta sums' route (_theta_rho) and bounds the
+# scan's table rule.  Below it theta is looked up in the table, which needs
+# the table up to n + 2 and its primes and theta prefix derived that far; from
+# it on it is Lucy's sieve's, which needs the table only up to sqrt(n) + 2.
+# At 2^22 a Lucy row takes about 3 ms and a table row 0.19 ms alone or
+# 0.14 ms in a step:1 window (2-vCPU VM), but only after a table up to n + 2,
+# which takes 28 ms to build and holds 1 + 16 / ln n bytes per integer.  The
+# route depends on n and on whether the caller reads theta sums, never on the
+# grid.  A row reads the flags of n // k + 1 from the bitmap where the table
+# reaches n + 1, and else from its window (_quotient_flags, and the check
+# route's _route_flags) on a table up to sqrt(n) + 2.  _checked grows the
+# table to the last n + 2 below LUCY_THRESHOLD for theta rows, and for scan
+# rows only on a grid that reads, in cells, at least 1 / _DENSE_GRID of the
+# integers the bitmap would hold: _DENSE_GRID * (sum of isqrt(n)) >= max n.
+# For k evenly spaced n up to N on a fresh table (scan_records, best of 5,
+# one CPU of a 2-vCPU VM) the windows and the bitmap took the same time at
+# N / (sum of isqrt(n)) of about 140 at N = 3 * 2^20, 170 at 3 * 2^19 and
+# 240 at 3 * 2^18; at 3 * 2^20 the windows took 3.1 ms and the bitmap 8.9 ms
+# at 4 rows, 21.3 and 12.5 ms at 32.  Both sources are exact, so the rule
+# moves no byte of a row.
 LUCY_THRESHOLD = 1 << 22
-_PREFILTER_PRIMES = 32  # trial-divide by this many primes, the 14 bases among them
-# a row from LUCY_THRESHOLD on sieves the n // k + 1 in [n // r + 1,
+_DENSE_GRID = 128
+_PREFILTER_PRIMES = 32  # trial-divide by this many primes, the row's 14 bases among them
+# a row's window, past the bitmap: the n // k + 1 in [n // r + 1,
 # n // r + 1 + _WINDOW_ROOTS r], r = isqrt(n), the k from about
-# n / ((_WINDOW_ROOTS + 1) r) to r.  At 2^40 + 12345 the flags took 191, 140,
-# 96, 90 and 158 ms at widths 2, 4, 8, 16 and 32 r (one CPU of a 2-vCPU VM);
-# 16 r led 8 r by under a tenth at every n from 2^23 on, not worth twice the
-# window's bytes
+# n / ((_WINDOW_ROOTS + 1) r) to r, which the row (_quotient_flags) and the
+# check route (_route_flags) each sieve for themselves.  At 2^40 + 12345 the
+# row's flags took 191, 140, 96, 90 and 158 ms at widths 2, 4, 8, 16 and
+# 32 r (one CPU of a 2-vCPU VM); 16 r led 8 r by under a tenth at every n
+# from 2^23 on, not worth twice the window's bytes
 _WINDOW_ROOTS = 8
 _LUCY_BATCH_CELLS = 1 << 16  # start values, or phase-2 (p, k) pairs, per chunk of _lucy
 # the quotients n // k, k = 1..top + 1, of a block of rows, counted at its
@@ -360,13 +380,14 @@ def _row_bytes(n: int) -> int:
 def _legendre_bytes(n: int) -> int:
     """An upper estimate of the peak bytes of a scan row at n (_rows with
     _legendre_rho's log rho) with its check, the table already built: the
-    arrays of a block of _checked (_TABLE_BLOCK_CELLS) and 48 B per
-    sqrt(n).  By
-    tracemalloc a row and its check peaked at 1.21 MB at 2^30 + 12345 and
-    7.71 MB at 2^36 + 12345, 36.9 and 29.4 B per sqrt(n), the check route's
-    arrays (_factorial_sums) setting the peak; the row alone, its quotients,
-    flags and sieved window, held 25 B."""
-    return 80 * _TABLE_BLOCK_CELLS + 48 * math.isqrt(n)
+    arrays of a block of _checked (_TABLE_BLOCK_CELLS) and 32 B per
+    sqrt(n).  By tracemalloc a row and its check peaked at 0.99 MB at
+    2^30 + 12345, 7.24 MB at 2^36 + 12345 and 28.7 MB at 2^40 + 12345, 30.2,
+    27.6 and 27.4 B per sqrt(n).  The row alone, its quotients, flags and
+    sieved window, held 26 B per sqrt(n) at each and sets the peak from 2^36
+    on; the check route (_factorial_sums) held 28.2, 23.0 and 19.8 B, its
+    window sieved a piece of at most DEFAULT_BLOCK_SIZE bytes at a time."""
+    return 80 * _TABLE_BLOCK_CELLS + 32 * math.isqrt(n)
 
 
 _LOG_FACTORIAL_CUT = 20  # log v! from a table below it, from Stirling's series at and above
@@ -525,8 +546,8 @@ def _prime_flags(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """Primality of each x in xs, where every x exceeds every prime in ps and
     ps holds every base that x's Miller-Rabin round uses (primes._MR_BOUNDS):
     2 alone below 2047, and never more than the 14 primes up to 43.  It
-    serves the n // k + 1 above a row's window (_quotient_flags) and
-    the v + 1 past the table in the check route (_factorial_sums).
+    serves the row alone, at the n // k + 1 above its window
+    (_quotient_flags); the check route has its own (_route_flags).
 
     Trial division by ps, vectorised, drops most composites, and every
     composite x <= (r + 1)**2 when ps holds the primes up to r + 1; the
@@ -557,6 +578,72 @@ def _quotient_flags(n: int, small: np.ndarray, t: PrimeTable) -> np.ndarray:
     flags[:j] = _prime_flags(small[:j] + 1, t.primes_up_to(r)[:_PREFILTER_PRIMES])
     flags[j:] = np.frombuffer(t.segment(lo, end), dtype=bool)[small[j:] + (1 - lo)]
     return flags
+
+
+def _route_flags(n: int, xs: np.ndarray, t: PrimeTable) -> np.ndarray:
+    """Primality of the descending xs = n // k + 1, k = 1..len(xs) <= r =
+    isqrt(n), by the check route's own tests, which share no code with the
+    row's (_quotient_flags), with the table up to r + 2.
+
+    The x in the row's window [n // r + 1, n // r + 1 + _WINDOW_ROOTS r] are
+    read from a numpy slice sieve of the span they cover, by the table's
+    primes up to its square root, DEFAULT_BLOCK_SIZE integers at a time, so
+    a row never holds its whole window.  The x above it go through trial
+    division and _strong_probable_prime on _route_bases.  Both are exact at
+    every x < 2**64.
+    """
+    r = math.isqrt(n)
+    above = int(np.count_nonzero(xs > n // r + 1 + _WINDOW_ROOTS * r))
+    flags, high = np.ones(len(xs), dtype=bool), xs[:above]
+    keep = flags[:above]
+    for p in t.primes_up_to(r)[:_PREFILTER_PRIMES].tolist():  # each x > 9 r > p
+        keep &= high % p != 0
+    idx = np.flatnonzero(keep)
+    keep[idx] = [_strong_probable_prime(x, _route_bases(x)) for x in high[idx].tolist()]
+    w, out = xs[above:][::-1], flags[above:][::-1]  # ascending
+    if len(w):
+        step, last = _primes.DEFAULT_BLOCK_SIZE, int(w[-1])
+        ps = t.primes_up_to(math.isqrt(last)).tolist()
+        for a in range(int(w[0]), last + 1, step):
+            b = min(a + step, last + 1)
+            sieve = np.ones(b - a, dtype=bool)
+            for p in itertools.takewhile(lambda p: p * p < b, ps):
+                sieve[max(p * p, -(-a // p) * p) - a :: p] = False
+            i, j = w.searchsorted([a, b]).tolist()
+            out[i:j] = sieve[w[i:j] - a]
+    return flags
+
+
+def _route_bases(x: int) -> tuple[int, ...]:
+    """The check route's Miller-Rabin bases for x, none of them a set of the
+    row's (primes._MR_BASES): 2, 7 and 61 below 4759123141, the least
+    composite that is a strong pseudoprime to all three (G. Jaeschke, 1993),
+    and at and above it J. Sinclair's seven bases, which leave no strong
+    pseudoprime below 2**64 (2011)."""
+    if x < 4_759_123_141:
+        return 2, 7, 61
+    return 2, 325, 9375, 28178, 450775, 9780504, 1795265022
+
+
+def _strong_probable_prime(x: int, bases) -> bool:
+    """Whether the odd x >= 3 is a strong probable prime to each base of
+    bases, taken mod x.  A base that x divides tests nothing and is skipped:
+    it is not a witness that x is composite."""
+    s = ((x - 1) & (1 - x)).bit_length() - 1  # x - 1 = d * 2**s with d odd
+    d = (x - 1) >> s
+    for a in bases:
+        if a % x == 0:
+            continue
+        y = pow(a, d, x)
+        if y == 1 or y == x - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % x
+            if y == x - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _exponents(nb: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -646,10 +733,11 @@ def _rows(ns: Sequence[int], t: PrimeTable, theta: bool) -> list[_Row]:
     card_A, s1 and s2 are _prime_quotients' over q, the flags of n // k + 1,
     k <= sqrt(n), and the bitmap up to sqrt(n) + 2 for the large v + 1.  The
     flags are the bitmap's where the table reaches every n // k + 1 of the
-    block, n + 1 at most (below LUCY_THRESHOLD _checked grows it to
-    n + 2), else each row's _quotient_flags, a sieved window and
-    Miller-Rabin above it; both are exact, so a row's values do not depend
-    on which one was read, nor on the block.  s1 + s2 is the log-sum of the
+    block, n + 1 at most (below LUCY_THRESHOLD _checked grows it to n + 2
+    for theta rows and dense scan grids), else each row's _quotient_flags,
+    a sieved window and Miller-Rabin above it; both are exact, so a row's
+    values do not depend on which one was read, nor on the block or the
+    table rule.  s1 + s2 is the log-sum of the
     prime n // k + 1 over k = 1..n, log sigma(n) - log rho(n), so
     log sigma = log rho + (s1 + s2).
 
@@ -811,18 +899,23 @@ def _checked(ns, t: PrimeTable, theta: bool):
     The grid's set-up is done at the call, before any block: it refuses a
     grid that is empty or has an n < 1, prices one row at max(ns), by
     _row_bytes for theta-sum rows and _legendre_bytes for the scan's, grows
-    t to n + 2 for the last n below LUCY_THRESHOLD, where _rows reads every
-    flag on the bitmap, and to sqrt(max(ns)) + 2, and builds the route's
-    prime powers once, at max(ns) (_prime_powers).  The rows derive the
-    table's arrays only as far as they read them: a scan's and its check's
-    to sqrt(max(ns)) + 1, the theta sums below LUCY_THRESHOLD (_theta_rho)
-    to their largest n."""
+    t to sqrt(max(ns)) + 2, and to n + 2 for the last n below
+    LUCY_THRESHOLD, where _rows and the route read every flag on the
+    bitmap, for theta rows, which look theta up in it, and for scan rows
+    whose cells below it, the sum of isqrt(n), are at least that n /
+    _DENSE_GRID; a sparser scan takes each row's window.  It builds the
+    route's prime powers once, at max(ns) (_prime_powers).  The rows derive
+    the table's arrays only as far as they read them: a scan's and its
+    check's to sqrt(max(ns)) + 1, the theta sums below LUCY_THRESHOLD
+    (_theta_rho) to their largest n."""
     if not ns or ns[0] < 1:
         raise ValueError("scan grid must be nonempty with n >= 1")
-    top, light = ns[-1], bisect.bisect_left(ns, LUCY_THRESHOLD)
+    top, light = ns[-1], ns[: bisect.bisect_left(ns, LUCY_THRESHOLD)]
     need = (_row_bytes if theta else _legendre_bytes)(top)
     _primes.require_memory(need, f"a scan row at n = {top}")
-    t.ensure(max(ns[light - 1] + 2 if light else 0, math.isqrt(top) + 2))
+    cells = itertools.accumulate(math.isqrt(n) for n in light)
+    dense = light and (theta or any(_DENSE_GRID * c >= light[-1] for c in cells))
+    t.ensure(max(light[-1] + 2 if dense else 0, math.isqrt(top) + 2))
     powers = _prime_powers(top, t)
     cuts = _blocks(n // (math.isqrt(n) + 1) + 1 for n in ns)
     return (_check_block(ns[a:b], t, theta, powers) for a, b in cuts)
@@ -883,8 +976,9 @@ def scan_records(
     byte-identical whatever the grid: in O(sqrt(n)) time by Legendre's
     formula and the flags of n // k + 1, a block of _checked at a time in
     this thread (_rows with _legendre_rho's log rho), the flags from the
-    bitmap of a table up to n + 2 below LUCY_THRESHOLD and from a sieved
-    window on a table up to sqrt(n) + 2 from it on.  No row reads theta at
+    bitmap of a table up to n + 2 for a grid below LUCY_THRESHOLD dense
+    enough to pay for it (_DENSE_GRID), and else from a sieved window on a
+    table up to sqrt(n) + 2.  No row reads theta at
     the quotients: that is for verify eq14-16 and
     theta_sum_rho/theta_sum_sigma (_theta_rho).  The records come in checked
     blocks (_records), so a caller that writes them as they come holds one

@@ -32,7 +32,7 @@ class _Weight(NamedTuple):
 
 
 class WeightFunction(_Weight):
-    """One of the supported weights: m, m-1, m**alpha (1 <= alpha <= 63), or log m.
+    """One of the supported weights: m, m-1, m**alpha (1 <= alpha < 1024), or log m.
 
     An immutable, hashable pair (kind, alpha), checked as it is built.
     """
@@ -44,9 +44,10 @@ class WeightFunction(_Weight):
         if kind not in cls._KINDS:
             raise ValueError(f"unknown weight kind {kind!r}")
         if kind == "m^a":
-            if alpha is None or not 1 <= alpha <= 63:
+            if alpha is None or not 1 <= alpha < 1024:
                 raise ValueError(
-                    "power weight needs 1 <= alpha <= 63; past 63, 2**alpha exceeds all budgets"
+                    "power weight needs 1 <= alpha < 1024; from 1024 on, 2**alpha"
+                    " overflows a float and exceeds every budget"
                 )
         elif alpha is not None:
             raise ValueError("alpha only applies to the power weight")
@@ -102,7 +103,8 @@ class WeightFunction(_Weight):
         return self.kind == "m^a" and isinstance(self.alpha, int)
 
     def value(self, m: int):
-        """f(m) for an integer m >= 1; int for exact kinds, float otherwise."""
+        """f(m) for an integer m >= 1; int for exact kinds, float otherwise,
+        inf where m**alpha overflows a float, past every budget."""
         if m < 1:
             raise ValueError("m must be >= 1")
         if self.kind == "m":
@@ -113,7 +115,10 @@ class WeightFunction(_Weight):
             return math.log(m)
         if isinstance(self.alpha, int):
             return m**self.alpha
-        return float(m) ** self.alpha
+        try:
+            return float(m) ** self.alpha
+        except OverflowError:
+            return math.inf
 
 
 # -- exact boundary helpers ------------------------------------------------------
@@ -194,7 +199,7 @@ def prime_exponents(f: WeightFunction, X, table: PrimeTable | None = None) -> di
         return {p: X // p**a for p in t.prime_list(_primes.iroot(X, a))}
     exps = {}
     for p in t.prime_list(int(X ** (1.0 / f.alpha)) + 2):
-        w = float(p) ** f.alpha  # as f.value(p) gives it
+        w = f.value(p)
         e = math.floor(X / w)
         e += (e + 1) * w <= X
         e -= e * w > X

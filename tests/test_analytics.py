@@ -594,23 +594,41 @@ def test_scan_rows_within_their_share_of_exact_logs():
             assert abs(lr - rho) <= bound and abs(ls - (rho + split)) <= bound, n
 
 
+# scan-sparse's first command: pairs of n in the dyadic blocks 2^16 to 2^20
+# and 3 * 2^20, 21 rows whose sum of sqrt(n) is 1/200 of the largest n
+_SPARSE = sorted(
+    [3 << 20]
+    + [(3 << (j - 1)) + d for j in range(16, 21) for d in (-(1 << (j - 3)), -5, 5, 1 << (j - 3))]
+)
+
+
 def test_a_scan_below_the_threshold_derives_the_primes_to_sqrt_n_alone(c_mid):
-    # scan-sparse's first command: pairs of n in the dyadic blocks 2^16 to
-    # 2^20 and 3 * 2^20.  Its rows and their check read the bitmap up to
-    # n + 2, which _checked grew, and the primes up to sqrt(n) + 1 alone,
-    # so the primes and the theta prefix are derived below 2^13, and no row
-    # grows the table
-    ns = [3 << 20]
-    for j in range(16, 21):
-        ns += [(3 << (j - 1)) + d for d in (-(1 << (j - 3)), -5, 5, 1 << (j - 3))]
-    ns.sort()
+    # _SPARSE reads too few cells to pay for a bitmap up to n + 2: _checked
+    # grows the table to sqrt(max n) + 2 alone, its rows and their check read
+    # their windows, and the primes up to sqrt(n) + 1, so the primes and the
+    # theta prefix are derived below 2^13, and no row grows the table
+    ns = _SPARSE
     t = PrimeTable()
     records = analytics.scan_records(ns, table=t, c=c_mid)
-    assert t.limit == ns[-1] + 2
+    assert t.limit == math.isqrt(ns[-1]) + 2
     assert list(records) == scan(ns, table=PrimeTable(LUCY_THRESHOLD), c=c_mid)
     reach, ps, prefix = t._arrays
-    assert t.limit == ns[-1] + 2 and math.isqrt(ns[-1]) < reach < 1 << 13
+    assert t.limit == math.isqrt(ns[-1]) + 2 and math.isqrt(ns[-1]) < reach < 1 << 13
     assert ps[-1] < 1 << 13 and len(ps) + 1 == len(prefix)
+
+
+def test_the_table_rule_leaves_no_byte_to_the_flag_source(c_mid):
+    # _SPARSE takes every flag from its windows on a fresh table, the
+    # 1500-row window from 1102578, whose cells are 1.43 times its largest
+    # n, from the bitmap up to n + 2; on a table grown to n + 2 beforehand
+    # both read the bitmap, and every row is the same
+    window = range(1102578, 1102578 + 1500)
+    for ns, limit in ((_SPARSE, math.isqrt(_SPARSE[-1]) + 2), (window, window[-1] + 2)):
+        t = PrimeTable()
+        assert scan(ns, table=t, c=c_mid) == scan(ns, table=PrimeTable(ns[-1] + 2), c=c_mid)
+        assert t.limit == limit
+    assert analytics._DENSE_GRID * sum(map(math.isqrt, _SPARSE)) < _SPARSE[-1]
+    assert sum(map(math.isqrt, window)) >= window[-1]
 
 
 @pytest.fixture(scope="module")
@@ -968,6 +986,53 @@ def test_a_composite_flagged_prime_fails_on_card_A_where_the_logs_pass(monkeypat
         quotient_prime_count(n, PrimeTable())
 
 
+def test_a_composite_flagged_prime_in_the_route_fails_on_card_A(monkeypatch, capsys):
+    # the pattern above, with the flag set in the check route: one composite
+    # n // k + 1 at 2^36 + 12345, past the scan's table up to r + 2, is
+    # flagged prime in its window, then one above it, by its Miller-Rabin; the
+    # log each adds to the route's log sigma, about 12.5 and 14.7, is inside
+    # its bound of 24 and the split's 1e-6 n, so only card_A sees it
+    n = (1 << 36) + 12345
+    r = math.isqrt(n)
+    end = n // r + 1 + analytics._WINDOW_ROOTS * r
+    bound = analytics._theta_budget([n], np.zeros(1), np.zeros(1), PrimeTable(r + 2), False)[0, 1]
+    inner = next(k for k in range(r, 0, -1) if n // k + 1 > r + 2 and not primes.is_probable_prime(n // k + 1))
+    x = n // inner + 1
+    assert x <= end and math.log(x) < bound
+    real_flags = analytics._route_flags
+
+    def flags(m, xs, t):
+        out = real_flags(m, xs, t)
+        out[inner - 1] |= m == n
+        return out
+
+    error = f"card_A disagrees with the check route's count of prime quotients at n={n}"
+    monkeypatch.setattr(primes, "_default_table", PrimeTable())  # the scan's table up to r + 2
+    monkeypatch.setattr(analytics, "_route_flags", flags)
+    assert cli.main(["scan", "--grid", f"list:{n}", "--nmax", str(n)]) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    monkeypatch.undo()
+    # above the window: the largest k whose composite x has no factor that
+    # trial division finds, so that it reaches _strong_probable_prime
+    small = primes.default_table().primes_up_to(r)[: analytics._PREFILTER_PRIMES].tolist()
+    outer = next(
+        k
+        for k in range(n // end, 0, -1)
+        if not primes.is_probable_prime(n // k + 1) and all((n // k + 1) % p for p in small)
+    )
+    x = n // outer + 1
+    assert x > end and math.log(x) < bound
+    real_test = analytics._strong_probable_prime
+    monkeypatch.setattr(primes, "_default_table", PrimeTable())
+    monkeypatch.setattr(
+        analytics, "_strong_probable_prime", lambda y, bases: y == x or real_test(y, bases)
+    )
+    assert cli.main(["scan", "--grid", f"list:{n}", "--nmax", str(n)]) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    with pytest.raises(ArithmeticError, match=error):
+        quotient_prime_count(n, PrimeTable())
+
+
 def test_check_route_counts_the_prime_quotients_exactly():
     # card_A of the check route, the k <= sqrt(n) with n // k + 1 prime,
     # against is_probable_prime at each: n < r (r + 1) makes k = r give
@@ -1170,9 +1235,11 @@ def test_legendre_rows_equal_lucy_rows_in_the_prime_quotients():
 
 def test_quotient_flags_equal_prime_flags_at_every_k():
     # the sieved window's flags of n // k + 1 against _prime_flags at every
-    # k <= r, on a table up to r + 2 alone; beside the n of the route's
-    # edges, an x_k on the window's last value, one on the first value past
-    # it, and one on p**2, p = isqrt(window end) the largest crossing prime
+    # k <= r, on a table up to r + 2 alone, the row's and the check route's
+    # alike; beside the n of the route's edges, an x_k on the window's last
+    # value, one on the first value past it, and one on p**2, p =
+    # isqrt(window end) the largest crossing prime.  At 2^34 + 12345 the
+    # route sieves its window of 8 r + 1 = 2^20 + 1 integers in two pieces
     def window(n):
         r = math.isqrt(n)
         xs = set((n // np.arange(1, r + 1, dtype=np.int64) + 1).tolist())
@@ -1193,7 +1260,96 @@ def test_quotient_flags_equal_prime_flags_at_every_k():
         small = n // np.arange(1, r + 1, dtype=np.int64)
         want = analytics._prime_flags(small + 1, t.primes_up_to(r)[: analytics._PREFILTER_PRIMES])
         assert np.array_equal(analytics._quotient_flags(n, small, t), want), n
+        assert np.array_equal(analytics._route_flags(n, small + 1, t), want), n
         assert t.limit == r + 2, n
+
+
+def test_the_check_route_calls_none_of_the_rows_primality_code(monkeypatch):
+    # past its table the route sieves and tests n // k + 1 by its own code:
+    # with the row's tests and the table's sieve made to raise, its card_A
+    # still counts the prime quotients exactly, in and above its window
+    ns = [(1 << 22) + 7, (1 << 30) + 12345]
+    t = PrimeTable(math.isqrt(ns[-1]) + 2)
+    powers = analytics._prime_powers(ns[-1], t)
+    want = [
+        sum(primes.is_probable_prime(n // k + 1) for k in range(1, math.isqrt(n) + 1)) for n in ns
+    ]
+
+    def raising(*args):
+        raise AssertionError("the route called the row's primality code")
+
+    for owner, name in (
+        (analytics, "_prime_flags"),
+        (analytics, "_quotient_flags"),
+        (primes, "_miller_rabin"),
+        (primes, "_cross_off"),
+        (PrimeTable, "segment"),
+    ):
+        monkeypatch.setattr(owner, name, raising)
+    assert analytics._factorial_sums(ns, t, powers)[2].tolist() == want
+
+
+def _row_flags(xs):
+    """The row's Miller-Rabin on xs > 131, after _prime_flags' trial division."""
+    small = PrimeTable(200).primes_up_to(200)[: analytics._PREFILTER_PRIMES]
+    return analytics._prime_flags(np.asarray(xs, dtype=np.int64), small)
+
+
+def _route_tests(xs):
+    """The route's Miller-Rabin on the odd xs >= 3, on its own bases."""
+    return np.array([analytics._strong_probable_prime(x, analytics._route_bases(x)) for x in xs])
+
+
+def test_both_witness_sets_agree_with_the_bitmap_to_2_24():
+    # a composite x passes a round to base 2 only if 2**(x-1) = 1 mod x, and
+    # every set here starts with 2: so these Fermat liars, found below 2^24 in
+    # int64 (x**2 < 2^48), are every composite that either set could let
+    # through, and both reject each.  Every prime passes: all of them in
+    # (131, 2^20] and the last 2^16 integers below 2^24
+    limit = 1 << 24
+    mask = PrimeTable(limit).prime_mask(limit)
+    liars = []
+    for a in range(133, limit, 1 << 20):  # odd x in [a, a + 2^20), so no array exceeds 4 MB
+        x = np.arange(a, min(a + (1 << 20), limit + 1), 2, dtype=np.int64)
+        y = np.ones_like(x)
+        for bit in range(23, -1, -1):  # square, then double at each set bit of x - 1 < 2^24
+            y = y * y % x << ((x - 1) >> bit & 1)
+            y -= x * (y >= x)
+        liars += x[(y == 1) & ~mask[x]].tolist()
+    assert 341 in liars and 2047 in liars and len(liars) > 100
+    assert not _row_flags(liars).any() and not _route_tests(liars).any()
+    ps = np.flatnonzero(mask[132 : 1 << 20]) + 132
+    ps = np.concatenate((ps, np.flatnonzero(mask[limit - (1 << 16) :]) + limit - (1 << 16)))
+    assert _row_flags(ps).all() and _route_tests(ps.tolist()).all()
+
+
+def test_both_witness_sets_reject_each_others_strong_pseudoprimes():
+    # 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to 2, 3, 5 and 7,
+    # the row's bases below it; 4759123141 = 48781 * 97561 to 2, 7 and 61, the
+    # route's below it.  Each set rejects both
+    for x, bases in ((3215031751, (2, 3, 5, 7)), (4759123141, (2, 7, 61))):
+        assert analytics._strong_probable_prime(x, bases)
+        assert not _row_flags([x])[0] and not _route_tests([x])[0]
+    assert 151 * 751 * 28351 == 3215031751 and 48781 * 97561 == 4759123141
+
+
+def test_a_base_that_x_divides_is_skipped():
+    # Sinclair's bases, taken mod x: an x that divides a base learns nothing
+    # from it, and the base is skipped, not counted as a witness.  So each
+    # odd prime factor of a base still passes, where a round on the base
+    # itself would fail it (a**(x-1) = 0 mod x), and a composite that
+    # divides bases is still rejected
+    sinclair = analytics._route_bases(1 << 62)
+    assert sinclair == (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+    for p in (3, 5, 13, 19, 73, 193, 407521, 299210837):
+        divided = [a for a in sinclair if a % p == 0]
+        assert divided and primes.is_probable_prime(p)
+        assert all(pow(a, p - 1, p) == 0 for a in divided)
+        assert analytics._strong_probable_prime(p, sinclair)
+    for x in (25, 65, 5 * 73, 13 * 19 * 73, 73 * 193):
+        assert any(a % x == 0 for a in sinclair)
+        assert not analytics._strong_probable_prime(x, sinclair)
+    assert analytics._route_bases(4_759_123_140) == (2, 7, 61)
 
 
 def test_log_factorial_within_its_bound_of_mpmath():

@@ -47,6 +47,15 @@ def test_compute_pif_past_2_63(capsys):
     assert code == 0 and out.strip() == "2^10 = 1024" == f"{lcm} = {lcm.to_decimal()}"
 
 
+def test_compute_pif_past_alpha_63(capsys):
+    # m^64 at 10^20: 10^20 // 2^64 = 5, and 3^64 > 10^20, on both sides
+    from lcmf.products import multiset_lcm
+
+    code, out, _ = run_cli(capsys, "compute", "pif", "--f", "m^64", "--x", "1e20")
+    lcm = multiset_lcm(WeightFunction.parse("m^64"), 1e20)
+    assert code == 0 and out.strip() == "2^5 = 32" == f"{lcm} = {lcm.to_decimal()}"
+
+
 def test_compute_pif_past_memory_is_refused(capsys):
     # m at 10^19 needs a prime table up to 10^19: refused before it is built
     code, _, err = run_cli(capsys, "compute", "pif", "--f", "m", "--x", "1e19")

@@ -49,9 +49,10 @@ def test_weight_parse_roundtrip():
     for spec in ("m^0.5", "m^nan", "m^inf"):  # alpha below 1, NaN or infinite
         with pytest.raises(ValueError):
             WeightFunction.parse(spec)
-    assert WeightFunction.parse("m^63").alpha == 63
-    for spec in ("m^64", "m^1e308"):  # 2**alpha past every budget: refused, saying why
-        with pytest.raises(ValueError, match="alpha <= 63"):
+    assert WeightFunction.parse("m^64").alpha == 64
+    assert WeightFunction.parse("m^1023.9999999999999").alpha == 1023.9999999999999
+    for spec in ("m^1024", "m^1e308"):  # 2**alpha overflows, past every budget: refused, saying why
+        with pytest.raises(ValueError, match="alpha < 1024; from 1024 on, 2[*][*]alpha overflows"):
             WeightFunction.parse(spec)
     with pytest.raises(ValueError):
         WeightFunction("m^a")  # missing alpha
@@ -396,6 +397,16 @@ def test_prime_side_takes_budgets_past_int64():
     assert all(e * float(p) ** 10.5 <= x < (e + 1) * float(p) ** 10.5 for p, e in exps.items())
     f = WeightFunction.power(63)
     assert weighted_prime_product(f, 10**20) == multiset_lcm(f, 10**20) == FactoredNatural({2: 10})
+
+
+def test_power_weights_whose_values_overflow_a_float():
+    # below 1024 every alpha is taken: f(m) = m**alpha is inf where it
+    # overflows a float, past every budget, so at m^600.5 both sides stop at
+    # 4**600.5 = 2**1201 and at m^1023.5 at 3**1023.5
+    assert WeightFunction.power(600.5).value(4) == math.inf
+    for alpha, x, want in ((600.5, 5 * 2.0**600.5, {2: 5}), (1023.5, 1.2 * 2.0**1023.5, {2: 1})):
+        f = WeightFunction.power(alpha)
+        assert weighted_prime_product(f, x) == multiset_lcm(f, x) == FactoredNatural(want)
 
 
 def test_check_theorem1_at_m_to_the_2_5():
