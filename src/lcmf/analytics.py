@@ -19,13 +19,19 @@ log p / (p (p-1)): scans take it from analytic_constant(), the float of an
 analytic series, and prime_series_constant() encloses it rigorously.
 
 _rows reads the primality of n // k + 1 from the table's bitmap where it
-reaches n + 1, and else from one sieved window above sqrt(n) and, for the
-few values past that, Miller-Rabin (_quotient_flags); the check route reads
-the bitmap as far as it reaches and past it sieves the same window and
-tests the values above it on bases of its own (_route_flags).  Below
-LUCY_THRESHOLD, 2^22, _checked grows the table to the last n + 2 for theta
-rows and for a scan grid dense enough to pay for it (_DENSE_GRID), and else
-to sqrt(max n) + 2.  The log rho route depends on what the caller reads.
+reaches n + 1.  Past it a row whose n follows n - 1 in the grid, in its
+block or as the last row of the block before, carries the flags of n - 1
+and tests afresh only the cells whose quotient moved, the k that divide n
+(_row_flags); any other row sieves one window above sqrt(n) and, for the
+few values past that, runs Miller-Rabin (_quotient_flags).  The check route
+reads the bitmap as far as it reaches and past it carries its own flags by
+its own change detection and tests (_route_carried), or sieves the same
+window and tests the values above it on bases of its own (_route_flags).
+Below LUCY_THRESHOLD, 2^22, _checked grows the table to the last n + 2 for
+theta rows and for a scan grid whose rows that pay a window are dense
+enough to pay for it (_DENSE_GRID), and else to sqrt(max n) + 2, so a
+step:1 window keeps a table up to sqrt(max n) + 2.  The log rho route
+depends on what the caller reads.
 A scan row, and the one-n functions that read no theta (s_split,
 quotient_prime_count), take _legendre_rho at every n, in O(sqrt n) per row:
 Legendre's formula, one term per prime up to sqrt(n).  Of the table such a
@@ -226,7 +232,22 @@ def _factorial_rho(ns, powers) -> np.ndarray:
     return _log_factorial(nb) - _slice_sums(nb[:, None] // powers[:w] * logs[:w], counts)
 
 
-def _factorial_sums(ns, t: PrimeTable, powers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class _Carry:
+    """The primality of x = n // k + 1 at k = 1..isqrt(n) of the last row
+    that one route made, and its n, handed from block to block of _checked:
+    a row whose n is that n + 1 starts from them.  Before the first row n is
+    -2, which no n >= 0 follows.  _rows keeps one and _factorial_sums
+    another."""
+
+    __slots__ = ("n", "flags")
+
+    def __init__(self):
+        self.n, self.flags = -2, np.zeros(0, dtype=bool)
+
+
+def _factorial_sums(
+    ns, t: PrimeTable, powers, carry: _Carry | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(log rho, log sigma, card_A) of each n of the nonempty ascending
     ns >= 0, one block: the check route of the theta sums.  log rho is
     _factorial_rho's on the powers, and with r = isqrt(n)
@@ -238,31 +259,77 @@ def _factorial_sums(ns, t: PrimeTable, powers) -> tuple[np.ndarray, np.ndarray, 
     as for a prime p > r + 1, n // (p-1) - n // p is 1 when p - 1 is a
     quotient n // k, then with k <= r, and 0 otherwise.  It reads the primes
     up to sqrt(max(ns)) + 1 alone, and tests v + 1 exactly, on the bitmap as
-    far as the table reaches and past it by its own tests (_route_flags),
-    which share no code with the row's.  Each n sums its own cells
-    (_slice_sums); both values are within _factorial_budget(n) of the exact
-    ones.  card_A, the number of k <= r with n // k + 1 prime, is exact: the
-    v + 1 above counted, and r + 1 where it is n // r + 1, that is where
-    n < r (r + 1).
+    far as the table reaches and past it by its own tests, which share no
+    code with the row's: a row whose n follows the carry's or the row
+    before it by one starts from its flags (_route_carried), any other its
+    own window (_route_flags).  carry, if given, starts the block and is
+    left at its last row.  Each n sums its own cells (_slice_sums); both
+    values are within _factorial_budget(n) of the exact ones.  card_A, the
+    number of k <= r with n // k + 1 prime, is exact.
     """
+    carry = carry or _Carry()
     ps = t.primes_up_to(math.isqrt(ns[-1]) + 1)
     rho = _factorial_rho(ns, powers)
     mask, roots = t.prime_mask(t.limit), [math.isqrt(n) for n in ns]
     nb = np.array(ns, dtype=np.int64)[:, None]
     cuts = ps.searchsorted(np.array(roots) + 1, side="right").tolist()  # pi(r + 1)
     d = (nb // (ps[: cuts[-1]] - 1) - nb // ps[: cuts[-1]]) * np.log(ps[: cuts[-1]])
-    x = nb // np.arange(1, roots[-1] + 1, dtype=np.int64) + 1  # v + 1 for v = n // k
-    hit = x > np.array(roots)[:, None] + 1
-    inside = hit & (x < len(mask))
-    hit[inside] = mask[x[inside]]
-    for i in np.flatnonzero(nb[:, 0] + 1 >= len(mask)).tolist():  # rows whose n + 1 is past the table
-        past = int(np.count_nonzero(x[i, : roots[i]] >= len(mask)))  # x descends in k
-        hit[i, :past] = _route_flags(ns[i], x[i, :past], t)
+    x = nb // np.arange(1, roots[-1] + 1, dtype=_K)
+    x += 1  # v + 1 for v = n // k
+    prime = x < len(mask)
+    prime[prime] = mask[x[prime]]
+    if ns[-1] + 1 >= len(mask):  # a row's n + 1 is past the table
+        prime = _route_carried(ns, x, prime, roots, t, carry)
+    carry.n, carry.flags = ns[-1], prime[-1].copy()
+    hit = prime & (x > np.array(roots)[:, None] + 1)  # v > r; v + 1 <= r + 1 is in d
     cells = np.zeros(x.shape)
     cells[hit] = np.log(x[hit])
     gap = _slice_sums(d, cuts) + _slice_sums(cells, roots)
-    edge = [n < r * (r + 1) and mask[r + 1] for n, r in zip(ns, roots)]
-    return rho, rho + gap, _slice_sums(hit, roots) + edge
+    return rho, rho + gap, _slice_sums(prime, roots)
+
+
+def _route_steps(ns, before: int, x) -> tuple[np.ndarray, np.ndarray | None]:
+    """(fresh, steps) of a block of ascending ns whose x = n // k + 1 at
+    k = 1..w: fresh[i], that row i's n is not one more than the n before it,
+    before's for row 0; steps[i, k - 1], that the remainder n - k (x - 1)
+    of n by k is 0, where n // k is one more than (n - 1) // k and
+    every other quotient is as it was, or None where every row is fresh.
+    The check route's own change detection (_route_carried)."""
+    nb = np.array(ns, dtype=np.int64)
+    fresh = nb - np.concatenate(([before], nb[:-1])) != 1
+    if fresh.all():
+        return fresh, None
+    rem = x - 1
+    rem *= np.arange(1, x.shape[1] + 1, dtype=_K)
+    np.subtract(nb[:, None], rem, out=rem)
+    return fresh, rem == 0
+
+
+def _route_carried(ns, x, prime, roots, t: PrimeTable, carry: _Carry) -> np.ndarray:
+    """prime, the bitmap's flags of the x = n // k + 1 it reaches, k =
+    1..w, completed past it, of a block whose last n + 1 is past the
+    table: the check route's carry.
+
+    A row whose n follows no n - 1 (_route_steps), before the block the
+    carry's, tests its x past the bitmap by _route_flags.  Any other keeps
+    the flags of the row before it but where x moved, and tests there the x
+    past the bitmap, all the block's at once, by _route_tests.  A cell
+    k > isqrt(n) has x <= isqrt(n) + 1, on the bitmap."""
+    fresh, steps = _route_steps(ns, carry.n, x)
+    past = x > t.limit
+    if steps is not None:
+        before = np.zeros(x.shape[1], dtype=bool)
+        before[: len(carry.flags)] = carry.flags
+        own = steps & past & ~fresh[:, None]
+        prime[own] = _route_tests(x[own], t.primes_up_to(roots[-1] + 1)[:_CARRY_PRIMES])
+        kept = ~steps
+    for i, r in enumerate(roots):
+        if not fresh[i]:
+            np.copyto(prime[i], prime[i - 1] if i else before, where=kept[i])
+        elif past[i, 0]:  # its n + 1 is past the table
+            k = int(np.count_nonzero(past[i, :r]))  # x descends in k
+            prime[i, :k] = _route_flags(ns[i], x[i, :k], t)
+    return prime
 
 
 def _factorial_budget(n):
@@ -325,20 +392,32 @@ def _prime_quotients(ns: list[int], q, prime_q, mask):
 # which takes 28 ms to build and holds 1 + 16 / ln n bytes per integer.  The
 # route depends on n and on whether the caller reads theta sums, never on the
 # grid.  A row reads the flags of n // k + 1 from the bitmap where the table
-# reaches n + 1, and else from its window (_quotient_flags, and the check
-# route's _route_flags) on a table up to sqrt(n) + 2.  _checked grows the
-# table to the last n + 2 below LUCY_THRESHOLD for theta rows, and for scan
-# rows only on a grid that reads, in cells, at least 1 / _DENSE_GRID of the
-# integers the bitmap would hold: _DENSE_GRID * (sum of isqrt(n)) >= max n.
-# For k evenly spaced n up to N on a fresh table (scan_records, best of 5,
-# one CPU of a 2-vCPU VM) the windows and the bitmap took the same time at
-# N / (sum of isqrt(n)) of about 140 at N = 3 * 2^20, 170 at 3 * 2^19 and
-# 240 at 3 * 2^18; at 3 * 2^20 the windows took 3.1 ms and the bitmap 8.9 ms
-# at 4 rows, 21.3 and 12.5 ms at 32.  Both sources are exact, so the rule
-# moves no byte of a row.
+# reaches n + 1, and else on a table up to sqrt(n) + 2: from the flags of
+# n - 1 where the grid holds n - 1 before it (_row_flags, and the check
+# route's _route_carried), at about 11 fresh tests a row at 2^30, and from
+# its window (_quotient_flags, _route_flags) where it does not.  _checked
+# grows the table to the last n + 2 below LUCY_THRESHOLD for theta rows, and
+# for scan rows only on a grid whose rows that pay a window, those with no
+# n - 1 before them, read in cells at least 1 / _DENSE_GRID of the integers
+# the bitmap would hold: _DENSE_GRID * (sum of their isqrt(n)) >= max n.  A
+# step:1 window pays one window, so it never grows the table past
+# sqrt(max n) + 2; step:K with K > 1, dyadic grids and lists of lone n pay
+# one a row, as before.  For k evenly spaced n up to N on a fresh table
+# (scan_records, best of 5, one CPU of a 2-vCPU VM) the windows and the
+# bitmap took the same time at N / (sum of isqrt(n)) of about 140 at
+# N = 3 * 2^20, 170 at 3 * 2^19 and 240 at 3 * 2^18; at 3 * 2^20 the windows
+# took 3.1 ms and the bitmap 8.9 ms at 4 rows, 21.3 and 12.5 ms at 32.  Every
+# source is exact, so the rule moves no byte of a row.
 LUCY_THRESHOLD = 1 << 22
 _DENSE_GRID = 128
 _PREFILTER_PRIMES = 32  # trial-divide by this many primes, the row's 14 bases among them
+# trial-divide the few x that a carried row tests afresh, about 11 a row at
+# 2^30 and 119 a 16-row block at 2^20, by this many primes only: the row's
+# tests took 34, 46, 60 and 136 us a row at 2^30 with 4, 8, 12 and 32 primes,
+# the route's 30, 40, 52 and 110 us, and at 2^20 both were flat to 16
+# (one CPU of a 2-vCPU VM); numpy's call per prime outweighs the Miller-Rabin
+# rounds that the further primes spare
+_CARRY_PRIMES = 4
 # a row's window, past the bitmap: the n // k + 1 in [n // r + 1,
 # n // r + 1 + _WINDOW_ROOTS r], r = isqrt(n), the k from about
 # n / ((_WINDOW_ROOTS + 1) r) to r, which the row (_quotient_flags) and the
@@ -347,6 +426,14 @@ _PREFILTER_PRIMES = 32  # trial-divide by this many primes, the row's 14 bases a
 # 32 r (one CPU of a 2-vCPU VM); 16 r led 8 r by under a tenth at every n
 # from 2^23 on, not worth twice the window's bytes
 _WINDOW_ROOTS = 8
+# the dtype of the k = 1..isqrt(n) that the check route divides n by and
+# that both routes' change detection multiplies n // k by, exact: every k
+# of an int64 n fits, and an int64 array of them, fresh at each row, made
+# the route's n // k take 2.4 ms at 2^36 where it took 1.1 ms (one CPU of a
+# 2-vCPU VM).  The row's own n // k keep int64 k: the row's window reuses
+# the space they leave, and with uint32 k `scan --grid list:2^40` peaked
+# 0.9 MB higher
+_K = np.uint32
 _LUCY_BATCH_CELLS = 1 << 16  # start values, or phase-2 (p, k) pairs, per chunk of _lucy
 # the quotients n // k, k = 1..top + 1, of a block of rows, counted at its
 # widest row (_blocks), where _checked cuts the grid once for the rows, their
@@ -380,14 +467,17 @@ def _row_bytes(n: int) -> int:
 def _legendre_bytes(n: int) -> int:
     """An upper estimate of the peak bytes of a scan row at n (_rows with
     _legendre_rho's log rho) with its check, the table already built: the
-    arrays of a block of _checked (_TABLE_BLOCK_CELLS) and 32 B per
-    sqrt(n).  By tracemalloc a row and its check peaked at 0.99 MB at
-    2^30 + 12345, 7.24 MB at 2^36 + 12345 and 28.7 MB at 2^40 + 12345, 30.2,
-    27.6 and 27.4 B per sqrt(n).  The row alone, its quotients, flags and
-    sieved window, held 26 B per sqrt(n) at each and sets the peak from 2^36
-    on; the check route (_factorial_sums) held 28.2, 23.0 and 19.8 B, its
-    window sieved a piece of at most DEFAULT_BLOCK_SIZE bytes at a time."""
-    return 80 * _TABLE_BLOCK_CELLS + 32 * math.isqrt(n)
+    arrays of a block of _checked (_TABLE_BLOCK_CELLS), 30 B per sqrt(n)
+    for the row and its check, and 2 B per sqrt(n) for the flags of the row
+    before that the row and the route each carry (_Carry).  By tracemalloc,
+    at 2^30 + 12345, 2^36 + 12345 and 2^40 + 12345, a row that takes its
+    windows and its check peaked at 31.0, 27.5 and 27.3 B per sqrt(n), and
+    a row that carries its flags from n - 1 and its check at 25.0, 23.0 and
+    22.7 B, the carries of n - 1 not counted.  The row alone, its quotients,
+    flags and sieved window, sets a fresh row's peak from 2^36 on; the check
+    route (_factorial_sums) sieves its window a piece of at most
+    DEFAULT_BLOCK_SIZE bytes at a time."""
+    return 80 * _TABLE_BLOCK_CELLS + (30 + 2) * math.isqrt(n)
 
 
 _LOG_FACTORIAL_CUT = 20  # log v! from a table below it, from Stirling's series at and above
@@ -543,15 +633,17 @@ def _lucy(n: int, t: PrimeTable, q: np.ndarray):
 
 
 def _prime_flags(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Primality of each x in xs, where every x exceeds every prime in ps and
-    ps holds every base that x's Miller-Rabin round uses (primes._MR_BOUNDS):
-    2 alone below 2047, and never more than the 14 primes up to 43.  It
-    serves the row alone, at the n // k + 1 above its window
-    (_quotient_flags); the check route has its own (_route_flags).
+    """Primality of each x in xs, where ps holds 2 and every x exceeds every
+    prime in ps and every base that its Miller-Rabin round uses
+    (primes._MR_BOUNDS): 2 alone below 2047, and never more than the 14
+    primes up to 43.  It serves the row alone, at the n // k + 1 above its
+    window (_quotient_flags) and at the cells a carried row tests afresh
+    (_row_flags); the check route has its own (_route_tests).
 
     Trial division by ps, vectorised, drops most composites, and every
     composite x <= (r + 1)**2 when ps holds the primes up to r + 1; the
-    survivors go through the rounds, exact at every x < 2**63.
+    survivors, odd, go through the rounds, exact at every x < 2**63.  A
+    composite that a base divides fails that base's round.
     """
     flags = np.ones(len(xs), dtype=bool)
     for p in ps.tolist():
@@ -594,12 +686,8 @@ def _route_flags(n: int, xs: np.ndarray, t: PrimeTable) -> np.ndarray:
     """
     r = math.isqrt(n)
     above = int(np.count_nonzero(xs > n // r + 1 + _WINDOW_ROOTS * r))
-    flags, high = np.ones(len(xs), dtype=bool), xs[:above]
-    keep = flags[:above]
-    for p in t.primes_up_to(r)[:_PREFILTER_PRIMES].tolist():  # each x > 9 r > p
-        keep &= high % p != 0
-    idx = np.flatnonzero(keep)
-    keep[idx] = [_strong_probable_prime(x, _route_bases(x)) for x in high[idx].tolist()]
+    flags = np.empty(len(xs), dtype=bool)
+    flags[:above] = _route_tests(xs[:above], t.primes_up_to(r)[:_PREFILTER_PRIMES])  # x > 9 r
     w, out = xs[above:][::-1], flags[above:][::-1]  # ascending
     if len(w):
         step, last = _primes.DEFAULT_BLOCK_SIZE, int(w[-1])
@@ -612,6 +700,20 @@ def _route_flags(n: int, xs: np.ndarray, t: PrimeTable) -> np.ndarray:
             i, j = w.searchsorted([a, b]).tolist()
             out[i:j] = sieve[w[i:j] - a]
     return flags
+
+
+def _route_tests(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Primality of each x in xs, where every x exceeds every prime in ps
+    and ps holds 2: trial division by ps, then _strong_probable_prime on
+    _route_bases, exact at every x < 2**64.  The check route's tests above
+    its windows (_route_flags) and at the cells its carry moves
+    (_route_carried)."""
+    keep = np.ones(len(xs), dtype=bool)
+    for p in ps.tolist():
+        keep &= xs % p != 0
+    idx = np.flatnonzero(keep)
+    keep[idx] = [_strong_probable_prime(x, _route_bases(x)) for x in xs[idx].tolist()]
+    return keep
 
 
 def _route_bases(x: int) -> tuple[int, ...]:
@@ -724,7 +826,52 @@ def _theta_sums(ns: list[int], mult, theta_q, theta_v) -> list[float]:
     return (_slice_sums(theta_q, roots) + _slice_sums(mult_theta, tops)).tolist()
 
 
-def _rows(ns: Sequence[int], t: PrimeTable, theta: bool) -> list[_Row]:
+def _row_steps(ns, before: int, q) -> tuple[np.ndarray, np.ndarray | None]:
+    """(fresh, steps) of a block of ascending ns whose quotients are
+    q = n // k, k = 1..w: fresh[i], that row i does not follow the row
+    before it, before's n for row 0, by one; steps[i, k - 1], that k
+    divides n, k (n // k) == n, the cells whose quotient moved
+    from n - 1's, among them the new k = isqrt(n) where it stepped, at
+    n = k**2, or None where every row is fresh.  The row's change detection
+    (_row_flags)."""
+    nb = np.array(ns, dtype=np.int64)
+    fresh = np.diff(nb, prepend=before) != 1
+    return fresh, None if fresh.all() else q * np.arange(1, q.shape[1] + 1, dtype=_K) == nb[:, None]
+
+
+def _row_flags(ns, q, roots, t: PrimeTable, carry: _Carry) -> np.ndarray:
+    """The primality of x = n // k + 1 at each quotient of q = n // k,
+    k = 1..w, w = isqrt(max(ns)), of a block whose last n + 1 is past
+    the table; the cells past a row's isqrt(n) are not read.
+
+    A row that follows no n - 1 (_row_steps), before the block the carry's,
+    takes its own window (_quotient_flags).  Any other starts from the flags
+    of the row before it and tests afresh only the cells whose quotient
+    moved: all the block's at once, on the bitmap where it reaches and else
+    by _prime_flags."""
+    m, w = q.shape
+    fresh, steps = _row_steps(ns, carry.n, q)
+    flags = np.zeros((m, w), dtype=bool)
+    if steps is not None:
+        before = np.zeros(w, dtype=bool)
+        before[: len(carry.flags)] = carry.flags
+        moved = steps & ~fresh[:, None]
+        x = q[moved] + 1
+        low = x <= t.limit
+        tested = np.empty(len(x), dtype=bool)
+        tested[low] = t.prime_mask(t.limit)[x[low]]
+        tested[~low] = _prime_flags(x[~low], t.primes_up_to(roots[-1] + 1)[:_CARRY_PRIMES])
+        flags[moved] = tested
+        kept = ~steps
+    for i, r in enumerate(roots):
+        if fresh[i]:
+            flags[i, :r] = _quotient_flags(ns[i], q[i, :r], t)
+        else:
+            np.copyto(flags[i], flags[i - 1] if i else before, where=kept[i])
+    return flags
+
+
+def _rows(ns: Sequence[int], t: PrimeTable, theta: bool, carry: _Carry | None = None) -> list[_Row]:
     """(log_rho, log_sigma, card_A, s1, s2) of each n of the ascending ns >= 1,
     one block of _checked: the one row assembly, of the scan's rows (log rho
     from _legendre_rho) and, if theta, the theta-sum rows (_theta_rho).
@@ -734,12 +881,14 @@ def _rows(ns: Sequence[int], t: PrimeTable, theta: bool) -> list[_Row]:
     k <= sqrt(n), and the bitmap up to sqrt(n) + 2 for the large v + 1.  The
     flags are the bitmap's where the table reaches every n // k + 1 of the
     block, n + 1 at most (below LUCY_THRESHOLD _checked grows it to n + 2
-    for theta rows and dense scan grids), else each row's _quotient_flags,
-    a sieved window and Miller-Rabin above it; both are exact, so a row's
-    values do not depend on which one was read, nor on the block or the
-    table rule.  s1 + s2 is the log-sum of the
-    prime n // k + 1 over k = 1..n, log sigma(n) - log rho(n), so
-    log sigma = log rho + (s1 + s2).
+    for theta rows and dense scan grids), else _row_flags': carried from
+    n - 1, the last row of the block before held in carry, where the grid
+    holds n - 1, and else the row's _quotient_flags, a sieved window and
+    Miller-Rabin above it.  carry, if given, is left at the block's last
+    row.  Every source is exact, so a row's values do not depend on which
+    one was read, nor on the block, the grid or the table rule.  s1 + s2 is
+    the log-sum of the prime n // k + 1 over k = 1..n, log sigma(n) -
+    log rho(n), so log sigma = log rho + (s1 + s2).
 
     With _legendre_rho's log rho both values are within _factorial_budget(n)
     of the exact ones, by that budget's own count: log n! is the check
@@ -749,15 +898,15 @@ def _rows(ns: Sequence[int], t: PrimeTable, theta: bool) -> list[_Row]:
     of e_p or mult, the product); the sums and the two closing sums round as
     the route's do.  With _theta_rho's, _theta_budget gives the bound.
     """
+    carry = carry or _Carry()
     nb, roots = np.array(ns, dtype=np.int64)[:, None], [math.isqrt(n) for n in ns]
-    q = nb // np.arange(1, ns[-1] // (roots[-1] + 1) + 2, dtype=np.int64)
+    q, w = nb // np.arange(1, ns[-1] // (roots[-1] + 1) + 2, dtype=np.int64), roots[-1]
     rho = _theta_rho(ns, q, t) if theta else _legendre_rho(ns, t)
     if ns[-1] < t.limit:  # the bitmap reaches n // 1 + 1 = n + 1
-        flags = t.prime_mask(ns[-1] + 1)[1:][q[:, : roots[-1]]]
-    else:  # each row's own window
-        flags = np.zeros((len(ns), roots[-1]), dtype=bool)
-        for i, (n, r) in enumerate(zip(ns, roots)):
-            flags[i, :r] = _quotient_flags(n, q[i, :r], t)
+        flags = t.prime_mask(ns[-1] + 1)[1:][q[:, :w]]
+    else:
+        flags = _row_flags(ns, q[:, :w], roots, t, carry)
+    carry.n, carry.flags = ns[-1], flags[-1].copy()
     card, s1, s2 = _prime_quotients(ns, q, flags, t.prime_mask(roots[-1] + 1))
     return [(lr, lr + (x + y), c, x, y) for lr, c, x, y in zip(rho, card, s1, s2)]
 
@@ -894,7 +1043,10 @@ def _checked(ns, t: PrimeTable, theta: bool):
     bound[i] against the route, log rho and log sigma within _theta_budget,
     s1 + s2 with the route's gap within 1e-6 max(1, n), and card_A with the
     route's exact count within 1/2, so that one flag of n // k + 1 wrong
-    fails at any n.
+    fails at any n.  The row and the route each keep a _Carry, the flags of
+    the last row they made, from block to block, so a row whose n follows
+    the last n of the block before carries its flags as one inside a block
+    does; from about 2^30 on a block is one row.
 
     The grid's set-up is done at the call, before any block: it refuses a
     grid that is empty or has an n < 1, prices one row at max(ns), by
@@ -902,9 +1054,11 @@ def _checked(ns, t: PrimeTable, theta: bool):
     t to sqrt(max(ns)) + 2, and to n + 2 for the last n below
     LUCY_THRESHOLD, where _rows and the route read every flag on the
     bitmap, for theta rows, which look theta up in it, and for scan rows
-    whose cells below it, the sum of isqrt(n), are at least that n /
-    _DENSE_GRID; a sparser scan takes each row's window.  It builds the
-    route's prime powers once, at max(ns) (_prime_powers).  The rows derive
+    whose cells below it that pay a window, the sum of isqrt(n) over the n
+    with no n - 1 before them, are at least that n / _DENSE_GRID; a sparser
+    scan takes each such row's window and carries the flags of the rest.
+    It builds the route's prime powers once, at max(ns) (_prime_powers).
+    The rows derive
     the table's arrays only as far as they read them: a scan's and its
     check's to sqrt(max(ns)) + 1, the theta sums below LUCY_THRESHOLD
     (_theta_rho) to their largest n."""
@@ -913,19 +1067,21 @@ def _checked(ns, t: PrimeTable, theta: bool):
     top, light = ns[-1], ns[: bisect.bisect_left(ns, LUCY_THRESHOLD)]
     need = (_row_bytes if theta else _legendre_bytes)(top)
     _primes.require_memory(need, f"a scan row at n = {top}")
-    cells = itertools.accumulate(math.isqrt(n) for n in light)
+    paying = (n for n, b in zip(light, itertools.chain([-1], light)) if n - b != 1)  # no n - 1 before
+    cells = itertools.accumulate(map(math.isqrt, paying))
     dense = light and (theta or any(_DENSE_GRID * c >= light[-1] for c in cells))
     t.ensure(max(light[-1] + 2 if dense else 0, math.isqrt(top) + 2))
-    powers = _prime_powers(top, t)
+    powers, carries = _prime_powers(top, t), (_Carry(), _Carry())
     cuts = _blocks(n // (math.isqrt(n) + 1) + 1 for n in ns)
-    return (_check_block(ns[a:b], t, theta, powers) for a, b in cuts)
+    return (_check_block(ns[a:b], t, theta, powers, carries) for a, b in cuts)
 
 
-def _check_block(block, t: PrimeTable, theta: bool, powers):
-    """_checked's (block, rows, ratio, bound) of one block."""
-    rows = _rows(block, t, theta)
+def _check_block(block, t: PrimeTable, theta: bool, powers, carries):
+    """_checked's (block, rows, ratio, bound) of one block, the row's and
+    the route's carries handed on to the next."""
+    rows = _rows(block, t, theta, carries[0])
     lr, ls, card, s1, s2 = np.array(rows).T
-    rho, sigma, count = _factorial_sums(block, t, powers)
+    rho, sigma, count = _factorial_sums(block, t, powers, carries[1])
     split = 1e-6 * np.maximum(1.0, np.array(block, dtype=np.float64))
     budget = _theta_budget(block, lr, ls, t, theta)
     bound = np.column_stack((budget, split, np.full(len(block), 0.5)))
@@ -972,13 +1128,14 @@ def scan_records(
 ) -> Iterator[ScanRecord]:
     """One ScanRecord per requested n, in ascending order, as a stream.
 
-    Each record is computed from n alone, so the row for a given n is
+    Each record's values are those of n alone, so the row for a given n is
     byte-identical whatever the grid: in O(sqrt(n)) time by Legendre's
     formula and the flags of n // k + 1, a block of _checked at a time in
     this thread (_rows with _legendre_rho's log rho), the flags from the
     bitmap of a table up to n + 2 for a grid below LUCY_THRESHOLD dense
-    enough to pay for it (_DENSE_GRID), and else from a sieved window on a
-    table up to sqrt(n) + 2.  No row reads theta at
+    enough to pay for it (_DENSE_GRID), and else, on a table up to
+    sqrt(n) + 2, carried from the row of n - 1 where the grid holds it and
+    from a sieved window where it does not.  No row reads theta at
     the quotients: that is for verify eq14-16 and
     theta_sum_rho/theta_sum_sigma (_theta_rho).  The records come in checked
     blocks (_records), so a caller that writes them as they come holds one

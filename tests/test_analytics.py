@@ -618,17 +618,151 @@ def test_a_scan_below_the_threshold_derives_the_primes_to_sqrt_n_alone(c_mid):
 
 
 def test_the_table_rule_leaves_no_byte_to_the_flag_source(c_mid):
-    # _SPARSE takes every flag from its windows on a fresh table, the
-    # 1500-row window from 1102578, whose cells are 1.43 times its largest
-    # n, from the bitmap up to n + 2; on a table grown to n + 2 beforehand
-    # both read the bitmap, and every row is the same
-    window = range(1102578, 1102578 + 1500)
-    for ns, limit in ((_SPARSE, math.isqrt(_SPARSE[-1]) + 2), (window, window[-1] + 2)):
+    # _SPARSE takes every flag from its windows on a fresh table.  The
+    # 1500-row step:1 window from 1102578 carries its flags from n - 1, so
+    # its first row alone pays a window and the table stays at
+    # sqrt(max n) + 2.  The 1500-row step:2 window, whose rows all pay a
+    # window and whose cells are 1.43 times its largest n, reads the bitmap
+    # up to n + 2.  On a table grown to n + 2 beforehand all three read the
+    # bitmap, and every row is the same
+    step1 = range(1102578, 1102578 + 1500)
+    step2 = range(1102578, 1102578 + 3000, 2)
+    for ns, limit in (
+        (_SPARSE, math.isqrt(_SPARSE[-1]) + 2),
+        (step1, math.isqrt(step1[-1]) + 2),
+        (step2, step2[-1] + 2),
+    ):
         t = PrimeTable()
         assert scan(ns, table=t, c=c_mid) == scan(ns, table=PrimeTable(ns[-1] + 2), c=c_mid)
         assert t.limit == limit
     assert analytics._DENSE_GRID * sum(map(math.isqrt, _SPARSE)) < _SPARSE[-1]
-    assert sum(map(math.isqrt, window)) >= window[-1]
+    assert analytics._DENSE_GRID * math.isqrt(step1[0]) < step1[-1]
+    assert sum(map(math.isqrt, step2)) >= step2[-1]
+
+
+# md5 of the scan's CSV rows at c_mid, one csv_row and a newline each, as
+# the code before carried flags wrote them, when every row read the bitmap
+# or its own window: step:1 windows across the squares 1030**2 (1031 is
+# prime) and 2^30 = 32768**2, over blocks near 2^20, across 2^22, at 2^30
+# and at 2^36, and a list of runs of consecutive n with gaps between them,
+# one of which crosses the n + 1 = 32770 where the table stops
+_PINNED_ROWS = {
+    range(1030**2 - 40, 1030**2 + 40): "6b7991803688a92b4370b5832a3f0105",
+    range((1 << 30) - 10, (1 << 30) + 10): "5da62ef225af6b633dc43e27dc15f62f",
+    range((1 << 20) + 12345, (1 << 20) + 12445): "87217e8ea203a92fa0f64dbe1c29b55c",
+    range(LUCY_THRESHOLD - 20, LUCY_THRESHOLD + 21): "9636dd802fcbe446bd8ea2e303883b17",
+    range((1 << 30) + 12345, (1 << 30) + 12365): "d69ba7f51ed9cbc3f5c44737afdddae1",
+    range((1 << 36) + 12345, (1 << 36) + 12350): "0a32d1467743604fad6347a6d105bd51",
+    (5000, 5001, 5002, 5004, 5005, 5008, *range(32765, 32776), 3 << 20, (3 << 20) + 1,
+     (3 << 20) + 2, (1 << 24) + 1, (1 << 24) + 2, (1 << 24) + 4, (1 << 24) + 5, (1 << 24) + 6,
+     (1 << 30) + 1, (1 << 30) + 2, (1 << 30) + 3): "34fc4ddad690285286078c721315fe1a",
+}
+
+
+def _md5_rows(records):
+    import hashlib
+
+    return hashlib.md5("".join(rec.csv_row() + "\n" for rec in records).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("cells", [None, 300])
+@pytest.mark.parametrize("grid", list(_PINNED_ROWS), ids=lambda g: f"{g[0]}-{g[-1]}")
+def test_carried_rows_equal_each_n_alone_and_the_pinned_bytes(grid, cells, c_mid, monkeypatch):
+    # a row that follows n - 1 carries its flags, and the check route its
+    # own, across _checked's blocks (300 cells: one row a block); the table
+    # stays at sqrt(max n) + 2, and only the first row of a run of
+    # consecutive n takes a window, the row's and the route's, each past
+    # the table.  Every row equals the row of its n alone and the pinned
+    # bytes
+    alone = [scan([n], table=PrimeTable(), c=c_mid)[0] for n in grid]
+    starts = [n for i, n in enumerate(grid) if i == 0 or grid[i - 1] != n - 1]
+    windows = {"_quotient_flags": [], "_route_flags": []}
+    for name, seen in windows.items():
+        real = getattr(analytics, name)
+        monkeypatch.setattr(analytics, name, lambda n, *a, real=real, seen=seen: seen.append(n) or real(n, *a))
+    if cells:
+        monkeypatch.setattr(analytics, "_TABLE_BLOCK_CELLS", cells)
+    t = PrimeTable()
+    rows = scan(grid, table=t, c=c_mid)
+    assert rows == alone
+    assert _md5_rows(rows) == _PINNED_ROWS[grid]
+    assert t.limit == math.isqrt(grid[-1]) + 2
+    past = {n for n in starts if n + 1 > t.limit}
+    for seen in windows.values():
+        assert past <= set(seen) <= set(starts) and len(seen) == len(set(seen))
+
+
+# carry mutants near 2^36, each failing on card_A alone: m = 1024 p with p
+# prime and every 2**j p + 1, j = 1..9, composite, so that of the k <= sqrt(m)
+# that divide m only k = 1024 has m // k + 1 = p + 1 and (m - 1) // k + 1 = p
+# of unlike primality; R + 1 prime, so that the new cell k = R at R**2
+# holds the prime R + 1 where the cell before it held R.  The one wrong
+# flag's log, under 19, is inside log sigma's bound of about 24 there and
+# the split's 1e-6 n
+_CARRY_P, _CARRY_R = 67108919, 262146
+_CARRY_M = 1024 * _CARRY_P
+
+
+def _skip_1024(real):
+    """real's change detection, blind to k = 1024."""
+
+    def steps(ns, before, arg):
+        fresh, out = real(ns, before, arg)
+        if out is not None:
+            out[:, 1023] = False
+        return fresh, out
+
+    return steps
+
+
+def _no_new_cell(real):
+    """real's change detection, blind to the new k = isqrt(n) at a square n."""
+
+    def steps(ns, before, arg):
+        fresh, out = real(ns, before, arg)
+        for i, n in enumerate(ns):
+            r = math.isqrt(n)
+            if r * r == n and out is not None:
+                out[i, r - 1] = False
+        return fresh, out
+
+    return steps
+
+
+def _row_steps_over_gaps_of_2(ns, before, q):
+    """The row's change detection, carrying a row across a gap of 2."""
+    nb = np.array(ns, dtype=np.int64)
+    return np.diff(nb, prepend=before) > 2, q * np.arange(1, q.shape[1] + 1) == nb[:, None]
+
+
+def _route_steps_over_gaps_of_2(ns, before, x):
+    """The check route's change detection, carrying a row across a gap of 2."""
+    nb = np.array(ns, dtype=np.int64)
+    return np.diff(nb, prepend=before) > 2, nb[:, None] - (x - 1) * np.arange(1, x.shape[1] + 1) == 0
+
+
+@pytest.mark.parametrize(
+    "name, gap", [("_row_steps", _row_steps_over_gaps_of_2), ("_route_steps", _route_steps_over_gaps_of_2)]
+)
+def test_a_broken_carry_fails_on_card_A(name, gap, monkeypatch, c_mid):
+    # in the row's carry and in the check route's: a k that divides n
+    # skipped, the new cell where isqrt steps dropped, and a row carried
+    # across a gap of 2 each make scan fail on card_A; the true code passes
+    p, r, m = _CARRY_P, _CARRY_R, _CARRY_M
+    assert primes.is_probable_prime(p) and primes.is_probable_prime(r + 1)
+    assert not any(primes.is_probable_prime((p << j) + 1) for j in range(1, 10))
+    real = getattr(analytics, name)
+    for mutant, grid, n in (
+        (_skip_1024(real), range(m - 2, m + 3), m),
+        (_no_new_cell(real), range(r * r - 2, r * r + 3), r * r),
+        (gap, [m - 1, m + 1], m + 1),
+    ):
+        assert scan(grid, table=PrimeTable(), c=c_mid) == [scan([k], c=c_mid)[0] for k in grid]
+        monkeypatch.setattr(analytics, name, mutant)
+        error = f"card_A disagrees with the check route's count of prime quotients at n={n}"
+        with pytest.raises(ArithmeticError, match=error):
+            scan(grid, table=PrimeTable(), c=c_mid)
+        monkeypatch.undo()
 
 
 @pytest.fixture(scope="module")
@@ -1264,16 +1398,22 @@ def test_quotient_flags_equal_prime_flags_at_every_k():
         assert t.limit == r + 2, n
 
 
+_WINDOW_2_30 = list(range((1 << 30) + 12345, (1 << 30) + 12353))
+
+
+def _card_a(ns):
+    """card_A of each n of ns by is_probable_prime, k by k."""
+    return [sum(primes.is_probable_prime(n // k + 1) for k in range(1, math.isqrt(n) + 1)) for n in ns]
+
+
 def test_the_check_route_calls_none_of_the_rows_primality_code(monkeypatch):
     # past its table the route sieves and tests n // k + 1 by its own code:
     # with the row's tests and the table's sieve made to raise, its card_A
     # still counts the prime quotients exactly, in and above its window
     ns = [(1 << 22) + 7, (1 << 30) + 12345]
-    t = PrimeTable(math.isqrt(ns[-1]) + 2)
+    t = PrimeTable(math.isqrt(_WINDOW_2_30[-1]) + 2)
     powers = analytics._prime_powers(ns[-1], t)
-    want = [
-        sum(primes.is_probable_prime(n // k + 1) for k in range(1, math.isqrt(n) + 1)) for n in ns
-    ]
+    want, want_window = _card_a(ns), _card_a(_WINDOW_2_30)
 
     def raising(*args):
         raise AssertionError("the route called the row's primality code")
@@ -1287,6 +1427,28 @@ def test_the_check_route_calls_none_of_the_rows_primality_code(monkeypatch):
     ):
         monkeypatch.setattr(owner, name, raising)
     assert analytics._factorial_sums(ns, t, powers)[2].tolist() == want
+    # and where it carries its flags from n - 1, past the row's carry
+    monkeypatch.setattr(analytics, "_row_steps", raising)
+    monkeypatch.setattr(analytics, "_row_flags", raising)
+    powers = analytics._prime_powers(_WINDOW_2_30[-1], t)
+    counts = analytics._factorial_sums(_WINDOW_2_30, t, powers, analytics._Carry())[2]
+    assert counts.tolist() == want_window
+
+
+def test_the_rows_carry_calls_none_of_the_check_routes_primality_code(monkeypatch):
+    # the converse, on a window whose rows after the first carry their
+    # flags: with the route's tests, sieve and change detection made to
+    # raise, the rows' card_A still counts the prime quotients exactly
+    t = PrimeTable(math.isqrt(_WINDOW_2_30[-1]) + 2)
+    want = _card_a(_WINDOW_2_30)
+
+    def raising(*args):
+        raise AssertionError("the row called the check route's primality code")
+
+    for name in ("_route_flags", "_route_tests", "_route_steps", "_route_carried", "_strong_probable_prime"):
+        monkeypatch.setattr(analytics, name, raising)
+    rows = analytics._rows(_WINDOW_2_30, t, False, analytics._Carry())
+    assert [card for _, _, card, _, _ in rows] == want
 
 
 def _row_flags(xs):
@@ -1390,6 +1552,30 @@ def test_scan_row_peak_is_below_the_estimate(c_mid):
             assert peak <= estimate(n), (n, theta, peak)
 
 
+def test_a_carried_row_peak_is_below_the_estimate(monkeypatch):
+    # a scan row that carries its flags from n - 1, and its check: the
+    # tracemalloc peak, with the two arrays of flags that the row before
+    # left, below the figure that require_memory is given, _legendre_bytes
+    import tracemalloc
+
+    asked = []
+    monkeypatch.setattr(primes, "require_memory", lambda need, what: asked.append(need))
+    for n in ((1 << 30) + 12345, (1 << 36) + 12345):
+        t = PrimeTable(math.isqrt(n) + 2)
+        t.primes_up_to(t.limit)  # the table's arrays are derived before the row
+        asked.clear()
+        blocks = analytics._checked([n - 1, n], t, False)
+        assert len(next(blocks)[0]) == 1  # n - 1, a block of its own
+        tracemalloc.start()
+        try:
+            next(blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = 2 * math.isqrt(n)  # the row's and the route's flags of n - 1
+        assert asked == [analytics._legendre_bytes(n)] and peak + held <= asked[0], (n, peak)
+
+
 def test_lucy_rows_leave_the_table_as_the_scan_set_up_left_it(c_mid):
     # once scan_records has set up, no row grows the table, and no row
     # derives its arrays past sqrt(max n) + 2: rows from LUCY_THRESHOLD on
@@ -1454,10 +1640,11 @@ def test_checked_sets_up_its_own_grid(monkeypatch):
     ready = PrimeTable(nmax + 2)
     ready.primes_up_to(nmax)
     assert _theta_rows(grid, PrimeTable()) == _theta_rows(grid, ready)
-    # the 1500-row window from 1102578: once _checked is called, and before
-    # any block is read, the table reaches its last n + 2, so every row
-    # reads its flags on the bitmap and none takes a sieved window
-    window = list(range(1102578, 1102578 + 1500))
+    # the 1500-row step:2 window from 1102578, each row of which would pay
+    # a window: once _checked is called, and before any block is read, the
+    # table reaches its last n + 2, so every row reads its flags on the
+    # bitmap and none takes a sieved window
+    window = list(range(1102578, 1102578 + 3000, 2))
     t = PrimeTable()
     checked = analytics._checked(window, t, False)
     assert t.limit == window[-1] + 2

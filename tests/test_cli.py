@@ -312,7 +312,7 @@ def test_failed_scan_checks_are_errors(capsys, monkeypatch):
     def raised_exponent(nb, ps):
         return exponents(nb, ps) + (ps == 3)
 
-    def failing_rows(ns, t, theta):
+    def failing_rows(ns, t, theta, carry):
         raise ArithmeticError(f"a row failed at n={ns[0]}")
 
     for name, mutant, message in (
@@ -622,8 +622,9 @@ def test_a_scan_failing_in_a_later_chunk(capsys, tmp_path, monkeypatch):
     good = analytics.scan(range(start, start + ends[1]))
     real = analytics._rows
 
-    def raised(ns, t, theta):
-        return [(row[0] + 1.0, *row[1:]) if n == bad else row for n, row in zip(ns, real(ns, t, theta))]
+    def raised(ns, t, theta, carry):
+        rows = real(ns, t, theta, carry)
+        return [(row[0] + 1.0, *row[1:]) if n == bad else row for n, row in zip(ns, rows)]
 
     monkeypatch.setattr(analytics, "_rows", raised)
     error = f"error: log rho disagrees with Legendre's formula at n={bad}\n"
