@@ -18,35 +18,24 @@ n log n - (c+1) n and n log n - n, where c is the sum over primes of
 log p / (p (p-1)): scans take it from analytic_constant(), the float of an
 analytic series, and prime_series_constant() encloses it rigorously.
 
-_rows reads the primality of n // k + 1 from the table's bitmap where it
-reaches n + 1.  Past it a row whose n follows n - 1 in the grid, in its
-block or as the last row of the block before, carries the flags of n - 1
-and tests afresh only the cells whose quotient moved, the k that divide n
-(_row_flags); any other row sieves one window above sqrt(n) and, for the
-few values past that, runs Miller-Rabin (_quotient_flags).  The check route
-reads the bitmap as far as it reaches and past it carries its own flags by
-its own change detection and tests (_route_carried), or sieves the same
-window and tests the values above it on bases of its own (_route_flags).
-Below LUCY_THRESHOLD, 2^22, _checked grows the table to the last n + 2 for
-theta rows and for a scan grid whose rows that pay a window are dense
-enough to pay for it (_DENSE_GRID), and else to sqrt(max n) + 2, so a
-step:1 window keeps a table up to sqrt(max n) + 2.  The log rho route
-depends on what the caller reads.
-A scan row, and the one-n functions that read no theta (s_split,
-quotient_prime_count), take _legendre_rho at every n, in O(sqrt n) per row:
-Legendre's formula, one term per prime up to sqrt(n).  Of the table such a
-row reads the bitmap, as far as _checked grew it, and the primes up to
-sqrt(n) + 1 alone.  verify eq14-16 and theta_sum_rho and theta_sum_sigma,
-which check the theta sums themselves, take _theta_rho, the sum of
-theta(n // k):
-below LUCY_THRESHOLD lookups in a prime table up to n + 2, about
-1 + 16 / ln n bytes per integer, at the block's quotients; from it on theta
-at every quotient from Lucy's sieve (_lucy), in O(n**(3/4)) time and
-O(sqrt n) memory, one n at a time.  Each row sums in a fixed order over its
-own arrays, so scan output is reproducible bit for bit on one platform
-whatever the grid or its blocks.  A scan is one stream of records in n
-order, made and checked a block at a time in the calling thread
-(_records), which the writers take as it comes.
+Each route decides the primality of every n // k + 1 in one function, by
+its own flag rule: the row in _row_flags, the check route in
+_route_carried.  How far the table reaches, which is where both stop
+reading its bitmap, is _checked's table rule.  The log rho route depends
+on what the caller reads.  A scan row, and the one-n functions that read
+no theta (s_split, quotient_prime_count), take _legendre_rho at every n,
+in O(sqrt n) per row: Legendre's formula, one term per prime up to
+sqrt(n).  Of the table such a row reads the bitmap, as far as _checked
+grew it, and the primes up to sqrt(n) + 1 alone.  verify eq14-16 and
+theta_sum_rho and theta_sum_sigma, which check the theta sums themselves,
+take _theta_rho, the sum of theta(n // k): below LUCY_THRESHOLD lookups in
+a prime table up to n + 2, about 1 + 16 / ln n bytes per integer, at the
+block's quotients; from it on theta at every quotient from Lucy's sieve
+(_lucy), in O(n**(3/4)) time and O(sqrt n) memory, one n at a time.  Each
+row sums in a fixed order over its own arrays, so scan output is
+reproducible bit for bit on one platform whatever the grid or its blocks.
+A scan is one stream of records in n order, made and checked a block at a
+time in the calling thread (_records), which the writers take as it comes.
 """
 
 from __future__ import annotations
@@ -236,7 +225,7 @@ class _Carry:
     """The primality of x = n // k + 1 at k = 1..isqrt(n) of the last row
     that one route made, and its n, handed from block to block of _checked:
     a row whose n is that n + 1 starts from them.  Before the first row n is
-    -2, which no n >= 0 follows.  _rows keeps one and _factorial_sums
+    -2, which no n >= 0 follows.  _row_flags updates one and _route_carried
     another."""
 
     __slots__ = ("n", "flags")
@@ -258,29 +247,22 @@ def _factorial_sums(
 
     as for a prime p > r + 1, n // (p-1) - n // p is 1 when p - 1 is a
     quotient n // k, then with k <= r, and 0 otherwise.  It reads the primes
-    up to sqrt(max(ns)) + 1 alone, and tests v + 1 exactly, on the bitmap as
-    far as the table reaches and past it by its own tests, which share no
-    code with the row's: a row whose n follows the carry's or the row
-    before it by one starts from its flags (_route_carried), any other its
-    own window (_route_flags).  carry, if given, starts the block and is
-    left at its last row.  Each n sums its own cells (_slice_sums); both
-    values are within _factorial_budget(n) of the exact ones.  card_A, the
-    number of k <= r with n // k + 1 prime, is exact.
+    up to sqrt(max(ns)) + 1 alone, and the flags of every v + 1 from
+    _route_carried, exact and sharing no primality code with the row's.
+    carry, if given, starts the block and is left at its last row.  Each n
+    sums its own cells (_slice_sums); both values are within
+    _factorial_budget(n) of the exact ones.  card_A, the number of k <= r
+    with n // k + 1 prime, is exact.
     """
-    carry = carry or _Carry()
     ps = t.primes_up_to(math.isqrt(ns[-1]) + 1)
     rho = _factorial_rho(ns, powers)
-    mask, roots = t.prime_mask(t.limit), [math.isqrt(n) for n in ns]
+    roots = [math.isqrt(n) for n in ns]
     nb = np.array(ns, dtype=np.int64)[:, None]
     cuts = ps.searchsorted(np.array(roots) + 1, side="right").tolist()  # pi(r + 1)
     d = (nb // (ps[: cuts[-1]] - 1) - nb // ps[: cuts[-1]]) * np.log(ps[: cuts[-1]])
     x = nb // np.arange(1, roots[-1] + 1, dtype=_K)
     x += 1  # v + 1 for v = n // k
-    prime = x < len(mask)
-    prime[prime] = mask[x[prime]]
-    if ns[-1] + 1 >= len(mask):  # a row's n + 1 is past the table
-        prime = _route_carried(ns, x, prime, roots, t, carry)
-    carry.n, carry.flags = ns[-1], prime[-1].copy()
+    prime = _route_carried(ns, x, roots, t, carry or _Carry())
     hit = prime & (x > np.array(roots)[:, None] + 1)  # v > r; v + 1 <= r + 1 is in d
     cells = np.zeros(x.shape)
     cells[hit] = np.log(x[hit])
@@ -305,30 +287,33 @@ def _route_steps(ns, before: int, x) -> tuple[np.ndarray, np.ndarray | None]:
     return fresh, rem == 0
 
 
-def _route_carried(ns, x, prime, roots, t: PrimeTable, carry: _Carry) -> np.ndarray:
-    """prime, the bitmap's flags of the x = n // k + 1 it reaches, k =
-    1..w, completed past it, of a block whose last n + 1 is past the
-    table: the check route's carry.
+def _route_carried(ns, x, roots, t: PrimeTable, carry: _Carry) -> np.ndarray:
+    """The primality of each x = n // k + 1, k = 1..w, of a block of
+    ascending ns, by the check route: its flag rule, cell by cell.
 
-    A row whose n follows no n - 1 (_route_steps), before the block the
-    carry's, tests its x past the bitmap by _route_flags.  Any other keeps
-    the flags of the row before it but where x moved, and tests there the x
-    past the bitmap, all the block's at once, by _route_tests.  A cell
-    k > isqrt(n) has x <= isqrt(n) + 1, on the bitmap."""
+    An x <= t.limit is read on the bitmap.  The x past it are the prefix
+    k <= n // t.limit of each row.  A row whose n follows no n - 1
+    (_route_steps), before the block the carry's, tests them by its own
+    window (_route_flags).  Any other keeps the flags of the row before it
+    where x did not move, and tests the x that moved past the table, all
+    the block's at once, by _route_tests.  carry is left at the block's
+    last row."""
     fresh, steps = _route_steps(ns, carry.n, x)
-    past = x > t.limit
+    prime = x <= t.limit
+    prime[prime] = t.prime_mask(t.limit)[x[prime]]
     if steps is not None:
         before = np.zeros(x.shape[1], dtype=bool)
         before[: len(carry.flags)] = carry.flags
-        own = steps & past & ~fresh[:, None]
+        own = steps & (x > t.limit) & ~fresh[:, None]
         prime[own] = _route_tests(x[own], t.primes_up_to(roots[-1] + 1)[:_CARRY_PRIMES])
         kept = ~steps
-    for i, r in enumerate(roots):
+    for i, (n, r) in enumerate(zip(ns, roots)):
+        k = min(n // t.limit, r)  # x descends in k, past the table at k <= n // t.limit
         if not fresh[i]:
             np.copyto(prime[i], prime[i - 1] if i else before, where=kept[i])
-        elif past[i, 0]:  # its n + 1 is past the table
-            k = int(np.count_nonzero(past[i, :r]))  # x descends in k
-            prime[i, :k] = _route_flags(ns[i], x[i, :k], t)
+        elif k:
+            prime[i, :k] = _route_flags(n, x[i, :k], t)
+    carry.n, carry.flags = ns[-1], prime[-1].copy()
     return prime
 
 
@@ -383,31 +368,22 @@ def _prime_quotients(ns: list[int], q, prime_q, mask):
 
 # -- Lucy's sieve ---------------------------------------------------------------------
 
-# LUCY_THRESHOLD picks the theta sums' route (_theta_rho) and bounds the
-# scan's table rule.  Below it theta is looked up in the table, which needs
-# the table up to n + 2 and its primes and theta prefix derived that far; from
-# it on it is Lucy's sieve's, which needs the table only up to sqrt(n) + 2.
-# At 2^22 a Lucy row takes about 3 ms and a table row 0.19 ms alone or
-# 0.14 ms in a step:1 window (2-vCPU VM), but only after a table up to n + 2,
-# which takes 28 ms to build and holds 1 + 16 / ln n bytes per integer.  The
-# route depends on n and on whether the caller reads theta sums, never on the
-# grid.  A row reads the flags of n // k + 1 from the bitmap where the table
-# reaches n + 1, and else on a table up to sqrt(n) + 2: from the flags of
-# n - 1 where the grid holds n - 1 before it (_row_flags, and the check
-# route's _route_carried), at about 11 fresh tests a row at 2^30, and from
-# its window (_quotient_flags, _route_flags) where it does not.  _checked
-# grows the table to the last n + 2 below LUCY_THRESHOLD for theta rows, and
-# for scan rows only on a grid whose rows that pay a window, those with no
-# n - 1 before them, read in cells at least 1 / _DENSE_GRID of the integers
-# the bitmap would hold: _DENSE_GRID * (sum of their isqrt(n)) >= max n.  A
-# step:1 window pays one window, so it never grows the table past
-# sqrt(max n) + 2; step:K with K > 1, dyadic grids and lists of lone n pay
-# one a row, as before.  For k evenly spaced n up to N on a fresh table
-# (scan_records, best of 5, one CPU of a 2-vCPU VM) the windows and the
-# bitmap took the same time at N / (sum of isqrt(n)) of about 140 at
-# N = 3 * 2^20, 170 at 3 * 2^19 and 240 at 3 * 2^18; at 3 * 2^20 the windows
-# took 3.1 ms and the bitmap 8.9 ms at 4 rows, 21.3 and 12.5 ms at 32.  Every
-# source is exact, so the rule moves no byte of a row.
+# LUCY_THRESHOLD picks the theta sums' route (_theta_rho) and bounds
+# _checked's table rule, which _DENSE_GRID sets for scan grids.  Below it
+# theta is looked up in the table, which needs the table up to n + 2 and its
+# primes and theta prefix derived that far; from it on it is Lucy's sieve's,
+# which needs the table only up to sqrt(n) + 2.  At 2^22 a Lucy row takes
+# about 3 ms and a table row 0.19 ms alone or 0.14 ms in a step:1 window
+# (2-vCPU VM), but only after a table up to n + 2, which takes 28 ms to build
+# and holds 1 + 16 / ln n bytes per integer.  The route depends on n and on
+# whether the caller reads theta sums, never on the grid.  Past the table a
+# row carries its flags from n - 1 at about 11 fresh tests a row at 2^30
+# (_row_flags, _route_carried), but pays a window where the grid holds no
+# n - 1.  For k evenly spaced n up to N on a fresh table (scan_records, best
+# of 5, one CPU of a 2-vCPU VM) the windows and the bitmap took the same
+# time at N / (sum of isqrt(n)) of about 140 at N = 3 * 2^20, 170 at
+# 3 * 2^19 and 240 at 3 * 2^18; at 3 * 2^20 the windows took 3.1 ms and the
+# bitmap 8.9 ms at 4 rows, 21.3 and 12.5 ms at 32.
 LUCY_THRESHOLD = 1 << 22
 _DENSE_GRID = 128
 _PREFILTER_PRIMES = 32  # trial-divide by this many primes, the row's 14 bases among them
@@ -654,21 +630,23 @@ def _prime_flags(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
 
 
 def _quotient_flags(n: int, small: np.ndarray, t: PrimeTable) -> np.ndarray:
-    """Primality of x = v + 1 at each v of small = n // k, k = 1..r, r = isqrt(n),
-    with the table up to r + 2.
+    """Primality of x = v + 1 at each v of small = n // k, k = 1..len(small)
+    <= r = isqrt(n), with the table up to r + 2.
 
-    The x in the window [n // r + 1, n // r + 1 + _WINDOW_ROOTS r], those of
-    k > j = n // (window end), are read from one sieve of it (t.segment), by
-    the table's primes up to the square root of its end, about 3 sqrt(r);
-    the few x above it, of k <= j, go through _prime_flags.  Both are exact.
+    The x in the row's window [n // r + 1, n // r + 1 + _WINDOW_ROOTS r],
+    those of k > j = n // (window end), are read from one sieve of the span
+    they cover (t.segment), by the table's primes up to the square root of
+    its end, about 3 sqrt(r); the few x above it, of k <= j, go through
+    _prime_flags.  Both are exact.
     """
-    r = len(small)
-    lo = n // r + 1
-    end = lo + _WINDOW_ROOTS * r
-    j = n // end
-    flags = np.empty(r, dtype=bool)
+    r = math.isqrt(n)
+    end = n // r + 1 + _WINDOW_ROOTS * r
+    j = min(n // end, len(small))
+    flags = np.empty(len(small), dtype=bool)
     flags[:j] = _prime_flags(small[:j] + 1, t.primes_up_to(r)[:_PREFILTER_PRIMES])
-    flags[j:] = np.frombuffer(t.segment(lo, end), dtype=bool)[small[j:] + (1 - lo)]
+    if j < len(small):
+        lo = int(small[-1]) + 1
+        flags[j:] = np.frombuffer(t.segment(lo, end), dtype=bool)[small[j:] + (1 - lo)]
     return flags
 
 
@@ -789,23 +767,21 @@ def _theta_rho(ns: Sequence[int], q: np.ndarray, t: PrimeTable) -> list[float]:
     theta_sum_rho/theta_sum_sigma check.
 
     Below LUCY_THRESHOLD theta is looked up in the table, which _checked
-    grows to n + 2, with its primes and theta prefix derived to n: theta at
-    v <= top from one running count of the bitmap, and at q one search of
-    the primes, for all the block's rows below it at once, over their own
-    columns of q, up to top + 1 of the last of them.  From it on theta
-    at every quotient is _lucy's, from row i's q[i, :top + 1], in
-    O(n**(3/4)) time and O(sqrt n) memory, one n at a time.  Each row sums
-    its own slices (_slice_sums), so its value does not depend on the block.
+    grows to n + 2, by theta_many at the block's q and at v <= top, for all
+    the block's rows below it at once, over their own columns of q, up to
+    top + 1 of the last of them; its primes and theta prefix are derived to
+    n.  From it on theta at every quotient is _lucy's, from row i's
+    q[i, :top + 1], in O(n**(3/4)) time and O(sqrt n) memory, one n at a
+    time.  Each row sums its own slices (_slice_sums), so its value does
+    not depend on the block.
     """
     light = bisect.bisect_left(ns, LUCY_THRESHOLD)
     out = []
     if light:
-        primes, prefix = t._derived(ns[light - 1])  # theta(n // k) reads them up to n
         w = ns[light - 1] // (math.isqrt(ns[light - 1]) + 1) + 1  # top + 1, nondecreasing in n
-        theta = prefix[np.cumsum(t.prime_mask(w - 1))]  # theta(v) for v <= top
+        theta_v = t.theta_many(np.arange(w))  # theta(v) for v <= top
         q_light = q[:light, :w]
-        theta_q = prefix[primes.searchsorted(q_light, side="right")]
-        out = _theta_sums(ns[:light], q_light[:, :-1] - q_light[:, 1:], theta_q, theta)
+        out = _theta_sums(ns[:light], q_light[:, :-1] - q_light[:, 1:], t.theta_many(q_light), theta_v)
     for i, n in enumerate(ns[light:], light):
         row = q[i, : n // (math.isqrt(n) + 1) + 1]
         theta_q, theta_v = _lucy(n, t, row)[1]
@@ -841,54 +817,50 @@ def _row_steps(ns, before: int, q) -> tuple[np.ndarray, np.ndarray | None]:
 
 def _row_flags(ns, q, roots, t: PrimeTable, carry: _Carry) -> np.ndarray:
     """The primality of x = n // k + 1 at each quotient of q = n // k,
-    k = 1..w, w = isqrt(max(ns)), of a block whose last n + 1 is past
-    the table; the cells past a row's isqrt(n) are not read.
+    k = 1..w, w = isqrt(max(ns)), of a block of ascending ns, by the row:
+    its flag rule, cell by cell; the cells past a row's isqrt(n) are not
+    read.
 
-    A row that follows no n - 1 (_row_steps), before the block the carry's,
-    takes its own window (_quotient_flags).  Any other starts from the flags
-    of the row before it and tests afresh only the cells whose quotient
-    moved: all the block's at once, on the bitmap where it reaches and else
-    by _prime_flags."""
-    m, w = q.shape
+    An x <= t.limit is read on the bitmap.  The x past it are the prefix
+    k <= n // t.limit of each row.  A row that follows no n - 1
+    (_row_steps), before the block the carry's, takes them from its own
+    window (_quotient_flags).  Any other keeps the flags of the row before
+    it where x did not move, and tests the x that moved past the table,
+    all the block's at once, by _prime_flags.  carry is left at the
+    block's last row."""
     fresh, steps = _row_steps(ns, carry.n, q)
-    flags = np.zeros((m, w), dtype=bool)
+    flags = np.zeros(q.shape, dtype=bool)
     if steps is not None:
-        before = np.zeros(w, dtype=bool)
+        before = np.zeros(q.shape[1], dtype=bool)
         before[: len(carry.flags)] = carry.flags
-        moved = steps & ~fresh[:, None]
-        x = q[moved] + 1
-        low = x <= t.limit
-        tested = np.empty(len(x), dtype=bool)
-        tested[low] = t.prime_mask(t.limit)[x[low]]
-        tested[~low] = _prime_flags(x[~low], t.primes_up_to(roots[-1] + 1)[:_CARRY_PRIMES])
-        flags[moved] = tested
-        kept = ~steps
+        i, k = np.divmod(np.flatnonzero(steps & ~fresh[:, None]), q.shape[1])  # the cells that moved
+        past = q[i, k] >= t.limit
+        i, k = i[past], k[past]
+        flags[i, k] = _prime_flags(q[i, k] + 1, t.primes_up_to(roots[-1] + 1)[:_CARRY_PRIMES])
     for i, r in enumerate(roots):
-        if fresh[i]:
-            flags[i, :r] = _quotient_flags(ns[i], q[i, :r], t)
-        else:
-            np.copyto(flags[i], flags[i - 1] if i else before, where=kept[i])
+        p = min(ns[i] // t.limit, r)  # x = n // k + 1 is past the table at k <= n // t.limit
+        flags[i, p:r] = t.prime_mask(t.limit)[1:][q[i, p:r]]  # mask[v]: v + 1 is prime
+        if not fresh[i]:
+            np.copyto(flags[i], flags[i - 1] if i else before, where=~steps[i])
+        elif p:
+            flags[i, :p] = _quotient_flags(ns[i], q[i, :p], t)
+    carry.n, carry.flags = ns[-1], flags[-1].copy()
     return flags
 
 
-def _rows(ns: Sequence[int], t: PrimeTable, theta: bool, carry: _Carry | None = None) -> list[_Row]:
+def _rows(ns: Sequence[int], t: PrimeTable, theta: bool, carry: _Carry) -> list[_Row]:
     """(log_rho, log_sigma, card_A, s1, s2) of each n of the ascending ns >= 1,
     one block of _checked: the one row assembly, of the scan's rows (log rho
     from _legendre_rho) and, if theta, the theta-sum rows (_theta_rho).
 
     q = n // k, k = 1..top + 1 of the last row, is made once for the block.
     card_A, s1 and s2 are _prime_quotients' over q, the flags of n // k + 1,
-    k <= sqrt(n), and the bitmap up to sqrt(n) + 2 for the large v + 1.  The
-    flags are the bitmap's where the table reaches every n // k + 1 of the
-    block, n + 1 at most (below LUCY_THRESHOLD _checked grows it to n + 2
-    for theta rows and dense scan grids), else _row_flags': carried from
-    n - 1, the last row of the block before held in carry, where the grid
-    holds n - 1, and else the row's _quotient_flags, a sieved window and
-    Miller-Rabin above it.  carry, if given, is left at the block's last
-    row.  Every source is exact, so a row's values do not depend on which
-    one was read, nor on the block, the grid or the table rule.  s1 + s2 is
-    the log-sum of the prime n // k + 1 over k = 1..n, log sigma(n) -
-    log rho(n), so log sigma = log rho + (s1 + s2).
+    k <= sqrt(n), by _row_flags, which leaves carry at the block's last
+    row, and the bitmap up to sqrt(n) + 2 for the large v + 1.  Every flag
+    source is exact, so a row's values depend neither on the source nor on
+    the block, the grid or the table rule.  s1 + s2 is the log-sum of the
+    prime n // k + 1 over k = 1..n, log sigma(n) - log rho(n), so log sigma
+    = log rho + (s1 + s2).
 
     With _legendre_rho's log rho both values are within _factorial_budget(n)
     of the exact ones, by that budget's own count: log n! is the check
@@ -898,15 +870,10 @@ def _rows(ns: Sequence[int], t: PrimeTable, theta: bool, carry: _Carry | None = 
     of e_p or mult, the product); the sums and the two closing sums round as
     the route's do.  With _theta_rho's, _theta_budget gives the bound.
     """
-    carry = carry or _Carry()
     nb, roots = np.array(ns, dtype=np.int64)[:, None], [math.isqrt(n) for n in ns]
     q, w = nb // np.arange(1, ns[-1] // (roots[-1] + 1) + 2, dtype=np.int64), roots[-1]
     rho = _theta_rho(ns, q, t) if theta else _legendre_rho(ns, t)
-    if ns[-1] < t.limit:  # the bitmap reaches n // 1 + 1 = n + 1
-        flags = t.prime_mask(ns[-1] + 1)[1:][q[:, :w]]
-    else:
-        flags = _row_flags(ns, q[:, :w], roots, t, carry)
-    carry.n, carry.flags = ns[-1], flags[-1].copy()
+    flags = _row_flags(ns, q[:, :w], roots, t, carry)
     card, s1, s2 = _prime_quotients(ns, q, flags, t.prime_mask(roots[-1] + 1))
     return [(lr, lr + (x + y), c, x, y) for lr, c, x, y in zip(rho, card, s1, s2)]
 
@@ -1050,17 +1017,19 @@ def _checked(ns, t: PrimeTable, theta: bool):
 
     The grid's set-up is done at the call, before any block: it refuses a
     grid that is empty or has an n < 1, prices one row at max(ns), by
-    _row_bytes for theta-sum rows and _legendre_bytes for the scan's, grows
-    t to sqrt(max(ns)) + 2, and to n + 2 for the last n below
-    LUCY_THRESHOLD, where _rows and the route read every flag on the
-    bitmap, for theta rows, which look theta up in it, and for scan rows
-    whose cells below it that pay a window, the sum of isqrt(n) over the n
-    with no n - 1 before them, are at least that n / _DENSE_GRID; a sparser
-    scan takes each such row's window and carries the flags of the rest.
-    It builds the route's prime powers once, at max(ns) (_prime_powers).
-    The rows derive
-    the table's arrays only as far as they read them: a scan's and its
-    check's to sqrt(max(ns)) + 1, the theta sums below LUCY_THRESHOLD
+    _row_bytes for theta-sum rows and _legendre_bytes for the scan's, and
+    builds the route's prime powers once, at max(ns) (_prime_powers).  Its
+    table rule: t grows to sqrt(max(ns)) + 2, and to n + 2 for the last n
+    below LUCY_THRESHOLD for theta rows, which look theta up in it, and for
+    scan rows whose cells below it that pay a window, the sum of isqrt(n)
+    over the n with no n - 1 before them, are at least that n / _DENSE_GRID.
+    So a step:1 window, which pays one window, keeps a table up to
+    sqrt(max(ns)) + 2, and step:K with K > 1, dyadic grids and lists of lone
+    n pay one a row on it unless they are that dense.  Each route reads the
+    bitmap as far as the table reaches (_row_flags, _route_carried); every
+    flag source is exact, so the rule moves no byte of a row.  The rows
+    derive the table's arrays only as far as they read them: a scan's and
+    its check's to sqrt(max(ns)) + 1, the theta sums below LUCY_THRESHOLD
     (_theta_rho) to their largest n."""
     if not ns or ns[0] < 1:
         raise ValueError("scan grid must be nonempty with n >= 1")
@@ -1130,12 +1099,9 @@ def scan_records(
 
     Each record's values are those of n alone, so the row for a given n is
     byte-identical whatever the grid: in O(sqrt(n)) time by Legendre's
-    formula and the flags of n // k + 1, a block of _checked at a time in
-    this thread (_rows with _legendre_rho's log rho), the flags from the
-    bitmap of a table up to n + 2 for a grid below LUCY_THRESHOLD dense
-    enough to pay for it (_DENSE_GRID), and else, on a table up to
-    sqrt(n) + 2, carried from the row of n - 1 where the grid holds it and
-    from a sieved window where it does not.  No row reads theta at
+    formula and the flags of n // k + 1 (_row_flags), a block of _checked
+    at a time in this thread (_rows with _legendre_rho's log rho), on the
+    table that _checked's table rule sets up.  No row reads theta at
     the quotients: that is for verify eq14-16 and
     theta_sum_rho/theta_sum_sigma (_theta_rho).  The records come in checked
     blocks (_records), so a caller that writes them as they come holds one

@@ -238,7 +238,9 @@ def check_theta_identities(nmax: int, points: int = 1000) -> CheckResult:
     names = ("theta sum for rho", "theta sum for sigma", "quotient log split",
              "quotient prime count")
     t = _primes.default_table()
-    grid = sorted(set(max(1, (i * nmax) // points) for i in range(1, points + 1)))
+    grid = sorted({(i * nmax) // points for i in range(1, points + 1)} - {0})
+    if not grid:  # nmax 0: no n >= 1 to check
+        return res
     worst = (0.0, grid[0], names[0])  # |difference| / bound, n, comparison
     for part, _, ratio, bound in analytics._checked(grid, t, theta=True):
         res.cases += len(part)
@@ -271,5 +273,6 @@ def check_split(nmax: int) -> CheckResult:
         ratio = small_log / math.sqrt(n)
         if ratio > sup:
             sup, sup_n = ratio, n
-    res.notes.append(f"sup of small-part log / sqrt(n) = {sup:.6f} at n = {sup_n}")
+    if res.cases:
+        res.notes.append(f"sup of small-part log / sqrt(n) = {sup:.6f} at n = {sup_n}")
     return res

@@ -602,6 +602,18 @@ _SPARSE = sorted(
 )
 
 
+def test_analytics_reads_the_prime_table_through_its_public_reads():
+    # the analytic layer reads a PrimeTable only through prime_mask,
+    # primes_up_to, theta_many and pi (and limit, ensure, segment), never
+    # through the table's private state
+    import ast
+
+    tree = ast.parse(open(analytics.__file__, encoding="utf-8").read())
+    private = {"_derived", "_bitmap", "_arrays"}
+    read = [(node.lineno, node.attr) for node in ast.walk(tree) if getattr(node, "attr", None) in private]
+    assert read == []
+
+
 def test_a_scan_below_the_threshold_derives_the_primes_to_sqrt_n_alone(c_mid):
     # _SPARSE reads too few cells to pay for a bitmap up to n + 2: _checked
     # grows the table to sqrt(max n) + 2 alone, its rows and their check read
@@ -665,6 +677,21 @@ def _md5_rows(records):
     return hashlib.md5("".join(rec.csv_row() + "\n" for rec in records).encode()).hexdigest()
 
 
+def _spy_windows(monkeypatch):
+    """{name: [(n, t.limit), ...]} of each call to the row's and the check
+    route's windows, _quotient_flags and _route_flags, in call order."""
+    windows = {"_quotient_flags": [], "_route_flags": []}
+    for name, seen in windows.items():
+        real = getattr(analytics, name)
+
+        def spy(n, xs, t, real=real, seen=seen):
+            seen.append((n, t.limit))
+            return real(n, xs, t)
+
+        monkeypatch.setattr(analytics, name, spy)
+    return windows
+
+
 @pytest.mark.parametrize("cells", [None, 300])
 @pytest.mark.parametrize("grid", list(_PINNED_ROWS), ids=lambda g: f"{g[0]}-{g[-1]}")
 def test_carried_rows_equal_each_n_alone_and_the_pinned_bytes(grid, cells, c_mid, monkeypatch):
@@ -676,10 +703,7 @@ def test_carried_rows_equal_each_n_alone_and_the_pinned_bytes(grid, cells, c_mid
     # bytes
     alone = [scan([n], table=PrimeTable(), c=c_mid)[0] for n in grid]
     starts = [n for i, n in enumerate(grid) if i == 0 or grid[i - 1] != n - 1]
-    windows = {"_quotient_flags": [], "_route_flags": []}
-    for name, seen in windows.items():
-        real = getattr(analytics, name)
-        monkeypatch.setattr(analytics, name, lambda n, *a, real=real, seen=seen: seen.append(n) or real(n, *a))
+    windows = _spy_windows(monkeypatch)
     if cells:
         monkeypatch.setattr(analytics, "_TABLE_BLOCK_CELLS", cells)
     t = PrimeTable()
@@ -689,7 +713,61 @@ def test_carried_rows_equal_each_n_alone_and_the_pinned_bytes(grid, cells, c_mid
     assert t.limit == math.isqrt(grid[-1]) + 2
     past = {n for n in starts if n + 1 > t.limit}
     for seen in windows.values():
+        seen = [n for n, _ in seen]
         assert past <= set(seen) <= set(starts) and len(seen) == len(set(seen))
+
+
+def _md5_values(rows):
+    """md5 of the repr of each row's values, one row a line."""
+    import hashlib
+
+    return hashlib.md5("".join(repr(tuple(row)) + "\n" for row in rows).encode()).hexdigest()
+
+
+def test_theta_rows_across_the_table_end_take_windows_past_it_alone(monkeypatch):
+    # verify eq14-16 at nmax 4196306 on 8 points is one block of theta rows
+    # whose last n alone is past 2^22: the table reaches the n + 2 before
+    # it, and the last row's one cell past it, x = n + 1, is tested on its
+    # own.  No row that the table reaches takes a window, and every row
+    # equals the row of its n alone and the pinned bytes
+    rows, real = [], analytics._rows
+
+    def recorded(*args):
+        rows.extend(real(*args))
+        return rows[-len(args[0]) :]
+
+    monkeypatch.setattr(analytics, "_rows", recorded)
+    monkeypatch.setattr(primes, "_default_table", PrimeTable())
+    windows = _spy_windows(monkeypatch)
+    res = verify.check_theta_identities(4196306, points=8)
+    assert res.passed and res.cases == 8
+    assert [n for n, limit in windows["_quotient_flags"]] == [4196306]
+    assert all(n + 1 > limit for seen in windows.values() for n, limit in seen)
+    monkeypatch.undo()
+    grid = [i * 4196306 // 8 for i in range(1, 9)]
+    assert grid[-2] < LUCY_THRESHOLD <= grid[-1]
+    assert rows == [row for n in grid for row in _theta_rows([n], PrimeTable())]
+    assert _md5_values(rows) == "491bb5f81494d97d7a1b3978d9918bde"
+
+
+def test_scan_rows_across_the_table_end_take_windows_past_it_alone(c_mid):
+    # scan rows of one block, runs of consecutive n and gaps, on a table
+    # that ends inside the block: the rows it reaches read the bitmap, and
+    # only the rows past it that follow no n - 1 take windows, the row's
+    # and the check route's.  Every row equals the row of its n alone and
+    # the pinned bytes
+    end = 1_000_006
+    grid = [end - 9, end - 7, end - 6, end - 5, end - 3, end - 1, end, end + 1, end + 3, end + 4, end + 6]
+    t = PrimeTable(end)
+    assert len(list(analytics._blocks(n // (math.isqrt(n) + 1) + 1 for n in grid))) == 1
+    with pytest.MonkeyPatch.context() as mp:
+        windows = _spy_windows(mp)
+        rows = scan(grid, table=t, c=c_mid)
+    assert t.limit == end
+    for seen in windows.values():
+        assert seen == [(end + 3, end), (end + 6, end)]
+    assert rows == [scan([n], table=PrimeTable(), c=c_mid)[0] for n in grid]
+    assert _md5_rows(rows) == "c7ab352c0a7279716f6de0cb8b4ab350"
 
 
 # carry mutants near 2^36, each failing on card_A alone: m = 1024 p with p
@@ -1063,12 +1141,32 @@ def _flagged_row_fails(capsys, n, *more):
         theta_sum_sigma(n)
 
 
+def _flag_one_past_the_table(real, n, flagged):
+    """real, the row's _quotient_flags, with one composite flagged prime at
+    n: the x = n // k + 1 of the largest k whose x is past the table and
+    composite, the cell one past the table, which the row reads from its
+    window.  Each x so flagged is appended to flagged."""
+
+    def flags(m, small, t):
+        out = real(m, small, t)
+        if m == n:
+            xs = (small + 1).tolist()
+            k = next(k for k in range(len(xs), 0, -1) if not primes.is_probable_prime(xs[k - 1]))
+            assert xs[k - 1] > t.limit
+            out[k - 1] = True
+            flagged.append(xs[k - 1])
+        return out
+
+    return flags
+
+
 def test_a_composite_flagged_prime_in_a_row_fails_on_log_sigma(monkeypatch, capsys):
     # one composite n // k + 1 flagged prime in a row's assembly, not in the
     # table: log sigma and s1 gain the same log and card_A one, so only the
     # check route's own flags see it.  First in the flags that
     # _prime_quotients reads, on the scan's row and the table row near 2^20,
-    # then from _quotient_flags on the scan's and the Lucy row at _MUTANT_N
+    # then from _quotient_flags, one past the table, on the scan's and the
+    # Lucy row at _MUTANT_N
     n = (1 << 20) + 12345
     k = _last_composite_k(n)
     real_quotients = analytics._prime_quotients
@@ -1083,41 +1181,35 @@ def test_a_composite_flagged_prime_in_a_row_fails_on_log_sigma(monkeypatch, caps
     # the split's 1e-6 n, about 1.05 here, sees the log too; at 2^30 it does not
     _flagged_row_fails(capsys, n, f"n={n}: quotient log split")
     monkeypatch.undo()
-    k = _last_composite_k(_MUTANT_N)
-    real_flags = analytics._quotient_flags
-
-    def flags(m, small, t):
-        out = real_flags(m, small, t)
-        out[k - 1] |= m == _MUTANT_N
-        return out
-
+    flagged = []
+    flags = _flag_one_past_the_table(analytics._quotient_flags, _MUTANT_N, flagged)
     monkeypatch.setattr(analytics, "_quotient_flags", flags)
     _flagged_row_fails(capsys, _MUTANT_N)
+    assert len(flagged) == 3  # the scan, the verify and theta_sum_sigma each flagged one
 
 
 def test_a_composite_flagged_prime_fails_on_card_A_where_the_logs_pass(monkeypatch, capsys):
-    # at 2^36 + 12345 the composite n // 2^18 + 1 = 262145 = 5 * 52429,
-    # flagged prime in the row's window, adds about 12.5 to log sigma and s1
-    # alike, inside log sigma's bound of 24 and the split's 1e-6 n; only
-    # card_A against the check route's exact count sees it
+    # at 2^36 + 12345 the composite n // 2^18 + 1 = 262145 = 5 * 52429 is
+    # on a table up to r + 2, which reads it; one past the table the
+    # composite flagged prime in the row's window, 262148 on that table,
+    # adds about 12.5 to log sigma and s1 alike, inside log sigma's bound of
+    # 24 and the split's 1e-6 n, as any x below e^24 does; only card_A
+    # against the check route's exact count sees it
     n = (1 << 36) + 12345
     k = math.isqrt(n)
-    assert n // k + 1 == 262145 == 5 * 52429
+    assert n // k + 1 == 262145 == 5 * 52429 <= k + 2
     bound = analytics._theta_budget([n], np.zeros(1), np.zeros(1), PrimeTable(k + 2), False)[0, 1]
     assert math.log(262145) < bound
-    real_flags = analytics._quotient_flags
-
-    def flags(m, small, t):
-        out = real_flags(m, small, t)
-        out[k - 1] |= m == n
-        return out
-
+    flagged = []
+    flags = _flag_one_past_the_table(analytics._quotient_flags, n, flagged)
     monkeypatch.setattr(analytics, "_quotient_flags", flags)
     error = f"card_A disagrees with the check route's count of prime quotients at n={n}"
     assert cli.main(["scan", "--grid", f"list:{n}", "--nmax", str(n)]) == 1
     assert capsys.readouterr() == ("", f"error: {error}\n")
     with pytest.raises(ArithmeticError, match=error):
         quotient_prime_count(n, PrimeTable())
+    assert len(flagged) == 2 and flagged[1] == 262148
+    assert all(math.log(x) < bound for x in flagged)
 
 
 def test_a_composite_flagged_prime_in_the_route_fails_on_card_A(monkeypatch, capsys):

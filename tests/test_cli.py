@@ -363,6 +363,16 @@ def test_verify_passing(capsys):
     assert "ok: split passed on 2000 cases" in out
 
 
+def test_verify_at_nmax_0_checks_only_its_range(capsys):
+    # eq14-16 and split check n >= 1, so at nmax 0 they check no case and
+    # report no worst ratio or sup; prop1, prop2 and cor2 check n = 0, prop1
+    # in its 2 n + 8 cases
+    for check in ("eq14-16", "split"):
+        assert run_cli(capsys, "verify", check, "--nmax", "0") == (0, f"ok: {check} passed on 0 cases\n", "")
+    for check, cases in (("prop1", 8), ("prop2", 1), ("cor2", 1)):
+        assert run_cli(capsys, "verify", check, "--nmax", "0") == (0, f"ok: {check} passed on {cases} cases\n", "")
+
+
 def test_verify_theorem2_and_theta(capsys):
     code, out, _ = run_cli(capsys, "verify", "theorem2", "--nmax", "200")
     assert code == 0
