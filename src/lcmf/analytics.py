@@ -1,4 +1,4 @@
-"""Analytic layer: the constant c, theta-sum identities, and scans.
+"""Analytic layer: the constant c, the rows of scans and theta sums, and their check.
 
 The headline quantities are log rho(n) and log sigma(n).  Both admit exact
 rewrites as sums of theta values over the ~2 sqrt(n) distinct quotients n//k,
@@ -21,21 +21,19 @@ analytic series, and prime_series_constant() encloses it rigorously.
 Each route decides the primality of every n // k + 1 in one function, by
 its own flag rule: the row in _row_flags, the check route in
 _route_carried.  How far the table reaches, which is where both stop
-reading its bitmap, is _checked's table rule.  The log rho route depends
-on what the caller reads.  A scan row, and the one-n functions that read
-no theta (s_split, quotient_prime_count), take _legendre_rho at every n,
-in O(sqrt n) per row: Legendre's formula, one term per prime up to
-sqrt(n).  Of the table such a row reads the bitmap, as far as _checked
-grew it, and the primes up to sqrt(n) + 1 alone.  verify eq14-16 and
-theta_sum_rho and theta_sum_sigma, which check the theta sums themselves,
-take _theta_rho, the sum of theta(n // k): below LUCY_THRESHOLD lookups in
-a prime table up to n + 2, about 1 + 16 / ln n bytes per integer, at the
-block's quotients; from it on theta at every quotient from Lucy's sieve
-(_lucy), in O(n**(3/4)) time and O(sqrt n) memory, one n at a time.  Each
-row sums in a fixed order over its own arrays, so scan output is
-reproducible bit for bit on one platform whatever the grid or its blocks.
-A scan is one stream of records in n order, made and checked a block at a
-time in the calling thread (_records), which the writers take as it comes.
+reading its bitmap, is _checked's table rule.  The log rho route is the
+caller's, a _RowKind with its budget and price.  A scan row, and the one-n
+functions that read no theta (s_split, quotient_prime_count), take
+_SCAN_ROWS at every n, in O(sqrt n) per row: Legendre's formula
+(_legendre_rho), one term per prime up to sqrt(n).  Of the table such a row
+reads the bitmap, as far as _checked grew it, and the primes up to
+sqrt(n) + 1 alone.  verify eq14-16 and theta_sum_rho and theta_sum_sigma,
+which check the theta sums themselves, take theta._THETA_ROWS, the sum of
+theta(n // k) (lcmf.theta), which no scan imports.  Each row sums in a
+fixed order over its own arrays, so scan output is reproducible bit for bit
+on one platform whatever the grid or its blocks.  A scan is one stream of
+records in n order, made and checked a block at a time in the calling
+thread (_records), which the writers take as it comes.
 """
 
 from __future__ import annotations
@@ -43,14 +41,14 @@ from __future__ import annotations
 import bisect
 import contextlib
 import itertools
-import json
 import math
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
+# the lcmf modules before numpy, so that they compile before it loads (README)
 from . import primes as _primes
 from .primes import PrimeTable
+
+import numpy as np
 
 DEFAULT_TAIL_CUT = 50_000_000
 _ROUNDING_SLOP = 1e-11  # covers float accumulation error in the partial sums
@@ -366,9 +364,9 @@ def _prime_quotients(ns: list[int], q, prime_q, mask):
     return card, s1, s2
 
 
-# -- Lucy's sieve ---------------------------------------------------------------------
+# -- rows ---------------------------------------------------------------------------
 
-# LUCY_THRESHOLD picks the theta sums' route (_theta_rho) and bounds
+# LUCY_THRESHOLD picks the theta sums' route (theta._theta_rho) and bounds
 # _checked's table rule, which _DENSE_GRID sets for scan grids.  Below it
 # theta is looked up in the table, which needs the table up to n + 2 and its
 # primes and theta prefix derived that far; from it on it is Lucy's sieve's,
@@ -410,34 +408,14 @@ _WINDOW_ROOTS = 8
 # the space they leave, and with uint32 k `scan --grid list:2^40` peaked
 # 0.9 MB higher
 _K = np.uint32
-_LUCY_BATCH_CELLS = 1 << 16  # start values, or phase-2 (p, k) pairs, per chunk of _lucy
 # the quotients n // k, k = 1..top + 1, of a block of rows, counted at its
 # widest row (_blocks), where _checked cuts the grid once for the rows, their
 # log rho and their check: a block's few arrays of 8-byte cells stay within
 # _legendre_bytes' fixed term.  Each block pays fixed costs (_exponents,
-# _log_factorial, _theta_budget): the scan rows and check of a
+# _log_factorial, the budget): the scan rows and check of a
 # 1500-row step:1 window near 2^20 took 107 ms at 2^13 and 96 ms at 2^14
 # (medians of 8 processes on one CPU of a 2-vCPU VM)
 _TABLE_BLOCK_CELLS = 1 << 14
-
-
-def _row_bytes(n: int) -> int:
-    """An upper estimate of the peak bytes of a theta-sum row at n from
-    LUCY_THRESHOLD on, its table already built.
-
-    The fixed term is ten int64 or float64 arrays of one _lucy chunk, the
-    other the arrays of sqrt(n) or 2 sqrt(n) entries, 125 B per sqrt(n), and
-    the sieved window of _quotient_flags, _WINDOW_ROOTS B more.  The
-    tracemalloc peak of a row was 1.01 MB at 2^24, 4.8 MB at 2^28, 7.1 MB at
-    2^30, 15.3 MB at 2^34, and 28.2 and 34.4 MB at 2^36 and 1.5 * 2^36, 107 B
-    more per sqrt(n) between those two, with the window and without it: the
-    chunk's arrays set the peak at the small n, _lucy's sqrt(n) arrays, its
-    quotients the row of _rows' q, at the large, and _rows' flags and
-    window, made once _theta_rho has let _lucy's arrays go, stay below it.
-    A row's check (_factorial_sums, _theta_budget with its one _row_budget)
-    peaked at up to 42 B per sqrt(n), below the row's own peak.
-    """
-    return 80 * _LUCY_BATCH_CELLS + (125 + _WINDOW_ROOTS) * math.isqrt(n)
 
 
 def _legendre_bytes(n: int) -> int:
@@ -482,130 +460,6 @@ def _log_factorial(v: np.ndarray) -> np.ndarray:
     tabled = np.flatnonzero(v < _LOG_FACTORIAL_CUT)
     out[tabled] = _LOG_FACTORIALS[v[tabled]]
     return out
-
-
-def _s1_budget(v, updates: int):
-    """Budget on |S1(v) - theta(v)| after Lucy's sieve with `updates` primes (see _lucy)."""
-    return 2.0**-52 * (16 * updates + 4) * v * np.log(np.maximum(v, 2))
-
-
-def _lucy(n: int, t: PrimeTable, q: np.ndarray):
-    """pi and theta at every quotient of n by Lucy's sieve, from q = n // k for
-    k = 1..top + 1, top = n // (r + 1), r = isqrt(n): two pairs of arrays, pi
-    then theta, each at the small quotients q[:r] and at v = 0..top.
-
-    Lucy's sieve (Lagarias-Miller-Odlyzko 1985, Deleglise-Rivat 1996): S0(v)
-    counts and S1(v) log-sums the integers 2..v with no prime factor below p.
-    They start as v - 1 and log v! (_log_factorial); for each prime
-    p <= sqrt(n) and each v >= p**2, the multiples of p with no smaller
-    factor are removed:
-
-        S0(v) -= S0(v/p) - S0(p-1)
-        S1(v) -= log p * (S0(v/p) - S0(p-1)) + S1(v/p) - S1(p-1)
-
-    after which S0 = pi and S1 = theta at every quotient, in O(n**(3/4)) time
-    and O(sqrt n) memory.  It runs in two phases, split at the cube root of n
-    (Deleglise-Rivat's split):
-
-    1. each prime p with p**3 <= n updates the small and the large quotients
-       in turn, one vectorised step per prime;
-    2. the primes p in (cbrt n, sqrt n] update only S(n // k) with
-       k <= n // p**2 < cbrt n, so every value they write exceeds n**(2/3),
-       and every value they read, S(n // (k p)) and S(p - 1), lies below
-       n / p < n**(2/3).  No prime above cbrt n changes S below n**(2/3), so
-       those reads are already final after phase 1, and the writes never
-       feed a read.  Phase 2 is therefore one batch: the (p, k) pairs are
-       flattened, gathered and summed per k by np.bincount, then subtracted,
-       in chunks of at most _LUCY_BATCH_CELLS pairs.
-
-    S0 is int64, so exact; its bincount sums are integers below n, exact in
-    float64.  S1 is float64.  At v every operand is at most log v! <= v log v,
-    each of the pi(sqrt v) updates rounds four times, and S1(v) inherits the
-    errors of the S1(v/p) it reads, whose weights fall off about as p**-1.5
-    (summed over the primes, 0.85).  That gives the budget (_s1_budget)
-
-        |S1(v) - theta(v)| <= 2**-52 (16 pi(sqrt n) + 4) v log v,
-
-    about 8900 at v = n = 2^40, a relative 8e-9.  The start values take 2
-    of the constant 4: each is within 2 units of 2**-52 v log v of log v!.
-    The batch keeps within the budget:
-    an update there rounds in log p * d0, in d1 and in their sum, and then
-    once as bincount adds it to a running sum of positive terms, which never
-    exceeds the log v! it is taken from; the one subtraction per chunk
-    replaces the rounding of each update's own subtraction.  That is at most
-    four roundings per update at magnitude <= v log v, as in phase 1, and no
-    more.  Against an 80-bit run of the same recurrence the error stayed
-    within 3.4 ulps of v log v up to 2^34; the table's theta prefix is within
-    11 ulps of exact up to 2^26.
-
-    The in-row check: at every v <= sqrt(n) + 1, S0 must equal the table's pi
-    and S1 its theta within the budget, else ArithmeticError.
-    """
-    r, top = math.isqrt(n), len(q) - 1
-    small = q[:r]
-    # one array per sum, hi then lo, index 0 of each padding: hi[k] holds
-    # S(n // k) and lo[v] S(v), so S(v) for v <= top is at r + 1 + v.  They
-    # start as v - 1 and log v!, the latter _LUCY_BATCH_CELLS values at a time
-    all0 = np.concatenate(([0], small, np.arange(top + 1, dtype=np.int64)))
-    all1 = np.empty(len(all0))
-    for a in range(0, len(all0), _LUCY_BATCH_CELLS):
-        all1[a : a + _LUCY_BATCH_CELLS] = _log_factorial(all0[a : a + _LUCY_BATCH_CELLS])
-    all0 -= 1
-    hi0, lo0, hi1, lo1 = all0[: r + 1], all0[r + 1 :], all1[: r + 1], all1[r + 1 :]
-    ps = t.primes_up_to(r)
-    cut = int(np.searchsorted(ps, _primes.iroot(n, 3), side="right"))
-    for p in ps[:cut].tolist():
-        c0, c1, lp = lo0[p - 1], lo1[p - 1], math.log(p)
-        kmax = min(r, n // (p * p))
-        kd = min(kmax, r // p)  # k <= kd: n // (k p) is a small quotient, hi[k p]
-        far = small[kd:kmax] // p  # n // (k p) = (n // k) // p, for k = kd+1..kmax
-        d0 = np.concatenate((hi0[p : kd * p + 1 : p], lo0[far])) - c0
-        d1 = np.concatenate((hi1[p : kd * p + 1 : p], lo1[far])) - c1
-        hi1[1 : kmax + 1] -= lp * d0 + d1
-        hi0[1 : kmax + 1] -= d0
-        if p * p <= top:
-            # v // p over v = p**2..top is j = p.., p times each: a (rows, p)
-            # view of the full runs of p, then the tail of the last j
-            rows = (top + 1 - p * p) // p
-            e0 = lo0[p : p + rows + 1] - c0
-            e1 = lp * e0 + (lo1[p : p + rows + 1] - c1)
-            for lo, e in ((lo0, e0), (lo1, e1)):
-                runs = lo[p * p : p * (p + rows)].reshape(rows, p)
-                runs -= e[:rows, None]
-                lo[p * (p + rows) :] -= e[rows]
-    # phase 2: the pairs (p, k) with k <= n // p**2, p ascending then k,
-    # taken _LUCY_BATCH_CELLS at a time
-    big = ps[cut:]
-    counts = n // (big * big)
-    ends = np.cumsum(counts)
-    starts, logs = ends - counts, np.log(big)
-    total = int(ends[-1]) if len(big) else 0
-    for a in range(0, total, _LUCY_BATCH_CELLS):
-        b = min(a + _LUCY_BATCH_CELLS, total)
-        # i: the index in big of each pair's prime
-        i0 = np.searchsorted(ends, a, side="right")
-        i1 = np.searchsorted(ends, b - 1, side="right") + 1
-        i = np.repeat(
-            np.arange(i0, i1), np.minimum(ends[i0:i1], b) - np.maximum(starts[i0:i1], a)
-        )
-        p, k = big[i], np.arange(a, b, dtype=np.int64) - starts[i] + 1
-        m = k * p
-        at = np.where(m <= r, m, r + 1 + n // m)  # S(n // m)
-        d0 = all0[at] - all0[r + p]  # all0[r + 1 + (p - 1)] = S0(p - 1)
-        d1 = all1[at] - all1[r + p]
-        dec0, dec1 = np.bincount(k, weights=d0), np.bincount(k, weights=logs[i] * d0 + d1)
-        hi0[: len(dec0)] -= dec0.astype(np.int64)
-        hi1[: len(dec1)] -= dec1
-    # the in-row check against the table, at every quotient v <= sqrt(n) + 1:
-    # all the large ones (top <= r), and the small n // k with k > n // (r + 2)
-    k0 = n // (r + 2)
-    vs = np.concatenate((np.arange(1, top + 1, dtype=np.int64), small[k0:]))
-    s0 = np.concatenate((lo0[1:], hi0[k0 + 1 :]))
-    s1 = np.concatenate((lo1[1:], hi1[k0 + 1 :]))
-    pi = np.searchsorted(t.primes_up_to(r + 1), vs, side="right")
-    if np.any(s0 != pi) or np.any(np.abs(s1 - t.theta_many(vs)) > _s1_budget(vs, len(ps))):
-        raise ArithmeticError(f"Lucy's sieve disagrees with the prime table at n={n}")
-    return (hi0[1:], lo0), (hi1[1:], lo1)
 
 
 def _prime_flags(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -740,66 +594,22 @@ def _exponents(nb: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return e
 
 
-def _legendre_rho(ns: Sequence[int], t: PrimeTable) -> list[float]:
-    """log rho(n) of each n of the ascending ns, one block, by Legendre's
-    formula
+def _legendre_rho(ns: Sequence[int], q: np.ndarray, t: PrimeTable) -> list[float]:
+    """log rho(n) of each n of the ascending ns, one block whose quotients
+    q = n // k _rows made, by Legendre's formula
 
         log rho(n) = log n! - sum over primes p <= sqrt(n) of e_p log p,
 
-    with e_p from _exponents, one term per prime, so the repeated division
-    runs its steps once for the whole block.  Each row sums its own terms
-    (_slice_sums), so its value does not depend on the block."""
+    with e_p from _exponents at q's first column, n // 1 = n, one term per
+    prime, so the repeated division runs its steps once for the whole block.
+    Each row sums its own terms (_slice_sums), so its value does not depend
+    on the block."""
     roots = [math.isqrt(n) for n in ns]
-    nb = np.array(ns, dtype=np.int64)[:, None]
+    nb = q[:, :1]
     ps = t.primes_up_to(roots[-1])
     cuts = ps.searchsorted(roots, side="right").tolist()  # pi(sqrt n)
     sums = _slice_sums(_exponents(nb, ps) * np.log(ps), cuts)  # no product outlives it
     return (_log_factorial(nb[:, 0]) - sums).tolist()
-
-
-def _theta_rho(ns: Sequence[int], q: np.ndarray, t: PrimeTable) -> list[float]:
-    """log rho(n) of each n of the ascending ns >= 1, one block whose
-    quotients q = n // k, k = 1..top + 1 of the last row, _rows made, as the
-    sum over k = 1..n of theta(n // k), eq. (14): theta at the r = isqrt(n)
-    small quotients n // k, k <= r, and at each large v <= top = n // (r + 1),
-    weighed by mult = n // v - n // (v + 1), the number of k > r with
-    n // k == v.  The theta sums that verify eq14-16 and
-    theta_sum_rho/theta_sum_sigma check.
-
-    Below LUCY_THRESHOLD theta is looked up in the table, which _checked
-    grows to n + 2, by theta_many at the block's q and at v <= top, for all
-    the block's rows below it at once, over their own columns of q, up to
-    top + 1 of the last of them; its primes and theta prefix are derived to
-    n.  From it on theta at every quotient is _lucy's, from row i's
-    q[i, :top + 1], in O(n**(3/4)) time and O(sqrt n) memory, one n at a
-    time.  Each row sums its own slices (_slice_sums), so its value does
-    not depend on the block.
-    """
-    light = bisect.bisect_left(ns, LUCY_THRESHOLD)
-    out = []
-    if light:
-        w = ns[light - 1] // (math.isqrt(ns[light - 1]) + 1) + 1  # top + 1, nondecreasing in n
-        theta_v = t.theta_many(np.arange(w))  # theta(v) for v <= top
-        q_light = q[:light, :w]
-        out = _theta_sums(ns[:light], q_light[:, :-1] - q_light[:, 1:], t.theta_many(q_light), theta_v)
-    for i, n in enumerate(ns[light:], light):
-        row = q[i, : n // (math.isqrt(n) + 1) + 1]
-        theta_q, theta_v = _lucy(n, t, row)[1]
-        out += _theta_sums([n], (row[:-1] - row[1:])[None], theta_q[None], theta_v)
-    return out
-
-
-def _theta_sums(ns: list[int], mult, theta_q, theta_v) -> list[float]:
-    """The sum of theta(n // k) over k = 1..n of each n of a block of ascending
-    ns: row i of theta_q holds theta(n // k) at its first r = isqrt(n) cells,
-    theta_v theta(v) at each v < w, w = top + 1 of the widest row, and row i
-    of mult n // v - n // (v + 1) at v = 1..w-1, the number of k > r with
-    n // k == v for v <= top.  Each row sums over its own slices
-    (_slice_sums), so its sum does not depend on the block."""
-    roots = [math.isqrt(n) for n in ns]
-    tops = [n // (r + 1) for n, r in zip(ns, roots)]
-    mult_theta = mult * theta_v[1 : mult.shape[1] + 1]  # at v = 1..w-1
-    return (_slice_sums(theta_q, roots) + _slice_sums(mult_theta, tops)).tolist()
 
 
 def _row_steps(ns, before: int, q) -> tuple[np.ndarray, np.ndarray | None]:
@@ -848,10 +658,22 @@ def _row_flags(ns, q, roots, t: PrimeTable, carry: _Carry) -> np.ndarray:
     return flags
 
 
-def _rows(ns: Sequence[int], t: PrimeTable, theta: bool, carry: _Carry) -> list[_Row]:
+class _RowKind(NamedTuple):
+    """The log rho of _checked's rows and what comes with it: rho(ns, q, t)
+    of a block (_rows), budget(ns, rho, sigma, t) against the check route
+    (_check_block), row_bytes(n) of one row, and table, whether the rows
+    below LUCY_THRESHOLD read the table up to n + 2 (_checked)."""
+
+    rho: Callable
+    budget: Callable
+    row_bytes: Callable[[int], int]
+    table: bool
+
+
+def _rows(ns: Sequence[int], t: PrimeTable, kind: _RowKind, carry: _Carry) -> list[_Row]:
     """(log_rho, log_sigma, card_A, s1, s2) of each n of the ascending ns >= 1,
     one block of _checked: the one row assembly, of the scan's rows (log rho
-    from _legendre_rho) and, if theta, the theta-sum rows (_theta_rho).
+    from _legendre_rho) and the theta-sum rows (theta._theta_rho), by kind.
 
     q = n // k, k = 1..top + 1 of the last row, is made once for the block.
     card_A, s1 and s2 are _prime_quotients' over q, the flags of n // k + 1,
@@ -868,32 +690,35 @@ def _rows(ns: Sequence[int], t: PrimeTable, theta: bool, carry: _Carry) -> list[
     0.755 n, and s1 and s2 add at most sqrt(n) terms each, of total log
     sigma(n) - log rho(n), each term within 5 units (np.log, the conversion
     of e_p or mult, the product); the sums and the two closing sums round as
-    the route's do.  With _theta_rho's, _theta_budget gives the bound.
+    the route's do.  theta._theta_budget bounds theta._theta_rho's.
     """
     nb, roots = np.array(ns, dtype=np.int64)[:, None], [math.isqrt(n) for n in ns]
     q, w = nb // np.arange(1, ns[-1] // (roots[-1] + 1) + 2, dtype=np.int64), roots[-1]
-    rho = _theta_rho(ns, q, t) if theta else _legendre_rho(ns, t)
+    rho = kind.rho(ns, q, t)
     flags = _row_flags(ns, q[:, :w], roots, t, carry)
     card, s1, s2 = _prime_quotients(ns, q, flags, t.prime_mask(roots[-1] + 1))
     return [(lr, lr + (x + y), c, x, y) for lr, c, x, y in zip(rho, card, s1, s2)]
 
 
-def _one_row(n: int, table: PrimeTable | None, theta: bool) -> ScanRecord:
-    """The record of the one n at c = 0, checked (_records): a theta-sum row
-    if theta, else the scan's row."""
+def _one_row(n: int, table: PrimeTable | None, kind: _RowKind) -> ScanRecord:
+    """The record of the one n at c = 0, checked (_records), a row of kind."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return next(_records(_checked([n], _primes._table(table), theta), 0.0))
+    return next(_records(_checked([n], _primes._table(table), kind), 0.0))
 
 
 def theta_sum_rho(n: int, table: PrimeTable | None = None) -> float:
     """Sum over k = 1..n of theta(n / k); identical to log rho(n) exactly."""
-    return _one_row(n, table, True).log_rho
+    from .theta import _THETA_ROWS  # compiled by the theta sums alone
+
+    return _one_row(n, table, _THETA_ROWS).log_rho
 
 
 def theta_sum_sigma(n: int, table: PrimeTable | None = None) -> float:
     """Sum over k = 1..n of theta(n / k + 1); identical to log sigma(n)."""
-    return _one_row(n, table, True).log_sigma
+    from .theta import _THETA_ROWS
+
+    return _one_row(n, table, _THETA_ROWS).log_sigma
 
 
 def s_split(n: int, table: PrimeTable | None = None) -> tuple[float, float, float]:
@@ -903,13 +728,13 @@ def s_split(n: int, table: PrimeTable | None = None) -> tuple[float, float, floa
     quotients), and s_total = s1 + s2 by construction.  s_total equals
     log sigma(n) - log rho(n) up to float accumulation.
     """
-    rec = _one_row(n, table, False)
+    rec = _one_row(n, table, _SCAN_ROWS)
     return rec.s1 + rec.s2, rec.s1, rec.s2
 
 
 def quotient_prime_count(n: int, table: PrimeTable | None = None) -> int:
     """Number of k <= sqrt(n) for which floor(n/k + 1) is prime (card_A)."""
-    return _one_row(n, table, False).card_A
+    return _one_row(n, table, _SCAN_ROWS).card_A
 
 
 # -- scans --------------------------------------------------------------------------
@@ -940,74 +765,25 @@ _CSV_ROW = "%s,%r,%r,%r,%r,%s,%r,%r,%r"
 assert CSV_HEADER == ",".join(ScanRecord._fields)
 
 
-def _row_budget(n: int, updates: int) -> float:
-    """The sum over k = 1..n of _s1_budget(n // k, updates): the budget of a
-    Lucy row's sum of theta(n // k) from the errors of its S1."""
-    r = math.isqrt(n)
-    q = n // np.arange(1, n // (r + 1) + 2, dtype=np.int64)
-    small = np.add.reduce(_s1_budget(q[:r], updates))
-    mult, top = q[:-1] - q[1:], len(q) - 1  # mult at v = 1..top
-    del q
-    at = _s1_budget(np.arange(1, top + 1, dtype=np.int64), updates)  # at v = 1..top
-    return float(small + np.add.reduce(mult * at))
-
-
-def _theta_budget(ns, rho, sigma, t: PrimeTable, theta: bool) -> np.ndarray:
-    """Budgets on |a row's log rho(n) and log sigma(n) - _factorial_sums'
-    values|, in columns 0 and 1, at each n >= 1 of ns, whose rows' values
-    are rho and sigma.
-
-    A scan row (_legendre_rho's log rho) and the check route are each within
-    _factorial_budget(n) of the exact value, so a scan row's budget is
-    2 _factorial_budget(n) in both columns, at every n.
-
-    A theta-sum row's log rho is its sum of theta(n // k), k = 1..n, over
-    m = r + top <= 2 sqrt(n) terms, r = isqrt(n) and top = n // (r + 1), and
-    its log sigma is log rho + (s1 + s2) (_rows).  With u = 2**-52 and x the
-    column's value, rho or sigma, the budget is the sum of
-
-    - theta's error at w = n // k, by multiplicity: on a Lucy row, from
-      LUCY_THRESHOLD on, _row_budget(n, pi(sqrt n)); on a table row, where
-      theta(w) is the prefix of np.log p (within 4 ulps),
-      u (4 + pi(w) / 2) theta(w) <= 0.7 u w (w + 8) (pi(w) <= w,
-      theta(w) < 1.39 w), summed over w <= n / k under
-      0.7 u (1.645 n**2 + 8 n (1 + log n));
-    - the row's rounding, u (2 sqrt(n) + 1) x;
-    - the check route's error, _factorial_budget(n).
-
-    log rho's m - 1 adds and its products mult theta(v) round by under
-    u (m + 1) rho / 2, about half its share.  log sigma's error is log
-    rho's, plus the split's, plus one add.  s1 + s2 sums at most m terms,
-    each within 5 u of its value (np.log, the conversion of mult, the
-    product), in m - 1 adds, so it is within u (m / 2 + 4.5) (s1 + s2); the
-    add rounds by u sigma / 2.  As sigma = rho + (s1 + s2), u (2 sqrt(n) + 1)
-    sigma covers the three roundings where m / 2 + 4 <= 2 sqrt(n), at every
-    n >= 13; below it the rest, (m / 2 + 4 - 2 sqrt(n)) u (s1 + s2), under
-    6.2 u (most at n = 4), is within the 6.3 u that the theta term counts
-    at k = n, where theta(n // k) = theta(1) = 0 has no error.
-
-    Every budget is at most 1e-6 max(1, n), eq14-16's tolerance, which a
-    Lucy row's passes from about 2^45 and a scan row's from about 2^59.
-    """
+def _legendre_budget(ns, rho, sigma, t: PrimeTable) -> np.ndarray:
+    """_SCAN_ROWS' budgets on |log rho(n) and log sigma(n) - _factorial_sums'
+    values|, in columns 0 and 1, at each n of ns: the row and the route are
+    each within _factorial_budget(n), so 2 _factorial_budget(n) in both, at
+    most 1e-6 max(1, n), eq14-16's tolerance, which it passes from about 2^59."""
     n = np.array(ns, dtype=np.float64)
-    route = _factorial_budget(n)
-    if theta:
-        err = 0.7 * 2.0**-52 * (1.645 * n * n + 8 * n * (1 + np.log(n)))
-        for i in np.flatnonzero(n >= LUCY_THRESHOLD).tolist():
-            err[i] = _row_budget(ns[i], t.pi(math.isqrt(ns[i])))
-        row = 2.0**-52 * (2 * np.sqrt(n) + 1)
-        budget = np.stack([err + row * x + route for x in (rho, sigma)], 1)
-    else:
-        budget = np.stack([2 * route] * 2, 1)
+    budget = np.stack([2 * _factorial_budget(n)] * 2, 1)
     return np.minimum(budget, 1e-6 * np.maximum(1.0, n)[:, None])
 
 
-def _checked(ns, t: PrimeTable, theta: bool):
+_SCAN_ROWS = _RowKind(_legendre_rho, _legendre_budget, _legendre_bytes, False)
+
+
+def _checked(ns, t: PrimeTable, kind: _RowKind):
     """An iterator of (block, rows, ratio, bound) per block of the ascending
     ns, cut once here (_blocks, top + 1 cells a row): the block's rows
-    (_rows, with _theta_rho's log rho if theta, else _legendre_rho's) and
-    its check route (_factorial_sums).  ratio[i] is row i's |difference| /
-    bound[i] against the route, log rho and log sigma within _theta_budget,
+    (_rows, with kind's log rho, the scan's or the theta sums') and its
+    check route (_factorial_sums).  ratio[i] is row i's |difference| /
+    bound[i] against the route, log rho and log sigma within kind's budget,
     s1 + s2 with the route's gap within 1e-6 max(1, n), and card_A with the
     route's exact count within 1/2, so that one flag of n // k + 1 wrong
     fails at any n.  The row and the route each keep a _Carry, the flags of
@@ -1017,10 +793,10 @@ def _checked(ns, t: PrimeTable, theta: bool):
 
     The grid's set-up is done at the call, before any block: it refuses a
     grid that is empty or has an n < 1, prices one row at max(ns), by
-    _row_bytes for theta-sum rows and _legendre_bytes for the scan's, and
-    builds the route's prime powers once, at max(ns) (_prime_powers).  Its
-    table rule: t grows to sqrt(max(ns)) + 2, and to n + 2 for the last n
-    below LUCY_THRESHOLD for theta rows, which look theta up in it, and for
+    kind's row_bytes, and builds the route's prime powers once, at max(ns)
+    (_prime_powers).  Its table rule: t grows to sqrt(max(ns)) + 2, and to
+    n + 2 for the last n below LUCY_THRESHOLD for the rows of a kind that
+    reads it there, the theta rows, which look theta up in it, and for
     scan rows whose cells below it that pay a window, the sum of isqrt(n)
     over the n with no n - 1 before them, are at least that n / _DENSE_GRID.
     So a step:1 window, which pays one window, keeps a table up to
@@ -1030,29 +806,28 @@ def _checked(ns, t: PrimeTable, theta: bool):
     flag source is exact, so the rule moves no byte of a row.  The rows
     derive the table's arrays only as far as they read them: a scan's and
     its check's to sqrt(max(ns)) + 1, the theta sums below LUCY_THRESHOLD
-    (_theta_rho) to their largest n."""
+    (theta._theta_rho) to their largest n."""
     if not ns or ns[0] < 1:
         raise ValueError("scan grid must be nonempty with n >= 1")
     top, light = ns[-1], ns[: bisect.bisect_left(ns, LUCY_THRESHOLD)]
-    need = (_row_bytes if theta else _legendre_bytes)(top)
-    _primes.require_memory(need, f"a scan row at n = {top}")
+    _primes.require_memory(kind.row_bytes(top), f"a scan row at n = {top}")
     paying = (n for n, b in zip(light, itertools.chain([-1], light)) if n - b != 1)  # no n - 1 before
     cells = itertools.accumulate(map(math.isqrt, paying))
-    dense = light and (theta or any(_DENSE_GRID * c >= light[-1] for c in cells))
+    dense = light and (kind.table or any(_DENSE_GRID * c >= light[-1] for c in cells))
     t.ensure(max(light[-1] + 2 if dense else 0, math.isqrt(top) + 2))
     powers, carries = _prime_powers(top, t), (_Carry(), _Carry())
     cuts = _blocks(n // (math.isqrt(n) + 1) + 1 for n in ns)
-    return (_check_block(ns[a:b], t, theta, powers, carries) for a, b in cuts)
+    return (_check_block(ns[a:b], t, kind, powers, carries) for a, b in cuts)
 
 
-def _check_block(block, t: PrimeTable, theta: bool, powers, carries):
+def _check_block(block, t: PrimeTable, kind: _RowKind, powers, carries):
     """_checked's (block, rows, ratio, bound) of one block, the row's and
     the route's carries handed on to the next."""
-    rows = _rows(block, t, theta, carries[0])
+    rows = _rows(block, t, kind, carries[0])
     lr, ls, card, s1, s2 = np.array(rows).T
     rho, sigma, count = _factorial_sums(block, t, powers, carries[1])
     split = 1e-6 * np.maximum(1.0, np.array(block, dtype=np.float64))
-    budget = _theta_budget(block, lr, ls, t, theta)
+    budget = kind.budget(block, lr, ls, t)
     bound = np.column_stack((budget, split, np.full(len(block), 0.5)))
     off = np.stack((lr - rho, ls - sigma, (s1 + s2) - (sigma - rho), card - count), 1)
     return block, rows, np.abs(off) / bound, bound
@@ -1103,7 +878,7 @@ def scan_records(
     at a time in this thread (_rows with _legendre_rho's log rho), on the
     table that _checked's table rule sets up.  No row reads theta at
     the quotients: that is for verify eq14-16 and
-    theta_sum_rho/theta_sum_sigma (_theta_rho).  The records come in checked
+    theta_sum_rho/theta_sum_sigma (theta._theta_rho).  The records come in checked
     blocks (_records), so a caller that writes them as they come holds one
     block, not the scan; an ascending range stays a range.  The
     grid and its set-up (_checked) are settled before the first record is
@@ -1111,7 +886,7 @@ def scan_records(
     """
     if not (isinstance(ns, range) and ns.step > 0):
         ns = sorted(set(int(n) for n in ns))
-    checked = _checked(ns, _primes._table(table), False)
+    checked = _checked(ns, _primes._table(table), _SCAN_ROWS)
     return _records(checked, analytic_constant().midpoint if c is None else c)
 
 
@@ -1194,6 +969,8 @@ def write_json(records, path) -> None:
     """The records as a JSON list of objects, to a file path or a text
     stream, one object at a time: the bytes of json.dump(list, fh, indent=1)
     and a newline, each object json.dumps(indent=1) one level in."""
+    import json  # only this writer reads it
+
     with _opened(path) as fh:
         sep = "[\n "
         for rec in records:

@@ -229,10 +229,10 @@ def check_theta_identities(nmax: int, points: int = 1000) -> CheckResult:
     quotient prime count, on the theta-sum rows of one analytics._checked
     call, which sets the table up for its grid: the scan's row assembly
     (analytics._rows) with log rho the sum of theta(n // k), from table
-    lookups below 2^22 and Lucy's sieve from it on (analytics._theta_rho),
+    lookups below 2^22 and Lucy's sieve from it on (theta._theta_rho),
     each within its bound in analytics._checked, at most 1e-6 * max(1, n);
     a note gives the worst |difference| / bound."""
-    from . import analytics  # numpy-backed, so imported only by the checks that use it
+    from . import theta, analytics  # numpy-backed; theta first, so both compile before numpy
 
     res = CheckResult(check_id="eq14-16")
     names = ("theta sum for rho", "theta sum for sigma", "quotient log split",
@@ -242,7 +242,7 @@ def check_theta_identities(nmax: int, points: int = 1000) -> CheckResult:
     if not grid:  # nmax 0: no n >= 1 to check
         return res
     worst = (0.0, grid[0], names[0])  # |difference| / bound, n, comparison
-    for part, _, ratio, bound in analytics._checked(grid, t, theta=True):
+    for part, _, ratio, bound in analytics._checked(grid, t, theta._THETA_ROWS):
         res.cases += len(part)
         for i, j in zip(*(~(ratio <= 1.0)).nonzero()):  # a NaN fails too
             res.violations.append(f"n={part[i]}: {names[j]} off by more than {bound[i, j]}")

@@ -26,11 +26,13 @@ from lcmf.analytics import (
     write_csv,
     write_json,
 )
-from lcmf import analytics, cli, primes, verify
+from lcmf import analytics, cli, primes, theta, verify
 from lcmf.primes import PrimeTable, default_table
 from lcmf.sequences import rho, sigma
 
 from oracles import trial_primes
+
+SCAN, THETA = analytics._SCAN_ROWS, theta._THETA_ROWS  # the rows of scans and of theta sums
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +190,7 @@ def _table_row_oracle(n, t):
 def _within_sigma_column(row, theta_sigma, n, t):
     """Whether the theta-sum row's log sigma is within _theta_budget's sigma
     column of theta_sigma, a sum of theta(n // k + 1)."""
-    bound = analytics._theta_budget([n], np.array(row[:1]), np.array(row[1:2]), t, True)[0, 1]
+    bound = theta._theta_budget([n], np.array(row[:1]), np.array(row[1:2]), t)[0, 1]
     return abs(row[1] - theta_sigma) <= bound
 
 
@@ -201,21 +203,21 @@ def _legendre_oracle(n, t):
     return float(analytics._log_factorial(np.array([n]))[0] - np.add.reduce(e * np.log(ps)))
 
 
-def _checked_blocks(ns, t, theta):
+def _checked_blocks(ns, t, kind):
     """(blocks, rows): the blocks that _checked cuts the ascending ns into and
-    the rows it gives, the theta-sum rows if theta, else the scan's."""
-    parts = [(block, rows) for block, rows, _, _ in analytics._checked(ns, t, theta)]
+    the rows of kind it gives, the theta-sum rows (THETA) or the scan's (SCAN)."""
+    parts = [(block, rows) for block, rows, _, _ in analytics._checked(ns, t, kind)]
     return [list(block) for block, _ in parts], [row for _, rows in parts for row in rows]
 
 
 def _theta_rows(ns, t):
     """The theta-sum rows of the ascending ns, in _checked's blocks."""
-    return _checked_blocks(ns, t, True)[1]
+    return _checked_blocks(ns, t, THETA)[1]
 
 
 def _scan_rows(ns, t):
     """The scan's rows of the ascending ns, in _checked's blocks."""
-    return _checked_blocks(ns, t, False)[1]
+    return _checked_blocks(ns, t, SCAN)[1]
 
 
 def test_table_rows_equal_the_three_division_route(c_mid):
@@ -236,7 +238,7 @@ def test_table_rows_equal_the_three_division_route(c_mid):
         assert _within_sigma_column(want, theta_sigma, n, t), n
         lr = _legendre_oracle(n, t)
         ls, logn = lr + (s1 + s2), math.log(n)
-        assert next(analytics._records(analytics._checked([n], t, False), c_mid)) == (
+        assert next(analytics._records(analytics._checked([n], t, SCAN), c_mid)) == (
             n, lr, ls, lr - (n * logn - (c_mid + 1.0) * n), ls - (n * logn - n),
             card, card * logn / math.sqrt(n), s1, s2,
         ), n
@@ -259,12 +261,12 @@ def test_table_rows_in_blocks_equal_the_oracle(monkeypatch):
     # n = 1, 2 and 3 share a block of _checked with a large n at the default
     # budget
     few = [1, 2, 3, edge]
-    assert _checked_blocks(few, t, True) == ([few], [want[n] for n in few])
+    assert _checked_blocks(few, t, THETA) == ([few], [want[n] for n in few])
     # the default budget and a few hundred cells: blocks of many small rows,
     # and at 300 rows wider than the budget each a block of its own
     for cells in (analytics._TABLE_BLOCK_CELLS, 300):
         monkeypatch.setattr(analytics, "_TABLE_BLOCK_CELLS", cells)
-        blocks, rows = _checked_blocks(ns, t, True)
+        blocks, rows = _checked_blocks(ns, t, THETA)
         sizes = [len(block) for block in blocks]
         assert sum(blocks, []) == ns and max(sizes) > 20, cells
         assert sizes.count(1) > 1500 if cells == 300 else len(sizes) < 200, cells
@@ -282,15 +284,15 @@ def test_table_and_check_rows_hold_one_block_at_a_time():
     t.primes_up_to(t.limit)  # the table's arrays are derived before the rows
     window = list(range((1 << 20) - 750, (1 << 20) + 750))
     grid = [100 * i for i in range(1, 1001)]
-    for ns, theta in ((window, True), (grid, True), (window, False), (grid, False)):
+    for ns, kind in ((window, THETA), (grid, THETA), (window, SCAN), (grid, SCAN)):
         tracemalloc.start()
         try:
-            rows = [row for _, part, _, _ in analytics._checked(ns, t, theta) for row in part]
+            rows = [row for _, part, _, _ in analytics._checked(ns, t, kind) for row in part]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(rows) == len(ns)
-        assert peak <= 80 * analytics._TABLE_BLOCK_CELLS + 200 * len(ns), (ns[0], theta, peak)
+        assert peak <= 80 * analytics._TABLE_BLOCK_CELLS + 200 * len(ns), (ns[0], kind.table, peak)
 
 
 def test_theta_identities_report_a_prime_cut_short(monkeypatch):
@@ -335,14 +337,14 @@ def test_theta_identities_check_lucy_rows_on_a_small_table(monkeypatch):
     assert t.limit <= LUCY_THRESHOLD + 2
     # a Lucy row's theta(n // 2) raised by 100 is reported at every point
     # from LUCY_THRESHOLD on, and at no point below it
-    real = analytics._lucy
+    real = theta._lucy
 
     def raised(m, t, q):
         pi, (at_small, at_v) = real(m, t, q)
         at_small[1] += 100
         return pi, (at_small, at_v)
 
-    monkeypatch.setattr(analytics, "_lucy", raised)
+    monkeypatch.setattr(theta, "_lucy", raised)
     res = verify.check_theta_identities(nmax, points=20)
     grid = [i * nmax // 20 for i in range(1, 21)]
     rho = [v.split(":")[0] for v in res.violations if "theta sum for rho" in v]
@@ -425,7 +427,7 @@ def test_check_route_in_blocks_equals_one_n_at_a_time(monkeypatch):
     powers = analytics._prime_powers(ns[-1], t)
     for cells in (analytics._TABLE_BLOCK_CELLS, 300):
         monkeypatch.setattr(analytics, "_TABLE_BLOCK_CELLS", cells)
-        blocks = _checked_blocks(ns, PrimeTable(), False)[0]
+        blocks = _checked_blocks(ns, PrimeTable(), SCAN)[0]
         assert sum(blocks, []) == ns, cells
         got = []
         for block in blocks:
@@ -451,7 +453,7 @@ def test_check_route_does_not_depend_on_how_far_the_powers_reach():
     across = [*range(LUCY_THRESHOLD - 3000, LUCY_THRESHOLD + 3000, 37), 1 << 26]
     for ns in (window, across):
         t = PrimeTable()
-        blocks = _checked_blocks(ns, t, False)[0]
+        blocks = _checked_blocks(ns, t, SCAN)[0]
         assert len(blocks) > 10
         top = analytics._prime_powers(ns[-1], t)
         for block in blocks:
@@ -516,7 +518,7 @@ def test_scan_dense_matches_direct(c_mid):
     # byte for byte, with the flags from the bitmap and from the sieved
     # window; the window from LUCY_THRESHOLD spans several blocks of rows
     wide = (LUCY_THRESHOLD, LUCY_THRESHOLD + 12)
-    assert len(_checked_blocks(range(*wide), PrimeTable(), False)[0]) > 1
+    assert len(_checked_blocks(range(*wide), PrimeTable(), SCAN)[0]) > 1
     for start, stop in (
         (2, 400),
         ((1 << 20) - 40, (1 << 20) + 40),
@@ -553,14 +555,14 @@ def test_scan_rows_in_blocks_equal_rows_alone(monkeypatch):
     alone = [_scan_rows([n], t)[0] for n in ns]
     for cells in (analytics._TABLE_BLOCK_CELLS, 300):
         monkeypatch.setattr(analytics, "_TABLE_BLOCK_CELLS", cells)
-        blocks, rows = _checked_blocks(ns, t, False)
+        blocks, rows = _checked_blocks(ns, t, SCAN)
         assert max(map(len, blocks)) > 20 and len(blocks) > 100, cells
         assert rows == alone, cells
     monkeypatch.undo()
     heavy = [LUCY_THRESHOLD - 1, LUCY_THRESHOLD, LUCY_THRESHOLD + 1, (1 << 26) + 5, (1 << 40) + 12345]
     bitmap = PrimeTable(LUCY_THRESHOLD + 3)  # the bitmap reaches the first block's n + 2
     window = PrimeTable(math.isqrt(heavy[-1]) + 2)
-    blocks, rows = _checked_blocks(heavy, window, False)
+    blocks, rows = _checked_blocks(heavy, window, SCAN)
     assert blocks == [heavy[:3], heavy[3:4], heavy[4:]]
     assert rows[:3] == list(_scan_rows(heavy[:3], bitmap))
     assert rows == [_scan_rows([n], window)[0] for n in heavy]
@@ -864,14 +866,14 @@ def _quotient_sum(mult, at_small, at_large):
 
 
 def _row_budget(n):
-    """analytics._row_budget at n, with the updates of _lucy at n."""
-    return analytics._row_budget(n, len(default_table().primes_up_to(math.isqrt(n))))
+    """theta._row_budget at n, with the updates of _lucy at n."""
+    return theta._row_budget(n, len(default_table().primes_up_to(math.isqrt(n))))
 
 
 def _lucy_at(n):
     """(quotients, S0, S1) of _lucy at n, small quotients then large."""
     q, small, large, _ = _quotients(n)
-    (pi_small, pi_v), (th_small, th_v) = analytics._lucy(n, PrimeTable(math.isqrt(n) + 2), q)
+    (pi_small, pi_v), (th_small, th_v) = theta._lucy(n, PrimeTable(math.isqrt(n) + 2), q)
     return (
         np.concatenate((small, large)),
         np.concatenate((pi_small, pi_v[1:])),
@@ -887,7 +889,7 @@ def _check_lucy(n, table):
     pi = np.searchsorted(table.primes_up_to(table.limit), vs[seen], side="right")
     assert np.array_equal(s0[seen], pi), n
     updates = len(table.primes_up_to(math.isqrt(n)))
-    budget = analytics._s1_budget(vs[seen], updates)
+    budget = theta._s1_budget(vs[seen], updates)
     assert np.all(np.abs(s1[seen] - table.theta_many(vs[seen])) <= budget), n
     return at
 
@@ -913,11 +915,11 @@ def test_lucy_pi_and_theta_match_the_table(table_2_26, monkeypatch):
         _, ref0, ref1 = _lucy_at(n)
         assert np.array_equal(s0, ref0), n
         updates = len(table_2_26.primes_up_to(math.isqrt(n)))
-        assert np.all(np.abs(s1 - ref1) <= 2 * analytics._s1_budget(vs, updates)), n
+        assert np.all(np.abs(s1 - ref1) <= 2 * theta._s1_budget(vs, updates)), n
 
 
 def test_lucy_batch_in_many_chunks(table_2_26, monkeypatch):
-    monkeypatch.setattr(analytics, "_LUCY_BATCH_CELLS", 300)
+    monkeypatch.setattr(theta, "_LUCY_BATCH_CELLS", 300)
     for n in [n for n in CUBE_NS if n <= table_2_26.limit] + [LUCY_THRESHOLD + 1, 1 << 26]:
         big = table_2_26.primes_up_to(math.isqrt(n))
         big = big[big > primes.iroot(n, 3)]
@@ -928,7 +930,7 @@ def test_lucy_batch_in_many_chunks(table_2_26, monkeypatch):
 def test_lucy_rows_match_the_table_route(table_2_26, c_mid, monkeypatch):
     ns = [LUCY_THRESHOLD, LUCY_THRESHOLD + 1, 3001 * 3002, 8191**2 - 1, 1 << 26]
     t = PrimeTable(1 << 12)
-    recs = list(analytics._records(analytics._checked(ns, t, True), c_mid))
+    recs = list(analytics._records(analytics._checked(ns, t, THETA), c_mid))
     assert t.limit < 1 << 14  # Lucy rows need the table only to sqrt(n) + 2
     # the table route at the same n: theta from the prefix up to 2^26 + 2
     monkeypatch.setattr(analytics, "LUCY_THRESHOLD", table_2_26.limit)
@@ -967,7 +969,7 @@ def _lucy_checked_rows(n, t):
     lr, ls, *_ = _theta_rows([n], t)[0]
     powers = analytics._prime_powers(n, t)
     rho, sigma, _ = (float(v[0]) for v in analytics._factorial_sums([n], t, powers))
-    bounds = analytics._theta_budget([n], np.array([lr]), np.array([ls]), t, True)[0].tolist()
+    bounds = theta._theta_budget([n], np.array([lr]), np.array([ls]), t)[0].tolist()
     return (lr, ls), (rho, sigma), bounds
 
 
@@ -1007,7 +1009,7 @@ def _theta_sums_fail(n, scanned):
 
 def test_scan_catches_theta_raised_at_one_quotient(monkeypatch):
     # theta(n // 2) + 100: the in-row check reads only the v <= sqrt(n) + 1
-    real = analytics._lucy
+    real = theta._lucy
 
     def lucy(n, t, q):
         pi, (at_small, at_v) = real(n, t, q)
@@ -1016,16 +1018,16 @@ def test_scan_catches_theta_raised_at_one_quotient(monkeypatch):
 
     scanned = scan([_MUTANT_N], c=0.0)
     lr, ls = theta_sum_rho(_MUTANT_N), theta_sum_sigma(_MUTANT_N)
-    budget = analytics._theta_budget([_MUTANT_N], np.array([lr]), np.array([ls]), default_table(), True)
+    budget = theta._theta_budget([_MUTANT_N], np.array([lr]), np.array([ls]), default_table())
     assert float(budget[0, 0]) < 10
-    monkeypatch.setattr(analytics, "_lucy", lucy)
+    monkeypatch.setattr(theta, "_lucy", lucy)
     _theta_sums_fail(_MUTANT_N, scanned)
 
 
 def test_scan_catches_a_dropped_phase2_chunk(monkeypatch):
     # the first chunk of _lucy's batch, both of its bincount sums, left out
     # of every Lucy row
-    real_lucy, real = analytics._lucy, np.bincount
+    real_lucy, real = theta._lucy, np.bincount
     calls, most = [], []
 
     def lucy(n, t, q):
@@ -1041,7 +1043,7 @@ def test_scan_catches_a_dropped_phase2_chunk(monkeypatch):
         return out * 0 if len(calls) <= 2 else out
 
     scanned = scan([_MUTANT_N], c=0.0)
-    monkeypatch.setattr(analytics, "_lucy", lucy)
+    monkeypatch.setattr(theta, "_lucy", lucy)
     monkeypatch.setattr(np, "bincount", bincount)
     _theta_sums_fail(_MUTANT_N, scanned)
     assert len(most) == 3 and min(most) > 2
@@ -1050,7 +1052,7 @@ def test_scan_catches_a_dropped_phase2_chunk(monkeypatch):
 def test_scan_catches_a_dropped_phase1_prime(monkeypatch):
     # a prime p with n**(1/4) < p <= n**(1/3) left out of _lucy's primes: it
     # changes S only at the v >= p**2 > sqrt(n) + 1, past the in-row check
-    real = analytics._lucy
+    real = theta._lucy
     p = 331
     assert math.isqrt(math.isqrt(_MUTANT_N)) < p <= primes.iroot(_MUTANT_N, 3)
 
@@ -1066,7 +1068,7 @@ def test_scan_catches_a_dropped_phase1_prime(monkeypatch):
             return getattr(self.t, name)
 
     scanned = scan([_MUTANT_N], c=0.0)
-    monkeypatch.setattr(analytics, "_lucy", lambda n, t, q: real(n, Without(t), q))
+    monkeypatch.setattr(theta, "_lucy", lambda n, t, q: real(n, Without(t), q))
     _theta_sums_fail(_MUTANT_N, scanned)
 
 
@@ -1108,7 +1110,7 @@ def test_scan_catches_the_theta_prefix_raised_by_one(monkeypatch):
     assert n // 3 < ps[i - 1] <= n // 2 < ps[i] <= n
     scanned = scan([n], table=t, c=0.0)
     lr, ls = theta_sum_rho(n, t), theta_sum_sigma(n, t)
-    assert float(analytics._theta_budget([n], np.array([lr]), np.array([ls]), t, True)[0, 0]) < 0.01
+    assert float(theta._theta_budget([n], np.array([lr]), np.array([ls]), t)[0, 0]) < 0.01
     prefix = prefix.copy()
     prefix[i] += 1
     t._arrays = t.limit, ps, prefix
@@ -1198,7 +1200,7 @@ def test_a_composite_flagged_prime_fails_on_card_A_where_the_logs_pass(monkeypat
     n = (1 << 36) + 12345
     k = math.isqrt(n)
     assert n // k + 1 == 262145 == 5 * 52429 <= k + 2
-    bound = analytics._theta_budget([n], np.zeros(1), np.zeros(1), PrimeTable(k + 2), False)[0, 1]
+    bound = analytics._legendre_budget([n], np.zeros(1), np.zeros(1), PrimeTable(k + 2))[0, 1]
     assert math.log(262145) < bound
     flagged = []
     flags = _flag_one_past_the_table(analytics._quotient_flags, n, flagged)
@@ -1221,7 +1223,7 @@ def test_a_composite_flagged_prime_in_the_route_fails_on_card_A(monkeypatch, cap
     n = (1 << 36) + 12345
     r = math.isqrt(n)
     end = n // r + 1 + analytics._WINDOW_ROOTS * r
-    bound = analytics._theta_budget([n], np.zeros(1), np.zeros(1), PrimeTable(r + 2), False)[0, 1]
+    bound = analytics._legendre_budget([n], np.zeros(1), np.zeros(1), PrimeTable(r + 2))[0, 1]
     inner = next(k for k in range(r, 0, -1) if n // k + 1 > r + 2 and not primes.is_probable_prime(n // k + 1))
     x = n // inner + 1
     assert x <= end and math.log(x) < bound
@@ -1285,14 +1287,14 @@ def test_theta_budgets_stay_within_the_verify_tolerance():
     t = PrimeTable()
     for n in (1, 1 << 20, LUCY_THRESHOLD - 1, LUCY_THRESHOLD, _MUTANT_N, 1 << 40, 1 << 44, 1 << 48):
         tol, sums = 1e-6 * max(1, n), np.array([n * math.log(n + 1) + 2 * n])
-        theta = analytics._theta_budget([n], sums, sums, t, True)[0]
-        assert np.all(0 < theta) and np.all(theta <= tol), n
-        assert np.all((theta == tol) == (n == 1 << 48)), n
-        scan_row = analytics._theta_budget([n], sums, sums, t, False)[0]
+        theta_row = theta._theta_budget([n], sums, sums, t)[0]
+        assert np.all(0 < theta_row) and np.all(theta_row <= tol), n
+        assert np.all((theta_row == tol) == (n == 1 << 48)), n
+        scan_row = analytics._legendre_budget([n], sums, sums, t)[0]
         assert np.all(scan_row == 2 * analytics._factorial_budget(float(n))), n
         assert np.all(0 < scan_row) and np.all(scan_row < tol / 40), n
         if n == 1 << 20:
-            assert np.all(scan_row < theta / 100), n
+            assert np.all(scan_row < theta_row / 100), n
 
 
 def test_every_row_takes_log_sigma_as_log_rho_plus_the_split(table_2_26):
@@ -1304,9 +1306,9 @@ def test_every_row_takes_log_sigma_as_log_rho_plus_the_split(table_2_26):
         return [row for row in rows if row[1] != row[0] + (row[3] + row[4])]
 
     ns = [*range(1, 2001), *range((1 << 20) - 300, (1 << 20) + 300), LUCY_THRESHOLD - 1]
-    for theta in (True, False):
-        blocks, rows = _checked_blocks(ns, table_2_26, theta)
-        assert len(blocks) > 1 and off(rows) == [], theta
+    for kind in (THETA, SCAN):
+        blocks, rows = _checked_blocks(ns, table_2_26, kind)
+        assert len(blocks) > 1 and off(rows) == [], kind.table
     for route in (_theta_rows, _scan_rows):
         for n in (1, 5, 100, 3001, (1 << 20) + 7, LUCY_THRESHOLD - 1):
             assert off(route([n], table_2_26)) == [], (route, n)
@@ -1317,9 +1319,9 @@ def test_every_row_takes_log_sigma_as_log_rho_plus_the_split(table_2_26):
         _, s1, s2 = s_split(n, t)  # the scan row's split, which the Lucy row shares
         assert theta_sum_sigma(n, t) == theta_sum_rho(n, t) + (s1 + s2), n
     grid = ns[::40] + heavy
-    for theta in (False, True):
-        blocks, rows = _checked_blocks(grid, t, theta)
-        assert sum(blocks, []) == grid and off(rows) == [], theta
+    for kind in (SCAN, THETA):
+        blocks, rows = _checked_blocks(grid, t, kind)
+        assert sum(blocks, []) == grid and off(rows) == [], kind.table
 
 
 def _exact_log_sigma(n, t):
@@ -1344,7 +1346,7 @@ def test_row_log_sigma_within_its_budget_of_the_exact_value(table_2_26):
     u = 2.0**-52
     for n, (_, want) in zip(range(1, 201), _exact_logs(200)[1:]):
         lr, ls, *_ = _theta_rows([n], table_2_26)[0]
-        bound = analytics._theta_budget([n], np.array([lr]), np.array([ls]), table_2_26, True)
+        bound = theta._theta_budget([n], np.array([lr]), np.array([ls]), table_2_26)
         share = bound[0, 1] - analytics._factorial_budget(float(n))
         assert abs(ls - want) <= share + math.ulp(want), n
     t = PrimeTable()
@@ -1356,7 +1358,7 @@ def test_row_log_sigma_within_its_budget_of_the_exact_value(table_2_26):
             lr, ls = theta_sum_rho(n, t), theta_sum_sigma(n, t)
         else:
             lr, ls, *_ = _theta_rows([n], table_2_26)[0]
-        bound = analytics._theta_budget([n], np.array([lr]), np.array([ls]), t, True)[0, 1]
+        bound = theta._theta_budget([n], np.array([lr]), np.array([ls]), t)[0, 1]
         exact = _exact_log_sigma(n, table_2_26)
         assert abs(ls - exact) <= bound, n
         assert abs(ls - exact) <= bound - analytics._factorial_budget(float(n)) + 5 * u * exact, n
@@ -1369,7 +1371,7 @@ def _lucy_row_by_parts(n, t):
     log rho + (s1 + s2); theta_sigma the sum of theta(n // k + 1), with
     theta(v + 1) by np.where."""
     q, small, large, mult = _quotients(n)
-    _, (at_small, at_v) = analytics._lucy(n, t, q)
+    _, (at_small, at_v) = theta._lucy(n, t, q)
     at_large = at_v[1:]
     small_prime = analytics._prime_flags(
         small + 1, t.primes_up_to(len(small))[: analytics._PREFILTER_PRIMES]
@@ -1398,15 +1400,15 @@ def test_lucy_rows_equal_their_parts(monkeypatch):
         assert _within_sigma_column(want[n], theta_sigma, n, t), n
     # S1 at v depends on v alone, so the largest n's serves every row
     ns = ns[: ns.index(8191**2 - 1) + 1]
-    rho_v = analytics._lucy(ns[-1], t, _quotients(ns[-1])[0])[1][1]
+    rho_v = theta._lucy(ns[-1], t, _quotients(ns[-1])[0])[1][1]
     for n in ns:
-        at_v = analytics._lucy(n, t, _quotients(n)[0])[1][1]
+        at_v = theta._lucy(n, t, _quotients(n)[0])[1][1]
         assert np.array_equal(at_v, rho_v[: len(at_v)]), n
     # the rows up to 8191**2 - 1 as one block of _checked, each row's flags
     # from its own window stacked at the widest r, and each row's quotients
     # for _lucy a row of the block's q
     monkeypatch.setattr(analytics, "_TABLE_BLOCK_CELLS", 1 << 30)
-    assert _checked_blocks(ns, t, True) == ([ns], [want[n] for n in ns])
+    assert _checked_blocks(ns, t, THETA) == ([ns], [want[n] for n in ns])
 
 
 def test_a_theta_block_of_table_and_lucy_rows_equals_its_rows_alone():
@@ -1420,7 +1422,7 @@ def test_a_theta_block_of_table_and_lucy_rows_equals_its_rows_alone():
     ns = [3001, LUCY_THRESHOLD - 3, LUCY_THRESHOLD - 1, LUCY_THRESHOLD, LUCY_THRESHOLD + 1,
           LUCY_THRESHOLD + r, (r + 1) * (r + 2)]
     t = PrimeTable()
-    blocks, rows = _checked_blocks(ns, t, True)
+    blocks, rows = _checked_blocks(ns, t, THETA)
     assert blocks == [ns]
     assert rows == [_theta_rows([n], t)[0] for n in ns]
     assert [row[:2] for row in rows] == [
@@ -1439,15 +1441,15 @@ def test_legendre_rows_equal_lucy_rows_in_the_prime_quotients():
     light = [*range(1, 2001), 3001, (1 << 20) + 7, LUCY_THRESHOLD - 1]
     ns = sorted([*light, LUCY_THRESHOLD, LUCY_THRESHOLD + 1, *CUBE_NS, 1 << 26, _MUTANT_N])
     t = PrimeTable()
-    blocks, rows = _checked_blocks(ns, t, False)
+    blocks, rows = _checked_blocks(ns, t, SCAN)
     assert sum(block[0] < LUCY_THRESHOLD for block in blocks) < len(light) / 20
     theta_rows = _theta_rows(ns, t)
     powers = analytics._prime_powers(ns[-1], t)
     route = [row for b in blocks for row in zip(*(v.tolist() for v in analytics._factorial_sums(b, t, powers)))]
     for n, row, theta_row, (rho, sigma, _) in zip(ns, rows, theta_rows, route, strict=True):
         assert row[2:] == theta_row[2:], n
-        bound = analytics._theta_budget([n], *([v] for v in row[:2]), t, False)[0].tolist()
-        theta_bound = analytics._theta_budget([n], *([v] for v in theta_row[:2]), t, True)[0]
+        bound = analytics._legendre_budget([n], *([v] for v in row[:2]), t)[0].tolist()
+        theta_bound = theta._theta_budget([n], *([v] for v in theta_row[:2]), t)[0]
         for got, want, theta_value, b, tb in zip(row[:2], (rho, sigma), theta_row[:2], bound, theta_bound):
             assert abs(got - want) <= b, n
             if n < LUCY_THRESHOLD:
@@ -1539,7 +1541,7 @@ def test_the_rows_carry_calls_none_of_the_check_routes_primality_code(monkeypatc
 
     for name in ("_route_flags", "_route_tests", "_route_steps", "_route_carried", "_strong_probable_prime"):
         monkeypatch.setattr(analytics, name, raising)
-    rows = analytics._rows(_WINDOW_2_30, t, False, analytics._Carry())
+    rows = analytics._rows(_WINDOW_2_30, t, SCAN, analytics._Carry())
     assert [card for _, _, card, _, _ in rows] == want
 
 
@@ -1632,16 +1634,16 @@ def test_scan_row_peak_is_below_the_estimate(c_mid):
     import tracemalloc
 
     for n in (1 << 24, 1 << 28):
-        for theta, estimate in ((False, analytics._legendre_bytes), (True, analytics._row_bytes)):
+        for kind, estimate in ((SCAN, analytics._legendre_bytes), (THETA, theta._row_bytes)):
             t = PrimeTable(math.isqrt(n) + 2)
             t.primes_up_to(t.limit)  # the table's arrays are derived before the row
             tracemalloc.start()
             try:
-                next(analytics._records(analytics._checked([n], t, theta), c_mid))
+                next(analytics._records(analytics._checked([n], t, kind), c_mid))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= estimate(n), (n, theta, peak)
+            assert peak <= estimate(n), (n, kind.table, peak)
 
 
 def test_a_carried_row_peak_is_below_the_estimate(monkeypatch):
@@ -1656,7 +1658,7 @@ def test_a_carried_row_peak_is_below_the_estimate(monkeypatch):
         t = PrimeTable(math.isqrt(n) + 2)
         t.primes_up_to(t.limit)  # the table's arrays are derived before the row
         asked.clear()
-        blocks = analytics._checked([n - 1, n], t, False)
+        blocks = analytics._checked([n - 1, n], t, SCAN)
         assert len(next(blocks)[0]) == 1  # n - 1, a block of its own
         tracemalloc.start()
         try:
@@ -1708,13 +1710,13 @@ def test_scan_asks_memory_for_the_rows_in_flight(monkeypatch):
     top = 1 << 40
     grids = [[100, top], [top - 1, top], [top - 2, top - 1, top], [LUCY_THRESHOLD, top], [100, 200]]
     for ns in grids:
-        for theta, estimate in ((False, analytics._legendre_bytes), (True, analytics._row_bytes)):
+        for kind, estimate in ((SCAN, analytics._legendre_bytes), (THETA, theta._row_bytes)):
             t = PrimeTable()
             asked.clear()
             with pytest.raises(Refused):
-                analytics._checked(ns, t, theta)
-            assert asked == [(estimate(ns[-1]), f"a scan row at n = {ns[-1]}")], (ns, theta)
-            assert t.limit == 4, (ns, theta)
+                analytics._checked(ns, t, kind)
+            assert asked == [(estimate(ns[-1]), f"a scan row at n = {ns[-1]}")], (ns, kind.table)
+            assert t.limit == 4, (ns, kind.table)
         t = PrimeTable()
         asked.clear()
         with pytest.raises(Refused):
@@ -1738,7 +1740,7 @@ def test_checked_sets_up_its_own_grid(monkeypatch):
     # bitmap and none takes a sieved window
     window = list(range(1102578, 1102578 + 3000, 2))
     t = PrimeTable()
-    checked = analytics._checked(window, t, False)
+    checked = analytics._checked(window, t, SCAN)
     assert t.limit == window[-1] + 2
     monkeypatch.setattr(analytics, "_quotient_flags", None)
     rows = [row for _, part, _, _ in checked for row in part]

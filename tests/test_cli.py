@@ -189,11 +189,23 @@ _IMPORT_PROBE = (
     "runpy.run_module('lcmf.cli', run_name='__main__', alter_sys=True)\n"
 )
 
+# the ordered variant: lcmf's submodules, numpy and json in the order their
+# imports began.  A module enters sys.modules as its import begins, and is
+# compiled then, before it runs the imports of its own
+_ORDER_PROBE = (
+    "import atexit, runpy, sys\n"
+    "began = []\n"
+    "sys.addaudithook(lambda event, args: event == 'import' and began.append(args[0]))\n"
+    "atexit.register(lambda: print('began:', *[m for m in began\n"
+    "                                          if m.startswith('lcmf.') or m in ('numpy', 'json')]))\n"
+    "runpy.run_module('lcmf.cli', run_name='__main__', alter_sys=True)\n"
+)
 
-def _loaded_modules(*argv):
+
+def _loaded_modules(*argv, probe=_IMPORT_PROBE):
     env = dict(os.environ, PYTHONPATH=str(_SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, *argv],
+        [sys.executable, "-c", probe, *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -285,6 +297,31 @@ def test_each_command_loads_only_its_own_modules():
     assert "decimal" in _loaded_modules("compute", "pif", "--f", "log", "--x", "3")
 
 
+def test_numpy_commands_compile_every_lcmf_module_before_numpy():
+    # from source with no bytecode written, a module compiled once numpy has
+    # loaded adds its compile's memory to numpy's peak, and one compiled
+    # before numpy leaves it for numpy to reuse.  Every command that loads
+    # numpy begins each lcmf import before numpy's; scans and constant
+    # compile no theta-sum code and no json, which scan --format json alone
+    # reads.  The theta route lives in lcmf.theta alone
+    from lcmf import analytics
+
+    json_scan = ["scan", "--grid", "list:1000,5000000", "--nmax", "5000000", "--format", "json"]
+    for argv in [*_WORKLOAD_COMMANDS, json_scan]:
+        began = _loaded_modules(*argv, probe=_ORDER_PROBE)
+        if "numpy" not in began:
+            continue
+        name = " ".join(argv[:2]) if argv[0] == "verify" else argv[0]
+        assert name in ("scan", "constant", "verify eq14-16"), argv
+        lcmf = [m for m in began if m.startswith("lcmf.")]
+        assert began.index("numpy") > max(map(began.index, lcmf)), (argv, began)
+        assert ("lcmf.theta" in began) == (name == "verify eq14-16"), (argv, began)
+        assert ("json" in began) == (argv == json_scan), (argv, began)
+    moved = ("_lucy", "_s1_budget", "_row_budget", "_row_bytes", "_theta_rho", "_theta_sums",
+             "_theta_budget", "_LUCY_BATCH_CELLS")
+    assert [name for name in moved if hasattr(analytics, name)] == []
+
+
 def test_internal_value_error_is_an_error_not_usage(capsys, monkeypatch):
     def broken(cfg):
         raise ValueError("boom")
@@ -301,7 +338,7 @@ def test_failed_scan_checks_are_errors(capsys, monkeypatch):
     # and on two rows with --workers 1 or 2.  Then Lucy's sieve, which
     # serves the theta sums alone: theta(n // 2) raised by 100 and a failing
     # in-row check of _lucy, at the one Lucy row of verify eq14-16's grid
-    from lcmf import analytics
+    from lcmf import analytics, theta
 
     n = (1 << 30) + 12345
     argvs = [("scan", "--grid", f"list:{n}", "--nmax", str(n))]
@@ -312,7 +349,7 @@ def test_failed_scan_checks_are_errors(capsys, monkeypatch):
     def raised_exponent(nb, ps):
         return exponents(nb, ps) + (ps == 3)
 
-    def failing_rows(ns, t, theta, carry):
+    def failing_rows(ns, t, kind, carry):
         raise ArithmeticError(f"a row failed at n={ns[0]}")
 
     for name, mutant, message in (
@@ -327,7 +364,7 @@ def test_failed_scan_checks_are_errors(capsys, monkeypatch):
     # the grid's last point alone is at or above LUCY_THRESHOLD
     nmax = analytics.LUCY_THRESHOLD + 2000
     assert 999 * nmax // 1000 < analytics.LUCY_THRESHOLD
-    real = analytics._lucy
+    real = theta._lucy
 
     def raised(m, t, q):
         pi, (at_small, at_v) = real(m, t, q)
@@ -337,13 +374,13 @@ def test_failed_scan_checks_are_errors(capsys, monkeypatch):
     def failing(m, t, q):
         raise ArithmeticError(f"Lucy's sieve disagrees with the prime table at n={m}")
 
-    monkeypatch.setattr(analytics, "_lucy", raised)
+    monkeypatch.setattr(theta, "_lucy", raised)
     code, out, err = run_cli(capsys, "verify", "eq14-16", "--nmax", str(nmax))
     assert code == 1 and err == ""
     assert [line.split(" off")[0] for line in out.splitlines() if line.startswith("violation")] == [
         f"violation: n={nmax}: theta sum for {what}" for what in ("rho", "sigma")
     ]
-    monkeypatch.setattr(analytics, "_lucy", failing)
+    monkeypatch.setattr(theta, "_lucy", failing)
     code, out, err = run_cli(capsys, "verify", "eq14-16", "--nmax", str(nmax))
     assert (code, out, err) == (1, "", f"error: Lucy's sieve disagrees with the prime table at n={nmax}\n")
 
@@ -632,8 +669,8 @@ def test_a_scan_failing_in_a_later_chunk(capsys, tmp_path, monkeypatch):
     good = analytics.scan(range(start, start + ends[1]))
     real = analytics._rows
 
-    def raised(ns, t, theta, carry):
-        rows = real(ns, t, theta, carry)
+    def raised(ns, t, kind, carry):
+        rows = real(ns, t, kind, carry)
         return [(row[0] + 1.0, *row[1:]) if n == bad else row for n, row in zip(ns, rows)]
 
     monkeypatch.setattr(analytics, "_rows", raised)
