@@ -9,8 +9,11 @@ tests and never by the closed form or the sieve.  A sweep over many x builds
 one such table, at its largest budget, and reads each x from it
 (multiset_lcms); multiset_lcm is its one-point case.  The two sides share
 only _budget, the bound x sets: floor(x) for the integer-valued weights,
-floor(e**x) for the log weight.  The prime side at f(m) = m and f(m) = m - 1
-is the rho and sigma sequences of the sequences module.
+floor(e**x) for the log weight, and x itself for a non-integer power, which
+the lcm side restates in whole units of 2**-52 (_unit_budget) so that its
+exact sums of float costs round once, as the prime side's e * f(p) does.
+The prime side at f(m) = m and f(m) = m - 1 is the rho and sigma sequences
+of the sequences module.
 """
 
 from __future__ import annotations
@@ -160,7 +163,8 @@ def _budget(f: WeightFunction, x):
     exactly when it is <= floor(x), and floor(x / w) = floor(floor(x) / w)
     for every integer w >= 1.  For the log weight it is floor(e**x), a cap
     on a product: log i_1 + ... + log i_k <= x exactly when the product of
-    the i_j is at most that cap.  Non-integer powers compare with float x.
+    the i_j is at most that cap.  Non-integer powers compare with float x,
+    which the lcm side turns into units of 2**-52 (_unit_budget).
     """
     if not (x >= 0 and math.isfinite(x)):
         raise ValueError("x must be finite and >= 0")
@@ -228,7 +232,10 @@ class _LcmTable:
     not decrease a total, so a part m with v_p(m) = e can be swapped for
     p**e, which divides m, at no extra cost: the exponent of a prime p in the
     lcm is a search over the parts p**e alone.  The primes are found by
-    primality tests, independently of any sieve.
+    primality tests, independently of any sieve.  The totals are combined
+    exactly: ints for the integer-valued weights and the log weight's
+    product, and whole units of 2**-52 for a non-integer power (_units),
+    so a total is the exact sum of its parts' costs.
 
     best[v] is the least total cost of parts p**e whose valuations sum to at
     least v; it is nondecreasing in v, so the exponent at budget b is the
@@ -294,12 +301,37 @@ def multiset_lcms(f: WeightFunction, xs) -> Iterator[FactoredNatural]:
 
 
 def _lcms_at(f: WeightFunction, budgets: list) -> Iterator[FactoredNatural]:
-    """The lcm side at each budget of f (_budget) in budgets, in order."""
+    """The lcm side at each budget of f (_budget) in budgets, in order.  A
+    non-integer power's table counts in units of 2**-52 (_units): the parts
+    fit when their exact sum, rounded once, is <= x (_unit_budget), as
+    e * f(p) does on the prime side."""
     if f.kind == "log":  # the parts' product must stay within the cap
         table = _LcmTable(lambda m: m, max(budgets, default=1), operator.mul, 1)
-    else:
+    elif f.is_exact:
         table = _LcmTable(f.value, max(budgets, default=0))
+    else:  # _unit_budget is nondecreasing in x, so the largest x gives the largest S
+        table = _LcmTable(lambda m: _units(f.value(m)), _unit_budget(max(budgets, default=0)))
+        budgets = map(_unit_budget, budgets)
     return map(table.lcm, budgets)
+
+
+def _units(w: float):
+    """The float w >= 1 in units of 2**-52, a whole number of them; inf stays inf."""
+    if w == math.inf:
+        return w
+    num, den = w.as_integer_ratio()  # den is a power of 2, at most 2**52 for w >= 1
+    return num * (2**52 // den)
+
+
+def _unit_budget(x: float) -> int:
+    """The largest S whose S * 2**-52 rounds, to nearest with ties to even, to
+    a float <= x; 0 below 1, where no part, at f(2) >= 2, fits either.  In
+    integers: S * 2**-52 rounds to x or below until the midpoint between x
+    and the float above, and at the midpoint when x's significand is even."""
+    if x < 1:
+        return 0
+    units, ulp = _units(x), _units(math.ulp(x))
+    return units + ulp // 2 - (ulp > 1 and units // ulp % 2)
 
 
 def multiset_lcm(f: WeightFunction, x) -> FactoredNatural:

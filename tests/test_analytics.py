@@ -402,6 +402,33 @@ def test_check_route_quotients_are_exact_on_both_sides_of_2_53():
         assert analytics._factorial_rho([n], analytics._prime_powers(n, fake))[0] == want, n
 
 
+def test_prime_powers_at_the_edges_of_each_exponent():
+    # _prime_powers at tops where a power of 2, 3, 5 or 7 enters or has just
+    # entered, against the sorted powers p**e <= top, e >= 2, of the primes
+    # the table gives up to sqrt(top), here those up to 1000 standing in for
+    # them above 10**6; the primes are read once
+    ps = np.array(trial_primes(1000), dtype=np.int64)
+    calls = []
+
+    def primes_up_to(x):
+        calls.append(x)
+        return ps[: ps.searchsorted(x, side="right")]
+
+    fake = types.SimpleNamespace(primes_up_to=primes_up_to)
+    tops = [(1 << e) + d for e in range(63) for d in (-1, 0, 1) if (1 << e) + d < 1 << 63]
+    tops += [p**e + d for p in (3, 5, 7) for e in range(40) for d in (-1, 1)
+             if 0 <= p**e + d < 1 << 63]
+    for top in [0] + tops:
+        calls.clear()
+        powers, logs = analytics._prime_powers(top, fake)
+        own = primes_up_to(math.isqrt(top)).tolist()
+        want = sorted((p**e, p) for p in own for e in range(2, 63) if p**e <= top)
+        assert calls == [math.isqrt(top)] * 2, top
+        assert powers.dtype == np.int64 and powers.tolist() == [v for v, _ in want], top
+        logs_want = np.log(np.array([p for _, p in want], dtype=np.float64))
+        assert logs.tolist() == logs_want.tolist(), top
+
+
 def test_check_route_in_blocks_equals_one_n_at_a_time(monkeypatch):
     # the route reads the primes up to sqrt(n) + 1 alone, so past the table's
     # end the primality of n // k + 1 comes from _prime_flags, and on a table

@@ -1,4 +1,5 @@
 import math
+import operator
 import os
 import random
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from lcmf import primes, verify
+from lcmf import primes, products, verify
 from lcmf.factored import FactoredNatural
 from lcmf.products import (
     WeightFunction,
@@ -407,6 +408,89 @@ def test_power_weights_whose_values_overflow_a_float():
     for alpha, x, want in ((600.5, 5 * 2.0**600.5, {2: 5}), (1023.5, 1.2 * 2.0**1023.5, {2: 1})):
         f = WeightFunction.power(alpha)
         assert weighted_prime_product(f, x) == multiset_lcm(f, x) == FactoredNatural(want)
+
+
+def test_non_integer_powers_agree_at_every_step_of_the_prime_side():
+    # the prime side gives p the largest e with fl(e * f(p)) <= x, one
+    # rounding; the lcm side must fit e copies of p at the same x, so its
+    # totals are exact sums of the parts' floats, rounded once.  At
+    # x = e * f(p) and one ulp either side, 1179 points in all, none may
+    # differ; with float totals summed one rounding at a time, 78 did
+    points = 0
+    for alpha, ps in [(a, trial_primes(40)) for a in (1.1, 1.5, 2.5, 3.7)] + [
+        (600.5, [2]), (1023.5, [2])
+    ]:
+        f = WeightFunction.power(alpha)
+        xs = []
+        for p in ps:
+            for c in (e * f.value(p) for e in range(1, 9)):
+                if math.isfinite(c):
+                    xs += [math.nextafter(c, 0.0), c, math.nextafter(c, math.inf)]
+        for x, rhs in zip(xs, multiset_lcms(f, xs)):
+            assert weighted_prime_product(f, x) == rhs, (alpha, x)
+        points += len(xs)
+    assert points == 1179
+    f = WeightFunction.power(1.5)
+    x = 7 * f.value(2)
+    want = FactoredNatural({2: 7, 3: 3, 5: 1, 7: 1})
+    assert multiset_lcm(f, x) == weighted_prime_product(f, x) == want
+
+
+def test_lcm_table_steps_are_whole_multiples_of_each_primes_cost():
+    # the cheapest parts of p reaching v are v copies of p, so a table's
+    # best[v] is v * cost(p), and p**v for the log weight's product, at
+    # every v where either is within the budget; non-integer powers cost
+    # each part in whole units of 2**-52, where the float costs summed one
+    # at a time gave 21 of m^1.5's 58 steps to 80 off by an ulp
+    def power_units(a):
+        return lambda m: products._units(WeightFunction.power(a).value(m))
+
+    tables = [
+        (WeightFunction.linear().value, 40),
+        (WeightFunction.shifted().value, 40),
+        (WeightFunction.power(2).value, 200),
+        (power_units(1.5), products._unit_budget(80.0)),
+        (power_units(2.5), products._unit_budget(300.0)),
+    ]
+    for cost, budget in tables:
+        table = products._LcmTable(cost, budget)
+        assert table._primes == trial_primes(table._primes[-1] + 1)
+        for p, best in zip(table._primes, table._best):
+            assert best == [v * cost(p) for v in range(budget // cost(p) + 1)], (budget, p)
+    cap = exp_floor(5.0)
+    table = products._LcmTable(lambda m: m, cap, operator.mul, 1)
+    assert table._primes == trial_primes(cap)
+    for p, best in zip(table._primes, table._best):
+        assert best == [p**v for v in range(primes._log_floor(cap, p) + 1)], p
+
+
+def test_unit_budget_rounds_once_to_nearest_with_ties_to_even():
+    # S * 2**-52 rounds to a float <= x exactly for S up to _unit_budget(x):
+    # at 1 <= x < 2, where the float grid is the unit, S = x in units; above,
+    # the midpoint to the next float is in when x's significand is even; at
+    # the largest float it is out, as that midpoint rounds to inf, which is
+    # decided in integers without an overflow
+    def fits(s, x):
+        try:
+            return float(Fraction(s, 2**52)) <= x
+        except OverflowError:
+            return False
+
+    rng = random.Random(43)
+    xs = [1.0, 1.5, math.nextafter(2.0, 0.0), 2.0, 3.0, 2.0**53, 7 * 2.0**1.5, sys.float_info.max]
+    xs += [math.ldexp(1 + rng.random(), rng.randrange(0, 1024)) for _ in range(2000)]
+    for x in xs:
+        s = products._unit_budget(x)
+        assert fits(s, x) and not fits(s + 1, x), x
+    assert products._unit_budget(0.0) == products._unit_budget(0.999) == 0
+    assert products._unit_budget(1.5) == 3 * 2**51  # the unit is the grid: no midpoint
+    assert products._unit_budget(3.0) == 3 * 2**52 + 1  # 3 * 2**51 ulps, even: midpoint in
+    above = math.nextafter(3.0, 4.0)  # 3 * 2**51 + 1 ulps, odd: midpoint out
+    assert products._unit_budget(above) == 3 * 2**52 + 2
+    assert products._units(math.inf) == math.inf
+    f = WeightFunction.power(1023.5)  # f(2) is a float, f(3) is inf
+    assert multiset_lcm(f, sys.float_info.max) == weighted_prime_product(f, sys.float_info.max)
+    assert multiset_lcm(f, sys.float_info.max) == FactoredNatural({2: 1})
 
 
 def test_check_theorem1_at_m_to_the_2_5():
