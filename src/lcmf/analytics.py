@@ -632,29 +632,28 @@ def _row_flags(ns, q, roots, t: PrimeTable, carry: _Carry) -> np.ndarray:
     its flag rule, cell by cell; the cells past a row's isqrt(n) are not
     read.
 
-    An x <= t.limit is read on the bitmap.  The x past it are the prefix
-    k <= n // t.limit of each row.  A row that follows no n - 1
-    (_row_steps), before the block the carry's, takes them from its own
-    window (_quotient_flags).  Any other keeps the flags of the row before
-    it where x did not move, and tests the x that moved past the table,
-    all the block's at once, by _prime_flags.  carry is left at the
-    block's last row."""
+    As in _route_carried, an x <= t.limit is read on the bitmap, one gather
+    for the block.  The x past it are the prefix k <= n // t.limit of each
+    row.  A row that follows no n - 1 (_row_steps), before the block the
+    carry's, takes them from its own window (_quotient_flags).  Any other
+    keeps the flags of the row before it where x did not move, and tests
+    the x that moved past the table, picked by one mask, all at once, by
+    _prime_flags.  carry is left at the block's last row."""
     fresh, steps = _row_steps(ns, carry.n, q)
-    flags = np.zeros(q.shape, dtype=bool)
+    flags = q < t.limit  # x = n // k + 1 <= t.limit
+    flags[flags] = t.prime_mask(t.limit)[1:][q[flags]]  # mask[v]: v + 1 is prime
     if steps is not None:
         before = np.zeros(q.shape[1], dtype=bool)
         before[: len(carry.flags)] = carry.flags
-        i, k = np.divmod(np.flatnonzero(steps & ~fresh[:, None]), q.shape[1])  # the cells that moved
-        past = q[i, k] >= t.limit
-        i, k = i[past], k[past]
-        flags[i, k] = _prime_flags(q[i, k] + 1, t.primes_up_to(roots[-1] + 1)[:_CARRY_PRIMES])
-    for i, r in enumerate(roots):
-        p = min(ns[i] // t.limit, r)  # x = n // k + 1 is past the table at k <= n // t.limit
-        flags[i, p:r] = t.prime_mask(t.limit)[1:][q[i, p:r]]  # mask[v]: v + 1 is prime
+        own = steps & (q >= t.limit) & ~fresh[:, None]
+        flags[own] = _prime_flags(q[own] + 1, t.primes_up_to(roots[-1] + 1)[:_CARRY_PRIMES])
+        kept = ~steps
+    for i, (n, r) in enumerate(zip(ns, roots)):
+        p = min(n // t.limit, r)  # x is past the table at k <= n // t.limit
         if not fresh[i]:
-            np.copyto(flags[i], flags[i - 1] if i else before, where=~steps[i])
+            np.copyto(flags[i], flags[i - 1] if i else before, where=kept[i])
         elif p:
-            flags[i, :p] = _quotient_flags(ns[i], q[i, :p], t)
+            flags[i, :p] = _quotient_flags(n, q[i, :p], t)
     carry.n, carry.flags = ns[-1], flags[-1].copy()
     return flags
 

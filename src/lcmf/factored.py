@@ -78,19 +78,6 @@ class FactoredNatural:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def multiply(self, other: "FactoredNatural") -> "FactoredNatural":
-        out = dict(self._factors)
-        for p, e in other._factors.items():
-            out[p] = out.get(p, 0) + e
-        return FactoredNatural._trusted(out)
-
-    def lcm(self, other: "FactoredNatural") -> "FactoredNatural":
-        out = dict(self._factors)
-        for p, e in other._factors.items():
-            if e > out.get(p, 0):
-                out[p] = e
-        return FactoredNatural._trusted(out)
-
     def divides(self, other: "FactoredNatural") -> bool:
         of = other._factors
         return all(e <= of.get(p, 0) for p, e in self._factors.items())

@@ -246,9 +246,22 @@ class _LcmTable:
     k binds only below the unlimited answer; there layer k of p, the least
     cost that reaches v with at most k parts, is filled one part at a time
     the first time a lookup needs it.
+
+    An additive table that cannot fit is refused before it is built: the
+    first prime's best alone has budget // cost(2) + 1 entries, priced at
+    44 B each through primes.require_memory, which raises ValueError.  The
+    log weight's product table has log2(budget) entries.
     """
 
     def __init__(self, cost: Callable[[int], object], budget, combine=operator.add, empty=0):
+        # an entry of the prime 2's steps holds 44 B at least: a 28-byte int
+        # and its slots in best and in layer 0.  By tracemalloc, the tables of
+        # every prime for part - 1 at budgets 10^4 and 10^5 held about 60 B an
+        # entry, and 3.5 times as many entries as the prime 2's
+        if combine is operator.add:
+            entries = budget // cost(2) + 1
+            what = f"an lcm table of {entries} entries for the prime 2"
+            _primes.require_memory(44 * entries, what)
         self._combine = combine
         self._primes, self._items, self._best, self._layers = [], [], [], []
         m = 2

@@ -799,6 +799,31 @@ def test_scan_rows_across_the_table_end_take_windows_past_it_alone(c_mid):
     assert _md5_rows(rows) == "c7ab352c0a7279716f6de0cb8b4ab350"
 
 
+def test_the_rows_read_the_bitmap_once_a_block(monkeypatch):
+    # each block takes three bitmap views: the row's flags (_row_flags), its
+    # large v + 1 (_prime_quotients) and the check route's flags
+    # (_route_carried); the table derives its primes from the bitmap a few
+    # times as its reads reach further.  A view per row fails: eq14-16's
+    # grid at nmax 30000 on a fresh table, and a step:1 window on a table up
+    # to its last n + 2, which the rows read to its end
+    calls, real = [0], PrimeTable.prime_mask
+
+    def counted(self, limit):
+        calls[0] += 1
+        return real(self, limit)
+
+    monkeypatch.setattr(PrimeTable, "prime_mask", counted)
+    window = range(2**20 + 77, 2**20 + 77 + 1500)
+    grown = PrimeTable(window[-1] + 2)
+    for grid, t, kind in (
+        (sorted({i * 30000 // 1000 for i in range(1, 1001)}), PrimeTable(), theta._THETA_ROWS),
+        (list(window), grown, analytics._SCAN_ROWS),
+    ):
+        calls[0] = 0
+        blocks = sum(1 for _ in analytics._checked(grid, t, kind))
+        assert blocks > 5 and calls[0] <= 3 * blocks + 4, (blocks, calls[0])
+
+
 # carry mutants near 2^36, each failing on card_A alone: m = 1024 p with p
 # prime and every 2**j p + 1, j = 1..9, composite, so that of the k <= sqrt(m)
 # that divide m only k = 1024 has m // k + 1 = p + 1 and (m - 1) // k + 1 = p

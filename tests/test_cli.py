@@ -140,6 +140,27 @@ def test_table_over_physical_memory_is_an_error(capsys):
     assert err.startswith("error: a prime table up to") and "memory" in err
 
 
+def _address_space_of_1_gib():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv", [["compute", "q", "1000000000000", "5"], ["triangle", "--nmax", "1000000000000"]]
+)
+def test_lcm_table_over_physical_memory_is_an_error(argv):
+    # the table for the prime 2 alone would hold 10^12 entries: refused
+    # before it is built.  A child process in 1 GiB of address space, so
+    # that a table built anyway fails on its own memory, not the machine's
+    proc = subprocess.run(
+        [sys.executable, "-m", "lcmf.cli", *argv], env=dict(os.environ, PYTHONPATH=str(_SRC)),
+        capture_output=True, text=True, timeout=60, preexec_fn=_address_space_of_1_gib,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: an lcm table of") and "memory" in proc.stderr
+
+
 def test_scan_row_over_physical_memory_is_an_error(capsys, monkeypatch):
     # an 8 GiB machine, whatever this one has: the row at 2^60 is never run
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1 << 21, "SC_PAGE_SIZE": 4096}.get)

@@ -400,6 +400,34 @@ def test_prime_side_takes_budgets_past_int64():
     assert weighted_prime_product(f, 10**20) == multiset_lcm(f, 10**20) == FactoredNatural({2: 10})
 
 
+def test_lcm_side_refuses_a_table_past_physical_memory():
+    # m^10 at 10^20 gives the prime 2 a table of 10^20 // 2^10 + 1 entries,
+    # and m^10.5 one of about 7e16: each is refused before it is built (the
+    # prime side takes such budgets, the test above).  A child process in
+    # 1 GiB of address space, so that a table built anyway fails on its own
+    # memory
+    import resource
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "from lcmf.products import WeightFunction, multiset_lcm\n"
+        "for alpha in (10, 10.5):\n"
+        "    try:\n"
+        "        multiset_lcm(WeightFunction.power(alpha), 1e20)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2, proc.stderr
+    assert lines[0].startswith(f"an lcm table of {10**20 // 2**10 + 1} entries for the prime 2 needs")
+    assert all("memory" in line for line in lines)
+
+
 def test_power_weights_whose_values_overflow_a_float():
     # below 1024 every alpha is taken: f(m) = m**alpha is inf where it
     # overflows a float, past every budget, so at m^600.5 both sides stop at

@@ -71,11 +71,11 @@ def test_diagonal_lcm_chain_freezes():
     # equals the shifted-weight prime product
     shifted = WeightFunction.shifted()
     for n in range(9):
-        acc = FactoredNatural.one()
-        values = []
+        acc, values = {}, []
         for k in range(n + 4):
-            acc = acc.lcm(diagonal(n, k))
-            values.append(acc)
+            for p, e in diagonal(n, k).items():  # the lcm: each exponent's max
+                acc[p] = max(acc.get(p, 0), e)
+            values.append(FactoredNatural(acc))
         assert values[-1] == values[n if n < len(values) else -1]
         assert values[n] == weighted_prime_product(shifted, n)
         assert all(v == values[n] for v in values[n:])
