@@ -6,7 +6,7 @@ and their gap is the log-sum over k of the prime quotient values
 floor(n/k + 1).  _checked cuts the grid into blocks of n once (_blocks),
 and a block's rows, their log rho and their check are plain functions of
 it.  One function, _rows, assembles every row from the block's one array of
-quotients n // k: card_A, s1 and s2 through _prime_quotients, log sigma as
+quotients n // k: card_A, s1 and s2 from its flags, log sigma as
 log rho + (s1 + s2), and log rho by the route that the caller picks.  The
 check route, Legendre's formula for n! over the prime powers
 (_factorial_sums), needs the primes up to sqrt(n) + 1 alone; _checked
@@ -339,32 +339,6 @@ def _factorial_budget(n):
 _Row = tuple[float, float, int, float, float]  # (log_rho, log_sigma, card_A, s1, s2)
 
 
-def _prime_quotients(ns: list[int], q, prime_q, mask):
-    """(card_A, s1, s2) of a block of ascending ns laid out as _rows takes
-    it: the one sum of the prime quotient values n // k + 1, of every row.
-
-    card_A counts and s1 sums log(n // k + 1) over the flagged cells of
-    prime_q, row after row, row i's small quotients being the cells from
-    i stride to i stride + r; s2 sums mult = n // v - n // (v + 1) times
-    log(v + 1) over the large v <= top with v + 1 prime on mask.  Each row
-    sums over its own cells, in a fixed order.
-    """
-    roots = [math.isqrt(n) for n in ns]
-    tops = [n // (r + 1) for n, r in zip(ns, roots)]
-    w, stride = q.shape[1], prime_q.shape[1]
-    hit = np.flatnonzero(mask[2 : w + 1])  # the v < w with v + 1 prime, as v - 1
-    hits = hit.searchsorted(tops).tolist()  # how many large v with v + 1 prime, per row
-    flagged = np.flatnonzero(prime_q)
-    logs = np.log(q[:, :stride].ravel()[flagged] + 1)
-    bounds = [c for i, r in enumerate(roots) for c in (i * stride, i * stride + r)]
-    cuts = flagged.searchsorted(bounds).tolist()
-    s1 = [float(np.add.reduce(logs[cuts[i] : cuts[i + 1]])) for i in range(0, len(cuts), 2)]
-    card = [cuts[i + 1] - cuts[i] for i in range(0, len(cuts), 2)]
-    h = hit[: hits[-1]]  # v - 1 at each large v with v + 1 prime: mult is q[:, h] - q[:, h + 1]
-    s2 = _slice_sums((q[:, h] - q[:, h + 1]) * np.log(h + 2), hits).tolist()
-    return card, s1, s2
-
-
 # -- rows ---------------------------------------------------------------------------
 
 # LUCY_THRESHOLD picks the theta sums' route (theta._theta_rho) and bounds
@@ -595,9 +569,9 @@ def _exponents(nb: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return e
 
 
-def _legendre_rho(ns: Sequence[int], q: np.ndarray, t: PrimeTable) -> list[float]:
+def _legendre_rho(ns: Sequence[int], q: np.ndarray, roots, tops, t: PrimeTable) -> list[float]:
     """log rho(n) of each n of the ascending ns, one block whose quotients
-    q = n // k _rows made, by Legendre's formula
+    q = n // k and roots isqrt(n) _rows made, by Legendre's formula
 
         log rho(n) = log n! - sum over primes p <= sqrt(n) of e_p log p,
 
@@ -605,7 +579,6 @@ def _legendre_rho(ns: Sequence[int], q: np.ndarray, t: PrimeTable) -> list[float
     prime, so the repeated division runs its steps once for the whole block.
     Each row sums its own terms (_slice_sums), so its value does not depend
     on the block."""
-    roots = [math.isqrt(n) for n in ns]
     nb = q[:, :1]
     ps = t.primes_up_to(roots[-1])
     cuts = ps.searchsorted(roots, side="right").tolist()  # pi(sqrt n)
@@ -659,8 +632,9 @@ def _row_flags(ns, q, roots, t: PrimeTable, carry: _Carry) -> np.ndarray:
 
 
 class _RowKind(NamedTuple):
-    """The log rho of _checked's rows and what comes with it: rho(ns, q, t)
-    of a block (_rows), budget(ns, rho, sigma, t) against the check route
+    """The log rho of _checked's rows and what comes with it: rho(ns, q,
+    roots, tops, t) of a block, its isqrt(n) and top = n // (isqrt(n) + 1)
+    as _rows made them, budget(ns, rho, sigma, t) against the check route
     (_check_block), row_bytes(n) of one row, and table, whether the rows
     below LUCY_THRESHOLD read the table up to n + 2 (_checked)."""
 
@@ -675,14 +649,17 @@ def _rows(ns: Sequence[int], t: PrimeTable, kind: _RowKind, carry: _Carry) -> li
     one block of _checked: the one row assembly, of the scan's rows (log rho
     from _legendre_rho) and the theta-sum rows (theta._theta_rho), by kind.
 
-    q = n // k, k = 1..top + 1 of the last row, is made once for the block.
-    card_A, s1 and s2 are _prime_quotients' over q, the flags of n // k + 1,
-    k <= sqrt(n), by _row_flags, which leaves carry at the block's last
-    row, and the bitmap up to sqrt(n) + 2 for the large v + 1.  Every flag
-    source is exact, so a row's values depend neither on the source nor on
-    the block, the grid or the table rule.  s1 + s2 is the log-sum of the
-    prime n // k + 1 over k = 1..n, log sigma(n) - log rho(n), so log sigma
-    = log rho + (s1 + s2).
+    q = n // k, k = 1..top + 1 of the last row, r = isqrt(n) and
+    top = n // (r + 1) are made once for the block, and every sum reads
+    them.  card_A counts and s1 sums log(n // k + 1) over the cells k <= r
+    flagged prime by _row_flags, which leaves carry at the block's last row,
+    split into rows by one flatnonzero; s2 sums mult = n // v - n // (v + 1)
+    times log(v + 1) over the large v <= top with v + 1 prime on the bitmap
+    up to sqrt(n) + 2.  Every flag source is exact, so a row's values depend
+    neither on the source nor on the block, the grid or the table rule.
+    Each row sums over its own cells, in a fixed order.  s1 + s2 is the
+    log-sum of the prime n // k + 1 over k = 1..n, log sigma(n) - log
+    rho(n), so log sigma = log rho + (s1 + s2).
 
     With _legendre_rho's log rho both values are within _factorial_budget(n)
     of the exact ones, by that budget's own count: log n! is the check
@@ -692,11 +669,21 @@ def _rows(ns: Sequence[int], t: PrimeTable, kind: _RowKind, carry: _Carry) -> li
     of e_p or mult, the product); the sums and the two closing sums round as
     the route's do.  theta._theta_budget bounds theta._theta_rho's.
     """
-    nb, roots = np.array(ns, dtype=np.int64)[:, None], [math.isqrt(n) for n in ns]
-    q, w = nb // np.arange(1, ns[-1] // (roots[-1] + 1) + 2, dtype=np.int64), roots[-1]
-    rho = kind.rho(ns, q, t)
-    flags = _row_flags(ns, q[:, :w], roots, t, carry)
-    card, s1, s2 = _prime_quotients(ns, q, flags, t.prime_mask(roots[-1] + 1))
+    roots = [math.isqrt(n) for n in ns]
+    tops = [n // (r + 1) for n, r in zip(ns, roots)]
+    w = roots[-1]
+    q = np.array(ns, dtype=np.int64)[:, None] // np.arange(1, tops[-1] + 2, dtype=np.int64)
+    rho = kind.rho(ns, q, roots, tops, t)
+    flagged = np.flatnonzero(_row_flags(ns, q[:, :w], roots, t, carry))
+    logs = np.log(q[:, :w].ravel()[flagged] + 1)
+    starts = flagged.searchsorted(range(0, w * len(ns), w)).tolist()  # row i's cells from i w
+    ends = flagged.searchsorted([i * w + r for i, r in enumerate(roots)]).tolist()  # to i w + r
+    card = [b - a for a, b in zip(starts, ends)]
+    s1 = [float(np.add.reduce(logs[a:b])) for a, b in zip(starts, ends)]
+    hit = np.flatnonzero(t.prime_mask(w + 1)[2 : tops[-1] + 2])  # v - 1 at v <= top, v + 1 prime
+    hits = hit.searchsorted(tops).tolist()  # how many large v with v + 1 prime, per row
+    h = hit[: hits[-1]]  # mult at v = h + 1 is q[:, h] - q[:, h + 1]
+    s2 = _slice_sums((q[:, h] - q[:, h + 1]) * np.log(h + 2), hits).tolist()
     return [(lr, lr + (x + y), c, x, y) for lr, c, x, y in zip(rho, card, s1, s2)]
 
 

@@ -247,21 +247,12 @@ class _LcmTable:
     cost that reaches v with at most k parts, is filled one part at a time
     the first time a lookup needs it.
 
-    An additive table that cannot fit is refused before it is built: the
-    first prime's best alone has budget // cost(2) + 1 entries, priced at
-    44 B each through primes.require_memory, which raises ValueError.  The
-    log weight's product table has log2(budget) entries.
+    A cost with cost(p**e) >= e cost(p) gives p's best at most
+    budget // cost(p) + 1 entries.  _lcm_table builds the table of a weight
+    and refuses, before it is built, an additive one that cannot fit.
     """
 
     def __init__(self, cost: Callable[[int], object], budget, combine=operator.add, empty=0):
-        # an entry of the prime 2's steps holds 44 B at least: a 28-byte int
-        # and its slots in best and in layer 0.  By tracemalloc, the tables of
-        # every prime for part - 1 at budgets 10^4 and 10^5 held about 60 B an
-        # entry, and 3.5 times as many entries as the prime 2's
-        if combine is operator.add:
-            entries = budget // cost(2) + 1
-            what = f"an lcm table of {entries} entries for the prime 2"
-            _primes.require_memory(44 * entries, what)
         self._combine = combine
         self._primes, self._items, self._best, self._layers = [], [], [], []
         m = 2
@@ -318,14 +309,43 @@ def _lcms_at(f: WeightFunction, budgets: list) -> Iterator[FactoredNatural]:
     non-integer power's table counts in units of 2**-52 (_units): the parts
     fit when their exact sum, rounded once, is <= x (_unit_budget), as
     e * f(p) does on the prime side."""
+    if not (f.kind == "log" or f.is_exact):
+        budgets = [_unit_budget(b) for b in budgets]
+    return map(_lcm_table(f, max(budgets, default=0)).lcm, budgets)
+
+
+def _lcm_table(f: WeightFunction, budget) -> _LcmTable:
+    """The lcm table of f at budget, in units for a non-integer power
+    (_unit_budget), one table for a whole sweep.  An additive table that
+    cannot fit is refused before it is built, through primes.require_memory,
+    which raises ValueError.
+
+    Its price is 64 B an entry of every prime's best, which tracemalloc put
+    at 63.1, 60.1 and 57.5 B with layer 0 for part - 1 at budgets 10^4, 10^5
+    and 10^6, over at most x S + pi(y) entries: y is the largest part p with
+    f(p) <= x, x the budget in f's own values, and S bounds the sum of
+    1 / f(p) over the primes p <= y.  By Rosser and Schoenfeld 1962, (3.20)
+    and (3.6), for y > 1 the sum of 1 / p over p <= y is under
+    ln ln y + 0.2615 + 1 / (2 ln(y)**2) and pi(y) < 1.25506 y / ln y; with
+    the sum of 1 / (p (p - 1)) over all p, under 0.7732, that bounds the
+    sum of 1 / (p - 1) >= 1 / f(p) for m - 1 and m.  For m**a, a > 1, S is
+    also at most 2**-a + 3**-a + 3**(1 - a) / (a - 1), the integral of t**-a
+    past 3 bounding the rest.  Part - 1 at budgets 10^4-10^6 holds 1.3-2.1%
+    fewer entries than that.  The log weight's product table has log2 of
+    its cap entries.
+    """
     if f.kind == "log":  # the parts' product must stay within the cap
-        table = _LcmTable(lambda m: m, max(budgets, default=1), operator.mul, 1)
-    elif f.is_exact:
-        table = _LcmTable(f.value, max(budgets, default=0))
-    else:  # _unit_budget is nondecreasing in x, so the largest x gives the largest S
-        table = _LcmTable(lambda m: _units(f.value(m)), _unit_budget(max(budgets, default=0)))
-        budgets = map(_unit_budget, budgets)
-    return map(table.lcm, budgets)
+        return _LcmTable(lambda m: m, budget, operator.mul, 1)
+    cost = f.value if f.is_exact else lambda m: _units(f.value(m))
+    a, x = f.alpha or 1, min(budget, 2**1000) / (1 if f.is_exact else 2**52)  # past it, refused
+    y = max(x + 1 if f.kind == "m-1" else x ** (1 / a), 2)
+    lg = math.log(y)
+    s = math.log(lg) + 0.2615 + 1 / (2 * lg * lg) + 0.7732
+    if a > 1:
+        s = min(s, 2**-a + 3**-a + 3 ** (1 - a) / (a - 1))
+    what = f"an lcm table of {budget // cost(2) + 1} entries for the prime 2"
+    _primes.require_memory(64 * (x * s + 1.25506 * y / lg), what)
+    return _LcmTable(cost, budget)
 
 
 def _units(w: float):

@@ -171,13 +171,13 @@ def _lucy(n: int, t: PrimeTable, q: np.ndarray):
     return (hi0[1:], lo0), (hi1[1:], lo1)
 
 
-def _theta_rho(ns: Sequence[int], q: np.ndarray, t: PrimeTable) -> list[float]:
+def _theta_rho(ns: Sequence[int], q: np.ndarray, roots, tops, t: PrimeTable) -> list[float]:
     """log rho(n) of each n of the ascending ns >= 1, one block whose
-    quotients q = n // k, k = 1..top + 1 of the last row, _rows made, as the
-    sum over k = 1..n of theta(n // k), eq. (14): theta at the r = isqrt(n)
-    small quotients n // k, k <= r, and at each large v <= top = n // (r + 1),
-    weighed by mult = n // v - n // (v + 1), the number of k > r with
-    n // k == v.
+    quotients q = n // k, k = 1..top + 1 of the last row, and whose
+    r = isqrt(n) and top = n // (r + 1), roots and tops, _rows made, as the
+    sum over k = 1..n of theta(n // k), eq. (14): theta at the r small
+    quotients n // k, k <= r, and at each large v <= top, weighed by
+    mult = n // v - n // (v + 1), the number of k > r with n // k == v.
 
     Below LUCY_THRESHOLD theta is looked up in the table, which _checked
     grows to n + 2, by theta_many at the block's q and at v <= top, for all
@@ -191,27 +191,27 @@ def _theta_rho(ns: Sequence[int], q: np.ndarray, t: PrimeTable) -> list[float]:
     light = bisect.bisect_left(ns, analytics.LUCY_THRESHOLD)
     out = []
     if light:
-        w = ns[light - 1] // (math.isqrt(ns[light - 1]) + 1) + 1  # top + 1, nondecreasing in n
+        w = tops[light - 1] + 1  # top + 1, nondecreasing in n
         theta_v = t.theta_many(np.arange(w))  # theta(v) for v <= top
         q_light = q[:light, :w]
-        out = _theta_sums(ns[:light], q_light[:, :-1] - q_light[:, 1:], t.theta_many(q_light), theta_v)
+        out = _theta_sums(roots[:light], tops[:light], q_light, t.theta_many(q_light), theta_v)
     for i, n in enumerate(ns[light:], light):
-        row = q[i, : n // (math.isqrt(n) + 1) + 1]
+        row = q[i, : tops[i] + 1]
         theta_q, theta_v = _lucy(n, t, row)[1]
-        out += _theta_sums([n], (row[:-1] - row[1:])[None], theta_q[None], theta_v)
+        out += _theta_sums([roots[i]], [tops[i]], row[None], theta_q[None], theta_v)
     return out
 
 
-def _theta_sums(ns: list[int], mult, theta_q, theta_v) -> list[float]:
+def _theta_sums(roots: list[int], tops: list[int], q, theta_q, theta_v) -> list[float]:
     """The sum of theta(n // k) over k = 1..n of each n of a block of ascending
-    ns: row i of theta_q holds theta(n // k) at its first r = isqrt(n) cells,
-    theta_v theta(v) at each v < w, w = top + 1 of the widest row, and row i
-    of mult n // v - n // (v + 1) at v = 1..w-1, the number of k > r with
-    n // k == v for v <= top.  Each row sums over its own slices
-    (_slice_sums), so its sum does not depend on the block."""
-    roots = [math.isqrt(n) for n in ns]
-    tops = [n // (r + 1) for n, r in zip(ns, roots)]
-    mult_theta = mult * theta_v[1 : mult.shape[1] + 1]  # at v = 1..w-1
+    ns, whose r = isqrt(n) and top = n // (r + 1) are roots and tops: row i of
+    q holds n // k at k = 1..w, w = top + 1 of the widest row, row i of
+    theta_q theta(n // k) at its first r cells, and theta_v theta(v) at each
+    v < w.  mult = n // v - n // (v + 1), q's neighbour difference at
+    v = 1..w-1, is the number of k > r with n // k == v for v <= top.  Each
+    row sums over its own slices (_slice_sums), so its sum does not depend
+    on the block."""
+    mult_theta = (q[:, :-1] - q[:, 1:]) * theta_v[1 : q.shape[1]]  # at v = 1..w-1
     return (analytics._slice_sums(theta_q, roots) + analytics._slice_sums(mult_theta, tops)).tolist()
 
 

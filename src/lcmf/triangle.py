@@ -4,9 +4,10 @@ q(n, k) is the lcm of all products i_1 * ... * i_k over multisets of exactly
 k positive integers with i_1 + ... + i_k <= n.  Dropping the parts equal to 1
 turns this into the bounded-weight lcm of the products module: multisets of
 parts >= 2, at most k of them, with the shifted weights (part - 1) summing to
-at most n - k.  A sweep (qs, diagonals, rows) builds one per-prime step table
-at its largest budget n - k and reads every entry from it with its part
-limit k; q and diagonal are their one-entry cases.  The diagonals
+at most n - k.  A sweep (qs, iter_rows, and verify's prop1 and cor2, which
+stream their pairs to _entries) builds one per-prime step table at its
+largest budget n - k, priced before it is built, and reads every entry
+from it with its part limit k; q is qs' one-entry case.  The diagonals
 d(n, k) = q(n + k, k) have budget n; they are nondecreasing in the
 divisibility order and freeze at k = n, where they give the same value as
 the shifted-weight prime product.
@@ -18,13 +19,13 @@ import itertools
 from typing import Iterable, Iterator
 
 from .factored import FactoredNatural
-from .products import _LcmTable
+from .products import WeightFunction, _lcm_table
 
 
 def _entries(pairs: Iterable[tuple[int, int]], budget: int) -> Iterator[FactoredNatural]:
     """q(n, k) for each (n, k) of pairs, 0 <= k <= n and n - k <= budget, in
     order, read one at a time from one table built at budget."""
-    table = _LcmTable(lambda part: part - 1, budget)
+    table = _lcm_table(WeightFunction.shifted(), budget)
     return (table.lcm(n - k, k) for n, k in pairs)
 
 
@@ -46,18 +47,11 @@ def q(n: int, k: int) -> FactoredNatural:
     return value
 
 
-def diagonals(pairs: Iterable[tuple[int, int]]) -> Iterator[FactoredNatural]:
-    """d(n, k) = q(n + k, k) for each (n, k) of pairs, from one table (qs)."""
-    pairs = list(pairs)
-    if any(n < 0 or k < 0 for n, k in pairs):
-        raise ValueError("n and k must be >= 0")
-    return qs((n + k, k) for n, k in pairs)
-
-
 def diagonal(n: int, k: int) -> FactoredNatural:
     """d(n, k) = q(n + k, k), the k-th entry of the n-th diagonal."""
-    (value,) = diagonals([(n, k)])
-    return value
+    if n < 0 or k < 0:
+        raise ValueError("n and k must be >= 0")
+    return q(n + k, k)
 
 
 def sigma_from_diagonal(n: int) -> FactoredNatural:

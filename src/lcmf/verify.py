@@ -134,11 +134,12 @@ def check_prop1(nmax: int) -> CheckResult:
     from . import triangle
 
     res = CheckResult(check_id="prop1")
-    # k runs to 2n+1 for the chain and to n+5 for the freeze check
-    ks = [range(max(2 * n + 2, n + 6)) for n in range(nmax + 1)]
-    values = triangle.diagonals((n, k) for n in range(nmax + 1) for k in ks[n])
+    # k runs to 2n+1 for the chain and to n+5 for the freeze check, d(n, k)
+    # = q(n + k, k) streamed from one table at budget nmax
+    ks = lambda n: range(max(2 * n + 2, n + 6))
+    values = triangle._entries(((n + k, k) for n in range(nmax + 1) for k in ks(n)), nmax)
     for n in range(nmax + 1):
-        d = [next(values) for _ in ks[n]]
+        d = [next(values) for _ in ks(n)]
         for k in range(1, 2 * n + 2):
             if not d[k - 1].divides(d[k]):
                 res.violations.append(f"d({n},{k-1}) does not divide d({n},{k})")
@@ -154,7 +155,7 @@ def check_cor2(nmax: int) -> CheckResult:
     from . import sequences, triangle
 
     res = CheckResult(check_id="cor2")
-    frozen = triangle.diagonals((n, n) for n in range(nmax + 1))
+    frozen = triangle._entries(((2 * n, n) for n in range(nmax + 1)), nmax)  # d(n, n), streamed
     for n, d in zip(range(nmax + 1), frozen):
         res.cases += 1
         if sequences.sigma(n) != d:

@@ -801,7 +801,7 @@ def test_scan_rows_across_the_table_end_take_windows_past_it_alone(c_mid):
 
 def test_the_rows_read_the_bitmap_once_a_block(monkeypatch):
     # each block takes three bitmap views: the row's flags (_row_flags), its
-    # large v + 1 (_prime_quotients) and the check route's flags
+    # large v + 1 (_rows) and the check route's flags
     # (_route_carried); the table derives its primes from the bitmap a few
     # times as its reads reach further.  A view per row fails: eq14-16's
     # grid at nmax 30000 on a fresh table, and a step:1 window on a table up
@@ -1217,21 +1217,21 @@ def _flag_one_past_the_table(real, n, flagged):
 def test_a_composite_flagged_prime_in_a_row_fails_on_log_sigma(monkeypatch, capsys):
     # one composite n // k + 1 flagged prime in a row's assembly, not in the
     # table: log sigma and s1 gain the same log and card_A one, so only the
-    # check route's own flags see it.  First in the flags that
-    # _prime_quotients reads, on the scan's row and the table row near 2^20,
+    # check route's own flags see it.  First in the flags that _row_flags
+    # gives _rows' sums, on the scan's row and the table row near 2^20,
     # then from _quotient_flags, one past the table, on the scan's and the
     # Lucy row at _MUTANT_N
     n = (1 << 20) + 12345
     k = _last_composite_k(n)
-    real_quotients = analytics._prime_quotients
+    real_flags = analytics._row_flags
 
-    def quotients(ns, q, prime_q, mask):
+    def row_flags(ns, q, roots, t, carry):
+        flags = real_flags(ns, q, roots, t, carry)
         if n in ns:
-            prime_q = prime_q.copy()
-            prime_q[list(ns).index(n), k - 1] = True
-        return real_quotients(ns, q, prime_q, mask)
+            flags[list(ns).index(n), k - 1] = True
+        return flags
 
-    monkeypatch.setattr(analytics, "_prime_quotients", quotients)
+    monkeypatch.setattr(analytics, "_row_flags", row_flags)
     # the split's 1e-6 n, about 1.05 here, sees the log too; at 2^30 it does not
     _flagged_row_fails(capsys, n, f"n={n}: quotient log split")
     monkeypatch.undo()

@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,51 @@ def test_lcm_table_over_physical_memory_is_an_error(argv):
     )
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: an lcm table of") and "memory" in proc.stderr
+
+
+def _refused_in_a_child(argv, what):
+    """argv, a CLI command or a -c program, in a child in 1 GiB of address
+    space: it must print the memory message starting with what, in under
+    2 s, where a table built anyway grinds for minutes.  Its exit code and
+    stdout."""
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, *argv], env=dict(os.environ, PYTHONPATH=str(_SRC)),
+        capture_output=True, text=True, timeout=10, preexec_fn=_address_space_of_1_gib,
+    )
+    assert time.monotonic() - start < 2
+    message = proc.stderr or proc.stdout
+    assert message.startswith(what) and "memory" in message, proc.stderr
+    return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize("check", ["prop1", "cor2"])
+def test_prop1_and_cor2_past_physical_memory_are_an_error(check):
+    # each streams its pairs to one table at budget nmax, priced first: at
+    # 10^9 the table is refused before any pair is listed
+    argv = ["-m", "lcmf.cli", "verify", check, "--nmax", str(10**9)]
+    code, out = _refused_in_a_child(argv, "error: an lcm table of 1000000001 entries")
+    assert code == 1 and out == ""
+
+
+def test_part_minus_1_table_past_physical_memory_is_an_error():
+    # the price counts every prime's entries: at this budget the prime 2's
+    # b + 1 entries of about 60 B would fit, and every prime's together,
+    # about 3.9 times as many, would not
+    b = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 150
+    what = f"error: an lcm table of {b + 1} entries for the prime 2 needs"
+    for argv in (["compute", "q", str(b + 5), "5"], ["triangle", "--nmax", str(b)]):
+        code, out = _refused_in_a_child(["-m", "lcmf.cli", *argv], what)
+        assert code == 1 and out == ""
+    probe = (
+        "from lcmf.products import WeightFunction, multiset_lcm\n"
+        "try:\n"
+        f"    multiset_lcm(WeightFunction.shifted(), {b})\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    code, _ = _refused_in_a_child(["-c", probe], what[len("error: ") :])
+    assert code == 0
 
 
 def test_scan_row_over_physical_memory_is_an_error(capsys, monkeypatch):

@@ -46,11 +46,40 @@ def test_sweeps_read_one_table():
     assert cor2.passed and cor2.cases == 151
 
 
+def test_prop1_streams_its_pairs_to_the_table():
+    # check_prop1 reads its d(n, k) = q(n + k, k) from one table as a
+    # stream of pairs: its tracemalloc peak, the table's part-limit layers
+    # and a few entries, stays under what the list of its pairs alone
+    # holds, which a sweep that lists them first adds to that peak
+    import tracemalloc
+
+    nmax = 240
+    tracemalloc.start()
+    try:
+        pairs = [(n + k, k) for n in range(nmax + 1) for k in range(max(2 * n + 2, n + 6))]
+        listed = tracemalloc.get_traced_memory()[0]
+        del pairs
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = check_prop1(nmax)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert result.passed and result.cases == 59768
+    assert peak < listed, (peak, listed)
+
+
 def test_q_rejects_bad_args():
     with pytest.raises(ValueError):
         q(3, 4)
     with pytest.raises(ValueError):
         q(-1, 0)
+
+
+def test_diagonal_rejects_bad_args():
+    for n, k in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="n and k must be >= 0"):
+            diagonal(n, k)
 
 
 def test_diagonal_values():
