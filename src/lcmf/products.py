@@ -343,8 +343,8 @@ def _lcm_table(f: WeightFunction, budget) -> _LcmTable:
     s = math.log(lg) + 0.2615 + 1 / (2 * lg * lg) + 0.7732
     if a > 1:
         s = min(s, 2**-a + 3**-a + 3 ** (1 - a) / (a - 1))
-    what = f"an lcm table of {budget // cost(2) + 1} entries for the prime 2"
-    _primes.require_memory(64 * (x * s + 1.25506 * y / lg), what)
+    entries = x * s + 1.25506 * y / lg
+    _primes.require_memory(64 * entries, f"an lcm table of about {entries:.3g} entries")
     return _LcmTable(cost, budget)
 
 

@@ -10,8 +10,11 @@ per-n check over a range of n is one walk on plain ints: for one prime p,
 every side of every comparison is a step function of n that steps only at
 a few residues mod p and p - 1, so it is evaluated once per interval that
 _pieces yields between steps, about 7 n / p points for p rather than n.
-chain_flags and sandwich_flags (Propositions 2 and 3) and _split_walk (the
-split of sigma(n)/n!) are such walks, each with a one-n wrapper.
+chain_flags and sandwich_flags (Propositions 2 and 3) and _large_walk (the
+primes p*p > n + 1 of Theorem 2, which verify theorem2 reads) are such
+walks; _split_walk (the split of sigma(n)/n!) adds the small primes to
+_large_walk's.  chain_flags, sandwich_flags and _split_walk each have a
+one-n wrapper.
 
 Boundary comparisons against sqrt(n + 1) are done in integer arithmetic
 (p > sqrt(n+1) iff p*p > n+1), and the quotient values floor(n/k + 1) are
@@ -257,18 +260,29 @@ def quotient_primes(n: int, wide: bool = False, table: PrimeTable | None = None)
     return QuotientPrimes(n=n, wide=wide, members=frozenset(gen), generating_k=gen)
 
 
-def _split_walk(lo: int, hi: int, table: PrimeTable):
-    """(n, small log, large primes, failure or None) per n of [lo, hi], lo >= 1.
+def _large_walk(lo: int, hi: int, table: PrimeTable):
+    """(n, wide, large, failure or None) per n of [lo, hi], lo >= 1: wide the
+    wide quotient primes of n (quotient_primes), large its members above
+    sqrt(n + 1).  Theorem 2's walk, which verify split and verify theorem2
+    both read.
 
     For p*p > n + 1, p's exponent in sigma(n)/n! is n // (p - 1) - n // p, so
     each p is walked over the n where it is large, [p - 1, p*p - 2], counting
-    the primes of valuation 1 per n (as differences).  The large part is the
-    wide quotient primes above sqrt(n + 1) exactly when there are as many of
-    them as counted and each is a prime of valuation 1.
+    the primes of valuation 1 per n (as differences), before the first n is
+    read.  large is the large part exactly when there are as many of them as
+    counted and each is a prime of valuation 1.  The table to hi + 2 and
+    what the walk holds beside it are priced at once, before the table grows.
     """
-    ps = table.prime_list(hi + 1)
-    above = bytearray(len(range(lo, hi + 1)))  # a large valuation exceeds 1
-    ones = [0] * (len(above) + 1)  # the primes of valuation 1, as differences
+    size = len(range(lo, hi + 1))
+    # the table as PrimeTable._build prices it, a byte an n and 16 B a prime, and
+    # beside it, by tracemalloc, above's byte and ones' 8 B slot an n and 56 B a prime
+    # to hi + 1: its int and table list slot, 40 B, and a slot in the walk's and a caller's
+    need = hi + 3 + 9 * size + 72 * 1.26 * (hi + 2) / math.log(hi + 2)
+    _primes.require_memory(need, f"a prime table up to {hi + 2} and its large-prime walk")
+    table.ensure(hi + 2)  # every prime walked, at most hi + 1, is inside it
+    ps, bitmap = table.prime_list(hi + 1), table._bitmap
+    above = bytearray(size)  # a large valuation exceeds 1
+    ones = [0] * (size + 1)  # the primes of valuation 1, as differences
     for p in ps:
         for b, e in _pieces(max(lo, p - 1), min(hi, p * p - 2), _split_steps(p), p):
             v = b // (p - 1) - b // p
@@ -277,27 +291,35 @@ def _split_walk(lo: int, hi: int, table: PrimeTable):
                 ones[e - lo] -= 1
             elif v > 1:
                 above[b - lo : e - lo] = b"\1" * (e - b)
-    bitmap = table._bitmap  # every prime walked is at most hi + 1, inside the table
-    count = 0
-    for n in range(lo, hi + 1):
-        count += ones[n - lo]
-        small_log, large, failure = 0.0, None, None
-        for p in itertools.takewhile(lambda p: p * p <= n + 1, ps):  # ascending
+
+    def verdict(n: int, count: int):
+        wide = quotient_primes(n, wide=True, table=table)
+        large, failure = {p for p in wide.members if p * p > n + 1}, None
+        if above[n - lo]:
+            failure = f"large-prime valuation above 1 at n={n}"
+        elif len(large) != count or not all(n // (p - 1) - n // p == 1 and bitmap[p] for p in large):
+            got = {p for p in ps if p * p > n + 1 and n // (p - 1) - n // p}  # 0 past n + 1
+            failure = f"large part mismatch at n={n}: {got} vs {large}"
+        return n, wide, large, failure
+
+    return map(verdict, range(lo, hi + 1), itertools.accumulate(ones))
+
+
+def _split_walk(lo: int, hi: int, table: PrimeTable):
+    """(n, small log, large primes, failure or None) per n of [lo, hi], lo >= 1:
+    _large_walk with the small part, the primes p*p <= n + 1, on top; a
+    small-part failure is the one reported."""
+    walk = _large_walk(lo, hi, table)
+    small = table.prime_list(math.isqrt(hi + 1))
+    for n, _, large, failure in walk:
+        small_log = 0.0
+        for p in itertools.takewhile(lambda p: p * p <= n + 1, small):  # ascending
             e = n // (p - 1) - _vfact(n, p)
             if e < 0:
                 failure = f"sigma({n}) is not a multiple of {n}!"
                 break
             if e:
                 small_log += e * math.log(p)
-        if failure is None and above[n - lo]:
-            failure = f"large-prime valuation above 1 at n={n}"
-        if failure is None:
-            large = {p for p in quotient_primes(n, wide=True, table=table).members if p * p > n + 1}
-            if len(large) != count or not all(
-                n // (p - 1) - n // p == 1 and bitmap[p] for p in large
-            ):
-                got = {p for p in ps if p * p > n + 1 and n // (p - 1) - n // p}  # 0 past n + 1
-                failure = f"large part mismatch at n={n}: {got} vs {large}"
         yield n, small_log, large, failure
 
 

@@ -192,8 +192,9 @@ def check_prop3(nmax: int) -> CheckResult:
 
 
 def check_theorem2(nmax: int) -> CheckResult:
-    """Dual-route valuations agree and stay in {0, 1} for all in-range
-    primes: the pairs (n, p) with sqrt(n+1) < p <= n+1 (_theorem2_walk)."""
+    """Theorem 2 over the pairs (n, p) with sqrt(n+1) < p <= n+1: each
+    valuation is 0 or 1, and 1 exactly at the wide quotient primes
+    (_theorem2_walk)."""
     res = CheckResult(check_id="theorem2")
     collections.deque(_theorem2_walk(nmax, res), 0)
     return res
@@ -203,26 +204,30 @@ def _theorem2_walk(nmax: int, res: CheckResult):
     """(n, ps, vs, witness_k) per n of 1..nmax, once res has its pairs and
     violations: ps the primes in range, vs an iterator of their digit-route
     valuations (n mod p + n div p) // (p - 1), witness_k the k of the wide
-    quotient primes, of witness-route valuation 1, the rest 0.  One
-    comparison decides a pair: a digit valuation above 1 differs from both."""
+    quotient primes, of witness-route valuation 1, the rest 0.
+
+    The verdict is sequences._large_walk's, the walk of verify split.  Only
+    at an n where it fails are the two routes compared, pair by pair, to
+    name each pair where they differ (a digit valuation above 1 differs from
+    both); where none does, as for a composite member, the walk's own
+    failure is the violation."""
     from . import sequences
 
     t = _primes.default_table()
-    t.ensure(nmax + 2)
+    walk = sequences._large_walk(1, nmax, t)  # priced before the table grows
     primes = t.prime_list(nmax + 1)
-    for n in range(1, nmax + 1):
+    for n, wide, _, failure in walk:
         lo, hi = bisect.bisect_right(primes, math.isqrt(n + 1)), bisect.bisect_right(primes, n + 1)
         ps = primes[lo:hi]
-        *_, wide, witness_k = sequences.quotient_primes(n, wide=True, table=t)
         res.cases += len(ps)
-        res.violations += [
-            f"n={n} p={p}: digit route {v}, witness route {int(p in wide)}"
-            for p in ps
-            if (v := (n % p + n // p) // (p - 1)) != (p in wide)
-        ]
-        # the digit valuations again, computed only if read: a list of them
-        # cost the check a tenth more at nmax 2000
-        yield n, ps, ((n % p + n // p) // (p - 1) for p in ps), witness_k
+        if failure is not None:
+            res.violations += [
+                f"n={n} p={p}: digit route {v}, witness route {int(p in wide.members)}"
+                for p in ps
+                if (v := (n % p + n // p) // (p - 1)) != (p in wide.members)
+            ] or [failure]
+        # the digit valuations, computed only where read: for --out's records
+        yield n, ps, ((n % p + n // p) // (p - 1) for p in ps), wide.generating_k
 
 
 def check_theta_identities(nmax: int, points: int = 1000) -> CheckResult:
@@ -262,11 +267,9 @@ def check_split(nmax: int) -> CheckResult:
     from . import sequences
 
     res = CheckResult(check_id="split")
-    t = _primes.default_table()
-    t.ensure(nmax + 2)
     sup = 0.0
     sup_n = 1
-    for n, small_log, _, failure in sequences._split_walk(1, nmax, t):
+    for n, small_log, _, failure in sequences._split_walk(1, nmax, _primes.default_table()):
         res.cases += 1
         if failure is not None:
             res.violations.append(failure)

@@ -181,18 +181,23 @@ def _refused_in_a_child(argv, what):
 @pytest.mark.parametrize("check", ["prop1", "cor2"])
 def test_prop1_and_cor2_past_physical_memory_are_an_error(check):
     # each streams its pairs to one table at budget nmax, priced first: at
-    # 10^9 the table is refused before any pair is listed
+    # 10^9 the table, about 4.13e9 entries over every prime, is refused
+    # before any pair is listed
     argv = ["-m", "lcmf.cli", "verify", check, "--nmax", str(10**9)]
-    code, out = _refused_in_a_child(argv, "error: an lcm table of 1000000001 entries")
+    code, out = _refused_in_a_child(argv, "error: an lcm table of about 4.13e+09 entries needs")
     assert code == 1 and out == ""
 
 
 def test_part_minus_1_table_past_physical_memory_is_an_error():
     # the price counts every prime's entries: at this budget the prime 2's
     # b + 1 entries of about 60 B would fit, and every prime's together,
-    # about 3.9 times as many, would not
+    # about 3.9 times as many, would not.  Their bound, b S + pi(b + 1),
+    # with S and pi bounded as in products._lcm_table, is what is named
     b = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 150
-    what = f"error: an lcm table of {b + 1} entries for the prime 2 needs"
+    lg = math.log(b + 1)
+    entries = b * (math.log(lg) + 0.2615 + 1 / (2 * lg * lg) + 0.7732) + 1.25506 * (b + 1) / lg
+    assert 3.9 * (b + 1) < entries < 4.1 * (b + 1)
+    what = f"error: an lcm table of about {entries:.3g} entries needs"
     for argv in (["compute", "q", str(b + 5), "5"], ["triangle", "--nmax", str(b)]):
         code, out = _refused_in_a_child(["-m", "lcmf.cli", *argv], what)
         assert code == 1 and out == ""
@@ -205,6 +210,19 @@ def test_part_minus_1_table_past_physical_memory_is_an_error():
     )
     code, _ = _refused_in_a_child(["-c", probe], what[len("error: ") :])
     assert code == 0
+
+
+@pytest.mark.parametrize("check", ["theorem2", "split"])
+def test_theorem2_and_split_walks_past_physical_memory_are_an_error(check):
+    # at physical memory // 6 the table's own price fits, and the walk beside
+    # it, 9 B an n and 56 B a prime, would not: the two are priced at once,
+    # before the table grows
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    n = have // 6
+    assert n + 3 + 16 * 1.26 * (n + 2) / math.log(n + 2) < have
+    argv = ["-m", "lcmf.cli", "verify", check, "--nmax", str(n)]
+    code, out = _refused_in_a_child(argv, f"error: a prime table up to {n + 2} and its large-prime walk")
+    assert code == 1 and out == ""
 
 
 def test_scan_row_over_physical_memory_is_an_error(capsys, monkeypatch):

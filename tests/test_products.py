@@ -401,11 +401,12 @@ def test_prime_side_takes_budgets_past_int64():
 
 
 def test_lcm_side_refuses_a_table_past_physical_memory():
-    # m^10 at 10^20 gives the prime 2 a table of 10^20 // 2^10 + 1 entries,
-    # and m^10.5 one of about 7e16: each is refused before it is built (the
-    # prime side takes such budgets, the test above).  A child process in
-    # 1 GiB of address space, so that a table built anyway fails on its own
-    # memory
+    # m^10 at 10^20 gives every prime's tables together at most 10^20 S +
+    # pi(100) entries, about 9.99e16, S = 2^-10 + 3^-10 + 3^-9 / 9 bounding
+    # the sum of p^-10; m^10.5 about 7e16: each is refused before it is
+    # built (the prime side takes such budgets, the test above).  A child
+    # process in 1 GiB of address space, so that a table built anyway fails
+    # on its own memory
     import resource
 
     src = Path(__file__).resolve().parents[1] / "src"
@@ -424,7 +425,7 @@ def test_lcm_side_refuses_a_table_past_physical_memory():
     )
     lines = proc.stdout.splitlines()
     assert len(lines) == 2, proc.stderr
-    assert lines[0].startswith(f"an lcm table of {10**20 // 2**10 + 1} entries for the prime 2 needs")
+    assert lines[0].startswith("an lcm table of about 9.99e+16 entries needs")
     assert all("memory" in line for line in lines)
 
 

@@ -245,6 +245,15 @@ def test_theorem2_reports_each_pair_a_dropped_witness_misses(monkeypatch):
     ]
 
 
+def test_theorem2_reports_the_walks_failure_where_no_pair_differs(monkeypatch):
+    # the composite 100 among n = 99's wide quotient primes is in no pair, so
+    # the walk's own mismatch line, from its primality guard, is the violation
+    _patch_quotient_primes(monkeypatch, {}, {99: {100}})
+    res = verify.check_theorem2(200)
+    assert res.cases == 4230
+    assert res.violations == ["large part mismatch at n=99: {17, 13} vs {17, 100, 13}"]
+
+
 def test_sigma_ratio_valuation_examples():
     rec = sigma_ratio_valuation(10, 11)
     assert rec.valuation == 1 and rec.witness_k == 1
