@@ -117,8 +117,8 @@ def _check_theorem2(args):
 
     def write(fh) -> None:
         fh.write("n,p,v,witness_k\n")
-        for n, ps, vs, witness_k in verify._theorem2_walk(args.nmax, result):
-            fh.write("".join(f"{n},{p},{v},{witness_k.get(p, '')}\n" for p, v in zip(ps, vs)))
+        for n, pairs, witness_k in verify._theorem2_walk(args.nmax, result):
+            fh.write("".join(f"{n},{p},{v},{witness_k.get(p, '')}\n" for p, v in pairs))
 
     _write_out(args.out, write)
     return result

@@ -98,6 +98,17 @@ def require_memory(need: int, what: str) -> None:
         )
 
 
+def _table_bytes(limit: int, per_prime: int = 48) -> int:
+    """About the bytes a PrimeTable up to limit holds, with per_prime bytes a
+    prime more: its bitmap, a byte an integer, and 16 B a prime for the int64
+    primes and float64 prefix derived to the end, which a read may never ask
+    for.  The default, 48 B, is its prime_list to limit, by tracemalloc:
+    each prime's int and its slot in the table's list, 40 B, and a slot in
+    the one copy prime_list returns.  pi(x) < 1.26 x / ln x
+    (Rosser-Schoenfeld 1962) bounds the prime count."""
+    return limit + 1 + (16 + per_prime) * int(1.26 * limit / math.log(max(limit, 2)))
+
+
 def _simple_sieve(limit: int) -> bytearray:
     """Primality bitmap over [0, limit], one byte per integer (1 for a prime)."""
     limit = max(limit, 1)
@@ -153,12 +164,7 @@ class PrimeTable:
         self._build(max(4, int(limit or 0)))
 
     def _build(self, limit: int) -> None:
-        # an upper bound: the bitmap, and the int64 primes and float64 prefix
-        # derived to the end, which a read may never ask for; pi(x) < 1.26 x / ln x
-        # (Rosser-Schoenfeld 1962) bounds the prime count
-        require_memory(
-            limit + 1 + 16 * int(1.26 * limit / math.log(limit)), f"a prime table up to {limit}"
-        )
+        require_memory(_table_bytes(limit, 0), f"a prime table up to {limit}")
         bitmap = bytearray([1]) * (limit + 1)
         bitmap[:2] = b"\0\0"
         base = _simple_sieve(math.isqrt(limit) + 1)

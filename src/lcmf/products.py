@@ -187,22 +187,21 @@ def prime_exponents(f: WeightFunction, X, table: PrimeTable | None = None) -> di
     arithmetic, on the floats f.value(p) gives: floor(x / f(p)), corrected
     by one step either way for the rounding of the quotient.
     """
-    t = _primes._table(table)
+    ps = _primes._table(table).prime_list(_prime_bound(f, X))
     if f.kind == "log":
-        ps = t.prime_list(X)
         k = bisect.bisect_right(ps, math.isqrt(X))  # p * p > X past it: exponent 1
         exps = {p: _primes._log_floor(X, p) for p in ps[:k]}
         exps.update(dict.fromkeys(ps[k:], 1))
         return exps
     if f.kind == "m":
-        return {p: X // p for p in t.prime_list(X)}
+        return {p: X // p for p in ps}
     if f.kind == "m-1":
-        return {p: X // (p - 1) for p in t.prime_list(X + 1)}
+        return {p: X // (p - 1) for p in ps}
     if f.is_exact:
         a = f.alpha
-        return {p: X // p**a for p in t.prime_list(_primes.iroot(X, a))}
+        return {p: X // p**a for p in ps}
     exps = {}
-    for p in t.prime_list(int(X ** (1.0 / f.alpha)) + 2):
+    for p in ps:
         w = f.value(p)
         e = math.floor(X / w)
         e += (e + 1) * w <= X
@@ -213,10 +212,35 @@ def prime_exponents(f: WeightFunction, X, table: PrimeTable | None = None) -> di
     return exps
 
 
+def _prime_bound(f: WeightFunction, X) -> int:
+    """The bound of the primes that prime_exponents reads at the budget X of f:
+    every prime of a positive exponent, and for a non-integer power a few more."""
+    if f.kind in ("m", "log"):
+        return X
+    if f.kind == "m-1":
+        return X + 1
+    if f.is_exact:
+        return _primes.iroot(X, f.alpha)
+    return int(X ** (1.0 / f.alpha)) + 2
+
+
 def weighted_prime_product(f: WeightFunction, x, table: PrimeTable | None = None) -> FactoredNatural:
     """Product over primes p of p**floor(x / f(p)), as a FactoredNatural:
-    the exponents of prime_exponents at the budget x sets (_budget)."""
-    return FactoredNatural._trusted(prime_exponents(f, _budget(f, x), table))
+    the exponents of prime_exponents at the budget x sets (_budget).
+
+    What the product and its printing hold is priced first, before the
+    table grows: the table and its prime list to the bound of the primes
+    read, and 112 B a prime more for the exponent dict, its exponents and
+    the factorization that the CLI prints past the digit budget.  By
+    tracemalloc, compute rho, sigma and pif at m^2, m^1.5 and log with the
+    primes to 2 * 10**6 held 150-156 B a prime beside the bitmap, the
+    prime list's 48 B among them.
+    """
+    X = _budget(f, x)
+    bound = _prime_bound(f, X)
+    need = _primes._table_bytes(bound, 48 + 112)
+    _primes.require_memory(need, f"a prime table up to {bound} and the product over its primes")
+    return FactoredNatural._trusted(prime_exponents(f, X, table))
 
 
 # -- the lcm side -----------------------------------------------------------------

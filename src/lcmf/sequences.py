@@ -12,9 +12,11 @@ a few residues mod p and p - 1, so it is evaluated once per interval that
 _pieces yields between steps, about 7 n / p points for p rather than n.
 chain_flags and sandwich_flags (Propositions 2 and 3) and _large_walk (the
 primes p*p > n + 1 of Theorem 2, which verify theorem2 reads) are such
-walks; _split_walk (the split of sigma(n)/n!) adds the small primes to
-_large_walk's.  chain_flags, sandwich_flags and _split_walk each have a
-one-n wrapper.
+walks, each over the primes up to hi + 1, the primes of sigma(hi);
+_split_walk (the split of sigma(n)/n!) adds the small primes to
+_large_walk's, from the one prime list that _large_walk returns with its
+walk.  chain_flags, sandwich_flags and _split_walk each have a one-n
+wrapper.
 
 Boundary comparisons against sqrt(n + 1) are done in integer arithmetic
 (p > sqrt(n+1) iff p*p > n+1), and the quotient values floor(n/k + 1) are
@@ -97,6 +99,18 @@ def _pieces(lo: int, hi: int, steps, p: int):
     yield b, hi + 1
 
 
+def _flags(lo: int, hi: int, table: PrimeTable | None, facts: int):
+    """(the primes up to hi + 1, one zeroed bytearray per fact over [lo, hi]):
+    the prime list and failure flags of chain_flags and sandwich_flags, priced
+    with the table before the table grows."""
+    if lo < 0:
+        raise ValueError("n must be >= 0")
+    size = len(range(lo, hi + 1))
+    need = _primes._table_bytes(hi + 1) + facts * size
+    _primes.require_memory(need, f"a prime table up to {hi + 1} and {facts} failure flags an n")
+    return _primes._table(table).prime_list(hi + 1), [bytearray(size) for _ in range(facts)]
+
+
 def chain_flags(lo: int, hi: int, table: PrimeTable | None = None) -> list[bytearray]:
     """Where four exact facts about rho/sigma fail over [lo, hi]: one bytearray
     per fact, byte n - lo nonzero when the fact fails at n.
@@ -106,18 +120,15 @@ def chain_flags(lo: int, hi: int, table: PrimeTable | None = None) -> list[bytea
     (b) rho(n) | n!;
     (c) n! | sigma(n) and sigma(n) | (2n)!;
     (d) for odd n, sigma(n) = 2 * sigma(n-1)  (vacuously true for even n).
-    Each is compared prime by prime over the primes up to max(2 hi, hi + 2, 2);
-    a prime above n's own bound has exponent 0 on both sides of every
-    comparison.  For one prime every side is a step function of n
-    (_chain_steps says where each steps), so each comparison is decided once
-    per interval of _pieces, from scratch at the interval's first n; (d),
-    which holds at every even n, at the interval's first odd n, for all of
-    its odd n.
+    Each is compared prime by prime over the primes up to hi + 1, the primes
+    of sigma(hi): at a prime p >= n + 2, n // p, n // (p - 1) and v_p(n!) are
+    0, so no comparison at n can fail there.  For one prime every side is a
+    step function of n (_chain_steps says where each steps), so each
+    comparison is decided once per interval of _pieces, from scratch at the
+    interval's first n; (d), which holds at every even n, at the interval's
+    first odd n, for all of its odd n.
     """
-    if lo < 0:
-        raise ValueError("n must be >= 0")
-    ps = _primes._table(table).prime_list(max(2 * hi, hi + 2, 2))
-    fails = [bytearray(len(range(lo, hi + 1))) for _ in range(4)]
+    ps, fails = _flags(lo, hi, table, 4)
     for p in ps:
         q = p - 1
         for b, e in _pieces(lo, hi, _chain_steps(p), p):
@@ -145,10 +156,7 @@ def sandwich_flags(lo: int, hi: int, table: PrimeTable | None = None) -> list[by
     comparison is decided once per interval of _pieces between the steps of
     its sides (see _sandwich_steps), from scratch at its first n.
     """
-    if lo < 0:
-        raise ValueError("n must be >= 0")
-    ps = _primes._table(table).prime_list(hi + 1)
-    fails = [bytearray(len(range(lo, hi + 1))) for _ in range(2)]
+    ps, fails = _flags(lo, hi, table, 2)
     for p in ps:
         for b, e in _pieces(lo, hi, _sandwich_steps(p), p):
             mid = b // (p - 1)
@@ -261,10 +269,11 @@ def quotient_primes(n: int, wide: bool = False, table: PrimeTable | None = None)
 
 
 def _large_walk(lo: int, hi: int, table: PrimeTable):
-    """(n, wide, large, failure or None) per n of [lo, hi], lo >= 1: wide the
-    wide quotient primes of n (quotient_primes), large its members above
-    sqrt(n + 1).  Theorem 2's walk, which verify split and verify theorem2
-    both read.
+    """(ps, walk): ps the primes up to hi + 1, ascending, the one list of them
+    that the walk and its readers hold; walk (n, wide, large, failure or
+    None) per n of [lo, hi], lo >= 1: wide the wide quotient primes of n
+    (quotient_primes), large its members above sqrt(n + 1).  Theorem 2's
+    walk, which verify split and verify theorem2 both read.
 
     For p*p > n + 1, p's exponent in sigma(n)/n! is n // (p - 1) - n // p, so
     each p is walked over the n where it is large, [p - 1, p*p - 2], counting
@@ -274,10 +283,9 @@ def _large_walk(lo: int, hi: int, table: PrimeTable):
     what the walk holds beside it are priced at once, before the table grows.
     """
     size = len(range(lo, hi + 1))
-    # the table as PrimeTable._build prices it, a byte an n and 16 B a prime, and
-    # beside it, by tracemalloc, above's byte and ones' 8 B slot an n and 56 B a prime
-    # to hi + 1: its int and table list slot, 40 B, and a slot in the walk's and a caller's
-    need = hi + 3 + 9 * size + 72 * 1.26 * (hi + 2) / math.log(hi + 2)
+    # the table and its one prime list, ps, and beside them, by tracemalloc,
+    # above's byte and ones' 8 B slot an n
+    need = _primes._table_bytes(hi + 2) + 9 * size
     _primes.require_memory(need, f"a prime table up to {hi + 2} and its large-prime walk")
     table.ensure(hi + 2)  # every prime walked, at most hi + 1, is inside it
     ps, bitmap = table.prime_list(hi + 1), table._bitmap
@@ -302,18 +310,17 @@ def _large_walk(lo: int, hi: int, table: PrimeTable):
             failure = f"large part mismatch at n={n}: {got} vs {large}"
         return n, wide, large, failure
 
-    return map(verdict, range(lo, hi + 1), itertools.accumulate(ones))
+    return ps, map(verdict, range(lo, hi + 1), itertools.accumulate(ones))
 
 
 def _split_walk(lo: int, hi: int, table: PrimeTable):
     """(n, small log, large primes, failure or None) per n of [lo, hi], lo >= 1:
-    _large_walk with the small part, the primes p*p <= n + 1, on top; a
-    small-part failure is the one reported."""
-    walk = _large_walk(lo, hi, table)
-    small = table.prime_list(math.isqrt(hi + 1))
+    _large_walk with the small part, the primes p*p <= n + 1 at the head of
+    its prime list, on top; a small-part failure is the one reported."""
+    ps, walk = _large_walk(lo, hi, table)
     for n, _, large, failure in walk:
         small_log = 0.0
-        for p in itertools.takewhile(lambda p: p * p <= n + 1, small):  # ascending
+        for p in itertools.takewhile(lambda p: p * p <= n + 1, ps):  # ascending
             e = n // (p - 1) - _vfact(n, p)
             if e < 0:
                 failure = f"sigma({n}) is not a multiple of {n}!"

@@ -194,40 +194,41 @@ def check_prop3(nmax: int) -> CheckResult:
 def check_theorem2(nmax: int) -> CheckResult:
     """Theorem 2 over the pairs (n, p) with sqrt(n+1) < p <= n+1: each
     valuation is 0 or 1, and 1 exactly at the wide quotient primes
-    (_theorem2_walk)."""
+    (_theorem2_walk).  The pairs are counted, not listed: their digit
+    valuations are computed only at an n where the walk fails."""
     res = CheckResult(check_id="theorem2")
     collections.deque(_theorem2_walk(nmax, res), 0)
     return res
 
 
 def _theorem2_walk(nmax: int, res: CheckResult):
-    """(n, ps, vs, witness_k) per n of 1..nmax, once res has its pairs and
-    violations: ps the primes in range, vs an iterator of their digit-route
-    valuations (n mod p + n div p) // (p - 1), witness_k the k of the wide
-    quotient primes, of witness-route valuation 1, the rest 0.
+    """(n, pairs, witness_k) per n of 1..nmax, once res has its pairs and
+    violations: pairs an iterator of (p, digit-route valuation
+    (n mod p + n div p) // (p - 1)) over the primes p in range, ascending,
+    computed only as it is read and each record with its own n; witness_k
+    the k of the wide quotient primes, of witness-route valuation 1, the
+    rest 0.
 
-    The verdict is sequences._large_walk's, the walk of verify split.  Only
-    at an n where it fails are the two routes compared, pair by pair, to
-    name each pair where they differ (a digit valuation above 1 differs from
-    both); where none does, as for a composite member, the walk's own
-    failure is the violation."""
+    The verdict is sequences._large_walk's, the walk of verify split, and
+    its one prime list is the pairs' primes.  Only at an n where it fails
+    are the two routes compared, pair by pair, to name each pair where they
+    differ (a digit valuation above 1 differs from both); where none does,
+    as for a composite member, the walk's own failure is the violation."""
     from . import sequences
 
-    t = _primes.default_table()
-    walk = sequences._large_walk(1, nmax, t)  # priced before the table grows
-    primes = t.prime_list(nmax + 1)
+    primes, walk = sequences._large_walk(1, nmax, _primes.default_table())
     for n, wide, _, failure in walk:
         lo, hi = bisect.bisect_right(primes, math.isqrt(n + 1)), bisect.bisect_right(primes, n + 1)
-        ps = primes[lo:hi]
-        res.cases += len(ps)
+        res.cases += hi - lo
+        digits = lambda p, n=n: (p, (n % p + n // p) // (p - 1))  # n bound as the record is made
+        pairs = map(digits, itertools.islice(primes, lo, hi))
         if failure is not None:
+            pairs = list(pairs)
             res.violations += [
                 f"n={n} p={p}: digit route {v}, witness route {int(p in wide.members)}"
-                for p in ps
-                if (v := (n % p + n // p) // (p - 1)) != (p in wide.members)
+                for p, v in pairs if v != (p in wide.members)
             ] or [failure]
-        # the digit valuations, computed only where read: for --out's records
-        yield n, ps, ((n % p + n // p) // (p - 1) for p in ps), wide.generating_k
+        yield n, pairs, wide.generating_k
 
 
 def check_theta_identities(nmax: int, points: int = 1000) -> CheckResult:

@@ -225,6 +225,38 @@ def test_theorem2_and_split_walks_past_physical_memory_are_an_error(check):
     assert code == 1 and out == ""
 
 
+@pytest.mark.parametrize("check, facts", [("prop2", 4), ("prop3", 2)])
+def test_prop2_and_prop3_flags_past_physical_memory_are_an_error(check, facts):
+    # at physical memory // 6 the table's own price fits, and the table with
+    # its prime list, 48 B a prime, and a failure byte per fact and n would
+    # not: the three are priced at once, before the table grows
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    n = have // 6
+    count = 1.26 * (n + 1) / math.log(n + 1)
+    assert n + 2 + 16 * count < have < n + 2 + 64 * count + facts * (n + 1)
+    argv = ["-m", "lcmf.cli", "verify", check, "--nmax", str(n)]
+    what = f"error: a prime table up to {n + 1} and {facts} failure flags an n"
+    code, out = _refused_in_a_child(argv, what)
+    assert code == 1 and out == ""
+
+
+@pytest.mark.parametrize(
+    "target, bound",
+    [(["rho"], 0), (["sigma"], 1), (["pif", "--f", "m", "--x"], 0)],
+    ids=["rho", "sigma", "pif"],
+)
+def test_compute_past_physical_memory_is_an_error(target, bound):
+    # at physical memory // 3 the table's own price fits, and the table with
+    # its prime list, the exponent dict and the printed factorization would
+    # not: they are priced at once, before the table grows
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    n = have // 3
+    assert n + bound + 1 + 16 * 1.26 * (n + bound) / math.log(n + bound) < have
+    what = f"error: a prime table up to {n + bound} and the product over its primes"
+    code, out = _refused_in_a_child(["-m", "lcmf.cli", "compute", *target, str(n)], what)
+    assert code == 1 and out == ""
+
+
 def test_scan_row_over_physical_memory_is_an_error(capsys, monkeypatch):
     # an 8 GiB machine, whatever this one has: the row at 2^60 is never run
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1 << 21, "SC_PAGE_SIZE": 4096}.get)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from lcmf import sequences, verify
+from lcmf import primes, sequences, verify
 from lcmf.factored import FactoredNatural
 from lcmf.primes import PrimeTable, default_table, factorial_valuation
 from lcmf.sequences import (
@@ -223,6 +223,40 @@ def test_flag_and_split_walks_hold_few_bytes_per_n():
         finally:
             tracemalloc.stop()
         assert peak < 32 * n, peak / n
+
+
+def test_chain_flags_read_the_primes_up_to_hi_plus_1():
+    # no prime above hi + 1 can set a flag at n <= hi, so none is sieved
+    t = PrimeTable()
+    chain_flags(0, 5000, t)
+    assert t.limit <= 5002
+
+
+@pytest.mark.parametrize("check", [verify.check_theorem2, verify.check_split])
+def test_theorem2_and_split_list_their_primes_once(monkeypatch, check):
+    calls = []
+
+    class Counted(PrimeTable):
+        def prime_list(self, x):
+            calls.append(x)
+            return super().prime_list(x)
+
+    monkeypatch.setattr(primes, "_default_table", Counted())
+    assert check(500).passed
+    assert len(calls) == 1, calls
+
+
+def test_theorem2_records_keep_their_n_after_the_walk():
+    res = verify.CheckResult(check_id="theorem2")
+    records = list(verify._theorem2_walk(60, res))  # every record read after the walk
+    assert [n for n, _, _ in records] == list(range(1, 61)) and res.passed
+    count = 0
+    for n, pairs, witness_k in records:
+        for p, v in pairs:
+            rec = sigma_ratio_valuation(n, p)
+            assert (v, witness_k.get(p)) == (rec.valuation, rec.witness_k), (n, p)
+            count += 1
+    assert count == res.cases == 454
 
 
 def test_theorem2_reports_each_pair_a_dropped_witness_misses(monkeypatch):
