@@ -152,8 +152,9 @@ def _write_out(path: str | None, write) -> None:
     returns; if write raises, the temporary file is deleted and the old file
     is left as it was.  Anything else (a symlink, a device such as
     os.devnull or /dev/stdout, a fifo, a file with more than one link, or a
-    file in a directory this process cannot write to) is opened and written
-    through, as the rows come.
+    file in a directory that is not there or this process cannot write to)
+    is opened and written through, as the rows come, so that an error names
+    path, not the temporary file.
     """
     if not path:
         write(sys.stdout)
@@ -168,7 +169,7 @@ def _write_out(path: str | None, write) -> None:
         tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
         try:
             fh = open(tmp, "x", encoding="ascii", newline="\n")  # never another's file
-        except PermissionError:
+        except (PermissionError, FileNotFoundError):  # the error then names path
             tmp = None
     if tmp is None:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
@@ -210,6 +211,8 @@ def _cmd_scan(args) -> int:
 
     if args.gnuplot and (args.format != "csv" or not args.out):
         raise UsageError("--gnuplot plots a CSV scan file: it needs --format csv and --out")
+    if args.gnuplot and _same_file(args.gnuplot, args.out):
+        raise UsageError("--gnuplot names the --out file: the stub would replace the scan")
     ns = _parse(analytics.parse_grid, args.grid, args.n, args.nmax)
     enc = analytics.analytic_constant()
     records = analytics.scan_records(ns, c=enc.midpoint)
@@ -226,6 +229,15 @@ def _cmd_scan(args) -> int:
         file=sys.stderr,
     )
     return 0
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether the paths a and b name one file: os.path.samefile when both
+    can be read, else the same os.path.realpath."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
 
 
 def _write_gnuplot_stub(path: str, csv_path: str) -> None:

@@ -1923,3 +1923,19 @@ def test_block_envelopes_and_count_sup(c_mid):
         assert env.sup_rho > 0 and env.sup_sigma > 0
         assert env.conj2_min <= env.conj2_max
     assert quotient_count_sup(recs) > 0
+
+
+def test_lucy_row_check_reports_a_sieve_that_disagrees(monkeypatch):
+    # the row of n = 10^4, q = n // k at k = 1..top + 1; with Lucy's start
+    # values log v! read 1 too high, every S1 exceeds theta by 1, far past
+    # the in-row budget
+    n = 10_000
+    r = math.isqrt(n)
+    q = np.array([n // k for k in range(1, n // (r + 1) + 2)], dtype=np.int64)
+    t = PrimeTable(r + 2)
+    (pi_at_small, _), _ = theta._lucy(n, t, q)
+    assert pi_at_small[0] == 1229  # pi(10^4)
+    real = analytics._log_factorial
+    monkeypatch.setattr(analytics, "_log_factorial", lambda v: real(v) + 1.0)
+    with pytest.raises(ArithmeticError, match=r"^Lucy's sieve disagrees with the prime table at n=10000$"):
+        theta._lucy(n, t, q)

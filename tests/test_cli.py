@@ -178,6 +178,21 @@ def _refused_in_a_child(argv, what):
     return proc.returncode, proc.stdout
 
 
+def test_hypothesis_check_past_physical_memory_is_an_error():
+    # its list of ratios, 32 B a value, is priced before the first f(m): at
+    # physical memory // 16 it is twice the memory
+    bound = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 16
+    probe = (
+        "from lcmf import check_hypothesis\n"
+        "try:\n"
+        f"    check_hypothesis(lambda m: float(m), {bound})\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    code, _ = _refused_in_a_child(["-c", probe], f"the weight's f(m) / log m up to {bound} needs")
+    assert code == 0
+
+
 @pytest.mark.parametrize("check", ["prop1", "cor2"])
 def test_prop1_and_cor2_past_physical_memory_are_an_error(check):
     # each streams its pairs to one table at budget nmax, priced first: at
@@ -710,6 +725,36 @@ def test_scan_gnuplot_stub(capsys, tmp_path):
         out = capsys.readouterr()
         assert out.out == "" and "lcmf scan: error: --gnuplot" in out.err and "--out" in out.err
         assert set(tmp_path.iterdir()) == {csv_path, gp_path}  # nothing written
+
+
+def test_scan_gnuplot_to_its_out_file_is_a_usage_error(capsys, tmp_path):
+    # the stub would replace the scan: one path, the same path spelled
+    # another way, or a link to the file.  Nothing is scanned or written
+    (tmp_path / "sub").mkdir()
+    kept, link = tmp_path / "kept.csv", tmp_path / "link.csv"
+    kept.write_text("kept\n")
+    link.symlink_to(kept)
+    new = tmp_path / "new.csv"
+    for out, gnuplot in ((new, new), (new, tmp_path / "sub" / ".." / "new.csv"), (kept, link)):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["scan", "--grid", "list:5", "--nmax", "5", "--out", str(out), "--gnuplot", str(gnuplot)])
+        assert exc.value.code == 2
+        err = capsys.readouterr()
+        assert err.out == "" and "lcmf scan: error: --gnuplot names the --out file" in err.err
+    assert sorted(tmp_path.iterdir()) == [kept, link, tmp_path / "sub"] and kept.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["triangle", "--nmax", "3"], ["scan", "--grid", "list:5", "--nmax", "5"], ["verify", "theorem2", "--nmax", "3"]],
+    ids=["triangle", "scan", "theorem2"],
+)
+def test_out_into_a_missing_directory_names_the_path(capsys, tmp_path, argv):
+    path = tmp_path / "nodir" / "t.csv"
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_scan_peak_memory_stays_flat_over_the_window(capsys, tmp_path, monkeypatch):

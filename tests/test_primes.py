@@ -235,6 +235,17 @@ def test_factorial_valuation_digit_identity(table):
             assert v == (n - digit_sum(n, p)) // (p - 1)
 
 
+def test_factorial_valuation_reports_routes_that_disagree(monkeypatch):
+    # Legendre's sum read one too high at (10, 2): 9 against the digit form's 8
+    from lcmf import primes
+
+    real = primes._vfact
+    monkeypatch.setattr(primes, "_vfact", lambda n, p: real(n, p) + ((n, p) == (10, 2)))
+    with pytest.raises(AssertionError, match=r"^factorial valuation routes disagree at n=10, p=2$"):
+        factorial_valuation(10, 2)
+    assert factorial_valuation(10, 3) == 4
+
+
 def test_factorize_and_divisors():
     assert factorize(1) == {}
     assert factorize(360) == {2: 3, 3: 2, 5: 1}

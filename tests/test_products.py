@@ -575,3 +575,17 @@ def test_lcm_side_reads_no_sieve(monkeypatch):
     assert list(qs((2 * n, n) for n in range(30))) == sigmas
     assert q(40, 20) == sigmas[20]
     assert len([list(row) for row in iter_rows(9)]) == 10
+
+
+def test_theorem1_reports_a_faulty_lcm_side(monkeypatch):
+    # the lcm at the 11th grid point of m, x = 5, read 7 times too large
+    real = products._lcms_at
+
+    def faulty(f, budgets):
+        for i, value in enumerate(real(f, budgets)):
+            yield FactoredNatural({**value.factors, 7: value.valuation(7) + 1}) if i == 10 else value
+
+    monkeypatch.setattr(products, "_lcms_at", faulty)
+    res = verify.check_theorem1(WeightFunction.linear())
+    assert res.cases == 37
+    assert res.violations == ["f=m x=5.0: product 2^2 * 3 * 5 != lcm 2^2 * 3 * 5 * 7"]

@@ -204,6 +204,69 @@ def test_prop_sweeps_report_each_false_flag(monkeypatch):
     ]
 
 
+class _Misread(int):
+    """The prime p, except that n // p, and the quotient of divmod(n, p), read
+    one too high at the one n = at: a single faulty division."""
+
+    def __new__(cls, p, at):
+        self = super().__new__(cls, p)
+        self.at = at
+        return self
+
+    def __rfloordiv__(self, n):
+        return int(n) // int(self) + (n == self.at)
+
+    def __rdivmod__(self, n):
+        quotient, rest = divmod(int(n), int(self))
+        return quotient + (n == self.at), rest
+
+
+def _list_primes_as(monkeypatch, change):
+    """The default table, with change applied to every prime list it gives."""
+
+    class Changed(PrimeTable):
+        def prime_list(self, x):
+            return change(super().prime_list(x))
+
+    monkeypatch.setattr(primes, "_default_table", Changed())
+
+
+def _vfact_reading(monkeypatch, at, value):
+    """sequences' v_p(n!) reading value at the one (n, p) = at."""
+    real = sequences._vfact
+    monkeypatch.setattr(sequences, "_vfact", lambda n, p: value if (n, p) == at else real(n, p))
+
+
+def test_prop2_and_prop3_report_a_faulty_factorial_valuation(monkeypatch):
+    # v_7(13!) is 1; 13 and 14 are steps of 7 in both walks (n = -1 and 0 mod 7),
+    # so the piece [13, 14) decides n = 13 alone, and [12, 13) n = 12
+    assert verify.check_prop2(40).passed and verify.check_prop3(40).passed
+    _vfact_reading(monkeypatch, (13, 7), -1)  # below 13 // 7, and below 13 // 6 less e = 1
+    assert verify.check_prop2(40).violations == ["n=13: divides-factorial fails"]
+    assert verify.check_prop3(40).violations == ["n=13: sigma(n) does not divide n! lcm(1..n+1)"]
+    _vfact_reading(monkeypatch, (13, 7), 10**6)  # above 13 // 6, and as v_7((n+1)!) at 12, 12 // 6
+    assert verify.check_prop2(40).violations == ["n=13: factorial-sandwich fails"]
+    assert verify.check_prop3(40).violations == ["n=12: (n+1)! does not divide sigma(n)"]
+
+
+def test_prop2_reports_a_composite_among_the_primes(monkeypatch):
+    # sigma's exponent of 4 would be n // 3, which steps at every multiple of 3:
+    # at an odd one, sigma(n) = 2 sigma(n - 1) fails.  No other fact can fail
+    # at an integer p >= 2
+    _list_primes_as(monkeypatch, lambda ps: sorted(ps + [4]))
+    res = verify.check_prop2(40)
+    assert res.cases == 41
+    assert res.violations == [f"n={n}: odd-doubling fails" for n in range(3, 41, 6)]
+
+
+def test_prop2_reports_a_faulty_quotient(monkeypatch):
+    # 35 // 7 read as 6 makes rho(35) exceed rho(36) at 7 and v_7(35!), read
+    # from the same quotient, exceed 35 // 6; 35 and 36 are steps of 7
+    # (n = 0 mod 7 and 0 mod 6), so only n = 35 is decided by it
+    _list_primes_as(monkeypatch, lambda ps: [_Misread(p, 35) if p == 7 else p for p in ps])
+    assert verify.check_prop2(40).violations == ["n=35: chain fails", "n=35: factorial-sandwich fails"]
+
+
 def test_flag_and_split_walks_hold_few_bytes_per_n():
     # the walks keep a failure byte per fact (and split a count) per n, and
     # O(sqrt(N)) steps at once; the table and its prime list are grown first.
@@ -286,6 +349,36 @@ def test_theorem2_reports_the_walks_failure_where_no_pair_differs(monkeypatch):
     res = verify.check_theorem2(200)
     assert res.cases == 4230
     assert res.violations == ["large part mismatch at n=99: {17, 13} vs {17, 100, 13}"]
+
+
+def test_theorem2_and_split_report_a_valuation_above_1(monkeypatch):
+    # 7 walked one n past its large range [6, 47], to 48 = 7^2 - 1, where its
+    # valuation 48 // 6 - 48 // 7 is 2 (48 is a step of 7, n = 0 mod 6)
+    real = sequences._pieces
+    monkeypatch.setattr(sequences, "_pieces", lambda lo, hi, steps, p: real(lo, hi + (p == 7), steps, p))
+    res = verify.check_theorem2(60)
+    assert res.cases == 454 and res.violations == ["large-prime valuation above 1 at n=48"]
+    res = verify.check_split(60)
+    assert res.cases == 60 and res.violations == ["large-prime valuation above 1 at n=48"]
+
+
+def test_split_reports_a_small_part_below_n_factorial(monkeypatch):
+    # v_3(10!) read far above 10 // 2, the exponent of 3 in sigma(10), where 3
+    # is small (3 * 3 <= 11)
+    _vfact_reading(monkeypatch, (10, 3), 10**6)
+    res = verify.check_split(20)
+    assert res.cases == 20 and res.violations == ["sigma(10) is not a multiple of 10!"]
+    with pytest.raises(ArithmeticError, match=r"^sigma\(10\) is not a multiple of 10!$"):
+        split_sigma_over_factorial(10)
+
+
+def test_sigma_ratio_valuation_reports_routes_that_disagree():
+    # 11 read as 2 * 7 + 4, not 1 * 7 + 4: its digit sum 6 gives valuation 1,
+    # where no k has (11 + k) // k = 7
+    assert sigma_ratio_valuation(11, 7).valuation == 0
+    with pytest.raises(ArithmeticError, match=r"^valuation routes disagree at n=11, p=7: digits 1, witness 0$"):
+        sigma_ratio_valuation(11, _Misread(7, 11))
+    assert sigma_ratio_valuation(12, _Misread(7, 11)) == sigma_ratio_valuation(12, 7)
 
 
 def test_sigma_ratio_valuation_examples():

@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from lcmf import triangle
 from lcmf.factored import FactoredNatural
 from lcmf.products import WeightFunction, weighted_prime_product
 from lcmf.triangle import diagonal, iter_rows, q, rows_decimal, sigma_from_diagonal
@@ -108,3 +111,27 @@ def test_diagonal_lcm_chain_freezes():
         assert values[-1] == values[n if n < len(values) else -1]
         assert values[n] == weighted_prime_product(shifted, n)
         assert all(v == values[n] for v in values[n:])
+
+
+def _times_7(value: FactoredNatural) -> FactoredNatural:
+    return FactoredNatural({**value.factors, 7: value.valuation(7) + 1})
+
+
+def test_prop1_and_cor2_report_a_faulty_lcm_side(monkeypatch):
+    # q(3, 1), q(3, 3) and q(10, 5) read 7 times too large: d(2, 1) = q(3, 1)
+    # then divides no d(2, 2), d(0, 3) = q(3, 3) leaves the frozen d(0, 0),
+    # and q(10, 5) is no longer sigma(5).  A pair (m, k) is d(m - k, k), read
+    # at the one n = m - k
+    real = triangle._entries
+
+    def faulty(pairs, budget):
+        pairs, feed = itertools.tee(pairs)
+        for pair, value in zip(pairs, real(feed, budget)):
+            yield _times_7(value) if pair in {(3, 1), (3, 3), (10, 5)} else value
+
+    assert check_prop1(4).passed and check_cor2(8).passed
+    monkeypatch.setattr(triangle, "_entries", faulty)
+    res = check_prop1(4)
+    assert res.cases == 60 and res.violations == ["d(0,3) != d(0,0)", "d(2,1) does not divide d(2,2)"]
+    res = check_cor2(8)
+    assert res.cases == 9 and res.violations == ["sigma(5) != q(10,5)"]
